@@ -10,8 +10,7 @@ index with integrality checks.
 
 from .charclasses import (convergence_table, cs_tail_bound,
                           pontryagin_density, pontryagin_integral,
-                          pontryagin_profile, pontryagin_scalar,
-                          write_convergence_csv)
+                          pontryagin_scalar, write_convergence_csv)
 from .errors import (ChartError, ConsistencyError, ConvergenceError,
                      DomainError, GenericityError, IsotropyError,
                      TNIndexError)
@@ -46,8 +45,8 @@ __all__ = [
     "field_strength_coeff", "hodge_star", "index_formula",
     "index_formula_full_flux", "integrality_check", "integrate_radial",
     "metric_at", "metric_y_chart", "model_connection_at", "poisson_check",
-    "pontryagin_density", "pontryagin_integral", "pontryagin_profile",
-    "pontryagin_scalar", "potential_and_omega", "radial_coefficients",
+    "pontryagin_density", "pontryagin_integral", "pontryagin_scalar",
+    "potential_and_omega", "radial_coefficients",
     "route_table", "sample_density", "star3", "wedge4",
     "write_convergence_csv", "write_route_csv",
 ]

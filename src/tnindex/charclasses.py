@@ -7,19 +7,11 @@ import csv
 
 import numpy as np
 
-from .errors import ConvergenceError, IsotropyError
 from .geometry import MetricSpec, curvature_batch, radial_coefficients, wedge4
-from .quadrature import QuadratureSpec, RadialDensity, integrate_radial, \
-    radial_nodes
+from .quadrature import (QuadratureSpec, angular_samples, exp_tail_bound,
+                         integrate_radial, isotropic_mean, sample_density)
 
 PONT_NORM = 1.0 / (192.0 * np.pi**2)
-
-
-def angular_samples(n_ang: int):
-    """Deterministic (theta, phi) check samples away from the gauge axis."""
-    thetas = np.linspace(0.35, np.pi - 0.35, n_ang)
-    phis = (0.4 + 2.39996 * np.arange(n_ang)) % (2.0 * np.pi)
-    return thetas, phis
 
 
 def pontryagin_scalar(riemann: np.ndarray) -> np.ndarray:
@@ -35,10 +27,9 @@ def pontryagin_scalar(riemann: np.ndarray) -> np.ndarray:
 def density_from_scalar(scalar, spec: MetricSpec, r):
     """Convert the pointwise tr(R^R) coefficient into the radial density
     rho(r) whose r-integral is (1/192 pi^2) * the full 4-integral."""
-    r = np.asarray(r, dtype=float)
-    ac = np.array([radial_coefficients(spec, ri) for ri in np.atleast_1d(r)])
-    vol_level = np.sqrt(ac[:, 0] ** 3 * ac[:, 1]) * np.atleast_1d(r) ** 2 \
-        * 8.0 * np.pi**2
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    a_coeff, c_coeff = radial_coefficients(spec, r)
+    vol_level = np.sqrt(a_coeff ** 3 * c_coeff) * r ** 2 * 8.0 * np.pi**2
     return PONT_NORM * np.asarray(scalar) * vol_level
 
 
@@ -57,91 +48,43 @@ def _density_samples(spec: MetricSpec, rs: np.ndarray, n_ang: int):
     return out
 
 
-def _isotropy_residual(samples: np.ndarray) -> np.ndarray:
-    mean = samples.mean(axis=1)
-    spread = np.abs(samples - mean[:, None]).max(axis=1)
-    scale = np.abs(samples).max(axis=1) + 1e-12
-    return spread / scale
-
-
 def pontryagin_density(spec: MetricSpec, r: float,
                        quad: QuadratureSpec) -> float:
     """rho(r) with (1/192 pi^2) int tr R^R = int rho(r) dr, by angular
     sampling on the level set r = const with an isotropy assertion."""
     samples = _density_samples(spec, np.array([r]), quad.n_ang)
-    resid = float(_isotropy_residual(samples)[0])
-    if resid > quad.tol:
-        raise IsotropyError(
-            f"angular spread {resid:.3e} at r={r} exceeds {quad.tol:.3e}; "
-            "the cohomogeneity-one reduction is invalid")
-    return float(samples.mean(axis=1)[0])
+    return float(isotropic_mean(samples, quad.tol)[0])
 
 
-def pontryagin_profile(spec: MetricSpec, quad: QuadratureSpec,
-                       n_r: int | None = None) -> RadialDensity:
-    """Sampled density on the spec's fine grid plus coarse companion."""
-    n = quad.n_r if n_r is None else n_r
-    r_f, w_f = radial_nodes(quad, n)
-    r_c, w_c = radial_nodes(quad, n // 2)
-    fine = _density_samples(spec, r_f, quad.n_ang)
-    coarse = _density_samples(spec, r_c, quad.n_ang)
-    resid = max(float(_isotropy_residual(fine).max()),
-                float(_isotropy_residual(coarse).max()))
-    if resid > quad.tol:
-        raise IsotropyError(
-            f"angular spread {resid:.3e} exceeds {quad.tol:.3e}")
-    return RadialDensity(nodes=r_f, values=fine.mean(axis=1), weights=w_f,
-                         coarse_nodes=r_c, coarse_values=coarse.mean(axis=1),
-                         coarse_weights=w_c, isotropy_residual=resid)
-
-
-def pontryagin_integral(spec: MetricSpec, quad: QuadratureSpec,
-                        n_r: int | None = None):
-    """(value, error_estimate, tail_bound) of the normalized tr R^R
-    integral truncated at quad.r_max."""
-    rho = pontryagin_profile(spec, quad, n_r)
-    value, error = integrate_radial(rho, quad)
-    tail = cs_tail_bound(spec, quad.r_max, quad)
-    return value, error, tail
-
-
-def cs_tail_bound(spec: MetricSpec, r_cut: float, quad: QuadratureSpec,
-                  n_fit: int = 8) -> float:
+def cs_tail_bound(spec: MetricSpec, r_cut: float,
+                  quad: QuadratureSpec) -> float:
     """Upper bound on |int_{r > r_cut} rho| from an exponential fit of the
     tail in y = log r (the density decays exponentially in y)."""
     if r_cut <= spec.blend.r_out:
         raise ValueError("tail bound requires r_cut > r_out of the blend")
-    ys = np.log(r_cut) + np.linspace(0.0, 1.0, n_fit)
-    rs = np.exp(ys)
-    samples = _density_samples(spec, rs, quad.n_ang).mean(axis=1)
-    # density per unit y
-    rho_y = np.abs(samples * rs)
-    if np.all(rho_y < 1e-300):
-        return 0.0
-    if np.any(rho_y < 1e-300):
-        rho_y = np.maximum(rho_y, 1e-300)
-    coeffs = np.polyfit(ys, np.log(rho_y), 1)
-    slope, intercept = coeffs[0], coeffs[1]
-    if slope >= 0:
-        raise ConvergenceError(
-            f"tail is not decaying (fitted rate {slope:.3e}); "
-            "no truncation bound available")
-    kappa = -slope
-    # int_{y_cut}^inf A e^(-kappa y) dy, with a 2x safety margin on the fit
-    return 2.0 * float(np.exp(intercept + slope * ys[0]) / kappa)
+    return exp_tail_bound(
+        lambda rs: _density_samples(spec, rs, quad.n_ang).mean(axis=1),
+        r_cut, 1e-300)
 
 
-def convergence_table(spec: MetricSpec, quad: QuadratureSpec,
-                      n_r_values=None):
-    """Rows (n_r, value, error_estimate, tail_bound) for a grid sweep."""
-    if n_r_values is None:
-        n_r_values = [quad.n_r // 4, quad.n_r // 2, quad.n_r]
+def convergence_table(spec: MetricSpec, quad: QuadratureSpec, n_r_values):
+    """Rows (n_r, value, error_estimate, tail_bound) for a grid sweep of
+    the normalized tr R^R integral truncated at quad.r_max."""
     tail = cs_tail_bound(spec, quad.r_max, quad)
     rows = []
     for n in n_r_values:
-        value, error, _ = pontryagin_integral(spec, quad, n_r=n)
+        rho = sample_density(
+            lambda rs: _density_samples(spec, rs, quad.n_ang), quad, n)
+        value, error = integrate_radial(rho, quad)
         rows.append((n, value, error, tail))
     return rows
+
+
+def pontryagin_integral(spec: MetricSpec, quad: QuadratureSpec):
+    """(value, error_estimate, tail_bound) of the normalized tr R^R
+    integral truncated at quad.r_max."""
+    [(_, value, error, tail)] = convergence_table(spec, quad, [quad.n_r])
+    return value, error, tail
 
 
 def write_convergence_csv(path, rows):

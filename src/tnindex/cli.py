@@ -5,15 +5,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .charclasses import convergence_table, write_convergence_csv
-from .errors import TNIndexError
+from .errors import ConsistencyError, ConvergenceError, TNIndexError
 from .eta import ROUTES, SeriesSpec, route_table, write_route_csv
 from .gauge import InstantonChannel, InstantonData
 from .geometry import (BlendProfile, MetricSpec, Point, Variant,
@@ -40,38 +40,24 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+def _build_spec(cls, section: dict):
+    """Instance of the dataclass cls from a config section: each present
+    key is cast to the type of its field's default, absent keys keep the
+    default."""
+    return cls(**{f.name: type(f.default)(section[f.name])
+                  for f in dataclasses.fields(cls) if f.name in section})
+
+
 def _build_metric(section: dict) -> MetricSpec:
-    blend_cfg = section.get("blend", {})
-    blend = BlendProfile(r_in=float(blend_cfg.get("r_in", 2.0)),
-                         r_out=float(blend_cfg.get("r_out", 4.0)),
-                         kind=blend_cfg.get("kind", "quintic"))
     try:
         variant = Variant(section.get("variant", "ExactD"))
     except ValueError:
         raise ConfigError(
             f"unknown metric variant {section.get('variant')!r}") from None
     return MetricSpec(variant=variant, t=float(section.get("t", 0.0)),
-                      blend=blend, l=float(section.get("l", 1.0)))
-
-
-def _build_quad(section: dict) -> QuadratureSpec:
-    return QuadratureSpec(
-        r_min=float(section.get("r_min", 1e-4)),
-        r_max=float(section.get("r_max", 80.0)),
-        n_r=int(section.get("n_r", 256)),
-        n_ang=int(section.get("n_ang", 8)),
-        scheme=section.get("scheme", "gauss-legendre-composite"),
-        tol=float(section.get("tol", 1e-3)))
-
-
-def _build_series(section: dict) -> SeriesSpec:
-    return SeriesSpec(
-        k_cutoff=int(section.get("k_cutoff", 1500)),
-        p_cutoff=int(section.get("p_cutoff", 20000)),
-        u_min=float(section.get("u_min", 1e-4)),
-        u_max=float(section.get("u_max", 1e4)),
-        n_u=int(section.get("n_u", 601)),
-        tol=float(section.get("tol", 1e-8)))
+                      blend=_build_spec(BlendProfile,
+                                        section.get("blend", {})),
+                      l=float(section.get("l", 1.0)))
 
 
 def _build_instanton(section: dict) -> InstantonData:
@@ -92,8 +78,8 @@ def load_config(raw: dict, overrides: argparse.Namespace) -> dict:
     cfg = {
         "mode": mode,
         "metric": _build_metric(raw.get("metric", {})),
-        "quad": _build_quad(raw.get("quad", {})),
-        "series": _build_series(raw.get("series", {})),
+        "quad": _build_spec(QuadratureSpec, raw.get("quad", {})),
+        "series": _build_spec(SeriesSpec, raw.get("series", {})),
         "route": overrides.route or raw.get("route", "bernoulli"),
         "grav": overrides.grav or raw.get("grav", "numeric"),
         "out": Path(overrides.out or raw.get("out", ".")),
@@ -103,9 +89,7 @@ def load_config(raw: dict, overrides: argparse.Namespace) -> dict:
     }
     if overrides.tol is not None:
         _require(overrides.tol > 0, "--tol must be positive")
-        cfg["quad"] = QuadratureSpec(cfg["quad"].r_min, cfg["quad"].r_max,
-                                     cfg["quad"].n_r, cfg["quad"].n_ang,
-                                     cfg["quad"].scheme, overrides.tol)
+        cfg["quad"] = dataclasses.replace(cfg["quad"], tol=overrides.tol)
     _require(cfg["route"] in ROUTES + ("all",),
              f"route must be one of {ROUTES + ('all',)}")
     _require(cfg["grav"] in ("numeric", "lemma"),
@@ -202,51 +186,50 @@ def _run_geometry_check(cfg: dict) -> int:
     rows.append(("monopole_flux_vs_minus_2pi", abs(flux + 2.0 * np.pi),
                  1e-6))
 
+    failed = [name for name, value, bound in rows if not value < bound]
     cfg["out"].mkdir(parents=True, exist_ok=True)
-    ok = True
     with open(cfg["out"] / "geometry_check.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["check", "residual", "bound", "pass"])
         for name, value, bound in rows:
-            passed = value < bound
-            ok = ok and passed
             writer.writerow([name, repr(float(value)), repr(float(bound)),
-                             str(passed).lower()])
-    return EXIT_OK if ok else EXIT_NUMERICAL
+                             str(name not in failed).lower()])
+    if failed:
+        raise ConsistencyError(f"geometry checks failed: {', '.join(failed)}")
+    return EXIT_OK
 
 
-def _run_pontryagin(cfg: dict) -> int:
+def _run_sweep(cfg: dict) -> int:
+    """Grid sweep of the Pontryagin integral: 'pontryagin' needs the last
+    value within quad.tol of 1/12, 'convergence' needs the last step to be
+    at most the first step plus quad.tol."""
     rows = convergence_table(cfg["metric"], cfg["quad"],
                              n_r_values=cfg["sweep"])
+    values, tol = [row[1] for row in rows], cfg["quad"].tol
+    if cfg["mode"] == "pontryagin":
+        name = "pontryagin_convergence.csv"
+        miss = abs(values[-1] - PONT_TARGET)
+        ok = miss < tol
+        verdict = f"final value {values[-1]!r} misses 1/12 by {miss:.3e}"
+    else:
+        name = "convergence_sweep.csv"
+        last, first = abs(values[-1] - values[-2]), abs(values[1] - values[0])
+        ok = last <= first + tol
+        verdict = f"last sweep step {last:.3e} exceeds the first {first:.3e}"
     cfg["out"].mkdir(parents=True, exist_ok=True)
-    write_convergence_csv(cfg["out"] / "pontryagin_convergence.csv", rows)
-    final = rows[-1][1]
-    return EXIT_OK if abs(final - PONT_TARGET) < cfg["quad"].tol \
-        else EXIT_NUMERICAL
-
-
-def _run_convergence(cfg: dict) -> int:
-    rows = convergence_table(cfg["metric"], cfg["quad"],
-                             n_r_values=cfg["sweep"])
-    cfg["out"].mkdir(parents=True, exist_ok=True)
-    write_convergence_csv(cfg["out"] / "convergence_sweep.csv", rows)
-    values = [row[1] for row in rows]
-    monotone_settled = abs(values[-1] - values[-2]) <= \
-        abs(values[1] - values[0]) + cfg["quad"].tol
-    return EXIT_OK if monotone_settled else EXIT_NUMERICAL
+    write_convergence_csv(cfg["out"] / name, rows)
+    if not ok:
+        raise ConvergenceError(f"{verdict} (tolerance {tol:.3e})", rows)
+    return EXIT_OK
 
 
 _RUNNERS = {
     "index": _run_index,
     "eta": _run_eta,
     "geometry-check": _run_geometry_check,
-    "pontryagin": _run_pontryagin,
-    "convergence": _run_convergence,
+    "pontryagin": _run_sweep,
+    "convergence": _run_sweep,
 }
-
-
-def run(cfg: dict) -> int:
-    return _RUNNERS[cfg["mode"]](cfg)
 
 
 def _emit_error(kind: str, message: str):
@@ -268,9 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=str, default=None,
                         help="output directory for reports")
     parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="BLAS thread cap; results are independent of "
-                             "this value (all reductions are ordered)")
     return parser
 
 
@@ -280,17 +260,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
-
-    threads = args.threads
-    if threads is None and os.environ.get("TN_INDEX_THREADS"):
-        try:
-            threads = int(os.environ["TN_INDEX_THREADS"])
-        except ValueError:
-            _emit_error("ConfigError", "TN_INDEX_THREADS must be an integer")
-            return EXIT_VALIDATION
-    if threads is not None and threads < 1:
-        _emit_error("ConfigError", "thread count must be >= 1")
-        return EXIT_VALIDATION
 
     raw = {}
     if args.config is not None:
@@ -311,7 +280,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
     try:
-        return run(cfg)
+        return _RUNNERS[cfg["mode"]](cfg)
     except TNIndexError as exc:
         _emit_error(type(exc).__name__, str(exc))
         return EXIT_NUMERICAL

@@ -7,11 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, GenericityError, IsotropyError
+from .errors import GenericityError
 from .geometry import (Gauge, MetricSpec, Point, Variant, hodge_star,
                        metric_at, potential_and_omega, star3, wedge4)
-from .quadrature import QuadratureSpec, RadialDensity, integrate_radial, \
-    radial_nodes
+from .quadrature import (QuadratureSpec, angular_samples, exp_tail_bound,
+                         integrate_radial, sample_density)
 
 LAMBDA_TOL = 1e-6
 
@@ -168,7 +168,6 @@ def _bulk_density_samples(data: InstantonData, rs: np.ndarray, n_ang: int,
                           l: float = 1.0, monopole: bool = True):
     """-(1/8 pi^2) tr F^F reduced to a per-unit-r density at angular check
     samples, shape (len(rs), n_ang)."""
-    from .charclasses import angular_samples
     thetas, phis = angular_samples(n_ang)
     out = np.zeros((len(rs), n_ang))
     for j, (th, ph) in enumerate(zip(thetas, phis)):
@@ -184,55 +183,25 @@ def _bulk_density_samples(data: InstantonData, rs: np.ndarray, n_ang: int,
     return out
 
 
-def _bulk_truncation_bound(data: InstantonData, quad: QuadratureSpec,
-                           l: float, monopole: bool) -> float:
-    """Bound on the mass outside [r_min, r_max]: the per-unit-log-r density
-    decays like 1/r at large r (fit over one e-fold past the cutoff) and
-    vanishes like r^2 towards the origin (bounded by the innermost sample).
-    """
-    ys = np.log(quad.r_max) + np.linspace(0.0, 1.0, 8)
-    rs = np.exp(ys)
-    rho_y = np.abs(
-        _bulk_density_samples(data, rs, 2, l, monopole).mean(axis=1) * rs)
-    # below ~1e-25 the samples are squared-roundoff noise, not signal
-    if np.all(rho_y < 1e-25):
-        tail = 0.0
-    else:
-        slope, intercept = np.polyfit(ys, np.log(np.maximum(rho_y, 1e-300)),
-                                      1)
-        if slope >= 0:
-            raise ConvergenceError(
-                f"bulk density tail is not decaying (rate {slope:.3e})")
-        tail = 2.0 * float(np.exp(intercept + slope * ys[0]) / (-slope))
-    head_samples = np.abs(
-        _bulk_density_samples(data, np.array([quad.r_min]), 2, l,
-                              monopole)).max()
-    head = 2.0 * float(head_samples) * quad.r_min
-    return tail + head
-
-
 def bulk_action(data: InstantonData, quad: QuadratureSpec, l: float = 1.0,
                 monopole: bool = True):
     """-(1/8 pi^2) int_TN tr F^F by symmetry-reduced radial quadrature.
 
-    Returns (value, error_estimate); the estimate combines the grid
-    refinement difference with fitted bounds on the truncated head and
-    tail of the radial density."""
-    r_f, w_f = radial_nodes(quad)
-    r_c, w_c = radial_nodes(quad, quad.n_r // 2)
-    fine = _bulk_density_samples(data, r_f, quad.n_ang, l, monopole)
-    coarse = _bulk_density_samples(data, r_c, quad.n_ang, l, monopole)
-    spread = np.abs(fine - fine.mean(axis=1, keepdims=True)).max(axis=1)
-    scale = np.abs(fine).max(axis=1) + 1e-12
-    resid = float((spread / scale).max())
-    if resid > quad.tol:
-        raise IsotropyError(
-            f"bulk density angular spread {resid:.3e} exceeds {quad.tol:.3e}")
-    rho = RadialDensity(nodes=r_f, values=fine.mean(axis=1), weights=w_f,
-                        coarse_nodes=r_c, coarse_values=coarse.mean(axis=1),
-                        coarse_weights=w_c, isotropy_residual=resid)
-    value, error = integrate_radial(rho, quad)
-    return value, error + _bulk_truncation_bound(data, quad, l, monopole)
+    Returns (value, error_estimate); the estimate adds to the grid
+    refinement difference bounds on the mass outside [r_min, r_max]: the
+    per-unit-log-r density decays like 1/r at large r (exponential fit over
+    one e-fold past the cutoff) and vanishes like r^2 towards the origin
+    (bounded by the innermost sample)."""
+    def density(rs, n_ang=quad.n_ang):
+        return _bulk_density_samples(data, rs, n_ang, l, monopole)
+
+    value, error = integrate_radial(sample_density(density, quad), quad)
+    # below ~1e-25 the samples are squared-roundoff noise, not signal
+    tail = exp_tail_bound(lambda rs: density(rs, 2).mean(axis=1),
+                          quad.r_max, 1e-25)
+    head = 2.0 * float(np.abs(density(np.array([quad.r_min]), 2)).max()) \
+        * quad.r_min
+    return value, error + (tail + head)
 
 
 def bulk_action_closed_form(data: InstantonData,

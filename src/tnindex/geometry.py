@@ -213,12 +213,8 @@ def _radial_coeffs(spec: MetricSpec, r):
     half = 0.5
     v = spec.l + half / r
     b = spec.blend(r)
-    log_conf = -((v).log() + 2.0 * r.log()) if isinstance(r, Jet) \
-        else -(np.log(v) + 2.0 * np.log(r))
-    if isinstance(r, Jet):
-        conf = (b * log_conf).exp()
-    else:
-        conf = np.exp(b * log_conf)
+    log_conf = -(jets.log(v) + 2.0 * jets.log(r))
+    conf = jets.exp(b * log_conf)
     a_coeff = conf * v
 
     variant = spec.variant
@@ -230,21 +226,19 @@ def _radial_coeffs(spec: MetricSpec, r):
         t = 0.0 if variant is Variant.EXACT_D else spec.t
         vt = 1.0 + (half * t) / r
         # interpolate log(1/v) -> log(v / vt^2) with the blend profile
-        if isinstance(r, Jet):
-            log_q = (b - 1.0) * v.log() + b * (v.log() - 2.0 * vt.log())
-            q = log_q.exp()
-        else:
-            log_q = (b - 1.0) * np.log(v) + b * (np.log(v) - 2.0 * np.log(vt))
-            q = np.exp(log_q)
+        log_q = (b - 1.0) * jets.log(v) \
+            + b * (jets.log(v) - 2.0 * jets.log(vt))
+        q = jets.exp(log_q)
     c_coeff = conf * q
     return a_coeff, c_coeff
 
 
-def radial_coefficients(spec: MetricSpec, r: float):
-    """Scalar (A, C) of the metric family at radius r."""
-    if r <= 0:
+def radial_coefficients(spec: MetricSpec, r):
+    """(A, C) of the metric family at a radius or an array of radii."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0):
         raise DomainError("r must be positive")
-    return tuple(float(x) for x in _radial_coeffs(spec, np.asarray(r, float)))
+    return _radial_coeffs(spec, r)
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +248,11 @@ def radial_coefficients(spec: MetricSpec, r: float):
 def _metric_entries(spec: MetricSpec, x1, x2, x3, gauge: Gauge):
     """4x4 nested list of metric components from (possibly jet) coordinates."""
     r2 = x1 * x1 + x2 * x2 + x3 * x3
-    r = r2.sqrt() if isinstance(r2, Jet) else np.sqrt(r2)
+    r = jets.sqrt(r2)
     a_coeff, c_coeff = _radial_coeffs(spec, r)
-    if gauge is Gauge.DEFAULT:
-        rho2 = x1 * x1 + x2 * x2
-        h = x3 / (2.0 * r * rho2)
-    elif gauge is Gauge.NORTH:
-        h = -1.0 / (2.0 * r * (r + x3))
-    else:
-        h = 1.0 / (2.0 * r * (r - x3))
-    zero = (Jet.constant(0.0, x1.val.shape) if isinstance(x1, Jet) else 0.0)
-    om = [(-1.0) * x2 * h, x1 * h, zero]
+    h = _gauge_factor(r, x3, x1 * x1 + x2 * x2, gauge)
+    # a Jet times 0.0 is a Jet times the zero jet
+    om = [(-1.0) * x2 * h, x1 * h, 0.0]
     g = [[None] * 4 for _ in range(4)]
     for i in range(3):
         for j in range(i, 3):

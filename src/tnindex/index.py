@@ -3,7 +3,7 @@ contributions, with integrality diagnostics."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -143,10 +143,5 @@ def assemble(data: InstantonData, quad: QuadratureSpec,
         integrality_defect=defect, route=route, grav_mode=grav_mode,
         bulk_error=bulk_err, grav_error=grav_err, eta_error=eta_err,
         cancellation_residual=residual,
-        quadrature={"r_min": quad.r_min, "r_max": quad.r_max,
-                    "n_r": quad.n_r, "n_ang": quad.n_ang,
-                    "scheme": quad.scheme, "tol": quad.tol},
-        series={"k_cutoff": series.k_cutoff, "p_cutoff": series.p_cutoff,
-                "u_min": series.u_min, "u_max": series.u_max,
-                "n_u": series.n_u, "tol": series.tol},
+        quadrature=asdict(quad), series=asdict(series),
     )

@@ -138,6 +138,21 @@ class Jet:
         )
 
 
+def log(x):
+    """Entrywise log of a jet or an array."""
+    return x.log() if isinstance(x, Jet) else np.log(x)
+
+
+def exp(x):
+    """Entrywise exp of a jet or an array."""
+    return x.exp() if isinstance(x, Jet) else np.exp(x)
+
+
+def sqrt(x):
+    """Entrywise square root of a jet or an array."""
+    return x.sqrt() if isinstance(x, Jet) else np.sqrt(x)
+
+
 def where(mask, a, b):
     """Elementwise select between two jets with matching batch shape."""
     mask = np.asarray(mask, dtype=bool)

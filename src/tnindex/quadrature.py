@@ -3,12 +3,12 @@ rules on a logarithmic radial grid, with refinement-based error estimates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, IsotropyError
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,7 @@ class QuadratureSpec:
             raise ValueError("need at least 2 angular check samples")
 
     def with_nodes(self, n_r: int) -> "QuadratureSpec":
-        return QuadratureSpec(self.r_min, self.r_max, n_r, self.n_ang,
-                              self.scheme, self.tol)
+        return replace(self, n_r=n_r)
 
 
 def _gl_composite(a: float, b: float, n: int):
@@ -80,28 +79,57 @@ def radial_nodes(quad: QuadratureSpec, n_r: int | None = None):
     return r, wy * r
 
 
+def angular_samples(n_ang: int):
+    """Deterministic (theta, phi) check samples away from the gauge axis."""
+    thetas = np.linspace(0.35, np.pi - 0.35, n_ang)
+    phis = (0.4 + 2.39996 * np.arange(n_ang)) % (2.0 * np.pi)
+    return thetas, phis
+
+
+def isotropic_mean(samples: np.ndarray, tol: float) -> np.ndarray:
+    """Mean over the angular check samples of shape (n, n_ang); raises
+    IsotropyError when the largest relative spread exceeds tol, since a
+    cohomogeneity-one density must not depend on the angle."""
+    mean = samples.mean(axis=1)
+    spread = np.abs(samples - mean[:, None]).max(axis=1)
+    scale = np.abs(samples).max(axis=1) + 1e-12
+    resid = float((spread / scale).max())
+    if resid > tol:
+        raise IsotropyError(
+            f"angular spread {resid:.3e} exceeds {tol:.3e}; "
+            "the cohomogeneity-one reduction is invalid")
+    return mean
+
+
 @dataclass
 class RadialDensity:
     """Sampled radial density rho(r) on a fine grid, with a coarse companion
     grid for the refinement error estimate."""
 
-    nodes: np.ndarray
     values: np.ndarray
     weights: np.ndarray
-    coarse_nodes: np.ndarray | None = None
-    coarse_values: np.ndarray | None = None
-    coarse_weights: np.ndarray | None = None
-    isotropy_residual: float = 0.0
+    coarse_values: np.ndarray
+    coarse_weights: np.ndarray
 
 
 def sample_density(f: Callable[[np.ndarray], np.ndarray],
-                   quad: QuadratureSpec) -> RadialDensity:
-    """Sample a vectorized density on the spec's fine and half-size grids."""
-    r_f, w_f = radial_nodes(quad)
-    r_c, w_c = radial_nodes(quad, quad.n_r // 2)
-    return RadialDensity(nodes=r_f, values=np.asarray(f(r_f), dtype=float),
-                         weights=w_f, coarse_nodes=r_c,
-                         coarse_values=np.asarray(f(r_c), dtype=float),
+                   quad: QuadratureSpec, n_r: int | None = None
+                   ) -> RadialDensity:
+    """Sample a vectorized density on the fine grid of n_r nodes (default
+    quad.n_r) and on the half-size grid.
+
+    When f returns angular check samples of shape (n, n_ang), both grids
+    are reduced to their angular mean through one isotropy check against
+    quad.tol."""
+    n = quad.n_r if n_r is None else n_r
+    r_f, w_f = radial_nodes(quad, n)
+    r_c, w_c = radial_nodes(quad, n // 2)
+    fine = np.asarray(f(r_f), dtype=float)
+    coarse = np.asarray(f(r_c), dtype=float)
+    if fine.ndim == 2:
+        mean = isotropic_mean(np.concatenate([fine, coarse]), quad.tol)
+        fine, coarse = mean[:len(r_f)], mean[len(r_f):]
+    return RadialDensity(values=fine, weights=w_f, coarse_values=coarse,
                          coarse_weights=w_c)
 
 
@@ -110,21 +138,14 @@ def integrate_radial(rho: RadialDensity, quad: QuadratureSpec,
     """Integrate a sampled density; returns (value, error_estimate).
 
     The summation order is fixed by the node order, so the result is
-    bit-stable for a given grid.  The error estimate compares the fine grid
-    against the coarse companion grid when available.  With check=True a
-    refinement estimate above the spec tolerance raises ConvergenceError.
+    bit-stable for a given grid.  The error estimate is the difference
+    between the fine and the coarse grid.  With check=True a refinement
+    estimate above the spec tolerance raises ConvergenceError.
     """
     value = float(np.dot(rho.values, rho.weights))
-    history = [(len(rho.values), value)]
-    if rho.coarse_values is not None:
-        coarse = float(np.dot(rho.coarse_values, rho.coarse_weights))
-        history.insert(0, (len(rho.coarse_values), coarse))
-        error = abs(value - coarse)
-    else:
-        # fallback: drop the outermost panel's worth of nodes
-        k = max(1, len(rho.values) // 16)
-        trimmed = float(np.dot(rho.values[:-k], rho.weights[:-k]))
-        error = abs(value - trimmed)
+    coarse = float(np.dot(rho.coarse_values, rho.coarse_weights))
+    history = [(len(rho.coarse_values), coarse), (len(rho.values), value)]
+    error = abs(value - coarse)
     if not np.isfinite(value):
         raise ConvergenceError("radial integral is not finite", history)
     if check and error > quad.tol:
@@ -132,3 +153,23 @@ def integrate_radial(rho: RadialDensity, quad: QuadratureSpec,
             f"refinement estimate {error:.3e} exceeds tolerance "
             f"{quad.tol:.3e}", history)
     return value, error
+
+
+def exp_tail_bound(f: Callable[[np.ndarray], np.ndarray], r_cut: float,
+                   floor: float) -> float:
+    """Upper bound on |int_{r > r_cut} f dr| from an exponential fit in
+    y = log r over one e-fold past r_cut, with a 2x margin; 0 when every
+    sample lies below floor, the roundoff-noise level of f."""
+    ys = np.log(r_cut) + np.linspace(0.0, 1.0, 8)
+    rs = np.exp(ys)
+    # density per unit y
+    rho_y = np.abs(np.asarray(f(rs), dtype=float) * rs)
+    if np.all(rho_y < floor):
+        return 0.0
+    slope, intercept = np.polyfit(ys, np.log(np.maximum(rho_y, 1e-300)), 1)
+    if slope >= 0:
+        raise ConvergenceError(
+            f"tail is not decaying (fitted rate {slope:.3e}); "
+            "no truncation bound available")
+    # int_{y_cut}^inf A e^(slope y) dy, doubled
+    return 2.0 * float(np.exp(intercept + slope * ys[0]) / (-slope))

@@ -2,7 +2,15 @@
 report/CSV contracts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
+
+import tnindex
+from tnindex import cli
 from tnindex.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                          EXIT_VALIDATION, main)
 
@@ -114,11 +122,50 @@ def test_numerical_failure_exit(tmp_path, capsys):
     assert err["error"] == "GenericityError"
 
 
-def test_threads_env_fallback_validation(monkeypatch, capsys):
-    monkeypatch.setenv("TN_INDEX_THREADS", "zero")
-    assert main(["--mode", "eta"]) == EXIT_VALIDATION
-    monkeypatch.setenv("TN_INDEX_THREADS", "-3")
-    assert main(["--mode", "eta"]) == EXIT_VALIDATION
+def test_pontryagin_miss_emits_error_and_keeps_csv(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"mode": "pontryagin",
+                                  "metric": {"variant": "ExactD"},
+                                  "quad": {"n_r": 32}, "sweep": [16, 32]})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConvergenceError"
+    assert "1/12" in err["message"]
+    lines = (out / "pontryagin_convergence.csv").read_text().splitlines()
+    assert len(lines) == 3
+
+
+def test_geometry_check_failure_emits_error(tmp_path, capsys, monkeypatch):
+    # a wrong star3 breaks the d(omega) = *3 dV residual
+    monkeypatch.setattr(cli, "star3", lambda v: np.zeros((3, 3)))
+    out = tmp_path / "out"
+    assert main(["--mode", "geometry-check", "--out", str(out)]) == \
+        EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConsistencyError"
+    assert "monopole_field_residual" in err["message"]
+    lines = (out / "geometry_check.csv").read_text().splitlines()
+    assert lines[3].startswith("monopole_field_residual,")
+    assert lines[3].endswith(",false")
+
+
+def test_reports_independent_of_blas_threads(tmp_path):
+    cfg = write_config(tmp_path, {"mode": "pontryagin",
+                                  "metric": {"variant": "Homotopy", "t": 0.5},
+                                  "quad": {"n_r": 64}, "sweep": [32, 64]})
+    src = str(Path(tnindex.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tnindex.cli", "--config", cfg,
+             "--out", str(out)], env=env, capture_output=True, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        reports.append((out / "pontryagin_convergence.csv").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_eta_report_round_trips(tmp_path):

@@ -69,8 +69,8 @@ def test_convergence_check_raises_with_history():
     quad = QuadratureSpec(n_r=16, tol=1e-16)
     rng = np.random.default_rng(3)
     nodes, weights = radial_nodes(quad)
-    noisy = RadialDensity(nodes=nodes, values=rng.standard_normal(len(nodes)),
-                          weights=weights, coarse_nodes=nodes[::2],
+    noisy = RadialDensity(values=rng.standard_normal(len(nodes)),
+                          weights=weights,
                           coarse_values=rng.standard_normal(len(nodes[::2])),
                           coarse_weights=weights[::2] * 2.0)
     with pytest.raises(ConvergenceError) as err:
