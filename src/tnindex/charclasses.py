@@ -69,12 +69,23 @@ def cs_tail_bound(spec: MetricSpec, r_cut: float,
 
 def convergence_table(spec: MetricSpec, quad: QuadratureSpec, n_r_values):
     """Rows (n_r, value, error_estimate, tail_bound) for a grid sweep of
-    the normalized tr R^R integral truncated at quad.r_max."""
+    the normalized tr R^R integral truncated at quad.r_max.
+
+    Each distinct radial grid is sampled once: a fine grid of one row is
+    often the coarse grid of the next.  A point's curvature does not depend
+    on the rest of its batch, so reusing a grid changes no bit."""
     tail = cs_tail_bound(spec, quad.r_max, quad)
+    sampled = {}
+
+    def samples(rs):
+        key = rs.tobytes()
+        if key not in sampled:
+            sampled[key] = _density_samples(spec, rs, quad.n_ang)
+        return sampled[key]
+
     rows = []
     for n in n_r_values:
-        rho = sample_density(
-            lambda rs: _density_samples(spec, rs, quad.n_ang), quad, n)
+        rho = sample_density(samples, quad, n)
         value, error = integrate_radial(rho, quad)
         rows.append((n, value, error, tail))
     return rows

@@ -48,6 +48,15 @@ def _build_spec(cls, section: dict):
                   for f in dataclasses.fields(cls) if f.name in section})
 
 
+def _section(parent: dict, key: str, where: str | None = None) -> dict:
+    """The config section parent[key] ({} when absent), which must be a
+    JSON object; `where` names it in the error (default: key)."""
+    section = parent.get(key, {})
+    _require(isinstance(section, dict),
+             f"{where or key} must be a JSON object")
+    return section
+
+
 def _build_metric(section: dict) -> MetricSpec:
     try:
         variant = Variant(section.get("variant", "ExactD"))
@@ -55,8 +64,8 @@ def _build_metric(section: dict) -> MetricSpec:
         raise ConfigError(
             f"unknown metric variant {section.get('variant')!r}") from None
     return MetricSpec(variant=variant, t=float(section.get("t", 0.0)),
-                      blend=_build_spec(BlendProfile,
-                                        section.get("blend", {})),
+                      blend=_build_spec(BlendProfile, _section(
+                          section, "blend", "metric.blend")),
                       l=float(section.get("l", 1.0)))
 
 
@@ -77,9 +86,9 @@ def load_config(raw: dict, overrides: argparse.Namespace) -> dict:
     _require(mode in MODES, f"mode must be one of {MODES}, got {mode!r}")
     cfg = {
         "mode": mode,
-        "metric": _build_metric(raw.get("metric", {})),
-        "quad": _build_spec(QuadratureSpec, raw.get("quad", {})),
-        "series": _build_spec(SeriesSpec, raw.get("series", {})),
+        "metric": _build_metric(_section(raw, "metric")),
+        "quad": _build_spec(QuadratureSpec, _section(raw, "quad")),
+        "series": _build_spec(SeriesSpec, _section(raw, "series")),
         "route": overrides.route or raw.get("route", "bernoulli"),
         "grav": overrides.grav or raw.get("grav", "numeric"),
         "out": Path(overrides.out or raw.get("out", ".")),
@@ -95,10 +104,19 @@ def load_config(raw: dict, overrides: argparse.Namespace) -> dict:
     _require(cfg["grav"] in ("numeric", "lemma"),
              "grav must be 'numeric' or 'lemma'")
     if mode in ("index", "eta") and "instanton" in raw:
-        cfg["instanton"] = _build_instanton(raw["instanton"])
+        cfg["instanton"] = _build_instanton(_section(raw, "instanton"))
     if mode == "index":
         _require("instanton" in cfg, "mode 'index' requires an instanton "
                  "section with channels")
+    if mode in ("pontryagin", "convergence"):
+        # a convergence verdict compares the last sweep step with the
+        # first, so it needs at least two steps to be able to fail
+        min_len = 1 if mode == "pontryagin" else 3
+        sweep = cfg["sweep"]
+        _require(isinstance(sweep, list) and len(sweep) >= min_len
+                 and all(type(n) is int and n >= 16 for n in sweep),
+                 f"sweep must be a list of at least {min_len} integers "
+                 f">= 16 in mode {mode!r}, got {sweep!r}")
     return cfg
 
 

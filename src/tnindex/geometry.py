@@ -370,6 +370,18 @@ def _fd_metric_arrays(spec: MetricSpec, xyz: np.ndarray, gauge: Gauge,
     return g, dg, d2g
 
 
+def _frame_transform(frame, lowered):
+    """Frame components T_abcd = E^w_a E^x_b E^y_c E^z_d T_wxyz, contracted
+    one index at a time (z, y, x, w): 4 * 4^5 multiply-adds per point,
+    where one five-operand einsum loops over all 4^8 index tuples.  Two-operand
+    einsum without `optimize` runs numpy's own loop, never BLAS, so the
+    summation order and the bits do not depend on the thread count."""
+    out = np.einsum("nwxyz,nzd->nwxyd", lowered, frame)
+    out = np.einsum("nwxyd,nyc->nwxcd", out, frame)
+    out = np.einsum("nwxcd,nxb->nwbcd", out, frame)
+    return np.einsum("nwbcd,nwa->nabcd", out, frame)
+
+
 def _riemann_from_arrays(g, dg, d2g):
     """Frame-converted lowered Riemann tensor and Ricci from metric jets."""
     ginv = np.linalg.inv(g)
@@ -377,7 +389,8 @@ def _riemann_from_arrays(g, dg, d2g):
     sym = (dg + np.einsum("ncdb->nbdc", dg) - np.einsum("ndbc->nbdc", dg))
     gamma = 0.5 * np.einsum("nad,nbdc->nabc", ginv, sym)
     # d_e Gamma: product rule with d_e g^{ad} = -(ginv dg ginv)
-    dginv = -np.einsum("nab,nebc,ncd->nead", ginv, dg, ginv)
+    dginv = -np.einsum("neac,ncd->nead",
+                       np.einsum("nab,nebc->neac", ginv, dg), ginv)
     dsym = (d2g + np.einsum("necdb->nebdc", d2g)
             - np.einsum("nedbc->nebdc", d2g))
     dgamma = 0.5 * (np.einsum("nead,nbdc->neabc", dginv, sym)
@@ -391,8 +404,7 @@ def _riemann_from_arrays(g, dg, d2g):
     ricci = np.einsum("nabad->nbd", riem)
     lowered = np.einsum("nae,nebcd->nabcd", g, riem)
     frame = _vierbein(g)
-    riem_frame = np.einsum("nwa,nxb,nyc,nzd,nwxyz->nabcd",
-                           frame, frame, frame, frame, lowered)
+    riem_frame = _frame_transform(frame, lowered)
     ricci_frame = np.einsum("nwa,nxb,nwx->nab", frame, frame, ricci)
     return riem_frame, ricci_frame, frame
 

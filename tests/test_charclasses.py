@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from tnindex import charclasses
 from tnindex.charclasses import (convergence_table, cs_tail_bound,
                                  pontryagin_density, pontryagin_integral,
                                  pontryagin_scalar, write_convergence_csv)
 from tnindex.errors import IsotropyError
-from tnindex.geometry import BlendProfile, MetricSpec, Variant
+from tnindex.geometry import (BlendProfile, MetricSpec, Variant,
+                              curvature_batch)
 from tnindex.quadrature import QuadratureSpec
 
 TARGET = 1.0 / 12.0
@@ -80,3 +82,23 @@ def test_convergence_table_csv(tmp_path):
     n, value, err, tail = lines[1].split(",")
     assert int(n) == 32
     assert float(value) == pytest.approx(rows[0][1])
+
+
+def test_convergence_table_samples_each_grid_once(monkeypatch):
+    """Sweep [32, 64] needs the grids 16, 32 (twice) and 64 plus the
+    8-point tail fit; the shared grid 32 is sampled once, and every row
+    has the bits of a one-row table of its own."""
+    quad = QuadratureSpec(n_r=64, n_ang=2)
+    spec = exact_d_spec()
+    points = []
+
+    def counting(spec, xyz, *args):
+        points.append(len(xyz))
+        return curvature_batch(spec, xyz, *args)
+
+    monkeypatch.setattr(charclasses, "curvature_batch", counting)
+    rows = convergence_table(spec, quad, [32, 64])
+    assert sum(points) == quad.n_ang * (8 + 16 + 32 + 64)
+    for row in rows:
+        [alone] = convergence_table(spec, quad, [row[0]])
+        assert alone == row

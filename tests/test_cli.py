@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import tnindex
 from tnindex import cli
@@ -108,6 +109,38 @@ def test_validation_error_exit_and_json(capsys):
 def test_unknown_mode_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, {"mode": "frobnicate"})
     assert main(["--config", cfg]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("mode, sweep", [
+    ("pontryagin", []), ("convergence", []), ("convergence", [32]),
+    ("convergence", [32, 64]), ("pontryagin", [32, 8]),
+    ("pontryagin", [32.0]), ("pontryagin", "64")])
+def test_bad_sweep_rejected(tmp_path, capsys, mode, sweep):
+    cfg = write_config(tmp_path, {"mode": mode, "sweep": sweep})
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert "sweep" in err["message"]
+
+
+def test_one_entry_sweep_runs_in_pontryagin_mode(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"mode": "pontryagin", "sweep": [32]})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    assert json.loads(capsys.readouterr().err)["error"] == "ConvergenceError"
+    lines = (out / "pontryagin_convergence.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines] == ["N_r", "32"]
+
+
+@pytest.mark.parametrize("section", [
+    {"metric": 5}, {"metric": {"blend": [2.0, 4.0]}},
+    {"instanton": "channels"}, {"quad": [64]}, {"series": "tol"}])
+def test_non_object_section_rejected(tmp_path, capsys, section):
+    cfg = write_config(tmp_path, dict(section, mode="eta"))
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert "must be a JSON object" in err["message"]
 
 
 def test_numerical_failure_exit(tmp_path, capsys):

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from tnindex import geometry
 from tnindex.errors import ChartError, DomainError
 from tnindex.gauge import InstantonChannel, field_strength_at
 from tnindex.geometry import (BlendProfile, Gauge, MetricSample, MetricSpec,
-                              Point, Variant, curvature_at, hodge_star,
-                              metric_at, metric_y_chart, potential_and_omega,
-                              star3)
+                              Point, Variant, curvature_at, curvature_batch,
+                              hodge_star, metric_at, metric_y_chart,
+                              potential_and_omega, star3)
 
 RNG = np.random.default_rng(42)
 
@@ -231,6 +232,54 @@ def test_exact_d_curvature_settles_exponentially():
     d1 = np.abs(e2 - e1).max()
     d2 = np.abs(e3 - e2).max()
     assert d2 < 0.6 * d1
+
+
+def _log_radius_batch(seed, n=64):
+    """Seeded Cartesian points with log-uniform radii in [1e-4, 80], off
+    the gauge axis."""
+    rng = np.random.default_rng(seed)
+    r = np.exp(rng.uniform(np.log(1e-4), np.log(80.0), n))
+    th = rng.uniform(0.3, np.pi - 0.3, n)
+    ph = rng.uniform(0.0, 2.0 * np.pi, n)
+    return np.stack([r * np.sin(th) * np.cos(ph), r * np.sin(th) * np.sin(ph),
+                     r * np.cos(th)], axis=1)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_frame_transform_matches_five_operand_einsum(monkeypatch, variant):
+    """The pairwise contraction against the single five-operand einsum it
+    replaced, on the frames and lowered tensors curvature_batch builds."""
+    seen = []
+    pairwise = geometry._frame_transform
+
+    def spy(frame, lowered):
+        out = pairwise(frame, lowered)
+        seen.append((frame, lowered, out))
+        return out
+
+    monkeypatch.setattr(geometry, "_frame_transform", spy)
+    spec = MetricSpec(variant=variant, t=0.4,
+                      blend=BlendProfile(kind="septic"))
+    curvature_batch(spec, _log_radius_batch(7))
+    [(frame, lowered, out)] = seen
+    ref = np.einsum("nwa,nxb,nyc,nzd,nwxyz->nabcd",
+                    frame, frame, frame, frame, lowered)
+    scale = np.abs(ref).max(axis=(1, 2, 3, 4))
+    assert np.all(scale > 0)
+    rel = np.abs(out - ref).max(axis=(1, 2, 3, 4)) / scale
+    assert rel.max() < 1e-12
+
+
+def test_curvature_batch_independent_of_batch():
+    """Each point's curvature has the same bits whether it is evaluated
+    with the whole batch or with half of it."""
+    spec = MetricSpec(variant=Variant.HOMOTOPY, t=0.4)
+    xyz = _log_radius_batch(11)
+    whole = curvature_batch(spec, xyz)
+    halves = [curvature_batch(spec, part) for part in (xyz[:32], xyz[32:])]
+    for k, out in enumerate(whole):
+        assert np.array_equal(
+            out, np.concatenate([half[k] for half in halves]))
 
 
 def test_fd_stencil_domain_error():
