@@ -24,19 +24,20 @@ def pontryagin_scalar(riemann: np.ndarray) -> np.ndarray:
     return total
 
 
-def density_from_scalar(scalar, spec: MetricSpec, r):
-    """Convert the pointwise tr(R^R) coefficient into the radial density
-    rho(r) whose r-integral is (1/192 pi^2) * the full 4-integral."""
+def _level_set_volume(spec: MetricSpec, r):
+    """8 pi^2 r^2 sqrt(A^3 C): the volume of the level set r = const, which
+    turns the pointwise tr(R^R) coefficient times PONT_NORM into the radial
+    density rho(r) whose r-integral is (1/192 pi^2) * the full 4-integral."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     a_coeff, c_coeff = radial_coefficients(spec, r)
-    vol_level = np.sqrt(a_coeff ** 3 * c_coeff) * r ** 2 * 8.0 * np.pi**2
-    return PONT_NORM * np.asarray(scalar) * vol_level
+    return np.sqrt(a_coeff ** 3 * c_coeff) * r ** 2 * 8.0 * np.pi**2
 
 
 def _density_samples(spec: MetricSpec, rs: np.ndarray, n_ang: int):
     """Density at each radius for each angular check sample, shape
     (len(rs), n_ang)."""
     rs = np.asarray(rs, dtype=float)
+    vol_level = _level_set_volume(spec, rs)
     thetas, phis = angular_samples(n_ang)
     out = np.empty((rs.size, n_ang))
     for i, (th, ph) in enumerate(zip(thetas, phis)):
@@ -44,7 +45,7 @@ def _density_samples(spec: MetricSpec, rs: np.ndarray, n_ang: int):
         xyz = np.stack([rs * st * np.cos(ph), rs * st * np.sin(ph), rs * ct],
                        axis=1)
         riem, _, _, _ = curvature_batch(spec, xyz)
-        out[:, i] = density_from_scalar(pontryagin_scalar(riem), spec, rs)
+        out[:, i] = PONT_NORM * pontryagin_scalar(riem) * vol_level
     return out
 
 

@@ -7,6 +7,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -77,7 +78,7 @@ def _build_instanton(section: dict) -> InstantonData:
     for ch in channels:
         built.append(InstantonChannel(lam=float(ch["lam"]),
                                       mcharge=float(ch.get("mcharge", 0.0)),
-                                      chern=int(ch.get("chern", 0))))
+                                      chern=ch.get("chern", 0)))
     return InstantonData(built)
 
 
@@ -108,6 +109,11 @@ def load_config(raw: dict, overrides: argparse.Namespace) -> dict:
     if mode == "index":
         _require("instanton" in cfg, "mode 'index' requires an instanton "
                  "section with channels")
+    if mode == "eta" and "instanton" not in cfg:
+        lam = cfg["lambdas"]
+        _require(isinstance(lam, list) and lam and all(
+            type(x) in (int, float) and math.isfinite(x) for x in lam),
+            f"lambdas must be a non-empty list of finite numbers, got {lam!r}")
     if mode in ("pontryagin", "convergence"):
         # a convergence verdict compares the last sweep step with the
         # first, so it needs at least two steps to be able to fail

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenericityError
-from .geometry import (Gauge, MetricSpec, Point, Variant, hodge_star,
-                       metric_at, potential_and_omega, star3, wedge4)
+from .geometry import (PAIRS, Gauge, MetricSpec, Point, Variant,
+                       chart_omega, hodge_star, metric_at, wedge4)
 from .quadrature import (QuadratureSpec, angular_samples, exp_tail_bound,
                          integrate_radial, sample_density)
 
@@ -35,8 +35,9 @@ class InstantonChannel:
     chern: int = 0
 
     def __post_init__(self):
-        if self.chern != int(self.chern):
-            raise ValueError("chern number must be an exact integer")
+        if not float(self.chern).is_integer():
+            raise ValueError(
+                f"chern number must be an exact integer, got {self.chern!r}")
         object.__setattr__(self, "chern", int(self.chern))
 
     def check_generic(self, tol: float = LAMBDA_TOL):
@@ -96,9 +97,9 @@ def model_connection_at(ch: InstantonChannel, p: Point,
     under this package's flux convention.  monopole=False drops the
     horizontal term, leaving only the fiber part of the asymptotic form
     (not self-dual for mcharge != 0)."""
-    _, omega = potential_and_omega(p, gauge, l)
-    c = float(connection_coefficient(ch, p.r, l))
-    out = c * np.array([omega[0], omega[1], omega[2], 1.0])
+    r, omega = chart_omega(p.xyz(), gauge)
+    c = float(connection_coefficient(ch, r, l))
+    out = c * np.append(omega, 1.0)
     if monopole:
         out[:3] -= ch.mcharge * omega
     return out
@@ -120,24 +121,35 @@ class FieldStrengthSample:
             else "self-dual"
 
 
+def field_strength_array(ch: InstantonChannel, xyz,
+                         gauge: Gauge = Gauge.DEFAULT,
+                         l: float = 1.0, monopole: bool = True) -> np.ndarray:
+    """Closed-form G with F = dA = -i G at the points xyz of shape (..., 3),
+    as (..., 4, 4) arrays: G = c'(r) dr ^ (dtau + omega) + (c(r) - mcharge)
+    d(omega) with d(omega) = star3 dV; the mcharge shift comes from the
+    monopole term of the connection (omitted when monopole=False)."""
+    r, omega = chart_omega(xyz, gauge)
+    x = np.moveaxis(np.asarray(xyz, dtype=float), -1, 0)
+    c, dc = connection_coefficient(ch, r, l), _dcoefficient(ch, r, l)
+    c_eff = c - ch.mcharge if monopole else c
+    dr, fib = [*(x / r), 0.0], [*np.moveaxis(omega, -1, 0), 1.0]
+    grad_v = (-0.5 / r**2) * x / r
+    domega = {(0, 1): grad_v[2], (0, 2): -grad_v[1], (1, 2): grad_v[0]}
+    g_mat = np.zeros(r.shape + (4, 4))
+    for i, j in PAIRS:
+        entry = dc * (dr[i] * fib[j] - fib[i] * dr[j])
+        if j < 3:
+            entry = entry + c_eff * domega[i, j]
+        g_mat[..., i, j], g_mat[..., j, i] = entry, -entry
+    return g_mat
+
+
 def field_strength_coeff(ch: InstantonChannel, p: Point,
                          gauge: Gauge = Gauge.DEFAULT,
                          l: float = 1.0, monopole: bool = True) -> np.ndarray:
-    """Closed-form G with F = dA = -i G: G = c'(r) dr ^ (dtau + omega)
-    + (c(r) - mcharge) d(omega), the mcharge shift coming from the
-    monopole term of the connection (omitted when monopole=False)."""
-    _, omega = potential_and_omega(p, gauge, l)
-    r = p.r
-    c = float(connection_coefficient(ch, r, l))
-    dc = float(_dcoefficient(ch, r, l))
-    dr = np.array([p.x1, p.x2, p.x3, 0.0]) / r
-    fib = np.array([omega[0], omega[1], omega[2], 1.0])
-    grad_v = (-0.5 / r**2) * np.array([p.x1, p.x2, p.x3]) / r
-    domega3 = star3(grad_v)
-    g_mat = dc * (np.outer(dr, fib) - np.outer(fib, dr))
-    c_eff = c - ch.mcharge if monopole else c
-    g_mat[:3, :3] += c_eff * domega3
-    return g_mat
+    """G with F = dA = -i G at one point, shape (4, 4); see
+    field_strength_array."""
+    return field_strength_array(ch, p.xyz(), gauge, l, monopole)
 
 
 def field_strength_at(ch: InstantonChannel, p: Point,
@@ -167,20 +179,21 @@ def field_strength_at(ch: InstantonChannel, p: Point,
 def _bulk_density_samples(data: InstantonData, rs: np.ndarray, n_ang: int,
                           l: float = 1.0, monopole: bool = True):
     """-(1/8 pi^2) tr F^F reduced to a per-unit-r density at angular check
-    samples, shape (len(rs), n_ang)."""
+    samples, shape (len(rs), n_ang), in one array pass per channel."""
     thetas, phis = angular_samples(n_ang)
-    out = np.zeros((len(rs), n_ang))
-    for j, (th, ph) in enumerate(zip(thetas, phis)):
-        for i, r in enumerate(rs):
-            p = Point.from_polar(r, th, ph)
-            total = 0.0
-            for ch in data.channels:
-                g_mat = field_strength_coeff(ch, p, l=l, monopole=monopole)
-                # tr F^F = -(G^G) channelwise for u(1) blocks
-                total += -wedge4(g_mat, g_mat)
-            # -(1/8 pi^2) * total * (level-set volume 8 pi^2 r^2)
-            out[i, j] = -total * r * r
-    return out
+    r = np.asarray(rs, dtype=float)[:, None]
+    st = np.sin(thetas)
+    # Point.from_polar's points in its order of operations, bit for bit
+    xyz = np.stack([r * st * np.cos(phis), r * st * np.sin(phis),
+                    r * np.cos(thetas)], axis=-1)
+    total = np.zeros(xyz.shape[:-1])
+    for ch in data.channels:
+        g_mat = field_strength_array(ch, xyz, l=l, monopole=monopole)
+        # tr F^F = -(G^G) channelwise for u(1) blocks
+        total -= wedge4(g_mat, g_mat)
+        del g_mat  # one G alive at a time keeps the peak memory down
+    # -(1/8 pi^2) * total * (level-set volume 8 pi^2 r^2)
+    return -total * r * r
 
 
 def bulk_action(data: InstantonData, quad: QuadratureSpec, l: float = 1.0,

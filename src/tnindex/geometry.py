@@ -177,28 +177,37 @@ def _gauge_factor(r, x3, rho2, gauge: Gauge):
     return 1.0 / (2.0 * r * (r - x3))
 
 
-def _check_chart(p: Point, gauge: Gauge):
-    if p.r <= 0.0:
+def _check_chart(r, x1, x2, x3, gauge: Gauge):
+    """Raise unless every point (floats or arrays) has r > 0 and lies off
+    the singular axis of the gauge chart."""
+    if np.any(r <= 0.0):
         raise DomainError("tensor evaluation requires r > 0")
-    rho = np.hypot(p.x1, p.x2)
-    if gauge is Gauge.DEFAULT and rho < AXIS_TOL * p.r:
+    if gauge is Gauge.DEFAULT and np.any(np.hypot(x1, x2) < AXIS_TOL * r):
         raise ChartError(
             "point on the x3-axis: use Gauge.NORTH or Gauge.SOUTH")
-    if gauge is Gauge.NORTH and p.r + p.x3 < AXIS_TOL * p.r:
+    if gauge is Gauge.NORTH and np.any(r + x3 < AXIS_TOL * r):
         raise ChartError("south axis point: use Gauge.SOUTH")
-    if gauge is Gauge.SOUTH and p.r - p.x3 < AXIS_TOL * p.r:
+    if gauge is Gauge.SOUTH and np.any(r - x3 < AXIS_TOL * r):
         raise ChartError("north axis point: use Gauge.NORTH")
+
+
+def chart_omega(xyz, gauge: Gauge = Gauge.DEFAULT):
+    """Radius and Cartesian omega components, of shapes (...) and (..., 3),
+    at the points xyz of shape (..., 3); raises DomainError or ChartError
+    unless every point lies in the chart of the gauge."""
+    x1, x2, x3 = np.moveaxis(np.asarray(xyz, dtype=float), -1, 0)
+    rho2 = x1 * x1 + x2 * x2
+    r = np.sqrt(rho2 + x3 * x3)
+    _check_chart(r, x1, x2, x3, gauge)
+    h = _gauge_factor(r, x3, rho2, gauge)
+    return r, np.stack([-x2 * h, x1 * h, np.zeros_like(h)], axis=-1)
 
 
 def potential_and_omega(p: Point, gauge: Gauge = Gauge.DEFAULT, l: float = 1.0):
     """Harmonic potential V = l + 1/(2r) and a gauge of omega with
     d(omega) = star3 dV, as Cartesian components."""
-    _check_chart(p, gauge)
-    r = p.r
-    v = l + 0.5 / r
-    h = _gauge_factor(r, p.x3, p.x1**2 + p.x2**2, gauge)
-    omega = np.array([-p.x2 * h, p.x1 * h, 0.0])
-    return v, omega
+    r, omega = chart_omega(p.xyz(), gauge)
+    return l + 0.5 / r, omega
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +286,7 @@ def _vierbein(g: np.ndarray) -> np.ndarray:
 def metric_at(spec: MetricSpec, p: Point,
               gauge: Gauge = Gauge.DEFAULT) -> MetricSample:
     """Coordinate metric of the selected variant at a point."""
-    _check_chart(p, gauge)
+    _check_chart(p.r, p.x1, p.x2, p.x3, gauge)
     entries = _metric_entries(spec, np.float64(p.x1), np.float64(p.x2),
                               np.float64(p.x3), gauge)
     g = np.array([[float(entries[i][j]) for j in range(4)] for i in range(4)])
@@ -429,7 +438,7 @@ def curvature_at(spec: MetricSpec, p: Point, h: float | None = None,
     metric; method="fd" uses central differences with step h (default
     1e-4 * r), for which the stencil must stay off the nut.
     """
-    _check_chart(p, gauge)
+    _check_chart(p.r, p.x1, p.x2, p.x3, gauge)
     xyz = p.xyz()[None, :]
     if method == "jet":
         g, dg, d2g = _metric_jet_arrays(spec, xyz, gauge)

@@ -9,7 +9,7 @@ from tnindex.charclasses import (convergence_table, cs_tail_bound,
                                  pontryagin_scalar, write_convergence_csv)
 from tnindex.errors import IsotropyError
 from tnindex.geometry import (BlendProfile, MetricSpec, Variant,
-                              curvature_batch)
+                              curvature_batch, radial_coefficients)
 from tnindex.quadrature import QuadratureSpec
 
 TARGET = 1.0 / 12.0
@@ -82,6 +82,22 @@ def test_convergence_table_csv(tmp_path):
     n, value, err, tail = lines[1].split(",")
     assert int(n) == 32
     assert float(value) == pytest.approx(rows[0][1])
+
+
+def test_density_samples_compute_level_set_volume_once(monkeypatch):
+    """The level-set volume depends on the radius only: one
+    radial_coefficients call per radius array, not one per angle."""
+    calls = []
+
+    def counting(spec, r):
+        calls.append(len(r))
+        return radial_coefficients(spec, r)
+
+    monkeypatch.setattr(charclasses, "radial_coefficients", counting)
+    rs = np.geomspace(0.5, 60.0, 12)
+    samples = charclasses._density_samples(exact_d_spec(), rs, 3)
+    assert samples.shape == (12, 3)
+    assert calls == [12]
 
 
 def test_convergence_table_samples_each_grid_once(monkeypatch):

@@ -143,6 +143,37 @@ def test_non_object_section_rejected(tmp_path, capsys, section):
     assert "must be a JSON object" in err["message"]
 
 
+@pytest.mark.parametrize("lambdas", [5, ["x"], [], [float("nan")]])
+def test_bad_lambdas_rejected(tmp_path, capsys, lambdas):
+    cfg = write_config(tmp_path, {"mode": "eta", "lambdas": lambdas})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert "lambdas" in err["message"]
+    assert not out.exists()
+
+
+def test_non_integral_chern_rejected(tmp_path, capsys):
+    def channels(chern):
+        return dict(INDEX_CONFIG, instanton={"channels": [
+            {"lam": 0.3, "mcharge": 1.0, "chern": chern}]})
+
+    cfg = write_config(tmp_path, channels(-1.5))
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert "chern" in err["message"]
+    # an integral float is an integer
+    as_float, as_int = tmp_path / "float", tmp_path / "int"
+    assert main(["--config", write_config(tmp_path, channels(2.0)),
+                 "--out", str(as_float)]) == EXIT_OK
+    assert main(["--config", write_config(tmp_path, channels(2)),
+                 "--out", str(as_int)]) == EXIT_OK
+    assert (as_float / "index_report.json").read_bytes() == \
+        (as_int / "index_report.json").read_bytes()
+
+
 def test_numerical_failure_exit(tmp_path, capsys):
     # genericity violation surfaces as a numerical-domain failure (exit 1)
     cfg = write_config(tmp_path, {

@@ -3,14 +3,18 @@ data."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tnindex.errors import ChartError, GenericityError
+from tnindex import gauge
+from tnindex.errors import ChartError, DomainError, GenericityError
 from tnindex.gauge import (InstantonChannel, InstantonData, boundary_data,
                            bulk_action, bulk_action_closed_form,
-                           connection_coefficient, field_strength_at,
-                           field_strength_coeff, model_connection_at)
-from tnindex.geometry import Point
-from tnindex.quadrature import QuadratureSpec
+                           connection_coefficient, field_strength_array,
+                           field_strength_at, field_strength_coeff,
+                           model_connection_at)
+from tnindex.geometry import Gauge, Point, star3, wedge4
+from tnindex.quadrature import QuadratureSpec, angular_samples
 
 RNG = np.random.default_rng(11)
 
@@ -28,6 +32,9 @@ def random_point(r_lo=0.2, r_hi=20.0):
 def test_chern_must_be_integer():
     with pytest.raises(ValueError):
         InstantonChannel(lam=0.3, mcharge=1.0, chern=0.5)
+    with pytest.raises(ValueError):
+        InstantonChannel(lam=0.3, mcharge=1.0, chern=float("inf"))
+    assert InstantonChannel(lam=0.3, mcharge=1.0, chern=2.0).chern == 2
 
 
 def test_genericity_rejected_on_demand():
@@ -132,6 +139,98 @@ def test_duality_at_fifty_random_points():
         types.add(s.duality_type)
     assert max(defects) < 1e-8
     assert len(types) == 1
+
+
+# ---------------------------------------------------------------------------
+# Batched field strength and bulk density against the per-point loop
+
+
+def reference_g(ch, p, l=1.0, monopole=True):
+    """The per-point closed form the array pass replaced: G from outer
+    products of dr and dtau + omega, with omega in the default gauge."""
+    r = p.r
+    h = p.x3 / (2.0 * r * (p.x1**2 + p.x2**2))
+    fib = np.array([-p.x2 * h, p.x1 * h, 0.0, 1.0])
+    c = float(connection_coefficient(ch, r, l))
+    dc = float(gauge._dcoefficient(ch, r, l))
+    dr = np.array([p.x1, p.x2, p.x3, 0.0]) / r
+    grad_v = (-0.5 / r**2) * p.xyz() / r
+    g_mat = dc * (np.outer(dr, fib) - np.outer(fib, dr))
+    g_mat[:3, :3] += (c - ch.mcharge if monopole else c) * star3(grad_v)
+    return g_mat
+
+
+def reference_density(data, rs, n_ang, l=1.0, monopole=True):
+    """The per-point loop over radii x angles x channels."""
+    thetas, phis = angular_samples(n_ang)
+    out = np.zeros((len(rs), n_ang))
+    for j, (th, ph) in enumerate(zip(thetas, phis)):
+        for i, r in enumerate(rs):
+            p = Point.from_polar(r, th, ph)
+            total = 0.0
+            for ch in data.channels:
+                g_mat = reference_g(ch, p, l, monopole)
+                total += -wedge4(g_mat, g_mat)
+            out[i, j] = -total * r * r
+    return out
+
+
+FOUR_CHANNELS = InstantonData([
+    InstantonChannel(0.3, 1.0), InstantonChannel(-0.45, -0.7),
+    InstantonChannel(1.62, 2.1), InstantonChannel(0.81, 0.0)])
+RADII = np.geomspace(1e-4, 80.0, 24)
+
+
+@pytest.mark.parametrize("n_channels", [1, 4])
+@pytest.mark.parametrize("monopole", [True, False])
+@pytest.mark.parametrize("l", [1.0, 2.5])
+@pytest.mark.parametrize("n_ang", [3, 8])
+def test_bulk_density_matches_per_point_loop(n_channels, monopole, l, n_ang):
+    data = InstantonData(FOUR_CHANNELS.channels[:n_channels])
+    batched = gauge._bulk_density_samples(data, RADII, n_ang, l, monopole)
+    expected = reference_density(data, RADII, n_ang, l, monopole)
+    assert batched.shape == (len(RADII), n_ang)
+    assert np.abs(batched - expected).max() <= \
+        1e-14 * np.abs(expected).max()
+
+
+def test_bulk_density_independent_of_batch():
+    whole = gauge._bulk_density_samples(FOUR_CHANNELS, RADII, 5)
+    halves = [gauge._bulk_density_samples(FOUR_CHANNELS, part, 5)
+              for part in (RADII[:10], RADII[10:])]
+    assert np.array_equal(whole, np.concatenate(halves))
+
+
+def test_batched_field_strength_checks_every_point():
+    ch = InstantonChannel(0.3, 1.0)
+    xyz = np.array([[1.0, 0.5, 0.2], [0.0, 0.0, 2.0], [0.3, -1.0, 0.4]])
+    with pytest.raises(ChartError):
+        field_strength_array(ch, xyz)
+    with pytest.raises(ChartError):
+        field_strength_array(ch, -xyz, Gauge.NORTH)
+    with pytest.raises(DomainError):
+        field_strength_array(ch, np.array([[1.0, 0.5, 0.2], [0.0] * 3]),
+                             Gauge.NORTH)
+    # the north-axis point is regular in the north chart
+    assert np.isfinite(field_strength_array(ch, xyz, Gauge.NORTH)).all()
+
+
+@given(lam=st.floats(-3.0, 3.0), m=st.floats(-3.0, 3.0),
+       l=st.floats(0.1, 5.0), r=st.floats(1e-3, 1e3),
+       theta=st.floats(0.05, np.pi - 0.05), phi=st.floats(0.0, 2.0 * np.pi),
+       monopole=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_batched_field_strength_matches_closed_form(lam, m, l, r, theta, phi,
+                                                    monopole):
+    ch = InstantonChannel(lam, m)
+    p = Point.from_polar(r, theta, phi)
+    expected = reference_g(ch, p, l, monopole)
+    # the point sits in a batch with others; its G must not depend on them
+    xyz = np.stack([p.xyz(), 2.0 * p.xyz(), [0.3, -1.0, 0.4]])
+    g_mat = field_strength_array(ch, xyz, l=l, monopole=monopole)[0]
+    assert np.abs(g_mat - expected).max() <= \
+        1e-14 * np.abs(expected).max()
+    assert np.array_equal(g_mat, -np.swapaxes(g_mat, 0, 1))
 
 
 # ---------------------------------------------------------------------------
