@@ -85,10 +85,13 @@ class SeriesSpec:
     def __post_init__(self):
         if self.k_cutoff < 50 or self.p_cutoff < 20:
             raise ValueError("cutoffs too small (need K >= 50, P >= 20)")
-        if not (self.u_min < 1e-3 and self.u_max > 1e3):
-            raise ValueError("u-grid must span [<1e-3, >1e3]")
-        if self.tol <= 0:
-            raise ValueError("series tolerance must be positive")
+        if not (0.0 < self.u_min < 1e-3 and 1e3 < self.u_max < np.inf):
+            raise ValueError("u-grid must span [<1e-3, >1e3] with "
+                             "0 < u_min and a finite u_max")
+        if self.n_u < 3:
+            raise ValueError("u-grid needs n_u >= 3 points")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("series tolerance must be finite and positive")
 
 
 @dataclass
@@ -136,25 +139,55 @@ def _u_grid(s: SeriesSpec):
     return u, w * np.sqrt(u) / 2.0
 
 
+# exp(-t) is exactly 0.0 in IEEE double for t > 745.14, so a mode with
+# u x^2 > 746 adds exactly nothing to the row sums of the mode sum.
+_EXP_ZERO_ARG = 746.0
+# Rows of the u grid evaluated together: few enough that the k window of a
+# block's smallest u stays tight for its other rows, enough to amortise the
+# per-block numpy calls.
+_U_BLOCK = 16
+
+
+def _mode_blocks(u, x):
+    """(row slice, column slice) pairs covering the ascending u grid in
+    blocks of _U_BLOCK rows; the columns of a block are the contiguous
+    window of the sorted modes x with u_first x^2 <= _EXP_ZERO_ARG, u_first
+    being the block's smallest u, plus one guard mode on each side.  Every
+    term of the full u x k grid outside these windows is exactly 0.0."""
+    for i in range(0, u.size, _U_BLOCK):
+        half = np.sqrt(_EXP_ZERO_ARG / u[i])
+        lo = max(int(np.searchsorted(x, -half)) - 1, 0)
+        hi = int(np.searchsorted(x, half, side="right")) + 1
+        yield slice(i, i + _U_BLOCK), slice(lo, hi)
+
+
 def eta_mode_sum(lam: float, s: SeriesSpec | None = None) -> FormScalar:
     """Heat-kernel mode sum for eta-hat, with the 2-form direction carried
-    as a nilpotent (first-order) complex perturbation of the spectrum."""
+    as a nilpotent (first-order) complex perturbation of the spectrum.
+
+    Each block of u rows evaluates only the modes whose exp(-u x^2) is not
+    exactly zero (`_mode_blocks`).  The trapezoid rule on the even rows
+    (step 2h) must agree with the full grid to within the series tolerance,
+    else the u grid is too coarse and ConvergenceError is raised."""
     s = s or SeriesSpec()
     _require_generic(lam)
     u, w = _u_grid(s)
-    k = np.arange(-s.k_cutoff, s.k_cutoff + 1, dtype=float)
-    x = (k - lam)[None, :]                      # (1, nk)
-    uu = u[:, None]                             # (nu, 1)
-    # z = x + nil * eps with nil = -i/(4u)  (eps stands for the 2-form R)
-    nil = np.broadcast_to(-0.25j / uu, (u.size, k.size))
-    # w(z) = z * exp(-u z^2), propagated to first order in eps
-    val_q = -uu * x * x
-    nil_q = -uu * 2.0 * x * nil
-    e_val = np.exp(val_q)
-    term_val = x * e_val
-    term_nil = nil * e_val + x * nil_q * e_val
-    sum_val = term_val.sum(axis=1)
-    sum_nil = term_nil.sum(axis=1)
+    x = np.arange(-s.k_cutoff, s.k_cutoff + 1, dtype=float) - lam
+    sum_val = np.empty(u.size)
+    sum_nil = np.empty(u.size, dtype=complex)
+    for rows, cols in _mode_blocks(u, x):
+        xb = x[cols][None, :]                   # (1, window)
+        uu = u[rows, None]                      # (nb, 1)
+        # z = x + nil * eps with nil = -i/(4u)  (eps stands for the 2-form R)
+        nil = -0.25j / uu
+        # w(z) = z * exp(-u z^2), propagated to first order in eps
+        val_q = -uu * xb * xb
+        nil_q = -uu * 2.0 * xb * nil
+        e_val = np.exp(val_q)
+        term_val = xb * e_val
+        term_nil = nil * e_val + xb * nil_q * e_val
+        sum_val[rows] = term_val.sum(axis=1)
+        sum_nil[rows] = term_nil.sum(axis=1)
     integrand_scale = np.abs(sum_val[-1]) + np.abs(sum_nil[-1])
     if integrand_scale * np.sqrt(u[-1]) > s.tol:
         raise ConvergenceError(
@@ -163,6 +196,16 @@ def eta_mode_sum(lam: float, s: SeriesSpec | None = None) -> FormScalar:
     inv_sqrt_pi = 1.0 / np.sqrt(np.pi)
     a0_c = inv_sqrt_pi * np.dot(sum_val, w)
     nil_c = inv_sqrt_pi * np.dot(sum_nil, w)
+    # the even rows with step 2h: the trapezoid weights are exactly 2 w
+    w_half = 2.0 * w[::2]
+    a0_half = inv_sqrt_pi * np.dot(sum_val[::2], w_half)
+    nil_half = inv_sqrt_pi * np.dot(sum_nil[::2], w_half)
+    half_miss = max(abs(a0_c - a0_half), 2.0 * abs(nil_c - nil_half))
+    if half_miss > s.tol:
+        raise ConvergenceError(
+            f"u-grid of {u.size} points is unresolved: the half grid "
+            f"differs by {half_miss:.3e}, above the series tolerance; "
+            "increase n_u")
     # eta_2 = nil_c * R; report the factor against R/(2i)
     a2_c = nil_c * 2.0j
     if abs(np.imag(a0_c)) > s.tol or abs(np.imag(a2_c)) > s.tol:
@@ -190,6 +233,15 @@ def abel_extrapolate(terms_of_q, base: float = 0.25, levels: int = 8):
     return float(tableau[-1]), float(abs(tableau[-1] - tableau[-2]))
 
 
+def _damped_sum(terms, q: float, p) -> float:
+    """sum_p terms_p q^p in numpy's pairwise order.  Not a BLAS dot: OpenBLAS
+    splits a dot of more than 10^4 terms across its threads, and the last
+    bits of the sum then follow OPENBLAS_NUM_THREADS."""
+    damped = q**p
+    damped *= terms
+    return float(damped.sum())
+
+
 def eta_poisson(lam: float, s: SeriesSpec | None = None) -> FormScalar:
     """Poisson-route evaluation: a0 from the sine series (Abel regularized,
     it converges only conditionally), a2 from the cosine series."""
@@ -198,8 +250,8 @@ def eta_poisson(lam: float, s: SeriesSpec | None = None) -> FormScalar:
     p = np.arange(1, s.p_cutoff + 1, dtype=float)
     sin_terms = np.sin(2.0 * np.pi * p * lam) / (np.pi * p)
     cos_terms = np.cos(2.0 * np.pi * p * lam) / (np.pi**2 * p * p)
-    a0, _ = abel_extrapolate(lambda q: -float(np.dot(sin_terms, q**p)))
-    a2, _ = abel_extrapolate(lambda q: float(np.dot(cos_terms, q**p)))
+    a0, _ = abel_extrapolate(lambda q: -_damped_sum(sin_terms, q, p))
+    a2, _ = abel_extrapolate(lambda q: _damped_sum(cos_terms, q, p))
     return FormScalar(a0, a2)
 
 
@@ -209,7 +261,7 @@ def cosine_series_value(lam: float, s: SeriesSpec | None = None) -> float:
     s = s or SeriesSpec()
     p = np.arange(1, s.p_cutoff + 1, dtype=float)
     cos_terms = np.cos(2.0 * np.pi * p * lam) / (np.pi**2 * p * p)
-    value, _ = abel_extrapolate(lambda q: float(np.dot(cos_terms, q**p)))
+    value, _ = abel_extrapolate(lambda q: _damped_sum(cos_terms, q, p))
     return value
 
 

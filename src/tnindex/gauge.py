@@ -35,6 +35,10 @@ class InstantonChannel:
     chern: int = 0
 
     def __post_init__(self):
+        if not (np.isfinite(self.lam) and np.isfinite(self.mcharge)):
+            raise ValueError(
+                f"channel lam and mcharge must be finite, got lam="
+                f"{self.lam!r}, mcharge={self.mcharge!r}")
         if not float(self.chern).is_integer():
             raise ValueError(
                 f"chern number must be an exact integer, got {self.chern!r}")

@@ -174,6 +174,33 @@ def test_non_integral_chern_rejected(tmp_path, capsys):
         (as_int / "index_report.json").read_bytes()
 
 
+@pytest.mark.parametrize("series", [
+    {"u_min": -1}, {"u_min": 0}, {"u_max": float("inf")},
+    {"tol": float("nan")}, {"tol": float("inf")}, {"n_u": 0}, {"n_u": 2}])
+def test_bad_series_rejected(tmp_path, capsys, series):
+    cfg = write_config(tmp_path, {"mode": "eta", "route": "all",
+                                  "series": series})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("channel", [
+    {"lam": float("nan"), "mcharge": 1.0},
+    {"lam": 0.3, "mcharge": float("inf")}])
+def test_non_finite_channel_rejected(tmp_path, capsys, channel):
+    cfg = write_config(tmp_path, dict(INDEX_CONFIG,
+                                      instanton={"channels": [channel]}))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    # stderr holds the error object alone, no numpy warnings
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert "finite" in err["message"]
+    assert not out.exists()
+
+
 def test_numerical_failure_exit(tmp_path, capsys):
     # genericity violation surfaces as a numerical-domain failure (exit 1)
     cfg = write_config(tmp_path, {
@@ -214,22 +241,30 @@ def test_geometry_check_failure_emits_error(tmp_path, capsys, monkeypatch):
 
 
 def test_reports_independent_of_blas_threads(tmp_path):
-    cfg = write_config(tmp_path, {"mode": "pontryagin",
-                                  "metric": {"variant": "Homotopy", "t": 0.5},
-                                  "quad": {"n_r": 64}, "sweep": [32, 64]})
+    pont = write_config(tmp_path, {"mode": "pontryagin",
+                                   "metric": {"variant": "Homotopy", "t": 0.5},
+                                   "quad": {"n_r": 64}, "sweep": [32, 64]},
+                        name="pontryagin.json")
+    # the eta routes sum 601 (mode sum) and 20,000 (Poisson) terms, and
+    # OpenBLAS splits a dot of more than 10,000 terms across threads
+    eta = write_config(tmp_path, {"mode": "eta", "route": "all"},
+                       name="eta.json")
     src = str(Path(tnindex.__file__).resolve().parents[1])
-    reports = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       [src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "tnindex.cli", "--config", cfg,
-             "--out", str(out)], env=env, capture_output=True, timeout=120)
-        assert proc.returncode == EXIT_OK, proc.stderr
-        reports.append((out / "pontryagin_convergence.csv").read_bytes())
-    assert reports[0] == reports[1]
+    for cfg, name in ((pont, "pontryagin_convergence.csv"),
+                      (eta, "eta_routes.csv")):
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}.threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "tnindex.cli", "--config", cfg,
+                 "--out", str(out)], env=env, capture_output=True,
+                timeout=120)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            reports.append((out / name).read_bytes())
+        assert reports[0] == reports[1], name
 
 
 def test_eta_report_round_trips(tmp_path):

@@ -1,15 +1,18 @@
 """Boundary eta-form: three routes, series identities, and integrals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnindex.errors import GenericityError
-from tnindex.eta import (ROUTES, FormScalar, SeriesSpec, cosine_series_value,
-                         eta_bernoulli, eta_form, eta_integral, eta_mode_sum,
-                         eta_poisson, poisson_check, route_table,
-                         vertical_spectrum, write_route_csv)
+from tnindex.errors import ConvergenceError, GenericityError
+from tnindex.eta import (ROUTES, FormScalar, SeriesSpec, _mode_blocks,
+                         _u_grid, cosine_series_value, eta_bernoulli,
+                         eta_form, eta_integral, eta_mode_sum, eta_poisson,
+                         poisson_check, route_table, vertical_spectrum,
+                         write_route_csv)
 from tnindex.gauge import InstantonChannel, InstantonData
 
 GENERIC = st.floats(min_value=0.02, max_value=0.98).filter(
@@ -100,6 +103,95 @@ def test_mode_sum_matches_bernoulli():
 def test_mode_sum_reflection():
     assert eta_mode_sum(0.3).a0 == pytest.approx(-eta_mode_sum(0.7).a0,
                                                  abs=1e-8)
+
+
+def full_grid_terms(lam, s):
+    """Every term of the mode sum on the full u x k grid, as the mode sum
+    evaluated them before it was blocked: (u, term_val, term_nil)."""
+    u, _ = _u_grid(s)
+    k = np.arange(-s.k_cutoff, s.k_cutoff + 1, dtype=float)
+    x = (k - lam)[None, :]
+    uu = u[:, None]
+    nil = np.broadcast_to(-0.25j / uu, (u.size, k.size))
+    val_q = -uu * x * x
+    nil_q = -uu * 2.0 * x * nil
+    e_val = np.exp(val_q)
+    return u, x * e_val, nil * e_val + x * nil_q * e_val
+
+
+def reference_mode_sum(lam, s):
+    """The full-grid mode sum that the blocked one replaced (tail and
+    imaginary-part checks aside)."""
+    u, term_val, term_nil = full_grid_terms(lam, s)
+    _, w = _u_grid(s)
+    inv_sqrt_pi = 1.0 / np.sqrt(np.pi)
+    a0_c = inv_sqrt_pi * np.dot(term_val.sum(axis=1), w)
+    a2_c = inv_sqrt_pi * np.dot(term_nil.sum(axis=1), w) * 2.0j
+    return FormScalar(float(np.real(a0_c)), float(np.real(a2_c)))
+
+
+def seeded_lambdas(n, seed):
+    """n holonomies of both signs, up to three periods from 0, at
+    distance 0.05..0.5 from the integers."""
+    rng = np.random.default_rng(seed)
+    dist = rng.uniform(0.05, 0.5, n)
+    return [float(m + sign * d) for m, sign, d in zip(
+        rng.integers(-3, 4, n), rng.choice([-1.0, 1.0], n), dist)]
+
+
+MODE_SUM_SPECS = [SeriesSpec(),
+                  SeriesSpec(k_cutoff=400, n_u=401, u_min=5e-4, u_max=2e4)]
+
+
+@pytest.mark.parametrize("spec", MODE_SUM_SPECS, ids=["default", "small"])
+def test_mode_sum_matches_full_grid_reference(spec):
+    lams = seeded_lambdas(8, 20261018)
+    assert any(abs(lam) > 1.0 for lam in lams)
+    assert any(lam < 0.0 for lam in lams)
+    for lam in lams:
+        got, ref = eta_mode_sum(lam, spec), reference_mode_sum(lam, spec)
+        assert abs(got.a0 - ref.a0) <= 1e-13, lam
+        assert abs(got.a2 - ref.a2) <= 1e-13, lam
+
+
+@pytest.mark.parametrize("spec", MODE_SUM_SPECS, ids=["default", "small"])
+def test_mode_blocks_drop_only_zero_terms(spec):
+    for lam in seeded_lambdas(3, 7) + [0.5, -0.05]:
+        u, term_val, term_nil = full_grid_terms(lam, spec)
+        x = np.arange(-spec.k_cutoff, spec.k_cutoff + 1, dtype=float) - lam
+        covered = np.zeros(term_val.shape, dtype=bool)
+        next_row = 0
+        for rows, cols in _mode_blocks(u, x):
+            assert rows.start == next_row
+            next_row = min(rows.stop, u.size)
+            covered[rows, cols] = True
+        assert next_row == u.size
+        assert np.all(term_val[~covered] == 0.0)
+        assert np.all(term_nil[~covered] == 0.0)
+        assert covered.sum() < 0.5 * covered.size
+
+
+def test_mode_sum_memory_peak():
+    eta_mode_sum(0.3)
+    tracemalloc.start()
+    try:
+        eta_mode_sum(0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("n_u", [3, 21])
+def test_mode_sum_refuses_unresolved_u_grid(n_u):
+    with pytest.raises(ConvergenceError, match="half grid"):
+        eta_mode_sum(0.3, SeriesSpec(n_u=n_u))
+
+
+def test_mode_sum_tail_check_comes_first():
+    # near an integer the u-integral tail, not the half grid, is reported
+    with pytest.raises(ConvergenceError, match="u-integral tail"):
+        eta_mode_sum(0.999, SeriesSpec(n_u=21))
 
 
 # ---------------------------------------------------------------------------
