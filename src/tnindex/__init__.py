@@ -24,7 +24,7 @@ from .gauge import (InstantonChannel, InstantonData, boundary_data,
                     field_strength_coeff, model_connection_at)
 from .geometry import (BlendProfile, CurvatureSample, Gauge, MetricSample,
                        MetricSpec, Point, Variant, curvature_at, hodge_star,
-                       metric_at, metric_y_chart, potential_and_omega,
+                       metric_at, potential_and_omega,
                        radial_coefficients, star3, wedge4)
 from .index import (IndexReport, assemble, index_formula,
                     index_formula_full_flux, integrality_check)
@@ -44,7 +44,7 @@ __all__ = [
     "eta_integral", "eta_mode_sum", "eta_poisson", "field_strength_at",
     "field_strength_coeff", "hodge_star", "index_formula",
     "index_formula_full_flux", "integrality_check", "integrate_radial",
-    "metric_at", "metric_y_chart", "model_connection_at", "poisson_check",
+    "metric_at", "model_connection_at", "poisson_check",
     "pontryagin_density", "pontryagin_integral", "pontryagin_scalar",
     "potential_and_omega", "radial_coefficients",
     "route_table", "sample_density", "star3", "wedge4",

@@ -7,7 +7,7 @@ import csv
 
 import numpy as np
 
-from .geometry import MetricSpec, curvature_batch, radial_coefficients, wedge4
+from .geometry import MetricSpec, curvature_forms, wedge4
 from .quadrature import (QuadratureSpec, angular_samples, exp_tail_bound,
                          integrate_radial, isotropic_mean, sample_density)
 
@@ -24,29 +24,34 @@ def pontryagin_scalar(riemann: np.ndarray) -> np.ndarray:
     return total
 
 
-def _level_set_volume(spec: MetricSpec, r):
-    """8 pi^2 r^2 sqrt(A^3 C): the volume of the level set r = const, which
-    turns the pointwise tr(R^R) coefficient times PONT_NORM into the radial
-    density rho(r) whose r-integral is (1/192 pi^2) * the full 4-integral."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    a_coeff, c_coeff = radial_coefficients(spec, r)
-    return np.sqrt(a_coeff ** 3 * c_coeff) * r ** 2 * 8.0 * np.pi**2
+_CHUNK = 256  # points per curvature batch, to bound the working set
 
 
 def _density_samples(spec: MetricSpec, rs: np.ndarray, n_ang: int):
     """Density at each radius for each angular check sample, shape
-    (len(rs), n_ang)."""
+    (len(rs), n_ang).
+
+    With sqrt(det g) = sqrt(A^3 C) the tr(R^R) coefficient against the
+    coordinate volume is 2 [tr(R01 R23) - tr(R02 R13) + tr(R03 R12)] in the
+    coordinate 2-forms, whatever the basis of their endomorphism indices;
+    times the level-set volume 8 pi^2 r^2 and PONT_NORM it is the radial
+    density rho(r) whose r-integral is (1/192 pi^2) int tr R^R."""
     rs = np.asarray(rs, dtype=float)
-    vol_level = _level_set_volume(spec, rs)
     thetas, phis = angular_samples(n_ang)
-    out = np.empty((rs.size, n_ang))
-    for i, (th, ph) in enumerate(zip(thetas, phis)):
-        st, ct = np.sin(th), np.cos(th)
-        xyz = np.stack([rs * st * np.cos(ph), rs * st * np.sin(ph), rs * ct],
-                       axis=1)
-        riem, _, _, _ = curvature_batch(spec, xyz)
-        out[:, i] = PONT_NORM * pontryagin_scalar(riem) * vol_level
-    return out
+    st, r_col = np.sin(thetas), rs[:, None]
+    xyz = np.stack([r_col * st * np.cos(phis), r_col * st * np.sin(phis),
+                    r_col * np.cos(thetas)], axis=-1).reshape(-1, 3)
+    trace = np.empty(len(xyz))
+    for i in range(0, len(xyz), _CHUNK):
+        f = curvature_forms(spec, xyz[i:i + _CHUNK])
+        # R01 R23, R02 R13 and R03 R12 entrywise against the transpose; the
+        # 16 entries are added row by row, since a reduction inside numpy
+        # changes its order when a chunk holds a single point
+        prod = f[:3] * f[5:2:-1].swapaxes(1, 2)
+        trace[i:i + _CHUNK] = sum(
+            (prod[0] - prod[1] + prod[2]).reshape(16, -1))
+    scale = PONT_NORM * 16.0 * np.pi**2 * rs * rs
+    return scale[:, None] * trace.reshape(rs.size, n_ang)
 
 
 def pontryagin_density(spec: MetricSpec, r: float,

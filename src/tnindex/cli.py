@@ -18,7 +18,7 @@ from .errors import ConsistencyError, ConvergenceError, TNIndexError
 from .eta import ROUTES, SeriesSpec, route_table, write_route_csv
 from .gauge import InstantonChannel, InstantonData
 from .geometry import (BlendProfile, MetricSpec, Point, Variant,
-                       curvature_at, hodge_star, potential_and_omega, star3)
+                       chart_omega, curvature_at, hodge_star, star3)
 from .index import assemble
 from .quadrature import QuadratureSpec
 
@@ -149,9 +149,8 @@ def _run_eta(cfg: dict) -> int:
         lambdas = [ch.lam for ch in cfg["instanton"].channels]
     else:
         lambdas = [float(x) for x in cfg["lambdas"]]
-    rows = route_table(lambdas, cfg["series"])
-    if cfg["route"] != "all":
-        rows = [row for row in rows if row[1] == cfg["route"]]
+    routes = ROUTES if cfg["route"] == "all" else (cfg["route"],)
+    rows = route_table(lambdas, cfg["series"], routes)
     cfg["out"].mkdir(parents=True, exist_ok=True)
     write_route_csv(cfg["out"] / "eta_routes.csv", rows)
     return EXIT_OK
@@ -185,18 +184,11 @@ def _run_geometry_check(cfg: dict) -> int:
         x = rng.uniform(0.5, 5.0, size=3) * rng.choice([-1.0, 1.0], size=3)
         if x[0] ** 2 + x[1] ** 2 < 0.25:
             x[0] += 1.0
-        domega = np.zeros((3, 3))
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                xp = x.copy()
-                xp[i] += h
-                xm = x.copy()
-                xm[i] -= h
-                wp = potential_and_omega(Point(*xp, 0.0))[1][j]
-                wm = potential_and_omega(Point(*xm, 0.0))[1][j]
-                domega[i, j] += (wp - wm) / (2.0 * h)
+        # row i: omega at the points shifted by +-h along x_i
+        _, wp = chart_omega(x + h * np.eye(3))
+        _, wm = chart_omega(x - h * np.eye(3))
+        domega = (wp - wm) / (2.0 * h)
+        np.fill_diagonal(domega, 0.0)
         domega = domega - domega.T  # antisymmetrize: (d omega)_ij
         r = float(np.linalg.norm(x))
         grad_v = -0.5 * x / r**3
@@ -256,8 +248,12 @@ _RUNNERS = {
 }
 
 
-def _emit_error(kind: str, message: str):
-    json.dump({"error": kind, "message": message}, sys.stderr)
+def _emit_error(kind: str, message: str, history=None):
+    """The failure JSON on stderr; a ConvergenceError adds its history."""
+    payload = {"error": kind, "message": message}
+    if history is not None:
+        payload["history"] = history
+    json.dump(payload, sys.stderr)
     sys.stderr.write("\n")
 
 
@@ -306,7 +302,8 @@ def main(argv=None) -> int:
     try:
         return _RUNNERS[cfg["mode"]](cfg)
     except TNIndexError as exc:
-        _emit_error(type(exc).__name__, str(exc))
+        _emit_error(type(exc).__name__, str(exc),
+                    getattr(exc, "history", None))
         return EXIT_NUMERICAL
 
 

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import ConsistencyError, ConvergenceError, GenericityError
 from .gauge import InstantonData, LAMBDA_TOL, boundary_data, \
     dist_to_integers, frac_part
+from .quadrature import ordered_dot
 
 ROUTES = ("mode_sum", "poisson", "bernoulli")
 
@@ -194,12 +195,12 @@ def eta_mode_sum(lam: float, s: SeriesSpec | None = None) -> FormScalar:
             f"u-integral tail {integrand_scale:.3e} at u_max={u[-1]:.1e} "
             "exceeds the series tolerance; increase u_max")
     inv_sqrt_pi = 1.0 / np.sqrt(np.pi)
-    a0_c = inv_sqrt_pi * np.dot(sum_val, w)
-    nil_c = inv_sqrt_pi * np.dot(sum_nil, w)
+    a0_c = inv_sqrt_pi * ordered_dot(sum_val, w)
+    nil_c = inv_sqrt_pi * ordered_dot(sum_nil, w)
     # the even rows with step 2h: the trapezoid weights are exactly 2 w
     w_half = 2.0 * w[::2]
-    a0_half = inv_sqrt_pi * np.dot(sum_val[::2], w_half)
-    nil_half = inv_sqrt_pi * np.dot(sum_nil[::2], w_half)
+    a0_half = inv_sqrt_pi * ordered_dot(sum_val[::2], w_half)
+    nil_half = inv_sqrt_pi * ordered_dot(sum_nil[::2], w_half)
     half_miss = max(abs(a0_c - a0_half), 2.0 * abs(nil_c - nil_half))
     if half_miss > s.tol:
         raise ConvergenceError(
@@ -345,11 +346,12 @@ def eta_integral(data: InstantonData, route: str = "bernoulli",
 # Route comparison table
 
 
-def route_table(lambdas, series: SeriesSpec | None = None):
-    """Rows (lambda, route, a0, a2, integrated_at_chern0, error)."""
+def route_table(lambdas, series: SeriesSpec | None = None, routes=ROUTES):
+    """Rows (lambda, route, a0, a2, integrated_at_chern0, error); only the
+    given routes are evaluated."""
     rows = []
     for lam in lambdas:
-        for route in ROUTES:
+        for route in routes:
             form = eta_form(lam, route, series)
             rows.append((lam, route, form.a0, form.a2, 0.5 * form.a2,
                          route_error_estimate(route, series)))

@@ -60,7 +60,8 @@ class Point:
 
     @property
     def r(self) -> float:
-        return float(np.sqrt(self.x1**2 + self.x2**2 + self.x3**2))
+        return float(np.sqrt(self.x1 * self.x1 + self.x2 * self.x2
+                             + self.x3 * self.x3))
 
     @property
     def theta(self) -> float:
@@ -95,23 +96,22 @@ class BlendProfile:
             raise ValueError(f"unknown blend kind {self.kind!r}")
 
     def __call__(self, r):
-        """Evaluate the profile; accepts floats, arrays, or jets."""
-        if isinstance(r, Jet):
-            s = (r - self.r_in) * (1.0 / (self.r_out - self.r_in))
-            if self.kind == "quintic":
-                poly = s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
-            else:
-                poly = (s * s * s * s) * (
-                    35.0 + s * (-84.0 + s * (70.0 - 20.0 * s)))
-            zero = Jet.constant(0.0, s.val.shape)
-            one = Jet.constant(1.0, s.val.shape)
-            out = jets.where(s.val <= 0.0, zero, poly)
-            return jets.where(s.val >= 1.0, one, out)
-        s = np.clip((np.asarray(r, dtype=float) - self.r_in)
-                    / (self.r_out - self.r_in), 0.0, 1.0)
+        """Evaluate the profile; accepts floats, arrays, or jets, all through
+        one Horner form with `*` only, so they agree bit for bit."""
+        jet = isinstance(r, Jet)
+        s = ((r if jet else np.asarray(r, dtype=float)) - self.r_in) \
+            * (1.0 / (self.r_out - self.r_in))
+        if not jet:
+            s = np.clip(s, 0.0, 1.0)
         if self.kind == "quintic":
-            return s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
-        return s**4 * (35.0 - 84.0 * s + 70.0 * s**2 - 20.0 * s**3)
+            poly = s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
+        else:
+            poly = (s * s * s * s) * (
+                35.0 + s * (-84.0 + s * (70.0 - 20.0 * s)))
+        if not jet:
+            return poly
+        out = jets.where(s.val <= 0.0, Jet.constant(0.0, s.val.shape), poly)
+        return jets.where(s.val >= 1.0, Jet.constant(1.0, s.val.shape), out)
 
 
 @dataclass(frozen=True)
@@ -148,15 +148,6 @@ class CurvatureSample:
     riemann: np.ndarray   # (4,4,4,4), fully lowered frame components
     ricci: np.ndarray     # (4,4)
     metric: MetricSample
-
-    @property
-    def two_form(self) -> np.ndarray:
-        """Curvature 2-form matrix R^a_b over the antisymmetric pair basis,
-        shape (4, 4, 6)."""
-        out = np.empty((4, 4, 6))
-        for k, (c, d) in enumerate(PAIRS):
-            out[:, :, k] = self.riemann[:, :, c, d]
-        return out
 
     def bianchi_residual(self) -> float:
         r = self.riemann
@@ -256,21 +247,20 @@ def radial_coefficients(spec: MetricSpec, r):
 
 def _metric_entries(spec: MetricSpec, x1, x2, x3, gauge: Gauge):
     """4x4 nested list of metric components from (possibly jet) coordinates."""
-    r2 = x1 * x1 + x2 * x2 + x3 * x3
-    r = jets.sqrt(r2)
+    rho2 = x1 * x1 + x2 * x2
+    r = jets.sqrt(rho2 + x3 * x3)
     a_coeff, c_coeff = _radial_coeffs(spec, r)
-    h = _gauge_factor(r, x3, x1 * x1 + x2 * x2, gauge)
-    # a Jet times 0.0 is a Jet times the zero jet
-    om = [(-1.0) * x2 * h, x1 * h, 0.0]
-    g = [[None] * 4 for _ in range(4)]
-    for i in range(3):
-        for j in range(i, 3):
+    h = _gauge_factor(r, x3, rho2, gauge)
+    # omega = h (-x2, x1, 0): the x3 row and column hold A and zeros
+    om = [(-1.0) * x2 * h, x1 * h]
+    zero = 0.0 * a_coeff
+    g = [[zero] * 4 for _ in range(4)]
+    for i in range(2):
+        for j in range(i, 2):
             entry = c_coeff * om[i] * om[j]
-            if i == j:
-                entry = entry + a_coeff
-            g[i][j] = g[j][i] = entry
-    for i in range(3):
+            g[i][j] = g[j][i] = entry + a_coeff if i == j else entry
         g[i][3] = g[3][i] = c_coeff * om[i]
+    g[2][2] = a_coeff
     g[3][3] = c_coeff
     return g
 
@@ -298,45 +288,27 @@ def metric_at(spec: MetricSpec, p: Point,
     return MetricSample(g=g, frame=frame, point=p)
 
 
-def metric_y_chart(spec: MetricSpec, r: float, theta: float) -> np.ndarray:
-    """Metric matrix in the (dy, dtheta, dphi, dtau) basis, y = log r,
-    with omega in the default gauge."""
-    a_coeff, c_coeff = radial_coefficients(spec, r)
-    w = 0.5 * np.cos(theta)  # omega = w dphi
-    g = np.zeros((4, 4))
-    g[0, 0] = a_coeff * r * r
-    g[1, 1] = a_coeff * r * r
-    g[2, 2] = a_coeff * r * r * np.sin(theta) ** 2 + c_coeff * w * w
-    g[2, 3] = g[3, 2] = c_coeff * w
-    g[3, 3] = c_coeff
-    return g
-
-
 # ---------------------------------------------------------------------------
 # Curvature
 
 
 def _metric_jet_arrays(spec: MetricSpec, xyz: np.ndarray, gauge: Gauge):
-    """Metric, first, and second coordinate derivatives for a batch of points.
-
-    Returns g (n,4,4), dg (n,4,4,4) indexed dg[:, mu, a, b] = d_mu g_ab,
-    and d2g (n,4,4,4,4); tau-derivatives vanish identically.
-    """
+    """Metric and its spatial coordinate derivatives for a batch of points,
+    point index last: g (4,4,n), dg (3,4,4,n) with dg[e, a, b] = d_e g_ab,
+    and d2g (3,3,4,4,n).  tau-derivatives vanish identically."""
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
+    entries = _metric_entries(spec, *(Jet.variable(xyz[:, i], i)
+                                      for i in range(3)), gauge)
     n = xyz.shape[0]
-    x1 = Jet.variable(xyz[:, 0], 0)
-    x2 = Jet.variable(xyz[:, 1], 1)
-    x3 = Jet.variable(xyz[:, 2], 2)
-    entries = _metric_entries(spec, x1, x2, x3, gauge)
-    g = np.zeros((n, 4, 4))
-    dg = np.zeros((n, 4, 4, 4))
-    d2g = np.zeros((n, 4, 4, 4, 4))
+    g = np.empty((4, 4, n))
+    dg = np.empty((3, 4, 4, n))
+    d2g = np.empty((3, 3, 4, 4, n))
     for a in range(4):
         for b in range(4):
             e = entries[a][b]
-            g[:, a, b] = e.val
-            dg[:, :3, a, b] = e.grad
-            d2g[:, :3, :3, a, b] = e.hess
+            g[a, b] = e.val
+            dg[:, a, b] = e.grad.T
+            d2g[:, :, a, b] = e.hess.transpose(1, 2, 0)
     return g, dg, d2g
 
 
@@ -344,38 +316,28 @@ def _fd_metric_arrays(spec: MetricSpec, xyz: np.ndarray, gauge: Gauge,
                       h: float):
     """Central-difference fallback for the derivative arrays."""
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
-    n = xyz.shape[0]
 
     def g_of(pts):
-        x1 = Jet.constant(pts[:, 0]); x2 = Jet.constant(pts[:, 1])
-        x3 = Jet.constant(pts[:, 2])
-        entries = _metric_entries(spec, x1, x2, x3, gauge)
-        out = np.zeros((pts.shape[0], 4, 4))
-        for a in range(4):
-            for b in range(4):
-                out[:, a, b] = entries[a][b].val
-        return out
+        entries = _metric_entries(spec, *(Jet.constant(pts[:, i])
+                                          for i in range(3)), gauge)
+        return np.array([[e.val for e in row] for row in entries])
 
     if np.any(np.linalg.norm(xyz, axis=1) <= 2.0 * h):
         raise DomainError("finite-difference stencil crosses r = 0")
+    step = h * np.eye(3)
     g = g_of(xyz)
-    dg = np.zeros((n, 4, 4, 4))
-    d2g = np.zeros((n, 4, 4, 4, 4))
-    shifts = {}
+    dg = np.empty((3,) + g.shape)
+    d2g = np.empty((3, 3) + g.shape)
     for mu in range(3):
-        e = np.zeros(3); e[mu] = h
-        shifts[(mu, +1)] = g_of(xyz + e)
-        shifts[(mu, -1)] = g_of(xyz - e)
-        dg[:, mu] = (shifts[(mu, +1)] - shifts[(mu, -1)]) / (2.0 * h)
-        d2g[:, mu, mu] = (shifts[(mu, +1)] - 2.0 * g + shifts[(mu, -1)]) / h**2
-    for mu in range(3):
+        plus, minus = g_of(xyz + step[mu]), g_of(xyz - step[mu])
+        dg[mu] = (plus - minus) / (2.0 * h)
+        d2g[mu, mu] = (plus - 2.0 * g + minus) / h**2
         for nu in range(mu + 1, 3):
-            emu = np.zeros(3); emu[mu] = h
-            enu = np.zeros(3); enu[nu] = h
-            mixed = (g_of(xyz + emu + enu) - g_of(xyz + emu - enu)
-                     - g_of(xyz - emu + enu) + g_of(xyz - emu - enu)) \
-                / (4.0 * h**2)
-            d2g[:, mu, nu] = d2g[:, nu, mu] = mixed
+            d2g[mu, nu] = d2g[nu, mu] = (
+                g_of(xyz + step[mu] + step[nu])
+                - g_of(xyz + step[mu] - step[nu])
+                - g_of(xyz - step[mu] + step[nu])
+                + g_of(xyz - step[mu] - step[nu])) / (4.0 * h**2)
     return g, dg, d2g
 
 
@@ -392,30 +354,50 @@ def _frame_transform(frame, lowered):
 
 
 def _riemann_from_arrays(g, dg, d2g):
-    """Frame-converted lowered Riemann tensor and Ricci from metric jets."""
-    ginv = np.linalg.inv(g)
-    # Gamma^a_bc = 1/2 g^{ad} (d_b g_dc + d_c g_db - d_d g_bc)
-    sym = (dg + np.einsum("ncdb->nbdc", dg) - np.einsum("ndbc->nbdc", dg))
-    gamma = 0.5 * np.einsum("nad,nbdc->nabc", ginv, sym)
-    # d_e Gamma: product rule with d_e g^{ad} = -(ginv dg ginv)
-    dginv = -np.einsum("neac,ncd->nead",
-                       np.einsum("nab,nebc->neac", ginv, dg), ginv)
-    dsym = (d2g + np.einsum("necdb->nebdc", d2g)
-            - np.einsum("nedbc->nebdc", d2g))
-    dgamma = 0.5 * (np.einsum("nead,nbdc->neabc", dginv, sym)
-                    + np.einsum("nad,nebdc->neabc", ginv, dsym))
-    # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb} + G^a_{ce}G^e_{db}
-    #            - G^a_{de}G^e_{cb}
-    riem = (np.einsum("ncadb->nabcd", dgamma)
-            - np.einsum("ndacb->nabcd", dgamma)
-            + np.einsum("nace,nedb->nabcd", gamma, gamma)
-            - np.einsum("nade,necb->nabcd", gamma, gamma))
+    """The six mixed coordinate curvature 2-forms on PAIRS, shape (6,4,4,n),
+    from point-last metric jets: R_cd = d_c M_d - d_d M_c + [M_c, M_d] with
+    the Christoffel matrices (M_c)^a_b = Gamma^a_cb.
+
+    Every einsum has two operands and the point index as its contiguous
+    inner axis: numpy's own loop, never BLAS, in a fixed order."""
+    ginv = np.ascontiguousarray(
+        np.linalg.inv(np.moveaxis(g, -1, 0)).transpose(1, 2, 0))
+    # coordinate derivatives with the vanishing d_tau row appended
+    dg4 = np.concatenate([dg, np.zeros_like(dg[:1])])
+    d2g4 = np.concatenate([d2g, np.zeros_like(d2g[:, :1])], axis=1)
+    # Gamma_dcb = 1/2 (d_c g_db + d_b g_dc - d_d g_cb) and its derivatives
+    low = 0.5 * (dg4.transpose(1, 0, 2, 3) + dg4.transpose(1, 2, 0, 3) - dg4)
+    dlow = 0.5 * (d2g4.transpose(0, 2, 1, 3, 4)
+                  + d2g4.transpose(0, 2, 3, 1, 4) - d2g4)
+    mat = np.einsum("adn,dcbn->cabn", ginv, low)
+    # d_e M_c = g^-1 (d_e Gamma_c - d_e g M_c): d_e g^-1 = -g^-1 d_e g g^-1
+    dmat = np.einsum("adn,edcbn->ecabn", ginv,
+                     dlow - np.einsum("edfn,cfbn->edcbn", dg, mat))
+    prod = np.einsum("cabn,dbkn->cdakn", mat, mat)
+    return np.stack([prod[c, d] - prod[d, c] + dmat[c, d]
+                     - (dmat[d, c] if d < 3 else 0.0) for c, d in PAIRS])
+
+
+def _frame_curvature(g, forms):
+    """Frame Riemann tensor (n,4,4,4,4), fully lowered, frame Ricci (n,4,4),
+    metric and vierbein (n,4,4) from point-last g and curvature 2-forms."""
+    g = np.moveaxis(g, -1, 0)
+    riem = np.zeros(g.shape + (4, 4))
+    for k, (c, d) in enumerate(PAIRS):
+        riem[..., c, d] = np.moveaxis(forms[k], -1, 0)
+        riem[..., d, c] = -riem[..., c, d]
     ricci = np.einsum("nabad->nbd", riem)
     lowered = np.einsum("nae,nebcd->nabcd", g, riem)
     frame = _vierbein(g)
-    riem_frame = _frame_transform(frame, lowered)
-    ricci_frame = np.einsum("nwa,nxb,nwx->nab", frame, frame, ricci)
-    return riem_frame, ricci_frame, frame
+    return (_frame_transform(frame, lowered),
+            np.einsum("nwa,nxb,nwx->nab", frame, frame, ricci), g, frame)
+
+
+def curvature_forms(spec: MetricSpec, xyz: np.ndarray,
+                    gauge: Gauge = Gauge.DEFAULT) -> np.ndarray:
+    """Mixed coordinate curvature 2-forms (6,4,4,n) on PAIRS at a batch of
+    Cartesian points; each point's bits do not depend on the batch."""
+    return _riemann_from_arrays(*_metric_jet_arrays(spec, xyz, gauge))
 
 
 def curvature_batch(spec: MetricSpec, xyz: np.ndarray,
@@ -425,8 +407,7 @@ def curvature_batch(spec: MetricSpec, xyz: np.ndarray,
     Returns (riemann (n,4,4,4,4), ricci (n,4,4), g (n,4,4), frame (n,4,4)).
     """
     g, dg, d2g = _metric_jet_arrays(spec, xyz, gauge)
-    riem, ricci, frame = _riemann_from_arrays(g, dg, d2g)
-    return riem, ricci, g, frame
+    return _frame_curvature(g, _riemann_from_arrays(g, dg, d2g))
 
 
 def curvature_at(spec: MetricSpec, p: Point, h: float | None = None,
@@ -449,7 +430,8 @@ def curvature_at(spec: MetricSpec, p: Point, h: float | None = None,
         g, dg, d2g = _fd_metric_arrays(spec, xyz, gauge, step)
     else:
         raise ValueError(f"unknown method {method!r}")
-    riem, ricci, frame = _riemann_from_arrays(g, dg, d2g)
+    riem, ricci, g, frame = _frame_curvature(
+        g, _riemann_from_arrays(g, dg, d2g))
     sample = MetricSample(g=g[0], frame=frame[0], point=p)
     return CurvatureSample(riemann=riem[0], ricci=ricci[0], metric=sample)
 
@@ -460,13 +442,9 @@ def curvature_at(spec: MetricSpec, p: Point, h: float | None = None,
 
 _EPS4 = np.zeros((4, 4, 4, 4))
 for _perm in itertools.permutations(range(4)):
-    _sign = 1.0
-    _p = list(_perm)
-    for _i in range(4):
-        for _j in range(_i + 1, 4):
-            if _p[_i] > _p[_j]:
-                _sign = -_sign
-    _EPS4[_perm] = _sign
+    # the sign of a permutation is -1 to the number of its inversions
+    _EPS4[_perm] = (-1.0) ** sum(
+        a > b for a, b in itertools.combinations(_perm, 2))
 
 
 def hodge_star(sample: MetricSample, two_form: np.ndarray) -> np.ndarray:

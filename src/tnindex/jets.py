@@ -74,14 +74,12 @@ class Jet:
         o = self._like(other)
         val = self.val * o.val
         grad = self.grad * o.val[..., None] + o.grad * self.val[..., None]
-        outer = (
-            self.grad[..., :, None] * o.grad[..., None, :]
-            + o.grad[..., :, None] * self.grad[..., None, :]
-        )
+        # the symmetrised outer product of the gradients: (b a^T)^T = a b^T
+        outer = self.grad[..., :, None] * o.grad[..., None, :]
         hess = (
             self.hess * o.val[..., None, None]
             + o.hess * self.val[..., None, None]
-            + outer
+            + (outer + np.swapaxes(outer, -1, -2))
         )
         return Jet(val, grad, hess)
 

@@ -101,6 +101,19 @@ def isotropic_mean(samples: np.ndarray, tol: float) -> np.ndarray:
     return mean
 
 
+_DOT_CHUNK = 8192  # OpenBLAS splits a dot of over 10,000 terms across threads
+
+
+def ordered_dot(a, b):
+    """sum(a * b) as np.dot over consecutive chunks of at most _DOT_CHUNK
+    terms, added in order, so the bits do not follow OPENBLAS_NUM_THREADS;
+    up to _DOT_CHUNK terms it is the single np.dot."""
+    total = np.dot(a[:_DOT_CHUNK], b[:_DOT_CHUNK])
+    for i in range(_DOT_CHUNK, len(a), _DOT_CHUNK):
+        total = total + np.dot(a[i:i + _DOT_CHUNK], b[i:i + _DOT_CHUNK])
+    return total
+
+
 @dataclass
 class RadialDensity:
     """Sampled radial density rho(r) on a fine grid, with a coarse companion
@@ -137,13 +150,13 @@ def integrate_radial(rho: RadialDensity, quad: QuadratureSpec,
                      check: bool = False):
     """Integrate a sampled density; returns (value, error_estimate).
 
-    The summation order is fixed by the node order, so the result is
-    bit-stable for a given grid.  The error estimate is the difference
-    between the fine and the coarse grid.  With check=True a refinement
-    estimate above the spec tolerance raises ConvergenceError.
+    The summation order is fixed by the node order (`ordered_dot`), so the
+    result is bit-stable for a given grid.  The error estimate is the
+    difference between the fine and the coarse grid.  With check=True a
+    refinement estimate above the spec tolerance raises ConvergenceError.
     """
-    value = float(np.dot(rho.values, rho.weights))
-    coarse = float(np.dot(rho.coarse_values, rho.coarse_weights))
+    value = float(ordered_dot(rho.values, rho.weights))
+    coarse = float(ordered_dot(rho.coarse_values, rho.coarse_weights))
     history = [(len(rho.coarse_values), coarse), (len(rho.values), value)]
     error = abs(value - coarse)
     if not np.isfinite(value):

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from tnindex import charclasses
-from tnindex.charclasses import (convergence_table, cs_tail_bound,
-                                 pontryagin_density, pontryagin_integral,
-                                 pontryagin_scalar, write_convergence_csv)
+from tnindex.charclasses import (PONT_NORM, convergence_table,
+                                 cs_tail_bound, pontryagin_density,
+                                 pontryagin_integral, pontryagin_scalar,
+                                 write_convergence_csv)
 from tnindex.errors import IsotropyError
 from tnindex.geometry import (BlendProfile, MetricSpec, Variant,
-                              curvature_batch, radial_coefficients)
-from tnindex.quadrature import QuadratureSpec
+                              curvature_batch, curvature_forms,
+                              radial_coefficients)
+from tnindex.quadrature import QuadratureSpec, angular_samples
 
 TARGET = 1.0 / 12.0
 
@@ -84,20 +86,70 @@ def test_convergence_table_csv(tmp_path):
     assert float(value) == pytest.approx(rows[0][1])
 
 
-def test_density_samples_compute_level_set_volume_once(monkeypatch):
-    """The level-set volume depends on the radius only: one
-    radial_coefficients call per radius array, not one per angle."""
-    calls = []
+def _check_points(rs, n_ang):
+    """The Cartesian points _density_samples evaluates, radius-major."""
+    thetas, phis = angular_samples(n_ang)
+    st, r_col = np.sin(thetas), rs[:, None]
+    return np.stack([r_col * st * np.cos(phis), r_col * st * np.sin(phis),
+                     r_col * np.cos(thetas)], axis=-1).reshape(-1, 3)
 
-    def counting(spec, r):
-        calls.append(len(r))
-        return radial_coefficients(spec, r)
 
-    monkeypatch.setattr(charclasses, "radial_coefficients", counting)
-    rs = np.geomspace(0.5, 60.0, 12)
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("kind", ["quintic", "septic"])
+@pytest.mark.parametrize("l", [0.5, 1.0, 3.0])
+def test_density_matches_frame_route(variant, kind, l):
+    """The coordinate 2-form trace against the frame route: the full frame
+    Riemann tensor through pontryagin_scalar times the level-set volume
+    sqrt(A^3 C) 8 pi^2 r^2, within 1e-12 of each point's scale, the same
+    volume times the squared norm of its frame Riemann tensor."""
+    spec = MetricSpec(variant=variant, t=0.6, blend=BlendProfile(kind=kind),
+                      l=l)
+    rng = np.random.default_rng(17)
+    rs = np.exp(rng.uniform(np.log(1e-4), np.log(80.0), 24))
+    density = charclasses._density_samples(spec, rs, 2).ravel()
+    riem, _, _, _ = curvature_batch(spec, _check_points(rs, 2))
+    r = np.repeat(rs, 2)
+    a_coeff, c_coeff = radial_coefficients(spec, r)
+    volume = PONT_NORM * np.sqrt(a_coeff**3 * c_coeff) * 8.0 * np.pi**2 * r * r
+    oracle = pontryagin_scalar(riem) * volume
+    scale = (riem**2).sum(axis=(1, 2, 3, 4)) * volume
+    assert np.all(scale > 0)
+    assert np.all(np.abs(density - oracle) <= 1e-12 * scale)
+
+
+def test_density_bits_independent_of_chunk(monkeypatch):
+    """A point's density has the same bits in a chunk of one, of seven and
+    of the default size."""
+    spec = MetricSpec(variant=Variant.HOMOTOPY, t=0.4,
+                      blend=BlendProfile(kind="septic"))
+    rs = np.geomspace(1e-4, 80.0, 45)
+    whole = charclasses._density_samples(spec, rs, 3)
+    for chunk in (1, 7):
+        monkeypatch.setattr(charclasses, "_CHUNK", chunk)
+        assert np.array_equal(charclasses._density_samples(spec, rs, 3),
+                              whole)
+
+
+def _count_chunks(monkeypatch):
+    """Record the number of points of every curvature_forms call."""
+    points = []
+
+    def counting(spec, xyz, *args):
+        points.append(len(xyz))
+        return curvature_forms(spec, xyz, *args)
+
+    monkeypatch.setattr(charclasses, "curvature_forms", counting)
+    return points
+
+
+def test_density_samples_evaluate_points_in_chunks(monkeypatch):
+    """The radius x angle points are evaluated together, flattened, in
+    chunks of at most _CHUNK points."""
+    points = _count_chunks(monkeypatch)
+    rs = np.geomspace(0.5, 60.0, 100)
     samples = charclasses._density_samples(exact_d_spec(), rs, 3)
-    assert samples.shape == (12, 3)
-    assert calls == [12]
+    assert samples.shape == (100, 3)
+    assert points == [charclasses._CHUNK, 300 - charclasses._CHUNK]
 
 
 def test_convergence_table_samples_each_grid_once(monkeypatch):
@@ -106,13 +158,7 @@ def test_convergence_table_samples_each_grid_once(monkeypatch):
     has the bits of a one-row table of its own."""
     quad = QuadratureSpec(n_r=64, n_ang=2)
     spec = exact_d_spec()
-    points = []
-
-    def counting(spec, xyz, *args):
-        points.append(len(xyz))
-        return curvature_batch(spec, xyz, *args)
-
-    monkeypatch.setattr(charclasses, "curvature_batch", counting)
+    points = _count_chunks(monkeypatch)
     rows = convergence_table(spec, quad, [32, 64])
     assert sum(points) == quad.n_ang * (8 + 16 + 32 + 64)
     for row in rows:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tnindex
-from tnindex import cli
+from tnindex import cli, eta
 from tnindex.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                          EXIT_VALIDATION, main)
 
@@ -224,6 +224,25 @@ def test_pontryagin_miss_emits_error_and_keeps_csv(tmp_path, capsys):
     assert "1/12" in err["message"]
     lines = (out / "pontryagin_convergence.csv").read_text().splitlines()
     assert len(lines) == 3
+    # the failure JSON carries the sweep rows (N_r, value, error, tail)
+    assert [row[0] for row in err["history"]] == [16, 32]
+    for row, line in zip(err["history"], lines[1:]):
+        assert [repr(x) for x in row] == line.split(",")
+
+
+def test_eta_route_evaluates_only_that_route(tmp_path, monkeypatch):
+    """At lambda = 1e-5 the mode sum refuses; --route bernoulli never
+    calls it."""
+    calls = []
+    monkeypatch.setattr(eta, "eta_mode_sum",
+                        lambda *args: calls.append(args))
+    cfg = write_config(tmp_path, {"mode": "eta", "lambdas": [1e-5]})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--route", "bernoulli",
+                 "--out", str(out)]) == EXIT_OK
+    assert calls == []
+    lines = (out / "eta_routes.csv").read_text().splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == ["bernoulli"]
 
 
 def test_geometry_check_failure_emits_error(tmp_path, capsys, monkeypatch):
@@ -240,6 +259,9 @@ def test_geometry_check_failure_emits_error(tmp_path, capsys, monkeypatch):
     assert lines[3].endswith(",false")
 
 
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="OpenBLAS runs one thread on a single CPU, so "
+                           "one and two threads cannot differ")
 def test_reports_independent_of_blas_threads(tmp_path):
     pont = write_config(tmp_path, {"mode": "pontryagin",
                                    "metric": {"variant": "Homotopy", "t": 0.5},
@@ -249,20 +271,33 @@ def test_reports_independent_of_blas_threads(tmp_path):
     # OpenBLAS splits a dot of more than 10,000 terms across threads
     eta = write_config(tmp_path, {"mode": "eta", "route": "all"},
                        name="eta.json")
+    # weighted sums of 12,000 radial nodes and 10,001 u nodes
+    index = write_config(tmp_path, dict(INDEX_CONFIG,
+                                        quad={"n_r": 12000, "n_ang": 2}),
+                         name="index.json")
+    mode_sum = write_config(tmp_path, {"mode": "eta", "route": "mode_sum",
+                                       "lambdas": [0.45],
+                                       "series": {"n_u": 10001}},
+                            name="mode_sum.json")
     src = str(Path(tnindex.__file__).resolve().parents[1])
     for cfg, name in ((pont, "pontryagin_convergence.csv"),
-                      (eta, "eta_routes.csv")):
-        reports = []
+                      (eta, "eta_routes.csv"),
+                      (index, "index_report.json"),
+                      (mode_sum, "eta_routes.csv")):
+        # the one- and two-thread runs of a config go side by side
+        runs = []
         for threads in ("1", "2"):
-            out = tmp_path / f"{name}.threads{threads}"
+            out = tmp_path / f"{Path(cfg).stem}.threads{threads}"
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                        PYTHONPATH=os.pathsep.join(
                            [src, os.environ.get("PYTHONPATH", "")]))
-            proc = subprocess.run(
+            runs.append((out, subprocess.Popen(
                 [sys.executable, "-m", "tnindex.cli", "--config", cfg,
-                 "--out", str(out)], env=env, capture_output=True,
-                timeout=120)
-            assert proc.returncode == EXIT_OK, proc.stderr
+                 "--out", str(out)], env=env, stderr=subprocess.PIPE)))
+        reports = []
+        for out, proc in runs:
+            _, stderr = proc.communicate(timeout=120)
+            assert proc.returncode == EXIT_OK, stderr
             reports.append((out / name).read_bytes())
         assert reports[0] == reports[1], name
 

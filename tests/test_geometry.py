@@ -6,10 +6,11 @@ import pytest
 from tnindex import geometry
 from tnindex.errors import ChartError, DomainError
 from tnindex.gauge import InstantonChannel, field_strength_at
+from tnindex.jets import Jet
 from tnindex.geometry import (BlendProfile, Gauge, MetricSample, MetricSpec,
                               Point, Variant, curvature_at, curvature_batch,
-                              hodge_star, metric_at, metric_y_chart,
-                              potential_and_omega, star3)
+                              hodge_star, metric_at, potential_and_omega,
+                              radial_coefficients, star3)
 
 RNG = np.random.default_rng(42)
 
@@ -124,11 +125,10 @@ def test_tn_metric_flat_at_infinity():
 def test_exact_d_fiber_coefficient():
     spec = MetricSpec(variant=Variant.EXACT_D, blend=BlendProfile())
     r = float(np.exp(3.0))
-    g = metric_y_chart(spec, r, 1.1)
-    assert g[3, 3] == pytest.approx(np.exp(-6.0), rel=1e-9)
-    # dy^2 + unit round sphere block
-    assert g[0, 0] == pytest.approx(1.0, rel=1e-9)
-    assert g[1, 1] == pytest.approx(1.0, rel=1e-9)
+    a_coeff, c_coeff = radial_coefficients(spec, r)
+    assert c_coeff == pytest.approx(np.exp(-6.0), rel=1e-9)
+    # A r^2 = 1: dy^2 plus the unit round sphere in y = log r
+    assert a_coeff * r * r == pytest.approx(1.0, rel=1e-9)
 
 
 def test_conformal_is_scaled_tn_outside_blend():
@@ -174,6 +174,27 @@ def test_metric_spec_validation():
         BlendProfile(r_in=4.0, r_out=2.0)
     with pytest.raises(ValueError):
         BlendProfile(kind="cubic")
+
+
+@pytest.mark.parametrize("kind", ["quintic", "septic"])
+def test_blend_scalar_array_and_jet_agree_bitwise(kind):
+    """One Horner form: a float radius, an array of radii and the values of
+    a jet give the same bits, inside, across and outside the blend."""
+    blend = BlendProfile(kind=kind)
+    rs = np.exp(np.random.default_rng(23).uniform(0.0, 2.0, 2000))
+    array = blend(rs)
+    assert np.array_equal(array, [blend(float(r)) for r in rs])
+    assert np.array_equal(array, [blend(r) for r in rs])
+    assert np.array_equal(array, blend(Jet.variable(rs, 0)).val)
+    assert array.min() == 0.0
+    assert array.max() == 1.0
+
+
+def test_point_radius_matches_array_path():
+    """Point.r squares with x*x, as the array path does."""
+    xyz = np.random.default_rng(29).uniform(-5.0, 5.0, (20000, 3))
+    r, _ = geometry.chart_omega(xyz)
+    assert np.array_equal(r, [Point(*x).r for x in xyz])
 
 
 # ---------------------------------------------------------------------------
