@@ -14,10 +14,9 @@ from .charclasses import (convergence_table, cs_tail_bound,
 from .errors import (ChartError, ConsistencyError, ConvergenceError,
                      DomainError, GenericityError, IsotropyError,
                      TNIndexError)
-from .eta import (ROUTES, EtaResult, FormScalar, SeriesSpec,
-                  cosine_series_value, eta_bernoulli, eta_form, eta_integral,
-                  eta_mode_sum, eta_poisson, poisson_check, route_table,
-                  write_route_csv)
+from .eta import (ROUTES, EtaResult, FormScalar, SeriesSpec, eta_bernoulli,
+                  eta_form, eta_integral, eta_mode_sum, eta_poisson,
+                  poisson_check, route_table, write_route_csv)
 from .gauge import (InstantonChannel, InstantonData, boundary_data,
                     bulk_action, bulk_action_closed_form,
                     connection_coefficient, field_strength_at,
@@ -39,9 +38,9 @@ __all__ = [
     "IsotropyError", "MetricSample", "MetricSpec", "Point", "QuadratureSpec",
     "ROUTES", "SeriesSpec", "TNIndexError", "Variant", "assemble",
     "boundary_data", "bulk_action", "bulk_action_closed_form",
-    "connection_coefficient", "convergence_table", "cosine_series_value",
-    "cs_tail_bound", "curvature_at", "eta_bernoulli", "eta_form",
-    "eta_integral", "eta_mode_sum", "eta_poisson", "field_strength_at",
+    "connection_coefficient", "convergence_table", "cs_tail_bound",
+    "curvature_at", "eta_bernoulli", "eta_form", "eta_integral",
+    "eta_mode_sum", "eta_poisson", "field_strength_at",
     "field_strength_coeff", "hodge_star", "index_formula",
     "index_formula_full_flux", "integrality_check", "integrate_radial",
     "metric_at", "model_connection_at", "poisson_check",

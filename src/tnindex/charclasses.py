@@ -8,7 +8,7 @@ import csv
 import numpy as np
 
 from .geometry import MetricSpec, curvature_forms, wedge4
-from .quadrature import (QuadratureSpec, angular_samples, exp_tail_bound,
+from .quadrature import (QuadratureSpec, angular_points, exp_tail_bound,
                          integrate_radial, isotropic_mean, sample_density)
 
 PONT_NORM = 1.0 / (192.0 * np.pi**2)
@@ -37,10 +37,7 @@ def _density_samples(spec: MetricSpec, rs: np.ndarray, n_ang: int):
     times the level-set volume 8 pi^2 r^2 and PONT_NORM it is the radial
     density rho(r) whose r-integral is (1/192 pi^2) int tr R^R."""
     rs = np.asarray(rs, dtype=float)
-    thetas, phis = angular_samples(n_ang)
-    st, r_col = np.sin(thetas), rs[:, None]
-    xyz = np.stack([r_col * st * np.cos(phis), r_col * st * np.sin(phis),
-                    r_col * np.cos(thetas)], axis=-1).reshape(-1, 3)
+    xyz = angular_points(rs, n_ang).reshape(-1, 3)
     trace = np.empty(len(xyz))
     for i in range(0, len(xyz), _CHUNK):
         f = curvature_forms(spec, xyz[i:i + _CHUNK])

@@ -37,41 +37,11 @@ R_FLUX = -2.0 * np.pi
 
 @dataclass(frozen=True)
 class FormScalar:
-    """Even-form scalar a0 + a2 * eps with nilpotent eps (vol ^ vol = 0)."""
+    """eta-hat = a0 + a2 * R / (2i): the degree-0 value and the real factor
+    of the degree-2 part."""
 
     a0: float
-    a2: float = 0.0
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return FormScalar(self.a0 + o.a0, self.a2 + o.a2)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FormScalar(-self.a0, -self.a2)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return FormScalar(self.a0 * o.a0, self.a0 * o.a2 + self.a2 * o.a0)
-
-    __rmul__ = __mul__
-
-    def exp(self) -> "FormScalar":
-        e = float(np.exp(self.a0))
-        return FormScalar(e, e * self.a2)
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, FormScalar):
-            return x
-        return FormScalar(float(x), 0.0)
+    a2: float
 
 
 @dataclass(frozen=True)
@@ -254,16 +224,6 @@ def eta_poisson(lam: float, s: SeriesSpec | None = None) -> FormScalar:
     a0, _ = abel_extrapolate(lambda q: -_damped_sum(sin_terms, q, p))
     a2, _ = abel_extrapolate(lambda q: _damped_sum(cos_terms, q, p))
     return FormScalar(a0, a2)
-
-
-def cosine_series_value(lam: float, s: SeriesSpec | None = None) -> float:
-    """Abel value of sum_p cos(2 pi p lambda) / (pi^2 p^2); defined for all
-    lambda (at integers it is the Basel value 1/6)."""
-    s = s or SeriesSpec()
-    p = np.arange(1, s.p_cutoff + 1, dtype=float)
-    cos_terms = np.cos(2.0 * np.pi * p * lam) / (np.pi**2 * p * p)
-    value, _ = abel_extrapolate(lambda q: _damped_sum(cos_terms, q, p))
-    return value
 
 
 # ---------------------------------------------------------------------------

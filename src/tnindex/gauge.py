@@ -10,7 +10,7 @@ import numpy as np
 from .errors import GenericityError
 from .geometry import (PAIRS, Gauge, MetricSpec, Point, Variant,
                        chart_omega, hodge_star, metric_at, wedge4)
-from .quadrature import (QuadratureSpec, angular_samples, exp_tail_bound,
+from .quadrature import (QuadratureSpec, angular_points, exp_tail_bound,
                          integrate_radial, sample_density)
 
 LAMBDA_TOL = 1e-6
@@ -184,12 +184,8 @@ def _bulk_density_samples(data: InstantonData, rs: np.ndarray, n_ang: int,
                           l: float = 1.0, monopole: bool = True):
     """-(1/8 pi^2) tr F^F reduced to a per-unit-r density at angular check
     samples, shape (len(rs), n_ang), in one array pass per channel."""
-    thetas, phis = angular_samples(n_ang)
     r = np.asarray(rs, dtype=float)[:, None]
-    st = np.sin(thetas)
-    # Point.from_polar's points in its order of operations, bit for bit
-    xyz = np.stack([r * st * np.cos(phis), r * st * np.sin(phis),
-                    r * np.cos(thetas)], axis=-1)
+    xyz = angular_points(rs, n_ang)
     total = np.zeros(xyz.shape[:-1])
     for ch in data.channels:
         g_mat = field_strength_array(ch, xyz, l=l, monopole=monopole)

@@ -307,8 +307,8 @@ def _metric_jet_arrays(spec: MetricSpec, xyz: np.ndarray, gauge: Gauge):
         for b in range(4):
             e = entries[a][b]
             g[a, b] = e.val
-            dg[:, a, b] = e.grad.T
-            d2g[:, :, a, b] = e.hess.transpose(1, 2, 0)
+            dg[:, a, b] = e.grad
+            d2g[:, :, a, b] = e.hess
     return g, dg, d2g
 
 
@@ -318,9 +318,7 @@ def _fd_metric_arrays(spec: MetricSpec, xyz: np.ndarray, gauge: Gauge,
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
 
     def g_of(pts):
-        entries = _metric_entries(spec, *(Jet.constant(pts[:, i])
-                                          for i in range(3)), gauge)
-        return np.array([[e.val for e in row] for row in entries])
+        return np.array(_metric_entries(spec, *pts.T, gauge))
 
     if np.any(np.linalg.norm(xyz, axis=1) <= 2.0 * h):
         raise DomainError("finite-difference stencil crosses r = 0")

@@ -14,14 +14,20 @@ NVARS = 3
 
 
 class Jet:
-    """Batch of second-order Taylor jets in ``NVARS`` variables.
+    """Batch of second-order Taylor jets in ``NVARS`` variables, derivative
+    axes first so that the batch index is last.
 
     val  : (...,)            values
-    grad : (..., 3)          first derivatives
-    hess : (..., 3, 3)       second derivatives (symmetric)
+    grad : (3, ...)          first derivatives
+    hess : (3, 3, ...)       second derivatives (symmetric)
+
+    A plain number or array operand acts as a constant jet.  Jets are never
+    written to, so a result may share its operand's derivative arrays.
     """
 
     __slots__ = ("val", "grad", "hess")
+    # numpy defers to the reflected Jet operator, so `array + jet` is a jet
+    __array_ufunc__ = None
 
     def __init__(self, val, grad, hess):
         self.val = np.asarray(val, dtype=float)
@@ -32,32 +38,25 @@ class Jet:
     def variable(cls, val, index):
         """Seed jet for coordinate ``index`` of a batch of points."""
         val = np.asarray(val, dtype=float)
-        grad = np.zeros(val.shape + (NVARS,))
-        grad[..., index] = 1.0
-        hess = np.zeros(val.shape + (NVARS, NVARS))
-        return cls(val, grad, hess)
+        grad = np.zeros((NVARS,) + val.shape)
+        grad[index] = 1.0
+        return cls(val, grad, np.zeros((NVARS, NVARS) + val.shape))
 
     @classmethod
     def constant(cls, val, shape=None):
         val = np.asarray(val, dtype=float)
         if shape is not None:
             val = np.broadcast_to(val, shape).copy()
-        return cls(
-            val,
-            np.zeros(val.shape + (NVARS,)),
-            np.zeros(val.shape + (NVARS, NVARS)),
-        )
-
-    def _like(self, c):
-        if isinstance(c, Jet):
-            return c
-        return Jet.constant(c, self.val.shape)
+        return cls(val, np.zeros((NVARS,) + val.shape),
+                   np.zeros((NVARS, NVARS) + val.shape))
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        o = self._like(other)
-        return Jet(self.val + o.val, self.grad + o.grad, self.hess + o.hess)
+        if not isinstance(other, Jet):
+            return Jet(self.val + other, self.grad, self.hess)
+        return Jet(self.val + other.val, self.grad + other.grad,
+                   self.hess + other.hess)
 
     __radd__ = __add__
 
@@ -65,58 +64,43 @@ class Jet:
         return Jet(-self.val, -self.grad, -self.hess)
 
     def __sub__(self, other):
-        return self + (-self._like(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return self._like(other) - self
+        return (-self) + other
 
     def __mul__(self, other):
-        o = self._like(other)
-        val = self.val * o.val
-        grad = self.grad * o.val[..., None] + o.grad * self.val[..., None]
+        if not isinstance(other, Jet):
+            return Jet(self.val * other, self.grad * other,
+                       self.hess * other)
+        val = self.val * other.val
+        grad = self.grad * other.val + other.grad * self.val
         # the symmetrised outer product of the gradients: (b a^T)^T = a b^T
-        outer = self.grad[..., :, None] * o.grad[..., None, :]
+        outer = self.grad[:, None] * other.grad[None, :]
         hess = (
-            self.hess * o.val[..., None, None]
-            + o.hess * self.val[..., None, None]
-            + (outer + np.swapaxes(outer, -1, -2))
+            self.hess * other.val
+            + other.hess * self.val
+            + (outer + np.swapaxes(outer, 0, 1))
         )
         return Jet(val, grad, hess)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._like(other)
-        return self * o.reciprocal()
+        if not isinstance(other, Jet):
+            return self * (1.0 / other)
+        return self * other.reciprocal()
 
     def __rtruediv__(self, other):
-        return self._like(other) * self.reciprocal()
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("Jet.__pow__ only supports non-negative ints")
-        out = Jet.constant(1.0, self.val.shape)
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return self.reciprocal() * other
 
     # -- univariate compositions -------------------------------------------
 
     def _compose(self, f, fp, fpp):
         """Chain rule for a scalar function applied entrywise."""
-        grad = fp[..., None] * self.grad
-        hess = (
-            fp[..., None, None] * self.hess
-            + fpp[..., None, None]
-            * self.grad[..., :, None]
-            * self.grad[..., None, :]
-        )
-        return Jet(f, grad, hess)
+        return Jet(f, fp * self.grad,
+                   fp * self.hess
+                   + fpp * self.grad[:, None] * self.grad[None, :])
 
     def reciprocal(self):
         inv = 1.0 / self.val
@@ -156,6 +140,6 @@ def where(mask, a, b):
     mask = np.asarray(mask, dtype=bool)
     return Jet(
         np.where(mask, a.val, b.val),
-        np.where(mask[..., None], a.grad, b.grad),
-        np.where(mask[..., None, None], a.hess, b.hess),
+        np.where(mask, a.grad, b.grad),
+        np.where(mask, a.hess, b.hess),
     )

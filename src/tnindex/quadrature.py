@@ -86,6 +86,16 @@ def angular_samples(n_ang: int):
     return thetas, phis
 
 
+def angular_points(rs, n_ang: int) -> np.ndarray:
+    """Cartesian check points (len(rs), n_ang, 3) at each radius and each
+    `angular_samples` direction, in Point.from_polar's order of operations,
+    so they equal its points bit for bit."""
+    thetas, phis = angular_samples(n_ang)
+    r, st = np.asarray(rs, dtype=float)[:, None], np.sin(thetas)
+    return np.stack([r * st * np.cos(phis), r * st * np.sin(phis),
+                     r * np.cos(thetas)], axis=-1)
+
+
 def isotropic_mean(samples: np.ndarray, tol: float) -> np.ndarray:
     """Mean over the angular check samples of shape (n, n_ang); raises
     IsotropyError when the largest relative spread exceeds tol, since a

@@ -9,33 +9,13 @@ from hypothesis import strategies as st
 
 from tnindex.errors import ConvergenceError, GenericityError
 from tnindex.eta import (ROUTES, FormScalar, SeriesSpec, _mode_blocks,
-                         _u_grid, cosine_series_value, eta_bernoulli,
-                         eta_form, eta_integral, eta_mode_sum, eta_poisson,
-                         poisson_check, route_table, vertical_spectrum,
-                         write_route_csv)
+                         _u_grid, eta_bernoulli, eta_form, eta_integral,
+                         eta_mode_sum, eta_poisson, poisson_check,
+                         route_table, vertical_spectrum, write_route_csv)
 from tnindex.gauge import InstantonChannel, InstantonData
 
 GENERIC = st.floats(min_value=0.02, max_value=0.98).filter(
     lambda x: min(x, 1.0 - x) > 0.02)
-
-
-# ---------------------------------------------------------------------------
-# FormScalar ring
-
-
-def test_formscalar_nilpotent_product():
-    a = FormScalar(2.0, 3.0)
-    b = FormScalar(-1.0, 0.5)
-    prod = a * b
-    assert prod.a0 == pytest.approx(-2.0)
-    assert prod.a2 == pytest.approx(2.0 * 0.5 + 3.0 * (-1.0))
-
-
-def test_formscalar_exp():
-    x = FormScalar(1.0, 0.25)
-    e = x.exp()
-    assert e.a0 == pytest.approx(np.e)
-    assert e.a2 == pytest.approx(np.e * 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +184,6 @@ def test_poisson_zero_at_half():
 
 def test_poisson_quarter():
     assert eta_poisson(0.25).a0 == pytest.approx(-0.25, abs=1e-9)
-
-
-def test_basel_limit_of_cosine_series():
-    assert cosine_series_value(0.0) == pytest.approx(1.0 / 6.0, abs=1e-3)
 
 
 def test_poisson_check_examples():
