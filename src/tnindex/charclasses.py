@@ -7,7 +7,7 @@ import csv
 
 import numpy as np
 
-from .geometry import MetricSpec, curvature_forms, wedge4
+from .geometry import _EPS4, MetricSpec, curvature_forms, wedge4
 from .quadrature import (QuadratureSpec, angular_points, exp_tail_bound,
                          integrate_radial, isotropic_mean, sample_density)
 
@@ -16,12 +16,9 @@ PONT_NORM = 1.0 / (192.0 * np.pi**2)
 
 def pontryagin_scalar(riemann: np.ndarray) -> np.ndarray:
     """Coefficient of tr(R ^ R) against the orthonormal volume form for a
-    batch of frame Riemann tensors."""
-    total = np.zeros(riemann.shape[0])
-    for a in range(4):
-        for b in range(4):
-            total = total + wedge4(riemann[:, a, b], riemann[:, b, a])
-    return total
+    batch of frame Riemann tensors (n, 4, 4, 4, 4), as the Levi-Civita
+    contraction (1/4) eps^cdef R_abcd R_baef."""
+    return 0.25 * np.einsum("cdef,nabcd,nbaef->n", _EPS4, riemann, riemann)
 
 
 _CHUNK = 256  # points per curvature batch, to bound the working set
@@ -32,22 +29,21 @@ def _density_samples(spec: MetricSpec, rs: np.ndarray, n_ang: int):
     (len(rs), n_ang).
 
     With sqrt(det g) = sqrt(A^3 C) the tr(R^R) coefficient against the
-    coordinate volume is 2 [tr(R01 R23) - tr(R02 R13) + tr(R03 R12)] in the
-    coordinate 2-forms, whatever the basis of their endomorphism indices;
-    times the level-set volume 8 pi^2 r^2 and PONT_NORM it is the radial
-    density rho(r) whose r-integral is (1/192 pi^2) int tr R^R."""
+    coordinate volume is the trace of the wedge of the coordinate curvature
+    2-forms, whatever the basis of their endomorphism indices; times the
+    level-set volume 8 pi^2 r^2 and PONT_NORM it is the radial density
+    rho(r) whose r-integral is (1/192 pi^2) int tr R^R."""
     rs = np.asarray(rs, dtype=float)
     xyz = angular_points(rs, n_ang).reshape(-1, 3)
     trace = np.empty(len(xyz))
     for i in range(0, len(xyz), _CHUNK):
         f = curvature_forms(spec, xyz[i:i + _CHUNK])
-        # R01 R23, R02 R13 and R03 R12 entrywise against the transpose; the
-        # 16 entries are added row by row, since a reduction inside numpy
+        # tr(R^R) = sum_ab R_ab ^ R_ba, wedge4 against the transpose; the 16
+        # entries are added row by row, since a reduction inside numpy
         # changes its order when a chunk holds a single point
-        prod = f[:3] * f[5:2:-1].swapaxes(1, 2)
         trace[i:i + _CHUNK] = sum(
-            (prod[0] - prod[1] + prod[2]).reshape(16, -1))
-    scale = PONT_NORM * 16.0 * np.pi**2 * rs * rs
+            wedge4(f, f.swapaxes(1, 2)).reshape(16, -1))
+    scale = PONT_NORM * 8.0 * np.pi**2 * rs * rs
     return scale[:, None] * trace.reshape(rs.size, n_ang)
 
 
@@ -89,7 +85,7 @@ def convergence_table(spec: MetricSpec, quad: QuadratureSpec, n_r_values):
     rows = []
     for n in n_r_values:
         rho = sample_density(samples, quad, n)
-        value, error = integrate_radial(rho, quad)
+        value, error = integrate_radial(rho)
         rows.append((n, value, error, tail))
     return rows
 

@@ -17,7 +17,7 @@ from .charclasses import convergence_table, write_convergence_csv
 from .errors import ConsistencyError, ConvergenceError, TNIndexError
 from .eta import ROUTES, SeriesSpec, route_table, write_route_csv
 from .gauge import InstantonChannel, InstantonData
-from .geometry import (BlendProfile, MetricSpec, Point, Variant,
+from .geometry import (BlendProfile, Gauge, MetricSpec, Point, Variant,
                        chart_omega, curvature_at, hodge_star, star3)
 from .index import assemble
 from .quadrature import QuadratureSpec
@@ -195,12 +195,17 @@ def _run_geometry_check(cfg: dict) -> int:
         worst = max(worst, float(np.abs(domega - star3(grad_v)).max()))
     rows.append(("monopole_field_residual", worst, 1e-8))
 
-    # oint_{S^2} d(omega) against -2 pi
-    xs, ws = np.polynomial.legendre.leggauss(64)
-    th = 0.5 * np.pi * (xs + 1.0)
-    flux = float(np.dot(-0.5 * np.sin(th), ws) * 0.5 * np.pi * 2.0 * np.pi)
-    rows.append(("monopole_flux_vs_minus_2pi", abs(flux + 2.0 * np.pi),
-                 1e-6))
+    # oint_{S^2} d(omega) = oint (omega_N - omega_S) . dx/dphi dphi around
+    # the unit circles at x3 = 0.7, -2 and 0 (periodic trapezoid rule)
+    phi = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    x1, x2, x3 = np.broadcast_arrays(np.cos(phi), np.sin(phi),
+                                     np.array([[0.7], [-2.0], [0.0]]))
+    xyz = np.stack([x1, x2, x3], axis=-1)
+    jump = chart_omega(xyz, Gauge.NORTH)[1] - chart_omega(xyz, Gauge.SOUTH)[1]
+    flux = 2.0 * np.pi * np.mean(jump[..., 1] * x1 - jump[..., 0] * x2,
+                                 axis=-1)
+    rows.append(("monopole_flux_vs_minus_2pi",
+                 float(np.abs(flux + 2.0 * np.pi).max()), 1e-6))
 
     failed = [name for name, value, bound in rows if not value < bound]
     cfg["out"].mkdir(parents=True, exist_ok=True)
@@ -295,7 +300,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(raw, args)
-    except (ConfigError, ValueError, KeyError, TypeError) as exc:
+    except (ConfigError, ValueError, KeyError, TypeError,
+            OverflowError) as exc:
         _emit_error("ValidationError", str(exc))
         return EXIT_VALIDATION
 

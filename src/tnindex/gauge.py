@@ -9,7 +9,8 @@ import numpy as np
 
 from .errors import GenericityError
 from .geometry import (PAIRS, Gauge, MetricSpec, Point, Variant,
-                       chart_omega, hodge_star, metric_at, wedge4)
+                       chart_omega, hodge_star, metric_at, two_form_matrix,
+                       wedge4)
 from .quadrature import (QuadratureSpec, angular_points, exp_tail_bound,
                          integrate_radial, sample_density)
 
@@ -129,7 +130,7 @@ def field_strength_array(ch: InstantonChannel, xyz,
                          gauge: Gauge = Gauge.DEFAULT,
                          l: float = 1.0, monopole: bool = True) -> np.ndarray:
     """Closed-form G with F = dA = -i G at the points xyz of shape (..., 3),
-    as (..., 4, 4) arrays: G = c'(r) dr ^ (dtau + omega) + (c(r) - mcharge)
+    on PAIRS, shape (6, ...): G = c'(r) dr ^ (dtau + omega) + (c(r) - mcharge)
     d(omega) with d(omega) = star3 dV; the mcharge shift comes from the
     monopole term of the connection (omitted when monopole=False)."""
     r, omega = chart_omega(xyz, gauge)
@@ -139,21 +140,20 @@ def field_strength_array(ch: InstantonChannel, xyz,
     dr, fib = [*(x / r), 0.0], [*np.moveaxis(omega, -1, 0), 1.0]
     grad_v = (-0.5 / r**2) * x / r
     domega = {(0, 1): grad_v[2], (0, 2): -grad_v[1], (1, 2): grad_v[0]}
-    g_mat = np.zeros(r.shape + (4, 4))
+    pairs = []
     for i, j in PAIRS:
         entry = dc * (dr[i] * fib[j] - fib[i] * dr[j])
-        if j < 3:
-            entry = entry + c_eff * domega[i, j]
-        g_mat[..., i, j], g_mat[..., j, i] = entry, -entry
-    return g_mat
+        pairs.append(entry + c_eff * domega[i, j] if j < 3 else entry)
+    return np.stack(pairs)
 
 
 def field_strength_coeff(ch: InstantonChannel, p: Point,
                          gauge: Gauge = Gauge.DEFAULT,
                          l: float = 1.0, monopole: bool = True) -> np.ndarray:
-    """G with F = dA = -i G at one point, shape (4, 4); see
-    field_strength_array."""
-    return field_strength_array(ch, p.xyz(), gauge, l, monopole)
+    """G with F = dA = -i G at one point as an antisymmetric (4, 4) matrix;
+    see field_strength_array."""
+    return two_form_matrix(field_strength_array(ch, p.xyz(), gauge, l,
+                                                monopole))
 
 
 def field_strength_at(ch: InstantonChannel, p: Point,
@@ -188,10 +188,10 @@ def _bulk_density_samples(data: InstantonData, rs: np.ndarray, n_ang: int,
     xyz = angular_points(rs, n_ang)
     total = np.zeros(xyz.shape[:-1])
     for ch in data.channels:
-        g_mat = field_strength_array(ch, xyz, l=l, monopole=monopole)
+        g = field_strength_array(ch, xyz, l=l, monopole=monopole)
         # tr F^F = -(G^G) channelwise for u(1) blocks
-        total -= wedge4(g_mat, g_mat)
-        del g_mat  # one G alive at a time keeps the peak memory down
+        total -= wedge4(g, g)
+        del g  # one G alive at a time keeps the peak memory down
     # -(1/8 pi^2) * total * (level-set volume 8 pi^2 r^2)
     return -total * r * r
 
@@ -208,7 +208,7 @@ def bulk_action(data: InstantonData, quad: QuadratureSpec, l: float = 1.0,
     def density(rs, n_ang=quad.n_ang):
         return _bulk_density_samples(data, rs, n_ang, l, monopole)
 
-    value, error = integrate_radial(sample_density(density, quad), quad)
+    value, error = integrate_radial(sample_density(density, quad))
     # below ~1e-25 the samples are squared-roundoff noise, not signal
     tail = exp_tail_bound(lambda rs: density(rs, 2).mean(axis=1),
                           quad.r_max, 1e-25)

@@ -90,8 +90,8 @@ class BlendProfile:
     kind: str = "quintic"  # or "septic" (C^3)
 
     def __post_init__(self):
-        if not (self.r_out > self.r_in > 0):
-            raise ValueError("require r_out > r_in > 0")
+        if not (np.inf > self.r_out > self.r_in > 0):
+            raise ValueError("require r_out > r_in > 0, both finite")
         if self.kind not in ("quintic", "septic"):
             raise ValueError(f"unknown blend kind {self.kind!r}")
 
@@ -122,8 +122,8 @@ class MetricSpec:
     l: float = 1.0
 
     def __post_init__(self):
-        if self.l <= 0:
-            raise ValueError("mass parameter l must be positive")
+        if not 0 < self.l < np.inf:
+            raise ValueError("mass parameter l must be finite and positive")
         if not (0.0 <= self.t <= 1.0):
             raise ValueError("homotopy parameter t must lie in [0, 1]")
 
@@ -380,10 +380,9 @@ def _frame_curvature(g, forms):
     """Frame Riemann tensor (n,4,4,4,4), fully lowered, frame Ricci (n,4,4),
     metric and vierbein (n,4,4) from point-last g and curvature 2-forms."""
     g = np.moveaxis(g, -1, 0)
-    riem = np.zeros(g.shape + (4, 4))
-    for k, (c, d) in enumerate(PAIRS):
-        riem[..., c, d] = np.moveaxis(forms[k], -1, 0)
-        riem[..., d, c] = -riem[..., c, d]
+    # (c, d, a, b, n) to (n, a, b, c, d), contiguous for the einsum loops
+    riem = np.ascontiguousarray(
+        two_form_matrix(forms).transpose(4, 2, 3, 0, 1))
     ricci = np.einsum("nabad->nbd", riem)
     lowered = np.einsum("nae,nebcd->nabcd", g, riem)
     frame = _vierbein(g)
@@ -471,12 +470,17 @@ def star3(one_form: np.ndarray) -> np.ndarray:
     return out
 
 
-def wedge4(alpha: np.ndarray, beta: np.ndarray):
-    """Coefficient of the full top form in the wedge of two 2-forms given as
-    antisymmetric matrices (supports leading batch dimensions)."""
-    return (alpha[..., 0, 1] * beta[..., 2, 3]
-            - alpha[..., 0, 2] * beta[..., 1, 3]
-            + alpha[..., 0, 3] * beta[..., 1, 2]
-            + alpha[..., 1, 2] * beta[..., 0, 3]
-            - alpha[..., 1, 3] * beta[..., 0, 2]
-            + alpha[..., 2, 3] * beta[..., 0, 1])
+def two_form_matrix(pairs: np.ndarray) -> np.ndarray:
+    """The antisymmetric (4, 4, ...) matrix of 2-form components given on
+    PAIRS along the first axis, shape (6, ...)."""
+    out = np.zeros((4, 4) + pairs.shape[1:])
+    for k, (a, b) in enumerate(PAIRS):
+        out[a, b], out[b, a] = pairs[k], -pairs[k]
+    return out
+
+
+def wedge4(alpha, beta):
+    """Coefficient of dx1^dx2^dx3^dtau in the wedge of two 2-forms given on
+    PAIRS along their first axis; any trailing axes are elementwise."""
+    return (alpha[0] * beta[5] - alpha[1] * beta[4] + alpha[2] * beta[3]
+            + alpha[3] * beta[2] - alpha[4] * beta[1] + alpha[5] * beta[0])

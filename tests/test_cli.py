@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import tnindex
-from tnindex import cli, eta
+from tnindex import cli, eta, geometry
 from tnindex.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                          EXIT_VALIDATION, main)
+from tnindex.geometry import Gauge
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -186,6 +187,27 @@ def test_bad_series_rejected(tmp_path, capsys, series):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("patch", [
+    {"quad": {"n_r": 64, "tol": float("nan")}},
+    {"quad": {"n_r": 64, "tol": float("inf")}},
+    {"quad": {"n_r": 64, "r_max": float("inf")}},
+    {"quad": {"n_r": float("inf")}},
+    {"series": {"n_u": float("inf")}},
+    {"seed": float("inf")},
+    {"metric": {"l": float("nan")}},
+    {"metric": {"l": float("inf")}},
+    {"metric": {"blend": {"r_out": float("inf")}}}])
+def test_bad_quad_rejected(tmp_path, capsys, patch):
+    """Non-finite numbers in the config are validation failures, never a
+    report holding NaN, a numerical failure or a traceback from int()."""
+    cfg = write_config(tmp_path, dict(INDEX_CONFIG, **patch))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    # stderr holds the error object alone, no numpy warnings
+    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("channel", [
     {"lam": float("nan"), "mcharge": 1.0},
     {"lam": 0.3, "mcharge": float("inf")}])
@@ -257,6 +279,25 @@ def test_geometry_check_failure_emits_error(tmp_path, capsys, monkeypatch):
     lines = (out / "geometry_check.csv").read_text().splitlines()
     assert lines[3].startswith("monopole_field_residual,")
     assert lines[3].endswith(",false")
+
+
+def test_geometry_check_flux_uses_the_charts(tmp_path, capsys,
+                                            monkeypatch):
+    # a sign-flipped north chart breaks the flux row and only that row
+    factor = geometry._gauge_factor
+    monkeypatch.setattr(
+        geometry, "_gauge_factor",
+        lambda r, x3, rho2, gauge: (-1.0 if gauge is Gauge.NORTH else 1.0)
+        * factor(r, x3, rho2, gauge))
+    out = tmp_path / "out"
+    assert main(["--mode", "geometry-check", "--out", str(out)]) == \
+        EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConsistencyError"
+    assert err["message"].endswith(": monopole_flux_vs_minus_2pi")
+    lines = (out / "geometry_check.csv").read_text().splitlines()
+    assert lines[4].startswith("monopole_flux_vs_minus_2pi,")
+    assert lines[4].endswith(",false")
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,

@@ -13,7 +13,8 @@ from tnindex.gauge import (InstantonChannel, InstantonData, boundary_data,
                            connection_coefficient, field_strength_array,
                            field_strength_at, field_strength_coeff,
                            model_connection_at)
-from tnindex.geometry import Gauge, Point, star3, wedge4
+from tnindex.geometry import (PAIRS, Gauge, Point, star3, two_form_matrix,
+                              wedge4)
 from tnindex.quadrature import QuadratureSpec, angular_samples
 
 RNG = np.random.default_rng(11)
@@ -170,7 +171,8 @@ def reference_density(data, rs, n_ang, l=1.0, monopole=True):
             total = 0.0
             for ch in data.channels:
                 g_mat = reference_g(ch, p, l, monopole)
-                total += -wedge4(g_mat, g_mat)
+                g = np.array([g_mat[i, j] for i, j in PAIRS])
+                total += -wedge4(g, g)
             out[i, j] = -total * r * r
     return out
 
@@ -227,7 +229,8 @@ def test_batched_field_strength_matches_closed_form(lam, m, l, r, theta, phi,
     expected = reference_g(ch, p, l, monopole)
     # the point sits in a batch with others; its G must not depend on them
     xyz = np.stack([p.xyz(), 2.0 * p.xyz(), [0.3, -1.0, 0.4]])
-    g_mat = field_strength_array(ch, xyz, l=l, monopole=monopole)[0]
+    g_mat = two_form_matrix(
+        field_strength_array(ch, xyz, l=l, monopole=monopole)[:, 0])
     assert np.abs(g_mat - expected).max() <= \
         1e-14 * np.abs(expected).max()
     assert np.array_equal(g_mat, -np.swapaxes(g_mat, 0, 1))

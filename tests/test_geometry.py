@@ -7,10 +7,11 @@ from tnindex import geometry
 from tnindex.errors import ChartError, DomainError
 from tnindex.gauge import InstantonChannel, field_strength_at
 from tnindex.jets import Jet
-from tnindex.geometry import (BlendProfile, Gauge, MetricSample, MetricSpec,
-                              Point, Variant, curvature_at, curvature_batch,
-                              hodge_star, metric_at, potential_and_omega,
-                              radial_coefficients, star3)
+from tnindex.geometry import (PAIRS, BlendProfile, Gauge, MetricSample,
+                              MetricSpec, Point, Variant, curvature_at,
+                              curvature_batch, hodge_star, metric_at,
+                              potential_and_omega, radial_coefficients, star3,
+                              two_form_matrix, wedge4)
 
 RNG = np.random.default_rng(42)
 
@@ -341,6 +342,38 @@ def test_model_channel_duality_at_unit_radius():
     ch = InstantonChannel(lam=0.3, mcharge=1.0)
     s = field_strength_at(ch, Point.from_polar(1.0, 1.2, 0.4))
     assert min(s.asd_defect, s.sd_defect) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# 2-forms on PAIRS
+
+
+def test_wedge4_matches_levi_civita():
+    """wedge4 is (1/4) eps^abcd alpha_ab beta_cd, with trailing batch and
+    matrix axes carried along elementwise."""
+    rng = np.random.default_rng(23)
+    alpha, beta = rng.standard_normal((2, 6, 5, 4, 4))
+    expected = 0.25 * np.einsum("abcd,ab...,cd...->...", geometry._EPS4,
+                                two_form_matrix(alpha), two_form_matrix(beta))
+    got = wedge4(alpha, beta)
+    assert got.shape == (5, 4, 4)
+    assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_wedge4_orientation():
+    """dx1^dx2 wedge dx3^dtau is the positive volume dx1^dx2^dx3^dtau."""
+    e = np.eye(6)
+    assert wedge4(e[0], e[5]) == 1.0
+    assert wedge4(e[5], e[0]) == 1.0
+    assert wedge4(e[1], e[4]) == -1.0
+
+
+def test_two_form_matrix_round_trips_pairs():
+    pairs = np.random.default_rng(29).standard_normal((6, 3, 2))
+    mat = two_form_matrix(pairs)
+    assert mat.shape == (4, 4, 3, 2)
+    assert np.array_equal(mat, -mat.swapaxes(0, 1))
+    assert np.array_equal(np.array([mat[i, j] for i, j in PAIRS]), pairs)
 
 
 # ---------------------------------------------------------------------------
