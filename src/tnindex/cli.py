@@ -123,6 +123,13 @@ def load_config(raw: dict, overrides: argparse.Namespace) -> dict:
                  and all(type(n) is int and n >= 16 for n in sweep),
                  f"sweep must be a list of at least {min_len} integers "
                  f">= 16 in mode {mode!r}, got {sweep!r}")
+    if mode in ("pontryagin", "convergence") or (
+            mode == "index" and cfg["grav"] == "numeric"):
+        # the Pontryagin tail bound fits the density beyond r_max, which
+        # must lie past the blend
+        r_out, r_max = cfg["metric"].blend.r_out, cfg["quad"].r_max
+        _require(r_out < r_max, f"metric.blend.r_out ({r_out!r}) must be "
+                 f"below quad.r_max ({r_max!r}) in mode {mode!r}")
     return cfg
 
 

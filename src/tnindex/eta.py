@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, ConvergenceError, GenericityError
+from .errors import ConvergenceError, GenericityError
 from .gauge import InstantonData, LAMBDA_TOL, boundary_data, \
     dist_to_integers, frac_part
 from .quadrature import ordered_dot
@@ -132,98 +132,139 @@ def _mode_blocks(u, x):
         yield slice(i, i + _U_BLOCK), slice(lo, hi)
 
 
+def _block_sums(u, x, rows, cols):
+    """Row sums of one block of the mode sum: the degree-0 terms
+    x exp(-u x^2) and the imaginary parts of the nilpotent terms.
+
+    The 2-form direction enters as z = x + nil * eps with nil = -i/(4u), and
+    w(z) = z exp(-u z^2) to first order in eps is nil (1 - 2u x^2) exp(-u x^2)
+    times eps.  Every factor but nil is real, so the eps coefficient is
+    purely imaginary and only its imaginary part is carried.  The products
+    are taken in place, in the order of nil e + x (-2u x nil) e."""
+    xb = x[cols][None, :]                   # (1, window)
+    uu = u[rows, None]                      # (nb, 1)
+    nil = -0.25 / uu
+    e_val = -uu * xb
+    e_val *= xb
+    np.exp(e_val, out=e_val)                # exp(-u x^2)
+    term_nil = -uu * 2.0 * xb
+    term_nil *= nil
+    term_nil *= xb
+    term_nil *= e_val
+    term_nil += nil * e_val
+    return (xb * e_val).sum(axis=1), term_nil.sum(axis=1)
+
+
 def eta_mode_sum(lam: float, s: SeriesSpec | None = None) -> FormScalar:
     """Heat-kernel mode sum for eta-hat, with the 2-form direction carried
-    as a nilpotent (first-order) complex perturbation of the spectrum.
+    as a nilpotent (first-order) perturbation of the spectrum.
 
     Each block of u rows evaluates only the modes whose exp(-u x^2) is not
-    exactly zero (`_mode_blocks`).  The trapezoid rule on the even rows
-    (step 2h) must agree with the full grid to within the series tolerance,
-    else the u grid is too coarse and ConvergenceError is raised."""
+    exactly zero (`_mode_blocks`).  The block of the largest u runs first:
+    if the integrand there is not negligible, the u-integral tail exceeds
+    the series tolerance and ConvergenceError is raised before the other
+    blocks run.  The trapezoid rule on the even rows (step 2h) must agree
+    with the full grid to within the series tolerance, else the u grid is
+    too coarse and ConvergenceError is raised."""
     s = s or SeriesSpec()
     _require_generic(lam)
     u, w = _u_grid(s)
     x = np.arange(-s.k_cutoff, s.k_cutoff + 1, dtype=float) - lam
     sum_val = np.empty(u.size)
-    sum_nil = np.empty(u.size, dtype=complex)
-    for rows, cols in _mode_blocks(u, x):
-        xb = x[cols][None, :]                   # (1, window)
-        uu = u[rows, None]                      # (nb, 1)
-        # z = x + nil * eps with nil = -i/(4u)  (eps stands for the 2-form R)
-        nil = -0.25j / uu
-        # w(z) = z * exp(-u z^2), propagated to first order in eps
-        val_q = -uu * xb * xb
-        nil_q = -uu * 2.0 * xb * nil
-        e_val = np.exp(val_q)
-        term_val = xb * e_val
-        term_nil = nil * e_val + xb * nil_q * e_val
-        sum_val[rows] = term_val.sum(axis=1)
-        sum_nil[rows] = term_nil.sum(axis=1)
+    sum_nil = np.empty(u.size)
+    *head, (rows, cols) = _mode_blocks(u, x)
+    sum_val[rows], sum_nil[rows] = _block_sums(u, x, rows, cols)
     integrand_scale = np.abs(sum_val[-1]) + np.abs(sum_nil[-1])
     if integrand_scale * np.sqrt(u[-1]) > s.tol:
         raise ConvergenceError(
             f"u-integral tail {integrand_scale:.3e} at u_max={u[-1]:.1e} "
             "exceeds the series tolerance; increase u_max")
+    for rows, cols in head:
+        sum_val[rows], sum_nil[rows] = _block_sums(u, x, rows, cols)
     inv_sqrt_pi = 1.0 / np.sqrt(np.pi)
-    a0_c = inv_sqrt_pi * ordered_dot(sum_val, w)
-    nil_c = inv_sqrt_pi * ordered_dot(sum_nil, w)
+    a0 = inv_sqrt_pi * ordered_dot(sum_val, w)
+    nil = inv_sqrt_pi * ordered_dot(sum_nil, w)
     # the even rows with step 2h: the trapezoid weights are exactly 2 w
     w_half = 2.0 * w[::2]
     a0_half = inv_sqrt_pi * ordered_dot(sum_val[::2], w_half)
     nil_half = inv_sqrt_pi * ordered_dot(sum_nil[::2], w_half)
-    half_miss = max(abs(a0_c - a0_half), 2.0 * abs(nil_c - nil_half))
+    half_miss = max(abs(a0 - a0_half), 2.0 * abs(nil - nil_half))
     if half_miss > s.tol:
         raise ConvergenceError(
             f"u-grid of {u.size} points is unresolved: the half grid "
             f"differs by {half_miss:.3e}, above the series tolerance; "
             "increase n_u")
-    # eta_2 = nil_c * R; report the factor against R/(2i)
-    a2_c = nil_c * 2.0j
-    if abs(np.imag(a0_c)) > s.tol or abs(np.imag(a2_c)) > s.tol:
-        raise ConsistencyError(
-            "mode-sum eta acquired a spurious imaginary part")
-    return FormScalar(float(np.real(a0_c)), float(np.real(a2_c)))
+    # eta_2 = i nil * R; against R/(2i) the real factor is i nil * 2i
+    return FormScalar(float(a0), float(-2.0 * nil))
 
 
 # ---------------------------------------------------------------------------
 # Route 2: Poisson-resummed series
 
 
-def abel_extrapolate(terms_of_q, base: float = 0.25, levels: int = 8):
-    """Neville extrapolation of an Abel-regularized sum to q -> 1.
+# 1 - q at the Neville levels of the Poisson route's Abel extrapolation
+_ABEL_X = 0.25 * 0.5 ** np.arange(8)
 
-    ``terms_of_q`` maps q in (0,1) to the damped partial sum.  Returns
-    (value, error_estimate)."""
-    xs = np.array([base * 0.5**j for j in range(levels)])
-    ys = np.array([terms_of_q(1.0 - x) for x in xs])
-    tableau = ys.copy()
+
+def abel_extrapolate(sums_of_q):
+    """Neville extrapolation of Abel-regularized sums to q -> 1 from the
+    levels q = 1 - _ABEL_X.
+
+    ``sums_of_q`` maps q in (0,1) to an array of damped partial sums, each
+    extrapolated on its own.  Returns (values, error_estimates), the error
+    estimate being the difference of the last two tableau entries."""
+    xs, levels = _ABEL_X, _ABEL_X.size
+    tableau = np.array([sums_of_q(1.0 - x) for x in xs])
     for m in range(1, levels):
         for i in range(levels - 1, m - 1, -1):
             tableau[i] = tableau[i] + (tableau[i] - tableau[i - 1]) \
                 * xs[i] / (xs[i - m] - xs[i])
-    return float(tableau[-1]), float(abs(tableau[-1] - tableau[-2]))
+    return tableau[-1], np.abs(tableau[-1] - tableau[-2])
 
 
-def _damped_sum(terms, q: float, p) -> float:
-    """sum_p terms_p q^p in numpy's pairwise order.  Not a BLAS dot: OpenBLAS
-    splits a dot of more than 10^4 terms across its threads, and the last
-    bits of the sum then follow OPENBLAS_NUM_THREADS."""
-    damped = q**p
-    damped *= terms
-    return float(damped.sum())
+def _damped_powers(q: float, p):
+    """q**p for the ascending p, computed only where it is not exactly 0.0:
+    past p ln(1/q) > _EXP_ZERO_ARG (plus one guard term) it underflows, and
+    numpy's pow is slow on every power that does."""
+    n = int(np.searchsorted(p, _EXP_ZERO_ARG / -np.log(q), side="right")) + 1
+    damped = np.empty_like(p)
+    np.power(q, p[:n], out=damped[:n])
+    damped[n:] = 0.0
+    return damped
 
 
 def eta_poisson(lam: float, s: SeriesSpec | None = None) -> FormScalar:
     """Poisson-route evaluation: a0 from the sine series (Abel regularized,
-    it converges only conditionally), a2 from the cosine series."""
+    it converges only conditionally), a2 from the cosine series.
+
+    Both series share one damped-power array per Neville level, and each
+    damped sum is numpy's pairwise sum, not a BLAS dot: OpenBLAS splits a
+    dot of more than 10^4 terms across its threads, and the last bits of
+    the sum then follow OPENBLAS_NUM_THREADS.
+
+    The route refuses with ConvergenceError when its own error estimate
+    exceeds the series tolerance: the Neville difference of either
+    extrapolation, or the bound q^(P+1) / (pi (P+1) (1-q)) on the damped
+    terms past p_cutoff = P at the level nearest q = 1, which the Neville
+    difference cannot see (a truncated sum is a polynomial in q)."""
     s = s or SeriesSpec()
     _require_generic(lam)
     p = np.arange(1, s.p_cutoff + 1, dtype=float)
-    sin_terms = np.sin(2.0 * np.pi * p * lam) / (np.pi * p)
-    cos_terms = np.cos(2.0 * np.pi * p * lam) / (np.pi**2 * p * p)
-    a0, _ = abel_extrapolate(lambda q: -_damped_sum(sin_terms, q, p))
-    a2, _ = abel_extrapolate(lambda q: _damped_sum(cos_terms, q, p))
-    return FormScalar(a0, a2)
+    terms = np.stack([-np.sin(2.0 * np.pi * p * lam) / (np.pi * p),
+                      np.cos(2.0 * np.pi * p * lam) / (np.pi**2 * p * p)])
+    (a0, a2), diffs = abel_extrapolate(
+        lambda q: (_damped_powers(q, p) * terms).sum(axis=1))
+    diff = diffs.max()
+    x, n = _ABEL_X[-1], s.p_cutoff + 1
+    tail = (1.0 - x) ** n / (np.pi * n * x)
+    if max(diff, tail) > s.tol:
+        raise ConvergenceError(
+            f"poisson route at lambda = {float(lam)!r} (distance "
+            f"{dist_to_integers(lam):.3e} to the integers) is unresolved: "
+            f"the Neville extrapolation differs by {diff:.3e} and "
+            f"the damped tail past p_cutoff is up to {tail:.3e}, against "
+            f"the series tolerance {s.tol:.3e}")
+    return FormScalar(float(a0), float(a2))
 
 
 # ---------------------------------------------------------------------------

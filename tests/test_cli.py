@@ -208,6 +208,24 @@ def test_bad_quad_rejected(tmp_path, capsys, patch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--mode", "pontryagin"], ["--mode", "convergence"],
+    ["--mode", "index", "--grav", "numeric"]])
+def test_blend_past_r_max_rejected(tmp_path, capsys, args):
+    """The Pontryagin tail bound needs r_max beyond the blend: r_out 100
+    against the default r_max 80 is a validation failure, not a
+    traceback."""
+    cfg = write_config(tmp_path, dict(INDEX_CONFIG,
+                                      metric={"blend": {"r_out": 100}}))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, *args, "--out", str(out)]) \
+        == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert "r_out" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("channel", [
     {"lam": float("nan"), "mcharge": 1.0},
     {"lam": 0.3, "mcharge": float("inf")}])
@@ -265,6 +283,24 @@ def test_eta_route_evaluates_only_that_route(tmp_path, monkeypatch):
     assert calls == []
     lines = (out / "eta_routes.csv").read_text().splitlines()
     assert [line.split(",")[1] for line in lines[1:]] == ["bernoulli"]
+
+
+@pytest.mark.parametrize("payload, args", [
+    ({"mode": "eta", "lambdas": [0.3], "series": {"p_cutoff": 20}},
+     ["--route", "poisson"]),
+    (dict(INDEX_CONFIG, instanton={"channels": [{"lam": 1e-5}]}),
+     ["--route", "poisson"])])
+def test_poisson_refusal_exits_numerical(tmp_path, capsys, payload, args):
+    """An unresolved Poisson route is a ConvergenceError naming the route,
+    not a report within the series tolerance (eta) or a consistency
+    failure blamed on the formula (index)."""
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, *args, "--out", str(out)]) \
+        == EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConvergenceError"
+    assert "poisson route" in err["message"]
 
 
 def test_geometry_check_failure_emits_error(tmp_path, capsys, monkeypatch):

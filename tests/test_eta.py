@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tnindex import eta
 from tnindex.errors import ConvergenceError, GenericityError
-from tnindex.eta import (ROUTES, FormScalar, SeriesSpec, _mode_blocks,
-                         _u_grid, eta_bernoulli, eta_form, eta_integral,
-                         eta_mode_sum, eta_poisson, poisson_check,
-                         route_table, vertical_spectrum, write_route_csv)
+from tnindex.eta import (_ABEL_X, ROUTES, FormScalar, SeriesSpec,
+                         _damped_powers, _mode_blocks, _u_grid,
+                         eta_bernoulli, eta_form, eta_integral, eta_mode_sum,
+                         eta_poisson, poisson_check, route_table,
+                         vertical_spectrum, write_route_csv)
 from tnindex.gauge import InstantonChannel, InstantonData
 
 GENERIC = st.floats(min_value=0.02, max_value=0.98).filter(
@@ -100,13 +102,15 @@ def full_grid_terms(lam, s):
 
 
 def reference_mode_sum(lam, s):
-    """The full-grid mode sum that the blocked one replaced (tail and
-    imaginary-part checks aside)."""
+    """The full-grid mode sum in complex arithmetic, as it was before the
+    route was blocked and made real (tail check aside); eta-hat is real, so
+    the imaginary parts must vanish to within the series tolerance."""
     u, term_val, term_nil = full_grid_terms(lam, s)
     _, w = _u_grid(s)
     inv_sqrt_pi = 1.0 / np.sqrt(np.pi)
     a0_c = inv_sqrt_pi * np.dot(term_val.sum(axis=1), w)
     a2_c = inv_sqrt_pi * np.dot(term_nil.sum(axis=1), w) * 2.0j
+    assert abs(np.imag(a0_c)) <= s.tol and abs(np.imag(a2_c)) <= s.tol
     return FormScalar(float(np.real(a0_c)), float(np.real(a2_c)))
 
 
@@ -174,6 +178,48 @@ def test_mode_sum_tail_check_comes_first():
         eta_mode_sum(0.999, SeriesSpec(n_u=21))
 
 
+def test_mode_sum_refuses_after_one_block(monkeypatch):
+    """The tail check runs on the block of the largest u before any other
+    block is evaluated; a call that passes it evaluates every block."""
+    blocks = []
+
+    def counted(u, x, rows, cols):
+        blocks.append(rows)
+        return block_sums(u, x, rows, cols)
+
+    block_sums = eta._block_sums
+    monkeypatch.setattr(eta, "_block_sums", counted)
+    with pytest.raises(ConvergenceError, match="u-integral tail"):
+        eta_mode_sum(0.999)
+    u, _ = _u_grid(SeriesSpec())
+    assert len(blocks) == 1 and blocks[0].stop >= u.size
+    blocks.clear()
+    eta_mode_sum(0.3)
+    assert len(blocks) == -(-u.size // eta._U_BLOCK)
+    assert blocks[0].stop >= u.size
+
+
+# (lambda, mode_sum a0, poisson a0, poisson a2) at the README lambdas as
+# the complex mode sum and the unwindowed q**p computed them
+PINNED_ROWS = [
+    (0.1, "-0.40000000000000757", "-0.3999999999998811",
+     "0.07666666666666422"),
+    (0.25, "-0.25000000000000416", "-0.25", "-0.020833333333333336"),
+    (0.4, "-0.10000000000000023", "-0.09999999999999984",
+     "-0.0733333333333333"),
+    (0.6, "0.10000000000000019", "0.10000000000000073",
+     "-0.07333333333333342"),
+    (0.9, "0.4000000000000079", "0.3999999999998838",
+     "0.07666666666666416")]
+
+
+@pytest.mark.parametrize("lam, mode_a0, poisson_a0, poisson_a2", PINNED_ROWS)
+def test_rows_keep_their_bits(lam, mode_a0, poisson_a0, poisson_a2):
+    assert repr(eta_mode_sum(lam).a0) == mode_a0
+    got = eta_poisson(lam)
+    assert (repr(got.a0), repr(got.a2)) == (poisson_a0, poisson_a2)
+
+
 # ---------------------------------------------------------------------------
 # Poisson route
 
@@ -184,6 +230,36 @@ def test_poisson_zero_at_half():
 
 def test_poisson_quarter():
     assert eta_poisson(0.25).a0 == pytest.approx(-0.25, abs=1e-9)
+
+
+@pytest.mark.parametrize("p_cutoff", [20, 20000, 200000])
+def test_damped_powers_equal_full_pow(p_cutoff):
+    p = np.arange(1, p_cutoff + 1, dtype=float)
+    for x in _ABEL_X:
+        q = 1.0 - x
+        assert np.array_equal(_damped_powers(q, p), q**p)
+
+
+@pytest.mark.parametrize("lam, series", [
+    (0.3, SeriesSpec(p_cutoff=20)), (0.01, SeriesSpec()),
+    (1e-5, SeriesSpec()), (-2.0 + 2e-6, SeriesSpec())])
+def test_poisson_refuses_beyond_its_estimate(lam, series):
+    """A truncated series (p_cutoff 20 at lambda 0.3 missed by 5.8e-3) or a
+    lambda too near an integer for the Neville levels (1e-5 missed by
+    0.48) is refused instead of reported within the series tolerance."""
+    with pytest.raises(ConvergenceError, match="poisson route") as exc:
+        eta_poisson(lam, series)
+    assert repr(lam) in str(exc.value)
+
+
+def test_poisson_accepts_generic_lambdas():
+    """At the defaults the route's estimate stays below the series
+    tolerance for dist(lambda, Z) in [0.05, 0.5], both signs, three
+    periods from 0, and the route meets it."""
+    for lam in seeded_lambdas(24, 91) + [0.05, -2.95, 3.05]:
+        got, ref = eta_poisson(lam), eta_bernoulli(lam)
+        assert abs(got.a0 - ref.a0) <= 1e-8, lam
+        assert abs(got.a2 - ref.a2) <= 1e-8, lam
 
 
 def test_poisson_check_examples():
