@@ -10,13 +10,13 @@ index with integrality checks.
 
 from .charclasses import (convergence_table, cs_tail_bound,
                           pontryagin_density, pontryagin_integral,
-                          pontryagin_scalar, write_convergence_csv)
+                          pontryagin_scalar)
 from .errors import (ChartError, ConsistencyError, ConvergenceError,
                      DomainError, GenericityError, IsotropyError,
                      TNIndexError)
 from .eta import (ROUTES, EtaResult, FormScalar, SeriesSpec, eta_bernoulli,
                   eta_form, eta_integral, eta_mode_sum, eta_poisson,
-                  poisson_check, route_table, write_route_csv)
+                  poisson_check, route_table)
 from .gauge import (InstantonChannel, InstantonData, boundary_data,
                     bulk_action, bulk_action_closed_form,
                     connection_coefficient, field_strength_at,
@@ -27,7 +27,7 @@ from .geometry import (BlendProfile, CurvatureSample, Gauge, MetricSample,
                        radial_coefficients, star3, wedge4)
 from .index import (IndexReport, assemble, index_formula,
                     index_formula_full_flux, integrality_check)
-from .quadrature import QuadratureSpec, integrate_radial, sample_density
+from .quadrature import QuadratureSpec, integrate_radial
 
 __version__ = "1.0.0"
 
@@ -46,6 +46,5 @@ __all__ = [
     "metric_at", "model_connection_at", "poisson_check",
     "pontryagin_density", "pontryagin_integral", "pontryagin_scalar",
     "potential_and_omega", "radial_coefficients",
-    "route_table", "sample_density", "star3", "wedge4",
-    "write_convergence_csv", "write_route_csv",
+    "route_table", "star3", "wedge4",
 ]

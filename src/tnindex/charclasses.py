@@ -3,13 +3,11 @@ integration over the Taub-NUT family."""
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .geometry import _EPS4, MetricSpec, curvature_forms, wedge4
 from .quadrature import (QuadratureSpec, angular_points, exp_tail_bound,
-                         integrate_radial, isotropic_mean, sample_density)
+                         integrate_radial, isotropic_mean)
 
 PONT_NORM = 1.0 / (192.0 * np.pi**2)
 
@@ -84,8 +82,7 @@ def convergence_table(spec: MetricSpec, quad: QuadratureSpec, n_r_values):
 
     rows = []
     for n in n_r_values:
-        rho = sample_density(samples, quad, n)
-        value, error = integrate_radial(rho)
+        value, error = integrate_radial(samples, quad, n)
         rows.append((n, value, error, tail))
     return rows
 
@@ -96,12 +93,3 @@ def pontryagin_integral(spec: MetricSpec, quad: QuadratureSpec):
     [(_, value, error, tail)] = convergence_table(spec, quad, [quad.n_r])
     return value, error, tail
 
-
-def write_convergence_csv(path, rows):
-    """CSV contract: '.' decimal, ',' separator, LF endings, header row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["N_r", "value", "error_estimate", "tail_bound"])
-        for n, value, error, tail in rows:
-            writer.writerow([n, repr(float(value)), repr(float(error)),
-                             repr(float(tail))])

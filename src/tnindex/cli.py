@@ -13,13 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .charclasses import convergence_table, write_convergence_csv
+from .charclasses import convergence_table
 from .errors import ConsistencyError, ConvergenceError, TNIndexError
-from .eta import ROUTES, SeriesSpec, route_table, write_route_csv
+from .eta import ROUTES, SeriesSpec, route_table
 from .gauge import InstantonChannel, InstantonData
 from .geometry import (BlendProfile, Gauge, MetricSpec, Point, Variant,
                        chart_omega, curvature_at, hodge_star, star3)
-from .index import assemble
+from .index import GRAV_LEMMA_CONSTANT, GRAV_MODES, assemble
 from .quadrature import QuadratureSpec
 
 EXIT_OK = 0
@@ -29,23 +29,25 @@ EXIT_VALIDATION = 3
 
 MODES = ("index", "eta", "geometry-check", "pontryagin", "convergence")
 
-PONT_TARGET = 1.0 / 12.0
-
-
-class ConfigError(Exception):
-    """Validation failure of an otherwise well-formed configuration."""
-
 
 def _require(cond: bool, message: str):
     if not cond:
-        raise ConfigError(message)
+        raise ValueError(message)
+
+
+def _cast(kind: type, value, name: str):
+    """value cast to kind; an int field rejects a non-integral value, which
+    int() would truncate."""
+    _require(kind is not int or float(value).is_integer(),
+             f"{name} must be an integer, got {value!r}")
+    return kind(value)
 
 
 def _build_spec(cls, section: dict):
     """Instance of the dataclass cls from a config section: each present
     key is cast to the type of its field's default, absent keys keep the
     default."""
-    return cls(**{f.name: type(f.default)(section[f.name])
+    return cls(**{f.name: _cast(type(f.default), section[f.name], f.name)
                   for f in dataclasses.fields(cls) if f.name in section})
 
 
@@ -62,7 +64,7 @@ def _build_metric(section: dict) -> MetricSpec:
     try:
         variant = Variant(section.get("variant", "ExactD"))
     except ValueError:
-        raise ConfigError(
+        raise ValueError(
             f"unknown metric variant {section.get('variant')!r}") from None
     return MetricSpec(variant=variant, t=float(section.get("t", 0.0)),
                       blend=_build_spec(BlendProfile, _section(
@@ -95,15 +97,14 @@ def load_config(raw: dict, overrides: argparse.Namespace) -> dict:
         "out": Path(overrides.out or raw.get("out", ".")),
         "lambdas": raw.get("lambdas", [0.1, 0.25, 0.4, 0.6, 0.9]),
         "sweep": raw.get("sweep", [64, 128, 256]),
-        "seed": int(raw.get("seed", 7)),
+        "seed": _cast(int, raw.get("seed", 7), "seed"),
     }
     if overrides.tol is not None:
         _require(overrides.tol > 0, "--tol must be positive")
         cfg["quad"] = dataclasses.replace(cfg["quad"], tol=overrides.tol)
     _require(cfg["route"] in ROUTES + ("all",),
              f"route must be one of {ROUTES + ('all',)}")
-    _require(cfg["grav"] in ("numeric", "lemma"),
-             "grav must be 'numeric' or 'lemma'")
+    _require(cfg["grav"] in GRAV_MODES, f"grav must be one of {GRAV_MODES}")
     if mode in ("index", "eta") and "instanton" in raw:
         cfg["instanton"] = _build_instanton(_section(raw, "instanton"))
     if mode == "index":
@@ -140,13 +141,30 @@ def _write_json(path: Path, payload: dict):
         fh.write("\n")
 
 
+def _cell(x) -> str:
+    if isinstance(x, int):  # bool is an int too
+        return str(x).lower()
+    return x if isinstance(x, str) else repr(float(x))
+
+
+def _write_csv(path: Path, header, rows):
+    """A CSV report: ',' separator, LF endings and the header row first; a
+    string cell is written as is, a bool or int as text (true, 64), and any
+    other number as repr(float(x))."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(x) for x in row] for row in rows)
+
+
 def _run_index(cfg: dict) -> int:
     route = cfg["route"]
     if route == "all":
         route = "bernoulli"
     report = assemble(cfg["instanton"], cfg["quad"], route=route,
                       grav_mode=cfg["grav"], series=cfg["series"],
-                      metric=cfg["metric"], l=cfg["metric"].l)
+                      metric=cfg["metric"])
     _write_json(cfg["out"] / "index_report.json", report.to_dict())
     return EXIT_OK
 
@@ -158,8 +176,9 @@ def _run_eta(cfg: dict) -> int:
         lambdas = [float(x) for x in cfg["lambdas"]]
     routes = ROUTES if cfg["route"] == "all" else (cfg["route"],)
     rows = route_table(lambdas, cfg["series"], routes)
-    cfg["out"].mkdir(parents=True, exist_ok=True)
-    write_route_csv(cfg["out"] / "eta_routes.csv", rows)
+    _write_csv(cfg["out"] / "eta_routes.csv",
+               ["lambda", "route", "a0", "a2coeff", "integrated", "error"],
+               rows)
     return EXIT_OK
 
 
@@ -215,13 +234,10 @@ def _run_geometry_check(cfg: dict) -> int:
                  float(np.abs(flux + 2.0 * np.pi).max()), 1e-6))
 
     failed = [name for name, value, bound in rows if not value < bound]
-    cfg["out"].mkdir(parents=True, exist_ok=True)
-    with open(cfg["out"] / "geometry_check.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["check", "residual", "bound", "pass"])
-        for name, value, bound in rows:
-            writer.writerow([name, repr(float(value)), repr(float(bound)),
-                             str(name not in failed).lower()])
+    _write_csv(cfg["out"] / "geometry_check.csv",
+               ["check", "residual", "bound", "pass"],
+               [(name, value, bound, name not in failed)
+                for name, value, bound in rows])
     if failed:
         raise ConsistencyError(f"geometry checks failed: {', '.join(failed)}")
     return EXIT_OK
@@ -236,7 +252,7 @@ def _run_sweep(cfg: dict) -> int:
     values, tol = [row[1] for row in rows], cfg["quad"].tol
     if cfg["mode"] == "pontryagin":
         name = "pontryagin_convergence.csv"
-        miss = abs(values[-1] - PONT_TARGET)
+        miss = abs(values[-1] - GRAV_LEMMA_CONSTANT)
         ok = miss < tol
         verdict = f"final value {values[-1]!r} misses 1/12 by {miss:.3e}"
     else:
@@ -244,8 +260,8 @@ def _run_sweep(cfg: dict) -> int:
         last, first = abs(values[-1] - values[-2]), abs(values[1] - values[0])
         ok = last <= first + tol
         verdict = f"last sweep step {last:.3e} exceeds the first {first:.3e}"
-    cfg["out"].mkdir(parents=True, exist_ok=True)
-    write_convergence_csv(cfg["out"] / name, rows)
+    _write_csv(cfg["out"] / name,
+               ["N_r", "value", "error_estimate", "tail_bound"], rows)
     if not ok:
         raise ConvergenceError(f"{verdict} (tolerance {tol:.3e})", rows)
     return EXIT_OK
@@ -278,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=str, default=None,
                         help="path to a JSON configuration document")
     parser.add_argument("--mode", choices=MODES, default=None)
-    parser.add_argument("--grav", choices=("lemma", "numeric"), default=None)
+    parser.add_argument("--grav", choices=GRAV_MODES, default=None)
     parser.add_argument("--route", choices=ROUTES + ("all",), default=None)
     parser.add_argument("--out", type=str, default=None,
                         help="output directory for reports")
@@ -307,8 +323,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(raw, args)
-    except (ConfigError, ValueError, KeyError, TypeError,
-            OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         _emit_error("ValidationError", str(exc))
         return EXIT_VALIDATION
 

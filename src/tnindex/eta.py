@@ -19,14 +19,13 @@ Routes:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, GenericityError
-from .gauge import InstantonData, LAMBDA_TOL, boundary_data, \
-    dist_to_integers, frac_part
+from .errors import ConvergenceError
+from .gauge import (InstantonData, boundary_data, dist_to_integers,
+                    frac_part, require_generic)
 from .quadrature import ordered_dot
 
 ROUTES = ("mode_sum", "poisson", "bernoulli")
@@ -76,19 +75,13 @@ class EtaResult:
     error_estimate: float
 
 
-def _require_generic(lam: float):
-    if dist_to_integers(lam) < LAMBDA_TOL:
-        raise GenericityError(
-            f"lambda = {lam} is within {LAMBDA_TOL} of an integer")
-
-
 # ---------------------------------------------------------------------------
 # Spectrum
 
 
 def vertical_spectrum(lam: float, k_cutoff: int):
     """Eigenvalues {k - lambda : |k| <= K} of the fiber Dirac operator."""
-    _require_generic(lam)
+    require_generic(lam)
     return [float(k - lam) for k in range(-k_cutoff, k_cutoff + 1)]
 
 
@@ -167,7 +160,7 @@ def eta_mode_sum(lam: float, s: SeriesSpec | None = None) -> FormScalar:
     with the full grid to within the series tolerance, else the u grid is
     too coarse and ConvergenceError is raised."""
     s = s or SeriesSpec()
-    _require_generic(lam)
+    require_generic(lam)
     u, w = _u_grid(s)
     x = np.arange(-s.k_cutoff, s.k_cutoff + 1, dtype=float) - lam
     sum_val = np.empty(u.size)
@@ -248,7 +241,7 @@ def eta_poisson(lam: float, s: SeriesSpec | None = None) -> FormScalar:
     terms past p_cutoff = P at the level nearest q = 1, which the Neville
     difference cannot see (a truncated sum is a polynomial in q)."""
     s = s or SeriesSpec()
-    _require_generic(lam)
+    require_generic(lam)
     p = np.arange(1, s.p_cutoff + 1, dtype=float)
     terms = np.stack([-np.sin(2.0 * np.pi * p * lam) / (np.pi * p),
                       np.cos(2.0 * np.pi * p * lam) / (np.pi**2 * p * p)])
@@ -274,7 +267,7 @@ def eta_poisson(lam: float, s: SeriesSpec | None = None) -> FormScalar:
 def eta_bernoulli(lam: float) -> FormScalar:
     """Exact closed form: a0 = {lambda} - 1/2, a2 = {lambda}^2 - {lambda}
     + 1/6, fractional parts in (0, 1)."""
-    _require_generic(lam)
+    require_generic(lam)
     f = frac_part(lam)
     return FormScalar(f - 0.5, f * f - f + 1.0 / 6.0)
 
@@ -283,19 +276,20 @@ def eta_bernoulli(lam: float) -> FormScalar:
 # Poisson summation identity (standalone check)
 
 
-def poisson_check(a: float, s_param: float, k_cutoff: int = 2000,
-                  p_cutoff: int = 200):
+def poisson_check(a: float, s_param: float):
     """Both sides of the Gaussian Poisson-summation identity
 
         sum_k (k+a) e^(-4 pi^2 s (k+a)^2)
-            = sum_{p>=1} 2 p sin(2 pi p a) (4 pi s)^(-3/2) e^(-p^2/(4s)).
+            = sum_{p>=1} 2 p sin(2 pi p a) (4 pi s)^(-3/2) e^(-p^2/(4s)),
+
+    with |k| <= 2000 and p <= 200.
     """
     if s_param <= 0:
         raise ValueError("s must be positive")
-    k = np.arange(-k_cutoff, k_cutoff + 1, dtype=float)
+    k = np.arange(-2000, 2001, dtype=float)
     lhs = float(np.sum((k + a) * np.exp(-4.0 * np.pi**2 * s_param
                                         * (k + a) ** 2)))
-    p = np.arange(1, p_cutoff + 1, dtype=float)
+    p = np.arange(1, 201, dtype=float)
     with np.errstate(under="ignore"):
         rhs = float(np.sum(2.0 * p * np.sin(2.0 * np.pi * p * a)
                            * (4.0 * np.pi * s_param) ** -1.5
@@ -340,7 +334,7 @@ def eta_integral(data: InstantonData, route: str = "bernoulli",
         total += -form.a0 * chern + 0.5 * form.a2
     return EtaResult(per_channel=per_channel, integrated=total, route=route,
                      error_estimate=route_error_estimate(route, series)
-                     * max(1, data.rank))
+                     * data.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +352,3 @@ def route_table(lambdas, series: SeriesSpec | None = None, routes=ROUTES):
                          route_error_estimate(route, series)))
     return rows
 
-
-def write_route_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lambda", "route", "a0", "a2coeff", "integrated",
-                         "error"])
-        for lam, route, a0, a2, integ, err in rows:
-            writer.writerow([repr(float(lam)), route, repr(float(a0)),
-                             repr(float(a2)), repr(float(integ)),
-                             repr(float(err))])

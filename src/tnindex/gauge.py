@@ -12,13 +12,22 @@ from .geometry import (PAIRS, Gauge, MetricSpec, Point, Variant,
                        chart_omega, hodge_star, metric_at, two_form_matrix,
                        wedge4)
 from .quadrature import (QuadratureSpec, angular_points, exp_tail_bound,
-                         integrate_radial, sample_density)
+                         integrate_radial)
 
 LAMBDA_TOL = 1e-6
 
 
 def dist_to_integers(x: float) -> float:
     return abs(x - round(x))
+
+
+def require_generic(lam: float):
+    """Raise GenericityError when lam lies within LAMBDA_TOL of an integer,
+    where the boundary family is not invertible."""
+    if dist_to_integers(lam) < LAMBDA_TOL:
+        raise GenericityError(
+            f"holonomy parameter {lam} is within {LAMBDA_TOL} of an "
+            "integer; the boundary family is not invertible")
 
 
 def frac_part(x: float) -> float:
@@ -45,11 +54,8 @@ class InstantonChannel:
                 f"chern number must be an exact integer, got {self.chern!r}")
         object.__setattr__(self, "chern", int(self.chern))
 
-    def check_generic(self, tol: float = LAMBDA_TOL):
-        if dist_to_integers(self.lam) < tol:
-            raise GenericityError(
-                f"holonomy parameter {self.lam} is within {tol} of an "
-                "integer; the boundary family is not invertible")
+    def check_generic(self):
+        require_generic(self.lam)
 
 
 @dataclass(frozen=True)
@@ -208,7 +214,7 @@ def bulk_action(data: InstantonData, quad: QuadratureSpec, l: float = 1.0,
     def density(rs, n_ang=quad.n_ang):
         return _bulk_density_samples(data, rs, n_ang, l, monopole)
 
-    value, error = integrate_radial(sample_density(density, quad))
+    value, error = integrate_radial(density, quad)
     # below ~1e-25 the samples are squared-roundoff noise, not signal
     tail = exp_tail_bound(lambda rs: density(rs, 2).mean(axis=1),
                           quad.r_max, 1e-25)
@@ -227,14 +233,14 @@ def bulk_action_closed_form(data: InstantonData,
     return sum(0.5 * (ch.mcharge**2 - ch.lam**2) for ch in data.channels)
 
 
-def boundary_data(data: InstantonData, lam_tol: float = LAMBDA_TOL):
+def boundary_data(data: InstantonData):
     """(lambdas reduced to (0,1), chern numbers, spectral gap delta).
 
     delta = (1/2) min_j dist(lambda_j, Z); genericity is enforced per
     channel before reduction."""
     for idx, ch in enumerate(data.channels):
         try:
-            ch.check_generic(lam_tol)
+            ch.check_generic()
         except GenericityError as exc:
             raise GenericityError(f"channel {idx}: {exc}") from None
     lambdas = [frac_part(ch.lam) for ch in data.channels]

@@ -194,11 +194,11 @@ def chart_omega(xyz, gauge: Gauge = Gauge.DEFAULT):
     return r, np.stack([-x2 * h, x1 * h, np.zeros_like(h)], axis=-1)
 
 
-def potential_and_omega(p: Point, gauge: Gauge = Gauge.DEFAULT, l: float = 1.0):
-    """Harmonic potential V = l + 1/(2r) and a gauge of omega with
+def potential_and_omega(p: Point, gauge: Gauge = Gauge.DEFAULT):
+    """Harmonic potential V = 1 + 1/(2r) (l = 1) and a gauge of omega with
     d(omega) = star3 dV, as Cartesian components."""
     r, omega = chart_omega(p.xyz(), gauge)
-    return l + 0.5 / r, omega
+    return 1.0 + 0.5 / r, omega
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from .charclasses import pontryagin_integral
 from .errors import ConsistencyError
 from .eta import SeriesSpec, eta_integral
 from .gauge import InstantonData, boundary_data, bulk_action
-from .geometry import BlendProfile, MetricSpec, Variant
+from .geometry import MetricSpec, Variant
 from .quadrature import QuadratureSpec
 
 GRAV_MODES = ("numeric", "lemma")
@@ -95,41 +95,34 @@ def integrality_check(value: float, tol: float):
     return nearest, defect, defect <= tol
 
 
-def _grav_term(rank: int, quad: QuadratureSpec, grav_mode: str,
-               metric: MetricSpec | None):
-    """(value, error_estimate) of the gravitational contribution."""
-    if grav_mode == "lemma":
-        return rank * GRAV_LEMMA_CONSTANT, 0.0
-    if metric is None:
-        metric = MetricSpec(variant=Variant.EXACT_D, blend=BlendProfile())
-    value, error, tail = pontryagin_integral(metric, quad)
-    return rank * value, rank * (error + tail)
-
-
 def assemble(data: InstantonData, quad: QuadratureSpec,
              route: str = "bernoulli", grav_mode: str = "numeric",
              series: SeriesSpec | None = None,
-             metric: MetricSpec | None = None, l: float = 1.0,
-             monopole: bool = True) -> IndexReport:
+             metric: MetricSpec | None = None) -> IndexReport:
     """Full pipeline: bulk action quadrature, gravitational term (numeric
     integration or the certified 1/12 constant), and the boundary term, with
     a hard consistency check that the assembled value reproduces
     index_formula up to 1e-9 plus the quadrature error budget (the rank/12
-    gravitational constant against the rank/2 * 1/6 boundary constant)."""
+    gravitational constant against the rank/2 * 1/6 boundary constant).
+    The bulk (at metric.l) and numeric gravity use metric, default ExactD."""
     if grav_mode not in GRAV_MODES:
         raise ValueError(f"unknown grav mode {grav_mode!r}")
     series = series if series is not None else SeriesSpec()
+    if metric is None:
+        metric = MetricSpec(variant=Variant.EXACT_D)
 
-    bulk, bulk_err = bulk_action(data, quad, l, monopole)
-    grav, grav_err = _grav_term(data.rank, quad, grav_mode, metric)
+    bulk, bulk_err = bulk_action(data, quad, metric.l)
+    if grav_mode == "lemma":
+        grav, grav_err = data.rank * GRAV_LEMMA_CONSTANT, 0.0
+    else:
+        value, error, tail = pontryagin_integral(metric, quad)
+        grav, grav_err = data.rank * value, data.rank * (error + tail)
     eta = eta_integral(data, route, series)
-    eta_total = eta.integrated
-    eta_err = eta.error_estimate
 
-    index_value = bulk + grav - eta_total
+    index_value = bulk + grav - eta.integrated
     formula_value = index_formula(data, bulk)
     residual = abs(index_value - formula_value)
-    budget = 1e-9 + grav_err + eta_err
+    budget = 1e-9 + grav_err + eta.error_estimate
     if residual > budget:
         raise ConsistencyError(
             f"assembled index differs from the closed formula by "
@@ -138,10 +131,11 @@ def assemble(data: InstantonData, quad: QuadratureSpec,
 
     nearest, defect, _ = integrality_check(index_value, max(quad.tol, 1e-12))
     return IndexReport(
-        bulk=bulk, grav=grav, eta_contribution=eta_total,
+        bulk=bulk, grav=grav, eta_contribution=eta.integrated,
         index_value=index_value, nearest_integer=nearest,
         integrality_defect=defect, route=route, grav_mode=grav_mode,
-        bulk_error=bulk_err, grav_error=grav_err, eta_error=eta_err,
+        bulk_error=bulk_err, grav_error=grav_err,
+        eta_error=eta.error_estimate,
         cancellation_residual=residual,
         quadrature=asdict(quad), series=asdict(series),
     )

@@ -34,24 +34,26 @@ class QuadratureSpec:
 
 
 def _gl_composite(a: float, b: float, n: int):
-    """Composite Gauss-Legendre nodes/weights on [a, b] using panels of
-    (up to) 16 points."""
-    panel = 16
-    n_panels = max(1, n // panel)
-    per = max(2, n // n_panels)
+    """Composite Gauss-Legendre nodes/weights on [a, b]: n nodes on
+    max(1, n // 16) equal panels, the first n % panels of them holding one
+    node more than the rest."""
+    n_panels = max(1, n // 16)
+    per, extra = divmod(n, n_panels)
+    sizes = [per + 1] * extra + [per] * (n_panels - extra)
+    rules = {m: np.polynomial.legendre.leggauss(m) for m in set(sizes)}
     edges = np.linspace(a, b, n_panels + 1)
-    xs, ws = np.polynomial.legendre.leggauss(per)
     nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    for m, lo, hi in zip(sizes, edges[:-1], edges[1:]):
+        xs, ws = rules[m]
         nodes.append(0.5 * (hi - lo) * xs + 0.5 * (hi + lo))
         weights.append(0.5 * (hi - lo) * ws)
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _tanh_sinh(a: float, b: float, n: int, t_max: float = 3.5):
-    """Tanh-sinh nodes/weights on [a, b] from a uniform grid in the
-    double-exponential variable."""
-    t = np.linspace(-t_max, t_max, n)
+def _tanh_sinh(a: float, b: float, n: int):
+    """Tanh-sinh nodes/weights on [a, b] from a uniform grid on [-3.5, 3.5]
+    in the double-exponential variable."""
+    t = np.linspace(-3.5, 3.5, n)
     h = t[1] - t[0]
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     u = 0.5 * np.pi * np.sinh(t)
@@ -121,26 +123,18 @@ def ordered_dot(a, b):
     return total
 
 
-@dataclass
-class RadialDensity:
-    """Sampled radial density rho(r) on a fine grid, with a coarse companion
-    grid for the refinement error estimate."""
+def integrate_radial(f: Callable[[np.ndarray], np.ndarray],
+                     quad: QuadratureSpec, n_r: int | None = None):
+    """Integrate a vectorized density over [r_min, r_max]; returns (value,
+    error_estimate).
 
-    values: np.ndarray
-    weights: np.ndarray
-    coarse_values: np.ndarray
-    coarse_weights: np.ndarray
-
-
-def sample_density(f: Callable[[np.ndarray], np.ndarray],
-                   quad: QuadratureSpec, n_r: int | None = None
-                   ) -> RadialDensity:
-    """Sample a vectorized density on the fine grid of n_r nodes (default
-    quad.n_r) and on the half-size grid.
-
-    When f returns angular check samples of shape (n, n_ang), both grids
-    are reduced to their angular mean through one isotropy check against
-    quad.tol."""
+    f is sampled on the fine grid of n_r nodes (default quad.n_r) and on the
+    half-size grid.  When it returns angular check samples of shape
+    (n, n_ang), both grids are reduced to their angular mean through one
+    isotropy check against quad.tol.  The summation order is fixed by the
+    node order (`ordered_dot`), so the result is bit-stable for a given
+    grid.  The error estimate is the difference between the fine and the
+    half-size grid."""
     n = quad.n_r if n_r is None else n_r
     r_f, w_f = radial_nodes(quad, n)
     r_c, w_c = radial_nodes(quad, n // 2)
@@ -149,23 +143,12 @@ def sample_density(f: Callable[[np.ndarray], np.ndarray],
     if fine.ndim == 2:
         mean = isotropic_mean(np.concatenate([fine, coarse]), quad.tol)
         fine, coarse = mean[:len(r_f)], mean[len(r_f):]
-    return RadialDensity(values=fine, weights=w_f, coarse_values=coarse,
-                         coarse_weights=w_c)
-
-
-def integrate_radial(rho: RadialDensity):
-    """Integrate a sampled density; returns (value, error_estimate).
-
-    The summation order is fixed by the node order (`ordered_dot`), so the
-    result is bit-stable for a given grid.  The error estimate is the
-    difference between the fine and the coarse grid."""
-    value = float(ordered_dot(rho.values, rho.weights))
-    coarse = float(ordered_dot(rho.coarse_values, rho.coarse_weights))
-    history = [(len(rho.coarse_values), coarse), (len(rho.values), value)]
-    error = abs(value - coarse)
+    value = float(ordered_dot(fine, w_f))
+    coarse_value = float(ordered_dot(coarse, w_c))
     if not np.isfinite(value):
-        raise ConvergenceError("radial integral is not finite", history)
-    return value, error
+        raise ConvergenceError("radial integral is not finite",
+                               [(len(r_c), coarse_value), (len(r_f), value)])
+    return value, abs(value - coarse_value)
 
 
 def exp_tail_bound(f: Callable[[np.ndarray], np.ndarray], r_cut: float,

@@ -6,8 +6,7 @@ import pytest
 from tnindex import charclasses
 from tnindex.charclasses import (PONT_NORM, convergence_table,
                                  cs_tail_bound, pontryagin_density,
-                                 pontryagin_integral, pontryagin_scalar,
-                                 write_convergence_csv)
+                                 pontryagin_integral, pontryagin_scalar)
 from tnindex.errors import IsotropyError
 from tnindex.geometry import (BlendProfile, MetricSpec, Variant,
                               curvature_batch, curvature_forms,
@@ -69,21 +68,6 @@ def test_isotropy_violation_detected():
     quad = QuadratureSpec(tol=1e-16)
     with pytest.raises(IsotropyError):
         pontryagin_density(exact_d_spec(), 3.0, quad)
-
-
-def test_convergence_table_csv(tmp_path):
-    quad = QuadratureSpec(n_r=64)
-    rows = convergence_table(exact_d_spec(), quad, n_r_values=[32, 64])
-    path = tmp_path / "table.csv"
-    write_convergence_csv(path, rows)
-    text = path.read_text()
-    lines = text.split("\n")
-    assert lines[0] == "N_r,value,error_estimate,tail_bound"
-    assert len(lines) == 4 and lines[-1] == ""
-    assert "\r" not in text
-    n, value, err, tail = lines[1].split(",")
-    assert int(n) == 32
-    assert float(value) == pytest.approx(rows[0][1])
 
 
 def _check_points(rs, n_ang):

@@ -12,8 +12,10 @@ import pytest
 
 import tnindex
 from tnindex import cli, eta, geometry
+from tnindex.charclasses import convergence_table
 from tnindex.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                          EXIT_VALIDATION, main)
+from tnindex.eta import ROUTES, route_table
 from tnindex.geometry import Gauge
 
 
@@ -177,7 +179,8 @@ def test_non_integral_chern_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("series", [
     {"u_min": -1}, {"u_min": 0}, {"u_max": float("inf")},
-    {"tol": float("nan")}, {"tol": float("inf")}, {"n_u": 0}, {"n_u": 2}])
+    {"tol": float("nan")}, {"tol": float("inf")}, {"n_u": 0}, {"n_u": 2},
+    {"n_u": 601.5}, {"k_cutoff": 1500.5}])
 def test_bad_series_rejected(tmp_path, capsys, series):
     cfg = write_config(tmp_path, {"mode": "eta", "route": "all",
                                   "series": series})
@@ -196,7 +199,10 @@ def test_bad_series_rejected(tmp_path, capsys, series):
     {"seed": float("inf")},
     {"metric": {"l": float("nan")}},
     {"metric": {"l": float("inf")}},
-    {"metric": {"blend": {"r_out": float("inf")}}}])
+    {"metric": {"blend": {"r_out": float("inf")}}},
+    {"quad": {"n_r": 64.9}},
+    {"quad": {"n_r": 64, "n_ang": 2.5}},
+    {"seed": 7.5}])
 def test_bad_quad_rejected(tmp_path, capsys, patch):
     """Non-finite numbers in the config are validation failures, never a
     report holding NaN, a numerical failure or a traceback from int()."""
@@ -206,6 +212,19 @@ def test_bad_quad_rejected(tmp_path, capsys, patch):
     # stderr holds the error object alone, no numpy warnings
     assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
     assert not out.exists()
+
+
+def test_integral_float_fields_accepted(tmp_path):
+    """An integer field given as an integral float, such as n_r 64.0, runs
+    as that integer and writes the same report."""
+    as_float, as_int = tmp_path / "float", tmp_path / "int"
+    floats = dict(INDEX_CONFIG, quad={"n_r": 64.0}, seed=7.0)
+    assert main(["--config", write_config(tmp_path, floats),
+                 "--out", str(as_float)]) == EXIT_OK
+    assert main(["--config", write_config(tmp_path, INDEX_CONFIG),
+                 "--out", str(as_int)]) == EXIT_OK
+    assert (as_float / "index_report.json").read_bytes() == \
+        (as_int / "index_report.json").read_bytes()
 
 
 @pytest.mark.parametrize("args", [
@@ -389,3 +408,44 @@ def test_eta_report_round_trips(tmp_path):
             "nearest_integer", "integrality_defect", "errors",
             "quadrature", "series", "route", "grav_mode",
             "schema"} <= set(doc)
+
+
+CSV_REPORTS = [
+    ("eta", {"lambdas": [0.1, 0.6], "route": "all"}, "eta_routes.csv",
+     "lambda,route,a0,a2coeff,integrated,error"),
+    ("geometry-check", {}, "geometry_check.csv", "check,residual,bound,pass"),
+    ("pontryagin", {"sweep": [64, 128]}, "pontryagin_convergence.csv",
+     "N_r,value,error_estimate,tail_bound"),
+    ("convergence", {"sweep": [64, 100, 128]}, "convergence_sweep.csv",
+     "N_r,value,error_estimate,tail_bound"),
+]
+
+
+@pytest.mark.parametrize("mode, payload, name, header", CSV_REPORTS,
+                         ids=[report[0] for report in CSV_REPORTS])
+def test_csv_report_dialect(tmp_path, mode, payload, name, header):
+    """Every CSV report has its header row, LF line endings only with a
+    trailing LF, an integer N_r, true/false in pass, and as each float cell
+    the repr of the value computed in process."""
+    raw = dict(payload, mode=mode)
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, raw),
+                 "--out", str(out)]) == EXIT_OK
+    text = (out / name).read_bytes().decode()
+    assert "\r" not in text and text.endswith("\n")
+    first, *lines = text[:-1].split("\n")
+    assert first == header
+    cells = [line.split(",") for line in lines]
+    cfg = cli.load_config(raw, cli.build_parser().parse_args([]))
+    if mode == "geometry-check":
+        assert [row[2:] for row in cells] == [
+            [repr(bound), "true"] for bound in (1e-6, 1e-12, 1e-8, 1e-6)]
+        assert all(repr(float(row[1])) == row[1] for row in cells)
+        return
+    if mode == "eta":
+        rows = route_table(cfg["lambdas"], cfg["series"], ROUTES)
+    else:
+        rows = convergence_table(cfg["metric"], cfg["quad"], cfg["sweep"])
+        assert [row[0] for row in cells] == [str(n) for n in cfg["sweep"]]
+    assert cells == [[str(x) if isinstance(x, (str, int)) else repr(float(x))
+                      for x in row] for row in rows]

@@ -12,8 +12,8 @@ from tnindex.errors import ConvergenceError, GenericityError
 from tnindex.eta import (_ABEL_X, ROUTES, FormScalar, SeriesSpec,
                          _damped_powers, _mode_blocks, _u_grid,
                          eta_bernoulli, eta_form, eta_integral, eta_mode_sum,
-                         eta_poisson, poisson_check, route_table,
-                         vertical_spectrum, write_route_csv)
+                         eta_poisson, poisson_check,
+                         vertical_spectrum)
 from tnindex.gauge import InstantonChannel, InstantonData
 
 GENERIC = st.floats(min_value=0.02, max_value=0.98).filter(
@@ -334,7 +334,7 @@ def test_integral_holonomy_shift_invariant(lam, shift, chern):
 
 
 # ---------------------------------------------------------------------------
-# Series spec and CSV
+# Series spec
 
 
 def test_series_spec_validation():
@@ -346,15 +346,3 @@ def test_series_spec_validation():
         SeriesSpec(u_min=0.1)
     with pytest.raises(ValueError):
         SeriesSpec(u_max=10.0)
-
-
-def test_route_csv(tmp_path):
-    rows = route_table([0.5])
-    path = tmp_path / "routes.csv"
-    write_route_csv(path, rows)
-    lines = path.read_text().split("\n")
-    assert lines[0] == "lambda,route,a0,a2coeff,integrated,error"
-    assert len(lines) == 5  # header + 3 routes + trailing newline
-    for line in lines[1:4]:
-        a0 = float(line.split(",")[2])
-        assert abs(a0) < 1e-6

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from tnindex.gauge import (InstantonChannel, InstantonData,
+from tnindex.gauge import (InstantonChannel, InstantonData, bulk_action,
                            bulk_action_closed_form)
+from tnindex.geometry import MetricSpec, Variant
 from tnindex.index import (IndexReport, assemble, index_formula,
                            index_formula_full_flux, integrality_check)
 from tnindex.quadrature import QuadratureSpec
@@ -94,6 +95,16 @@ def test_numeric_grav_close_to_lemma():
     numeric = assemble(data, quad, grav_mode="numeric")
     assert abs(numeric.grav - lemma.grav) < 1e-3 * data.rank
     assert numeric.cancellation_residual <= 1e-9 + numeric.grav_error
+
+
+def test_bulk_takes_metric_l():
+    """The bulk is integrated at metric.l, the l of the numeric gravity."""
+    data = InstantonData([InstantonChannel(0.3, 1.0, -1)])
+    quad = QuadratureSpec(n_r=128)
+    report = assemble(data, quad,
+                      metric=MetricSpec(variant=Variant.EXACT_D, l=2.0))
+    assert report.bulk == bulk_action(data, quad, 2.0)[0]
+    assert report.bulk != bulk_action(data, quad, 1.0)[0]
 
 
 def test_rank_additivity():

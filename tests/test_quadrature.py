@@ -5,22 +5,20 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tnindex.quadrature import (QuadratureSpec, integrate_radial,
-                                radial_nodes, sample_density)
+from tnindex.errors import ConvergenceError
+from tnindex.quadrature import QuadratureSpec, integrate_radial, radial_nodes
 
 
 def test_exponential_density():
     quad = QuadratureSpec(r_min=1e-9, r_max=40.0, n_r=256)
-    rho = sample_density(lambda r: np.exp(-r), quad)
-    value, error = integrate_radial(rho)
+    value, error = integrate_radial(lambda r: np.exp(-r), quad)
     assert value == pytest.approx(1.0, abs=1e-8)
     assert abs(value - 1.0) <= error + 1e-8
 
 
 def test_rational_density_closed_form():
     quad = QuadratureSpec(r_min=1e-4, r_max=80.0, n_r=256)
-    rho = sample_density(lambda r: 2.0 / (2.0 * r + 1.0) ** 3, quad)
-    value, _ = integrate_radial(rho)
+    value, _ = integrate_radial(lambda r: 2.0 / (2.0 * r + 1.0) ** 3, quad)
 
     def antideriv(r):
         return -1.0 / (2.0 * (2.0 * r + 1.0) ** 2)
@@ -32,9 +30,9 @@ def test_rational_density_closed_form():
 def test_doubling_within_error_estimate():
     quad = QuadratureSpec(r_min=1e-4, r_max=80.0, n_r=32)
     f = lambda r: 2.0 / (2.0 * r + 1.0) ** 3
-    v1, e1 = integrate_radial(sample_density(f, quad))
+    v1, e1 = integrate_radial(f, quad)
     quad2 = dataclasses.replace(quad, n_r=64)
-    v2, _ = integrate_radial(sample_density(f, quad2))
+    v2, _ = integrate_radial(f, quad2)
     assert abs(v2 - v1) <= e1 + 1e-14
 
 
@@ -42,26 +40,56 @@ def test_tanh_sinh_agrees_with_gauss():
     f = lambda r: np.exp(-r) * r
     gl = QuadratureSpec(r_min=1e-6, r_max=60.0, n_r=256)
     ts = QuadratureSpec(r_min=1e-6, r_max=60.0, n_r=256, scheme="tanh-sinh")
-    v_gl, _ = integrate_radial(sample_density(f, gl))
-    v_ts, _ = integrate_radial(sample_density(f, ts))
+    v_gl, _ = integrate_radial(f, gl)
+    v_ts, _ = integrate_radial(f, ts)
     assert v_gl == pytest.approx(v_ts, abs=1e-9)
     assert v_gl == pytest.approx(1.0, abs=1e-8)
 
 
 def test_weights_cover_interval():
+    """Both schemes return exactly n nodes, also where n is no multiple of
+    the 16-point panel, and their weights integrate dr exactly."""
+    for scheme in ("gauss-legendre-composite", "tanh-sinh"):
+        quad = QuadratureSpec(scheme=scheme)
+        for n in (256, 100, 300, 50):
+            r, w = radial_nodes(quad, n)
+            assert len(r) == len(w) == n
+            assert r.min() >= quad.r_min and r.max() <= quad.r_max
+            # sum of weights = integral of dr over [r_min, r_max]
+            assert np.dot(np.ones_like(r), w) == pytest.approx(
+                quad.r_max - quad.r_min, rel=1e-10)
+
+
+def test_panel_split_keeps_multiples_of_16():
+    """A multiple of 16 nodes is 16-point panels, and fewer than 32 nodes
+    one panel, as before the remainder of n // 16 got its own nodes."""
     quad = QuadratureSpec()
-    r, w = radial_nodes(quad)
-    assert r.min() >= quad.r_min and r.max() <= quad.r_max
-    # sum of weights = integral of dr over [r_min, r_max]
-    assert np.dot(np.ones_like(r), w) == pytest.approx(
-        quad.r_max - quad.r_min, rel=1e-10)
+    y0, y1 = np.log(quad.r_min), np.log(quad.r_max)
+    for n in (16, 24, 31, 64, 128, 256):
+        n_panels = max(1, n // 16)
+        xs, ws = np.polynomial.legendre.leggauss(n // n_panels)
+        edges = np.linspace(y0, y1, n_panels + 1)
+        y = np.concatenate([0.5 * (hi - lo) * xs + 0.5 * (hi + lo)
+                            for lo, hi in zip(edges[:-1], edges[1:])])
+        wy = np.concatenate([0.5 * (hi - lo) * ws
+                             for lo, hi in zip(edges[:-1], edges[1:])])
+        r, w = radial_nodes(quad, n)
+        assert np.array_equal(r, np.exp(y))
+        assert np.array_equal(w, wy * np.exp(y))
+
+
+def test_non_finite_integral_reports_history():
+    quad = QuadratureSpec(n_r=100)
+    with pytest.raises(ConvergenceError) as exc:
+        integrate_radial(lambda r: np.full_like(r, np.inf), quad)
+    assert [n for n, _ in exc.value.history] == [50, 100]
 
 
 def test_determinism_bitwise():
     quad = QuadratureSpec()
     f = lambda r: 1.0 / (1.0 + r) ** 2
-    v1, _ = integrate_radial(sample_density(f, quad))
-    v2, _ = integrate_radial(sample_density(f, quad))
+    v1, _ = integrate_radial(f, quad)
+    v2, _ = integrate_radial(f, quad)
     assert v1 == v2
 
 
