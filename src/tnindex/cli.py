@@ -43,12 +43,22 @@ def _cast(kind: type, value, name: str):
     return kind(value)
 
 
+def _only(section: dict, keys) -> dict:
+    """section, unless it holds a key outside keys: a key that nothing
+    reads, such as a misspelt one, is a ValidationError naming it."""
+    for key in section:
+        _require(key in keys, f"unknown config key {key!r}; this object "
+                 f"takes {', '.join(keys)}")
+    return section
+
+
 def _build_spec(cls, section: dict):
-    """Instance of the dataclass cls from a config section: each present
-    key is cast to the type of its field's default, absent keys keep the
-    default."""
-    return cls(**{f.name: _cast(type(f.default), section[f.name], f.name)
-                  for f in dataclasses.fields(cls) if f.name in section})
+    """Instance of the dataclass cls from a config section: each key is
+    cast to the type of its field's default, absent keys keep the
+    default, and a key that names no field is rejected."""
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+    return cls(**{key: _cast(kinds[key], value, key)
+                  for key, value in _only(section, kinds).items()})
 
 
 def _section(parent: dict, key: str, where: str | None = None) -> dict:
@@ -61,6 +71,7 @@ def _section(parent: dict, key: str, where: str | None = None) -> dict:
 
 
 def _build_metric(section: dict) -> MetricSpec:
+    _only(section, ("variant", "t", "l", "blend"))
     try:
         variant = Variant(section.get("variant", "ExactD"))
     except ValueError:
@@ -73,18 +84,19 @@ def _build_metric(section: dict) -> MetricSpec:
 
 
 def _build_instanton(section: dict) -> InstantonData:
-    channels = section.get("channels")
+    channels = _only(section, ("channels",)).get("channels")
     _require(isinstance(channels, list) and channels,
              "instanton.channels must be a non-empty list")
-    built = []
     for ch in channels:
-        built.append(InstantonChannel(lam=float(ch["lam"]),
-                                      mcharge=float(ch.get("mcharge", 0.0)),
-                                      chern=ch.get("chern", 0)))
-    return InstantonData(built)
+        _only(ch, ("lam", "mcharge", "chern"))
+    return InstantonData([InstantonChannel(
+        lam=float(ch["lam"]), mcharge=float(ch.get("mcharge", 0.0)),
+        chern=ch.get("chern", 0)) for ch in channels])
 
 
 def load_config(raw: dict, overrides: argparse.Namespace) -> dict:
+    _only(raw, ("mode", "grav", "route", "instanton", "metric", "quad",
+                "series", "lambdas", "sweep", "out", "seed"))
     mode = overrides.mode or raw.get("mode")
     _require(mode in MODES, f"mode must be one of {MODES}, got {mode!r}")
     cfg = {
@@ -102,8 +114,8 @@ def load_config(raw: dict, overrides: argparse.Namespace) -> dict:
     if overrides.tol is not None:
         _require(overrides.tol > 0, "--tol must be positive")
         cfg["quad"] = dataclasses.replace(cfg["quad"], tol=overrides.tol)
-    _require(cfg["route"] in ROUTES + ("all",),
-             f"route must be one of {ROUTES + ('all',)}")
+    routes = ROUTES if mode == "index" else ROUTES + ("all",)
+    _require(cfg["route"] in routes, f"route must be one of {routes}")
     _require(cfg["grav"] in GRAV_MODES, f"grav must be one of {GRAV_MODES}")
     if mode in ("index", "eta") and "instanton" in raw:
         cfg["instanton"] = _build_instanton(_section(raw, "instanton"))
@@ -120,10 +132,11 @@ def load_config(raw: dict, overrides: argparse.Namespace) -> dict:
         # first, so it needs at least two steps to be able to fail
         min_len = 1 if mode == "pontryagin" else 3
         sweep = cfg["sweep"]
-        _require(isinstance(sweep, list) and len(sweep) >= min_len
-                 and all(type(n) is int and n >= 16 for n in sweep),
-                 f"sweep must be a list of at least {min_len} integers "
-                 f">= 16 in mode {mode!r}, got {sweep!r}")
+        message = (f"sweep must be a list of at least {min_len} integers "
+                   f">= 16 in mode {mode!r}, got {sweep!r}")
+        _require(isinstance(sweep, list) and len(sweep) >= min_len, message)
+        cfg["sweep"] = [_cast(int, n, "sweep") for n in sweep]
+        _require(min(cfg["sweep"]) >= 16, message)
     if mode in ("pontryagin", "convergence") or (
             mode == "index" and cfg["grav"] == "numeric"):
         # the Pontryagin tail bound fits the density beyond r_max, which
@@ -159,10 +172,7 @@ def _write_csv(path: Path, header, rows):
 
 
 def _run_index(cfg: dict) -> int:
-    route = cfg["route"]
-    if route == "all":
-        route = "bernoulli"
-    report = assemble(cfg["instanton"], cfg["quad"], route=route,
+    report = assemble(cfg["instanton"], cfg["quad"], route=cfg["route"],
                       grav_mode=cfg["grav"], series=cfg["series"],
                       metric=cfg["metric"])
     _write_json(cfg["out"] / "index_report.json", report.to_dict())

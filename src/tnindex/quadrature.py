@@ -1,5 +1,5 @@
-"""Deterministic radial quadrature: composite Gauss-Legendre and tanh-sinh
-rules on a logarithmic radial grid, with refinement-based error estimates."""
+"""Deterministic radial quadrature: one composite Gauss-Legendre rule on a
+logarithmic radial grid, with refinement-based error estimates."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ class QuadratureSpec:
     r_max: float = 80.0
     n_r: int = 256
     n_ang: int = 8
-    scheme: str = "gauss-legendre-composite"  # or "tanh-sinh"
     tol: float = 1e-3
 
     def __post_init__(self):
@@ -27,55 +26,31 @@ class QuadratureSpec:
             raise ValueError("require 0 < r_min < r_max, both finite")
         if not 0 < self.tol < np.inf:
             raise ValueError("tolerance must be finite and positive")
-        if self.scheme not in ("gauss-legendre-composite", "tanh-sinh"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.n_ang < 2:
             raise ValueError("need at least 2 angular check samples")
-
-
-def _gl_composite(a: float, b: float, n: int):
-    """Composite Gauss-Legendre nodes/weights on [a, b]: n nodes on
-    max(1, n // 16) equal panels, the first n % panels of them holding one
-    node more than the rest."""
-    n_panels = max(1, n // 16)
-    per, extra = divmod(n, n_panels)
-    sizes = [per + 1] * extra + [per] * (n_panels - extra)
-    rules = {m: np.polynomial.legendre.leggauss(m) for m in set(sizes)}
-    edges = np.linspace(a, b, n_panels + 1)
-    nodes, weights = [], []
-    for m, lo, hi in zip(sizes, edges[:-1], edges[1:]):
-        xs, ws = rules[m]
-        nodes.append(0.5 * (hi - lo) * xs + 0.5 * (hi + lo))
-        weights.append(0.5 * (hi - lo) * ws)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _tanh_sinh(a: float, b: float, n: int):
-    """Tanh-sinh nodes/weights on [a, b] from a uniform grid on [-3.5, 3.5]
-    in the double-exponential variable."""
-    t = np.linspace(-3.5, 3.5, n)
-    h = t[1] - t[0]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    u = 0.5 * np.pi * np.sinh(t)
-    x = mid + half * np.tanh(u)
-    w = h * half * 0.5 * np.pi * np.cosh(t) / np.cosh(u) ** 2
-    return x, w
 
 
 def radial_nodes(quad: QuadratureSpec, n_r: int | None = None):
     """Radial nodes and weights for integrals of a per-unit-r density.
 
-    Nodes are placed in y = log(r); the returned weights already include the
+    Composite Gauss-Legendre in y = log(r): n nodes (default quad.n_r) on
+    max(1, n // 16) equal panels, the first n % panels of them holding one
+    node more than the rest.  The returned weights already include the
     dr = r dy Jacobian, so sum(w * rho(r)) approximates the r-integral.
     """
     n = quad.n_r if n_r is None else n_r
-    y0, y1 = np.log(quad.r_min), np.log(quad.r_max)
-    if quad.scheme == "gauss-legendre-composite":
-        y, wy = _gl_composite(y0, y1, n)
-    else:
-        y, wy = _tanh_sinh(y0, y1, n)
-    r = np.exp(y)
-    return r, wy * r
+    n_panels = max(1, n // 16)
+    per, extra = divmod(n, n_panels)
+    sizes = [per + 1] * extra + [per] * (n_panels - extra)
+    rules = {m: np.polynomial.legendre.leggauss(m) for m in set(sizes)}
+    edges = np.linspace(np.log(quad.r_min), np.log(quad.r_max), n_panels + 1)
+    y, wy = [], []
+    for m, lo, hi in zip(sizes, edges[:-1], edges[1:]):
+        xs, ws = rules[m]
+        y.append(0.5 * (hi - lo) * xs + 0.5 * (hi + lo))
+        wy.append(0.5 * (hi - lo) * ws)
+    r = np.exp(np.concatenate(y))
+    return r, np.concatenate(wy) * r
 
 
 def angular_samples(n_ang: int):

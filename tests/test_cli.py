@@ -117,13 +117,32 @@ def test_unknown_mode_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("mode, sweep", [
     ("pontryagin", []), ("convergence", []), ("convergence", [32]),
     ("convergence", [32, 64]), ("pontryagin", [32, 8]),
-    ("pontryagin", [32.0]), ("pontryagin", "64")])
+    ("pontryagin", [64.5]), ("pontryagin", "64")])
 def test_bad_sweep_rejected(tmp_path, capsys, mode, sweep):
     cfg = write_config(tmp_path, {"mode": mode, "sweep": sweep})
     assert main(["--config", cfg, "--out", str(tmp_path)]) == EXIT_VALIDATION
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError"
     assert "sweep" in err["message"]
+
+
+@pytest.mark.parametrize("as_float, as_int", [
+    ([32.0], [32]), ([64.0, 128], [64, 128])])
+def test_integral_float_sweep_accepted(tmp_path, as_float, as_int):
+    """A sweep entry given as an integral float runs as that integer: the
+    same exit code and the same report, whose N_r column holds ints."""
+    runs = []
+    for sweep in (as_float, as_int):
+        raw = {"mode": "pontryagin", "sweep": sweep}
+        cfg = cli.load_config(raw, cli.build_parser().parse_args([]))
+        assert cfg["sweep"] == as_int
+        assert all(type(n) is int for n in cfg["sweep"])
+        out = tmp_path / str(sweep)
+        code = main(["--config", write_config(tmp_path, raw),
+                     "--out", str(out)])
+        runs.append((code, (out / "pontryagin_convergence.csv").read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] != EXIT_VALIDATION
 
 
 def test_one_entry_sweep_runs_in_pontryagin_mode(tmp_path, capsys):
@@ -190,6 +209,21 @@ def test_bad_series_rejected(tmp_path, capsys, series):
     assert not out.exists()
 
 
+# A key that names no field of its object, with that key: a removed option,
+# a misspelling in each config object, and a misplaced plural.
+UNKNOWN_KEYS = [
+    ({"quad": {"n_r": 64, "scheme": "tanh-sinh"}}, "scheme"),
+    ({"quad": {"n_r": 64, "scheme": "gauss-legendre-composite"}}, "scheme"),
+    ({"quad": {"nr": 64}}, "nr"),
+    ({"metric": {"blend": {"knd": "septic"}}}, "knd"),
+    ({"instanton": {"channels": [{"lam": 0.3, "mchage": 1}]}}, "mchage"),
+    ({"lambda": [0.3]}, "lambda"),
+    ({"metric": {"varient": "TN"}}, "varient"),
+    ({"instanton": {"channels": [{"lam": 0.3}], "chanels": []}}, "chanels"),
+    ({"series": {"ncut": 50}}, "ncut"),
+]
+
+
 @pytest.mark.parametrize("patch", [
     {"quad": {"n_r": 64, "tol": float("nan")}},
     {"quad": {"n_r": 64, "tol": float("inf")}},
@@ -202,15 +236,36 @@ def test_bad_series_rejected(tmp_path, capsys, series):
     {"metric": {"blend": {"r_out": float("inf")}}},
     {"quad": {"n_r": 64.9}},
     {"quad": {"n_r": 64, "n_ang": 2.5}},
-    {"seed": 7.5}])
+    {"seed": 7.5}, *[patch for patch, _ in UNKNOWN_KEYS]])
 def test_bad_quad_rejected(tmp_path, capsys, patch):
-    """Non-finite numbers in the config are validation failures, never a
-    report holding NaN, a numerical failure or a traceback from int()."""
+    """Non-finite numbers and keys that nothing reads in the config are
+    validation failures, never a report holding NaN or ignoring the key,
+    a numerical failure or a traceback from int()."""
     cfg = write_config(tmp_path, dict(INDEX_CONFIG, **patch))
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
     # stderr holds the error object alone, no numpy warnings
-    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    # an unknown key is named
+    assert all(repr(key) in err["message"]
+               for unknown, key in UNKNOWN_KEYS if unknown is patch)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, route", [([], "all"), (["--route", "all"],
+                                                       "bernoulli")])
+def test_route_all_rejected_in_index_mode(tmp_path, capsys, args, route):
+    """'all' evaluates the three routes in eta mode; an index report takes
+    one route, so there 'all' is a validation failure, from the config or
+    the flag."""
+    cfg = write_config(tmp_path, dict(INDEX_CONFIG, route=route))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, *args, "--out", str(out)]) \
+        == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert "route" in err["message"]
     assert not out.exists()
 
 

@@ -36,28 +36,17 @@ def test_doubling_within_error_estimate():
     assert abs(v2 - v1) <= e1 + 1e-14
 
 
-def test_tanh_sinh_agrees_with_gauss():
-    f = lambda r: np.exp(-r) * r
-    gl = QuadratureSpec(r_min=1e-6, r_max=60.0, n_r=256)
-    ts = QuadratureSpec(r_min=1e-6, r_max=60.0, n_r=256, scheme="tanh-sinh")
-    v_gl, _ = integrate_radial(f, gl)
-    v_ts, _ = integrate_radial(f, ts)
-    assert v_gl == pytest.approx(v_ts, abs=1e-9)
-    assert v_gl == pytest.approx(1.0, abs=1e-8)
-
-
 def test_weights_cover_interval():
-    """Both schemes return exactly n nodes, also where n is no multiple of
-    the 16-point panel, and their weights integrate dr exactly."""
-    for scheme in ("gauss-legendre-composite", "tanh-sinh"):
-        quad = QuadratureSpec(scheme=scheme)
-        for n in (256, 100, 300, 50):
-            r, w = radial_nodes(quad, n)
-            assert len(r) == len(w) == n
-            assert r.min() >= quad.r_min and r.max() <= quad.r_max
-            # sum of weights = integral of dr over [r_min, r_max]
-            assert np.dot(np.ones_like(r), w) == pytest.approx(
-                quad.r_max - quad.r_min, rel=1e-10)
+    """The rule returns exactly n nodes, also where n is no multiple of
+    the 16-point panel, and its weights integrate dr exactly."""
+    quad = QuadratureSpec()
+    for n in (256, 100, 300, 50):
+        r, w = radial_nodes(quad, n)
+        assert len(r) == len(w) == n
+        assert r.min() >= quad.r_min and r.max() <= quad.r_max
+        # sum of weights = integral of dr over [r_min, r_max]
+        assert np.dot(np.ones_like(r), w) == pytest.approx(
+            quad.r_max - quad.r_min, rel=1e-10)
 
 
 def test_panel_split_keeps_multiples_of_16():
@@ -100,7 +89,5 @@ def test_spec_validation():
         QuadratureSpec(r_min=2.0, r_max=1.0)
     with pytest.raises(ValueError):
         QuadratureSpec(tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(scheme="simpson")
     with pytest.raises(ValueError):
         QuadratureSpec(n_ang=1)

@@ -1,0 +1,44 @@
+"""The README's configuration and report-schema examples against the code:
+the example config loads, and the schema shows the report's keys."""
+
+import json
+import re
+from pathlib import Path
+
+from tnindex import cli
+from tnindex.index import assemble
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _json_block(heading: str) -> dict:
+    """The first ```json block after the README heading."""
+    match = re.search(re.escape(heading) + r".*?```json\n(.*?)```", README,
+                      re.DOTALL)
+    assert match, f"no JSON block under {heading!r}"
+    return json.loads(match.group(1))
+
+
+def _key_tree(doc: dict) -> dict:
+    return {key: _key_tree(value) if isinstance(value, dict) else None
+            for key, value in doc.items()}
+
+
+def test_readme_config_loads():
+    raw = _json_block("### Configuration document")
+    cfg = cli.load_config(raw, cli.build_parser().parse_args([]))
+    assert cfg["mode"] == raw["mode"]
+    assert cfg["quad"].n_r == raw["quad"]["n_r"]
+
+
+def test_readme_report_schema_has_the_report_keys():
+    """Every key of IndexReport.to_dict(), including those nested under
+    errors, quadrature and series, and no other."""
+    cfg = cli.load_config(_json_block("### Configuration document"),
+                          cli.build_parser().parse_args([]))
+    report = assemble(cfg["instanton"], cfg["quad"], route=cfg["route"],
+                      grav_mode=cfg["grav"], series=cfg["series"],
+                      metric=cfg["metric"]).to_dict()
+    schema = _json_block("### Report schema")
+    assert _key_tree(schema) == _key_tree(report)
+    assert schema["schema"] == report["schema"]
