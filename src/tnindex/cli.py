@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +36,10 @@ def _require(cond: bool, message: str):
 
 
 def _cast(kind: type, value, name: str):
-    """value cast to kind; an int field rejects a non-integral value, which
-    int() would truncate."""
+    """value cast to kind; a numeric field rejects a string or a bool, and
+    an int field a non-integral value, which int() would truncate."""
+    _require(kind not in (int, float) or type(value) in (int, float),
+             f"{name} must be a number, got {value!r}")
     _require(kind is not int or float(value).is_integer(),
              f"{name} must be an integer, got {value!r}")
     return kind(value)
@@ -52,11 +54,11 @@ def _only(section: dict, keys) -> dict:
     return section
 
 
-def _build_spec(cls, section: dict):
+def _build_spec(cls, section: dict, kinds: dict | None = None):
     """Instance of the dataclass cls from a config section: each key is
-    cast to the type of its field's default, absent keys keep the
-    default, and a key that names no field is rejected."""
-    kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+    cast to its type in kinds (default: the type of its field's default),
+    absent keys keep the default, and a key outside kinds is rejected."""
+    kinds = kinds or {f.name: type(f.default) for f in fields(cls)}
     return cls(**{key: _cast(kinds[key], value, key)
                   for key, value in _only(section, kinds).items()})
 
@@ -77,21 +79,19 @@ def _build_metric(section: dict) -> MetricSpec:
     except ValueError:
         raise ValueError(
             f"unknown metric variant {section.get('variant')!r}") from None
-    return MetricSpec(variant=variant, t=float(section.get("t", 0.0)),
-                      blend=_build_spec(BlendProfile, _section(
-                          section, "blend", "metric.blend")),
-                      l=float(section.get("l", 1.0)))
+    return MetricSpec(variant=variant, blend=_build_spec(
+        BlendProfile, _section(section, "blend", "metric.blend")), **{
+            key: _cast(float, section[key], f"metric.{key}")
+            for key in ("t", "l") if key in section})
 
 
 def _build_instanton(section: dict) -> InstantonData:
     channels = _only(section, ("channels",)).get("channels")
     _require(isinstance(channels, list) and channels,
              "instanton.channels must be a non-empty list")
-    for ch in channels:
-        _only(ch, ("lam", "mcharge", "chern"))
-    return InstantonData([InstantonChannel(
-        lam=float(ch["lam"]), mcharge=float(ch.get("mcharge", 0.0)),
-        chern=ch.get("chern", 0)) for ch in channels])
+    return InstantonData([_build_spec(
+        InstantonChannel, {"mcharge": 0.0, **ch},
+        {"lam": float, "mcharge": float, "chern": int}) for ch in channels])
 
 
 def load_config(raw: dict, overrides: argparse.Namespace) -> dict:
@@ -113,7 +113,7 @@ def load_config(raw: dict, overrides: argparse.Namespace) -> dict:
     }
     if overrides.tol is not None:
         _require(overrides.tol > 0, "--tol must be positive")
-        cfg["quad"] = dataclasses.replace(cfg["quad"], tol=overrides.tol)
+        cfg["quad"] = replace(cfg["quad"], tol=overrides.tol)
     routes = ROUTES if mode == "index" else ROUTES + ("all",)
     _require(cfg["route"] in routes, f"route must be one of {routes}")
     _require(cfg["grav"] in GRAV_MODES, f"grav must be one of {GRAV_MODES}")

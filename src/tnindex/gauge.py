@@ -132,6 +132,24 @@ class FieldStrengthSample:
             else "self-dual"
 
 
+def _field_strength_parts(xyz, gauge: Gauge = Gauge.DEFAULT):
+    """r, and on PAIRS dr ^ (dtau + omega) and d(omega) = star3 dV or None."""
+    r, omega = chart_omega(xyz, gauge)
+    x = np.moveaxis(np.asarray(xyz, dtype=float), -1, 0)
+    dr, fib = [*(x / r), 0.0], [*np.moveaxis(omega, -1, 0), 1.0]
+    grad_v = (-0.5 / r**2) * x / r
+    return r, [dr[i] * fib[j] - fib[i] * dr[j] for i, j in PAIRS], [
+        grad_v[2], -grad_v[1], None, grad_v[0], None, None]
+
+
+def _channel_field_strength(ch, r, fibered, domega, l, monopole):
+    """One channel's G on PAIRS, as a list, from _field_strength_parts."""
+    c, dc = connection_coefficient(ch, r, l), _dcoefficient(ch, r, l)
+    c_eff = c - ch.mcharge if monopole else c
+    return [dc * f if w is None else dc * f + c_eff * w
+            for f, w in zip(fibered, domega)]
+
+
 def field_strength_array(ch: InstantonChannel, xyz,
                          gauge: Gauge = Gauge.DEFAULT,
                          l: float = 1.0, monopole: bool = True) -> np.ndarray:
@@ -139,18 +157,8 @@ def field_strength_array(ch: InstantonChannel, xyz,
     on PAIRS, shape (6, ...): G = c'(r) dr ^ (dtau + omega) + (c(r) - mcharge)
     d(omega) with d(omega) = star3 dV; the mcharge shift comes from the
     monopole term of the connection (omitted when monopole=False)."""
-    r, omega = chart_omega(xyz, gauge)
-    x = np.moveaxis(np.asarray(xyz, dtype=float), -1, 0)
-    c, dc = connection_coefficient(ch, r, l), _dcoefficient(ch, r, l)
-    c_eff = c - ch.mcharge if monopole else c
-    dr, fib = [*(x / r), 0.0], [*np.moveaxis(omega, -1, 0), 1.0]
-    grad_v = (-0.5 / r**2) * x / r
-    domega = {(0, 1): grad_v[2], (0, 2): -grad_v[1], (1, 2): grad_v[0]}
-    pairs = []
-    for i, j in PAIRS:
-        entry = dc * (dr[i] * fib[j] - fib[i] * dr[j])
-        pairs.append(entry + c_eff * domega[i, j] if j < 3 else entry)
-    return np.stack(pairs)
+    return np.stack(_channel_field_strength(
+        ch, *_field_strength_parts(xyz, gauge), l, monopole))
 
 
 def field_strength_coeff(ch: InstantonChannel, p: Point,
@@ -189,14 +197,13 @@ def field_strength_at(ch: InstantonChannel, p: Point,
 def _bulk_density_samples(data: InstantonData, rs: np.ndarray, n_ang: int,
                           l: float = 1.0, monopole: bool = True):
     """-(1/8 pi^2) tr F^F reduced to a per-unit-r density at angular check
-    samples, shape (len(rs), n_ang), in one array pass per channel."""
+    samples, shape (len(rs), n_ang); the channels share the grid geometry."""
     r = np.asarray(rs, dtype=float)[:, None]
-    xyz = angular_points(rs, n_ang)
-    total = np.zeros(xyz.shape[:-1])
+    parts = _field_strength_parts(angular_points(rs, n_ang))
+    total = np.zeros(parts[0].shape)
     for ch in data.channels:
-        g = field_strength_array(ch, xyz, l=l, monopole=monopole)
-        # tr F^F = -(G^G) channelwise for u(1) blocks
-        total -= wedge4(g, g)
+        g = _channel_field_strength(ch, *parts, l, monopole)
+        total -= wedge4(g, g)  # tr F^F = -(G^G) channelwise for u(1) blocks
         del g  # one G alive at a time keeps the peak memory down
     # -(1/8 pi^2) * total * (level-set volume 8 pi^2 r^2)
     return -total * r * r

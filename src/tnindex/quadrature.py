@@ -4,6 +4,7 @@ logarithmic radial grid, with refinement-based error estimates."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -30,6 +31,14 @@ class QuadratureSpec:
             raise ValueError("need at least 2 angular check samples")
 
 
+@lru_cache(maxsize=None)
+def _legendre_rule(m: int):
+    """leggauss(m), computed once per m and shared, so read-only."""
+    xs, ws = np.polynomial.legendre.leggauss(m)
+    xs.flags.writeable = ws.flags.writeable = False
+    return xs, ws
+
+
 def radial_nodes(quad: QuadratureSpec, n_r: int | None = None):
     """Radial nodes and weights for integrals of a per-unit-r density.
 
@@ -42,11 +51,10 @@ def radial_nodes(quad: QuadratureSpec, n_r: int | None = None):
     n_panels = max(1, n // 16)
     per, extra = divmod(n, n_panels)
     sizes = [per + 1] * extra + [per] * (n_panels - extra)
-    rules = {m: np.polynomial.legendre.leggauss(m) for m in set(sizes)}
     edges = np.linspace(np.log(quad.r_min), np.log(quad.r_max), n_panels + 1)
     y, wy = [], []
     for m, lo, hi in zip(sizes, edges[:-1], edges[1:]):
-        xs, ws = rules[m]
+        xs, ws = _legendre_rule(m)
         y.append(0.5 * (hi - lo) * xs + 0.5 * (hi + lo))
         wy.append(0.5 * (hi - lo) * ws)
     r = np.exp(np.concatenate(y))

@@ -117,7 +117,7 @@ def test_unknown_mode_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("mode, sweep", [
     ("pontryagin", []), ("convergence", []), ("convergence", [32]),
     ("convergence", [32, 64]), ("pontryagin", [32, 8]),
-    ("pontryagin", [64.5]), ("pontryagin", "64")])
+    ("pontryagin", [64.5]), ("pontryagin", "64"), ("pontryagin", ["64"])])
 def test_bad_sweep_rejected(tmp_path, capsys, mode, sweep):
     cfg = write_config(tmp_path, {"mode": mode, "sweep": sweep})
     assert main(["--config", cfg, "--out", str(tmp_path)]) == EXIT_VALIDATION
@@ -250,6 +250,45 @@ def test_bad_quad_rejected(tmp_path, capsys, patch):
     # an unknown key is named
     assert all(repr(key) in err["message"]
                for unknown, key in UNKNOWN_KEYS if unknown is patch)
+    assert not out.exists()
+
+
+# A numeric field given as a JSON string or a bool, with the field's name:
+# int() and float() would read "64" as 64 and true as 1.
+NON_NUMBERS = [
+    ({"quad": {"n_r": "64"}}, "n_r"),
+    ({"quad": {"n_r": 64, "tol": "0.5"}}, "tol"),
+    ({"quad": {"n_r": 64, "n_ang": True}}, "n_ang"),
+    ({"series": {"n_u": "601"}}, "n_u"),
+    ({"metric": {"l": True}}, "metric.l"),
+    ({"metric": {"t": "0.5"}}, "metric.t"),
+    ({"metric": {"blend": {"r_in": "2"}}}, "r_in"),
+    ({"instanton": {"channels": [{"lam": "0.3", "mcharge": 1.0}]}}, "lam"),
+    ({"instanton": {"channels": [{"lam": 0.3, "mcharge": "1"}]}},
+     "mcharge"),
+    ({"instanton": {"channels": [{"lam": 0.3, "chern": True}]}}, "chern"),
+    ({"seed": "7"}, "seed"),
+]
+
+
+@pytest.mark.parametrize("patch, field", NON_NUMBERS)
+def test_non_number_rejected(tmp_path, capsys, patch, field):
+    cfg = write_config(tmp_path, dict(INDEX_CONFIG, **patch))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert f"{field} must be a number" in err["message"]
+    assert not out.exists()
+
+
+def test_string_numbers_rejected_in_sweep_mode(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "mode": "pontryagin", "quad": {"n_r": "64", "tol": "0.5"},
+        "sweep": ["64"], "metric": {"l": True}})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
     assert not out.exists()
 
 

@@ -13,9 +13,10 @@ from tnindex.gauge import (InstantonChannel, InstantonData, boundary_data,
                            connection_coefficient, field_strength_array,
                            field_strength_at, field_strength_coeff,
                            model_connection_at)
-from tnindex.geometry import (PAIRS, Gauge, Point, star3, two_form_matrix,
-                              wedge4)
-from tnindex.quadrature import QuadratureSpec, angular_samples
+from tnindex.geometry import (PAIRS, Gauge, Point, chart_omega, star3,
+                              two_form_matrix, wedge4)
+from tnindex.quadrature import (QuadratureSpec, angular_points,
+                                angular_samples)
 
 RNG = np.random.default_rng(11)
 
@@ -177,6 +178,36 @@ def reference_density(data, rs, n_ang, l=1.0, monopole=True):
     return out
 
 
+def one_pass_field_strength(ch, xyz, chart=Gauge.DEFAULT, l=1.0,
+                            monopole=True):
+    """G in one pass per channel, geometry included: the expression that
+    the split into a shared geometry part and a channel part must keep
+    bit for bit."""
+    r, omega = chart_omega(xyz, chart)
+    x = np.moveaxis(np.asarray(xyz, dtype=float), -1, 0)
+    c = connection_coefficient(ch, r, l)
+    dc = gauge._dcoefficient(ch, r, l)
+    c_eff = c - ch.mcharge if monopole else c
+    dr, fib = [*(x / r), 0.0], [*np.moveaxis(omega, -1, 0), 1.0]
+    grad_v = (-0.5 / r**2) * x / r
+    domega = {(0, 1): grad_v[2], (0, 2): -grad_v[1], (1, 2): grad_v[0]}
+    pairs = []
+    for i, j in PAIRS:
+        entry = dc * (dr[i] * fib[j] - fib[i] * dr[j])
+        pairs.append(entry + c_eff * domega[i, j] if j < 3 else entry)
+    return np.stack(pairs)
+
+
+def one_pass_density(data, rs, n_ang, l=1.0, monopole=True):
+    """The bulk density from one_pass_field_strength per channel."""
+    xyz = angular_points(rs, n_ang)
+    total = np.zeros(xyz.shape[:-1])
+    for ch in data.channels:
+        g = one_pass_field_strength(ch, xyz, l=l, monopole=monopole)
+        total -= wedge4(g, g)
+    return -total * rs[:, None] * rs[:, None]
+
+
 FOUR_CHANNELS = InstantonData([
     InstantonChannel(0.3, 1.0), InstantonChannel(-0.45, -0.7),
     InstantonChannel(1.62, 2.1), InstantonChannel(0.81, 0.0)])
@@ -194,6 +225,9 @@ def test_bulk_density_matches_per_point_loop(n_channels, monopole, l, n_ang):
     assert batched.shape == (len(RADII), n_ang)
     assert np.abs(batched - expected).max() <= \
         1e-14 * np.abs(expected).max()
+    # the geometry shared by the channels keeps the one-pass bits
+    assert np.array_equal(
+        batched, one_pass_density(data, RADII, n_ang, l, monopole))
 
 
 def test_bulk_density_independent_of_batch():
@@ -234,6 +268,38 @@ def test_batched_field_strength_matches_closed_form(lam, m, l, r, theta, phi,
     assert np.abs(g_mat - expected).max() <= \
         1e-14 * np.abs(expected).max()
     assert np.array_equal(g_mat, -np.swapaxes(g_mat, 0, 1))
+
+
+@pytest.mark.parametrize("monopole", [True, False])
+@pytest.mark.parametrize("l", [1.0, 2.5])
+def test_field_strength_array_bits_match_one_pass(monopole, l):
+    xyz = angular_points(RADII, 5)
+    p = Point.from_polar(0.7, 2.1, 4.0)
+    for ch in FOUR_CHANNELS.channels:
+        for points, chart in ((xyz, Gauge.DEFAULT), (xyz, Gauge.NORTH),
+                              (-xyz, Gauge.SOUTH), (p.xyz(), Gauge.DEFAULT)):
+            assert np.array_equal(
+                field_strength_array(ch, points, chart, l, monopole),
+                one_pass_field_strength(ch, points, chart, l, monopole))
+
+
+def test_bulk_action_evaluates_geometry_once_per_grid(monkeypatch):
+    """The channel-independent geometry is evaluated once per sampled grid,
+    so rank 4 calls chart_omega as often as rank 1."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return chart_omega(*args, **kwargs)
+
+    monkeypatch.setattr(gauge, "chart_omega", counted)
+    counts = []
+    for n_channels in (1, 4):
+        calls.clear()
+        bulk_action(InstantonData(FOUR_CHANNELS.channels[:n_channels]),
+                    QuadratureSpec(n_r=64))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from tnindex import quadrature
 from tnindex.errors import ConvergenceError
 from tnindex.quadrature import QuadratureSpec, integrate_radial, radial_nodes
 
@@ -65,6 +66,23 @@ def test_panel_split_keeps_multiples_of_16():
         r, w = radial_nodes(quad, n)
         assert np.array_equal(r, np.exp(y))
         assert np.array_equal(w, wy * np.exp(y))
+
+
+def test_legendre_rule_is_shared_read_only():
+    """The panel rule is built once per size and shared: repeated grids
+    keep their bits, and an in-place write to the shared rule fails."""
+    quad = QuadratureSpec()
+    first = [radial_nodes(quad, n) for n in (256, 100, 16)]
+    for n, (r, w) in zip((256, 100, 16), first):
+        again = radial_nodes(quad, n)
+        assert np.array_equal(r, again[0]) and np.array_equal(w, again[1])
+    xs, ws = quadrature._legendre_rule(16)
+    ref_xs, ref_ws = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(xs, ref_xs) and np.array_equal(ws, ref_ws)
+    assert quadrature._legendre_rule(16)[0] is xs
+    for arr in (xs, ws):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_non_finite_integral_reports_history():
