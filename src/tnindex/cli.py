@@ -89,6 +89,10 @@ def _build_instanton(section: dict) -> InstantonData:
     channels = _only(section, ("channels",)).get("channels")
     _require(isinstance(channels, list) and channels,
              "instanton.channels must be a non-empty list")
+    for i, ch in enumerate(channels):
+        _require(isinstance(ch, dict) and "lam" in ch,
+                 f"instanton.channels[{i}] must be a JSON object with a "
+                 f"'lam', got {ch!r}")
     return InstantonData([_build_spec(
         InstantonChannel, {"mcharge": 0.0, **ch},
         {"lam": float, "mcharge": float, "chern": int}) for ch in channels])

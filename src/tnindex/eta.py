@@ -19,6 +19,7 @@ Routes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,26 +104,85 @@ def _u_grid(s: SeriesSpec):
     return u, w * np.sqrt(u) / 2.0
 
 
-# exp(-t) is exactly 0.0 in IEEE double for t > 745.14, so a mode with
-# u x^2 > 746 adds exactly nothing to the row sums of the mode sum.
+# exp(-t) is exactly 0.0 in IEEE double for t > 745.14: the series cut is
+# never set past 746, where no further term can reach a sum.
 _EXP_ZERO_ARG = 746.0
+# What the series cut may drop from a0 and from a2: far below the sums'
+# roundoff of about 1e-15.
+_CUT_TOL = 1e-20
 # Rows of the u grid evaluated together: few enough that the k window of a
 # block's smallest u stays tight for its other rows, enough to amortise the
 # per-block numpy calls.
 _U_BLOCK = 16
 
 
-def _mode_blocks(u, x):
+def _mode_cut_prefactors(u, w):
+    """The function t -> (P0, P2) for the grid (u, w): e^-t P0 and e^-t P2
+    bound the parts of a0 and of a2 that the mode sum drops at the series
+    cut t >= 1; see `_series_cut`."""
+    scale = 2.0 / math.sqrt(math.pi)
+    inv_root = 1.0 / np.sqrt(u)
+    m_half, m_one, m_three_half = (scale * float(np.dot(w, inv_root ** e))
+                                   for e in (1, 2, 3))
+
+    def prefactors(t):
+        rt = math.sqrt(t)
+        return (rt * m_half + 0.5 * m_one,
+                t * m_one + (0.5 * rt + 0.25 / rt) * m_three_half)
+    return prefactors
+
+
+def _series_cut(u, w):
+    """The series cut T of one call: the mode sum drops the terms with
+    u x^2 > T, the Poisson route the powers with p ln(1/q) > T.  T is the
+    smallest value for which the bounds below on the dropped part of a0 and
+    of a2 are at most _CUT_TOL, capped at _EXP_ZERO_ARG.
+
+    Mode sum.  At a grid row u every dropped mode has u x^2 > T: the
+    dropped x lie on both sides beyond X = sqrt(T/u), one apart.  For
+    u x^2 >= 1 both f(x) = x e^(-u x^2) and g(x) = x^2 e^(-u x^2) decrease,
+    so a side sums to at most its value at X plus its integral from X:
+
+        sum f <= e^-T (sqrt(T/u) + 1/(2u)),
+        sum g <= e^-T (T/u + (sqrt(T)/2 + 1/(4 sqrt(T))) u^(-3/2)),
+
+    the second by parts with int_X^oo e^(-u x^2) dx <= e^(-u X^2)/(2uX).
+    a0 sums f, and a2 sums (1 - 2u x^2) e^(-u x^2) / (2u), at most g in
+    size once 2u x^2 >= 1.  Both sides, summed over the grid with the
+    route's weights w / sqrt(pi), give |d a0| <= e^-T P0(T) and
+    |d a2| <= e^-T P2(T) (`_mode_cut_prefactors`).
+
+    Poisson.  At level q the first dropped power q^p1 has p1 ln(1/q) > T,
+    and every term of either series is at most q^p / (pi p) in size, so
+    the dropped part of a damped sum is at most q^p1 / (pi (1 - q)), below
+    e^-T / (pi (1 - q)).  The extrapolated value is sum_i c_i S(q_i) over
+    the Neville weights c_i, so it moves by at most e^-T
+    _ABEL_CUT_PREFACTOR.
+
+    P0 and P2 grow with T for T > 1/2, so the cut is the fixed point of
+    T = ln(max(P0, P2, _ABEL_CUT_PREFACTOR)(T) / _CUT_TOL).  Iterating
+    from _EXP_ZERO_ARG approaches it from above; every iterate keeps the
+    bounds at most _CUT_TOL, and as d ln P / dT <= 1/T the fourth is
+    within 1e-5 of the fixed point, which lies above 46."""
+    prefactors = _mode_cut_prefactors(u, w)
+    t = _EXP_ZERO_ARG
+    for _ in range(4):
+        prefactor = max(*prefactors(t), _ABEL_CUT_PREFACTOR)
+        t = min(_EXP_ZERO_ARG, math.log(prefactor / _CUT_TOL))
+    return t
+
+
+def _mode_blocks(u, x, t):
     """(row slice, column slice) pairs covering the ascending u grid in
     blocks of _U_BLOCK rows; the columns of a block are the contiguous
-    window of the sorted modes x with u_first x^2 <= _EXP_ZERO_ARG, u_first
-    being the block's smallest u, plus one guard mode on each side.  Every
-    term of the full u x k grid outside these windows is exactly 0.0."""
-    for i in range(0, u.size, _U_BLOCK):
-        half = np.sqrt(_EXP_ZERO_ARG / u[i])
-        lo = max(int(np.searchsorted(x, -half)) - 1, 0)
-        hi = int(np.searchsorted(x, half, side="right")) + 1
-        yield slice(i, i + _U_BLOCK), slice(lo, hi)
+    window of the sorted modes x with u_first x^2 <= t, u_first being the
+    block's smallest u, plus one guard mode on each side."""
+    starts = range(0, u.size, _U_BLOCK)
+    half = np.sqrt(t / u[::_U_BLOCK])
+    lo = np.maximum(np.searchsorted(x, -half) - 1, 0)
+    hi = np.searchsorted(x, half, side="right") + 1
+    return [(slice(i, i + _U_BLOCK), slice(a, b))
+            for i, a, b in zip(starts, lo.tolist(), hi.tolist())]
 
 
 def _block_sums(u, x, rows, cols):
@@ -132,28 +192,27 @@ def _block_sums(u, x, rows, cols):
     The 2-form direction enters as z = x + nil * eps with nil = -i/(4u), and
     w(z) = z exp(-u z^2) to first order in eps is nil (1 - 2u x^2) exp(-u x^2)
     times eps.  Every factor but nil is real, so the eps coefficient is
-    purely imaginary and only its imaginary part is carried.  The products
-    are taken in place, in the order of nil e + x (-2u x nil) e."""
+    purely imaginary and only its imaginary part is carried.  The factor
+    -1/(4u) of nil is the same along a row, so it multiplies the row sum of
+    (1 - 2u x^2) exp(-u x^2) once, after the sum."""
     xb = x[cols][None, :]                   # (1, window)
     uu = u[rows, None]                      # (nb, 1)
-    nil = -0.25 / uu
-    e_val = -uu * xb
-    e_val *= xb
-    np.exp(e_val, out=e_val)                # exp(-u x^2)
-    term_nil = -uu * 2.0 * xb
-    term_nil *= nil
-    term_nil *= xb
-    term_nil *= e_val
-    term_nil += nil * e_val
-    return (xb * e_val).sum(axis=1), term_nil.sum(axis=1)
+    arg = -uu * xb
+    arg *= xb                               # -u x^2
+    e_val = np.exp(arg)
+    arg *= 2.0
+    arg += 1.0                              # 1 - 2u x^2
+    arg *= e_val
+    return (xb * e_val).sum(axis=1), (-0.25 / u[rows]) * arg.sum(axis=1)
 
 
 def eta_mode_sum(lam: float, s: SeriesSpec | None = None) -> FormScalar:
     """Heat-kernel mode sum for eta-hat, with the 2-form direction carried
     as a nilpotent (first-order) perturbation of the spectrum.
 
-    Each block of u rows evaluates only the modes whose exp(-u x^2) is not
-    exactly zero (`_mode_blocks`).  The block of the largest u runs first:
+    Each block of u rows evaluates only the modes with u x^2 up to the
+    series cut (`_mode_blocks`, `_series_cut`): the terms it drops change
+    a0 and a2 by at most 1e-20 each.  The block of the largest u runs first:
     if the integrand there is not negligible, the u-integral tail exceeds
     the series tolerance and ConvergenceError is raised before the other
     blocks run.  The trapezoid rule on the even rows (step 2h) must agree
@@ -165,7 +224,7 @@ def eta_mode_sum(lam: float, s: SeriesSpec | None = None) -> FormScalar:
     x = np.arange(-s.k_cutoff, s.k_cutoff + 1, dtype=float) - lam
     sum_val = np.empty(u.size)
     sum_nil = np.empty(u.size)
-    *head, (rows, cols) = _mode_blocks(u, x)
+    *head, (rows, cols) = _mode_blocks(u, x, _series_cut(u, w))
     sum_val[rows], sum_nil[rows] = _block_sums(u, x, rows, cols)
     integrand_scale = np.abs(sum_val[-1]) + np.abs(sum_nil[-1])
     if integrand_scale * np.sqrt(u[-1]) > s.tol:
@@ -197,6 +256,11 @@ def eta_mode_sum(lam: float, s: SeriesSpec | None = None) -> FormScalar:
 
 # 1 - q at the Neville levels of the Poisson route's Abel extrapolation
 _ABEL_X = 0.25 * 0.5 ** np.arange(8)
+# sum_i |c_i| / (pi (1 - q_i)) over the weights c_i of the extrapolation to
+# q = 1, which are those of the interpolating polynomial's value at x = 0
+_ABEL_CUT_PREFACTOR = float(sum(
+    abs(np.prod(np.delete(_ABEL_X, i) / (np.delete(_ABEL_X, i) - x)))
+    / (np.pi * x) for i, x in enumerate(_ABEL_X)))
 
 
 def abel_extrapolate(sums_of_q):
@@ -215,15 +279,31 @@ def abel_extrapolate(sums_of_q):
     return tableau[-1], np.abs(tableau[-1] - tableau[-2])
 
 
-def _damped_powers(q: float, p):
-    """q**p for the ascending p, computed only where it is not exactly 0.0:
-    past p ln(1/q) > _EXP_ZERO_ARG (plus one guard term) it underflows, and
-    numpy's pow is slow on every power that does."""
-    n = int(np.searchsorted(p, _EXP_ZERO_ARG / -np.log(q), side="right")) + 1
-    damped = np.empty_like(p)
+def _damped_powers(q: float, p, t: float):
+    """q**p for the ascending p with p ln(1/q) <= t, the series cut, and
+    0.0 for the rest; what the zeros drop from a damped sum of terms at
+    most 1/(pi p) in size is below e^-t / (pi (1 - q)) (`_series_cut`)."""
+    n = int(np.searchsorted(p, t / -np.log(q), side="right"))
+    damped = np.zeros_like(p)
     np.power(q, p[:n], out=damped[:n])
-    damped[n:] = 0.0
     return damped
+
+
+def _truncation_bound(lam: float, p_cutoff: int) -> float:
+    """Bound on the terms past p_cutoff = P of either damped series at the
+    level nearest q = 1: 2 q^(P+1) / (pi (P+1) |1 - q e^(2 pi i lam)|).
+
+    Summation by parts: with z = q e^(2 pi i lam), every partial sum of
+    z^p over p > P is z^(P+1) (1 - z^m) / (1 - z), at most
+    2 q^(P+1) / |1 - z| in size, and 1/(pi p) and 1/(pi p)^2 decrease, so
+    both tails, the imaginary and real parts of such sums, are below the
+    bound.  |1 - z|^2 = (1 - q)^2 + 4 q sin^2(pi lam) keeps the gap in real
+    arithmetic without cancellation near an integer."""
+    x, n = _ABEL_X[-1], p_cutoff + 1
+    q = 1.0 - x
+    gap = np.hypot(x, 2.0 * np.sqrt(q)
+                   * np.sin(np.pi * dist_to_integers(lam)))
+    return float(2.0 * q ** n / (np.pi * n * gap))
 
 
 def eta_poisson(lam: float, s: SeriesSpec | None = None) -> FormScalar:
@@ -235,21 +315,24 @@ def eta_poisson(lam: float, s: SeriesSpec | None = None) -> FormScalar:
     dot of more than 10^4 terms across its threads, and the last bits of
     the sum then follow OPENBLAS_NUM_THREADS.
 
+    Each level computes q^p only up to the series cut (`_damped_powers`,
+    `_series_cut`), which changes a0 and a2 by at most 1e-20.
+
     The route refuses with ConvergenceError when its own error estimate
     exceeds the series tolerance: the Neville difference of either
-    extrapolation, or the bound q^(P+1) / (pi (P+1) (1-q)) on the damped
-    terms past p_cutoff = P at the level nearest q = 1, which the Neville
-    difference cannot see (a truncated sum is a polynomial in q)."""
+    extrapolation, or the bound `_truncation_bound` on the damped terms
+    past p_cutoff, which the Neville difference cannot see (a truncated
+    sum is a polynomial in q)."""
     s = s or SeriesSpec()
     require_generic(lam)
+    t = _series_cut(*_u_grid(s))
     p = np.arange(1, s.p_cutoff + 1, dtype=float)
     terms = np.stack([-np.sin(2.0 * np.pi * p * lam) / (np.pi * p),
                       np.cos(2.0 * np.pi * p * lam) / (np.pi**2 * p * p)])
     (a0, a2), diffs = abel_extrapolate(
-        lambda q: (_damped_powers(q, p) * terms).sum(axis=1))
+        lambda q: (_damped_powers(q, p, t) * terms).sum(axis=1))
     diff = diffs.max()
-    x, n = _ABEL_X[-1], s.p_cutoff + 1
-    tail = (1.0 - x) ** n / (np.pi * n * x)
+    tail = _truncation_bound(lam, s.p_cutoff)
     if max(diff, tail) > s.tol:
         raise ConvergenceError(
             f"poisson route at lambda = {float(lam)!r} (distance "

@@ -27,6 +27,12 @@ AXIS_TOL = 1e-8
 
 # Ordered basis of 2-form index pairs used throughout.
 PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+# (e, c) of the Christoffel derivatives d_e M_c that the curvature 2-forms
+# on PAIRS take: (c, d) of each pair, then (d, c) of each pair whose d is
+# spatial, as d_tau M = 0
+_SPATIAL = [k for k, (_, d) in enumerate(PAIRS) if d < 3]
+_DM_E = [c for c, _ in PAIRS] + [PAIRS[k][1] for k in _SPATIAL]
+_DM_C = [d for _, d in PAIRS] + [PAIRS[k][0] for k in _SPATIAL]
 
 
 class Variant(str, enum.Enum):
@@ -358,22 +364,31 @@ def _riemann_from_arrays(g, dg, d2g):
 
     Every einsum has two operands and the point index as its contiguous
     inner axis: numpy's own loop, never BLAS, in a fixed order."""
+    n = g.shape[-1]
     ginv = np.ascontiguousarray(
         np.linalg.inv(np.moveaxis(g, -1, 0)).transpose(1, 2, 0))
-    # coordinate derivatives with the vanishing d_tau row appended
-    dg4 = np.concatenate([dg, np.zeros_like(dg[:1])])
-    d2g4 = np.concatenate([d2g, np.zeros_like(d2g[:, :1])], axis=1)
-    # Gamma_dcb = 1/2 (d_c g_db + d_b g_dc - d_d g_cb) and its derivatives
-    low = 0.5 * (dg4.transpose(1, 0, 2, 3) + dg4.transpose(1, 2, 0, 3) - dg4)
-    dlow = 0.5 * (d2g4.transpose(0, 2, 1, 3, 4)
-                  + d2g4.transpose(0, 2, 3, 1, 4) - d2g4)
+    # Gamma_dcb = 1/2 (d_c g_db + d_b g_dc - d_d g_cb) and its derivatives;
+    # nothing depends on tau, so each term fills only its spatial slice
+    low = np.zeros((4, 4, 4, n))
+    low[:, :3] += dg.transpose(1, 0, 2, 3)
+    low[:, :, :3] += dg.transpose(1, 2, 0, 3)
+    low[:3] -= dg
+    low *= 0.5
+    dlow = np.zeros((3, 4, 4, 4, n))
+    dlow[:, :, :3] += d2g.transpose(0, 2, 1, 3, 4)
+    dlow[:, :, :, :3] += d2g.transpose(0, 2, 3, 1, 4)
+    dlow[:, :3] -= d2g
+    dlow *= 0.5
     mat = np.einsum("adn,dcbn->cabn", ginv, low)
     # d_e M_c = g^-1 (d_e Gamma_c - d_e g M_c): d_e g^-1 = -g^-1 d_e g g^-1
-    dmat = np.einsum("adn,edcbn->ecabn", ginv,
-                     dlow - np.einsum("edfn,cfbn->edcbn", dg, mat))
-    prod = np.einsum("cabn,dbkn->cdakn", mat, mat)
-    return np.stack([prod[c, d] - prod[d, c] + dmat[c, d]
-                     - (dmat[d, c] if d < 3 else 0.0) for c, d in PAIRS])
+    dmat = np.einsum("adn,pdbn->pabn", ginv, dlow[_DM_E, :, _DM_C]
+                     - np.einsum("pdfn,pfbn->pdbn", dg[_DM_E], mat[_DM_C]))
+    first, second = mat[_DM_E[:6]], mat[_DM_C[:6]]
+    forms = (np.einsum("pabn,pbkn->pakn", first, second)
+             - np.einsum("pabn,pbkn->pakn", second, first))
+    forms += dmat[:6]
+    forms[_SPATIAL] -= dmat[6:]
+    return forms
 
 
 def _frame_curvature(g, forms):

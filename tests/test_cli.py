@@ -354,6 +354,22 @@ def test_non_finite_channel_rejected(tmp_path, capsys, channel):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("channels", [
+    [[1, 2]], [{"lam": 0.3}, {"mcharge": 1.0, "chern": 1}]])
+def test_malformed_channel_rejected(tmp_path, capsys, channels):
+    """A channel that is not an object, or has no lam, is named by its
+    place in the config, not described in Python's words."""
+    cfg = write_config(tmp_path, dict(INDEX_CONFIG,
+                                      instanton={"channels": channels}))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    where = f"instanton.channels[{len(channels) - 1}]"
+    assert f"{where} must be a JSON object with a 'lam'" in err["message"]
+    assert not out.exists()
+
+
 def test_numerical_failure_exit(tmp_path, capsys):
     # genericity violation surfaces as a numerical-domain failure (exit 1)
     cfg = write_config(tmp_path, {

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from tnindex import eta
 from tnindex.errors import ConvergenceError, GenericityError
-from tnindex.eta import (_ABEL_X, ROUTES, FormScalar, SeriesSpec,
-                         _damped_powers, _mode_blocks, _u_grid,
-                         eta_bernoulli, eta_form, eta_integral, eta_mode_sum,
-                         eta_poisson, poisson_check,
-                         vertical_spectrum)
+from tnindex.eta import (_ABEL_CUT_PREFACTOR, _ABEL_X, ROUTES, FormScalar,
+                         SeriesSpec, _damped_powers, _mode_blocks,
+                         _mode_cut_prefactors, _series_cut,
+                         _truncation_bound, _u_grid, eta_bernoulli,
+                         eta_form, eta_integral, eta_mode_sum, eta_poisson,
+                         poisson_check, vertical_spectrum)
 from tnindex.gauge import InstantonChannel, InstantonData
 
 GENERIC = st.floats(min_value=0.02, max_value=0.98).filter(
@@ -138,21 +139,31 @@ def test_mode_sum_matches_full_grid_reference(spec):
         assert abs(got.a2 - ref.a2) <= 1e-13, lam
 
 
-@pytest.mark.parametrize("spec", MODE_SUM_SPECS, ids=["default", "small"])
-def test_mode_blocks_drop_only_zero_terms(spec):
+@pytest.mark.parametrize("spec", MODE_SUM_SPECS + [SeriesSpec(u_min=1e-8)],
+                         ids=["default", "small", "u_min_1e-8"])
+def test_mode_blocks_drop_below_the_cut_bound(spec):
+    """The terms of the full u x k grid outside the block windows change a0
+    and a2 by at most the documented bound, which is at most 1e-20."""
+    u, w = _u_grid(spec)
+    t = _series_cut(u, w)
+    bound0, bound2 = np.exp(-t) * np.array(_mode_cut_prefactors(u, w)(t))
+    assert max(bound0, bound2) <= 1e-20
     for lam in seeded_lambdas(3, 7) + [0.5, -0.05]:
-        u, term_val, term_nil = full_grid_terms(lam, spec)
+        _, term_val, term_nil = full_grid_terms(lam, spec)
         x = np.arange(-spec.k_cutoff, spec.k_cutoff + 1, dtype=float) - lam
         covered = np.zeros(term_val.shape, dtype=bool)
         next_row = 0
-        for rows, cols in _mode_blocks(u, x):
+        for rows, cols in _mode_blocks(u, x, t):
             assert rows.start == next_row
             next_row = min(rows.stop, u.size)
             covered[rows, cols] = True
         assert next_row == u.size
-        assert np.all(term_val[~covered] == 0.0)
-        assert np.all(term_nil[~covered] == 0.0)
-        assert covered.sum() < 0.5 * covered.size
+        dropped_val = np.where(covered, 0.0, term_val).sum(axis=1)
+        dropped_nil = np.where(covered, 0.0, term_nil.imag).sum(axis=1)
+        assert abs(np.dot(dropped_val, w)) / np.sqrt(np.pi) <= bound0
+        assert 2.0 * abs(np.dot(dropped_nil, w)) / np.sqrt(np.pi) <= bound2
+        if spec == SeriesSpec():
+            assert covered.sum() < 120_000
 
 
 def test_mode_sum_memory_peak():
@@ -199,17 +210,17 @@ def test_mode_sum_refuses_after_one_block(monkeypatch):
     assert blocks[0].stop >= u.size
 
 
-# (lambda, mode_sum a0, poisson a0, poisson a2) at the README lambdas as
-# the complex mode sum and the unwindowed q**p computed them
+# (lambda, mode_sum a0, poisson a0, poisson a2) at the README lambdas: the
+# mode sum's as it computes them with the series cut, Poisson's as the
+# unwindowed q**p computed them
 PINNED_ROWS = [
-    (0.1, "-0.40000000000000757", "-0.3999999999998811",
+    (0.1, "-0.40000000000000746", "-0.3999999999998811",
      "0.07666666666666422"),
-    (0.25, "-0.25000000000000416", "-0.25", "-0.020833333333333336"),
-    (0.4, "-0.10000000000000023", "-0.09999999999999984",
+    (0.25, "-0.25000000000000344", "-0.25", "-0.020833333333333336"),
+    (0.4, "-0.10000000000000019", "-0.09999999999999984",
      "-0.0733333333333333"),
-    (0.6, "0.10000000000000019", "0.10000000000000073",
-     "-0.07333333333333342"),
-    (0.9, "0.4000000000000079", "0.3999999999998838",
+    (0.6, "0.1", "0.10000000000000073", "-0.07333333333333342"),
+    (0.9, "0.4000000000000074", "0.3999999999998838",
      "0.07666666666666416")]
 
 
@@ -232,12 +243,55 @@ def test_poisson_quarter():
     assert eta_poisson(0.25).a0 == pytest.approx(-0.25, abs=1e-9)
 
 
+SERIES_CUT = _series_cut(*_u_grid(SeriesSpec()))
+
+
 @pytest.mark.parametrize("p_cutoff", [20, 20000, 200000])
-def test_damped_powers_equal_full_pow(p_cutoff):
+def test_damped_powers_live_prefix_then_zero(p_cutoff):
     p = np.arange(1, p_cutoff + 1, dtype=float)
     for x in _ABEL_X:
         q = 1.0 - x
-        assert np.array_equal(_damped_powers(q, p), q**p)
+        got = _damped_powers(q, p, SERIES_CUT)
+        live = p <= SERIES_CUT / -np.log(q)
+        assert np.array_equal(got[live], q ** p[live])
+        assert np.all(got[~live] == 0.0)
+
+
+def test_damped_powers_drop_below_the_cut_bound():
+    """At each level the dropped powers weigh at most e^-T / (pi (1 - q)),
+    and through the Neville weights at most 1e-20 in all."""
+    p = np.arange(1, 400_001, dtype=float)
+    for x in _ABEL_X:
+        q = 1.0 - x
+        dropped = p[_damped_powers(q, p, SERIES_CUT) == 0.0]
+        assert dropped.size > 0
+        assert np.sum(q ** dropped / (np.pi * dropped)) \
+            <= np.exp(-SERIES_CUT) / (np.pi * x)
+    assert np.exp(-SERIES_CUT) * _ABEL_CUT_PREFACTOR <= 1e-20
+
+
+@pytest.mark.parametrize("p_cutoff", [20, 200, 5000, 20000])
+def test_truncation_bound_covers_the_tail(p_cutoff):
+    """The sine and cosine tails past p_cutoff at the level nearest q = 1,
+    summed to 4e5 terms (q^p underflows before that), stay below the
+    summation-by-parts bound, on both sides of an integer."""
+    q = 1.0 - _ABEL_X[-1]
+    p = np.arange(p_cutoff + 1, 400_001, dtype=float)
+    damped = q ** p
+    for lam in [0.5, 0.3, -0.3, 0.05, 2.0 + 1e-5, 3.0 - 1e-5, 1.0 - 1e-3]:
+        sine = np.sum(damped * np.sin(2.0 * np.pi * p * lam) / (np.pi * p))
+        cosine = np.sum(damped * np.cos(2.0 * np.pi * p * lam)
+                        / (np.pi * p) ** 2)
+        assert max(abs(sine), abs(cosine)) <= \
+            _truncation_bound(lam, p_cutoff), lam
+
+
+def test_poisson_accepts_a_short_series_its_bound_resolves():
+    """At lambda 0.3 the bound past p_cutoff 5000 is 4.5e-9, below the
+    series tolerance, and the route meets it."""
+    got, ref = eta_poisson(0.3, SeriesSpec(p_cutoff=5000)), eta_bernoulli(0.3)
+    assert abs(got.a0 - ref.a0) <= 1e-8
+    assert abs(got.a2 - ref.a2) <= 1e-8
 
 
 @pytest.mark.parametrize("lam, series", [
