@@ -46,16 +46,12 @@ class FormScalar:
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    k_cutoff: int = 1500          # Fourier mode window |k| <= K
-    p_cutoff: int = 20000         # Poisson index cutoff
     u_min: float = 1e-4
     u_max: float = 1e4
     n_u: int = 601                # u-grid size (odd, for nested halving)
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.k_cutoff < 50 or self.p_cutoff < 20:
-            raise ValueError("cutoffs too small (need K >= 50, P >= 20)")
         if not (0.0 < self.u_min < 1e-3 and 1e3 < self.u_max < np.inf):
             raise ValueError("u-grid must span [<1e-3, >1e3] with "
                              "0 < u_min and a finite u_max")
@@ -133,13 +129,12 @@ def _mode_cut_prefactors(u, w):
 
 
 def _series_cut(u, w):
-    """The series cut T of one call: the mode sum drops the terms with
-    u x^2 > T, the Poisson route the powers with p ln(1/q) > T.  T is the
-    smallest value for which the bounds below on the dropped part of a0 and
-    of a2 are at most _CUT_TOL, capped at _EXP_ZERO_ARG.
+    """The series cut T of one mode-sum call, which drops the terms with
+    u x^2 > T: the smallest T for which the bounds below on the dropped part
+    of a0 and of a2 are at most _CUT_TOL, capped at _EXP_ZERO_ARG.
 
-    Mode sum.  At a grid row u every dropped mode has u x^2 > T: the
-    dropped x lie on both sides beyond X = sqrt(T/u), one apart.  For
+    At a grid row u every dropped mode has u x^2 > T: the dropped x lie
+    on both sides beyond X = sqrt(T/u), one apart.  For
     u x^2 >= 1 both f(x) = x e^(-u x^2) and g(x) = x^2 e^(-u x^2) decrease,
     so a side sums to at most its value at X plus its integral from X:
 
@@ -152,24 +147,25 @@ def _series_cut(u, w):
     route's weights w / sqrt(pi), give |d a0| <= e^-T P0(T) and
     |d a2| <= e^-T P2(T) (`_mode_cut_prefactors`).
 
-    Poisson.  At level q the first dropped power q^p1 has p1 ln(1/q) > T,
-    and every term of either series is at most q^p / (pi p) in size, so
-    the dropped part of a damped sum is at most q^p1 / (pi (1 - q)), below
-    e^-T / (pi (1 - q)).  The extrapolated value is sum_i c_i S(q_i) over
-    the Neville weights c_i, so it moves by at most e^-T
-    _ABEL_CUT_PREFACTOR.
-
     P0 and P2 grow with T for T > 1/2, so the cut is the fixed point of
-    T = ln(max(P0, P2, _ABEL_CUT_PREFACTOR)(T) / _CUT_TOL).  Iterating
-    from _EXP_ZERO_ARG approaches it from above; every iterate keeps the
-    bounds at most _CUT_TOL, and as d ln P / dT <= 1/T the fourth is
-    within 1e-5 of the fixed point, which lies above 46."""
+    T = ln(max(P0, P2)(T) / _CUT_TOL).  Iterating from _EXP_ZERO_ARG
+    approaches it from above; every iterate keeps the bounds at most
+    _CUT_TOL, and as d ln P / dT <= 1/T the fourth is within 1e-5 of the
+    fixed point, which lies above 46."""
     prefactors = _mode_cut_prefactors(u, w)
     t = _EXP_ZERO_ARG
     for _ in range(4):
-        prefactor = max(*prefactors(t), _ABEL_CUT_PREFACTOR)
-        t = min(_EXP_ZERO_ARG, math.log(prefactor / _CUT_TOL))
+        t = min(_EXP_ZERO_ARG, math.log(max(*prefactors(t)) / _CUT_TOL))
     return t
+
+
+def _mode_window(lam: float, u, t: float):
+    """The ascending modes x = k - lambda that a block of the ascending
+    u grid may read at the series cut t: |x| <= sqrt(t / u_min) and one
+    guard mode on each side."""
+    reach = math.sqrt(t / u[0])
+    return np.arange(math.ceil(lam - reach) - 1, math.floor(lam + reach) + 2,
+                     dtype=float) - lam
 
 
 def _mode_blocks(u, x, t):
@@ -212,7 +208,9 @@ def eta_mode_sum(lam: float, s: SeriesSpec | None = None) -> FormScalar:
 
     Each block of u rows evaluates only the modes with u x^2 up to the
     series cut (`_mode_blocks`, `_series_cut`): the terms it drops change
-    a0 and a2 by at most 1e-20 each.  The block of the largest u runs first:
+    a0 and a2 by at most 1e-20 each.  So the route builds only the modes
+    x = k - lambda with |x| <= sqrt(T / u_min), plus one guard mode on each
+    side, wherever lambda lies.  The block of the largest u runs first:
     if the integrand there is not negligible, the u-integral tail exceeds
     the series tolerance and ConvergenceError is raised before the other
     blocks run.  The trapezoid rule on the even rows (step 2h) must agree
@@ -221,10 +219,11 @@ def eta_mode_sum(lam: float, s: SeriesSpec | None = None) -> FormScalar:
     s = s or SeriesSpec()
     require_generic(lam)
     u, w = _u_grid(s)
-    x = np.arange(-s.k_cutoff, s.k_cutoff + 1, dtype=float) - lam
+    t = _series_cut(u, w)
+    x = _mode_window(lam, u, t)
     sum_val = np.empty(u.size)
     sum_nil = np.empty(u.size)
-    *head, (rows, cols) = _mode_blocks(u, x, _series_cut(u, w))
+    *head, (rows, cols) = _mode_blocks(u, x, t)
     sum_val[rows], sum_nil[rows] = _block_sums(u, x, rows, cols)
     integrand_scale = np.abs(sum_val[-1]) + np.abs(sum_nil[-1])
     if integrand_scale * np.sqrt(u[-1]) > s.tol:
@@ -261,6 +260,14 @@ _ABEL_X = 0.25 * 0.5 ** np.arange(8)
 _ABEL_CUT_PREFACTOR = float(sum(
     abs(np.prod(np.delete(_ABEL_X, i) / (np.delete(_ABEL_X, i) - x)))
     / (np.pi * x) for i, x in enumerate(_ABEL_X)))
+# The Poisson route's series cut T_P: each Neville level sums only the
+# powers q^p with p ln(1/q) <= T_P.  The first power it drops has
+# p ln(1/q) > T_P, and every term of either series is at most q^p / (pi p)
+# in size, so a level drops less than e^-T_P / (pi (1 - q)), and through
+# the Neville weights the extrapolant less than e^-T_P _ABEL_CUT_PREFACTOR.
+# ln(_ABEL_CUT_PREFACTOR / _CUT_TOL) = 52.84 is rounded up so that this
+# bound is at most _CUT_TOL in floating point too.
+_POISSON_CUT = float(math.ceil(math.log(_ABEL_CUT_PREFACTOR / _CUT_TOL)))
 
 
 def abel_extrapolate(sums_of_q):
@@ -279,31 +286,10 @@ def abel_extrapolate(sums_of_q):
     return tableau[-1], np.abs(tableau[-1] - tableau[-2])
 
 
-def _damped_powers(q: float, p, t: float):
-    """q**p for the ascending p with p ln(1/q) <= t, the series cut, and
-    0.0 for the rest; what the zeros drop from a damped sum of terms at
-    most 1/(pi p) in size is below e^-t / (pi (1 - q)) (`_series_cut`)."""
-    n = int(np.searchsorted(p, t / -np.log(q), side="right"))
-    damped = np.zeros_like(p)
-    np.power(q, p[:n], out=damped[:n])
-    return damped
-
-
-def _truncation_bound(lam: float, p_cutoff: int) -> float:
-    """Bound on the terms past p_cutoff = P of either damped series at the
-    level nearest q = 1: 2 q^(P+1) / (pi (P+1) |1 - q e^(2 pi i lam)|).
-
-    Summation by parts: with z = q e^(2 pi i lam), every partial sum of
-    z^p over p > P is z^(P+1) (1 - z^m) / (1 - z), at most
-    2 q^(P+1) / |1 - z| in size, and 1/(pi p) and 1/(pi p)^2 decrease, so
-    both tails, the imaginary and real parts of such sums, are below the
-    bound.  |1 - z|^2 = (1 - q)^2 + 4 q sin^2(pi lam) keeps the gap in real
-    arithmetic without cancellation near an integer."""
-    x, n = _ABEL_X[-1], p_cutoff + 1
-    q = 1.0 - x
-    gap = np.hypot(x, 2.0 * np.sqrt(q)
-                   * np.sin(np.pi * dist_to_integers(lam)))
-    return float(2.0 * q ** n / (np.pi * n * gap))
+def _live_powers(q: float) -> int:
+    """How many powers q^p, p = 1, 2, ..., have p ln(1/q) <= _POISSON_CUT:
+    the leading terms that a damped sum at level q reads."""
+    return int(_POISSON_CUT / -math.log(q))
 
 
 def eta_poisson(lam: float, s: SeriesSpec | None = None) -> FormScalar:
@@ -315,30 +301,32 @@ def eta_poisson(lam: float, s: SeriesSpec | None = None) -> FormScalar:
     dot of more than 10^4 terms across its threads, and the last bits of
     the sum then follow OPENBLAS_NUM_THREADS.
 
-    Each level computes q^p only up to the series cut (`_damped_powers`,
-    `_series_cut`), which changes a0 and a2 by at most 1e-20.
+    Each level sums only its live prefix, the powers up to the series cut
+    (`_live_powers`, `_POISSON_CUT`), which changes a0 and a2 by at most
+    1e-20; the level nearest q = 1 reads the most terms and sizes the
+    series.
 
-    The route refuses with ConvergenceError when its own error estimate
-    exceeds the series tolerance: the Neville difference of either
-    extrapolation, or the bound `_truncation_bound` on the damped terms
-    past p_cutoff, which the Neville difference cannot see (a truncated
-    sum is a polynomial in q)."""
+    The route refuses with ConvergenceError when its own error estimate,
+    the Neville difference of either extrapolation, exceeds the series
+    tolerance."""
     s = s or SeriesSpec()
     require_generic(lam)
-    t = _series_cut(*_u_grid(s))
-    p = np.arange(1, s.p_cutoff + 1, dtype=float)
-    terms = np.stack([-np.sin(2.0 * np.pi * p * lam) / (np.pi * p),
-                      np.cos(2.0 * np.pi * p * lam) / (np.pi**2 * p * p)])
-    (a0, a2), diffs = abel_extrapolate(
-        lambda q: (_damped_powers(q, p, t) * terms).sum(axis=1))
+    p = np.arange(1, _live_powers(1.0 - _ABEL_X[-1]) + 1, dtype=float)
+    theta = 2.0 * np.pi * p * lam
+    terms = np.stack([np.sin(theta) / (-np.pi * p),
+                      np.cos(theta) / (np.pi**2 * p * p)])
+
+    def damped_sums(q):
+        n = _live_powers(q)
+        return (q ** p[:n] * terms[:, :n]).sum(axis=1)
+
+    (a0, a2), diffs = abel_extrapolate(damped_sums)
     diff = diffs.max()
-    tail = _truncation_bound(lam, s.p_cutoff)
-    if max(diff, tail) > s.tol:
+    if diff > s.tol:
         raise ConvergenceError(
             f"poisson route at lambda = {float(lam)!r} (distance "
             f"{dist_to_integers(lam):.3e} to the integers) is unresolved: "
-            f"the Neville extrapolation differs by {diff:.3e} and "
-            f"the damped tail past p_cutoff is up to {tail:.3e}, against "
+            f"the Neville extrapolation differs by {diff:.3e}, above "
             f"the series tolerance {s.tol:.3e}")
     return FormScalar(float(a0), float(a2))
 

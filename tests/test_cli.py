@@ -56,6 +56,22 @@ def test_index_report_deterministic(tmp_path):
         (out2 / "index_report.json").read_bytes()
 
 
+def test_eta_mode_far_lambda(tmp_path):
+    """A holonomy two thousand periods from 0: every route's row meets
+    Bernoulli within its reported error."""
+    cfg = write_config(tmp_path, {"mode": "eta", "lambdas": [2000.3],
+                                  "route": "all"})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == EXIT_OK
+    lines = (out / "eta_routes.csv").read_text().splitlines()
+    ref = eta.eta_bernoulli(2000.3)
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[1] for row in rows] == list(ROUTES)
+    for _, _, a0, a2, _, error in rows:
+        assert abs(float(a0) - ref.a0) <= float(error)
+        assert abs(float(a2) - ref.a2) <= float(error)
+
+
 def test_eta_mode_half_lambda(tmp_path):
     cfg = write_config(tmp_path, {"mode": "eta", "lambdas": [0.5],
                                   "route": "all"})
@@ -199,7 +215,7 @@ def test_non_integral_chern_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("series", [
     {"u_min": -1}, {"u_min": 0}, {"u_max": float("inf")},
     {"tol": float("nan")}, {"tol": float("inf")}, {"n_u": 0}, {"n_u": 2},
-    {"n_u": 601.5}, {"k_cutoff": 1500.5}])
+    {"n_u": 601.5}, {"n_u": "601"}])
 def test_bad_series_rejected(tmp_path, capsys, series):
     cfg = write_config(tmp_path, {"mode": "eta", "route": "all",
                                   "series": series})
@@ -221,6 +237,8 @@ UNKNOWN_KEYS = [
     ({"metric": {"varient": "TN"}}, "varient"),
     ({"instanton": {"channels": [{"lam": 0.3}], "chanels": []}}, "chanels"),
     ({"series": {"ncut": 50}}, "ncut"),
+    ({"series": {"k_cutoff": 1500}}, "k_cutoff"),
+    ({"series": {"p_cutoff": 20000}}, "p_cutoff"),
 ]
 
 
@@ -415,8 +433,7 @@ def test_eta_route_evaluates_only_that_route(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("payload, args", [
-    ({"mode": "eta", "lambdas": [0.3], "series": {"p_cutoff": 20}},
-     ["--route", "poisson"]),
+    ({"mode": "eta", "lambdas": [0.01]}, ["--route", "poisson"]),
     (dict(INDEX_CONFIG, instanton={"channels": [{"lam": 1e-5}]}),
      ["--route", "poisson"])])
 def test_poisson_refusal_exits_numerical(tmp_path, capsys, payload, args):

@@ -1,5 +1,6 @@
 """Boundary eta-form: three routes, series identities, and integrals."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tnindex import eta
-from tnindex.errors import ConvergenceError, GenericityError
-from tnindex.eta import (_ABEL_CUT_PREFACTOR, _ABEL_X, ROUTES, FormScalar,
-                         SeriesSpec, _damped_powers, _mode_blocks,
-                         _mode_cut_prefactors, _series_cut,
-                         _truncation_bound, _u_grid, eta_bernoulli,
-                         eta_form, eta_integral, eta_mode_sum, eta_poisson,
-                         poisson_check, vertical_spectrum)
+from tnindex.errors import ConvergenceError, GenericityError, TNIndexError
+from tnindex.eta import (_ABEL_CUT_PREFACTOR, _ABEL_X, _CUT_TOL,
+                         _EXP_ZERO_ARG, _POISSON_CUT, ROUTES, FormScalar,
+                         SeriesSpec, _live_powers, _mode_blocks,
+                         _mode_cut_prefactors, _mode_window, _series_cut,
+                         _u_grid, eta_bernoulli, eta_form, eta_integral,
+                         eta_mode_sum, eta_poisson, poisson_check,
+                         vertical_spectrum)
 from tnindex.gauge import InstantonChannel, InstantonData
 
 GENERIC = st.floats(min_value=0.02, max_value=0.98).filter(
@@ -88,11 +90,12 @@ def test_mode_sum_reflection():
                                                  abs=1e-8)
 
 
-def full_grid_terms(lam, s):
-    """Every term of the mode sum on the full u x k grid, as the mode sum
-    evaluated them before it was blocked: (u, term_val, term_nil)."""
+def full_grid_terms(lam, s, k_cutoff):
+    """Every term of the mode sum on the full u x k grid, |k| <= k_cutoff,
+    as the mode sum evaluated them before it was blocked:
+    (u, term_val, term_nil)."""
     u, _ = _u_grid(s)
-    k = np.arange(-s.k_cutoff, s.k_cutoff + 1, dtype=float)
+    k = np.arange(-k_cutoff, k_cutoff + 1, dtype=float)
     x = (k - lam)[None, :]
     uu = u[:, None]
     nil = np.broadcast_to(-0.25j / uu, (u.size, k.size))
@@ -102,11 +105,11 @@ def full_grid_terms(lam, s):
     return u, x * e_val, nil * e_val + x * nil_q * e_val
 
 
-def reference_mode_sum(lam, s):
+def reference_mode_sum(lam, s, k_cutoff):
     """The full-grid mode sum in complex arithmetic, as it was before the
     route was blocked and made real (tail check aside); eta-hat is real, so
     the imaginary parts must vanish to within the series tolerance."""
-    u, term_val, term_nil = full_grid_terms(lam, s)
+    u, term_val, term_nil = full_grid_terms(lam, s, k_cutoff)
     _, w = _u_grid(s)
     inv_sqrt_pi = 1.0 / np.sqrt(np.pi)
     a0_c = inv_sqrt_pi * np.dot(term_val.sum(axis=1), w)
@@ -124,39 +127,55 @@ def seeded_lambdas(n, seed):
         rng.integers(-3, 4, n), rng.choice([-1.0, 1.0], n), dist)]
 
 
-MODE_SUM_SPECS = [SeriesSpec(),
-                  SeriesSpec(k_cutoff=400, n_u=401, u_min=5e-4, u_max=2e4)]
+# (spec, K): the full-grid oracle sums |k| <= K, which holds every mode the
+# route reads at lambda within three periods of 0 for the first two specs
+MODE_SUM_SPECS = [(SeriesSpec(), 1500),
+                  (SeriesSpec(n_u=401, u_min=5e-4, u_max=2e4), 400)]
 
 
-@pytest.mark.parametrize("spec", MODE_SUM_SPECS, ids=["default", "small"])
-def test_mode_sum_matches_full_grid_reference(spec):
+@pytest.mark.parametrize("spec, k_cutoff", MODE_SUM_SPECS,
+                         ids=["default", "small"])
+def test_mode_sum_matches_full_grid_reference(spec, k_cutoff):
     lams = seeded_lambdas(8, 20261018)
     assert any(abs(lam) > 1.0 for lam in lams)
     assert any(lam < 0.0 for lam in lams)
+    u, w = _u_grid(spec)
     for lam in lams:
-        got, ref = eta_mode_sum(lam, spec), reference_mode_sum(lam, spec)
+        x = _mode_window(lam, u, _series_cut(u, w))
+        assert -k_cutoff < x[0] + lam and x[-1] + lam < k_cutoff
+        got = eta_mode_sum(lam, spec)
+        ref = reference_mode_sum(lam, spec, k_cutoff)
         assert abs(got.a0 - ref.a0) <= 1e-13, lam
         assert abs(got.a2 - ref.a2) <= 1e-13, lam
 
 
-@pytest.mark.parametrize("spec", MODE_SUM_SPECS + [SeriesSpec(u_min=1e-8)],
+@pytest.mark.parametrize("spec, k_cutoff",
+                         MODE_SUM_SPECS + [(SeriesSpec(u_min=1e-8), 1500)],
                          ids=["default", "small", "u_min_1e-8"])
-def test_mode_blocks_drop_below_the_cut_bound(spec):
-    """The terms of the full u x k grid outside the block windows change a0
-    and a2 by at most the documented bound, which is at most 1e-20."""
+def test_mode_blocks_drop_below_the_cut_bound(spec, k_cutoff):
+    """The terms of the full u x k grid outside the block windows of the
+    modes the route builds change a0 and a2 by at most the documented
+    bound, which is at most 1e-20.  At u_min 1e-8 the route reads modes
+    beyond |k| = 1500, which the oracle grid leaves out."""
     u, w = _u_grid(spec)
     t = _series_cut(u, w)
     bound0, bound2 = np.exp(-t) * np.array(_mode_cut_prefactors(u, w)(t))
     assert max(bound0, bound2) <= 1e-20
     for lam in seeded_lambdas(3, 7) + [0.5, -0.05]:
-        _, term_val, term_nil = full_grid_terms(lam, spec)
-        x = np.arange(-spec.k_cutoff, spec.k_cutoff + 1, dtype=float) - lam
+        _, term_val, term_nil = full_grid_terms(lam, spec, k_cutoff)
+        x = _mode_window(lam, u, t)
+        # one guard mode past the widest window on each side
+        reach = np.sqrt(t / u[0])
+        assert x[0] < -reach <= x[1] and x[-2] <= reach < x[-1]
+        # column of the route's first mode in the oracle grid
+        shift = round(x[0] + lam) + k_cutoff
         covered = np.zeros(term_val.shape, dtype=bool)
         next_row = 0
         for rows, cols in _mode_blocks(u, x, t):
             assert rows.start == next_row
             next_row = min(rows.stop, u.size)
-            covered[rows, cols] = True
+            covered[rows, max(cols.start + shift, 0):
+                    max(cols.stop + shift, 0)] = True
         assert next_row == u.size
         dropped_val = np.where(covered, 0.0, term_val).sum(axis=1)
         dropped_nil = np.where(covered, 0.0, term_nil.imag).sum(axis=1)
@@ -223,6 +242,18 @@ PINNED_ROWS = [
     (0.9, "0.4000000000000079", "0.3999999999998838",
      "0.07666666666666416")]
 
+# Poisson's (a0, a2) at the same lambdas as it computes them from each
+# level's live prefix at its own cut: what the cut drops weighs at most
+# 1e-20, so the rows move from the zero-filled sums above only by the
+# rounding of a shorter pairwise sum, well within POISSON_ROUNDING
+POISSON_CUT_ROWS = {
+    0.1: ("-0.39999999999988173", "0.07666666666666419"),
+    0.25: ("-0.24999999999999992", "-0.020833333333333308"),
+    0.4: ("-0.09999999999999977", "-0.0733333333333333"),
+    0.6: ("0.10000000000000069", "-0.07333333333333336"),
+    0.9: ("0.3999999999998842", "0.07666666666666422")}
+POISSON_ROUNDING = 2e-15
+
 # the mode sum's a0 at the same lambdas as it computes them with the series
 # cut: the dropped terms weigh at most 1e-20, so the cut moves a0 from the
 # uncut value above only by rounding, well within CUT_ROUNDING
@@ -238,7 +269,57 @@ def test_rows_keep_their_bits(lam, mode_a0, poisson_a0, poisson_a2):
     assert repr(got_mode) == MODE_CUT_A0[lam]
     assert abs(got_mode - float(mode_a0)) <= CUT_ROUNDING
     got = eta_poisson(lam)
-    assert (repr(got.a0), repr(got.a2)) == (poisson_a0, poisson_a2)
+    assert (repr(got.a0), repr(got.a2)) == POISSON_CUT_ROWS[lam]
+    assert abs(got.a0 - float(poisson_a0)) <= POISSON_ROUNDING
+    assert abs(got.a2 - float(poisson_a2)) <= POISSON_ROUNDING
+
+
+@pytest.mark.parametrize("spec", [
+    SeriesSpec(), SeriesSpec(u_min=1e-8), SeriesSpec(n_u=3),
+    SeriesSpec(u_min=9.99e-4, u_max=1.001e3, n_u=3),
+    SeriesSpec(u_min=9.99e-4, u_max=1.001e3, n_u=100_001),
+    SeriesSpec(u_min=9.99e-4, u_max=1e300, n_u=1_001)],
+    ids=["default", "u_min_1e-8", "n_u_3", "narrow_3", "narrow_fine",
+         "wide"])
+def test_series_cut_needs_no_poisson_prefactor(spec):
+    """The mode prefactors exceed the Poisson route's at every valid spec,
+    so the cut is the one the max with _ABEL_CUT_PREFACTOR gave, bit for
+    bit; the narrow fine grid comes nearest (P2 about 4,000 against 887)."""
+    u, w = _u_grid(spec)
+    prefactors = _mode_cut_prefactors(u, w)
+    t = _series_cut(u, w)
+    assert max(*prefactors(t)) > _ABEL_CUT_PREFACTOR
+    old = _EXP_ZERO_ARG
+    for _ in range(4):
+        old = min(_EXP_ZERO_ARG, math.log(
+            max(*prefactors(old), _ABEL_CUT_PREFACTOR) / _CUT_TOL))
+    assert t == old
+
+
+@pytest.mark.parametrize("lam", [1600.3, 2000.3, -1800.45, 1e6 + 0.3])
+def test_mode_sum_reads_its_window_at_any_lambda(lam):
+    """The route builds its modes around lambda, so a holonomy past any
+    fixed mode window meets Bernoulli to roundoff."""
+    got, ref = eta_mode_sum(lam), eta_bernoulli(lam)
+    assert abs(got.a0 - ref.a0) <= 6e-15, lam
+    assert abs(got.a2 - ref.a2) <= 6e-15, lam
+
+
+@given(n=st.integers(min_value=-10**6, max_value=10**6),
+       f=st.floats(min_value=0.05, max_value=0.95))
+@settings(max_examples=20, deadline=None)
+def test_series_routes_meet_bernoulli_far_from_zero(n, f):
+    """lambda = n + f with |n| up to 1e6: each series route lands within
+    the series tolerance of Bernoulli or raises a typed error."""
+    lam, spec = n + f, SeriesSpec()
+    ref = eta_bernoulli(lam)
+    for route in (eta_mode_sum, eta_poisson):
+        try:
+            got = route(lam, spec)
+        except TNIndexError:
+            continue
+        assert abs(got.a0 - ref.a0) <= spec.tol, (route, lam)
+        assert abs(got.a2 - ref.a2) <= spec.tol, (route, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -253,64 +334,48 @@ def test_poisson_quarter():
     assert eta_poisson(0.25).a0 == pytest.approx(-0.25, abs=1e-9)
 
 
-SERIES_CUT = _series_cut(*_u_grid(SeriesSpec()))
+def test_live_powers_are_the_prefix_below_the_cut(monkeypatch):
+    """Each level sums exactly the powers with p ln(1/q) <= T_P, the level
+    nearest q = 1 the most of them, and the route's power array ends with
+    that level's prefix."""
+    p = np.arange(1, 30_001, dtype=float)
+    live = [_live_powers(1.0 - x) for x in _ABEL_X]
+    for x, n in zip(_ABEL_X, live):
+        assert np.array_equal(p * -np.log(1.0 - x) <= _POISSON_CUT,
+                              p <= n)
+    assert live[0] == 184 and live[-1] == 27_109 == max(live)
+    lengths = []
 
+    def counted(q):
+        lengths.append(q)
+        return _live_powers(q)
 
-@pytest.mark.parametrize("p_cutoff", [20, 20000, 200000])
-def test_damped_powers_live_prefix_then_zero(p_cutoff):
-    p = np.arange(1, p_cutoff + 1, dtype=float)
-    for x in _ABEL_X:
-        q = 1.0 - x
-        got = _damped_powers(q, p, SERIES_CUT)
-        live = p <= SERIES_CUT / -np.log(q)
-        assert np.array_equal(got[live], q ** p[live])
-        assert np.all(got[~live] == 0.0)
+    monkeypatch.setattr(eta, "_live_powers", counted)
+    eta_poisson(0.3)
+    assert lengths[0] == 1.0 - _ABEL_X[-1]
+    assert lengths[1:] == [1.0 - x for x in _ABEL_X]
 
 
 def test_damped_powers_drop_below_the_cut_bound():
-    """At each level the dropped powers weigh at most e^-T / (pi (1 - q)),
+    """At each level the dropped powers weigh at most e^-T_P / (pi (1 - q)),
     and through the Neville weights at most 1e-20 in all."""
     p = np.arange(1, 400_001, dtype=float)
     for x in _ABEL_X:
         q = 1.0 - x
-        dropped = p[_damped_powers(q, p, SERIES_CUT) == 0.0]
-        assert dropped.size > 0
+        dropped = p[_live_powers(q):]
         assert np.sum(q ** dropped / (np.pi * dropped)) \
-            <= np.exp(-SERIES_CUT) / (np.pi * x)
-    assert np.exp(-SERIES_CUT) * _ABEL_CUT_PREFACTOR <= 1e-20
-
-
-@pytest.mark.parametrize("p_cutoff", [20, 200, 5000, 20000])
-def test_truncation_bound_covers_the_tail(p_cutoff):
-    """The sine and cosine tails past p_cutoff at the level nearest q = 1,
-    summed to 4e5 terms (q^p underflows before that), stay below the
-    summation-by-parts bound, on both sides of an integer."""
-    q = 1.0 - _ABEL_X[-1]
-    p = np.arange(p_cutoff + 1, 400_001, dtype=float)
-    damped = q ** p
-    for lam in [0.5, 0.3, -0.3, 0.05, 2.0 + 1e-5, 3.0 - 1e-5, 1.0 - 1e-3]:
-        sine = np.sum(damped * np.sin(2.0 * np.pi * p * lam) / (np.pi * p))
-        cosine = np.sum(damped * np.cos(2.0 * np.pi * p * lam)
-                        / (np.pi * p) ** 2)
-        assert max(abs(sine), abs(cosine)) <= \
-            _truncation_bound(lam, p_cutoff), lam
-
-
-def test_poisson_accepts_a_short_series_its_bound_resolves():
-    """At lambda 0.3 the bound past p_cutoff 5000 is 4.5e-9, below the
-    series tolerance, and the route meets it."""
-    got, ref = eta_poisson(0.3, SeriesSpec(p_cutoff=5000)), eta_bernoulli(0.3)
-    assert abs(got.a0 - ref.a0) <= 1e-8
-    assert abs(got.a2 - ref.a2) <= 1e-8
+            <= np.exp(-_POISSON_CUT) / (np.pi * x)
+    assert np.exp(-_POISSON_CUT) * _ABEL_CUT_PREFACTOR <= 1e-20
 
 
 @pytest.mark.parametrize("lam, series", [
-    (0.3, SeriesSpec(p_cutoff=20)), (0.01, SeriesSpec()),
+    (0.3, SeriesSpec(tol=1e-14)), (0.01, SeriesSpec()),
     (1e-5, SeriesSpec()), (-2.0 + 2e-6, SeriesSpec())])
 def test_poisson_refuses_beyond_its_estimate(lam, series):
-    """A truncated series (p_cutoff 20 at lambda 0.3 missed by 5.8e-3) or a
-    lambda too near an integer for the Neville levels (1e-5 missed by
-    0.48) is refused instead of reported within the series tolerance."""
+    """A tolerance below what the extrapolation resolves (its Neville
+    difference at lambda 0.3 is 5.7e-14) or a lambda too near an integer
+    for the Neville levels (1e-5 missed by 0.48) is refused instead of
+    reported within the series tolerance."""
     with pytest.raises(ConvergenceError, match="poisson route") as exc:
         eta_poisson(lam, series)
     assert repr(lam) in str(exc.value)
@@ -402,10 +467,6 @@ def test_integral_holonomy_shift_invariant(lam, shift, chern):
 
 
 def test_series_spec_validation():
-    with pytest.raises(ValueError):
-        SeriesSpec(k_cutoff=10)
-    with pytest.raises(ValueError):
-        SeriesSpec(p_cutoff=5)
     with pytest.raises(ValueError):
         SeriesSpec(u_min=0.1)
     with pytest.raises(ValueError):

@@ -3,10 +3,14 @@ the example config loads, and the schema shows the report's keys."""
 
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 from tnindex import cli
+from tnindex.eta import SeriesSpec
+from tnindex.geometry import BlendProfile
 from tnindex.index import assemble
+from tnindex.quadrature import QuadratureSpec
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -29,6 +33,17 @@ def test_readme_config_loads():
     cfg = cli.load_config(raw, cli.build_parser().parse_args([]))
     assert cfg["mode"] == raw["mode"]
     assert cfg["quad"].n_r == raw["quad"]["n_r"]
+
+
+def test_readme_config_lists_every_spec_field():
+    """The config's quad, series and metric.blend objects name exactly the
+    fields of their dataclasses, in order: a field cannot be added or
+    removed without the docs."""
+    raw = _json_block("### Configuration document")
+    for section, cls in ((raw["quad"], QuadratureSpec),
+                         (raw["series"], SeriesSpec),
+                         (raw["metric"]["blend"], BlendProfile)):
+        assert list(section) == [field.name for field in fields(cls)]
 
 
 def test_readme_report_schema_has_the_report_keys():
