@@ -356,6 +356,22 @@ def test_live_powers_are_the_prefix_below_the_cut(monkeypatch):
     assert lengths[1:] == [1.0 - x for x in _ABEL_X]
 
 
+@pytest.mark.parametrize("p_cutoff", [20, 20000, 200000])
+def test_damped_powers_live_prefix_then_zero(p_cutoff):
+    """Over any run of powers p = 1..p_cutoff the live ones form a prefix:
+    damping the powers past `_live_powers(q)` to zero is exactly the cut
+    p ln(1/q) <= T_P, so summing the prefix alone drops nothing live."""
+    p = np.arange(1, p_cutoff + 1, dtype=float)
+    for x in _ABEL_X:
+        q = 1.0 - x
+        n = _live_powers(q)
+        damped = np.where(np.arange(p.size) < n, q ** p, 0.0)
+        live = p <= _POISSON_CUT / -np.log(q)
+        assert np.array_equal(damped[live], q ** p[live])
+        assert np.all(damped[~live] == 0.0)
+        assert np.sum(q ** p[:n]) == np.sum(q ** p[live])
+
+
 def test_damped_powers_drop_below_the_cut_bound():
     """At each level the dropped powers weigh at most e^-T_P / (pi (1 - q)),
     and through the Neville weights at most 1e-20 in all."""
