@@ -1,0 +1,182 @@
+"""Wall times of tn-index at the README configuration, for BENCH_<pr>.json.
+
+    python3 bench/collect.py --side parent=PATH --side change=. \\
+        --out BENCH_15.json [--repeat N] [--inner N]
+
+Each ``--side NAME=PATH`` names a checkout whose ``src/`` is timed. For
+every side the file records the minimum (and the median) over N runs of:
+
+- start-up: a fresh ``python -c pass`` and a fresh ``import tnindex.cli``;
+- each CLI mode end to end in a fresh interpreter, on the configuration
+  document of that checkout's README.md, written to a scratch directory;
+- in process: one ``convergence_table`` sweep at that configuration, and
+  the time it spends inside ``geometry._metric_jet_arrays`` and
+  ``geometry._riemann_from_arrays``.
+
+Rounds alternate the order of the sides, so a slow spell of a shared host
+falls on both. BLAS runs one thread and every process runs on the lowest
+CPU of this process's affinity set. Reports are checked for exit code 0
+only; their values are the tier-1 tests' business.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+MODES = {
+    "index_lemma": ["--mode", "index", "--grav", "lemma"],
+    "index_numeric": ["--mode", "index", "--grav", "numeric"],
+    "pontryagin": ["--mode", "pontryagin"],
+    "convergence": ["--mode", "convergence"],
+    "eta_all": ["--mode", "eta", "--route", "all"],
+    "geometry_check": ["--mode", "geometry-check"],
+}
+# In-process child: min over its own repeats of one sweep and of the time
+# the sweep spends in each wrapped kernel, as one JSON line.
+IN_PROCESS = """
+import json, sys, time
+from tnindex import charclasses, cli, geometry
+with open(sys.argv[1]) as fh:
+    cfg = cli.load_config(json.load(fh), cli.build_parser().parse_args(
+        ["--mode", "pontryagin"]))
+spent = {"_metric_jet_arrays": 0.0, "_riemann_from_arrays": 0.0}
+
+def timed(name, fn):
+    def wrapper(*args):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            spent[name] += time.perf_counter() - t0
+    return wrapper
+
+for name in spent:
+    setattr(geometry, name, timed(name, getattr(geometry, name)))
+best = {}
+for _ in range(int(sys.argv[2])):
+    for name in spent:
+        spent[name] = 0.0
+    t0 = time.perf_counter()
+    charclasses.convergence_table(cfg["metric"], cfg["quad"], cfg["sweep"])
+    lap = dict(spent, convergence_table=time.perf_counter() - t0)
+    best = {k: min(v, best.get(k, v)) for k, v in lap.items()}
+print(json.dumps(best))
+"""
+
+
+def readme_config(checkout: Path) -> dict:
+    """The first ```json block after the README's configuration heading."""
+    text = (checkout / "README.md").read_text()
+    match = re.search(r"### Configuration document.*?```json\n(.*?)```",
+                      text, re.DOTALL)
+    if not match:
+        raise SystemExit(f"{checkout}/README.md has no configuration block")
+    return json.loads(match.group(1))
+
+
+def child_env(checkout: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
+def wall(argv, env, cwd) -> float:
+    t0 = time.perf_counter()
+    subprocess.run(argv, env=env, cwd=cwd, check=True,
+                   stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    return time.perf_counter() - t0
+
+
+def one_round(checkout: Path, config: Path, scratch: Path, inner: int):
+    """One run of every measurement on one checkout: {name: seconds}."""
+    env, py = child_env(checkout), sys.executable
+    out = {"python_pass": wall([py, "-c", "pass"], env, scratch),
+           "import_tnindex_cli": wall([py, "-c", "import tnindex.cli"], env,
+                                      scratch)}
+    for mode, args in MODES.items():
+        out[mode] = wall([py, "-m", "tnindex.cli", "--config", str(config),
+                          "--out", str(scratch / mode), *args], env, scratch)
+    child = subprocess.run([py, "-c", IN_PROCESS, str(config), str(inner)],
+                           env=env, cwd=scratch, check=True,
+                           capture_output=True, text=True)
+    out.update(json.loads(child.stdout))
+    return out
+
+
+def git_state(checkout: Path) -> dict:
+    def git(*args):
+        done = subprocess.run(["git", "-C", str(checkout), *args],
+                              capture_output=True, text=True)
+        return done.stdout.strip() if done.returncode == 0 else None
+    return {"commit": git("rev-parse", "HEAD"),
+            "dirty": bool(git("status", "--porcelain", "--", "src"))}
+
+
+def summary(runs: list) -> dict:
+    return {name: {"min_s": min(r[name] for r in runs),
+                   "median_s": statistics.median(r[name] for r in runs)}
+            for name in runs[0]}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--side", action="append", required=True,
+                        metavar="NAME=PATH", help="a checkout to time")
+    parser.add_argument("--repeat", type=int, default=5,
+                        help="rounds; each measurement keeps its minimum")
+    parser.add_argument("--inner", type=int, default=3,
+                        help="in-process sweeps per round")
+    parser.add_argument("--out", type=Path, required=True,
+                        help="the JSON file to write, BENCH_<pr>.json")
+    args = parser.parse_args(argv)
+    if args.repeat < 1 or args.inner < 1:
+        parser.error("--repeat and --inner must be at least 1")
+    sides = {}
+    for spec in args.side:
+        name, sep, path = spec.partition("=")
+        if not sep or not name:
+            parser.error(f"--side takes NAME=PATH, not {spec!r}")
+        sides[name] = Path(path).resolve()
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    runs = {name: [] for name in sides}
+    with tempfile.TemporaryDirectory() as tmp:
+        configs = {}
+        for name, checkout in sides.items():
+            configs[name] = Path(tmp) / f"{name}.json"
+            configs[name].write_text(json.dumps(readme_config(checkout)))
+        order = list(sides)
+        for k in range(args.repeat):
+            for name in order if k % 2 == 0 else order[::-1]:
+                scratch = Path(tmp) / name
+                scratch.mkdir(exist_ok=True)
+                runs[name].append(one_round(sides[name], configs[name],
+                                            scratch, args.inner))
+    import numpy
+    doc = {
+        "host": {"python": platform.python_version(),
+                 "numpy": numpy.__version__, "machine": platform.machine(),
+                 "nproc": os.cpu_count(), "cpu": min(os.sched_getaffinity(0)),
+                 "blas_threads": 1},
+        "config": "README.md configuration document of each side",
+        "repeat": args.repeat,
+        "inner": args.inner,
+        "sides": {name: {**git_state(sides[name]), **summary(runs[name])}
+                  for name in sides},
+    }
+    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -312,7 +312,8 @@ def eta_poisson(lam: float, s: SeriesSpec | None = None) -> FormScalar:
     s = s or SeriesSpec()
     require_generic(lam)
     p = np.arange(1, _live_powers(1.0 - _ABEL_X[-1]) + 1, dtype=float)
-    theta = 2.0 * np.pi * p * lam
+    # period 1 in lambda, and x - floor(x) is exact, so no digits are lost
+    theta = 2.0 * np.pi * p * frac_part(lam)
     terms = np.stack([np.sin(theta) / (-np.pi * p),
                       np.cos(theta) / (np.pi**2 * p * p)])
 

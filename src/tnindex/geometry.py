@@ -27,12 +27,9 @@ AXIS_TOL = 1e-8
 
 # Ordered basis of 2-form index pairs used throughout.
 PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-# (e, c) of the Christoffel derivatives d_e M_c that the curvature 2-forms
-# on PAIRS take: (c, d) of each pair, then (d, c) of each pair whose d is
-# spatial, as d_tau M = 0
-_SPATIAL = [k for k, (_, d) in enumerate(PAIRS) if d < 3]
-_DM_E = [c for c, _ in PAIRS] + [PAIRS[k][1] for k in _SPATIAL]
-_DM_C = [d for _, d in PAIRS] + [PAIRS[k][0] for k in _SPATIAL]
+# index arrays that broadcast to PAIRS x PAIRS: (a, b) down, (c, d) across
+_A, _B = np.array(PAIRS).T[:, :, None]
+_C, _D = np.array(PAIRS).T[:, None, :]
 
 
 class Variant(str, enum.Enum):
@@ -116,8 +113,8 @@ class BlendProfile:
                 35.0 + s * (-84.0 + s * (70.0 - 20.0 * s)))
         if not jet:
             return poly
-        out = jets.where(s.val <= 0.0, Jet.constant(0.0, s.val.shape), poly)
-        return jets.where(s.val >= 1.0, Jet.constant(1.0, s.val.shape), out)
+        return jets.where(s.val >= 1.0, 1.0,
+                          jets.where(s.val <= 0.0, 0.0, poly))
 
 
 @dataclass(frozen=True)
@@ -218,8 +215,9 @@ def _radial_coeffs(spec: MetricSpec, r):
     """
     half = 0.5
     v = spec.l + half / r
+    log_v = jets.log(v)
     b = spec.blend(r)
-    log_conf = -(jets.log(v) + 2.0 * jets.log(r))
+    log_conf = -(log_v + 2.0 * jets.log(r))
     conf = jets.exp(b * log_conf)
     a_coeff = conf * v
 
@@ -232,8 +230,7 @@ def _radial_coeffs(spec: MetricSpec, r):
         t = 0.0 if variant is Variant.EXACT_D else spec.t
         vt = 1.0 + (half * t) / r
         # interpolate log(1/v) -> log(v / vt^2) with the blend profile
-        log_q = (b - 1.0) * jets.log(v) \
-            + b * (jets.log(v) - 2.0 * jets.log(vt))
+        log_q = (b - 1.0) * log_v + b * (log_v - 2.0 * jets.log(vt))
         q = jets.exp(log_q)
     c_coeff = conf * q
     return a_coeff, c_coeff
@@ -255,17 +252,17 @@ def _metric_entries(spec: MetricSpec, x1, x2, x3, gauge: Gauge):
     """4x4 nested list of metric components from (possibly jet) coordinates."""
     rho2 = x1 * x1 + x2 * x2
     r = jets.sqrt(rho2 + x3 * x3)
-    a_coeff, c_coeff = _radial_coeffs(spec, r)
+    a_coeff, c_coeff = jets.univariate(lambda u: _radial_coeffs(spec, u), r)
     h = _gauge_factor(r, x3, rho2, gauge)
     # omega = h (-x2, x1, 0): the x3 row and column hold A and zeros
     om = [(-1.0) * x2 * h, x1 * h]
     zero = 0.0 * a_coeff
     g = [[zero] * 4 for _ in range(4)]
     for i in range(2):
-        for j in range(i, 2):
-            entry = c_coeff * om[i] * om[j]
-            g[i][j] = g[j][i] = entry + a_coeff if i == j else entry
         g[i][3] = g[3][i] = c_coeff * om[i]
+        for j in range(i, 2):
+            entry = g[i][3] * om[j]
+            g[i][j] = g[j][i] = entry + a_coeff if i == j else entry
     g[2][2] = a_coeff
     g[3][3] = c_coeff
     return g
@@ -359,36 +356,34 @@ def _frame_transform(frame, lowered):
 
 def _riemann_from_arrays(g, dg, d2g):
     """The six mixed coordinate curvature 2-forms on PAIRS, shape (6,4,4,n),
-    from point-last metric jets: R_cd = d_c M_d - d_d M_c + [M_c, M_d] with
-    the Christoffel matrices (M_c)^a_b = Gamma^a_cb.
+    from point-last metric jets: the lowered tensor on PAIRS x PAIRS,
 
-    Every einsum has two operands and the point index as its contiguous
-    inner axis: numpy's own loop, never BLAS, in a fixed order."""
+        R_ab,cd = 1/2 (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac)
+                  + Gamma_f,bc Gamma^f_ad - Gamma_f,bd Gamma^f_ac,
+
+    raised on its first index by g^-1.  Each contraction is a two-operand
+    einsum with the point index as its contiguous inner axis or an
+    elementwise sum: numpy's own loop, never BLAS, in an order that depends
+    neither on the batch size nor on the thread count."""
     n = g.shape[-1]
     ginv = np.ascontiguousarray(
         np.linalg.inv(np.moveaxis(g, -1, 0)).transpose(1, 2, 0))
-    # Gamma_dcb = 1/2 (d_c g_db + d_b g_dc - d_d g_cb) and its derivatives;
-    # nothing depends on tau, so each term fills only its spatial slice
+    # Gamma_f,bc = 1/2 (d_c g_fb + d_b g_fc - d_f g_bc); nothing depends on
+    # tau, so each term fills only its spatial slice, as d2g does below
     low = np.zeros((4, 4, 4, n))
     low[:, :3] += dg.transpose(1, 0, 2, 3)
     low[:, :, :3] += dg.transpose(1, 2, 0, 3)
     low[:3] -= dg
     low *= 0.5
-    dlow = np.zeros((3, 4, 4, 4, n))
-    dlow[:, :, :3] += d2g.transpose(0, 2, 1, 3, 4)
-    dlow[:, :, :, :3] += d2g.transpose(0, 2, 3, 1, 4)
-    dlow[:, :3] -= d2g
-    dlow *= 0.5
-    mat = np.einsum("adn,dcbn->cabn", ginv, low)
-    # d_e M_c = g^-1 (d_e Gamma_c - d_e g M_c): d_e g^-1 = -g^-1 d_e g g^-1
-    dmat = np.einsum("adn,pdbn->pabn", ginv, dlow[_DM_E, :, _DM_C]
-                     - np.einsum("pdfn,pfbn->pdbn", dg[_DM_E], mat[_DM_C]))
-    first, second = mat[_DM_E[:6]], mat[_DM_C[:6]]
-    forms = (np.einsum("pabn,pbkn->pakn", first, second)
-             - np.einsum("pabn,pbkn->pakn", second, first))
-    forms += dmat[:6]
-    forms[_SPATIAL] -= dmat[6:]
-    return forms
+    up = np.einsum("fen,ebcn->fbcn", ginv, low)
+    hess = np.zeros((4, 4, 4, 4, n))
+    hess[:3, :3] = d2g
+    lowered = 0.5 * (hess[_B, _C, _A, _D] + hess[_A, _D, _B, _C]
+                     - hess[_B, _D, _A, _C] - hess[_A, _C, _B, _D])
+    # one f at a time: small temporaries, and a fixed order of the f sum
+    for lo, hi in zip(low, up):
+        lowered += lo[_B, _C] * hi[_A, _D] - lo[_B, _D] * hi[_A, _C]
+    return np.einsum("aen,ebqn->qabn", ginv, two_form_matrix(lowered))
 
 
 def _frame_curvature(g, forms):

@@ -14,12 +14,13 @@ NVARS = 3
 
 
 class Jet:
-    """Batch of second-order Taylor jets in ``NVARS`` variables, derivative
-    axes first so that the batch index is last.
+    """Batch of second-order Taylor jets in k variables, derivative axes
+    first so that the batch index is last: k = ``NVARS`` for coordinate
+    jets, 1 for the radial jets of `univariate`.
 
     val  : (...,)            values
-    grad : (3, ...)          first derivatives
-    hess : (3, 3, ...)       second derivatives (symmetric)
+    grad : (k, ...)          first derivatives
+    hess : (k, k, ...)       second derivatives (symmetric)
 
     A plain number or array operand acts as a constant jet.  Jets are never
     written to, so a result may share its operand's derivative arrays.
@@ -41,14 +42,6 @@ class Jet:
         grad = np.zeros((NVARS,) + val.shape)
         grad[index] = 1.0
         return cls(val, grad, np.zeros((NVARS, NVARS) + val.shape))
-
-    @classmethod
-    def constant(cls, val, shape=None):
-        val = np.asarray(val, dtype=float)
-        if shape is not None:
-            val = np.broadcast_to(val, shape).copy()
-        return cls(val, np.zeros((NVARS,) + val.shape),
-                   np.zeros((NVARS, NVARS) + val.shape))
 
     # -- ring operations ---------------------------------------------------
 
@@ -136,10 +129,20 @@ def sqrt(x):
 
 
 def where(mask, a, b):
-    """Elementwise select between two jets with matching batch shape."""
+    """Elementwise select between two jets with matching batch shape; a
+    plain number or array acts as a constant jet."""
     mask = np.asarray(mask, dtype=bool)
-    return Jet(
-        np.where(mask, a.val, b.val),
-        np.where(mask, a.grad, b.grad),
-        np.where(mask, a.hess, b.hess),
-    )
+    parts = [(x.val, x.grad, x.hess) if isinstance(x, Jet) else (x, 0.0, 0.0)
+             for x in (a, b)]
+    return Jet(*(np.where(mask, u, v) for u, v in zip(*parts)))
+
+
+def univariate(f, x):
+    """The tuple f(x) for f of one variable built from jet operations; for
+    a jet x, f runs on a one-variable jet and each result is lifted by the
+    chain rule, with the same values, at the cost of one variable."""
+    if not isinstance(x, Jet):
+        return f(x)
+    shape = x.val.shape
+    seed = Jet(x.val, np.ones((1,) + shape), np.zeros((1, 1) + shape))
+    return tuple(x._compose(y.val, y.grad[0], y.hess[0, 0]) for y in f(seed))

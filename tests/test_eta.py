@@ -305,6 +305,15 @@ def test_mode_sum_reads_its_window_at_any_lambda(lam):
     assert abs(got.a2 - ref.a2) <= 6e-15, lam
 
 
+@pytest.mark.parametrize("lam", [1600.3, 2000.3, -1800.45, 1e6 + 0.3])
+def test_poisson_reads_any_lambda(lam):
+    """The route forms its angles from lambda mod 1, so a large |lambda|
+    loses no digits to 2 pi p lambda and meets Bernoulli to roundoff."""
+    got, ref = eta_poisson(lam), eta_bernoulli(lam)
+    assert abs(got.a0 - ref.a0) <= 6e-15, lam
+    assert abs(got.a2 - ref.a2) <= 6e-15, lam
+
+
 @given(n=st.integers(min_value=-10**6, max_value=10**6),
        f=st.floats(min_value=0.05, max_value=0.95))
 @settings(max_examples=20, deadline=None)

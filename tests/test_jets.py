@@ -62,11 +62,15 @@ def test_where_selects_branches():
     assert np.allclose(sel.grad[0], [-1.0, 4.0])
 
 
-def test_constant_has_zero_derivatives():
-    c = Jet.constant(3.5, (2,))
-    assert np.allclose(c.val, 3.5)
-    assert np.allclose(c.grad, 0.0)
-    assert np.allclose(c.hess, 0.0)
+def test_where_takes_a_plain_number_as_a_constant_jet():
+    """A plain branch selects its value with zero derivatives, on jets of
+    any number of variables."""
+    for k in (1, 3):
+        x = Jet(np.array([-1.0, 2.0]), np.ones((k, 2)), np.ones((k, k, 2)))
+        sel = where(x.val > 0, x, 0.5)
+        assert np.array_equal(sel.val, [0.5, 2.0])
+        assert np.array_equal(sel.grad, np.tile([0.0, 1.0], (k, 1)))
+        assert np.array_equal(sel.hess, np.tile([0.0, 1.0], (k, k, 1)))
 
 
 def test_where_selects_points_on_point_last_gradient():
@@ -93,7 +97,8 @@ def test_plain_operand_acts_as_constant_jet(kind):
     jet = sqrt(x * x + y * y) * z + exp(-y)
     c = float(rng.uniform(0.5, 3.0)) if kind == "float" \
         else rng.uniform(0.5, 3.0, size=n)
-    const = Jet.constant(c, (n,))
+    const = Jet(np.broadcast_to(c, (n,)), np.zeros((3, n)),
+                np.zeros((3, 3, n)))
     ops = [
         lambda a, b: a + b, lambda a, b: b + a,
         lambda a, b: a - b, lambda a, b: b - a,
