@@ -1,7 +1,7 @@
 """Wall times of tn-index at the README configuration, for BENCH_<pr>.json.
 
     python3 bench/collect.py --side parent=PATH --side change=. \\
-        --out BENCH_15.json [--repeat N] [--inner N]
+        --out BENCH_16.json [--repeat N] [--inner N]
 
 Each ``--side NAME=PATH`` names a checkout whose ``src/`` is timed. For
 every side the file records the minimum (and the median) over N runs of:
@@ -10,8 +10,9 @@ every side the file records the minimum (and the median) over N runs of:
 - each CLI mode end to end in a fresh interpreter, on the configuration
   document of that checkout's README.md, written to a scratch directory;
 - in process: one ``convergence_table`` sweep at that configuration, and
-  the time it spends inside ``geometry._metric_jet_arrays`` and
-  ``geometry._riemann_from_arrays``.
+  the time it spends inside each of the ``KERNEL_SITES`` of ``geometry``:
+  the radial jets of A and C, the metric jets and the Riemann kernel. A
+  site that a checkout lacks is listed under ``absent_sites`` of its side.
 
 Rounds alternate the order of the sides, so a slow spell of a shared host
 falls on both. BLAS runs one thread and every process runs on the lowest
@@ -41,15 +42,20 @@ MODES = {
     "eta_all": ["--mode", "eta", "--route", "all"],
     "geometry_check": ["--mode", "geometry-check"],
 }
+# geometry functions whose time inside the sweep is recorded; they call
+# one another through geometry's globals, so wrapping them there sees every
+# call, and in the sweep none of them runs inside another
+KERNEL_SITES = ("_radial_jets", "_metric_jet_arrays", "_riemann_from_arrays")
 # In-process child: min over its own repeats of one sweep and of the time
-# the sweep spends in each wrapped kernel, as one JSON line.
+# the sweep spends in each wrapped kernel that geometry has, as one JSON
+# line. Arguments: config path, repeats, then the site names.
 IN_PROCESS = """
 import json, sys, time
 from tnindex import charclasses, cli, geometry
 with open(sys.argv[1]) as fh:
     cfg = cli.load_config(json.load(fh), cli.build_parser().parse_args(
         ["--mode", "pontryagin"]))
-spent = {"_metric_jet_arrays": 0.0, "_riemann_from_arrays": 0.0}
+spent = {name: 0.0 for name in sys.argv[3:] if hasattr(geometry, name)}
 
 def timed(name, fn):
     def wrapper(*args):
@@ -107,8 +113,8 @@ def one_round(checkout: Path, config: Path, scratch: Path, inner: int):
     for mode, args in MODES.items():
         out[mode] = wall([py, "-m", "tnindex.cli", "--config", str(config),
                           "--out", str(scratch / mode), *args], env, scratch)
-    child = subprocess.run([py, "-c", IN_PROCESS, str(config), str(inner)],
-                           env=env, cwd=scratch, check=True,
+    child = subprocess.run([py, "-c", IN_PROCESS, str(config), str(inner),
+                            *KERNEL_SITES], env=env, cwd=scratch, check=True,
                            capture_output=True, text=True)
     out.update(json.loads(child.stdout))
     return out
@@ -171,7 +177,9 @@ def main(argv=None) -> int:
         "config": "README.md configuration document of each side",
         "repeat": args.repeat,
         "inner": args.inner,
-        "sides": {name: {**git_state(sides[name]), **summary(runs[name])}
+        "sides": {name: {**git_state(sides[name]), **summary(runs[name]),
+                         "absent_sites": [site for site in KERNEL_SITES
+                                          if site not in runs[name][0]]}
                   for name in sides},
     }
     args.out.write_text(json.dumps(doc, indent=2) + "\n")

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import _EPS4, MetricSpec, curvature_forms, wedge4
+from .geometry import _EPS4, MetricSpec, curvature_form_chunks, wedge4
 from .quadrature import (QuadratureSpec, angular_points, exp_tail_bound,
                          integrate_radial, isotropic_mean)
 
@@ -33,14 +33,12 @@ def _density_samples(spec: MetricSpec, rs: np.ndarray, n_ang: int):
     rho(r) whose r-integral is (1/192 pi^2) int tr R^R."""
     rs = np.asarray(rs, dtype=float)
     xyz = angular_points(rs, n_ang).reshape(-1, 3)
-    trace = np.empty(len(xyz))
-    for i in range(0, len(xyz), _CHUNK):
-        f = curvature_forms(spec, xyz[i:i + _CHUNK])
-        # tr(R^R) = sum_ab R_ab ^ R_ba, wedge4 against the transpose; the 16
-        # entries are added row by row, since a reduction inside numpy
-        # changes its order when a chunk holds a single point
-        trace[i:i + _CHUNK] = sum(
-            wedge4(f, f.swapaxes(1, 2)).reshape(16, -1))
+    # tr(R^R) = sum_ab R_ab ^ R_ba, wedge4 against the transpose; the 16
+    # entries are added row by row, since a reduction inside numpy changes
+    # its order when a chunk holds a single point
+    trace = np.concatenate([
+        sum(wedge4(f, f.swapaxes(1, 2)).reshape(16, -1))
+        for f in curvature_form_chunks(spec, xyz, _CHUNK)])
     scale = PONT_NORM * 8.0 * np.pi**2 * rs * rs
     return scale[:, None] * trace.reshape(rs.size, n_ang)
 

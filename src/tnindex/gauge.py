@@ -79,10 +79,12 @@ class InstantonData:
 
 
 def connection_coefficient(ch: InstantonChannel, r, l: float = 1.0):
-    """c(r) with model connection a = -i c(r) (dtau + omega)."""
+    """c(r) = (l lam + mcharge/(2r)) / V with model connection a = -i c(r)
+    (dtau + omega): the ratio of two harmonic functions, with c(0) = mcharge
+    and holonomy c(infinity) = lam for every l."""
     r = np.asarray(r, dtype=float)
     v = l + 0.5 / r
-    return (ch.lam + ch.mcharge / (2.0 * r)) / v
+    return (l * ch.lam + ch.mcharge / (2.0 * r)) / v
 
 
 def _dcoefficient(ch: InstantonChannel, r, l: float = 1.0):
@@ -90,7 +92,7 @@ def _dcoefficient(ch: InstantonChannel, r, l: float = 1.0):
     r = np.asarray(r, dtype=float)
     v = l + 0.5 / r
     dv = -0.5 / r**2
-    num = ch.lam + ch.mcharge / (2.0 * r)
+    num = l * ch.lam + ch.mcharge / (2.0 * r)
     dnum = -ch.mcharge / (2.0 * r**2)
     return (dnum * v - num * dv) / v**2
 
@@ -103,7 +105,7 @@ def model_connection_at(ch: InstantonChannel, p: Point,
 
     With monopole=True (default) the channel carries the horizontal
     line-bundle term -mcharge * omega in addition to the fiber term
-    (lam + mcharge/(2r)) (dtau + omega) / V; the combination is exactly
+    (l lam + mcharge/(2r)) (dtau + omega) / V; the combination is exactly
     (anti-)self-dual, and the induced boundary bundle degree is -mcharge
     under this package's flux convention.  monopole=False drops the
     horizontal term, leaving only the fiber part of the asymptotic form

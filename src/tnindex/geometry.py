@@ -248,11 +248,25 @@ def radial_coefficients(spec: MetricSpec, r):
 # Metric assembly
 
 
-def _metric_entries(spec: MetricSpec, x1, x2, x3, gauge: Gauge):
-    """4x4 nested list of metric components from (possibly jet) coordinates."""
-    rho2 = x1 * x1 + x2 * x2
-    r = jets.sqrt(rho2 + x3 * x3)
-    a_coeff, c_coeff = jets.univariate(lambda u: _radial_coeffs(spec, u), r)
+def _radial_jets(spec: MetricSpec, xyz: np.ndarray):
+    """(A, C) as one-variable jets in r at the points xyz (n, 3), with r
+    formed as _metric_entries forms it: a slice lifts to the bits that the
+    chunk of its points would compute for itself."""
+    x1, x2, x3 = np.atleast_2d(np.asarray(xyz, dtype=float)).T
+    return _radial_coeffs(spec, jets.seed(np.sqrt(x1 * x1 + x2 * x2
+                                                  + x3 * x3)))
+
+
+def _metric_entries(spec: MetricSpec, x1, x2, x3, gauge: Gauge,
+                    radial=None, squares=None):
+    """4x4 nested list of metric components from coordinates, floats or
+    arrays, or seed jets with their squares and radial, the _radial_jets of
+    their points, which is lifted to the coordinates by the chain rule."""
+    sq1, sq2, sq3 = squares or (x1 * x1, x2 * x2, x3 * x3)
+    rho2 = sq1 + sq2
+    r = jets.sqrt(rho2 + sq3)
+    a_coeff, c_coeff = (_radial_coeffs(spec, r) if radial is None
+                        else jets.lift(radial, r))
     h = _gauge_factor(r, x3, rho2, gauge)
     # omega = h (-x2, x1, 0): the x3 row and column hold A and zeros
     om = [(-1.0) * x2 * h, x1 * h]
@@ -295,13 +309,19 @@ def metric_at(spec: MetricSpec, p: Point,
 # Curvature
 
 
-def _metric_jet_arrays(spec: MetricSpec, xyz: np.ndarray, gauge: Gauge):
+def _metric_jet_arrays(spec: MetricSpec, xyz: np.ndarray, gauge: Gauge,
+                       radial=None):
     """Metric and its spatial coordinate derivatives for a batch of points,
     point index last: g (4,4,n), dg (3,4,4,n) with dg[e, a, b] = d_e g_ab,
-    and d2g (3,3,4,4,n).  tau-derivatives vanish identically."""
+    and d2g (3,3,4,4,n).  tau-derivatives vanish identically.  radial is
+    _radial_jets of these points, formed here when omitted."""
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
-    entries = _metric_entries(spec, *(Jet.variable(xyz[:, i], i)
-                                      for i in range(3)), gauge)
+    if radial is None:
+        radial = _radial_jets(spec, xyz)
+    cols = list(enumerate(xyz.T))
+    entries = _metric_entries(
+        spec, *(Jet.variable(x, i) for i, x in cols), gauge, radial,
+        [Jet.variable_square(x, i) for i, x in cols])
     n = xyz.shape[0]
     g = np.empty((4, 4, n))
     dg = np.empty((3, 4, 4, n))
@@ -354,20 +374,35 @@ def _frame_transform(frame, lowered):
     return np.einsum("nwbcd,nwa->nabcd", out, frame)
 
 
-def _riemann_from_arrays(g, dg, d2g):
-    """The six mixed coordinate curvature 2-forms on PAIRS, shape (6,4,4,n),
-    from point-last metric jets: the lowered tensor on PAIRS x PAIRS,
+def _metric_inverse(g):
+    """g^-1 of point-last metrics g (4,4,n) of the form A dx^2 + C (dtau +
+    omega)^2, in closed form (Eguchi, Gilkey & Hanson, Phys. Rep. 66 (1980)
+    213): g^ij = delta^ij / A, g^i tau = -omega_i / A and g^tau tau = 1/C +
+    |omega|^2 / A, read off g as A = g_33, C = g_tau tau, omega_i = g_i tau / C.
+    Elementwise, so a point's bits do not depend on its batch."""
+    a_inv, c_coeff = 1.0 / g[2, 2], g[3, 3]
+    omega = g[:3, 3] / c_coeff
+    ginv = np.zeros_like(g)
+    ginv[[0, 1, 2], [0, 1, 2]] = a_inv
+    ginv[:3, 3] = ginv[3, :3] = -omega * a_inv
+    ginv[3, 3] = 1.0 / c_coeff + (omega[0] * omega[0] + omega[1] * omega[1]
+                                  + omega[2] * omega[2]) * a_inv
+    return ginv
+
+
+def _lowered_riemann(g, dg, d2g):
+    """The lowered curvature tensor on PAIRS x PAIRS, shape (6,6,n), from
+    point-last metric jets, and the g^-1 (4,4,n) it used:
 
         R_ab,cd = 1/2 (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac)
-                  + Gamma_f,bc Gamma^f_ad - Gamma_f,bd Gamma^f_ac,
+                  + Gamma_f,bc Gamma^f_ad - Gamma_f,bd Gamma^f_ac.
 
-    raised on its first index by g^-1.  Each contraction is a two-operand
-    einsum with the point index as its contiguous inner axis or an
-    elementwise sum: numpy's own loop, never BLAS, in an order that depends
-    neither on the batch size nor on the thread count."""
+    Each contraction is a two-operand einsum with the point index as its
+    contiguous inner axis or an elementwise sum: numpy's own loop, never
+    BLAS, in an order that depends neither on the batch size nor on the
+    thread count."""
     n = g.shape[-1]
-    ginv = np.ascontiguousarray(
-        np.linalg.inv(np.moveaxis(g, -1, 0)).transpose(1, 2, 0))
+    ginv = _metric_inverse(g)
     # Gamma_f,bc = 1/2 (d_c g_fb + d_b g_fc - d_f g_bc); nothing depends on
     # tau, so each term fills only its spatial slice, as d2g does below
     low = np.zeros((4, 4, 4, n))
@@ -383,28 +418,51 @@ def _riemann_from_arrays(g, dg, d2g):
     # one f at a time: small temporaries, and a fixed order of the f sum
     for lo, hi in zip(low, up):
         lowered += lo[_B, _C] * hi[_A, _D] - lo[_B, _D] * hi[_A, _C]
+    return lowered, ginv
+
+
+def _riemann_from_arrays(g, dg, d2g):
+    """The six mixed coordinate curvature 2-forms R^a_b,cd on PAIRS, shape
+    (6,4,4,n): the lowered tensor raised on its first index by g^-1."""
+    lowered, ginv = _lowered_riemann(g, dg, d2g)
     return np.einsum("aen,ebqn->qabn", ginv, two_form_matrix(lowered))
 
 
-def _frame_curvature(g, forms):
+def _frame_curvature(g, dg, d2g):
     """Frame Riemann tensor (n,4,4,4,4), fully lowered, frame Ricci (n,4,4),
-    metric and vierbein (n,4,4) from point-last g and curvature 2-forms."""
+    metric and vierbein (n,4,4) from point-last metric jets, through the
+    lowered tensor of _lowered_riemann."""
+    lowered, _ = _lowered_riemann(g, dg, d2g)
     g = np.moveaxis(g, -1, 0)
-    # (c, d, a, b, n) to (n, a, b, c, d), contiguous for the einsum loops
-    riem = np.ascontiguousarray(
-        two_form_matrix(forms).transpose(4, 2, 3, 0, 1))
-    ricci = np.einsum("nabad->nbd", riem)
-    lowered = np.einsum("nae,nebcd->nabcd", g, riem)
+    # (c, d, a, b, n) from both pair axes, to (n, a, b, c, d), contiguous
+    # for the einsum loops
+    riem = np.ascontiguousarray(two_form_matrix(np.moveaxis(
+        two_form_matrix(lowered), 2, 0)).transpose(4, 2, 3, 0, 1))
     frame = _vierbein(g)
-    return (_frame_transform(frame, lowered),
-            np.einsum("nwa,nxb,nwx->nab", frame, frame, ricci), g, frame)
+    riem = _frame_transform(frame, riem)
+    # the frame is orthonormal: R_bd = sum_a R_abad
+    return riem, np.einsum("nabad->nbd", riem), g, frame
 
 
 def curvature_forms(spec: MetricSpec, xyz: np.ndarray,
-                    gauge: Gauge = Gauge.DEFAULT) -> np.ndarray:
+                    gauge: Gauge = Gauge.DEFAULT, radial=None) -> np.ndarray:
     """Mixed coordinate curvature 2-forms (6,4,4,n) on PAIRS at a batch of
-    Cartesian points; each point's bits do not depend on the batch."""
-    return _riemann_from_arrays(*_metric_jet_arrays(spec, xyz, gauge))
+    Cartesian points; each point's bits do not depend on the batch.  radial
+    is _radial_jets of these points, formed here when omitted."""
+    return _riemann_from_arrays(*_metric_jet_arrays(spec, xyz, gauge, radial))
+
+
+def curvature_form_chunks(spec: MetricSpec, xyz: np.ndarray, size: int,
+                          gauge: Gauge = Gauge.DEFAULT):
+    """curvature_forms over consecutive chunks of at most `size` of the
+    points xyz (n, 3), in order, which bounds the working set.  A and C are
+    differentiated once, on one radial jet over all n points, and each chunk
+    lifts its slice: elementwise work, so a point keeps its bits."""
+    radial = _radial_jets(spec, xyz)
+    for i in range(0, len(xyz), size):
+        part = slice(i, i + size)
+        yield curvature_forms(spec, xyz[part], gauge,
+                              [y[part] for y in radial])
 
 
 def curvature_batch(spec: MetricSpec, xyz: np.ndarray,
@@ -413,8 +471,7 @@ def curvature_batch(spec: MetricSpec, xyz: np.ndarray,
 
     Returns (riemann (n,4,4,4,4), ricci (n,4,4), g (n,4,4), frame (n,4,4)).
     """
-    g, dg, d2g = _metric_jet_arrays(spec, xyz, gauge)
-    return _frame_curvature(g, _riemann_from_arrays(g, dg, d2g))
+    return _frame_curvature(*_metric_jet_arrays(spec, xyz, gauge))
 
 
 def curvature_at(spec: MetricSpec, p: Point, h: float | None = None,
@@ -437,8 +494,7 @@ def curvature_at(spec: MetricSpec, p: Point, h: float | None = None,
         g, dg, d2g = _fd_metric_arrays(spec, xyz, gauge, step)
     else:
         raise ValueError(f"unknown method {method!r}")
-    riem, ricci, g, frame = _frame_curvature(
-        g, _riemann_from_arrays(g, dg, d2g))
+    riem, ricci, g, frame = _frame_curvature(g, dg, d2g)
     sample = MetricSample(g=g[0], frame=frame[0], point=p)
     return CurvatureSample(riemann=riem[0], ricci=ricci[0], metric=sample)
 

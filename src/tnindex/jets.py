@@ -16,7 +16,7 @@ NVARS = 3
 class Jet:
     """Batch of second-order Taylor jets in k variables, derivative axes
     first so that the batch index is last: k = ``NVARS`` for coordinate
-    jets, 1 for the radial jets of `univariate`.
+    jets, 1 for the radial jets of `seed`.
 
     val  : (...,)            values
     grad : (k, ...)          first derivatives
@@ -35,6 +35,12 @@ class Jet:
         self.grad = np.asarray(grad, dtype=float)
         self.hess = np.asarray(hess, dtype=float)
 
+    def __getitem__(self, index):
+        """The jets of the entries that ``index`` picks on the batch axis,
+        the last one."""
+        return Jet(self.val[index], self.grad[..., index],
+                   self.hess[..., index])
+
     @classmethod
     def variable(cls, val, index):
         """Seed jet for coordinate ``index`` of a batch of points."""
@@ -42,6 +48,18 @@ class Jet:
         grad = np.zeros((NVARS,) + val.shape)
         grad[index] = 1.0
         return cls(val, grad, np.zeros((NVARS, NVARS) + val.shape))
+
+    @classmethod
+    def variable_square(cls, val, index):
+        """The square of ``variable(val, index)``, built directly: the
+        values of ``x * x``, up to the sign of zeros, at a third of its
+        cost."""
+        val = np.asarray(val, dtype=float)
+        grad = np.zeros((NVARS,) + val.shape)
+        grad[index] = 2.0 * val
+        hess = np.zeros((NVARS, NVARS) + val.shape)
+        hess[index, index] = 2.0
+        return cls(val * val, grad, hess)
 
     # -- ring operations ---------------------------------------------------
 
@@ -137,12 +155,13 @@ def where(mask, a, b):
     return Jet(*(np.where(mask, u, v) for u, v in zip(*parts)))
 
 
-def univariate(f, x):
-    """The tuple f(x) for f of one variable built from jet operations; for
-    a jet x, f runs on a one-variable jet and each result is lifted by the
-    chain rule, with the same values, at the cost of one variable."""
-    if not isinstance(x, Jet):
-        return f(x)
-    shape = x.val.shape
-    seed = Jet(x.val, np.ones((1,) + shape), np.zeros((1, 1) + shape))
-    return tuple(x._compose(y.val, y.grad[0], y.hess[0, 0]) for y in f(seed))
+def seed(val):
+    """The one-variable jet of the identity at the values val."""
+    val = np.asarray(val, dtype=float)
+    return Jet(val, np.ones((1,) + val.shape), np.zeros((1, 1) + val.shape))
+
+
+def lift(ys, x):
+    """One-variable jets ys, taken at the values of the jet x, composed with
+    x by the chain rule: one jet in x's variables each."""
+    return tuple(x._compose(y.val, y.grad[0], y.hess[0, 0]) for y in ys)

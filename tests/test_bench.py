@@ -1,12 +1,16 @@
 """bench/collect.py drives the CLI with the README configuration and the
-mode arguments it lists: both must stay valid for the CLI."""
+mode arguments it lists, both of which must stay valid for the CLI, and
+times the geometry kernels it names."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from tnindex import cli
+from tnindex import cli, geometry
 
 ROOT = Path(__file__).resolve().parents[1]
 _SPEC = importlib.util.spec_from_file_location(
@@ -25,3 +29,21 @@ def test_collect_modes_load_the_readme_config(mode):
 def test_collect_rejects_a_side_without_a_path():
     with pytest.raises(SystemExit):
         collect.main(["--side", "parent", "--out", "unused.json"])
+
+
+def test_collect_wraps_names_that_geometry_has():
+    """A renamed kernel would read as absent, its time silently gone."""
+    for name in collect.KERNEL_SITES:
+        assert callable(getattr(geometry, name, None)), name
+
+
+def test_in_process_child_reads_a_missing_site_as_absent(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(collect.readme_config(ROOT)))
+    child = subprocess.run(
+        [sys.executable, "-c", collect.IN_PROCESS, str(config), "1",
+         *collect.KERNEL_SITES, "_no_such_kernel"],
+        env=collect.child_env(ROOT), cwd=tmp_path, check=True,
+        capture_output=True, text=True)
+    assert set(json.loads(child.stdout)) == {*collect.KERNEL_SITES,
+                                             "convergence_table"}

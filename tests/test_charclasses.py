@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tnindex import charclasses
+from tnindex import charclasses, geometry
 from tnindex.charclasses import (PONT_NORM, convergence_table,
                                  cs_tail_bound, pontryagin_density,
                                  pontryagin_integral, pontryagin_scalar)
@@ -115,14 +115,15 @@ def test_density_bits_independent_of_chunk(monkeypatch):
 
 
 def _count_chunks(monkeypatch):
-    """Record the number of points of every curvature_forms call."""
+    """Record the number of points of every curvature_forms call that
+    geometry.curvature_form_chunks makes."""
     points = []
 
     def counting(spec, xyz, *args):
         points.append(len(xyz))
         return curvature_forms(spec, xyz, *args)
 
-    monkeypatch.setattr(charclasses, "curvature_forms", counting)
+    monkeypatch.setattr(geometry, "curvature_forms", counting)
     return points
 
 
@@ -134,6 +135,32 @@ def test_density_samples_evaluate_points_in_chunks(monkeypatch):
     samples = charclasses._density_samples(exact_d_spec(), rs, 3)
     assert samples.shape == (100, 3)
     assert points == [charclasses._CHUNK, 300 - charclasses._CHUNK]
+
+
+def test_density_samples_form_radial_jets_once(monkeypatch):
+    """A and C run on one radial jet per _density_samples call, whatever
+    the number of chunks, and the chunks that lift its slices keep the bits
+    of chunks that form their own."""
+    calls = []
+    radial = geometry._radial_coeffs
+
+    def counting(spec, r):
+        calls.append(r.val.size)
+        return radial(spec, r)
+
+    monkeypatch.setattr(geometry, "_radial_coeffs", counting)
+    spec, rs = exact_d_spec(), np.geomspace(0.5, 60.0, 100)
+    for chunk in (charclasses._CHUNK, 7):
+        monkeypatch.setattr(charclasses, "_CHUNK", chunk)
+        calls.clear()
+        charclasses._density_samples(spec, rs, 3)
+        assert calls == [300]
+    xyz = _check_points(rs, 3)
+    chunks = list(geometry.curvature_form_chunks(spec, xyz, 128))
+    assert len(chunks) == 3
+    for k, forms in enumerate(chunks):
+        assert np.array_equal(forms,
+                              curvature_forms(spec, xyz[128 * k:128 * (k + 1)]))
 
 
 def test_convergence_table_samples_each_grid_once(monkeypatch):

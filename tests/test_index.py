@@ -131,6 +131,19 @@ def test_full_flux_model_integrality():
             assert value == pytest.approx(-m * (m - 1) / 2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("l", [0.5, 2.0])
+def test_full_flux_integer_at_any_l(l):
+    """On dual data (c = -m) at l != 1 the reported bulk puts the full-flux
+    index within its error of -sum m(m-1)/2; with the old holonomy lam/l
+    it missed by 0.71 at l = 2 against an error of 0.04."""
+    data = InstantonData([InstantonChannel(0.3, 1.0, -1),
+                          InstantonChannel(0.65, -2.0, 2)])
+    report = assemble(data, QuadratureSpec(), grav_mode="lemma",
+                      metric=MetricSpec(variant=Variant.EXACT_D, l=l))
+    value = index_formula_full_flux(data, report.bulk)
+    assert abs(value - (-3.0)) <= report.bulk_error
+
+
 def test_report_serializes():
     data = InstantonData([InstantonChannel(0.5, 0.5, 0)])
     report = assemble(data, FAST_QUAD, grav_mode="lemma")
