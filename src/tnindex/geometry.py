@@ -452,8 +452,7 @@ def curvature_forms(spec: MetricSpec, xyz: np.ndarray,
     return _riemann_from_arrays(*_metric_jet_arrays(spec, xyz, gauge, radial))
 
 
-def curvature_form_chunks(spec: MetricSpec, xyz: np.ndarray, size: int,
-                          gauge: Gauge = Gauge.DEFAULT):
+def curvature_form_chunks(spec: MetricSpec, xyz: np.ndarray, size: int):
     """curvature_forms over consecutive chunks of at most `size` of the
     points xyz (n, 3), in order, which bounds the working set.  A and C are
     differentiated once, on one radial jet over all n points, and each chunk
@@ -461,7 +460,7 @@ def curvature_form_chunks(spec: MetricSpec, xyz: np.ndarray, size: int,
     radial = _radial_jets(spec, xyz)
     for i in range(0, len(xyz), size):
         part = slice(i, i + size)
-        yield curvature_forms(spec, xyz[part], gauge,
+        yield curvature_forms(spec, xyz[part], Gauge.DEFAULT,
                               [y[part] for y in radial])
 
 

@@ -339,8 +339,9 @@ def test_bulk_fiber_only_closed_form():
 @settings(max_examples=40, deadline=None)
 def test_bulk_meets_closed_form_at_any_l(l, channels, monopole):
     """c(infinity) = lam for every l, so the bulk meets the closed form in
-    lam within its reported error, or refuses with a typed error (at l = 2
-    the old holonomy lam/l missed by 0.71 against an error of 0.04).
+    lam within its reported error, or refuses with a typed error; with
+    the old holonomy lam/l the channels (0.3, 1) and (0.65, -2) at l = 2
+    missed by 0.71 against an error of 0.04.
 
     Two defects of the fitted ends, the same at l = 1, are kept out of
     this property: a channel with lam within 1e-6 of m has a roundoff
