@@ -8,9 +8,8 @@ the boundary eta-form by three independent routes, and the assembled
 index with integrality checks.
 """
 
-from .charclasses import (convergence_table, cs_tail_bound,
-                          pontryagin_density, pontryagin_integral,
-                          pontryagin_scalar)
+from .charclasses import (chern_simons, convergence_table,
+                          pontryagin_integral, pontryagin_scalar)
 from .errors import (ChartError, ConsistencyError, ConvergenceError,
                      DomainError, GenericityError, IsotropyError,
                      TNIndexError)
@@ -38,13 +37,13 @@ __all__ = [
     "IsotropyError", "MetricSample", "MetricSpec", "Point", "QuadratureSpec",
     "ROUTES", "SeriesSpec", "TNIndexError", "Variant", "assemble",
     "boundary_data", "bulk_action", "bulk_action_closed_form",
-    "connection_coefficient", "convergence_table", "cs_tail_bound",
+    "chern_simons", "connection_coefficient", "convergence_table",
     "curvature_at", "eta_bernoulli", "eta_form", "eta_integral",
     "eta_mode_sum", "eta_poisson", "field_strength_at",
     "field_strength_coeff", "hodge_star", "index_formula",
     "index_formula_full_flux", "integrality_check", "integrate_radial",
     "metric_at", "model_connection_at", "poisson_check",
-    "pontryagin_density", "pontryagin_integral", "pontryagin_scalar",
+    "pontryagin_integral", "pontryagin_scalar",
     "potential_and_omega", "radial_coefficients",
     "route_table", "star3", "wedge4",
 ]

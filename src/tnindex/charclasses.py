@@ -5,9 +5,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import _EPS4, MetricSpec, curvature_form_chunks, wedge4
-from .quadrature import (QuadratureSpec, angular_points, exp_tail_bound,
-                         integrate_radial, isotropic_mean)
+from . import jets
+from .geometry import (_EPS4, MetricSpec, _radial_coeffs,
+                       curvature_form_chunks, wedge4)
+from .jets import Jet
+from .quadrature import (ROUNDOFF, QuadratureSpec, angular_points,
+                         integrate_radial, radial_nodes)
 
 PONT_NORM = 1.0 / (192.0 * np.pi**2)
 
@@ -43,33 +46,42 @@ def _density_samples(spec: MetricSpec, rs: np.ndarray, n_ang: int):
     return scale[:, None] * trace.reshape(rs.size, n_ang)
 
 
-def pontryagin_density(spec: MetricSpec, r: float,
-                       quad: QuadratureSpec) -> float:
-    """rho(r) with (1/192 pi^2) int tr R^R = int rho(r) dr, by angular
-    sampling on the level set r = const with an isotropy assertion."""
-    samples = _density_samples(spec, np.array([r]), quad.n_ang)
-    return float(isotropic_mean(samples, quad.tol)[0])
+def chern_simons(spec: MetricSpec, r):
+    """(P, P') at the radii r: P is PONT_NORM times the level-set integral
+    of the Chern-Simons form of the Levi-Civita connection (Chern & Simons,
+    Ann. Math. 99, 1974), so P' is the density of _density_samples.  In the
+    frame e0 = sqrt(A) dr, e1,2 = r sqrt(A) sigma1,2, e3 = sqrt(C) sigma3/2
+    (psi = 2 tau; Eguchi, Gilkey & Hanson, Phys. Rep. 66, 1980), u = C/A,
 
+        P = 1/6 + [2C'^2/(AC) - 4A'C'/A^2 + 2CA'^2/A^3 - 8C'/(rA)
+                   + 8CA'/(rA^2) + C^2/(r^4 A^2)] / 192
+          = 1/6 + [2u'^2/u - 8u'/r + u^2/r^4] / 192.
 
-def cs_tail_bound(spec: MetricSpec, r_cut: float,
-                  quad: QuadratureSpec) -> float:
-    """Upper bound on |int_{r > r_cut} rho| from an exponential fit of the
-    tail in y = log r (the density decays exponentially in y)."""
-    if r_cut <= spec.blend.r_out:
-        raise ValueError("tail bound requires r_cut > r_out of the blend")
-    return exp_tail_bound(
-        lambda rs: _density_samples(spec, rs, quad.n_ang).mean(axis=1),
-        r_cut, 1e-300)
+    Every variant is Taub-NUT near the nut, u = 4r^2 + O(r^3), so
+    P(0+) = 1/12; u' = O(r^-2) at infinity, so P(infinity) = 1/6.  The
+    bracket runs on jets of u and u', so P' comes with P."""
+    radius = jets.seed(np.asarray(r, dtype=float))
+    a_coeff, c_coeff = _radial_coeffs(spec, radius)
+    u = c_coeff / a_coeff
+    unused = np.zeros_like(u.hess)  # P'' would need the third derivative
+    u, du = Jet(u.val, u.grad, unused), Jet(u.grad[0], u.hess[0], unused)
+    p = 1.0 / 6.0 + (2.0 * du * du / u - 8.0 * du / radius
+                     + u * u / (radius * radius * radius * radius)) / 192.0
+    return p.val, p.grad[0]
 
 
 def convergence_table(spec: MetricSpec, quad: QuadratureSpec, n_r_values):
     """Rows (n_r, value, error_estimate, tail_bound) for a grid sweep of
-    the normalized tr R^R integral truncated at quad.r_max.
+    the normalized tr R^R integral: the quadrature over [r_min, r_max],
+    with its fine/coarse difference as the error, plus the exact ends
+    P(r_min) - 1/12 and 1/6 - P(r_max) of `chern_simons`; the tail bound
+    bounds the roundoff of the ends and of the sum.
 
     Each distinct radial grid is sampled once: a fine grid of one row is
     often the coarse grid of the next.  A point's curvature does not depend
     on the rest of its batch, so reusing a grid changes no bit."""
-    tail = cs_tail_bound(spec, quad.r_max, quad)
+    (p_min, p_max), _ = chern_simons(spec, [quad.r_min, quad.r_max])
+    head, tail = float(p_min) - 1.0 / 12.0, 1.0 / 6.0 - float(p_max)
     sampled = {}
 
     def samples(rs):
@@ -80,14 +92,17 @@ def convergence_table(spec: MetricSpec, quad: QuadratureSpec, n_r_values):
 
     rows = []
     for n in n_r_values:
-        value, error = integrate_radial(samples, quad, n)
-        rows.append((n, value, error, tail))
+        middle, error = integrate_radial(samples, quad, n)
+        rs, ws = radial_nodes(quad, n)
+        mass = float(np.abs(samples(rs).mean(axis=1)) @ ws)  # sum |w rho|
+        rows.append((n, middle + head + tail, error,
+                     ROUNDOFF * (mass + abs(p_min) + abs(p_max))))
     return rows
 
 
 def pontryagin_integral(spec: MetricSpec, quad: QuadratureSpec):
     """(value, error_estimate, tail_bound) of the normalized tr R^R
-    integral truncated at quad.r_max."""
+    integral at quad.n_r; see convergence_table."""
     [(_, value, error, tail)] = convergence_table(spec, quad, [quad.n_r])
     return value, error, tail
 

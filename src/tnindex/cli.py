@@ -143,8 +143,8 @@ def load_config(raw: dict, overrides: argparse.Namespace) -> dict:
         _require(min(cfg["sweep"]) >= 16, message)
     if mode in ("pontryagin", "convergence") or (
             mode == "index" and cfg["grav"] == "numeric"):
-        # the Pontryagin tail bound fits the density beyond r_max, which
-        # must lie past the blend
+        # a README contract: the blend ends inside the sampled range; the
+        # exact ends of the Pontryagin integral would hold past it as well
         r_out, r_max = cfg["metric"].blend.r_out, cfg["quad"].r_max
         _require(r_out < r_max, f"metric.blend.r_out ({r_out!r}) must be "
                  f"below quad.r_max ({r_max!r}) in mode {mode!r}")

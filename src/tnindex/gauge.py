@@ -11,7 +11,7 @@ from .errors import GenericityError
 from .geometry import (PAIRS, Gauge, MetricSpec, Point, Variant,
                        chart_omega, hodge_star, metric_at, two_form_matrix,
                        wedge4)
-from .quadrature import (QuadratureSpec, angular_points, exp_tail_bound,
+from .quadrature import (ROUNDOFF, QuadratureSpec, angular_points,
                          integrate_radial)
 
 LAMBDA_TOL = 1e-6
@@ -213,23 +213,23 @@ def _bulk_density_samples(data: InstantonData, rs: np.ndarray, n_ang: int,
 
 def bulk_action(data: InstantonData, quad: QuadratureSpec, l: float = 1.0,
                 monopole: bool = True):
-    """-(1/8 pi^2) int_TN tr F^F by symmetry-reduced radial quadrature.
-
-    Returns (value, error_estimate); the estimate adds to the grid
-    refinement difference bounds on the mass outside [r_min, r_max]: the
-    per-unit-log-r density decays like 1/r at large r (exponential fit over
-    one e-fold past the cutoff) and vanishes like r^2 towards the origin
-    (bounded by the innermost sample)."""
-    def density(rs, n_ang=quad.n_ang):
-        return _bulk_density_samples(data, rs, n_ang, l, monopole)
-
-    value, error = integrate_radial(density, quad)
-    # below ~1e-25 the samples are squared-roundoff noise, not signal
-    tail = exp_tail_bound(lambda rs: density(rs, 2).mean(axis=1),
-                          quad.r_max, 1e-25)
-    head = 2.0 * float(np.abs(density(np.array([quad.r_min]), 2)).max()) \
-        * quad.r_min
-    return value, error + (tail + head)
+    """-(1/8 pi^2) int_TN tr F^F as (value, error_estimate): the radial
+    quadrature over [r_min, r_max] plus the exact head and tail, since each
+    channel's density is d/dr(-c_eff^2 / 2), c_eff = c - mcharge (c for the
+    fiber-only form), with c(0) = mcharge and c(infinity) = lam.  The error
+    is the grid refinement difference plus a roundoff floor."""
+    middle, error = integrate_radial(
+        lambda rs: _bulk_density_samples(data, rs, quad.n_ang, l, monopole),
+        quad)
+    head = tail = 0.0
+    for ch in data.channels:
+        shift = ch.mcharge if monopole else 0.0
+        c_min, c_max = connection_coefficient(
+            ch, [quad.r_min, quad.r_max], l) - shift
+        head -= 0.5 * (c_min**2 - (ch.mcharge - shift) ** 2)
+        tail -= 0.5 * ((ch.lam - shift) ** 2 - c_max**2)
+    floor = ROUNDOFF * sum(ch.lam**2 + ch.mcharge**2 for ch in data.channels)
+    return middle + float(head) + float(tail), error + floor
 
 
 def bulk_action_closed_form(data: InstantonData,

@@ -11,6 +11,10 @@ import numpy as np
 
 from .errors import ConvergenceError, IsotropyError
 
+# relative roundoff allowed for a sum of a few hundred terms and for the
+# closed-form ends that the radial integrals add to their quadrature
+ROUNDOFF = 16.0 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -133,22 +137,3 @@ def integrate_radial(f: Callable[[np.ndarray], np.ndarray],
                                [(len(r_c), coarse_value), (len(r_f), value)])
     return value, abs(value - coarse_value)
 
-
-def exp_tail_bound(f: Callable[[np.ndarray], np.ndarray], r_cut: float,
-                   floor: float) -> float:
-    """Upper bound on |int_{r > r_cut} f dr| from an exponential fit in
-    y = log r over one e-fold past r_cut, with a 2x margin; 0 when every
-    sample lies below floor, the roundoff-noise level of f."""
-    ys = np.log(r_cut) + np.linspace(0.0, 1.0, 8)
-    rs = np.exp(ys)
-    # density per unit y
-    rho_y = np.abs(np.asarray(f(rs), dtype=float) * rs)
-    if np.all(rho_y < floor):
-        return 0.0
-    slope, intercept = np.polyfit(ys, np.log(np.maximum(rho_y, 1e-300)), 1)
-    if slope >= 0:
-        raise ConvergenceError(
-            f"tail is not decaying (fitted rate {slope:.3e}); "
-            "no truncation bound available")
-    # int_{y_cut}^inf A e^(slope y) dy, doubled
-    return 2.0 * float(np.exp(intercept + slope * ys[0]) / (-slope))

@@ -1,17 +1,18 @@
-"""Pontryagin density, its radial integral, and tail bounds."""
+"""Pontryagin density, its Chern-Simons potential, and its radial
+integral."""
 
 import numpy as np
 import pytest
 
 from tnindex import charclasses, geometry
-from tnindex.charclasses import (PONT_NORM, convergence_table,
-                                 cs_tail_bound, pontryagin_density,
+from tnindex.charclasses import (PONT_NORM, chern_simons, convergence_table,
                                  pontryagin_integral, pontryagin_scalar)
 from tnindex.errors import IsotropyError
 from tnindex.geometry import (BlendProfile, MetricSpec, Variant,
                               curvature_batch, curvature_forms,
                               radial_coefficients)
-from tnindex.quadrature import QuadratureSpec, angular_samples
+from tnindex.quadrature import (QuadratureSpec, angular_samples,
+                                isotropic_mean)
 
 TARGET = 1.0 / 12.0
 
@@ -24,13 +25,17 @@ def test_zero_curvature_gives_zero_scalar():
     assert np.allclose(pontryagin_scalar(np.zeros((3, 4, 4, 4, 4))), 0.0)
 
 
+def density(spec, rs, quad):
+    """rho at the radii rs through the isotropy check of quad.tol."""
+    samples = charclasses._density_samples(spec, np.asarray(rs), quad.n_ang)
+    return isotropic_mean(samples, quad.tol)
+
+
 def test_density_is_isotropic_and_decays():
     quad = QuadratureSpec()
-    spec = exact_d_spec()
-    rho_mid = pontryagin_density(spec, 3.0, quad)
+    rho_mid, rho_far, rho_farther = density(exact_d_spec(),
+                                            [3.0, 60.0, 120.0], quad)
     assert rho_mid != 0.0
-    rho_far = pontryagin_density(spec, 60.0, quad)
-    rho_farther = pontryagin_density(spec, 120.0, quad)
     assert abs(rho_farther) < abs(rho_far) < 1e-4 * abs(rho_mid)
 
 
@@ -41,19 +46,41 @@ def test_integral_reaches_one_twelfth():
     assert tail < 1e-4
 
 
-def test_tail_bound_decreases_with_cut():
-    quad = QuadratureSpec()
-    spec = exact_d_spec()
-    bounds = [cs_tail_bound(spec, r_cut, quad)
-              for r_cut in (80.0, 120.0, 160.0)]
-    assert bounds[0] < 1e-4
-    assert bounds[0] > bounds[1] > bounds[2] >= 0.0
+ALL_METRICS = [(variant, kind) for variant in Variant
+               for kind in ("quintic", "septic")]
 
 
-def test_tail_bound_requires_cut_past_blend():
-    quad = QuadratureSpec()
-    with pytest.raises(ValueError):
-        cs_tail_bound(exact_d_spec(), 3.0, quad)
+@pytest.mark.parametrize("variant, kind", ALL_METRICS)
+@pytest.mark.parametrize("l", [0.2, 1.0, 6.0])
+def test_chern_simons_derivative_is_the_density(variant, kind, l):
+    """P' from the jets of chern_simons is the curvature kernel's density
+    within 1e-10 of its largest value, at 200 radii over the README grid."""
+    spec = MetricSpec(variant=variant, t=0.6, blend=BlendProfile(kind=kind),
+                      l=l)
+    rs = np.geomspace(1e-4, 80.0, 200)
+    rho = charclasses._density_samples(spec, rs, 2).mean(axis=1)
+    _, slope = chern_simons(spec, rs)
+    assert np.all(np.abs(slope - rho) <= 1e-10 * np.abs(rho).max())
+
+
+@pytest.mark.parametrize("variant, kind", ALL_METRICS)
+def test_chern_simons_spans_one_twelfth(variant, kind):
+    """P runs from 1/12 at the nut to 1/6 at infinity: the 1/12 lemma."""
+    spec = MetricSpec(variant=variant, t=0.6, blend=BlendProfile(kind=kind))
+    (p_nut, p_inf), _ = chern_simons(spec, [1e-12, 1e12])
+    assert abs(p_inf - p_nut - TARGET) <= 1e-15
+
+
+@pytest.mark.parametrize("variant", [Variant.TN, Variant.CONFORMAL])
+@pytest.mark.parametrize("kind", ["quintic", "septic"])
+@pytest.mark.parametrize("l", [0.2, 1.0, 3.0, 6.0])
+def test_integral_meets_one_twelfth_within_its_bounds(variant, kind, l):
+    """Where the quadrature is exact to roundoff, the ends and the roundoff
+    bound carry the whole miss; fitted ends missed TN at l = 6 by 7.2e-7
+    against a reported 7.5e-10."""
+    spec = MetricSpec(variant=variant, blend=BlendProfile(kind=kind), l=l)
+    value, error, tail = pontryagin_integral(spec, QuadratureSpec())
+    assert abs(value - TARGET) <= error + tail
 
 
 def test_blend_independence():
@@ -67,7 +94,7 @@ def test_isotropy_violation_detected():
     """A deliberately tight tolerance flags the (tiny) angular spread."""
     quad = QuadratureSpec(tol=1e-16)
     with pytest.raises(IsotropyError):
-        pontryagin_density(exact_d_spec(), 3.0, quad)
+        density(exact_d_spec(), [3.0], quad)
 
 
 def _check_points(rs, n_ang):
@@ -164,14 +191,14 @@ def test_density_samples_form_radial_jets_once(monkeypatch):
 
 
 def test_convergence_table_samples_each_grid_once(monkeypatch):
-    """Sweep [32, 64] needs the grids 16, 32 (twice) and 64 plus the
-    8-point tail fit; the shared grid 32 is sampled once, and every row
-    has the bits of a one-row table of its own."""
+    """Sweep [32, 64] needs the grids 16, 32 (twice) and 64; the shared
+    grid 32 is sampled once, and every row has the bits of a one-row table
+    of its own."""
     quad = QuadratureSpec(n_r=64, n_ang=2)
     spec = exact_d_spec()
     points = _count_chunks(monkeypatch)
     rows = convergence_table(spec, quad, [32, 64])
-    assert sum(points) == quad.n_ang * (8 + 16 + 32 + 64)
+    assert sum(points) == quad.n_ang * (16 + 32 + 64)
     for row in rows:
         [alone] = convergence_table(spec, quad, [row[0]])
         assert alone == row

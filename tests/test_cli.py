@@ -343,9 +343,8 @@ def test_integral_float_fields_accepted(tmp_path):
     ["--mode", "pontryagin"], ["--mode", "convergence"],
     ["--mode", "index", "--grav", "numeric"]])
 def test_blend_past_r_max_rejected(tmp_path, capsys, args):
-    """The Pontryagin tail bound needs r_max beyond the blend: r_out 100
-    against the default r_max 80 is a validation failure, not a
-    traceback."""
+    """The README requires r_max beyond the blend: r_out 100 against the
+    default r_max 80 is a validation failure, not a traceback."""
     cfg = write_config(tmp_path, dict(INDEX_CONFIG,
                                       metric={"blend": {"r_out": 100}}))
     out = tmp_path / "out"
