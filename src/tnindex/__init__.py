@@ -8,8 +8,8 @@ the boundary eta-form by three independent routes, and the assembled
 index with integrality checks.
 """
 
-from .charclasses import (chern_simons, convergence_table,
-                          pontryagin_integral, pontryagin_scalar)
+from .charclasses import (convergence_table, pontryagin_integral,
+                          pontryagin_scalar)
 from .errors import (ChartError, ConsistencyError, ConvergenceError,
                      DomainError, GenericityError, IsotropyError,
                      TNIndexError)
@@ -37,7 +37,7 @@ __all__ = [
     "IsotropyError", "MetricSample", "MetricSpec", "Point", "QuadratureSpec",
     "ROUTES", "SeriesSpec", "TNIndexError", "Variant", "assemble",
     "boundary_data", "bulk_action", "bulk_action_closed_form",
-    "chern_simons", "connection_coefficient", "convergence_table",
+    "connection_coefficient", "convergence_table",
     "curvature_at", "eta_bernoulli", "eta_form", "eta_integral",
     "eta_mode_sum", "eta_poisson", "field_strength_at",
     "field_strength_coeff", "hodge_star", "index_formula",
