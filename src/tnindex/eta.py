@@ -9,9 +9,10 @@ multiplying R/(2i), so that
     eta_hat(lambda) = a0 + a2 * R / (2i).
 
 Routes:
-  * mode_sum  - direct numerical evaluation of the superconnection heat
-                integral over the Fourier modes, with the 2-form direction
-                propagated as a nilpotent perturbation;
+  * mode_sum  - the superconnection heat integral over the Fourier modes,
+                with the 2-form direction propagated as a nilpotent
+                perturbation, each mode integrated over u in closed form
+                above a fixed split point (an Ewald split);
   * poisson   - the Poisson-resummed sine/cosine series with Abel
                 regularization and Richardson extrapolation;
   * bernoulli - the exact closed form via fractional-part polynomials.
@@ -27,7 +28,6 @@ import numpy as np
 from .errors import ConvergenceError
 from .gauge import (InstantonData, boundary_data, dist_to_integers,
                     frac_part, require_generic)
-from .quadrature import ordered_dot
 
 ROUTES = ("mode_sum", "poisson", "bernoulli")
 
@@ -46,17 +46,9 @@ class FormScalar:
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    u_min: float = 1e-4
-    u_max: float = 1e4
-    n_u: int = 601                # u-grid size (odd, for nested halving)
-    tol: float = 1e-8
+    tol: float = 1e-8   # series routes' reported error; Poisson refuses above
 
     def __post_init__(self):
-        if not (0.0 < self.u_min < 1e-3 and 1e3 < self.u_max < np.inf):
-            raise ValueError("u-grid must span [<1e-3, >1e3] with "
-                             "0 < u_min and a finite u_max")
-        if self.n_u < 3:
-            raise ValueError("u-grid needs n_u >= 3 points")
         if not 0.0 < self.tol < np.inf:
             raise ValueError("series tolerance must be finite and positive")
 
@@ -86,167 +78,62 @@ def vertical_spectrum(lam: float, k_cutoff: int):
 # Route 1: direct mode sum
 
 
-def _u_grid(s: SeriesSpec):
-    """Uniform grid in v = log u with trapezoid weights for du/(2 sqrt u);
-    the integrand decays double-exponentially at the left end and like a
-    Gaussian in u at the right end, so the trapezoid rule is spectral."""
-    n = s.n_u if s.n_u % 2 == 1 else s.n_u + 1
-    v = np.linspace(np.log(s.u_min), np.log(s.u_max), n)
-    h = v[1] - v[0]
-    u = np.exp(v)
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
-    # du = u dv; measure du / (2 sqrt(u)) -> sqrt(u)/2 dv
-    return u, w * np.sqrt(u) / 2.0
-
-
-# exp(-t) is exactly 0.0 in IEEE double for t > 745.14: the series cut is
-# never set past 746, where no further term can reach a sum.
-_EXP_ZERO_ARG = 746.0
-# What the series cut may drop from a0 and from a2: far below the sums'
-# roundoff of about 1e-15.
+# The split point s of the heat integral: above it every mode is integrated
+# over u in closed form, below it the integrand is exponentially small.
+_SPLIT_U = 0.2
+# The modes x = k - {lambda} with |k| <= _MODE_K are summed; those dropped
+# have s x^2 > s _MODE_K^2 = 57.8.
+_MODE_K = 17
+# What either series route may drop from a0 and from a2: far below the
+# sums' roundoff of about 1e-15.
 _CUT_TOL = 1e-20
-# Rows of the u grid evaluated together: few enough that the k window of a
-# block's smallest u stays tight for its other rows, enough to amortise the
-# per-block numpy calls.
-_U_BLOCK = 16
 
 
-def _mode_cut_prefactors(u, w):
-    """The function t -> (P0, P2) for the grid (u, w): e^-t P0 and e^-t P2
-    bound the parts of a0 and of a2 that the mode sum drops at the series
-    cut t >= 1; see `_series_cut`."""
-    scale = 2.0 / math.sqrt(math.pi)
-    inv_root = 1.0 / np.sqrt(u)
-    m_half, m_one, m_three_half = (scale * float(np.dot(w, inv_root ** e))
-                                   for e in (1, 2, 3))
-
-    def prefactors(t):
-        rt = math.sqrt(t)
-        return (rt * m_half + 0.5 * m_one,
-                t * m_one + (0.5 * rt + 0.25 / rt) * m_three_half)
-    return prefactors
-
-
-def _series_cut(u, w):
-    """The series cut T of one mode-sum call, which drops the terms with
-    u x^2 > T: the smallest T for which the bounds below on the dropped part
-    of a0 and of a2 are at most _CUT_TOL, capped at _EXP_ZERO_ARG.
-
-    At a grid row u every dropped mode has u x^2 > T: the dropped x lie
-    on both sides beyond X = sqrt(T/u), one apart.  For
-    u x^2 >= 1 both f(x) = x e^(-u x^2) and g(x) = x^2 e^(-u x^2) decrease,
-    so a side sums to at most its value at X plus its integral from X:
-
-        sum f <= e^-T (sqrt(T/u) + 1/(2u)),
-        sum g <= e^-T (T/u + (sqrt(T)/2 + 1/(4 sqrt(T))) u^(-3/2)),
-
-    the second by parts with int_X^oo e^(-u x^2) dx <= e^(-u X^2)/(2uX).
-    a0 sums f, and a2 sums (1 - 2u x^2) e^(-u x^2) / (2u), at most g in
-    size once 2u x^2 >= 1.  Both sides, summed over the grid with the
-    route's weights w / sqrt(pi), give |d a0| <= e^-T P0(T) and
-    |d a2| <= e^-T P2(T) (`_mode_cut_prefactors`).
-
-    P0 and P2 grow with T for T > 1/2, so the cut is the fixed point of
-    T = ln(max(P0, P2)(T) / _CUT_TOL).  Iterating from _EXP_ZERO_ARG
-    approaches it from above; every iterate keeps the bounds at most
-    _CUT_TOL, and as d ln P / dT <= 1/T the fourth is within 1e-5 of the
-    fixed point, which lies above 46."""
-    prefactors = _mode_cut_prefactors(u, w)
-    t = _EXP_ZERO_ARG
-    for _ in range(4):
-        t = min(_EXP_ZERO_ARG, math.log(max(*prefactors(t)) / _CUT_TOL))
-    return t
-
-
-def _mode_window(lam: float, u, t: float):
-    """The ascending modes x = k - lambda that a block of the ascending
-    u grid may read at the series cut t: |x| <= sqrt(t / u_min) and one
-    guard mode on each side."""
-    reach = math.sqrt(t / u[0])
-    return np.arange(math.ceil(lam - reach) - 1, math.floor(lam + reach) + 2,
-                     dtype=float) - lam
-
-
-def _mode_blocks(u, x, t):
-    """(row slice, column slice) pairs covering the ascending u grid in
-    blocks of _U_BLOCK rows; the columns of a block are the contiguous
-    window of the sorted modes x with u_first x^2 <= t, u_first being the
-    block's smallest u, plus one guard mode on each side."""
-    starts = range(0, u.size, _U_BLOCK)
-    half = np.sqrt(t / u[::_U_BLOCK])
-    lo = np.maximum(np.searchsorted(x, -half) - 1, 0)
-    hi = np.searchsorted(x, half, side="right") + 1
-    return [(slice(i, i + _U_BLOCK), slice(a, b))
-            for i, a, b in zip(starts, lo.tolist(), hi.tolist())]
-
-
-def _block_sums(u, x, rows, cols):
-    """Row sums of one block of the mode sum: the degree-0 terms
-    x exp(-u x^2) and the imaginary parts of the nilpotent terms.
-
-    The 2-form direction enters as z = x + nil * eps with nil = -i/(4u), and
-    w(z) = z exp(-u z^2) to first order in eps is nil (1 - 2u x^2) exp(-u x^2)
-    times eps.  Every factor but nil is real, so the eps coefficient is
-    purely imaginary and only its imaginary part is carried.  The factor
-    -1/(4u) of nil is the same along a row, so it multiplies the row sum of
-    (1 - 2u x^2) exp(-u x^2) once, after the sum."""
-    xb = x[cols][None, :]                   # (1, window)
-    uu = u[rows, None]                      # (nb, 1)
-    arg = -uu * xb
-    arg *= xb                               # -u x^2
-    e_val = np.exp(arg)
-    arg *= 2.0
-    arg += 1.0                              # 1 - 2u x^2
-    arg *= e_val
-    return (xb * e_val).sum(axis=1), (-0.25 / u[rows]) * arg.sum(axis=1)
-
-
-def eta_mode_sum(lam: float, s: SeriesSpec | None = None) -> FormScalar:
+def eta_mode_sum(lam: float) -> FormScalar:
     """Heat-kernel mode sum for eta-hat, with the 2-form direction carried
-    as a nilpotent (first-order) perturbation of the spectrum.
+    as a nilpotent (first-order) perturbation of the spectrum, each mode
+    integrated over u from s = _SPLIT_U to infinity in closed form.
 
-    Each block of u rows evaluates only the modes with u x^2 up to the
-    series cut (`_mode_blocks`, `_series_cut`): the terms it drops change
-    a0 and a2 by at most 1e-20 each.  So the route builds only the modes
-    x = k - lambda with |x| <= sqrt(T / u_min), plus one guard mode on each
-    side, wherever lambda lies.  The block of the largest u runs first:
-    if the integrand there is not negligible, the u-integral tail exceeds
-    the series tolerance and ConvergenceError is raised before the other
-    blocks run.  The trapezoid rule on the even rows (step 2h) must agree
-    with the full grid to within the series tolerance, else the u grid is
-    too coarse and ConvergenceError is raised."""
-    s = s or SeriesSpec()
+    With the measure du / (2 sqrt(pi u)), a0 integrates
+    sum_x x e^(-u x^2).  The nilpotent shift x -> x - i eps/(4u) adds
+    -i eps/(4u) sum_x (1 - 2u x^2) e^(-u x^2) to first order, so against
+    R/(2i) a2 integrates sum_x (1/(2u) - x^2) e^(-u x^2).  Substituting
+    u = t^2, and integrating by parts for a2, one mode x gives
+
+        a0: (1/2) sgn(x) erfc(|x| sqrt(s)),
+        a2: e^(-s x^2) / (2 sqrt(pi s)) - |x| erfc(|x| sqrt(s)).
+
+    The route reduces lambda mod 1 (x - floor(x) is exact) and sums the
+    modes x = k - {lambda}, |k| <= _MODE_K.  It drops two parts, each far
+    below _CUT_TOL:
+
+      * the integral below s.  Poisson summation over k turns both
+        integrands into sums over p >= 1, the p = 0 term cancelling
+        exactly: |sum_x x e^(-u x^2)| <= sum_p 2 pi^(3/2) p u^(-3/2)
+        e^(-pi^2 p^2/u), and |sum_x (1/(2u) - x^2) e^(-u x^2)|
+        <= sum_p 2 pi^(5/2) p^2 u^(-5/2) e^(-pi^2 p^2/u).  Over [0, s]
+        with the measure they weigh at most sum_p e^(-pi^2 p^2/s)/(pi p)
+        in a0 and sum_p e^(-pi^2 p^2/s) (1/s + 1/(pi^2 p^2)) in a2:
+        1.2e-22 and 1.9e-21, the terms p >= 2 adding a relative
+        e^(-3 pi^2/s) < 1e-64.
+      * the modes past _MODE_K, all with s x^2 > s _MODE_K^2 = 57.8.  As
+        erfc(z) <= e^(-z^2)/(z sqrt(pi)) and z erfc(z) >= 0, a dropped
+        mode weighs at most e^(-s x^2) / (2 sqrt(pi s)) in a2, and less
+        in a0.  The dropped x lie on both sides beyond |x| = _MODE_K, one
+        apart, and a side sums to at most its first term plus the
+        integral beyond it: in all at most
+        e^(-s K^2) (1 + 1/(2 s K)) / sqrt(pi s) = 1.2e-25.
+
+    So the route meets the closed form to roundoff at every generic
+    lambda and refuses nothing but a non-generic one."""
     require_generic(lam)
-    u, w = _u_grid(s)
-    t = _series_cut(u, w)
-    x = _mode_window(lam, u, t)
-    sum_val = np.empty(u.size)
-    sum_nil = np.empty(u.size)
-    *head, (rows, cols) = _mode_blocks(u, x, t)
-    sum_val[rows], sum_nil[rows] = _block_sums(u, x, rows, cols)
-    integrand_scale = np.abs(sum_val[-1]) + np.abs(sum_nil[-1])
-    if integrand_scale * np.sqrt(u[-1]) > s.tol:
-        raise ConvergenceError(
-            f"u-integral tail {integrand_scale:.3e} at u_max={u[-1]:.1e} "
-            "exceeds the series tolerance; increase u_max")
-    for rows, cols in head:
-        sum_val[rows], sum_nil[rows] = _block_sums(u, x, rows, cols)
-    inv_sqrt_pi = 1.0 / np.sqrt(np.pi)
-    a0 = inv_sqrt_pi * ordered_dot(sum_val, w)
-    nil = inv_sqrt_pi * ordered_dot(sum_nil, w)
-    # the even rows with step 2h: the trapezoid weights are exactly 2 w
-    w_half = 2.0 * w[::2]
-    a0_half = inv_sqrt_pi * ordered_dot(sum_val[::2], w_half)
-    nil_half = inv_sqrt_pi * ordered_dot(sum_nil[::2], w_half)
-    half_miss = max(abs(a0 - a0_half), 2.0 * abs(nil - nil_half))
-    if half_miss > s.tol:
-        raise ConvergenceError(
-            f"u-grid of {u.size} points is unresolved: the half grid "
-            f"differs by {half_miss:.3e}, above the series tolerance; "
-            "increase n_u")
-    # eta_2 = i nil * R; against R/(2i) the real factor is i nil * 2i
-    return FormScalar(float(a0), float(-2.0 * nil))
+    x = np.array(vertical_spectrum(frac_part(lam), _MODE_K))
+    ax = np.abs(x)
+    erfc = np.array([math.erfc(z) for z in ax * math.sqrt(_SPLIT_U)])
+    a0 = 0.5 * np.sum(np.sign(x) * erfc)
+    a2 = np.sum(np.exp(-_SPLIT_U * x * x)
+                / (2.0 * math.sqrt(math.pi * _SPLIT_U)) - ax * erfc)
+    return FormScalar(float(a0), float(a2))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +263,7 @@ def poisson_check(a: float, s_param: float):
 def eta_form(lam: float, route: str, series: SeriesSpec | None = None
              ) -> FormScalar:
     if route == "mode_sum":
-        return eta_mode_sum(lam, series)
+        return eta_mode_sum(lam)
     if route == "poisson":
         return eta_poisson(lam, series)
     if route == "bernoulli":

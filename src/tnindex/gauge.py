@@ -217,7 +217,8 @@ def bulk_action(data: InstantonData, quad: QuadratureSpec, l: float = 1.0,
     quadrature over [r_min, r_max] plus the exact head and tail, since each
     channel's density is d/dr(-c_eff^2 / 2), c_eff = c - mcharge (c for the
     fiber-only form), with c(0) = mcharge and c(infinity) = lam.  The error
-    is the grid refinement difference plus a roundoff floor."""
+    is the grid refinement difference plus a roundoff floor, whose absolute
+    term, the smallest normal double, covers subnormal rounding."""
     middle, error = integrate_radial(
         lambda rs: _bulk_density_samples(data, rs, quad.n_ang, l, monopole),
         quad)
@@ -228,7 +229,8 @@ def bulk_action(data: InstantonData, quad: QuadratureSpec, l: float = 1.0,
             ch, [quad.r_min, quad.r_max], l) - shift
         head -= 0.5 * (c_min**2 - (ch.mcharge - shift) ** 2)
         tail -= 0.5 * ((ch.lam - shift) ** 2 - c_max**2)
-    floor = ROUNDOFF * sum(ch.lam**2 + ch.mcharge**2 for ch in data.channels)
+    floor = ROUNDOFF * sum(ch.lam**2 + ch.mcharge**2 for ch in data.channels) \
+        + np.finfo(float).tiny
     return middle + float(head) + float(tail), error + floor
 
 

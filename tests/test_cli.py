@@ -213,9 +213,9 @@ def test_non_integral_chern_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("series", [
-    {"u_min": -1}, {"u_min": 0}, {"u_max": float("inf")},
-    {"tol": float("nan")}, {"tol": float("inf")}, {"n_u": 0}, {"n_u": 2},
-    {"n_u": 601.5}, {"n_u": "601"}])
+    {"tol": float("nan")}, {"tol": float("inf")}, {"tol": float("-inf")},
+    {"tol": 0}, {"tol": -1e-8}, {"tol": "1e-8"}, {"tol": True},
+    {"tol": None}, {"tol": [1e-8]}])
 def test_bad_series_rejected(tmp_path, capsys, series):
     cfg = write_config(tmp_path, {"mode": "eta", "route": "all",
                                   "series": series})
@@ -239,6 +239,9 @@ UNKNOWN_KEYS = [
     ({"series": {"ncut": 50}}, "ncut"),
     ({"series": {"k_cutoff": 1500}}, "k_cutoff"),
     ({"series": {"p_cutoff": 20000}}, "p_cutoff"),
+    ({"series": {"u_min": 1e-4}}, "u_min"),
+    ({"series": {"u_max": 1e4}}, "u_max"),
+    ({"series": {"n_u": 601}}, "n_u"),
 ]
 
 
@@ -247,7 +250,6 @@ UNKNOWN_KEYS = [
     {"quad": {"n_r": 64, "tol": float("inf")}},
     {"quad": {"n_r": 64, "r_max": float("inf")}},
     {"quad": {"n_r": float("inf")}},
-    {"series": {"n_u": float("inf")}},
     {"seed": float("inf")},
     {"metric": {"l": float("nan")}},
     {"metric": {"l": float("inf")}},
@@ -277,7 +279,7 @@ NON_NUMBERS = [
     ({"quad": {"n_r": "64"}}, "n_r"),
     ({"quad": {"n_r": 64, "tol": "0.5"}}, "tol"),
     ({"quad": {"n_r": 64, "n_ang": True}}, "n_ang"),
-    ({"series": {"n_u": "601"}}, "n_u"),
+    ({"series": {"tol": "1e-8"}}, "tol"),
     ({"metric": {"l": True}}, "metric.l"),
     ({"metric": {"t": "0.5"}}, "metric.t"),
     ({"metric": {"blend": {"r_in": "2"}}}, "r_in"),
@@ -417,8 +419,9 @@ def test_pontryagin_miss_emits_error_and_keeps_csv(tmp_path, capsys):
 
 
 def test_eta_route_evaluates_only_that_route(tmp_path, monkeypatch):
-    """At lambda = 1e-5 the mode sum refuses; --route bernoulli never
-    calls it."""
+    """--route bernoulli evaluates Bernoulli alone: the mode sum is never
+    called, and at lambda = 1e-5 Poisson, which would refuse, is not
+    either."""
     calls = []
     monkeypatch.setattr(eta, "eta_mode_sum",
                         lambda *args: calls.append(args))
@@ -489,23 +492,19 @@ def test_reports_independent_of_blas_threads(tmp_path):
                                    "metric": {"variant": "Homotopy", "t": 0.5},
                                    "quad": {"n_r": 64}, "sweep": [32, 64]},
                         name="pontryagin.json")
-    # the eta routes sum 601 (mode sum) and 20,000 (Poisson) terms, and
-    # OpenBLAS splits a dot of more than 10,000 terms across threads
+    # the eta routes sum 35 (mode sum) and up to 27,109 (Poisson) terms
+    # with numpy's pairwise sum, not a BLAS dot
     eta = write_config(tmp_path, {"mode": "eta", "route": "all"},
                        name="eta.json")
-    # weighted sums of 12,000 radial nodes and 10,001 u nodes
+    # a weighted sum of 12,000 radial nodes: OpenBLAS splits a dot of more
+    # than 10,000 terms across threads
     index = write_config(tmp_path, dict(INDEX_CONFIG,
                                         quad={"n_r": 12000, "n_ang": 2}),
                          name="index.json")
-    mode_sum = write_config(tmp_path, {"mode": "eta", "route": "mode_sum",
-                                       "lambdas": [0.45],
-                                       "series": {"n_u": 10001}},
-                            name="mode_sum.json")
     src = str(Path(tnindex.__file__).resolve().parents[1])
     for cfg, name in ((pont, "pontryagin_convergence.csv"),
                       (eta, "eta_routes.csv"),
-                      (index, "index_report.json"),
-                      (mode_sum, "eta_routes.csv")):
+                      (index, "index_report.json")):
         # the one- and two-thread runs of a config go side by side
         runs = []
         for threads in ("1", "2"):

@@ -1,22 +1,19 @@
 """Boundary eta-form: three routes, series identities, and integrals."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tnindex import eta
 from tnindex.errors import ConvergenceError, GenericityError, TNIndexError
-from tnindex.eta import (_ABEL_CUT_PREFACTOR, _ABEL_X, _CUT_TOL,
-                         _EXP_ZERO_ARG, _POISSON_CUT, ROUTES, FormScalar,
-                         SeriesSpec, _live_powers, _mode_blocks,
-                         _mode_cut_prefactors, _mode_window, _series_cut,
-                         _u_grid, eta_bernoulli, eta_form, eta_integral,
-                         eta_mode_sum, eta_poisson, poisson_check,
-                         vertical_spectrum)
+from tnindex.eta import (_ABEL_CUT_PREFACTOR, _ABEL_X, _CUT_TOL, _MODE_K,
+                         _POISSON_CUT, _SPLIT_U, ROUTES, FormScalar,
+                         SeriesSpec, _live_powers, eta_bernoulli, eta_form,
+                         eta_integral, eta_mode_sum, eta_poisson,
+                         poisson_check, vertical_spectrum)
 from tnindex.gauge import InstantonChannel, InstantonData
 
 GENERIC = st.floats(min_value=0.02, max_value=0.98).filter(
@@ -90,31 +87,36 @@ def test_mode_sum_reflection():
                                                  abs=1e-8)
 
 
-def full_grid_terms(lam, s, k_cutoff):
-    """Every term of the mode sum on the full u x k grid, |k| <= k_cutoff,
-    as the mode sum evaluated them before it was blocked:
-    (u, term_val, term_nil)."""
-    u, _ = _u_grid(s)
+def reference_u_grid(u_min, u_max, n_u):
+    """Uniform grid in v = log u with trapezoid weights for du/(2 sqrt u),
+    as the mode sum integrated over u before its modes were integrated in
+    closed form: (u, w)."""
+    v = np.linspace(np.log(u_min), np.log(u_max), n_u)
+    h = v[1] - v[0]
+    u = np.exp(v)
+    w = np.full(n_u, h)
+    w[0] = w[-1] = 0.5 * h
+    return u, w * np.sqrt(u) / 2.0
+
+
+def reference_mode_sum(lam, grid, k_cutoff):
+    """The full-grid mode sum in complex arithmetic on the u grid
+    (u_min, u_max, n_u), |k| <= k_cutoff, the 2-form direction as the
+    nilpotent shift x -> x - i eps/(4u); eta-hat is real, so the
+    imaginary parts must vanish to within the series tolerance."""
+    u, w = reference_u_grid(*grid)
     k = np.arange(-k_cutoff, k_cutoff + 1, dtype=float)
     x = (k - lam)[None, :]
     uu = u[:, None]
     nil = np.broadcast_to(-0.25j / uu, (u.size, k.size))
-    val_q = -uu * x * x
-    nil_q = -uu * 2.0 * x * nil
-    e_val = np.exp(val_q)
-    return u, x * e_val, nil * e_val + x * nil_q * e_val
-
-
-def reference_mode_sum(lam, s, k_cutoff):
-    """The full-grid mode sum in complex arithmetic, as it was before the
-    route was blocked and made real (tail check aside); eta-hat is real, so
-    the imaginary parts must vanish to within the series tolerance."""
-    u, term_val, term_nil = full_grid_terms(lam, s, k_cutoff)
-    _, w = _u_grid(s)
+    e_val = np.exp(-uu * x * x)
+    term_val = x * e_val
+    term_nil = nil * e_val + x * (-uu * 2.0 * x * nil) * e_val
     inv_sqrt_pi = 1.0 / np.sqrt(np.pi)
     a0_c = inv_sqrt_pi * np.dot(term_val.sum(axis=1), w)
     a2_c = inv_sqrt_pi * np.dot(term_nil.sum(axis=1), w) * 2.0j
-    assert abs(np.imag(a0_c)) <= s.tol and abs(np.imag(a2_c)) <= s.tol
+    tol = SeriesSpec().tol
+    assert abs(np.imag(a0_c)) <= tol and abs(np.imag(a2_c)) <= tol
     return FormScalar(float(np.real(a0_c)), float(np.real(a2_c)))
 
 
@@ -127,110 +129,72 @@ def seeded_lambdas(n, seed):
         rng.integers(-3, 4, n), rng.choice([-1.0, 1.0], n), dist)]
 
 
-# (spec, K): the full-grid oracle sums |k| <= K, which holds every mode the
-# route reads at lambda within three periods of 0 for the first two specs
-MODE_SUM_SPECS = [(SeriesSpec(), 1500),
-                  (SeriesSpec(n_u=401, u_min=5e-4, u_max=2e4), 400)]
+# (u grid, K): the u grids the mode sum used to integrate on, (u_min,
+# u_max, n_u), and a mode window that holds every mode they reached at
+# lambda within three periods of 0
+REFERENCE_GRIDS = [((1e-4, 1e4, 601), 1500), ((5e-4, 2e4, 401), 400)]
 
 
-@pytest.mark.parametrize("spec, k_cutoff", MODE_SUM_SPECS,
+@pytest.mark.parametrize("grid, k_cutoff", REFERENCE_GRIDS,
                          ids=["default", "small"])
-def test_mode_sum_matches_full_grid_reference(spec, k_cutoff):
+def test_mode_sum_matches_full_grid_reference(grid, k_cutoff):
     lams = seeded_lambdas(8, 20261018)
     assert any(abs(lam) > 1.0 for lam in lams)
     assert any(lam < 0.0 for lam in lams)
-    u, w = _u_grid(spec)
     for lam in lams:
-        x = _mode_window(lam, u, _series_cut(u, w))
-        assert -k_cutoff < x[0] + lam and x[-1] + lam < k_cutoff
-        got = eta_mode_sum(lam, spec)
-        ref = reference_mode_sum(lam, spec, k_cutoff)
+        got = eta_mode_sum(lam)
+        ref = reference_mode_sum(lam, grid, k_cutoff)
         assert abs(got.a0 - ref.a0) <= 1e-13, lam
         assert abs(got.a2 - ref.a2) <= 1e-13, lam
 
 
-@pytest.mark.parametrize("spec, k_cutoff",
-                         MODE_SUM_SPECS + [(SeriesSpec(u_min=1e-8), 1500)],
-                         ids=["default", "small", "u_min_1e-8"])
-def test_mode_blocks_drop_below_the_cut_bound(spec, k_cutoff):
-    """The terms of the full u x k grid outside the block windows of the
-    modes the route builds change a0 and a2 by at most the documented
-    bound, which is at most 1e-20.  At u_min 1e-8 the route reads modes
-    beyond |k| = 1500, which the oracle grid leaves out."""
-    u, w = _u_grid(spec)
-    t = _series_cut(u, w)
-    bound0, bound2 = np.exp(-t) * np.array(_mode_cut_prefactors(u, w)(t))
-    assert max(bound0, bound2) <= 1e-20
-    for lam in seeded_lambdas(3, 7) + [0.5, -0.05]:
-        _, term_val, term_nil = full_grid_terms(lam, spec, k_cutoff)
-        x = _mode_window(lam, u, t)
-        # one guard mode past the widest window on each side
-        reach = np.sqrt(t / u[0])
-        assert x[0] < -reach <= x[1] and x[-2] <= reach < x[-1]
-        # column of the route's first mode in the oracle grid
-        shift = round(x[0] + lam) + k_cutoff
-        covered = np.zeros(term_val.shape, dtype=bool)
-        next_row = 0
-        for rows, cols in _mode_blocks(u, x, t):
-            assert rows.start == next_row
-            next_row = min(rows.stop, u.size)
-            covered[rows, max(cols.start + shift, 0):
-                    max(cols.stop + shift, 0)] = True
-        assert next_row == u.size
-        dropped_val = np.where(covered, 0.0, term_val).sum(axis=1)
-        dropped_nil = np.where(covered, 0.0, term_nil.imag).sum(axis=1)
-        assert abs(np.dot(dropped_val, w)) / np.sqrt(np.pi) <= bound0
-        assert 2.0 * abs(np.dot(dropped_nil, w)) / np.sqrt(np.pi) <= bound2
-        if spec == SeriesSpec():
-            assert covered.sum() < 120_000
+def test_mode_sum_drops_below_the_cut_tolerance():
+    """The documented bounds on what the mode sum drops, the heat integral
+    below the split point (summed over p = 1..3 of its Poisson sum) and the
+    modes past _MODE_K, are each at most _CUT_TOL in floating point."""
+    s, k = _SPLIT_U, _MODE_K
+    p = np.arange(1.0, 4.0)
+    split = np.exp(-np.pi**2 * p * p / s)
+    split_a0 = np.sum(split / (np.pi * p))
+    split_a2 = np.sum(split * (1.0 / s + 1.0 / (np.pi**2 * p * p)))
+    mode_tail = np.exp(-s * k * k) * (1.0 + 1.0 / (2.0 * s * k)) \
+        / np.sqrt(np.pi * s)
+    assert s * k * k > 57.0
+    assert max(split_a0, split_a2, mode_tail) <= _CUT_TOL
+    assert split_a0 <= split_a2
 
 
-def test_mode_sum_memory_peak():
-    eta_mode_sum(0.3)
-    tracemalloc.start()
+NEAR_INTEGER = st.tuples(
+    st.integers(min_value=-3, max_value=3), st.sampled_from([-1.0, 1.0]),
+    st.floats(np.log(1.01e-6), np.log(0.5)).map(np.exp)).map(
+        lambda t: float(t[0] + t[1] * t[2]))
+
+
+@given(lam=NEAR_INTEGER)
+@settings(max_examples=60, deadline=None)
+@example(lam=0.999)
+@example(lam=-2.0 + 2e-6)
+@example(lam=3.0 - 1.01e-6)
+def test_mode_sum_meets_bernoulli_near_integers(lam):
+    """lambda = n +- d with d log-uniform down to 1e-6: the mode sum meets
+    Bernoulli to roundoff wherever lambda is generic, and Poisson meets it
+    within the series tolerance or refuses with a ConvergenceError."""
+    ref = eta_bernoulli(lam)
+    got = eta_mode_sum(lam)
+    assert abs(got.a0 - ref.a0) <= 1e-14, lam
+    assert abs(got.a2 - ref.a2) <= 1e-14, lam
+    spec = SeriesSpec()
     try:
-        eta_mode_sum(0.3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
-
-
-@pytest.mark.parametrize("n_u", [3, 21])
-def test_mode_sum_refuses_unresolved_u_grid(n_u):
-    with pytest.raises(ConvergenceError, match="half grid"):
-        eta_mode_sum(0.3, SeriesSpec(n_u=n_u))
-
-
-def test_mode_sum_tail_check_comes_first():
-    # near an integer the u-integral tail, not the half grid, is reported
-    with pytest.raises(ConvergenceError, match="u-integral tail"):
-        eta_mode_sum(0.999, SeriesSpec(n_u=21))
-
-
-def test_mode_sum_refuses_after_one_block(monkeypatch):
-    """The tail check runs on the block of the largest u before any other
-    block is evaluated; a call that passes it evaluates every block."""
-    blocks = []
-
-    def counted(u, x, rows, cols):
-        blocks.append(rows)
-        return block_sums(u, x, rows, cols)
-
-    block_sums = eta._block_sums
-    monkeypatch.setattr(eta, "_block_sums", counted)
-    with pytest.raises(ConvergenceError, match="u-integral tail"):
-        eta_mode_sum(0.999)
-    u, _ = _u_grid(SeriesSpec())
-    assert len(blocks) == 1 and blocks[0].stop >= u.size
-    blocks.clear()
-    eta_mode_sum(0.3)
-    assert len(blocks) == -(-u.size // eta._U_BLOCK)
-    assert blocks[0].stop >= u.size
+        got = eta_poisson(lam, spec)
+    except ConvergenceError:
+        return
+    assert abs(got.a0 - ref.a0) <= spec.tol, lam
+    assert abs(got.a2 - ref.a2) <= spec.tol, lam
 
 
 # (lambda, mode_sum a0, poisson a0, poisson a2) at the README lambdas as
-# the complex mode sum and the unwindowed q**p computed them
+# the complex mode sum on its former u grid and the unwindowed q**p
+# computed them
 PINNED_ROWS = [
     (0.1, "-0.40000000000000757", "-0.3999999999998811",
      "0.07666666666666422"),
@@ -254,52 +218,36 @@ POISSON_CUT_ROWS = {
     0.9: ("0.3999999999998842", "0.07666666666666422")}
 POISSON_ROUNDING = 2e-15
 
-# the mode sum's a0 at the same lambdas as it computes them with the series
-# cut: the dropped terms weigh at most 1e-20, so the cut moves a0 from the
-# uncut value above only by rounding, well within CUT_ROUNDING
-MODE_CUT_A0 = {0.1: "-0.40000000000000746", 0.25: "-0.25000000000000344",
-               0.4: "-0.10000000000000019", 0.6: "0.1",
-               0.9: "0.4000000000000074"}
-CUT_ROUNDING = 1e-15
+# the mode sum's (a0, a2) at the same lambdas from the closed-form u
+# integral of each mode: what it drops weighs at most 1e-20, so the rows
+# meet Bernoulli to within MODE_ROUNDING, where the u grid above missed
+# by up to 7.6e-15
+MODE_ROWS = {0.1: ("-0.4", "0.07666666666666655"),
+             0.25: ("-0.2500000000000001", "-0.02083333333333376"),
+             0.4: ("-0.10000000000000006", "-0.07333333333333358"),
+             0.6: ("0.10000000000000005", "-0.07333333333333358"),
+             0.9: ("0.4", "0.07666666666666666")}
+MODE_ROUNDING = 1e-15
 
 
 @pytest.mark.parametrize("lam, mode_a0, poisson_a0, poisson_a2", PINNED_ROWS)
 def test_rows_keep_their_bits(lam, mode_a0, poisson_a0, poisson_a2):
-    got_mode = eta_mode_sum(lam).a0
-    assert repr(got_mode) == MODE_CUT_A0[lam]
-    assert abs(got_mode - float(mode_a0)) <= CUT_ROUNDING
+    got_mode, ref = eta_mode_sum(lam), eta_bernoulli(lam)
+    assert (repr(got_mode.a0), repr(got_mode.a2)) == MODE_ROWS[lam]
+    assert abs(got_mode.a0 - ref.a0) <= MODE_ROUNDING
+    assert abs(got_mode.a2 - ref.a2) <= MODE_ROUNDING
+    # no farther from Bernoulli than the u grid was
+    assert abs(got_mode.a0 - ref.a0) <= abs(float(mode_a0) - ref.a0)
     got = eta_poisson(lam)
     assert (repr(got.a0), repr(got.a2)) == POISSON_CUT_ROWS[lam]
     assert abs(got.a0 - float(poisson_a0)) <= POISSON_ROUNDING
     assert abs(got.a2 - float(poisson_a2)) <= POISSON_ROUNDING
 
 
-@pytest.mark.parametrize("spec", [
-    SeriesSpec(), SeriesSpec(u_min=1e-8), SeriesSpec(n_u=3),
-    SeriesSpec(u_min=9.99e-4, u_max=1.001e3, n_u=3),
-    SeriesSpec(u_min=9.99e-4, u_max=1.001e3, n_u=100_001),
-    SeriesSpec(u_min=9.99e-4, u_max=1e300, n_u=1_001)],
-    ids=["default", "u_min_1e-8", "n_u_3", "narrow_3", "narrow_fine",
-         "wide"])
-def test_series_cut_needs_no_poisson_prefactor(spec):
-    """The mode prefactors exceed the Poisson route's at every valid spec,
-    so the cut is the one the max with _ABEL_CUT_PREFACTOR gave, bit for
-    bit; the narrow fine grid comes nearest (P2 about 4,000 against 887)."""
-    u, w = _u_grid(spec)
-    prefactors = _mode_cut_prefactors(u, w)
-    t = _series_cut(u, w)
-    assert max(*prefactors(t)) > _ABEL_CUT_PREFACTOR
-    old = _EXP_ZERO_ARG
-    for _ in range(4):
-        old = min(_EXP_ZERO_ARG, math.log(
-            max(*prefactors(old), _ABEL_CUT_PREFACTOR) / _CUT_TOL))
-    assert t == old
-
-
 @pytest.mark.parametrize("lam", [1600.3, 2000.3, -1800.45, 1e6 + 0.3])
 def test_mode_sum_reads_its_window_at_any_lambda(lam):
-    """The route builds its modes around lambda, so a holonomy past any
-    fixed mode window meets Bernoulli to roundoff."""
+    """The route sums its modes around lambda mod 1, so a holonomy far
+    from 0 meets Bernoulli to roundoff."""
     got, ref = eta_mode_sum(lam), eta_bernoulli(lam)
     assert abs(got.a0 - ref.a0) <= 6e-15, lam
     assert abs(got.a2 - ref.a2) <= 6e-15, lam
@@ -322,9 +270,9 @@ def test_series_routes_meet_bernoulli_far_from_zero(n, f):
     the series tolerance of Bernoulli or raises a typed error."""
     lam, spec = n + f, SeriesSpec()
     ref = eta_bernoulli(lam)
-    for route in (eta_mode_sum, eta_poisson):
+    for route in (eta_mode_sum, lambda lam: eta_poisson(lam, spec)):
         try:
-            got = route(lam, spec)
+            got = route(lam)
         except TNIndexError:
             continue
         assert abs(got.a0 - ref.a0) <= spec.tol, (route, lam)
@@ -492,7 +440,6 @@ def test_integral_holonomy_shift_invariant(lam, shift, chern):
 
 
 def test_series_spec_validation():
-    with pytest.raises(ValueError):
-        SeriesSpec(u_min=0.1)
-    with pytest.raises(ValueError):
-        SeriesSpec(u_max=10.0)
+    for tol in (0.0, -1e-8, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            SeriesSpec(tol=tol)

@@ -340,13 +340,18 @@ def test_bulk_fiber_only_closed_form():
 @example(l=1.0, channels=[(1.3, 1.3)], monopole=True)
 @example(l=0.5, channels=[(0.7, 0.7 + 1e-9), (-2.0, 1.0)], monopole=True)
 @example(l=2.0, channels=[(0.7, 0.7 + 1e-9)], monopole=False)
+@example(l=1.0, channels=[(0.0, 5.6e-161)], monopole=False)
+@example(l=1.0, channels=[(0.0, 1e-160)], monopole=True)
+@example(l=1.0, channels=[(0.0, 1e-155)], monopole=False)
 def test_bulk_meets_closed_form_at_any_l(l, channels, monopole):
     """c(infinity) = lam for every l, so the bulk meets the closed form in
     lam within its reported error; with the old holonomy lam/l the channels
     (0.3, 1) and (0.65, -2) at l = 2 missed by 0.71 against an error of
     0.04.  This holds for lam = m too.  The only refusal is the isotropy
     check of the fiber-only form, whose density is roundoff where a
-    channel's lam is within about 1e-8 of its m."""
+    channel's lam is within about 1e-8 of its m.  A charge near 1e-160
+    gives a subnormal bulk, whose rounding only the floor's absolute term
+    covers."""
     data = InstantonData([InstantonChannel(lam, m) for lam, m in channels])
     try:
         value, error = bulk_action(data, QuadratureSpec(), float(l), monopole)
