@@ -14,15 +14,18 @@ every side the file records the minimum (and the median) over N runs of:
   the radial jets of A and C, the metric jets and the Riemann kernel. A
   site that a checkout lacks is listed under ``absent_sites`` of its side.
 
-Rounds alternate the order of the sides, so a slow spell of a shared host
-falls on both. BLAS runs one thread and every process runs on the lowest
-CPU of this process's affinity set. Reports are checked for exit code 0
-only; their values are the tier-1 tests' business.
+Each side also records the SHA-256 of every report each mode writes, and
+``moved`` lists the modes whose reports differ between sides. Rounds
+alternate the order of the sides, so a slow spell of a shared host falls
+on both. BLAS runs one thread and every process runs on the lowest CPU of
+this process's affinity set. Reports are checked for exit code 0 only;
+their values are the tier-1 tests' business.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -104,20 +107,37 @@ def wall(argv, env, cwd) -> float:
     return time.perf_counter() - t0
 
 
+def report_digests(directory: Path) -> dict:
+    """{file name: SHA-256 hex digest} of every file in directory."""
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(directory.iterdir()) if path.is_file()}
+
+
+def moved(reports: dict) -> list:
+    """The modes whose report digests differ between the sides of
+    reports, {side: {mode: digests}}."""
+    first, *rest = reports.values()
+    return [mode for mode in MODES
+            if any(side[mode] != first[mode] for side in rest)]
+
+
 def one_round(checkout: Path, config: Path, scratch: Path, inner: int):
-    """One run of every measurement on one checkout: {name: seconds}."""
+    """One run of every measurement on one checkout: ({name: seconds},
+    {mode: report digests})."""
     env, py = child_env(checkout), sys.executable
     out = {"python_pass": wall([py, "-c", "pass"], env, scratch),
            "import_tnindex_cli": wall([py, "-c", "import tnindex.cli"], env,
                                       scratch)}
+    digests = {}
     for mode, args in MODES.items():
         out[mode] = wall([py, "-m", "tnindex.cli", "--config", str(config),
                           "--out", str(scratch / mode), *args], env, scratch)
+        digests[mode] = report_digests(scratch / mode)
     child = subprocess.run([py, "-c", IN_PROCESS, str(config), str(inner),
                             *KERNEL_SITES], env=env, cwd=scratch, check=True,
                            capture_output=True, text=True)
     out.update(json.loads(child.stdout))
-    return out
+    return out, digests
 
 
 def git_state(checkout: Path) -> dict:
@@ -156,6 +176,7 @@ def main(argv=None) -> int:
         sides[name] = Path(path).resolve()
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     runs = {name: [] for name in sides}
+    reports = {}
     with tempfile.TemporaryDirectory() as tmp:
         configs = {}
         for name, checkout in sides.items():
@@ -166,8 +187,9 @@ def main(argv=None) -> int:
             for name in order if k % 2 == 0 else order[::-1]:
                 scratch = Path(tmp) / name
                 scratch.mkdir(exist_ok=True)
-                runs[name].append(one_round(sides[name], configs[name],
-                                            scratch, args.inner))
+                times, reports[name] = one_round(sides[name], configs[name],
+                                                 scratch, args.inner)
+                runs[name].append(times)
     import numpy
     doc = {
         "host": {"python": platform.python_version(),
@@ -177,9 +199,11 @@ def main(argv=None) -> int:
         "config": "README.md configuration document of each side",
         "repeat": args.repeat,
         "inner": args.inner,
+        "moved": moved(reports),
         "sides": {name: {**git_state(sides[name]), **summary(runs[name]),
                          "absent_sites": [site for site in KERNEL_SITES
-                                          if site not in runs[name][0]]}
+                                          if site not in runs[name][0]],
+                         "reports": reports[name]}
                   for name in sides},
     }
     args.out.write_text(json.dumps(doc, indent=2) + "\n")

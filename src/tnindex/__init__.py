@@ -13,9 +13,9 @@ from .charclasses import (convergence_table, pontryagin_integral,
 from .errors import (ChartError, ConsistencyError, ConvergenceError,
                      DomainError, GenericityError, IsotropyError,
                      TNIndexError)
-from .eta import (ROUTES, EtaResult, FormScalar, SeriesSpec, eta_bernoulli,
-                  eta_form, eta_integral, eta_mode_sum, eta_poisson,
-                  poisson_check, route_table)
+from .eta import (ROUTES, FormScalar, SeriesSpec, eta_bernoulli, eta_form,
+                  eta_integral, eta_mode_sum, eta_poisson, poisson_check,
+                  route_table)
 from .gauge import (InstantonChannel, InstantonData, boundary_data,
                     bulk_action, bulk_action_closed_form,
                     connection_coefficient, field_strength_at,
@@ -32,7 +32,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BlendProfile", "ChartError", "ConsistencyError", "ConvergenceError",
-    "CurvatureSample", "DomainError", "EtaResult", "FormScalar", "Gauge",
+    "CurvatureSample", "DomainError", "FormScalar", "Gauge",
     "GenericityError", "IndexReport", "InstantonChannel", "InstantonData",
     "IsotropyError", "MetricSample", "MetricSpec", "Point", "QuadratureSpec",
     "ROUTES", "SeriesSpec", "TNIndexError", "Variant", "assemble",

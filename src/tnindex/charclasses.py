@@ -101,8 +101,8 @@ def convergence_table(spec: MetricSpec, quad: QuadratureSpec, n_r_values):
 
 
 def pontryagin_integral(spec: MetricSpec, quad: QuadratureSpec):
-    """(value, error_estimate, tail_bound) of the normalized tr R^R
-    integral at quad.n_r; see convergence_table."""
+    """(value, error) of the normalized tr R^R integral at quad.n_r, the
+    error being error_estimate + tail_bound; see convergence_table."""
     [(_, value, error, tail)] = convergence_table(spec, quad, [quad.n_r])
-    return value, error, tail
+    return value, error + tail
 

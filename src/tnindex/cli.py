@@ -115,6 +115,7 @@ def load_config(raw: dict, overrides: argparse.Namespace) -> dict:
         "sweep": raw.get("sweep", [64, 128, 256]),
         "seed": _cast(int, raw.get("seed", 7), "seed"),
     }
+    _require(cfg["seed"] >= 0, f"seed must be >= 0, got {cfg['seed']!r}")
     if overrides.tol is not None:
         _require(overrides.tol > 0, "--tol must be positive")
         cfg["quad"] = replace(cfg["quad"], tol=overrides.tol)

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .gauge import (InstantonData, boundary_data, dist_to_integers,
                     frac_part, require_generic)
+from .quadrature import ROUNDOFF
 
 ROUTES = ("mode_sum", "poisson", "bernoulli")
 
@@ -38,30 +39,20 @@ R_FLUX = -2.0 * np.pi
 @dataclass(frozen=True)
 class FormScalar:
     """eta-hat = a0 + a2 * R / (2i): the degree-0 value and the real factor
-    of the degree-2 part."""
+    of the degree-2 part, with the route's bound on the miss of each."""
 
     a0: float
     a2: float
+    error: float
 
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    tol: float = 1e-8   # series routes' reported error; Poisson refuses above
+    tol: float = 1e-8   # Poisson's reported error, and its refusal threshold
 
     def __post_init__(self):
         if not 0.0 < self.tol < np.inf:
             raise ValueError("series tolerance must be finite and positive")
-
-
-@dataclass
-class EtaResult:
-    """Per-channel eta-hat values and their integral over the boundary
-    sphere, with route provenance."""
-
-    per_channel: list
-    integrated: float
-    route: str
-    error_estimate: float
 
 
 # ---------------------------------------------------------------------------
@@ -125,15 +116,19 @@ def eta_mode_sum(lam: float) -> FormScalar:
         e^(-s K^2) (1 + 1/(2 s K)) / sqrt(pi s) = 1.2e-25.
 
     So the route meets the closed form to roundoff at every generic
-    lambda and refuses nothing but a non-generic one."""
+    lambda and refuses nothing but a non-generic one.  Its error bounds
+    that roundoff, 16 eps times the summed sizes of the terms of a0 and of
+    a2, plus _CUT_TOL for what it drops."""
     require_generic(lam)
     x = np.array(vertical_spectrum(frac_part(lam), _MODE_K))
     ax = np.abs(x)
     erfc = np.array([math.erfc(z) for z in ax * math.sqrt(_SPLIT_U)])
-    a0 = 0.5 * np.sum(np.sign(x) * erfc)
-    a2 = np.sum(np.exp(-_SPLIT_U * x * x)
-                / (2.0 * math.sqrt(math.pi * _SPLIT_U)) - ax * erfc)
-    return FormScalar(float(a0), float(a2))
+    a0_terms = 0.5 * np.sign(x) * erfc
+    a2_terms = np.exp(-_SPLIT_U * x * x) \
+        / (2.0 * math.sqrt(math.pi * _SPLIT_U)) - ax * erfc
+    error = ROUNDOFF * float(np.abs(a0_terms).sum()
+                             + np.abs(a2_terms).sum()) + _CUT_TOL
+    return FormScalar(float(a0_terms.sum()), float(a2_terms.sum()), error)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +190,7 @@ def eta_poisson(lam: float, s: SeriesSpec | None = None) -> FormScalar:
 
     The route refuses with ConvergenceError when its own error estimate,
     the Neville difference of either extrapolation, exceeds the series
-    tolerance."""
+    tolerance, and otherwise reports that tolerance as its error."""
     s = s or SeriesSpec()
     require_generic(lam)
     p = np.arange(1, _live_powers(1.0 - _ABEL_X[-1]) + 1, dtype=float)
@@ -216,7 +211,7 @@ def eta_poisson(lam: float, s: SeriesSpec | None = None) -> FormScalar:
             f"{dist_to_integers(lam):.3e} to the integers) is unresolved: "
             f"the Neville extrapolation differs by {diff:.3e}, above "
             f"the series tolerance {s.tol:.3e}")
-    return FormScalar(float(a0), float(a2))
+    return FormScalar(float(a0), float(a2), s.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +223,7 @@ def eta_bernoulli(lam: float) -> FormScalar:
     + 1/6, fractional parts in (0, 1)."""
     require_generic(lam)
     f = frac_part(lam)
-    return FormScalar(f - 0.5, f * f - f + 1.0 / 6.0)
+    return FormScalar(f - 0.5, f * f - f + 1.0 / 6.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -271,29 +266,22 @@ def eta_form(lam: float, route: str, series: SeriesSpec | None = None
     raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
 
 
-def route_error_estimate(route: str, series: SeriesSpec | None = None
-                         ) -> float:
-    series = series or SeriesSpec()
-    return 0.0 if route == "bernoulli" else series.tol
-
-
 def eta_integral(data: InstantonData, route: str = "bernoulli",
-                 series: SeriesSpec | None = None) -> EtaResult:
-    """(1/2 pi i) oint eta-hat over the boundary sphere, trace-summed over
-    channels, including the degree-2 coupling to the channel fluxes.
+                 series: SeriesSpec | None = None):
+    """(value, error) of (1/2 pi i) oint eta-hat over the boundary sphere,
+    trace-summed over channels, including the degree-2 coupling to the
+    channel fluxes.
 
     Per channel: -a0 * chern + a2 / 2, from the fluxes oint R = -2 pi and
-    (1/2 pi i) oint F^W = chern."""
+    (1/2 pi i) oint F^W = chern, so the error is the sum of the routes'
+    errors weighted by |chern| + 1/2."""
     lambdas, cherns, _ = boundary_data(data)
-    per_channel = []
-    total = 0.0
+    total = error = 0.0
     for lam_red, chern in zip(lambdas, cherns):
         form = eta_form(lam_red, route, series)
-        per_channel.append(form)
         total += -form.a0 * chern + 0.5 * form.a2
-    return EtaResult(per_channel=per_channel, integrated=total, route=route,
-                     error_estimate=route_error_estimate(route, series)
-                     * data.rank)
+        error += (abs(chern) + 0.5) * form.error
+    return total, error
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +296,6 @@ def route_table(lambdas, series: SeriesSpec | None = None, routes=ROUTES):
         for route in routes:
             form = eta_form(lam, route, series)
             rows.append((lam, route, form.a0, form.a2, 0.5 * form.a2,
-                         route_error_estimate(route, series)))
+                         form.error))
     return rows
 

@@ -23,7 +23,8 @@ class IndexReport:
     """Assembled index with per-term provenance.
 
     index_value = bulk + grav - eta_contribution, and the integrality
-    defect is the distance to nearest_integer (ties to even)."""
+    defect is the distance to nearest_integer (ties to even).  errors holds
+    each term's error (bulk, grav, eta) and the cancellation_residual."""
 
     bulk: float
     grav: float
@@ -33,33 +34,12 @@ class IndexReport:
     integrality_defect: float
     route: str
     grav_mode: str
-    bulk_error: float
-    grav_error: float
-    eta_error: float
-    cancellation_residual: float
+    errors: dict
     quadrature: dict = field(default_factory=dict)
     series: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "index-report/1",
-            "bulk": self.bulk,
-            "grav": self.grav,
-            "eta_contribution": self.eta_contribution,
-            "index_value": self.index_value,
-            "nearest_integer": self.nearest_integer,
-            "integrality_defect": self.integrality_defect,
-            "route": self.route,
-            "grav_mode": self.grav_mode,
-            "errors": {
-                "bulk": self.bulk_error,
-                "grav": self.grav_error,
-                "eta": self.eta_error,
-                "cancellation_residual": self.cancellation_residual,
-            },
-            "quadrature": self.quadrature,
-            "series": self.series,
-        }
+        return {"schema": "index-report/1", **asdict(self)}
 
 
 def index_formula(data: InstantonData, bulk: float) -> float:
@@ -115,14 +95,14 @@ def assemble(data: InstantonData, quad: QuadratureSpec,
     if grav_mode == "lemma":
         grav, grav_err = data.rank * GRAV_LEMMA_CONSTANT, 0.0
     else:
-        value, error, tail = pontryagin_integral(metric, quad)
-        grav, grav_err = data.rank * value, data.rank * (error + tail)
-    eta = eta_integral(data, route, series)
+        value, error = pontryagin_integral(metric, quad)
+        grav, grav_err = data.rank * value, data.rank * error
+    eta, eta_err = eta_integral(data, route, series)
 
-    index_value = bulk + grav - eta.integrated
+    index_value = bulk + grav - eta
     formula_value = index_formula(data, bulk)
     residual = abs(index_value - formula_value)
-    budget = 1e-9 + grav_err + eta.error_estimate
+    budget = 1e-9 + grav_err + eta_err
     if residual > budget:
         raise ConsistencyError(
             f"assembled index differs from the closed formula by "
@@ -131,11 +111,10 @@ def assemble(data: InstantonData, quad: QuadratureSpec,
 
     nearest, defect, _ = integrality_check(index_value, max(quad.tol, 1e-12))
     return IndexReport(
-        bulk=bulk, grav=grav, eta_contribution=eta.integrated,
+        bulk=bulk, grav=grav, eta_contribution=eta,
         index_value=index_value, nearest_integer=nearest,
         integrality_defect=defect, route=route, grav_mode=grav_mode,
-        bulk_error=bulk_err, grav_error=grav_err,
-        eta_error=eta.error_estimate,
-        cancellation_residual=residual,
+        errors={"bulk": bulk_err, "grav": grav_err, "eta": eta_err,
+                "cancellation_residual": residual},
         quadrature=asdict(quad), series=asdict(series),
     )

@@ -2,6 +2,7 @@
 mode arguments it lists, both of which must stay valid for the CLI, and
 times the geometry kernels it names."""
 
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -47,3 +48,18 @@ def test_in_process_child_reads_a_missing_site_as_absent(tmp_path):
         capture_output=True, text=True)
     assert set(json.loads(child.stdout)) == {*collect.KERNEL_SITES,
                                              "convergence_table"}
+
+
+def test_report_digests_hash_every_report(tmp_path):
+    """Each report's SHA-256, by file name; moved lists the modes whose
+    digests differ between sides."""
+    (tmp_path / "b.csv").write_bytes(b"N_r,value\n64,0.5\n")
+    (tmp_path / "a.json").write_bytes(b"{}\n")
+    digests = collect.report_digests(tmp_path)
+    assert digests == {"a.json": hashlib.sha256(b"{}\n").hexdigest(),
+                       "b.csv": hashlib.sha256(b"N_r,value\n64,0.5\n")
+                       .hexdigest()}
+    same = {mode: digests for mode in collect.MODES}
+    assert collect.moved({"parent": same, "change": dict(same)}) == []
+    other = dict(same, eta_all={"eta_routes.csv": "0" * 64})
+    assert collect.moved({"parent": same, "change": other}) == ["eta_all"]

@@ -256,7 +256,7 @@ UNKNOWN_KEYS = [
     {"metric": {"blend": {"r_out": float("inf")}}},
     {"quad": {"n_r": 64.9}},
     {"quad": {"n_r": 64, "n_ang": 2.5}},
-    {"seed": 7.5}, *[patch for patch, _ in UNKNOWN_KEYS]])
+    {"seed": 7.5}, {"seed": -1}, *[patch for patch, _ in UNKNOWN_KEYS]])
 def test_bad_quad_rejected(tmp_path, capsys, patch):
     """Non-finite numbers and keys that nothing reads in the config are
     validation failures, never a report holding NaN or ignoring the key,
