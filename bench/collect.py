@@ -12,7 +12,9 @@ every side the file records the minimum (and the median) over N runs of:
 - in process: one ``convergence_table`` sweep at that configuration, and
   the time it spends inside each of the ``KERNEL_SITES`` of ``geometry``:
   the radial jets of A and C, the metric jets and the Riemann kernel. A
-  site that a checkout lacks is listed under ``absent_sites`` of its side.
+  site that a checkout lacks is listed under ``absent_sites`` of its side;
+- in process: the time per lambda of each eta route of that checkout,
+  ``eta_<route>_per_lambda``, over the configuration's ``lambdas``.
 
 Each side also records the SHA-256 of every report each mode writes, and
 ``moved`` lists the modes whose reports differ between sides. Rounds
@@ -49,12 +51,13 @@ MODES = {
 # one another through geometry's globals, so wrapping them there sees every
 # call, and in the sweep none of them runs inside another
 KERNEL_SITES = ("_radial_jets", "_metric_jet_arrays", "_riemann_from_arrays")
-# In-process child: min over its own repeats of one sweep and of the time
-# the sweep spends in each wrapped kernel that geometry has, as one JSON
-# line. Arguments: config path, repeats, then the site names.
+# In-process child: min over its own repeats of one sweep, of the time the
+# sweep spends in each wrapped kernel that geometry has, and of the time per
+# lambda of each eta route over the config's lambdas, as one JSON line.
+# Arguments: config path, repeats, then the site names.
 IN_PROCESS = """
 import json, sys, time
-from tnindex import charclasses, cli, geometry
+from tnindex import charclasses, cli, eta, geometry
 with open(sys.argv[1]) as fh:
     cfg = cli.load_config(json.load(fh), cli.build_parser().parse_args(
         ["--mode", "pontryagin"]))
@@ -78,6 +81,12 @@ for _ in range(int(sys.argv[2])):
     t0 = time.perf_counter()
     charclasses.convergence_table(cfg["metric"], cfg["quad"], cfg["sweep"])
     lap = dict(spent, convergence_table=time.perf_counter() - t0)
+    for route in eta.ROUTES:
+        t0 = time.perf_counter()
+        for lam in cfg["lambdas"]:
+            eta.eta_form(float(lam), route, cfg["series"])
+        lap[f"eta_{route}_per_lambda"] = \
+            (time.perf_counter() - t0) / len(cfg["lambdas"])
     best = {k: min(v, best.get(k, v)) for k, v in lap.items()}
 print(json.dumps(best))
 """

@@ -20,6 +20,7 @@ Routes:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -152,20 +153,23 @@ _ABEL_CUT_PREFACTOR = float(sum(
 _POISSON_CUT = float(math.ceil(math.log(_ABEL_CUT_PREFACTOR / _CUT_TOL)))
 
 
-def abel_extrapolate(sums_of_q):
+def abel_extrapolate(levels):
     """Neville extrapolation of Abel-regularized sums to q -> 1 from the
     levels q = 1 - _ABEL_X.
 
-    ``sums_of_q`` maps q in (0,1) to an array of damped partial sums, each
-    extrapolated on its own.  Returns (values, error_estimates), the error
-    estimate being the difference of the last two tableau entries."""
-    xs, levels = _ABEL_X, _ABEL_X.size
-    tableau = np.array([sums_of_q(1.0 - x) for x in xs])
-    for m in range(1, levels):
-        for i in range(levels - 1, m - 1, -1):
-            tableau[i] = tableau[i] + (tableau[i] - tableau[i - 1]) \
-                * xs[i] / (xs[i - m] - xs[i])
-    return tableau[-1], np.abs(tableau[-1] - tableau[-2])
+    ``levels[i]`` holds the damped partial sums at q = 1 - _ABEL_X[i], each
+    extrapolated on its own.  The recurrence runs on Python floats, which
+    round as float64 arrays do, without numpy's per-call overhead.
+    Returns (values, error_estimates), the error estimate being the
+    difference of the last two tableau entries."""
+    xs = _ABEL_X.tolist()
+    tableau = [[float(v) for v in level] for level in levels]
+    for m in range(1, len(xs)):
+        for i in range(len(xs) - 1, m - 1, -1):
+            tableau[i] = [t + (t - u) * xs[i] / (xs[i - m] - xs[i])
+                          for t, u in zip(tableau[i], tableau[i - 1])]
+    return tableau[-1], [abs(t - u) for t, u in zip(tableau[-1],
+                                                    tableau[-2])]
 
 
 def _live_powers(q: float) -> int:
@@ -174,14 +178,64 @@ def _live_powers(q: float) -> int:
     return int(_POISSON_CUT / -math.log(q))
 
 
+@functools.cache
+def _poisson_weights():
+    """The weights -1/(pi p) of the sine series and 1/(pi^2 p^2) of the
+    cosine series in a (2, J, B) table, p = j B + i with 1 <= i <= B, and
+    zero past N, the live prefix of the level nearest q = 1.  B = isqrt(N)
+    + 1 and J = N // B + 1, so every level's prefix ends inside the table.
+    Built on first use, not at import."""
+    n = _live_powers(1.0 - _ABEL_X[-1])
+    b = math.isqrt(n) + 1
+    p = np.arange(1, (n // b + 1) * b + 1, dtype=float)
+    weights = np.stack([-1.0 / (np.pi * p), 1.0 / (np.pi**2 * p * p)])
+    weights[:, n:] = 0.0
+    return weights.reshape(2, -1, b)
+
+
+def _level_sums(lam: float):
+    """[(sine sum, cosine sum)] of the damped series at each Neville level
+    q = 1 - _ABEL_X, each over exactly its live prefix p <= `_live_powers`.
+
+    With p = j B + i as in `_poisson_weights`, q^p e^(i p theta) =
+    Z_j z_i, where Z_j = q^(jB) e^(i jB theta) and z_i = q^i e^(i i theta).
+    A level sums sum_j Z_j sum_i w_(jB+i) z_i, the baby-step/giant-step
+    evaluation of Paterson & Stockmeyer (SIAM J. Comput. 2, 1973): B + J
+    angles per lambda and B + J powers per level, not one of each per
+    term.  A level reads its full blocks and one partial block.  Each angle
+    is formed as 2 pi p {lambda}, at p = i and at p = jB; lambda has period
+    1 and x - floor(x) is exact, so a large |lambda| loses no digits.
+    Every sum is one of numpy's own einsum loops, not a BLAS call: the
+    last bits of a BLAS dot of more than 10^4 terms follow its thread
+    count."""
+    weights = _poisson_weights()
+    b = weights.shape[2]
+    p = np.arange(1.0, b + 1.0)
+    anchors = np.concatenate([p, b * np.arange(float(weights.shape[1]))])
+    theta = 2.0 * np.pi * anchors * frac_part(lam)
+    rotations = np.stack([np.cos(theta), np.sin(theta)])
+    sums = []
+    for x in _ABEL_X:
+        q = 1.0 - x
+        full, rest = divmod(_live_powers(q), b)
+        baby = q ** p * rotations[:, :b]
+        giant = q ** anchors[b:b + full + 1] * rotations[:, b:b + full + 1]
+        inner = np.empty((2, 2, full + 1))
+        np.einsum("kji,ci->kcj", weights[:, :full], baby,
+                  out=inner[:, :, :full])
+        np.einsum("ki,ci->kc", weights[:, full, :rest], baby[:, :rest],
+                  out=inner[:, :, full])
+        (s_re, s_im), (c_re, c_im) = np.einsum("kcj,dj->kcd", inner,
+                                               giant).tolist()
+        # Im(Z z) = Re Z Im z + Im Z Re z, Re(Z z) = Re Z Re z - Im Z Im z
+        sums.append((s_im[0] + s_re[1], c_re[0] - c_im[1]))
+    return sums
+
+
 def eta_poisson(lam: float, s: SeriesSpec | None = None) -> FormScalar:
     """Poisson-route evaluation: a0 from the sine series (Abel regularized,
-    it converges only conditionally), a2 from the cosine series.
-
-    Both series share one damped-power array per Neville level, and each
-    damped sum is numpy's pairwise sum, not a BLAS dot: OpenBLAS splits a
-    dot of more than 10^4 terms across its threads, and the last bits of
-    the sum then follow OPENBLAS_NUM_THREADS.
+    it converges only conditionally), a2 from the cosine series, both
+    summed at each Neville level by `_level_sums`.
 
     Each level sums only its live prefix, the powers up to the series cut
     (`_live_powers`, `_POISSON_CUT`), which changes a0 and a2 by at most
@@ -193,25 +247,15 @@ def eta_poisson(lam: float, s: SeriesSpec | None = None) -> FormScalar:
     tolerance, and otherwise reports that tolerance as its error."""
     s = s or SeriesSpec()
     require_generic(lam)
-    p = np.arange(1, _live_powers(1.0 - _ABEL_X[-1]) + 1, dtype=float)
-    # period 1 in lambda, and x - floor(x) is exact, so no digits are lost
-    theta = 2.0 * np.pi * p * frac_part(lam)
-    terms = np.stack([np.sin(theta) / (-np.pi * p),
-                      np.cos(theta) / (np.pi**2 * p * p)])
-
-    def damped_sums(q):
-        n = _live_powers(q)
-        return (q ** p[:n] * terms[:, :n]).sum(axis=1)
-
-    (a0, a2), diffs = abel_extrapolate(damped_sums)
-    diff = diffs.max()
+    (a0, a2), diffs = abel_extrapolate(_level_sums(lam))
+    diff = max(diffs)
     if diff > s.tol:
         raise ConvergenceError(
             f"poisson route at lambda = {float(lam)!r} (distance "
             f"{dist_to_integers(lam):.3e} to the integers) is unresolved: "
             f"the Neville extrapolation differs by {diff:.3e}, above "
             f"the series tolerance {s.tol:.3e}")
-    return FormScalar(float(a0), float(a2), s.tol)
+    return FormScalar(a0, a2, s.tol)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,9 @@ class IndexReport:
     series: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"schema": "index-report/1", **asdict(self)}
+        """The report's fields, shallow: the nested dicts are the report's
+        own, not copies."""
+        return {"schema": "index-report/1", **vars(self)}
 
 
 def index_formula(data: InstantonData, bulk: float) -> float:

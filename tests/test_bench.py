@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from tnindex import cli, geometry
+from tnindex import cli, eta, geometry
 
 ROOT = Path(__file__).resolve().parents[1]
 _SPEC = importlib.util.spec_from_file_location(
@@ -46,8 +46,25 @@ def test_in_process_child_reads_a_missing_site_as_absent(tmp_path):
          *collect.KERNEL_SITES, "_no_such_kernel"],
         env=collect.child_env(ROOT), cwd=tmp_path, check=True,
         capture_output=True, text=True)
-    assert set(json.loads(child.stdout)) == {*collect.KERNEL_SITES,
-                                             "convergence_table"}
+    assert set(json.loads(child.stdout)) == {
+        *collect.KERNEL_SITES, "convergence_table",
+        *(f"eta_{route}_per_lambda" for route in eta.ROUTES)}
+
+
+def test_in_process_child_times_each_eta_route_per_lambda(tmp_path):
+    """One time per lambda for each eta route the checkout has, in
+    seconds: positive, and far below a second."""
+    config = tmp_path / "config.json"
+    readme = collect.readme_config(ROOT)
+    config.write_text(json.dumps(readme))
+    child = subprocess.run(
+        [sys.executable, "-c", collect.IN_PROCESS, str(config), "2"],
+        env=collect.child_env(ROOT), cwd=tmp_path, check=True,
+        capture_output=True, text=True)
+    times = json.loads(child.stdout)
+    assert len(readme["lambdas"]) == 5
+    for route in eta.ROUTES:
+        assert 0.0 < times[f"eta_{route}_per_lambda"] < 0.05, route
 
 
 def test_report_digests_hash_every_report(tmp_path):

@@ -492,8 +492,8 @@ def test_reports_independent_of_blas_threads(tmp_path):
                                    "metric": {"variant": "Homotopy", "t": 0.5},
                                    "quad": {"n_r": 64}, "sweep": [32, 64]},
                         name="pontryagin.json")
-    # the eta routes sum 35 (mode sum) and up to 27,109 (Poisson) terms
-    # with numpy's pairwise sum, not a BLAS dot
+    # the mode sum adds its 35 terms with numpy's pairwise sum, and Poisson
+    # its up to 27,109 terms with numpy's einsum loops, never a BLAS dot
     eta = write_config(tmp_path, {"mode": "eta", "route": "all"},
                        name="eta.json")
     # a weighted sum of 12,000 radial nodes: OpenBLAS splits a dot of more

@@ -14,7 +14,7 @@ from tnindex.eta import (_ABEL_CUT_PREFACTOR, _ABEL_X, _CUT_TOL, _MODE_K,
                          SeriesSpec, _live_powers, eta_bernoulli, eta_form,
                          eta_integral, eta_mode_sum, eta_poisson,
                          poisson_check, vertical_spectrum)
-from tnindex.gauge import InstantonChannel, InstantonData
+from tnindex.gauge import InstantonChannel, InstantonData, frac_part
 
 GENERIC = st.floats(min_value=0.02, max_value=0.98).filter(
     lambda x: min(x, 1.0 - x) > 0.02)
@@ -211,16 +211,16 @@ PINNED_ROWS = [
     (0.9, "0.4000000000000079", "0.3999999999998838",
      "0.07666666666666416")]
 
-# Poisson's (a0, a2) at the same lambdas as it computes them from each
-# level's live prefix at its own cut: what the cut drops weighs at most
-# 1e-20, so the rows move from the zero-filled sums above only by the
-# rounding of a shorter pairwise sum, well within POISSON_ROUNDING
+# Poisson's (a0, a2) at the same lambdas from its blocked level sums (p =
+# j B + i, angles and powers at p = i and p = j B) over each level's live
+# prefix: the series and its cut are those of the per-term sums above, so
+# the rows move only by rounding, at most 1.9e-15, within POISSON_ROUNDING
 POISSON_CUT_ROWS = {
-    0.1: ("-0.39999999999988173", "0.07666666666666419"),
-    0.25: ("-0.24999999999999992", "-0.020833333333333308"),
-    0.4: ("-0.09999999999999977", "-0.0733333333333333"),
-    0.6: ("0.10000000000000069", "-0.07333333333333336"),
-    0.9: ("0.3999999999998842", "0.07666666666666422")}
+    0.1: ("-0.399999999999881", "0.07666666666666401"),
+    0.25: ("-0.25000000000000056", "-0.020833333333333304"),
+    0.4: ("-0.09999999999999998", "-0.07333333333333326"),
+    0.6: ("0.1000000000000021", "-0.07333333333333328"),
+    0.9: ("0.39999999999988184", "0.07666666666666412")}
 POISSON_ROUNDING = 2e-15
 
 # the mode sum's (a0, a2) at the same lambdas from the closed-form u
@@ -298,24 +298,119 @@ def test_poisson_quarter():
 
 def test_live_powers_are_the_prefix_below_the_cut(monkeypatch):
     """Each level sums exactly the powers with p ln(1/q) <= T_P, the level
-    nearest q = 1 the most of them, and the route's power array ends with
-    that level's prefix."""
+    nearest q = 1 the most of them.  The weight table holds exactly that
+    level's prefix, laid out as p = j B + i, and zeros past it; each level
+    reads the table's full blocks and one partial block, its prefix."""
     p = np.arange(1, 30_001, dtype=float)
     live = [_live_powers(1.0 - x) for x in _ABEL_X]
     for x, n in zip(_ABEL_X, live):
         assert np.array_equal(p * -np.log(1.0 - x) <= _POISSON_CUT,
                               p <= n)
     assert live[0] == 184 and live[-1] == 27_109 == max(live)
-    lengths = []
+    weights = eta._poisson_weights()
+    _, blocks, b = weights.shape
+    assert (b, blocks) == (math.isqrt(live[-1]) + 1, live[-1] // b + 1)
+    table, n = weights.reshape(2, -1), live[-1]
+    assert np.array_equal(table[:, :n], [-1.0 / (np.pi * p[:n]),
+                                         1.0 / (np.pi**2 * p[:n] * p[:n])])
+    assert table.shape[1] >= n and np.all(table[:, n:] == 0.0)
 
-    def counted(q):
-        lengths.append(q)
-        return _live_powers(q)
+    # label each weight with its p and record the labels each level reads
+    labels = np.broadcast_to(np.arange(1.0, blocks * b + 1.0).reshape(
+        blocks, b), weights.shape).copy()
+    read, einsum = [], np.einsum
 
-    monkeypatch.setattr(eta, "_live_powers", counted)
-    eta_poisson(0.3)
-    assert lengths[0] == 1.0 - _ABEL_X[-1]
-    assert lengths[1:] == [1.0 - x for x in _ABEL_X]
+    def spy(spec, *operands, **kwargs):
+        if np.shares_memory(operands[0], labels):
+            read.append(operands[0][0].ravel())
+        return einsum(spec, *operands, **kwargs)
+
+    monkeypatch.setattr(eta, "_poisson_weights", lambda: labels)
+    monkeypatch.setattr(np, "einsum", spy)
+    eta._level_sums(0.3)
+    assert len(read) == 2 * len(live)
+    for level, n in enumerate(live):
+        assert np.array_equal(np.concatenate(read[2 * level:2 * level + 2]),
+                              np.arange(1.0, n + 1.0)), level
+
+
+def reference_level_sums(lam):
+    """The damped sums at each Neville level as the route formed them term
+    by term before it was blocked: sin and cos of 2 pi p {lambda} for every
+    p, q**p, and numpy's pairwise sum over the level's live prefix."""
+    p = np.arange(1, _live_powers(1.0 - _ABEL_X[-1]) + 1, dtype=float)
+    theta = 2.0 * np.pi * p * frac_part(lam)
+    terms = np.stack([np.sin(theta) / (-np.pi * p),
+                      np.cos(theta) / (np.pi**2 * p * p)])
+    levels = []
+    for x in _ABEL_X:
+        q = 1.0 - x
+        n = _live_powers(q)
+        levels.append(tuple((q ** p[:n] * terms[:, :n]).sum(axis=1)))
+    return levels
+
+
+def reference_neville(levels):
+    """The Neville recurrence on a float64 array, as the route ran it."""
+    xs, tableau = _ABEL_X, np.array(levels)
+    for m in range(1, xs.size):
+        for i in range(xs.size - 1, m - 1, -1):
+            tableau[i] = tableau[i] + (tableau[i] - tableau[i - 1]) \
+                * xs[i] / (xs[i - m] - xs[i])
+    return tableau[-1], np.abs(tableau[-1] - tableau[-2])
+
+
+def reference_draws(n, seed):
+    """n holonomies uniform in [-50, 50], then n at m +- d with m an
+    integer in [-50, 50] and d log-uniform in [1e-6, 0.5]."""
+    rng = np.random.default_rng(seed)
+    near = rng.integers(-50, 51, n) + rng.choice([-1.0, 1.0], n) \
+        * np.exp(rng.uniform(np.log(1e-6), np.log(0.5), n))
+    return [float(lam) for lam in np.concatenate(
+        [rng.uniform(-50.0, 50.0, n), near])]
+
+
+# how far the blocked route may move a level sum or a0, a2 from the per-term
+# reference: each rounds its angles 2 pi p {lambda}, up to 1.7e5 rad, its
+# own way
+BLOCKED_ROUNDING = 2e-14
+
+
+def test_blocked_route_matches_the_per_term_reference(monkeypatch):
+    """Over 400 draws the blocked level sums and the extrapolated (a0, a2)
+    meet the per-term reference within BLOCKED_ROUNDING wherever the route
+    accepts, and both refuse exactly the same draws.  Near an integer, where
+    both refuse, the level sums move by up to about 7e-14: the angle
+    rounding adds up in step there, and no reported value reads them.  The
+    Neville recurrence on Python floats keeps the array recurrence's bits.
+
+    At the default cut a level's last, partial block weighs below 1e-20.
+    At a short cut T_P = 5 it weighs about e^-5, and the first level is
+    that block alone, so there the sums show that the block is read."""
+    tol = SeriesSpec().tol
+    refused = []
+    for lam in reference_draws(200, 20261018):
+        got, ref = eta._level_sums(lam), reference_level_sums(lam)
+        values, diffs = reference_neville(ref)
+        assert eta.abel_extrapolate(ref) == (values.tolist(), diffs.tolist())
+        try:
+            form = eta_poisson(lam)
+        except ConvergenceError:
+            refused.append(lam)
+            assert diffs.max() > tol, lam
+            continue
+        assert diffs.max() <= tol, lam
+        assert np.max(np.abs(np.subtract(got, ref))) <= BLOCKED_ROUNDING, lam
+        assert abs(form.a0 - values[0]) <= BLOCKED_ROUNDING, lam
+        assert abs(form.a2 - values[1]) <= BLOCKED_ROUNDING, lam
+    assert 100 < len(refused) < 200
+
+    eta._poisson_weights()   # sized at the default cut, which holds T_P = 5
+    monkeypatch.setattr(eta, "_POISSON_CUT", 5.0)
+    assert _live_powers(1.0 - _ABEL_X[0]) < eta._poisson_weights().shape[2]
+    for lam in seeded_lambdas(20, 7):
+        got, ref = eta._level_sums(lam), reference_level_sums(lam)
+        assert np.max(np.abs(np.subtract(got, ref))) <= BLOCKED_ROUNDING, lam
 
 
 @pytest.mark.parametrize("p_cutoff", [20, 20000, 200000])
