@@ -1,7 +1,7 @@
 """Wall times of tn-index at the README configuration, for BENCH_<pr>.json.
 
     python3 bench/collect.py --side parent=PATH --side change=. \\
-        --out BENCH_16.json [--repeat N] [--inner N]
+        --out BENCH_16.json [--repeat N] [--inner N] [--ops N]
 
 Each ``--side NAME=PATH`` names a checkout whose ``src/`` is timed. For
 every side the file records the minimum (and the median) over N runs of:
@@ -14,7 +14,12 @@ every side the file records the minimum (and the median) over N runs of:
   the radial jets of A and C, the metric jets and the Riemann kernel. A
   site that a checkout lacks is listed under ``absent_sites`` of its side;
 - in process: the time per lambda of each eta route of that checkout,
-  ``eta_<route>_per_lambda``, over the configuration's ``lambdas``.
+  ``eta_<route>_per_lambda``, over the configuration's ``lambdas``;
+- in process: ``main_<mode>``, the time per op of ``tnindex.cli.main``
+  for each mode, called ``--ops`` times in one interpreter per round. Its
+  minimum and median are over every op of every round. A fresh
+  interpreter's start-up moves by tens of milliseconds between runs, so
+  only this figure resolves a saving below a millisecond per op.
 
 Each side also records the SHA-256 of every report each mode writes, and
 ``moved`` lists the modes whose reports differ between sides. Rounds
@@ -92,6 +97,29 @@ print(json.dumps(best))
 """
 
 
+# In-process child: the seconds of each of N calls of cli.main per mode, in
+# one interpreter, as one JSON line {"main_<mode>": [seconds, ...]}; each
+# mode writes its reports under its own directory.
+# Arguments: config path, output directory, N, then the MODES as JSON.
+IN_PROCESS_MAIN = """
+import json, sys, time
+from pathlib import Path
+from tnindex import cli
+config, out, ops = sys.argv[1], Path(sys.argv[2]), int(sys.argv[3])
+times = {}
+for mode, args in json.loads(sys.argv[4]).items():
+    argv = ["--config", config, "--out", str(out / mode), *args]
+    laps = times[f"main_{mode}"] = []
+    for _ in range(ops):
+        t0 = time.perf_counter()
+        code = cli.main(argv)
+        laps.append(time.perf_counter() - t0)
+        if code != 0:
+            sys.exit(f"cli.main exited {code} in mode {mode}")
+print(json.dumps(times))
+"""
+
+
 def readme_config(checkout: Path) -> dict:
     """The first ```json block after the README's configuration heading."""
     text = (checkout / "README.md").read_text()
@@ -130,9 +158,10 @@ def moved(reports: dict) -> list:
             if any(side[mode] != first[mode] for side in rest)]
 
 
-def one_round(checkout: Path, config: Path, scratch: Path, inner: int):
-    """One run of every measurement on one checkout: ({name: seconds},
-    {mode: report digests})."""
+def one_round(checkout: Path, config: Path, scratch: Path, inner: int,
+              ops: int):
+    """One run of every measurement on one checkout: ({name: seconds, or
+    a list of per-op seconds}, {mode: report digests})."""
     env, py = child_env(checkout), sys.executable
     out = {"python_pass": wall([py, "-c", "pass"], env, scratch),
            "import_tnindex_cli": wall([py, "-c", "import tnindex.cli"], env,
@@ -145,6 +174,11 @@ def one_round(checkout: Path, config: Path, scratch: Path, inner: int):
     child = subprocess.run([py, "-c", IN_PROCESS, str(config), str(inner),
                             *KERNEL_SITES], env=env, cwd=scratch, check=True,
                            capture_output=True, text=True)
+    out.update(json.loads(child.stdout))
+    child = subprocess.run([py, "-c", IN_PROCESS_MAIN, str(config),
+                            str(scratch / "main"), str(ops),
+                            json.dumps(MODES)], env=env, cwd=scratch,
+                           check=True, capture_output=True, text=True)
     out.update(json.loads(child.stdout))
     return out, digests
 
@@ -159,9 +193,13 @@ def git_state(checkout: Path) -> dict:
 
 
 def summary(runs: list) -> dict:
-    return {name: {"min_s": min(r[name] for r in runs),
-                   "median_s": statistics.median(r[name] for r in runs)}
-            for name in runs[0]}
+    """Minimum and median of each measurement over the rounds; a list of
+    per-op times pools the ops of every round."""
+    pooled = {name: [x for r in runs for x in (
+        r[name] if isinstance(r[name], list) else [r[name]])]
+        for name in runs[0]}
+    return {name: {"min_s": min(xs), "median_s": statistics.median(xs)}
+            for name, xs in pooled.items()}
 
 
 def main(argv=None) -> int:
@@ -172,11 +210,13 @@ def main(argv=None) -> int:
                         help="rounds; each measurement keeps its minimum")
     parser.add_argument("--inner", type=int, default=3,
                         help="in-process sweeps per round")
+    parser.add_argument("--ops", type=int, default=20,
+                        help="in-process cli.main calls per mode per round")
     parser.add_argument("--out", type=Path, required=True,
                         help="the JSON file to write, BENCH_<pr>.json")
     args = parser.parse_args(argv)
-    if args.repeat < 1 or args.inner < 1:
-        parser.error("--repeat and --inner must be at least 1")
+    if min(args.repeat, args.inner, args.ops) < 1:
+        parser.error("--repeat, --inner and --ops must be at least 1")
     sides = {}
     for spec in args.side:
         name, sep, path = spec.partition("=")
@@ -197,7 +237,8 @@ def main(argv=None) -> int:
                 scratch = Path(tmp) / name
                 scratch.mkdir(exist_ok=True)
                 times, reports[name] = one_round(sides[name], configs[name],
-                                                 scratch, args.inner)
+                                                 scratch, args.inner,
+                                                 args.ops)
                 runs[name].append(times)
     import numpy
     doc = {
@@ -208,6 +249,7 @@ def main(argv=None) -> int:
         "config": "README.md configuration document of each side",
         "repeat": args.repeat,
         "inner": args.inner,
+        "ops": args.ops,
         "moved": moved(reports),
         "sides": {name: {**git_state(sides[name]), **summary(runs[name]),
                          "absent_sites": [site for site in KERNEL_SITES

@@ -9,6 +9,7 @@ import json
 import math
 import sys
 from dataclasses import fields, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -317,10 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: parsing leaves
+    no state in it, so repeated calls of main share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
 

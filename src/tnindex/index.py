@@ -77,6 +77,24 @@ def integrality_check(value: float, tol: float):
     return nearest, defect, defect <= tol
 
 
+def _missed_terms(data: InstantonData, route: str, series: SeriesSpec,
+                  grav, eta) -> str:
+    """Names each (value, error) term of a failed cancellation check that
+    misses its oracle by more than its error: grav against rank/12, and
+    the route's eta against the Bernoulli eta of the same channels.  The
+    residual is at most the sum of the two misses, so when neither term
+    misses, the closed formula itself is at fault."""
+    oracles = (("grav", "rank/12", data.rank * GRAV_LEMMA_CONSTANT),
+               (f"the {route} eta", "the Bernoulli eta of the same channels",
+                eta_integral(data, "bernoulli", series)[0]))
+    misses = [f"{name} misses {oracle} by {abs(value - exact):.3e}, beyond "
+              f"its error {error:.3e}"
+              for (name, oracle, exact), (value, error)
+              in zip(oracles, (grav, eta)) if abs(value - exact) > error]
+    return "; ".join(misses) or ("grav and eta each meet their oracle, so "
+                                 "the closed formula is mistranscribed")
+
+
 def assemble(data: InstantonData, quad: QuadratureSpec,
              route: str = "bernoulli", grav_mode: str = "numeric",
              series: SeriesSpec | None = None,
@@ -109,7 +127,8 @@ def assemble(data: InstantonData, quad: QuadratureSpec,
         raise ConsistencyError(
             f"assembled index differs from the closed formula by "
             f"{residual:.3e}, beyond the error budget {budget:.3e}; "
-            "formula transcription bug")
+            + _missed_terms(data, route, series, (grav, grav_err),
+                            (eta, eta_err)))
 
     nearest, defect, _ = integrality_check(index_value, max(quad.tol, 1e-12))
     return IndexReport(

@@ -67,6 +67,32 @@ def test_in_process_child_times_each_eta_route_per_lambda(tmp_path):
         assert 0.0 < times[f"eta_{route}_per_lambda"] < 0.05, route
 
 
+def test_in_process_main_child_times_each_mode_per_op(tmp_path):
+    """main_<mode> holds the seconds of each of N calls of cli.main in one
+    interpreter, and every mode writes its report."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(collect.readme_config(ROOT)))
+    child = subprocess.run(
+        [sys.executable, "-c", collect.IN_PROCESS_MAIN, str(config),
+         str(tmp_path / "main"), "2", json.dumps(collect.MODES)],
+        env=collect.child_env(ROOT), cwd=tmp_path, check=True,
+        capture_output=True, text=True)
+    times = json.loads(child.stdout)
+    assert set(times) == {f"main_{mode}" for mode in collect.MODES}
+    for mode in collect.MODES:
+        assert len(times[f"main_{mode}"]) == 2, mode
+        assert all(0.0 < t < 5.0 for t in times[f"main_{mode}"]), mode
+        assert collect.report_digests(tmp_path / "main" / mode), mode
+
+
+def test_summary_pools_per_op_times_over_rounds():
+    runs = [{"eta_all": 0.3, "main_eta_all": [3.0, 1.0]},
+            {"eta_all": 0.2, "main_eta_all": [2.0, 4.0]}]
+    assert collect.summary(runs) == {
+        "eta_all": {"min_s": 0.2, "median_s": 0.25},
+        "main_eta_all": {"min_s": 1.0, "median_s": 2.5}}
+
+
 def test_report_digests_hash_every_report(tmp_path):
     """Each report's SHA-256, by file name; moved lists the modes whose
     digests differ between sides."""

@@ -12,6 +12,7 @@ import pytest
 
 import tnindex
 from tnindex import cli, eta, geometry
+from tnindex import index as index_module
 from tnindex.charclasses import convergence_table
 from tnindex.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                          EXIT_VALIDATION, main)
@@ -449,6 +450,68 @@ def test_poisson_refusal_exits_numerical(tmp_path, capsys, payload, args):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConvergenceError"
     assert "poisson route" in err["message"]
+
+
+@pytest.mark.parametrize("term, grav, route", [
+    ("grav", "numeric", "bernoulli"), ("eta", "lemma", "mode_sum")])
+def test_consistency_error_names_the_term_that_misses(tmp_path, capsys,
+                                                      monkeypatch, term,
+                                                      grav, route):
+    """A cancellation failure names the term that misses its oracle by
+    more than its error, here by 1e-3 against an error of 1e-9, and not
+    the formula: numeric grav against rank/12, or the route's eta against
+    the Bernoulli eta of the same channels."""
+    if term == "grav":
+        monkeypatch.setattr(index_module, "pontryagin_integral",
+                            lambda spec, quad: (1.0 / 12.0 + 1e-3, 1e-9))
+    else:
+        def missing_mode_sum(lam):
+            exact = eta.eta_bernoulli(lam)
+            return eta.FormScalar(exact.a0 + 1e-3, exact.a2, 1e-9)
+        monkeypatch.setattr(eta, "eta_mode_sum", missing_mode_sum)
+    cfg = write_config(tmp_path, dict(INDEX_CONFIG, grav=grav,
+                                      route=route))
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == \
+        EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConsistencyError"
+    named = {"grav": "grav misses rank/12 by 2.000e-03, beyond its error "
+                     "2.000e-09",
+             "eta": "the mode_sum eta misses the Bernoulli eta of the same "
+                    "channels by"}
+    assert named[term] in err["message"]
+    other = "eta" if term == "grav" else "grav"
+    assert named[other] not in err["message"]
+    assert "mistranscribed" not in err["message"]
+
+
+def test_main_reuses_one_parser_without_leaking_state(tmp_path, capsys,
+                                                      monkeypatch):
+    """main parses with one parser per process. A run with --tol, a parse
+    error, a run without --tol and --help, in that order, each give the
+    exit code, report bytes and output of a call on a fresh parser."""
+    cfg = write_config(tmp_path, INDEX_CONFIG)
+    calls = [["--tol", "1e-2"], ["--tol"], [], ["--help"]]
+
+    def run(side):
+        results = []
+        for k, args in enumerate(calls):
+            out = tmp_path / side / str(k)
+            code = main(["--config", cfg, "--out", str(out), *args])
+            report = out / "index_report.json"
+            results.append((code, report.read_bytes() if report.exists()
+                            else None, capsys.readouterr()))
+        return results
+
+    assert cli._parser() is cli._parser()
+    shared = run("shared")
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert shared == run("fresh")
+    assert [code for code, _, _ in shared] == [EXIT_OK, EXIT_PARSE, EXIT_OK,
+                                               EXIT_OK]
+    assert [json.loads(shared[k][1])["quadrature"]["tol"]
+            for k in (0, 2)] == [1e-2, 1e-3]
+    assert "usage: tn-index" in shared[3][2].out
 
 
 def test_geometry_check_failure_emits_error(tmp_path, capsys, monkeypatch):
