@@ -1,7 +1,7 @@
 """Wall times of tn-index at the README configuration, for BENCH_<pr>.json.
 
     python3 bench/collect.py --side parent=PATH --side change=. \\
-        --out BENCH_16.json [--repeat N] [--inner N] [--ops N]
+        --out BENCH_16.json [--repeat N] [--inner N]
 
 Each ``--side NAME=PATH`` names a checkout whose ``src/`` is timed. For
 every side the file records the minimum (and the median) over N runs of:
@@ -16,7 +16,7 @@ every side the file records the minimum (and the median) over N runs of:
 - in process: the time per lambda of each eta route of that checkout,
   ``eta_<route>_per_lambda``, over the configuration's ``lambdas``;
 - in process: ``main_<mode>``, the time per op of ``tnindex.cli.main``
-  for each mode, called ``--ops`` times in one interpreter per round. Its
+  for each mode, called ``OPS`` times in one interpreter per round. Its
   minimum and median are over every op of every round. A fresh
   interpreter's start-up moves by tens of milliseconds between runs, so
   only this figure resolves a saving below a millisecond per op.
@@ -56,6 +56,9 @@ MODES = {
 # one another through geometry's globals, so wrapping them there sees every
 # call, and in the sweep none of them runs inside another
 KERNEL_SITES = ("_radial_jets", "_metric_jet_arrays", "_riemann_from_arrays")
+# cli.main calls per mode per round in the IN_PROCESS_MAIN child.
+OPS = 20
+
 # In-process child: min over its own repeats of one sweep, of the time the
 # sweep spends in each wrapped kernel that geometry has, and of the time per
 # lambda of each eta route over the config's lambdas, as one JSON line.
@@ -158,8 +161,7 @@ def moved(reports: dict) -> list:
             if any(side[mode] != first[mode] for side in rest)]
 
 
-def one_round(checkout: Path, config: Path, scratch: Path, inner: int,
-              ops: int):
+def one_round(checkout: Path, config: Path, scratch: Path, inner: int):
     """One run of every measurement on one checkout: ({name: seconds, or
     a list of per-op seconds}, {mode: report digests})."""
     env, py = child_env(checkout), sys.executable
@@ -176,7 +178,7 @@ def one_round(checkout: Path, config: Path, scratch: Path, inner: int,
                            capture_output=True, text=True)
     out.update(json.loads(child.stdout))
     child = subprocess.run([py, "-c", IN_PROCESS_MAIN, str(config),
-                            str(scratch / "main"), str(ops),
+                            str(scratch / "main"), str(OPS),
                             json.dumps(MODES)], env=env, cwd=scratch,
                            check=True, capture_output=True, text=True)
     out.update(json.loads(child.stdout))
@@ -210,13 +212,11 @@ def main(argv=None) -> int:
                         help="rounds; each measurement keeps its minimum")
     parser.add_argument("--inner", type=int, default=3,
                         help="in-process sweeps per round")
-    parser.add_argument("--ops", type=int, default=20,
-                        help="in-process cli.main calls per mode per round")
     parser.add_argument("--out", type=Path, required=True,
                         help="the JSON file to write, BENCH_<pr>.json")
     args = parser.parse_args(argv)
-    if min(args.repeat, args.inner, args.ops) < 1:
-        parser.error("--repeat, --inner and --ops must be at least 1")
+    if args.repeat < 1 or args.inner < 1:
+        parser.error("--repeat and --inner must be at least 1")
     sides = {}
     for spec in args.side:
         name, sep, path = spec.partition("=")
@@ -237,8 +237,7 @@ def main(argv=None) -> int:
                 scratch = Path(tmp) / name
                 scratch.mkdir(exist_ok=True)
                 times, reports[name] = one_round(sides[name], configs[name],
-                                                 scratch, args.inner,
-                                                 args.ops)
+                                                 scratch, args.inner)
                 runs[name].append(times)
     import numpy
     doc = {
@@ -249,7 +248,6 @@ def main(argv=None) -> int:
         "config": "README.md configuration document of each side",
         "repeat": args.repeat,
         "inner": args.inner,
-        "ops": args.ops,
         "moved": moved(reports),
         "sides": {name: {**git_state(sides[name]), **summary(runs[name]),
                          "absent_sites": [site for site in KERNEL_SITES

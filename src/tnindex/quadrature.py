@@ -43,26 +43,6 @@ def _legendre_rule(m: int):
     return xs, ws
 
 
-@lru_cache(maxsize=32)
-def _radial_grid(r_min: float, r_max: float, n: int):
-    """radial_nodes' arrays for [r_min, r_max] and n nodes, built once per
-    grid and shared, so read-only.  A run samples a few grid sizes; the
-    bound caps what a caller that walks through many grids keeps."""
-    n_panels = max(1, n // 16)
-    per, extra = divmod(n, n_panels)
-    sizes = [per + 1] * extra + [per] * (n_panels - extra)
-    edges = np.linspace(np.log(r_min), np.log(r_max), n_panels + 1)
-    y, wy = [], []
-    for m, lo, hi in zip(sizes, edges[:-1], edges[1:]):
-        xs, ws = _legendre_rule(m)
-        y.append(0.5 * (hi - lo) * xs + 0.5 * (hi + lo))
-        wy.append(0.5 * (hi - lo) * ws)
-    r = np.exp(np.concatenate(y))
-    w = np.concatenate(wy) * r
-    r.flags.writeable = w.flags.writeable = False
-    return r, w
-
-
 def radial_nodes(quad: QuadratureSpec, n_r: int | None = None):
     """Radial nodes and weights for integrals of a per-unit-r density.
 
@@ -70,11 +50,19 @@ def radial_nodes(quad: QuadratureSpec, n_r: int | None = None):
     max(1, n // 16) equal panels, the first n % panels of them holding one
     node more than the rest.  The returned weights already include the
     dr = r dy Jacobian, so sum(w * rho(r)) approximates the r-integral.
-    The arrays are shared by every call for the same grid and read-only:
-    a caller that writes to them copies them first.
     """
-    return _radial_grid(quad.r_min, quad.r_max,
-                        quad.n_r if n_r is None else n_r)
+    n = quad.n_r if n_r is None else n_r
+    n_panels = max(1, n // 16)
+    per, extra = divmod(n, n_panels)
+    sizes = [per + 1] * extra + [per] * (n_panels - extra)
+    edges = np.linspace(np.log(quad.r_min), np.log(quad.r_max), n_panels + 1)
+    y, wy = [], []
+    for m, lo, hi in zip(sizes, edges[:-1], edges[1:]):
+        xs, ws = _legendre_rule(m)
+        y.append(0.5 * (hi - lo) * xs + 0.5 * (hi + lo))
+        wy.append(0.5 * (hi - lo) * ws)
+    r = np.exp(np.concatenate(y))
+    return r, np.concatenate(wy) * r
 
 
 def angular_samples(n_ang: int):
