@@ -15,6 +15,10 @@ every side the file records the minimum (and the median) over N runs of:
   site that a checkout lacks is listed under ``absent_sites`` of its side;
 - in process: the time per lambda of each eta route of that checkout,
   ``eta_<route>_per_lambda``, over the configuration's ``lambdas``;
+- in process: the bulk density layer, one ``gauge.bulk_action`` call on
+  the configuration's channels and quadrature. ``bulk_action_first`` is
+  the first call in a fresh interpreter, before any grid is built, and
+  ``bulk_action`` the minimum over the later calls, one per sweep;
 - in process: ``main_<mode>``, the time per op of ``tnindex.cli.main``
   for each mode, called ``OPS`` times in one interpreter per round. Its
   minimum and median are over every op of every round. A fresh
@@ -60,15 +64,25 @@ KERNEL_SITES = ("_radial_jets", "_metric_jet_arrays", "_riemann_from_arrays")
 OPS = 20
 
 # In-process child: min over its own repeats of one sweep, of the time the
-# sweep spends in each wrapped kernel that geometry has, and of the time per
-# lambda of each eta route over the config's lambdas, as one JSON line.
+# sweep spends in each wrapped kernel that geometry has, of the time per
+# lambda of each eta route over the config's lambdas, and of one bulk_action
+# call on the config's channels, as one JSON line. bulk_action_first is the
+# child's first bulk_action call, made before anything else samples a grid.
 # Arguments: config path, repeats, then the site names.
 IN_PROCESS = """
 import json, sys, time
-from tnindex import charclasses, cli, eta, geometry
+from tnindex import charclasses, cli, eta, gauge, geometry
 with open(sys.argv[1]) as fh:
-    cfg = cli.load_config(json.load(fh), cli.build_parser().parse_args(
-        ["--mode", "pontryagin"]))
+    raw = json.load(fh)
+def config(mode):
+    return cli.load_config(raw, cli.build_parser().parse_args(
+        ["--mode", mode]))
+
+cfg, bulk = config("pontryagin"), config("index")
+bulk_args = (bulk["instanton"], bulk["quad"], bulk["metric"].l)
+t0 = time.perf_counter()
+gauge.bulk_action(*bulk_args)
+first = {"bulk_action_first": time.perf_counter() - t0}
 spent = {name: 0.0 for name in sys.argv[3:] if hasattr(geometry, name)}
 
 def timed(name, fn):
@@ -95,8 +109,11 @@ for _ in range(int(sys.argv[2])):
             eta.eta_form(float(lam), route, cfg["series"])
         lap[f"eta_{route}_per_lambda"] = \
             (time.perf_counter() - t0) / len(cfg["lambdas"])
+    t0 = time.perf_counter()
+    gauge.bulk_action(*bulk_args)
+    lap["bulk_action"] = time.perf_counter() - t0
     best = {k: min(v, best.get(k, v)) for k, v in lap.items()}
-print(json.dumps(best))
+print(json.dumps({**first, **best}))
 """
 
 

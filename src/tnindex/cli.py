@@ -355,6 +355,10 @@ def main(argv=None) -> int:
         _emit_error(type(exc).__name__, str(exc),
                     getattr(exc, "history", None))
         return EXIT_NUMERICAL
+    except OSError as exc:  # only the report writers touch the file system
+        _emit_error("ValidationError", f"out {str(cfg['out'])!r} cannot "
+                    f"take the report: {exc}")
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,23 +79,40 @@ class InstantonData:
         return InstantonData(self.channels + other.channels)
 
 
+def _radial_factors(r):
+    """The factors of c and dc/dr that depend on r alone: 1/(2r), 2r,
+    dv/dr = -1/(2r^2) and 2r^2, with v = l + 1/(2r)."""
+    r = np.asarray(r, dtype=float)
+    return 0.5 / r, 2.0 * r, -0.5 / r**2, 2.0 * r**2
+
+
+def _coefficient(ch: InstantonChannel, l: float, v, two_r):
+    """(num, c) with num = l lam + mcharge/(2r) and c = num / v."""
+    num = l * ch.lam + ch.mcharge / two_r
+    return num, num / v
+
+
+def _slope(ch: InstantonChannel, num, v, v2, dv, two_r2):
+    """dc/dr = (num' v - num v') / v^2 from _coefficient's num, v^2 and
+    the _radial_factors v' and 2r^2."""
+    dnum = -ch.mcharge / two_r2
+    return (dnum * v - num * dv) / v2
+
+
 def connection_coefficient(ch: InstantonChannel, r, l: float = 1.0):
     """c(r) = (l lam + mcharge/(2r)) / V with model connection a = -i c(r)
     (dtau + omega): the ratio of two harmonic functions, with c(0) = mcharge
     and holonomy c(infinity) = lam for every l."""
     r = np.asarray(r, dtype=float)
-    v = l + 0.5 / r
-    return (l * ch.lam + ch.mcharge / (2.0 * r)) / v
+    return _coefficient(ch, l, l + 0.5 / r, 2.0 * r)[1]
 
 
 def _dcoefficient(ch: InstantonChannel, r, l: float = 1.0):
     """dc/dr in closed form."""
-    r = np.asarray(r, dtype=float)
-    v = l + 0.5 / r
-    dv = -0.5 / r**2
-    num = l * ch.lam + ch.mcharge / (2.0 * r)
-    dnum = -ch.mcharge / (2.0 * r**2)
-    return (dnum * v - num * dv) / v**2
+    half_r, two_r, dv, two_r2 = _radial_factors(r)
+    v = l + half_r
+    num, _ = _coefficient(ch, l, v, two_r)
+    return _slope(ch, num, v, v**2, dv, two_r2)
 
 
 def model_connection_at(ch: InstantonChannel, p: Point,
@@ -144,9 +162,9 @@ def _field_strength_parts(xyz, gauge: Gauge = Gauge.DEFAULT):
         grad_v[2], -grad_v[1], None, grad_v[0], None, None]
 
 
-def _channel_field_strength(ch, r, fibered, domega, l, monopole):
-    """One channel's G on PAIRS, as a list, from _field_strength_parts."""
-    c, dc = connection_coefficient(ch, r, l), _dcoefficient(ch, r, l)
+def _channel_field_strength(ch, c, dc, fibered, domega, monopole):
+    """One channel's G on PAIRS, as a list, from its (c, dc/dr) and the
+    pairs of _field_strength_parts."""
     c_eff = c - ch.mcharge if monopole else c
     return [dc * f if w is None else dc * f + c_eff * w
             for f, w in zip(fibered, domega)]
@@ -159,8 +177,10 @@ def field_strength_array(ch: InstantonChannel, xyz,
     on PAIRS, shape (6, ...): G = c'(r) dr ^ (dtau + omega) + (c(r) - mcharge)
     d(omega) with d(omega) = star3 dV; the mcharge shift comes from the
     monopole term of the connection (omitted when monopole=False)."""
+    r, fibered, domega = _field_strength_parts(xyz, gauge)
     return np.stack(_channel_field_strength(
-        ch, *_field_strength_parts(xyz, gauge), l, monopole))
+        ch, connection_coefficient(ch, r, l), _dcoefficient(ch, r, l),
+        fibered, domega, monopole))
 
 
 def field_strength_coeff(ch: InstantonChannel, p: Point,
@@ -196,15 +216,36 @@ def field_strength_at(ch: InstantonChannel, p: Point,
 # Bulk action
 
 
+@lru_cache(maxsize=4)
+def _bulk_geometry(radii: bytes, n_ang: int):
+    """The channel-free part of the bulk density at angular_points(rs,
+    n_ang), rs = np.frombuffer(radii): the PAIRS of dr ^ (dtau + omega) and
+    d(omega) and the _radial_factors of the points' r.  Built once per grid
+    and shared, so every array is read-only."""
+    r, fibered, domega = _field_strength_parts(
+        angular_points(np.frombuffer(radii), n_ang))
+    factors = _radial_factors(r)
+    for a in (*fibered, *domega, *factors):
+        if a is not None:
+            a.flags.writeable = False
+    return tuple(fibered), tuple(domega), factors
+
+
 def _bulk_density_samples(data: InstantonData, rs: np.ndarray, n_ang: int,
                           l: float = 1.0, monopole: bool = True):
     """-(1/8 pi^2) tr F^F reduced to a per-unit-r density at angular check
-    samples, shape (len(rs), n_ang); the channels share the grid geometry."""
+    samples, shape (len(rs), n_ang); the channels share the grid geometry
+    of _bulk_geometry and v = l + 1/(2r)."""
     r = np.asarray(rs, dtype=float)[:, None]
-    parts = _field_strength_parts(angular_points(rs, n_ang))
-    total = np.zeros(parts[0].shape)
+    fibered, domega, (half_r, two_r, dv, two_r2) = _bulk_geometry(
+        r.tobytes(), n_ang)
+    v = l + half_r
+    v2 = v**2
+    total = np.zeros(v.shape)
     for ch in data.channels:
-        g = _channel_field_strength(ch, *parts, l, monopole)
+        num, c = _coefficient(ch, l, v, two_r)
+        g = _channel_field_strength(ch, c, _slope(ch, num, v, v2, dv, two_r2),
+                                    fibered, domega, monopole)
         total -= wedge4(g, g)  # tr F^F = -(G^G) channelwise for u(1) blocks
         del g  # one G alive at a time keeps the peak memory down
     # -(1/8 pi^2) * total * (level-set volume 8 pi^2 r^2)

@@ -546,6 +546,13 @@ def two_form_matrix(pairs: np.ndarray) -> np.ndarray:
 
 def wedge4(alpha, beta):
     """Coefficient of dx1^dx2^dx3^dtau in the wedge of two 2-forms given on
-    PAIRS along their first axis; any trailing axes are elementwise."""
+    PAIRS along their first axis; any trailing axes are elementwise.  The
+    square of a form takes each of its three distinct products once: x y =
+    y x exactly, so the sum keeps the order and the bits of the general
+    case."""
+    if alpha is beta:
+        p05, p14, p23 = (alpha[0] * alpha[5], alpha[1] * alpha[4],
+                         alpha[2] * alpha[3])
+        return p05 - p14 + p23 + p23 - p14 + p05
     return (alpha[0] * beta[5] - alpha[1] * beta[4] + alpha[2] * beta[3]
             + alpha[3] * beta[2] - alpha[4] * beta[1] + alpha[5] * beta[0])

@@ -35,9 +35,10 @@ class QuadratureSpec:
             raise ValueError("need at least 2 angular check samples")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _legendre_rule(m: int):
-    """leggauss(m), computed once per m and shared, so read-only."""
+    """leggauss(m), computed once per m and shared, so read-only; the
+    panels of a grid of at least 8 nodes hold 8 to 31 nodes."""
     xs, ws = np.polynomial.legendre.leggauss(m)
     xs.flags.writeable = ws.flags.writeable = False
     return xs, ws
@@ -50,19 +51,29 @@ def radial_nodes(quad: QuadratureSpec, n_r: int | None = None):
     max(1, n // 16) equal panels, the first n % panels of them holding one
     node more than the rest.  The returned weights already include the
     dr = r dy Jacobian, so sum(w * rho(r)) approximates the r-integral.
+    Each grid is built once per process and shared, so both arrays are
+    read-only.
     """
-    n = quad.n_r if n_r is None else n_r
+    return _radial_grid(quad.r_min, quad.r_max,
+                        quad.n_r if n_r is None else n_r)
+
+
+@lru_cache(maxsize=16)
+def _radial_grid(r_min: float, r_max: float, n: int):
+    """radial_nodes on [r_min, r_max] with n nodes, read-only."""
     n_panels = max(1, n // 16)
     per, extra = divmod(n, n_panels)
     sizes = [per + 1] * extra + [per] * (n_panels - extra)
-    edges = np.linspace(np.log(quad.r_min), np.log(quad.r_max), n_panels + 1)
+    edges = np.linspace(np.log(r_min), np.log(r_max), n_panels + 1)
     y, wy = [], []
     for m, lo, hi in zip(sizes, edges[:-1], edges[1:]):
         xs, ws = _legendre_rule(m)
         y.append(0.5 * (hi - lo) * xs + 0.5 * (hi + lo))
         wy.append(0.5 * (hi - lo) * ws)
     r = np.exp(np.concatenate(y))
-    return r, np.concatenate(wy) * r
+    w = np.concatenate(wy) * r
+    r.flags.writeable = w.flags.writeable = False
+    return r, w
 
 
 def angular_samples(n_ang: int):

@@ -47,7 +47,8 @@ def test_in_process_child_reads_a_missing_site_as_absent(tmp_path):
         env=collect.child_env(ROOT), cwd=tmp_path, check=True,
         capture_output=True, text=True)
     assert set(json.loads(child.stdout)) == {
-        *collect.KERNEL_SITES, "convergence_table",
+        *collect.KERNEL_SITES, "convergence_table", "bulk_action",
+        "bulk_action_first",
         *(f"eta_{route}_per_lambda" for route in eta.ROUTES)}
 
 
@@ -65,6 +66,23 @@ def test_in_process_child_times_each_eta_route_per_lambda(tmp_path):
     assert len(readme["lambdas"]) == 5
     for route in eta.ROUTES:
         assert 0.0 < times[f"eta_{route}_per_lambda"] < 0.05, route
+
+
+def test_in_process_child_times_the_bulk_action(tmp_path):
+    """The first bulk_action call of a fresh child and the best later call
+    on the README channels and quadrature, in seconds: positive, and far
+    below a second."""
+    config = tmp_path / "config.json"
+    readme = collect.readme_config(ROOT)
+    config.write_text(json.dumps(readme))
+    child = subprocess.run(
+        [sys.executable, "-c", collect.IN_PROCESS, str(config), "2"],
+        env=collect.child_env(ROOT), cwd=tmp_path, check=True,
+        capture_output=True, text=True)
+    times = json.loads(child.stdout)
+    assert readme["instanton"]["channels"]
+    for key in ("bulk_action_first", "bulk_action"):
+        assert 0.0 < times[key] < 0.5, key
 
 
 def test_in_process_main_child_times_each_mode_per_op(tmp_path):

@@ -126,6 +126,22 @@ def test_validation_error_exit_and_json(capsys):
     assert err["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("mode", ["eta", "index"])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_unwritable_out_is_a_validation_error(tmp_path, capsys, mode, below):
+    """An out that is an existing regular file, or a directory that cannot
+    be created under one, exits 3 with a ValidationError naming out."""
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    out = blocker / below
+    cfg = write_config(tmp_path, {**INDEX_CONFIG, "mode": mode})
+    assert main(["--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert err["message"].startswith(f"out {str(out)!r} ")
+    assert blocker.read_text() == "not a directory"
+
+
 def test_unknown_mode_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, {"mode": "frobnicate"})
     assert main(["--config", cfg]) == EXIT_VALIDATION

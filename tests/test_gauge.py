@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tnindex import gauge
+from tnindex import gauge, quadrature
 from tnindex.errors import (ChartError, DomainError, GenericityError,
                             IsotropyError)
 from tnindex.gauge import (InstantonChannel, InstantonData, boundary_data,
@@ -179,15 +179,39 @@ def reference_density(data, rs, n_ang, l=1.0, monopole=True):
     return out
 
 
+def frozen_coefficient(ch, r, l=1.0):
+    """connection_coefficient as it was written before the bulk path
+    shared its radial factors: the bits that path must keep."""
+    r = np.asarray(r, dtype=float)
+    v = l + 0.5 / r
+    return (l * ch.lam + ch.mcharge / (2.0 * r)) / v
+
+
+def frozen_dcoefficient(ch, r, l=1.0):
+    """_dcoefficient as it was written before the shared factors."""
+    r = np.asarray(r, dtype=float)
+    v = l + 0.5 / r
+    dv = -0.5 / r**2
+    num = l * ch.lam + ch.mcharge / (2.0 * r)
+    dnum = -ch.mcharge / (2.0 * r**2)
+    return (dnum * v - num * dv) / v**2
+
+
+def frozen_wedge4(alpha, beta):
+    """wedge4 as six products, also for the square of a form."""
+    return (alpha[0] * beta[5] - alpha[1] * beta[4] + alpha[2] * beta[3]
+            + alpha[3] * beta[2] - alpha[4] * beta[1] + alpha[5] * beta[0])
+
+
 def one_pass_field_strength(ch, xyz, chart=Gauge.DEFAULT, l=1.0,
                             monopole=True):
-    """G in one pass per channel, geometry included: the expression that
-    the split into a shared geometry part and a channel part must keep
-    bit for bit."""
+    """G in one pass per channel, geometry included, from the frozen
+    coefficients: the expression that the split into a shared geometry
+    part and a channel part must keep bit for bit."""
     r, omega = chart_omega(xyz, chart)
     x = np.moveaxis(np.asarray(xyz, dtype=float), -1, 0)
-    c = connection_coefficient(ch, r, l)
-    dc = gauge._dcoefficient(ch, r, l)
+    c = frozen_coefficient(ch, r, l)
+    dc = frozen_dcoefficient(ch, r, l)
     c_eff = c - ch.mcharge if monopole else c
     dr, fib = [*(x / r), 0.0], [*np.moveaxis(omega, -1, 0), 1.0]
     grad_v = (-0.5 / r**2) * x / r
@@ -200,13 +224,19 @@ def one_pass_field_strength(ch, xyz, chart=Gauge.DEFAULT, l=1.0,
 
 
 def one_pass_density(data, rs, n_ang, l=1.0, monopole=True):
-    """The bulk density from one_pass_field_strength per channel."""
+    """The bulk density from one_pass_field_strength per channel and the
+    six-product wedge."""
     xyz = angular_points(rs, n_ang)
     total = np.zeros(xyz.shape[:-1])
     for ch in data.channels:
         g = one_pass_field_strength(ch, xyz, l=l, monopole=monopole)
-        total -= wedge4(g, g)
+        total -= frozen_wedge4(g, g)
     return -total * rs[:, None] * rs[:, None]
+
+
+def clear_caches():
+    gauge._bulk_geometry.cache_clear()
+    quadrature._radial_grid.cache_clear()
 
 
 FOUR_CHANNELS = InstantonData([
@@ -226,9 +256,30 @@ def test_bulk_density_matches_per_point_loop(n_channels, monopole, l, n_ang):
     assert batched.shape == (len(RADII), n_ang)
     assert np.abs(batched - expected).max() <= \
         1e-14 * np.abs(expected).max()
-    # the geometry shared by the channels keeps the one-pass bits
-    assert np.array_equal(
-        batched, one_pass_density(data, RADII, n_ang, l, monopole))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("monopole", [True, False])
+@pytest.mark.parametrize("l", [0.2, 1.0, 6.0])
+@pytest.mark.parametrize("n_ang", [2, 5, 8])
+def test_bulk_path_keeps_the_per_channel_bits(rank, monopole, l, n_ang,
+                                              monkeypatch):
+    """The cached geometry, the shared radial factors and the three-product
+    square keep the bits of the frozen per-channel density and of the
+    bulk action built on it, on cleared caches and on warm ones."""
+    data = InstantonData(FOUR_CHANNELS.channels[:rank])
+    quad = QuadratureSpec(n_r=64, n_ang=n_ang)
+    with monkeypatch.context() as m:
+        m.setattr(gauge, "_bulk_density_samples", one_pass_density)
+        m.setattr(gauge, "connection_coefficient", frozen_coefficient)
+        expected = np.array(bulk_action(data, quad, l, monopole)).tobytes()
+    density = one_pass_density(data, RADII, n_ang, l, monopole).tobytes()
+    clear_caches()
+    for _ in ("cold", "warm"):
+        assert gauge._bulk_density_samples(
+            data, RADII, n_ang, l, monopole).tobytes() == density
+        assert np.array(bulk_action(data, quad, l, monopole)).tobytes() == \
+            expected
 
 
 def test_bulk_density_independent_of_batch():
@@ -285,22 +336,47 @@ def test_field_strength_array_bits_match_one_pass(monopole, l):
 
 
 def test_bulk_action_evaluates_geometry_once_per_grid(monkeypatch):
-    """The channel-independent geometry is evaluated once per sampled grid,
-    so rank 4 calls chart_omega as often as rank 1."""
+    """The channel-independent geometry is evaluated once per sampled grid
+    and cached: on cleared caches rank 4 calls chart_omega as often as
+    rank 1, and a repeat call on the same grids calls it no more."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return chart_omega(*args, **kwargs)
 
-    monkeypatch.setattr(gauge, "chart_omega", counted)
-    counts = []
-    for n_channels in (1, 4):
+    def count(n_channels):
         calls.clear()
         bulk_action(InstantonData(FOUR_CHANNELS.channels[:n_channels]),
                     QuadratureSpec(n_r=64))
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        return len(calls)
+
+    monkeypatch.setattr(gauge, "chart_omega", counted)
+    clear_caches()
+    rank_one = count(1)
+    clear_caches()
+    assert count(4) == rank_one > 0
+    assert count(4) == 0
+
+
+def test_cached_grids_and_geometry_are_read_only():
+    """The caches are bounded, and an in-place write into a shared radial
+    grid or into a shared geometry array fails."""
+    clear_caches()
+    for cache in (gauge._bulk_geometry, quadrature._radial_grid,
+                  quadrature._legendre_rule):
+        assert cache.cache_info().maxsize is not None
+    bulk_action(FOUR_CHANNELS, QuadratureSpec(n_r=64))
+    r, w = quadrature.radial_nodes(QuadratureSpec(n_r=64))
+    fibered, domega, factors = gauge._bulk_geometry(
+        r[:, None].tobytes(), QuadratureSpec().n_ang)
+    assert gauge._bulk_geometry.cache_info().hits == 1
+    shared = [r, w, *fibered, *factors] + [x for x in domega
+                                          if x is not None]
+    assert len(shared) == 15
+    for arr in shared:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 # ---------------------------------------------------------------------------
