@@ -154,7 +154,6 @@ def load_config(raw: dict, overrides: argparse.Namespace) -> dict:
 
 
 def _write_json(path: Path, payload: dict):
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -170,7 +169,6 @@ def _write_csv(path: Path, header, rows):
     """A CSV report: ',' separator, LF endings and the header row first; a
     string cell is written as is, a bool or int as text (true, 64), and any
     other number as repr(float(x))."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -350,12 +348,13 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
     try:
+        cfg["out"].mkdir(parents=True, exist_ok=True)
         return _RUNNERS[cfg["mode"]](cfg)
     except TNIndexError as exc:
         _emit_error(type(exc).__name__, str(exc),
                     getattr(exc, "history", None))
         return EXIT_NUMERICAL
-    except OSError as exc:  # only the report writers touch the file system
+    except OSError as exc:  # only out and its reports touch the file system
         _emit_error("ValidationError", f"out {str(cfg['out'])!r} cannot "
                     f"take the report: {exc}")
         return EXIT_VALIDATION

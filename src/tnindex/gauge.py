@@ -79,60 +79,28 @@ class InstantonData:
         return InstantonData(self.channels + other.channels)
 
 
-def _radial_factors(r):
-    """The factors of c and dc/dr that depend on r alone: 1/(2r), 2r,
-    dv/dr = -1/(2r^2) and 2r^2, with v = l + 1/(2r)."""
-    r = np.asarray(r, dtype=float)
-    return 0.5 / r, 2.0 * r, -0.5 / r**2, 2.0 * r**2
-
-
-def _coefficient(ch: InstantonChannel, l: float, v, two_r):
-    """(num, c) with num = l lam + mcharge/(2r) and c = num / v."""
-    num = l * ch.lam + ch.mcharge / two_r
-    return num, num / v
-
-
-def _slope(ch: InstantonChannel, num, v, v2, dv, two_r2):
-    """dc/dr = (num' v - num v') / v^2 from _coefficient's num, v^2 and
-    the _radial_factors v' and 2r^2."""
-    dnum = -ch.mcharge / two_r2
-    return (dnum * v - num * dv) / v2
-
-
 def connection_coefficient(ch: InstantonChannel, r, l: float = 1.0):
     """c(r) = (l lam + mcharge/(2r)) / V with model connection a = -i c(r)
     (dtau + omega): the ratio of two harmonic functions, with c(0) = mcharge
     and holonomy c(infinity) = lam for every l."""
     r = np.asarray(r, dtype=float)
-    return _coefficient(ch, l, l + 0.5 / r, 2.0 * r)[1]
-
-
-def _dcoefficient(ch: InstantonChannel, r, l: float = 1.0):
-    """dc/dr in closed form."""
-    half_r, two_r, dv, two_r2 = _radial_factors(r)
-    v = l + half_r
-    num, _ = _coefficient(ch, l, v, two_r)
-    return _slope(ch, num, v, v**2, dv, two_r2)
+    return (l * ch.lam + ch.mcharge / (2.0 * r)) / (l + 0.5 / r)
 
 
 def model_connection_at(ch: InstantonChannel, p: Point,
                         gauge: Gauge = Gauge.DEFAULT,
-                        l: float = 1.0, monopole: bool = True) -> np.ndarray:
+                        l: float = 1.0) -> np.ndarray:
     """Real coefficient 1-form a with connection A = -i a, components in
     the (dx1, dx2, dx3, dtau) chart.
 
-    With monopole=True (default) the channel carries the horizontal
-    line-bundle term -mcharge * omega in addition to the fiber term
-    (l lam + mcharge/(2r)) (dtau + omega) / V; the combination is exactly
-    (anti-)self-dual, and the induced boundary bundle degree is -mcharge
-    under this package's flux convention.  monopole=False drops the
-    horizontal term, leaving only the fiber part of the asymptotic form
-    (not self-dual for mcharge != 0)."""
+    The channel carries the fiber term (l lam + mcharge/(2r)) (dtau + omega)
+    / V and the horizontal line-bundle term -mcharge * omega; the
+    combination is exactly (anti-)self-dual, and the induced boundary
+    bundle degree is -mcharge under this package's flux convention."""
     r, omega = chart_omega(p.xyz(), gauge)
     c = float(connection_coefficient(ch, r, l))
     out = c * np.append(omega, 1.0)
-    if monopole:
-        out[:3] -= ch.mcharge * omega
+    out[:3] -= ch.mcharge * omega
     return out
 
 
@@ -152,53 +120,62 @@ class FieldStrengthSample:
             else "self-dual"
 
 
-def _field_strength_parts(xyz, gauge: Gauge = Gauge.DEFAULT):
-    """r, and on PAIRS dr ^ (dtau + omega) and d(omega) = star3 dV or None."""
+def _field_strength_geometry(xyz, gauge: Gauge = Gauge.DEFAULT):
+    """The channel-free part of G at the points xyz: on PAIRS, dr ^ (dtau +
+    omega) and d(omega) = star3 dV (None where it vanishes), and the radial
+    factors 1/(2r), 2r, dv/dr = -1/(2r^2) and 2r^2 of v = l + 1/(2r)."""
     r, omega = chart_omega(xyz, gauge)
     x = np.moveaxis(np.asarray(xyz, dtype=float), -1, 0)
     dr, fib = [*(x / r), 0.0], [*np.moveaxis(omega, -1, 0), 1.0]
-    grad_v = (-0.5 / r**2) * x / r
-    return r, [dr[i] * fib[j] - fib[i] * dr[j] for i, j in PAIRS], [
-        grad_v[2], -grad_v[1], None, grad_v[0], None, None]
+    dv = -0.5 / r**2
+    grad_v = dv * x / r
+    return (tuple(dr[i] * fib[j] - fib[i] * dr[j] for i, j in PAIRS),
+            (grad_v[2], -grad_v[1], None, grad_v[0], None, None),
+            (0.5 / r, 2.0 * r, dv, 2.0 * r**2))
 
 
-def _channel_field_strength(ch, c, dc, fibered, domega, monopole):
-    """One channel's G on PAIRS, as a list, from its (c, dc/dr) and the
-    pairs of _field_strength_parts."""
-    c_eff = c - ch.mcharge if monopole else c
+def _channel_field_strength(ch: InstantonChannel, l: float, v, v2,
+                            geometry):
+    """One channel's G on PAIRS, as a list, from v = l + 1/(2r), its square
+    v2 and the _field_strength_geometry of the points: c = num / v with
+    num = l lam + mcharge/(2r), c' = (num' v - num v') / v^2, and
+    G = c' dr ^ (dtau + omega) + (c - mcharge) d(omega)."""
+    fibered, domega, (_, two_r, dv, two_r2) = geometry
+    num = l * ch.lam + ch.mcharge / two_r
+    dnum = -ch.mcharge / two_r2
+    dc = (dnum * v - num * dv) / v2
+    c_eff = num / v - ch.mcharge
     return [dc * f if w is None else dc * f + c_eff * w
             for f, w in zip(fibered, domega)]
 
 
 def field_strength_array(ch: InstantonChannel, xyz,
                          gauge: Gauge = Gauge.DEFAULT,
-                         l: float = 1.0, monopole: bool = True) -> np.ndarray:
+                         l: float = 1.0) -> np.ndarray:
     """Closed-form G with F = dA = -i G at the points xyz of shape (..., 3),
     on PAIRS, shape (6, ...): G = c'(r) dr ^ (dtau + omega) + (c(r) - mcharge)
     d(omega) with d(omega) = star3 dV; the mcharge shift comes from the
-    monopole term of the connection (omitted when monopole=False)."""
-    r, fibered, domega = _field_strength_parts(xyz, gauge)
-    return np.stack(_channel_field_strength(
-        ch, connection_coefficient(ch, r, l), _dcoefficient(ch, r, l),
-        fibered, domega, monopole))
+    monopole term of the connection.  The uncached call of the path that
+    _bulk_density_samples takes."""
+    geometry = _field_strength_geometry(xyz, gauge)
+    v = l + geometry[2][0]  # the first radial factor is 1/(2r)
+    return np.stack(_channel_field_strength(ch, l, v, v**2, geometry))
 
 
 def field_strength_coeff(ch: InstantonChannel, p: Point,
                          gauge: Gauge = Gauge.DEFAULT,
-                         l: float = 1.0, monopole: bool = True) -> np.ndarray:
+                         l: float = 1.0) -> np.ndarray:
     """G with F = dA = -i G at one point as an antisymmetric (4, 4) matrix;
     see field_strength_array."""
-    return two_form_matrix(field_strength_array(ch, p.xyz(), gauge, l,
-                                                monopole))
+    return two_form_matrix(field_strength_array(ch, p.xyz(), gauge, l))
 
 
 def field_strength_at(ch: InstantonChannel, p: Point,
                       gauge: Gauge = Gauge.DEFAULT,
-                      l: float = 1.0, monopole: bool = True
-                      ) -> FieldStrengthSample:
+                      l: float = 1.0) -> FieldStrengthSample:
     """Field strength of the model channel plus duality defects w.r.t. the
     original Taub-NUT metric."""
-    coeff = field_strength_coeff(ch, p, gauge, l, monopole)
+    coeff = field_strength_coeff(ch, p, gauge, l)
     sample = metric_at(MetricSpec(variant=Variant.TN, l=l), p, gauge)
     star = hodge_star(sample, coeff)
     frame = sample.frame
@@ -218,71 +195,59 @@ def field_strength_at(ch: InstantonChannel, p: Point,
 
 @lru_cache(maxsize=4)
 def _bulk_geometry(radii: bytes, n_ang: int):
-    """The channel-free part of the bulk density at angular_points(rs,
-    n_ang), rs = np.frombuffer(radii): the PAIRS of dr ^ (dtau + omega) and
-    d(omega) and the _radial_factors of the points' r.  Built once per grid
-    and shared, so every array is read-only."""
-    r, fibered, domega = _field_strength_parts(
+    """_field_strength_geometry at angular_points(rs, n_ang), rs =
+    np.frombuffer(radii).  Built once per grid and shared, so every array
+    is read-only."""
+    geometry = _field_strength_geometry(
         angular_points(np.frombuffer(radii), n_ang))
-    factors = _radial_factors(r)
-    for a in (*fibered, *domega, *factors):
+    for a in (*geometry[0], *geometry[1], *geometry[2]):
         if a is not None:
             a.flags.writeable = False
-    return tuple(fibered), tuple(domega), factors
+    return geometry
 
 
 def _bulk_density_samples(data: InstantonData, rs: np.ndarray, n_ang: int,
-                          l: float = 1.0, monopole: bool = True):
+                          l: float = 1.0):
     """-(1/8 pi^2) tr F^F reduced to a per-unit-r density at angular check
     samples, shape (len(rs), n_ang); the channels share the grid geometry
     of _bulk_geometry and v = l + 1/(2r)."""
     r = np.asarray(rs, dtype=float)[:, None]
-    fibered, domega, (half_r, two_r, dv, two_r2) = _bulk_geometry(
-        r.tobytes(), n_ang)
-    v = l + half_r
+    geometry = _bulk_geometry(r.tobytes(), n_ang)
+    v = l + geometry[2][0]  # the first radial factor is 1/(2r)
     v2 = v**2
     total = np.zeros(v.shape)
     for ch in data.channels:
-        num, c = _coefficient(ch, l, v, two_r)
-        g = _channel_field_strength(ch, c, _slope(ch, num, v, v2, dv, two_r2),
-                                    fibered, domega, monopole)
+        g = _channel_field_strength(ch, l, v, v2, geometry)
         total -= wedge4(g, g)  # tr F^F = -(G^G) channelwise for u(1) blocks
         del g  # one G alive at a time keeps the peak memory down
     # -(1/8 pi^2) * total * (level-set volume 8 pi^2 r^2)
     return -total * r * r
 
 
-def bulk_action(data: InstantonData, quad: QuadratureSpec, l: float = 1.0,
-                monopole: bool = True):
+def bulk_action(data: InstantonData, quad: QuadratureSpec, l: float = 1.0):
     """-(1/8 pi^2) int_TN tr F^F as (value, error_estimate): the radial
     quadrature over [r_min, r_max] plus the exact head and tail, since each
-    channel's density is d/dr(-c_eff^2 / 2), c_eff = c - mcharge (c for the
-    fiber-only form), with c(0) = mcharge and c(infinity) = lam.  The error
-    is the grid refinement difference plus a roundoff floor, whose absolute
-    term, the smallest normal double, covers subnormal rounding."""
+    channel's density is d/dr(-(c - mcharge)^2 / 2), with c(0) = mcharge
+    and c(infinity) = lam.  The error is the grid refinement difference
+    plus a roundoff floor, whose absolute term, the smallest normal
+    double, covers subnormal rounding."""
     middle, error = integrate_radial(
-        lambda rs: _bulk_density_samples(data, rs, quad.n_ang, l, monopole),
-        quad)
+        lambda rs: _bulk_density_samples(data, rs, quad.n_ang, l), quad)
     head = tail = 0.0
     for ch in data.channels:
-        shift = ch.mcharge if monopole else 0.0
         c_min, c_max = connection_coefficient(
-            ch, [quad.r_min, quad.r_max], l) - shift
-        head -= 0.5 * (c_min**2 - (ch.mcharge - shift) ** 2)
-        tail -= 0.5 * ((ch.lam - shift) ** 2 - c_max**2)
+            ch, [quad.r_min, quad.r_max], l) - ch.mcharge
+        head -= 0.5 * c_min**2
+        tail -= 0.5 * ((ch.lam - ch.mcharge) ** 2 - c_max**2)
     floor = ROUNDOFF * sum(ch.lam**2 + ch.mcharge**2 for ch in data.channels) \
         + np.finfo(float).tiny
     return middle + float(head) + float(tail), error + floor
 
 
-def bulk_action_closed_form(data: InstantonData,
-                            monopole: bool = True) -> float:
+def bulk_action_closed_form(data: InstantonData) -> float:
     """Exact model bulk action from the radial antiderivative of the
-    density: -(lam_j - m_j)^2 / 2 per channel for the self-dual model,
-    (m_j^2 - lam_j^2)/2 for the fiber-only form."""
-    if monopole:
-        return sum(-0.5 * (ch.lam - ch.mcharge) ** 2 for ch in data.channels)
-    return sum(0.5 * (ch.mcharge**2 - ch.lam**2) for ch in data.channels)
+    density: -(lam_j - m_j)^2 / 2 per channel."""
+    return sum(-0.5 * (ch.lam - ch.mcharge) ** 2 for ch in data.channels)
 
 
 def boundary_data(data: InstantonData):

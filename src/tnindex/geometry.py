@@ -215,25 +215,19 @@ def _radial_coeffs(spec: MetricSpec, r):
     """
     half = 0.5
     v = spec.l + half / r
+    if spec.variant is Variant.TN:
+        return v, 1.0 / v
     log_v = jets.log(v)
     b = spec.blend(r)
     log_conf = -(log_v + 2.0 * jets.log(r))
     conf = jets.exp(b * log_conf)
-    a_coeff = conf * v
-
-    variant = spec.variant
-    if variant in (Variant.TN, Variant.CONFORMAL):
-        q = 1.0 / v
-        if variant is Variant.TN:
-            return v, 1.0 / v
-    else:
-        t = 0.0 if variant is Variant.EXACT_D else spec.t
-        vt = 1.0 + (half * t) / r
-        # interpolate log(1/v) -> log(v / vt^2) with the blend profile
-        log_q = (b - 1.0) * log_v + b * (log_v - 2.0 * jets.log(vt))
-        q = jets.exp(log_q)
-    c_coeff = conf * q
-    return a_coeff, c_coeff
+    if spec.variant is Variant.CONFORMAL:
+        return conf * v, conf * (1.0 / v)
+    t = 0.0 if spec.variant is Variant.EXACT_D else spec.t
+    vt = 1.0 + (half * t) / r
+    # interpolate log(1/v) -> log(v / vt^2) with the blend profile
+    log_q = (b - 1.0) * log_v + b * (log_v - 2.0 * jets.log(vt))
+    return conf * v, conf * jets.exp(log_q)
 
 
 def radial_coefficients(spec: MetricSpec, r):

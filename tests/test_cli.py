@@ -126,11 +126,19 @@ def test_validation_error_exit_and_json(capsys):
     assert err["error"] == "ValidationError"
 
 
-@pytest.mark.parametrize("mode", ["eta", "index"])
+@pytest.mark.parametrize("mode", ["eta", "index", "geometry-check",
+                                  "pontryagin", "convergence"])
 @pytest.mark.parametrize("below", ["", "sub"])
-def test_unwritable_out_is_a_validation_error(tmp_path, capsys, mode, below):
+def test_unwritable_out_is_a_validation_error(tmp_path, capsys, monkeypatch,
+                                              mode, below):
     """An out that is an existing regular file, or a directory that cannot
-    be created under one, exits 3 with a ValidationError naming out."""
+    be created under one, exits 3 with a ValidationError naming out, and
+    before any computation."""
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before out was checked")
+
+    for name in ("assemble", "convergence_table", "route_table"):
+        monkeypatch.setattr(cli, name, computed)
     blocker = tmp_path / "taken"
     blocker.write_text("not a directory")
     out = blocker / below

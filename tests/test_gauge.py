@@ -7,8 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tnindex import gauge, quadrature
-from tnindex.errors import (ChartError, DomainError, GenericityError,
-                            IsotropyError)
+from tnindex.errors import ChartError, DomainError, GenericityError
 from tnindex.gauge import (InstantonChannel, InstantonData, boundary_data,
                            bulk_action, bulk_action_closed_form,
                            connection_coefficient, field_strength_array,
@@ -62,13 +61,13 @@ def test_coefficient_substitution():
     assert a[3] == pytest.approx(0.5)
 
 
-def test_lam_equals_m_fiber_only_form_is_constant():
-    """Without the monopole term, lam = m collapses to a = -i lam (dtau+omega)
-    with an r-independent coefficient."""
+def test_lam_equals_m_fiber_coefficient_is_constant():
+    """At lam = m the (dtau + omega) coefficient of a is lam at every r; the
+    monopole term -m omega only touches a[:3]."""
     ch = InstantonChannel(lam=1.3, mcharge=1.3)
     for r in (0.2, 1.0, 7.0):
         p = Point.from_polar(r, 1.1, 0.4)
-        a = model_connection_at(ch, p, monopole=False)
+        a = model_connection_at(ch, p)
         assert a[3] == pytest.approx(1.3, abs=1e-14)
         assert connection_coefficient(ch, r) == pytest.approx(1.3)
 
@@ -87,18 +86,6 @@ def test_connection_axis_chart_error():
 
 # ---------------------------------------------------------------------------
 # Field strength
-
-
-def test_lam_equals_m_field_fiber_only():
-    """eta = 0 form: F = -i lam d(omega) when lam = m."""
-    ch = InstantonChannel(lam=0.7, mcharge=0.7)
-    p = random_point()
-    g = field_strength_coeff(ch, p, monopole=False)
-    from tnindex.geometry import star3
-    grad_v = -0.5 * p.xyz() / p.r**3
-    expected = np.zeros((4, 4))
-    expected[:3, :3] = 0.7 * star3(grad_v)
-    assert np.allclose(g, expected, atol=1e-12)
 
 
 def test_lam_equals_m_field_vanishes_with_monopole_term():
@@ -148,22 +135,22 @@ def test_duality_at_fifty_random_points():
 # Batched field strength and bulk density against the per-point loop
 
 
-def reference_g(ch, p, l=1.0, monopole=True):
+def reference_g(ch, p, l=1.0):
     """The per-point closed form the array pass replaced: G from outer
     products of dr and dtau + omega, with omega in the default gauge."""
     r = p.r
     h = p.x3 / (2.0 * r * (p.x1**2 + p.x2**2))
     fib = np.array([-p.x2 * h, p.x1 * h, 0.0, 1.0])
     c = float(connection_coefficient(ch, r, l))
-    dc = float(gauge._dcoefficient(ch, r, l))
+    dc = float(frozen_dcoefficient(ch, r, l))
     dr = np.array([p.x1, p.x2, p.x3, 0.0]) / r
     grad_v = (-0.5 / r**2) * p.xyz() / r
     g_mat = dc * (np.outer(dr, fib) - np.outer(fib, dr))
-    g_mat[:3, :3] += (c - ch.mcharge if monopole else c) * star3(grad_v)
+    g_mat[:3, :3] += (c - ch.mcharge) * star3(grad_v)
     return g_mat
 
 
-def reference_density(data, rs, n_ang, l=1.0, monopole=True):
+def reference_density(data, rs, n_ang, l=1.0):
     """The per-point loop over radii x angles x channels."""
     thetas, phis = angular_samples(n_ang)
     out = np.zeros((len(rs), n_ang))
@@ -172,7 +159,7 @@ def reference_density(data, rs, n_ang, l=1.0, monopole=True):
             p = Point.from_polar(r, th, ph)
             total = 0.0
             for ch in data.channels:
-                g_mat = reference_g(ch, p, l, monopole)
+                g_mat = reference_g(ch, p, l)
                 g = np.array([g_mat[i, j] for i, j in PAIRS])
                 total += -wedge4(g, g)
             out[i, j] = -total * r * r
@@ -203,8 +190,7 @@ def frozen_wedge4(alpha, beta):
             + alpha[3] * beta[2] - alpha[4] * beta[1] + alpha[5] * beta[0])
 
 
-def one_pass_field_strength(ch, xyz, chart=Gauge.DEFAULT, l=1.0,
-                            monopole=True):
+def one_pass_field_strength(ch, xyz, chart=Gauge.DEFAULT, l=1.0):
     """G in one pass per channel, geometry included, from the frozen
     coefficients: the expression that the split into a shared geometry
     part and a channel part must keep bit for bit."""
@@ -212,7 +198,7 @@ def one_pass_field_strength(ch, xyz, chart=Gauge.DEFAULT, l=1.0,
     x = np.moveaxis(np.asarray(xyz, dtype=float), -1, 0)
     c = frozen_coefficient(ch, r, l)
     dc = frozen_dcoefficient(ch, r, l)
-    c_eff = c - ch.mcharge if monopole else c
+    c_eff = c - ch.mcharge
     dr, fib = [*(x / r), 0.0], [*np.moveaxis(omega, -1, 0), 1.0]
     grad_v = (-0.5 / r**2) * x / r
     domega = {(0, 1): grad_v[2], (0, 2): -grad_v[1], (1, 2): grad_v[0]}
@@ -223,13 +209,13 @@ def one_pass_field_strength(ch, xyz, chart=Gauge.DEFAULT, l=1.0,
     return np.stack(pairs)
 
 
-def one_pass_density(data, rs, n_ang, l=1.0, monopole=True):
+def one_pass_density(data, rs, n_ang, l=1.0):
     """The bulk density from one_pass_field_strength per channel and the
     six-product wedge."""
     xyz = angular_points(rs, n_ang)
     total = np.zeros(xyz.shape[:-1])
     for ch in data.channels:
-        g = one_pass_field_strength(ch, xyz, l=l, monopole=monopole)
+        g = one_pass_field_strength(ch, xyz, l=l)
         total -= frozen_wedge4(g, g)
     return -total * rs[:, None] * rs[:, None]
 
@@ -245,41 +231,53 @@ FOUR_CHANNELS = InstantonData([
 RADII = np.geomspace(1e-4, 80.0, 24)
 
 
+def set_caches(cold, n_ang, quad=None):
+    """Clear the grid and geometry caches and, unless cold, fill them again
+    on RADII and on the grids of quad from another channel at another l:
+    a cached entry must carry nothing of the call that filled it."""
+    clear_caches()
+    if not cold:
+        other = InstantonData([InstantonChannel(2.2, -1.5)])
+        gauge._bulk_density_samples(other, RADII, n_ang, 3.0)
+        if quad is not None:
+            bulk_action(other, quad, 3.0)
+
+
 @pytest.mark.parametrize("n_channels", [1, 4])
-@pytest.mark.parametrize("monopole", [True, False])
+@pytest.mark.parametrize("cold", [True, False])
 @pytest.mark.parametrize("l", [1.0, 2.5])
 @pytest.mark.parametrize("n_ang", [3, 8])
-def test_bulk_density_matches_per_point_loop(n_channels, monopole, l, n_ang):
+def test_bulk_density_matches_per_point_loop(n_channels, cold, l, n_ang):
     data = InstantonData(FOUR_CHANNELS.channels[:n_channels])
-    batched = gauge._bulk_density_samples(data, RADII, n_ang, l, monopole)
-    expected = reference_density(data, RADII, n_ang, l, monopole)
+    set_caches(cold, n_ang)
+    batched = gauge._bulk_density_samples(data, RADII, n_ang, l)
+    expected = reference_density(data, RADII, n_ang, l)
     assert batched.shape == (len(RADII), n_ang)
     assert np.abs(batched - expected).max() <= \
         1e-14 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-@pytest.mark.parametrize("monopole", [True, False])
+@pytest.mark.parametrize("cold", [True, False])
 @pytest.mark.parametrize("l", [0.2, 1.0, 6.0])
 @pytest.mark.parametrize("n_ang", [2, 5, 8])
-def test_bulk_path_keeps_the_per_channel_bits(rank, monopole, l, n_ang,
+def test_bulk_path_keeps_the_per_channel_bits(rank, cold, l, n_ang,
                                               monkeypatch):
     """The cached geometry, the shared radial factors and the three-product
     square keep the bits of the frozen per-channel density and of the
-    bulk action built on it, on cleared caches and on warm ones."""
+    bulk action built on it, on cleared caches and on caches filled by
+    another channel at another l."""
     data = InstantonData(FOUR_CHANNELS.channels[:rank])
     quad = QuadratureSpec(n_r=64, n_ang=n_ang)
     with monkeypatch.context() as m:
         m.setattr(gauge, "_bulk_density_samples", one_pass_density)
         m.setattr(gauge, "connection_coefficient", frozen_coefficient)
-        expected = np.array(bulk_action(data, quad, l, monopole)).tobytes()
-    density = one_pass_density(data, RADII, n_ang, l, monopole).tobytes()
-    clear_caches()
-    for _ in ("cold", "warm"):
-        assert gauge._bulk_density_samples(
-            data, RADII, n_ang, l, monopole).tobytes() == density
-        assert np.array(bulk_action(data, quad, l, monopole)).tobytes() == \
-            expected
+        expected = np.array(bulk_action(data, quad, l)).tobytes()
+    density = one_pass_density(data, RADII, n_ang, l).tobytes()
+    set_caches(cold, n_ang, quad)
+    assert gauge._bulk_density_samples(
+        data, RADII, n_ang, l).tobytes() == density
+    assert np.array(bulk_action(data, quad, l)).tobytes() == expected
 
 
 def test_bulk_density_independent_of_batch():
@@ -305,34 +303,34 @@ def test_batched_field_strength_checks_every_point():
 
 @given(lam=st.floats(-3.0, 3.0), m=st.floats(-3.0, 3.0),
        l=st.floats(0.1, 5.0), r=st.floats(1e-3, 1e3),
-       theta=st.floats(0.05, np.pi - 0.05), phi=st.floats(0.0, 2.0 * np.pi),
-       monopole=st.booleans())
+       theta=st.floats(0.05, np.pi - 0.05), phi=st.floats(0.0, 2.0 * np.pi))
 @settings(max_examples=60, deadline=None)
-def test_batched_field_strength_matches_closed_form(lam, m, l, r, theta, phi,
-                                                    monopole):
+def test_batched_field_strength_matches_closed_form(lam, m, l, r, theta, phi):
     ch = InstantonChannel(lam, m)
     p = Point.from_polar(r, theta, phi)
-    expected = reference_g(ch, p, l, monopole)
+    expected = reference_g(ch, p, l)
     # the point sits in a batch with others; its G must not depend on them
     xyz = np.stack([p.xyz(), 2.0 * p.xyz(), [0.3, -1.0, 0.4]])
     g_mat = two_form_matrix(
-        field_strength_array(ch, xyz, l=l, monopole=monopole)[:, 0])
+        field_strength_array(ch, xyz, l=l)[:, 0])
     assert np.abs(g_mat - expected).max() <= \
         1e-14 * np.abs(expected).max()
     assert np.array_equal(g_mat, -np.swapaxes(g_mat, 0, 1))
 
 
-@pytest.mark.parametrize("monopole", [True, False])
+@pytest.mark.parametrize("on_grid", [True, False])
 @pytest.mark.parametrize("l", [1.0, 2.5])
-def test_field_strength_array_bits_match_one_pass(monopole, l):
-    xyz = angular_points(RADII, 5)
-    p = Point.from_polar(0.7, 2.1, 4.0)
+def test_field_strength_array_bits_match_one_pass(on_grid, l):
+    """field_strength_array keeps the bits of the one-pass expression in
+    all three charts, on an angular grid and at a single point."""
+    xyz = angular_points(RADII, 5) if on_grid \
+        else Point.from_polar(0.7, 2.1, 4.0).xyz()
     for ch in FOUR_CHANNELS.channels:
         for points, chart in ((xyz, Gauge.DEFAULT), (xyz, Gauge.NORTH),
-                              (-xyz, Gauge.SOUTH), (p.xyz(), Gauge.DEFAULT)):
+                              (-xyz, Gauge.SOUTH)):
             assert np.array_equal(
-                field_strength_array(ch, points, chart, l, monopole),
-                one_pass_field_strength(ch, points, chart, l, monopole))
+                field_strength_array(ch, points, chart, l),
+                one_pass_field_strength(ch, points, chart, l))
 
 
 def test_bulk_action_evaluates_geometry_once_per_grid(monkeypatch):
@@ -399,52 +397,26 @@ def test_bulk_matches_closed_form_within_estimate():
     assert abs(value - exact) <= error
 
 
-def test_bulk_fiber_only_closed_form():
-    quad = QuadratureSpec()
-    data = InstantonData([InstantonChannel(0.25, 1.0)])
-    value, error = bulk_action(data, quad, monopole=False)
-    exact = bulk_action_closed_form(data, monopole=False)
-    assert exact == pytest.approx(0.5 * (1.0 - 0.25**2))
-    assert abs(value - exact) <= error
-
-
 @given(l=st.floats(np.log(0.2), np.log(6.0)).map(np.exp),
        channels=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
-                         min_size=1, max_size=4, unique_by=lambda ch: ch[0]),
-       monopole=st.booleans())
+                         min_size=1, max_size=4, unique_by=lambda ch: ch[0]))
 @settings(max_examples=40, deadline=None)
-@example(l=1.0, channels=[(1.3, 1.3)], monopole=True)
-@example(l=0.5, channels=[(0.7, 0.7 + 1e-9), (-2.0, 1.0)], monopole=True)
-@example(l=2.0, channels=[(0.7, 0.7 + 1e-9)], monopole=False)
-@example(l=1.0, channels=[(0.0, 5.6e-161)], monopole=False)
-@example(l=1.0, channels=[(0.0, 1e-160)], monopole=True)
-@example(l=1.0, channels=[(0.0, 1e-155)], monopole=False)
-def test_bulk_meets_closed_form_at_any_l(l, channels, monopole):
+@example(l=1.0, channels=[(1.3, 1.3)])
+@example(l=0.5, channels=[(0.7, 0.7 + 1e-9), (-2.0, 1.0)])
+@example(l=2.0, channels=[(0.7, 0.7 + 1e-9)])
+@example(l=1.0, channels=[(0.0, 5.6e-161)])
+@example(l=1.0, channels=[(0.0, 1e-160)])
+@example(l=1.0, channels=[(0.0, 1e-155)])
+def test_bulk_meets_closed_form_at_any_l(l, channels):
     """c(infinity) = lam for every l, so the bulk meets the closed form in
     lam within its reported error; with the old holonomy lam/l the channels
     (0.3, 1) and (0.65, -2) at l = 2 missed by 0.71 against an error of
-    0.04.  This holds for lam = m too.  The only refusal is the isotropy
-    check of the fiber-only form, whose density is roundoff where a
-    channel's lam is within about 1e-8 of its m.  A charge near 1e-160
-    gives a subnormal bulk, whose rounding only the floor's absolute term
-    covers."""
+    0.04.  This holds for lam = m too, and the bulk never refuses.  A
+    charge near 1e-160 gives a subnormal bulk, whose rounding only the
+    floor's absolute term covers."""
     data = InstantonData([InstantonChannel(lam, m) for lam, m in channels])
-    try:
-        value, error = bulk_action(data, QuadratureSpec(), float(l), monopole)
-    except IsotropyError:
-        assert not monopole
-        return
-    assert abs(value - bulk_action_closed_form(data, monopole)) <= error
-
-
-def test_fiber_only_bulk_meets_closed_form():
-    """Two channels whose densities cancel where the old tail fit looked
-    made it refuse ("tail is not decaying"); the exact tail has no such
-    window."""
-    data = InstantonData([InstantonChannel(0.0, 2.0),
-                          InstantonChannel(0.03125, -1.0)])
-    value, error = bulk_action(data, QuadratureSpec(), 1.0, monopole=False)
-    assert abs(value - bulk_action_closed_form(data, monopole=False)) <= error
+    value, error = bulk_action(data, QuadratureSpec(), float(l))
+    assert abs(value - bulk_action_closed_form(data)) <= error
 
 
 def test_bulk_stable_under_grid_doubling():

@@ -1,6 +1,7 @@
 """The README's configuration and report-schema examples against the code:
 the example config loads, and the schema shows the report's keys."""
 
+import importlib
 import json
 import re
 from dataclasses import fields
@@ -57,3 +58,21 @@ def test_readme_report_schema_has_the_report_keys():
     schema = _json_block("### Report schema")
     assert _key_tree(schema) == _key_tree(report)
     assert schema["schema"] == report["schema"]
+
+
+CODE_MODULES = ("cli", "eta", "gauge", "geometry", "quadrature",
+                "charclasses", "index", "jets")
+
+
+def test_readme_code_references_resolve():
+    """Every inline code span of the README that starts with module.name,
+    for a module of the package, names an attribute of that module: a
+    renamed or deleted function cannot stay in the docs."""
+    prose = re.sub(r"```.*?```", "", README, flags=re.DOTALL)
+    refs = [match.groups() for span in re.findall(r"`([^`]+)`", prose)
+            if (match := re.match(rf"({'|'.join(CODE_MODULES)})\.(\w+)",
+                                  span))]
+    assert refs
+    missing = [f"{mod}.{name}" for mod, name in refs if not hasattr(
+        importlib.import_module(f"tnindex.{mod}"), name)]
+    assert not missing
