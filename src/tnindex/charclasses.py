@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import jets
+from .errors import ConvergenceError
 from .geometry import (_EPS4, MetricSpec, _radial_coeffs,
                        curvature_form_chunks, wedge4)
 from .jets import Jet
@@ -22,7 +23,7 @@ def pontryagin_scalar(riemann: np.ndarray) -> np.ndarray:
     return 0.25 * np.einsum("cdef,nabcd,nbaef->n", _EPS4, riemann, riemann)
 
 
-_CHUNK = 256  # points per curvature batch, to bound the working set
+_CHUNK = 352  # points per curvature batch, to bound the working set
 
 
 def _density_samples(spec: MetricSpec, rs: np.ndarray, n_ang: int):
@@ -75,13 +76,19 @@ def convergence_table(spec: MetricSpec, quad: QuadratureSpec, n_r_values):
     the normalized tr R^R integral: the quadrature over [r_min, r_max],
     with its fine/coarse difference as the error, plus the exact ends
     P(r_min) - 1/12 and 1/6 - P(r_max) of `chern_simons`; the tail bound
-    bounds the roundoff of the ends and of the sum.
+    bounds the roundoff of the ends and of the sum.  A non-finite end
+    raises ConvergenceError, with the ends (r, P) as its history.
 
     Each distinct radial grid is sampled once: a fine grid of one row is
     often the coarse grid of the next.  A point's curvature does not depend
     on the rest of its batch, so reusing a grid changes no bit."""
     (p_min, p_max), _ = chern_simons(spec, [quad.r_min, quad.r_max])
-    head, tail = float(p_min) - 1.0 / 12.0, 1.0 / 6.0 - float(p_max)
+    ends = {"r_min": float(p_min), "r_max": float(p_max)}
+    bad = [f"P({k}) = {p}" for k, p in ends.items() if not np.isfinite(p)]
+    if bad:
+        raise ConvergenceError("Chern-Simons end not finite: " + ", ".join(
+            bad), [(getattr(quad, k), p) for k, p in ends.items()])
+    head, tail = ends["r_min"] - 1.0 / 12.0, 1.0 / 6.0 - ends["r_max"]
     sampled = {}
 
     def samples(rs):

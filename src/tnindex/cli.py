@@ -293,8 +293,9 @@ _RUNNERS = {
 def _emit_error(kind: str, message: str, history=None):
     """The failure JSON on stderr; a ConvergenceError adds its history."""
     payload = {"error": kind, "message": message}
-    if history is not None:
-        payload["history"] = history
+    if history is not None:  # non-finite numbers as null, as JSON has none
+        payload["history"] = json.loads(json.dumps(history),
+                                        parse_constant=lambda _: None)
     json.dump(payload, sys.stderr)
     sys.stderr.write("\n")
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -305,10 +306,12 @@ def metric_at(spec: MetricSpec, p: Point,
 
 def _metric_jet_arrays(spec: MetricSpec, xyz: np.ndarray, gauge: Gauge,
                        radial=None):
-    """Metric and its spatial coordinate derivatives for a batch of points,
-    point index last: g (4,4,n), dg (3,4,4,n) with dg[e, a, b] = d_e g_ab,
-    and d2g (3,3,4,4,n).  tau-derivatives vanish identically.  radial is
-    _radial_jets of these points, formed here when omitted."""
+    """Metric jets for a batch of points as a table of the m distinct entry
+    jets of _metric_entries, found by identity, point index last: val (m, n),
+    grad (3m+1, n) with d_e of entry k in row 3k+e, hess (9m+1, n) with
+    d_e d_f of entry k in row 9k+3e+f, and idx (4, 4), the row of each metric
+    entry.  The last rows of grad and hess are zero: nothing depends on tau.
+    radial is _radial_jets of these points, formed here when omitted."""
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
     if radial is None:
         radial = _radial_jets(spec, xyz)
@@ -316,22 +319,19 @@ def _metric_jet_arrays(spec: MetricSpec, xyz: np.ndarray, gauge: Gauge,
     entries = _metric_entries(
         spec, *(Jet.variable(x, i) for i, x in cols), gauge, radial,
         [Jet.variable_square(x, i) for i, x in cols])
-    n = xyz.shape[0]
-    g = np.empty((4, 4, n))
-    dg = np.empty((3, 4, 4, n))
-    d2g = np.empty((3, 3, 4, 4, n))
-    for a in range(4):
-        for b in range(4):
-            e = entries[a][b]
-            g[a, b] = e.val
-            dg[:, a, b] = e.grad
-            d2g[:, :, a, b] = e.hess
-    return g, dg, d2g
+    table = list({id(e): e for row in entries for e in row}.values())
+    rows = {id(e): k for k, e in enumerate(table)}
+    zero = np.zeros((1, xyz.shape[0]))
+    return (np.stack([e.val for e in table]),
+            np.concatenate([e.grad for e in table] + [zero]),
+            np.concatenate([e.hess.reshape(9, -1) for e in table] + [zero]),
+            np.array([[rows[id(e)] for e in row] for row in entries]))
 
 
 def _fd_metric_arrays(spec: MetricSpec, xyz: np.ndarray, gauge: Gauge,
                       h: float):
-    """Central-difference fallback for the derivative arrays."""
+    """Central-difference fallback for the jet table of _metric_jet_arrays,
+    with one row per metric entry."""
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
 
     def g_of(pts):
@@ -339,21 +339,21 @@ def _fd_metric_arrays(spec: MetricSpec, xyz: np.ndarray, gauge: Gauge,
 
     if np.any(np.linalg.norm(xyz, axis=1) <= 2.0 * h):
         raise DomainError("finite-difference stencil crosses r = 0")
-    step = h * np.eye(3)
+    step, n = h * np.eye(3), len(xyz)
     g = g_of(xyz)
-    dg = np.empty((3,) + g.shape)
-    d2g = np.empty((3, 3) + g.shape)
+    grad, hess = np.zeros((49, n)), np.zeros((145, n))
+    dg, d2g = grad[:48].reshape(4, 4, 3, n), hess[:144].reshape(4, 4, 3, 3, n)
     for mu in range(3):
         plus, minus = g_of(xyz + step[mu]), g_of(xyz - step[mu])
-        dg[mu] = (plus - minus) / (2.0 * h)
-        d2g[mu, mu] = (plus - 2.0 * g + minus) / h**2
+        dg[:, :, mu] = (plus - minus) / (2.0 * h)
+        d2g[:, :, mu, mu] = (plus - 2.0 * g + minus) / h**2
         for nu in range(mu + 1, 3):
-            d2g[mu, nu] = d2g[nu, mu] = (
+            d2g[:, :, mu, nu] = d2g[:, :, nu, mu] = (
                 g_of(xyz + step[mu] + step[nu])
                 - g_of(xyz + step[mu] - step[nu])
                 - g_of(xyz - step[mu] + step[nu])
                 + g_of(xyz - step[mu] - step[nu])) / (4.0 * h**2)
-    return g, dg, d2g
+    return g.reshape(16, n), grad, hess, np.arange(16).reshape(4, 4)
 
 
 def _frame_transform(frame, lowered):
@@ -368,15 +368,16 @@ def _frame_transform(frame, lowered):
     return np.einsum("nwbcd,nwa->nabcd", out, frame)
 
 
-def _metric_inverse(g):
-    """g^-1 of point-last metrics g (4,4,n) of the form A dx^2 + C (dtau +
-    omega)^2, in closed form (Eguchi, Gilkey & Hanson, Phys. Rep. 66 (1980)
-    213): g^ij = delta^ij / A, g^i tau = -omega_i / A and g^tau tau = 1/C +
-    |omega|^2 / A, read off g as A = g_33, C = g_tau tau, omega_i = g_i tau / C.
-    Elementwise, so a point's bits do not depend on its batch."""
-    a_inv, c_coeff = 1.0 / g[2, 2], g[3, 3]
-    omega = g[:3, 3] / c_coeff
-    ginv = np.zeros_like(g)
+def _metric_inverse(val, idx):
+    """g^-1 (4,4,n) of point-last metrics of the form A dx^2 + C (dtau +
+    omega)^2, given as a table val with entry rows idx, in closed form
+    (Eguchi, Gilkey & Hanson, Phys. Rep. 66 (1980) 213): g^ij = delta^ij / A,
+    g^i tau = -omega_i / A and g^tau tau = 1/C + |omega|^2 / A, read off g as
+    A = g_33, C = g_tau tau, omega_i = g_i tau / C.  Elementwise, so a
+    point's bits do not depend on its batch."""
+    a_inv, c_coeff = 1.0 / val[idx[2, 2]], val[idx[3, 3]]
+    omega = val[idx[:3, 3]] / c_coeff
+    ginv = np.zeros((4, 4) + val.shape[1:])
     ginv[[0, 1, 2], [0, 1, 2]] = a_inv
     ginv[:3, 3] = ginv[3, :3] = -omega * a_inv
     ginv[3, 3] = 1.0 / c_coeff + (omega[0] * omega[0] + omega[1] * omega[1]
@@ -384,50 +385,60 @@ def _metric_inverse(g):
     return ginv
 
 
-def _lowered_riemann(g, dg, d2g):
+@lru_cache(maxsize=4)
+def _gather_maps(idx: tuple, m: int):
+    """Row maps into the grad and hess tables of _metric_jet_arrays, m
+    entries at the rows idx (flat 4x4): d_b g_fc, d_c g_fb and d_f g_bc on
+    (f, b, c), then the four d^2 g terms of _lowered_riemann on PAIRS x
+    PAIRS.  A tau-derivative maps to the zero row."""
+    idx, ax = np.reshape(idx, (4, 4)), np.arange(4)[:, None, None]
+    d = np.where(ax < 3, 3 * idx + ax, 3 * m)   # d_e g_ab at (e, a, b)
+    dd = np.where((ax < 3) & (ax[:, None] < 3),
+                  9 * idx + 3 * ax[:, None] + ax, 9 * m)   # (e, f, a, b)
+    return (d.transpose(1, 0, 2), d.transpose(1, 2, 0), d,
+            dd[_B, _C, _A, _D], dd[_A, _D, _B, _C], dd[_B, _D, _A, _C],
+            dd[_A, _C, _B, _D])
+
+
+def _lowered_riemann(val, grad, hess, idx):
     """The lowered curvature tensor on PAIRS x PAIRS, shape (6,6,n), from
-    point-last metric jets, and the g^-1 (4,4,n) it used:
+    the metric jet table of _metric_jet_arrays, and the g^-1 (4,4,n) it used:
 
         R_ab,cd = 1/2 (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac)
                   + Gamma_f,bc Gamma^f_ad - Gamma_f,bd Gamma^f_ac.
 
-    Each contraction is a two-operand einsum with the point index as its
-    contiguous inner axis or an elementwise sum: numpy's own loop, never
-    BLAS, in an order that depends neither on the batch size nor on the
-    thread count."""
-    n = g.shape[-1]
-    ginv = _metric_inverse(g)
-    # Gamma_f,bc = 1/2 (d_c g_fb + d_b g_fc - d_f g_bc); nothing depends on
-    # tau, so each term fills only its spatial slice, as d2g does below
-    low = np.zeros((4, 4, 4, n))
-    low[:, :3] += dg.transpose(1, 0, 2, 3)
-    low[:, :, :3] += dg.transpose(1, 2, 0, 3)
-    low[:3] -= dg
-    low *= 0.5
+    Each term gathers table rows through _gather_maps; each contraction is
+    a two-operand einsum with the point index as its contiguous inner axis
+    or an elementwise sum: numpy's own loop, never BLAS, in an order that
+    depends neither on the batch size nor on the thread count."""
+    d_b, d_c, d_f, bcad, adbc, bdac, acbd = _gather_maps(
+        tuple(idx.ravel().tolist()), len(val))
+    ginv = _metric_inverse(val, idx)
+    # Gamma_f,bc = 1/2 (d_b g_fc + d_c g_fb - d_f g_bc); 0.0 + turns -0.0
+    # into 0.0, as a sum into zeros does
+    low = 0.5 * (0.0 + grad[d_b] + grad[d_c] - grad[d_f])
     up = np.einsum("fen,ebcn->fbcn", ginv, low)
-    hess = np.zeros((4, 4, 4, 4, n))
-    hess[:3, :3] = d2g
-    lowered = 0.5 * (hess[_B, _C, _A, _D] + hess[_A, _D, _B, _C]
-                     - hess[_B, _D, _A, _C] - hess[_A, _C, _B, _D])
+    lowered = 0.5 * (hess[bcad] + hess[adbc] - hess[bdac] - hess[acbd])
     # one f at a time: small temporaries, and a fixed order of the f sum
     for lo, hi in zip(low, up):
         lowered += lo[_B, _C] * hi[_A, _D] - lo[_B, _D] * hi[_A, _C]
     return lowered, ginv
 
 
-def _riemann_from_arrays(g, dg, d2g):
+def _riemann_from_arrays(val, grad, hess, idx):
     """The six mixed coordinate curvature 2-forms R^a_b,cd on PAIRS, shape
-    (6,4,4,n): the lowered tensor raised on its first index by g^-1."""
-    lowered, ginv = _lowered_riemann(g, dg, d2g)
+    (6,4,4,n), from the jet table of _metric_jet_arrays: the lowered tensor
+    raised on its first index by g^-1."""
+    lowered, ginv = _lowered_riemann(val, grad, hess, idx)
     return np.einsum("aen,ebqn->qabn", ginv, two_form_matrix(lowered))
 
 
-def _frame_curvature(g, dg, d2g):
+def _frame_curvature(val, grad, hess, idx):
     """Frame Riemann tensor (n,4,4,4,4), fully lowered, frame Ricci (n,4,4),
-    metric and vierbein (n,4,4) from point-last metric jets, through the
-    lowered tensor of _lowered_riemann."""
-    lowered, _ = _lowered_riemann(g, dg, d2g)
-    g = np.moveaxis(g, -1, 0)
+    metric and vierbein (n,4,4) from the jet table of _metric_jet_arrays,
+    through the lowered tensor of _lowered_riemann."""
+    lowered, _ = _lowered_riemann(val, grad, hess, idx)
+    g = np.moveaxis(val[idx], -1, 0)
     # (c, d, a, b, n) from both pair axes, to (n, a, b, c, d), contiguous
     # for the einsum loops
     riem = np.ascontiguousarray(two_form_matrix(np.moveaxis(
@@ -479,15 +490,15 @@ def curvature_at(spec: MetricSpec, p: Point, h: float | None = None,
     _check_chart(p.r, p.x1, p.x2, p.x3, gauge)
     xyz = p.xyz()[None, :]
     if method == "jet":
-        g, dg, d2g = _metric_jet_arrays(spec, xyz, gauge)
+        arrays = _metric_jet_arrays(spec, xyz, gauge)
     elif method == "fd":
         step = h if h is not None else 1e-4 * p.r
         if step <= 0:
             raise DomainError("differentiation step must be positive")
-        g, dg, d2g = _fd_metric_arrays(spec, xyz, gauge, step)
+        arrays = _fd_metric_arrays(spec, xyz, gauge, step)
     else:
         raise ValueError(f"unknown method {method!r}")
-    riem, ricci, g, frame = _frame_curvature(g, dg, d2g)
+    riem, ricci, g, frame = _frame_curvature(*arrays)
     sample = MetricSample(g=g[0], frame=frame[0], point=p)
     return CurvatureSample(riemann=riem[0], ricci=ricci[0], metric=sample)
 

@@ -159,12 +159,14 @@ def _count_chunks(monkeypatch):
 
 def test_density_samples_evaluate_points_in_chunks(monkeypatch):
     """The radius x angle points are evaluated together, flattened, in
-    chunks of at most _CHUNK points."""
+    chunks of at most _CHUNK points: just over one chunk of them take
+    two."""
     points = _count_chunks(monkeypatch)
-    rs = np.geomspace(0.5, 60.0, 100)
+    n_r = charclasses._CHUNK // 3 + 1
+    rs = np.geomspace(0.5, 60.0, n_r)
     samples = charclasses._density_samples(exact_d_spec(), rs, 3)
-    assert samples.shape == (100, 3)
-    assert points == [charclasses._CHUNK, 300 - charclasses._CHUNK]
+    assert samples.shape == (n_r, 3)
+    assert points == [charclasses._CHUNK, 3 * n_r - charclasses._CHUNK]
 
 
 def test_density_samples_form_radial_jets_once(monkeypatch):

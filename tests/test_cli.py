@@ -443,6 +443,40 @@ def test_pontryagin_miss_emits_error_and_keeps_csv(tmp_path, capsys):
         assert [repr(x) for x in row] == line.split(",")
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("mode", ["pontryagin", "convergence"])
+@pytest.mark.parametrize("variant, ends", [("ExactD", ["r_min"]),
+                                           ("TN", ["r_min", "r_max"])])
+def test_non_finite_end_is_a_typed_failure(tmp_path, capsys, mode, variant,
+                                           ends):
+    """At l = 1e160 chern_simons overflows to NaN at the named ends: the
+    sweep exits 1 before it writes a CSV, and its failure JSON holds no
+    NaN token."""
+    cfg = write_config(tmp_path, {"mode": mode, "sweep": [16, 32, 64],
+                                  "metric": {"variant": variant, "l": 1e160}})
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    assert list(out.iterdir()) == []
+    err = json.loads(capsys.readouterr().err.splitlines()[-1],
+                     parse_constant=_reject_constant)
+    assert err["error"] == "ConvergenceError"
+    for end in ("r_min", "r_max"):
+        assert (f"P({end})" in err["message"]) == (end in ends)
+    assert [p is None for _, p in err["history"]] == [
+        end in ends for end in ("r_min", "r_max")]
+
+
+def test_non_finite_history_is_written_as_null(capsys):
+    cli._emit_error("ConvergenceError", "radial integral is not finite",
+                    [(16, float("nan")), (32, float("inf"))])
+    err = json.loads(capsys.readouterr().err, parse_constant=_reject_constant)
+    assert err["history"] == [[16, None], [32, None]]
+
+
 def test_eta_route_evaluates_only_that_route(tmp_path, monkeypatch):
     """--route bernoulli evaluates Bernoulli alone: the mode sum is never
     called, and at lambda = 1e-5 Poisson, which would refuse, is not

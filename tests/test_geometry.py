@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tnindex import geometry
+from tnindex import charclasses, geometry
 from tnindex.errors import ChartError, DomainError
 from tnindex.gauge import InstantonChannel, field_strength_at
 from tnindex.jets import Jet
@@ -304,6 +304,14 @@ def test_curvature_batch_independent_of_batch():
             out, np.concatenate([half[k] for half in halves]))
 
 
+def _expand(val, grad, hess, idx):
+    """A jet table of geometry._metric_jet_arrays as point-last arrays g
+    (4,4,n), dg (3,4,4,n) with dg[e, a, b] = d_e g_ab, and d2g (3,3,4,4,n)."""
+    n = val.shape[-1]
+    return (val[idx], grad[:-1].reshape(-1, 3, n)[idx].transpose(2, 0, 1, 3),
+            hess[:-1].reshape(-1, 3, 3, n)[idx].transpose(2, 3, 0, 1, 4))
+
+
 _SPATIAL = [k for k, (_, d) in enumerate(PAIRS) if d < 3]
 _DM_E = [c for c, _ in PAIRS] + [PAIRS[k][1] for k in _SPATIAL]
 _DM_C = [d for _, d in PAIRS] + [PAIRS[k][0] for k in _SPATIAL]
@@ -337,9 +345,10 @@ def _commutator_forms(g, dg, d2g):
     return forms
 
 
-def _commutator_lowered(g, dg, d2g):
+def _commutator_lowered(*table):
     """_commutator_forms lowered by g onto PAIRS x PAIRS, in the interface
     of geometry._lowered_riemann."""
+    g, dg, d2g = _expand(*table)
     low = np.einsum("aen,qebn->abqn", g, _commutator_forms(g, dg, d2g))
     return low[tuple(zip(*PAIRS))], None
 
@@ -363,7 +372,7 @@ def test_lowered_riemann_matches_commutator_oracle(variant, kind, l, gauge):
     arrays = geometry._metric_jet_arrays(_kernel_spec(variant, kind, l),
                                          _log_radius_batch(3), gauge)
     got = geometry._riemann_from_arrays(*arrays)
-    ref = _commutator_forms(*arrays)
+    ref = _commutator_forms(*_expand(*arrays))
     rel = np.abs(got - ref).max(axis=(0, 1, 2)) \
         / np.abs(ref).max(axis=(0, 1, 2))
     assert rel.max() <= 1e-8
@@ -375,10 +384,10 @@ def test_closed_form_metric_inverse_matches_lapack(variant, kind, l, gauge):
     inverse to 1e-13 of each point's largest entry (measured: at most
     3.1e-15 on these points, NORTH gauge, TN l = 0.2); the commutator
     oracle keeps LAPACK, so it stays independent."""
-    g = geometry._metric_jet_arrays(_kernel_spec(variant, kind, l),
-                                    _log_radius_batch(3), gauge)[0]
-    ref = np.linalg.inv(np.moveaxis(g, -1, 0)).transpose(1, 2, 0)
-    gap = np.abs(geometry._metric_inverse(g) - ref).max(axis=(0, 1))
+    val, _, _, idx = geometry._metric_jet_arrays(
+        _kernel_spec(variant, kind, l), _log_radius_batch(3), gauge)
+    ref = np.linalg.inv(np.moveaxis(val[idx], -1, 0)).transpose(1, 2, 0)
+    gap = np.abs(geometry._metric_inverse(val, idx) - ref).max(axis=(0, 1))
     assert (gap / np.abs(ref).max(axis=(0, 1))).max() <= 1e-13
 
 
@@ -400,7 +409,7 @@ def test_lowered_riemann_has_pair_symmetry_and_first_bianchi(
                                          _log_radius_batch(3), gauge)
     geometry._riemann_from_arrays(*arrays)
     [low] = seen
-    scale = np.abs(arrays[2]).max(axis=(0, 1, 2, 3))
+    scale = np.abs(_expand(*arrays)[2]).max(axis=(0, 1, 2, 3))
     pair = np.abs(low - low.transpose(1, 0, 2)).max(axis=(0, 1))
     # (c, d, a, b) from both pair axes, then R_abcd
     full = expand(np.moveaxis(expand(low), 2, 0)).transpose(2, 3, 0, 1, 4)
@@ -438,6 +447,124 @@ def test_tn_ricci_residual_no_worse_than_commutator_kernel(monkeypatch, l):
     assert log_ratio <= 0.0
 
 
+def frozen_metric_jet_arrays(spec, xyz, gauge, radial=None):
+    """geometry._metric_jet_arrays as it was written before the jet table:
+    g (4,4,n), dg (3,4,4,n) and d2g (3,3,4,4,n), one copy per entry."""
+    xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
+    if radial is None:
+        radial = geometry._radial_jets(spec, xyz)
+    cols = list(enumerate(xyz.T))
+    entries = geometry._metric_entries(
+        spec, *(Jet.variable(x, i) for i, x in cols), gauge, radial,
+        [Jet.variable_square(x, i) for i, x in cols])
+    n = xyz.shape[0]
+    g, dg, d2g = (np.empty((4, 4, n)), np.empty((3, 4, 4, n)),
+                  np.empty((3, 3, 4, 4, n)))
+    for a in range(4):
+        for b in range(4):
+            e = entries[a][b]
+            g[a, b], dg[:, a, b], d2g[:, :, a, b] = e.val, e.grad, e.hess
+    return g, dg, d2g
+
+
+def frozen_lowered_riemann(g, dg, d2g):
+    """geometry._lowered_riemann as it was written before the gathers: a
+    zero-filled Christoffel array and d2g zero-padded on tau."""
+    n = g.shape[-1]
+    a_inv, c_coeff = 1.0 / g[2, 2], g[3, 3]
+    omega = g[:3, 3] / c_coeff
+    ginv = np.zeros_like(g)
+    ginv[[0, 1, 2], [0, 1, 2]] = a_inv
+    ginv[:3, 3] = ginv[3, :3] = -omega * a_inv
+    ginv[3, 3] = 1.0 / c_coeff + (omega[0] * omega[0] + omega[1] * omega[1]
+                                  + omega[2] * omega[2]) * a_inv
+    low = np.zeros((4, 4, 4, n))
+    low[:, :3] += dg.transpose(1, 0, 2, 3)
+    low[:, :, :3] += dg.transpose(1, 2, 0, 3)
+    low[:3] -= dg
+    low *= 0.5
+    up = np.einsum("fen,ebcn->fbcn", ginv, low)
+    hess = np.zeros((4, 4, 4, 4, n))
+    hess[:3, :3] = d2g
+    a, b, c, d = geometry._A, geometry._B, geometry._C, geometry._D
+    lowered = 0.5 * (hess[b, c, a, d] + hess[a, d, b, c]
+                     - hess[b, d, a, c] - hess[a, c, b, d])
+    for lo, hi in zip(low, up):
+        lowered += lo[b, c] * hi[a, d] - lo[b, d] * hi[a, c]
+    return lowered, ginv
+
+
+def frozen_riemann_from_arrays(g, dg, d2g):
+    lowered, ginv = frozen_lowered_riemann(g, dg, d2g)
+    return np.einsum("aen,ebqn->qabn", ginv, two_form_matrix(lowered))
+
+
+def frozen_frame_curvature(g, dg, d2g):
+    lowered, _ = frozen_lowered_riemann(g, dg, d2g)
+    g = np.moveaxis(g, -1, 0)
+    riem = np.ascontiguousarray(two_form_matrix(np.moveaxis(
+        two_form_matrix(lowered), 2, 0)).transpose(4, 2, 3, 0, 1))
+    frame = geometry._vierbein(g)
+    riem = geometry._frame_transform(frame, riem)
+    return riem, np.einsum("nabad->nbd", riem), g, frame
+
+
+def _same_bits(got, ref):
+    assert len(got) == len(ref)
+    for mine, theirs in zip(got, ref):
+        assert mine.shape == theirs.shape
+        assert mine.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("variant, kind, l, gauge", _KERNEL_CASES)
+def test_table_kernel_keeps_the_frozen_bits(variant, kind, l, gauge):
+    """The jet table and its gathers give the mixed 2-forms and the frame
+    curvature of the per-entry arrays and the padded kernel, bit for bit."""
+    spec, xyz = _kernel_spec(variant, kind, l), _log_radius_batch(3, 67)
+    arrays = frozen_metric_jet_arrays(spec, xyz, gauge)
+    _same_bits([geometry._riemann_from_arrays(
+        *geometry._metric_jet_arrays(spec, xyz, gauge))],
+        [frozen_riemann_from_arrays(*arrays)])
+    _same_bits(curvature_batch(spec, xyz, gauge),
+               frozen_frame_curvature(*arrays))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("gauge", list(Gauge))
+def test_identity_table_keeps_the_frozen_bits(variant, gauge):
+    """The finite-difference route goes through the same kernel on a table
+    with one row per entry, with the bits of the padded kernel."""
+    spec, xyz = _kernel_spec(variant, "septic", 1.0), _log_radius_batch(5, 9)
+    table = geometry._fd_metric_arrays(spec, xyz, gauge, 1e-5)
+    assert np.array_equal(table[3], np.arange(16).reshape(4, 4))
+    arrays = _expand(*table)
+    _same_bits([geometry._riemann_from_arrays(*table)],
+               [frozen_riemann_from_arrays(*arrays)])
+    sample = curvature_at(spec, Point(*xyz[0]), h=1e-5, gauge=gauge,
+                          method="fd")
+    riem, ricci, g, frame = frozen_frame_curvature(*(
+        x[..., :1] for x in arrays))
+    _same_bits([sample.riemann, sample.ricci, sample.metric.g,
+                sample.metric.frame], [riem[0], ricci[0], g[0], frame[0]])
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("kind", ["quintic", "septic"])
+@pytest.mark.parametrize("l", [0.2, 1.0, 6.0])
+def test_density_keeps_the_frozen_bits(monkeypatch, variant, kind, l):
+    """_density_samples over several chunks, the last one short, has the
+    bits of the per-entry arrays and the padded kernel."""
+    spec = _kernel_spec(variant, kind, l)
+    rs = np.geomspace(1e-4, 80.0, charclasses._CHUNK // 4 + 3)
+    assert (8 * rs.size) % charclasses._CHUNK
+    got = charclasses._density_samples(spec, rs, 8)
+    monkeypatch.setattr(geometry, "_metric_jet_arrays",
+                        frozen_metric_jet_arrays)
+    monkeypatch.setattr(geometry, "_riemann_from_arrays",
+                        frozen_riemann_from_arrays)
+    _same_bits([got], [charclasses._density_samples(spec, rs, 8)])
+
+
 @pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("kind", ["quintic", "septic"])
 def test_radial_lift_matches_three_variable_jets(monkeypatch, variant, kind):
@@ -446,10 +573,10 @@ def test_radial_lift_matches_three_variable_jets(monkeypatch, variant, kind):
     the batch's largest entry of the direct three-variable propagation."""
     spec = _kernel_spec(variant, kind, 1.0)
     xyz = _log_radius_batch(13)
-    got = geometry._metric_jet_arrays(spec, xyz, Gauge.DEFAULT)
+    got = _expand(*geometry._metric_jet_arrays(spec, xyz, Gauge.DEFAULT))
     monkeypatch.setattr(geometry.jets, "lift",
                         lambda radial, r: geometry._radial_coeffs(spec, r))
-    ref = geometry._metric_jet_arrays(spec, xyz, Gauge.DEFAULT)
+    ref = _expand(*geometry._metric_jet_arrays(spec, xyz, Gauge.DEFAULT))
     assert np.array_equal(got[0], ref[0])
     for mine, theirs in zip(got[1:], ref[1:]):
         gap = np.abs(mine - theirs)
