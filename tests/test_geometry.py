@@ -495,11 +495,13 @@ def frozen_lowered_riemann(g, dg, d2g):
 
 
 def frozen_riemann_from_arrays(g, dg, d2g):
+    """geometry._riemann_from_arrays on the frozen arrays and kernel."""
     lowered, ginv = frozen_lowered_riemann(g, dg, d2g)
     return np.einsum("aen,ebqn->qabn", ginv, two_form_matrix(lowered))
 
 
 def frozen_frame_curvature(g, dg, d2g):
+    """geometry._frame_curvature on the frozen arrays and kernel."""
     lowered, _ = frozen_lowered_riemann(g, dg, d2g)
     g = np.moveaxis(g, -1, 0)
     riem = np.ascontiguousarray(two_form_matrix(np.moveaxis(
