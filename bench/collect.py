@@ -19,6 +19,8 @@ every side the file records the minimum (and the median) over N runs of:
   the configuration's channels and quadrature. ``bulk_action_first`` is
   the first call in a fresh interpreter, before any grid is built, and
   ``bulk_action`` the minimum over the later calls, one per sweep;
+- in process: ``load_config``, the seconds per ``cli.load_config`` call on
+  the configuration in ``index`` mode, the mean of 1,000 calls per sweep;
 - in process: ``main_<mode>``, the time per op of ``tnindex.cli.main``
   for each mode, called ``OPS`` times in one interpreter per round. Its
   minimum and median are over every op of every round. A fresh
@@ -65,9 +67,11 @@ OPS = 20
 
 # In-process child: min over its own repeats of one sweep, of the time the
 # sweep spends in each wrapped kernel that geometry has, of the time per
-# lambda of each eta route over the config's lambdas, and of one bulk_action
-# call on the config's channels, as one JSON line. bulk_action_first is the
-# child's first bulk_action call, made before anything else samples a grid.
+# lambda of each eta route over the config's lambdas, of one bulk_action
+# call on the config's channels and of one load_config call in index mode
+# (the mean of LOADS calls, on arguments parsed once), as one JSON line.
+# bulk_action_first is the child's first bulk_action call, made before
+# anything else samples a grid.
 # Arguments: config path, repeats, then the site names.
 IN_PROCESS = """
 import json, sys, time
@@ -84,6 +88,7 @@ t0 = time.perf_counter()
 gauge.bulk_action(*bulk_args)
 first = {"bulk_action_first": time.perf_counter() - t0}
 spent = {name: 0.0 for name in sys.argv[3:] if hasattr(geometry, name)}
+LOADS, index_args = 1000, cli.build_parser().parse_args(["--mode", "index"])
 
 def timed(name, fn):
     def wrapper(*args):
@@ -112,6 +117,10 @@ for _ in range(int(sys.argv[2])):
     t0 = time.perf_counter()
     gauge.bulk_action(*bulk_args)
     lap["bulk_action"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    for _ in range(LOADS):
+        cli.load_config(raw, index_args)
+    lap["load_config"] = (time.perf_counter() - t0) / LOADS
     best = {k: min(v, best.get(k, v)) for k, v in lap.items()}
 print(json.dumps({**first, **best}))
 """

@@ -8,9 +8,10 @@ import csv
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 from functools import lru_cache
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -31,125 +32,130 @@ EXIT_VALIDATION = 3
 MODES = ("index", "eta", "geometry-check", "pontryagin", "convergence")
 
 
-def _require(cond: bool, message: str):
+def _require(cond: bool, message: str, *args):
     if not cond:
-        raise ValueError(message)
+        raise ValueError(message.format(*args))
+
+
+# per section dataclass: (field types, fields without a default), read once
+_SPECS = {cls: (get_type_hints(cls), [
+    f.name for f in fields(cls) if f.default is MISSING is f.default_factory])
+    for cls in (MetricSpec, BlendProfile, QuadratureSpec, SeriesSpec,
+                InstantonChannel)}
 
 
 def _cast(kind: type, value, name: str):
-    """value cast to kind; a numeric field rejects a string or a bool, and
-    an int field a non-integral value, which int() would truncate."""
-    _require(kind not in (int, float) or type(value) in (int, float),
-             f"{name} must be a number, got {value!r}")
-    _require(kind is not int or float(value).is_integer(),
-             f"{name} must be an integer, got {value!r}")
-    return kind(value)
+    """The config value `name` as kind: a number is a JSON number that a
+    double holds, integral for an int, a str or an enum (read by value) a
+    JSON string, and a dataclass is built from its section."""
+    if kind in _SPECS:
+        return _build_spec(kind, value, name)
+    if kind is int or kind is float:
+        if type(value) not in (int, float):  # not a string, nor a bool
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:  # an integer above the largest double
+            raise ValueError(f"{name} must be a number within double range")
+        if kind is int and not number.is_integer():
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        return number if kind is float else int(value)
+    choices = () if kind is str else tuple(member.value for member in kind)
+    if type(value) is str and (not choices or value in choices):
+        return kind(value)
+    want = f"one of {choices}" if choices else "a string"
+    raise ValueError(f"{name} must be {want}, got {value!r}")
 
 
 def _only(section: dict, keys) -> dict:
     """section, unless it holds a key outside keys: a key that nothing
     reads, such as a misspelt one, is a ValidationError naming it."""
     for key in section:
-        _require(key in keys, f"unknown config key {key!r}; this object "
-                 f"takes {', '.join(keys)}")
+        if key not in keys:
+            raise ValueError(f"unknown config key {key!r}; this object "
+                             f"takes {', '.join(keys)}")
     return section
 
 
-def _build_spec(cls, section: dict, kinds: dict | None = None):
-    """Instance of the dataclass cls from a config section: each key is
-    cast to its type in kinds (default: the type of its field's default),
-    absent keys keep the default, and a key outside kinds is rejected."""
-    kinds = kinds or {f.name: type(f.default) for f in fields(cls)}
-    return cls(**{key: _cast(kinds[key], value, key)
-                  for key, value in _only(section, kinds).items()})
-
-
-def _section(parent: dict, key: str, where: str | None = None) -> dict:
-    """The config section parent[key] ({} when absent), which must be a
-    JSON object; `where` names it in the error (default: key)."""
-    section = parent.get(key, {})
-    _require(isinstance(section, dict),
-             f"{where or key} must be a JSON object")
-    return section
-
-
-def _build_metric(section: dict) -> MetricSpec:
-    _only(section, ("variant", "t", "l", "blend"))
-    try:
-        variant = Variant(section.get("variant", "ExactD"))
-    except ValueError:
-        raise ValueError(
-            f"unknown metric variant {section.get('variant')!r}") from None
-    return MetricSpec(variant=variant, blend=_build_spec(
-        BlendProfile, _section(section, "blend", "metric.blend")), **{
-            key: _cast(float, section[key], f"metric.{key}")
-            for key in ("t", "l") if key in section})
-
-
-def _build_instanton(section: dict) -> InstantonData:
-    channels = _only(section, ("channels",)).get("channels")
-    _require(isinstance(channels, list) and channels,
-             "instanton.channels must be a non-empty list")
-    for i, ch in enumerate(channels):
-        _require(isinstance(ch, dict) and "lam" in ch,
-                 f"instanton.channels[{i}] must be a JSON object with a "
-                 f"'lam', got {ch!r}")
-    return InstantonData([_build_spec(
-        InstantonChannel, {"mcharge": 0.0, **ch},
-        {"lam": float, "mcharge": float, "chern": int}) for ch in channels])
+def _build_spec(cls, section, where: str, **defaults):
+    """Instance of the dataclass cls from the config section `where`, a
+    JSON object whose keys name fields, each cast to its type; an absent
+    key takes defaults, else the field's default, which it must have."""
+    types, required = _SPECS[cls]
+    need = [key for key in required if key not in defaults]
+    if not isinstance(section, dict) or any(k not in section for k in need):
+        raise ValueError(f"{where} must be a JSON object" + "".join(
+            f" with a {key!r}" for key in need) + f", got {section!r}")
+    for key, value in _only(section, types).items():
+        defaults[key] = _cast(types[key], value, f"{where}.{key}")
+    return cls(**defaults)
 
 
 def load_config(raw: dict, overrides: argparse.Namespace) -> dict:
     _only(raw, ("mode", "grav", "route", "instanton", "metric", "quad",
                 "series", "lambdas", "sweep", "out", "seed"))
     mode = overrides.mode or raw.get("mode")
-    _require(mode in MODES, f"mode must be one of {MODES}, got {mode!r}")
+    _require(mode in MODES, "mode must be one of {}, got {!r}", MODES, mode)
     cfg = {
         "mode": mode,
-        "metric": _build_metric(_section(raw, "metric")),
-        "quad": _build_spec(QuadratureSpec, _section(raw, "quad")),
-        "series": _build_spec(SeriesSpec, _section(raw, "series")),
+        "metric": _build_spec(MetricSpec, raw.get("metric", {}), "metric",
+                              variant=Variant.EXACT_D),
+        "quad": _build_spec(QuadratureSpec, raw.get("quad", {}), "quad"),
+        "series": _build_spec(SeriesSpec, raw.get("series", {}), "series"),
         "route": overrides.route or raw.get("route", "bernoulli"),
         "grav": overrides.grav or raw.get("grav", "numeric"),
-        "out": Path(overrides.out or raw.get("out", ".")),
+        "out": Path(overrides.out or _cast(str, raw.get("out", "."), "out")),
         "lambdas": raw.get("lambdas", [0.1, 0.25, 0.4, 0.6, 0.9]),
         "sweep": raw.get("sweep", [64, 128, 256]),
         "seed": _cast(int, raw.get("seed", 7), "seed"),
     }
-    _require(cfg["seed"] >= 0, f"seed must be >= 0, got {cfg['seed']!r}")
+    _require(cfg["seed"] >= 0, "seed must be >= 0, got {!r}", cfg["seed"])
     if overrides.tol is not None:
         _require(overrides.tol > 0, "--tol must be positive")
         cfg["quad"] = replace(cfg["quad"], tol=overrides.tol)
     routes = ROUTES if mode == "index" else ROUTES + ("all",)
-    _require(cfg["route"] in routes, f"route must be one of {routes}")
-    _require(cfg["grav"] in GRAV_MODES, f"grav must be one of {GRAV_MODES}")
+    _require(cfg["route"] in routes, "route must be one of {}", routes)
+    _require(cfg["grav"] in GRAV_MODES, "grav must be one of {}", GRAV_MODES)
     if mode in ("index", "eta") and "instanton" in raw:
-        cfg["instanton"] = _build_instanton(_section(raw, "instanton"))
+        section = raw["instanton"]
+        _require(isinstance(section, dict), "instanton must be a JSON object")
+        channels = _only(section, ("channels",)).get("channels")
+        _require(isinstance(channels, list) and channels,
+                 "instanton.channels must be a non-empty list")
+        cfg["instanton"] = InstantonData([_build_spec(
+            InstantonChannel, ch, f"instanton.channels[{i}]", mcharge=0.0)
+            for i, ch in enumerate(channels)])
+        cfg["lambdas"] = [ch.lam for ch in cfg["instanton"].channels]
     if mode == "index":
         _require("instanton" in cfg, "mode 'index' requires an instanton "
                  "section with channels")
     if mode == "eta" and "instanton" not in cfg:
         lam = cfg["lambdas"]
-        _require(isinstance(lam, list) and lam and all(
-            type(x) in (int, float) and math.isfinite(x) for x in lam),
-            f"lambdas must be a non-empty list of finite numbers, got {lam!r}")
+        message = ("lambdas must be a non-empty list of finite numbers, "
+                   "got {!r}")
+        _require(isinstance(lam, list) and lam, message, lam)
+        cfg["lambdas"] = [_cast(float, x, f"lambdas[{i}]")
+                          for i, x in enumerate(lam)]
+        _require(all(map(math.isfinite, cfg["lambdas"])), message, lam)
     if mode in ("pontryagin", "convergence"):
         # a convergence verdict compares the last sweep step with the
         # first, so it needs at least two steps to be able to fail
         min_len = 1 if mode == "pontryagin" else 3
         sweep = cfg["sweep"]
-        message = (f"sweep must be a list of at least {min_len} integers "
-                   f">= 16 in mode {mode!r}, got {sweep!r}")
-        _require(isinstance(sweep, list) and len(sweep) >= min_len, message)
-        cfg["sweep"] = [_cast(int, n, "sweep") for n in sweep]
-        _require(min(cfg["sweep"]) >= 16, message)
+        message = ("sweep must be a list of at least {} integers >= 16 in "
+                   "mode {!r}, got {!r}")
+        _require(isinstance(sweep, list) and len(sweep) >= min_len, message,
+                 min_len, mode, sweep)
+        cfg["sweep"] = [_cast(int, n, f"sweep[{i}]")
+                        for i, n in enumerate(sweep)]
+        _require(min(cfg["sweep"]) >= 16, message, min_len, mode, sweep)
     if mode in ("pontryagin", "convergence") or (
             mode == "index" and cfg["grav"] == "numeric"):
         # a README contract: the blend ends inside the sampled range; the
         # exact ends of the Pontryagin integral would hold past it as well
         r_out, r_max = cfg["metric"].blend.r_out, cfg["quad"].r_max
-        _require(r_out < r_max, f"metric.blend.r_out ({r_out!r}) must be "
-                 f"below quad.r_max ({r_max!r}) in mode {mode!r}")
+        _require(r_out < r_max, "metric.blend.r_out ({!r}) must be below "
+                 "quad.r_max ({!r}) in mode {!r}", r_out, r_max, mode)
     return cfg
 
 
@@ -184,12 +190,8 @@ def _run_index(cfg: dict) -> int:
 
 
 def _run_eta(cfg: dict) -> int:
-    if "instanton" in cfg:
-        lambdas = [ch.lam for ch in cfg["instanton"].channels]
-    else:
-        lambdas = [float(x) for x in cfg["lambdas"]]
     routes = ROUTES if cfg["route"] == "all" else (cfg["route"],)
-    rows = route_table(lambdas, cfg["series"], routes)
+    rows = route_table(cfg["lambdas"], cfg["series"], routes)
     _write_csv(cfg["out"] / "eta_routes.csv",
                ["lambda", "route", "a0", "a2coeff", "integrated", "error"],
                rows)

@@ -33,9 +33,6 @@ from .quadrature import ROUNDOFF
 
 ROUTES = ("mode_sum", "poisson", "bernoulli")
 
-# Flux of the fiber curvature R = dw = -(1/2) vol over the base sphere.
-R_FLUX = -2.0 * np.pi
-
 
 @dataclass(frozen=True)
 class FormScalar:

@@ -48,7 +48,7 @@ def test_in_process_child_reads_a_missing_site_as_absent(tmp_path):
         capture_output=True, text=True)
     assert set(json.loads(child.stdout)) == {
         *collect.KERNEL_SITES, "convergence_table", "bulk_action",
-        "bulk_action_first",
+        "bulk_action_first", "load_config",
         *(f"eta_{route}_per_lambda" for route in eta.ROUTES)}
 
 

@@ -206,7 +206,8 @@ def test_non_object_section_rejected(tmp_path, capsys, section):
     assert "must be a JSON object" in err["message"]
 
 
-@pytest.mark.parametrize("lambdas", [5, ["x"], [], [float("nan")]])
+@pytest.mark.parametrize("lambdas", [5, ["x"], [], [float("nan")],
+                                     [0.3, 10**400]])
 def test_bad_lambdas_rejected(tmp_path, capsys, lambdas):
     cfg = write_config(tmp_path, {"mode": "eta", "lambdas": lambdas})
     out = tmp_path / "out"
@@ -298,8 +299,12 @@ def test_bad_quad_rejected(tmp_path, capsys, patch):
     assert not out.exists()
 
 
-# A numeric field given as a JSON string or a bool, with the field's name:
-# int() and float() would read "64" as 64 and true as 1.
+# A field given a value of the wrong JSON type, with the field's name: a
+# numeric field given a JSON string or a bool (int() and float() would read
+# "64" as 64 and true as 1) or an integer too large for a double, and a
+# string field given a number or a list. The name is the field's dotted
+# path in the config.
+STRING_FIELDS = ("out", "metric.blend.kind")
 NON_NUMBERS = [
     ({"quad": {"n_r": "64"}}, "n_r"),
     ({"quad": {"n_r": 64, "tol": "0.5"}}, "tol"),
@@ -313,6 +318,20 @@ NON_NUMBERS = [
      "mcharge"),
     ({"instanton": {"channels": [{"lam": 0.3, "chern": True}]}}, "chern"),
     ({"seed": "7"}, "seed"),
+    ({"quad": {"n_r": "64"}}, "quad.n_r"),
+    ({"metric": {"blend": {"r_out": "4"}}}, "metric.blend.r_out"),
+    ({"instanton": {"channels": [{"lam": 0.3}, {"lam": 0.6},
+                                 {"lam": 0.1, "chern": "1"}]}},
+     "instanton.channels[2].chern"),
+    ({"mode": "pontryagin", "sweep": [64, "128"]}, "sweep[1]"),
+    ({"quad": {"r_max": 10**400}}, "quad.r_max"),
+    ({"quad": {"n_r": 10**400}}, "quad.n_r"),
+    ({"instanton": {"channels": [{"lam": 10**400}]}},
+     "instanton.channels[0].lam"),
+    ({"seed": 10**400}, "seed"),
+    ({"mode": "pontryagin", "sweep": [64, 10**400]}, "sweep[1]"),
+    ({"out": 5}, "out"),
+    ({"metric": {"blend": {"kind": ["septic"]}}}, "metric.blend.kind"),
 ]
 
 
@@ -320,10 +339,13 @@ NON_NUMBERS = [
 def test_non_number_rejected(tmp_path, capsys, patch, field):
     cfg = write_config(tmp_path, dict(INDEX_CONFIG, **patch))
     out = tmp_path / "out"
-    assert main(["--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    # --out overrides the config's out, which is then not read
+    args = [] if "out" in patch else ["--out", str(out)]
+    assert main(["--config", cfg, *args]) == EXIT_VALIDATION
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError"
-    assert f"{field} must be a number" in err["message"]
+    kind = "a string" if field in STRING_FIELDS else "a number"
+    assert f"{field} must be {kind}" in err["message"]
     assert not out.exists()
 
 

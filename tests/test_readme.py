@@ -36,6 +36,22 @@ def test_readme_config_loads():
     assert cfg["quad"].n_r == raw["quad"]["n_r"]
 
 
+def test_field_types_are_read_once_at_import(monkeypatch):
+    """load_config casts each field by the types that cli read at import:
+    with get_type_hints raising, the README config and an eta config load
+    to the same values as before."""
+    def unread(*args, **kwargs):
+        raise AssertionError("field types read per load")
+
+    overrides = cli.build_parser().parse_args([])
+    raws = [_json_block("### Configuration document"),
+            {"mode": "eta", "lambdas": [0.3, 2], "series": {"tol": 1e-9},
+             "metric": {"variant": "TN", "blend": {"kind": "septic"}}}]
+    loaded = [cli.load_config(raw, overrides) for raw in raws]
+    monkeypatch.setattr(cli, "get_type_hints", unread)
+    assert [cli.load_config(raw, overrides) for raw in raws] == loaded
+
+
 def test_readme_config_lists_every_spec_field():
     """The config's quad, series and metric.blend objects name exactly the
     fields of their dataclasses, in order: a field cannot be added or
