@@ -9,8 +9,9 @@ every side the file records the minimum (and the median) over N runs of:
 - start-up: a fresh ``python -c pass`` and a fresh ``import tnindex.cli``;
 - each CLI mode end to end in a fresh interpreter, on the configuration
   document of that checkout's README.md, written to a scratch directory;
-- in process: one ``convergence_table`` sweep at that configuration, and
-  the time it spends inside each of the ``KERNEL_SITES`` of ``geometry``:
+- in process: one ``convergence_table`` sweep at that configuration, its
+  minor page faults (``convergence_table_minflt``, from ``getrusage``),
+  and the time it spends inside each of the ``KERNEL_SITES`` of ``geometry``:
   the radial jets of A and C, the metric jets and the Riemann kernel. A
   site that a checkout lacks is listed under ``absent_sites`` of its side;
 - in process: the time per lambda of each eta route of that checkout,
@@ -65,16 +66,17 @@ KERNEL_SITES = ("_radial_jets", "_metric_jet_arrays", "_riemann_from_arrays")
 # cli.main calls per mode per round in the IN_PROCESS_MAIN child.
 OPS = 20
 
-# In-process child: min over its own repeats of one sweep, of the time the
-# sweep spends in each wrapped kernel that geometry has, of the time per
-# lambda of each eta route over the config's lambdas, of one bulk_action
-# call on the config's channels and of one load_config call in index mode
-# (the mean of LOADS calls, on arguments parsed once), as one JSON line.
+# In-process child: min over its own repeats of one sweep and its minor
+# page faults, of the time the sweep spends in each wrapped kernel that
+# geometry has, of the time per lambda of each eta route over the config's
+# lambdas, of one bulk_action call on the config's channels and of one
+# load_config call in index mode (the mean of LOADS calls, on arguments
+# parsed once), as one JSON line.
 # bulk_action_first is the child's first bulk_action call, made before
 # anything else samples a grid.
 # Arguments: config path, repeats, then the site names.
 IN_PROCESS = """
-import json, sys, time
+import json, resource, sys, time
 from tnindex import charclasses, cli, eta, gauge, geometry
 with open(sys.argv[1]) as fh:
     raw = json.load(fh)
@@ -89,6 +91,9 @@ gauge.bulk_action(*bulk_args)
 first = {"bulk_action_first": time.perf_counter() - t0}
 spent = {name: 0.0 for name in sys.argv[3:] if hasattr(geometry, name)}
 LOADS, index_args = 1000, cli.build_parser().parse_args(["--mode", "index"])
+
+def minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 def timed(name, fn):
     def wrapper(*args):
@@ -105,9 +110,10 @@ best = {}
 for _ in range(int(sys.argv[2])):
     for name in spent:
         spent[name] = 0.0
-    t0 = time.perf_counter()
+    faults, t0 = minflt(), time.perf_counter()
     charclasses.convergence_table(cfg["metric"], cfg["quad"], cfg["sweep"])
-    lap = dict(spent, convergence_table=time.perf_counter() - t0)
+    lap = dict(spent, convergence_table=time.perf_counter() - t0,
+               convergence_table_minflt=minflt() - faults)
     for route in eta.ROUTES:
         t0 = time.perf_counter()
         for lam in cfg["lambdas"]:
@@ -222,12 +228,18 @@ def git_state(checkout: Path) -> dict:
 
 def summary(runs: list) -> dict:
     """Minimum and median of each measurement over the rounds; a list of
-    per-op times pools the ops of every round."""
+    per-op times pools the ops of every round.  Seconds are keyed min_s and
+    median_s, a count of page faults (a name ending in _minflt) min and
+    median."""
     pooled = {name: [x for r in runs for x in (
         r[name] if isinstance(r[name], list) else [r[name]])]
         for name in runs[0]}
-    return {name: {"min_s": min(xs), "median_s": statistics.median(xs)}
-            for name, xs in pooled.items()}
+    out = {}
+    for name, xs in pooled.items():
+        unit = "" if name.endswith("_minflt") else "_s"
+        out[name] = {"min" + unit: min(xs),
+                     "median" + unit: statistics.median(xs)}
+    return out
 
 
 def main(argv=None) -> int:

@@ -11,7 +11,7 @@ from .geometry import (_EPS4, MetricSpec, _radial_coeffs,
                        curvature_form_chunks, wedge4)
 from .jets import Jet
 from .quadrature import (ROUNDOFF, QuadratureSpec, angular_points,
-                         integrate_radial, radial_nodes)
+                         integrate_radial, isotropic_mean, radial_nodes)
 
 PONT_NORM = 1.0 / (192.0 * np.pi**2)
 
@@ -79,9 +79,15 @@ def convergence_table(spec: MetricSpec, quad: QuadratureSpec, n_r_values):
     bounds the roundoff of the ends and of the sum.  A non-finite end
     raises ConvergenceError, with the ends (r, P) as its history.
 
-    Each distinct radial grid is sampled once: a fine grid of one row is
-    often the coarse grid of the next.  A point's curvature does not depend
-    on the rest of its batch, so reusing a grid changes no bit."""
+    The density depends on r alone, so every grid is sampled at one
+    direction, the first of `angular_samples`.  The isotropy check runs
+    once, at quad.n_ang directions on the coarsest grid of the sweep (the
+    half-size grid of its smallest n_r), whose first direction is its
+    value; that grid's sum |w spread| joins every tail bound, as the cost of
+    one direction.  Each distinct radial grid is sampled once: a fine grid
+    of one row is often the coarse grid of the next.  A point's curvature
+    does not depend on the rest of its batch, so reusing a grid changes no
+    bit."""
     (p_min, p_max), _ = chern_simons(spec, [quad.r_min, quad.r_max])
     ends = {"r_min": float(p_min), "r_max": float(p_max)}
     bad = [f"P({k}) = {p}" for k, p in ends.items() if not np.isfinite(p)]
@@ -89,21 +95,26 @@ def convergence_table(spec: MetricSpec, quad: QuadratureSpec, n_r_values):
         raise ConvergenceError("Chern-Simons end not finite: " + ", ".join(
             bad), [(getattr(quad, k), p) for k, p in ends.items()])
     head, tail = ends["r_min"] - 1.0 / 12.0, 1.0 / 6.0 - ends["r_max"]
-    sampled = {}
+    r_check, w_check = radial_nodes(quad, min(n_r_values) // 2)
+    checked = _density_samples(spec, r_check, quad.n_ang)
+    mean = isotropic_mean(checked, quad.tol)
+    direction = float(np.abs(checked - mean[:, None]).max(axis=1) @ w_check)
+    # contiguous: np.dot sums a strided column in another order
+    sampled = {r_check.tobytes(): np.ascontiguousarray(checked[:, 0])}
 
     def samples(rs):
         key = rs.tobytes()
         if key not in sampled:
-            sampled[key] = _density_samples(spec, rs, quad.n_ang)
+            sampled[key] = _density_samples(spec, rs, 1)[:, 0]
         return sampled[key]
 
     rows = []
     for n in n_r_values:
         middle, error = integrate_radial(samples, quad, n)
         rs, ws = radial_nodes(quad, n)
-        mass = float(np.abs(samples(rs).mean(axis=1)) @ ws)  # sum |w rho|
-        rows.append((n, middle + head + tail, error,
-                     ROUNDOFF * (mass + abs(p_min) + abs(p_max))))
+        mass = float(np.abs(samples(rs)) @ ws)  # sum |w rho|
+        rows.append((n, middle + head + tail, error, direction
+                     + ROUNDOFF * (mass + abs(p_min) + abs(p_max))))
     return rows
 
 

@@ -91,20 +91,32 @@ def _build_spec(cls, section, where: str, **defaults):
     return cls(**defaults)
 
 
+def _choice(raw: dict, key: str, choices, flag, default=None):
+    """The flag, else the config's `key`, else default, one of choices; the
+    config's own value is checked even where the flag replaces it, so a
+    document is valid or invalid whatever the flags."""
+    value = flag or raw.get(key, default)
+    for given in ([raw[key]] if key in raw else []) + [value]:
+        _require(given in choices, "{} must be one of {}, got {!r}", key,
+                 choices, given)
+    return value
+
+
 def load_config(raw: dict, overrides: argparse.Namespace) -> dict:
     _only(raw, ("mode", "grav", "route", "instanton", "metric", "quad",
                 "series", "lambdas", "sweep", "out", "seed"))
-    mode = overrides.mode or raw.get("mode")
-    _require(mode in MODES, "mode must be one of {}, got {!r}", MODES, mode)
+    mode = _choice(raw, "mode", MODES, overrides.mode)
+    routes = ROUTES if mode == "index" else ROUTES + ("all",)
+    out = _cast(str, raw.get("out", "."), "out")
     cfg = {
         "mode": mode,
         "metric": _build_spec(MetricSpec, raw.get("metric", {}), "metric",
                               variant=Variant.EXACT_D),
         "quad": _build_spec(QuadratureSpec, raw.get("quad", {}), "quad"),
         "series": _build_spec(SeriesSpec, raw.get("series", {}), "series"),
-        "route": overrides.route or raw.get("route", "bernoulli"),
-        "grav": overrides.grav or raw.get("grav", "numeric"),
-        "out": Path(overrides.out or _cast(str, raw.get("out", "."), "out")),
+        "route": _choice(raw, "route", routes, overrides.route, "bernoulli"),
+        "grav": _choice(raw, "grav", GRAV_MODES, overrides.grav, "numeric"),
+        "out": Path(overrides.out or out),
         "lambdas": raw.get("lambdas", [0.1, 0.25, 0.4, 0.6, 0.9]),
         "sweep": raw.get("sweep", [64, 128, 256]),
         "seed": _cast(int, raw.get("seed", 7), "seed"),
@@ -113,9 +125,6 @@ def load_config(raw: dict, overrides: argparse.Namespace) -> dict:
     if overrides.tol is not None:
         _require(overrides.tol > 0, "--tol must be positive")
         cfg["quad"] = replace(cfg["quad"], tol=overrides.tol)
-    routes = ROUTES if mode == "index" else ROUTES + ("all",)
-    _require(cfg["route"] in routes, "route must be one of {}", routes)
-    _require(cfg["grav"] in GRAV_MODES, "grav must be one of {}", GRAV_MODES)
     if mode in ("index", "eta") and "instanton" in raw:
         section = raw["instanton"]
         _require(isinstance(section, dict), "instanton must be a JSON object")

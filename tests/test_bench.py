@@ -47,8 +47,9 @@ def test_in_process_child_reads_a_missing_site_as_absent(tmp_path):
         env=collect.child_env(ROOT), cwd=tmp_path, check=True,
         capture_output=True, text=True)
     assert set(json.loads(child.stdout)) == {
-        *collect.KERNEL_SITES, "convergence_table", "bulk_action",
-        "bulk_action_first", "load_config",
+        *collect.KERNEL_SITES, "convergence_table",
+        "convergence_table_minflt", "bulk_action", "bulk_action_first",
+        "load_config",
         *(f"eta_{route}_per_lambda" for route in eta.ROUTES)}
 
 
@@ -109,6 +110,13 @@ def test_summary_pools_per_op_times_over_rounds():
     assert collect.summary(runs) == {
         "eta_all": {"min_s": 0.2, "median_s": 0.25},
         "main_eta_all": {"min_s": 1.0, "median_s": 2.5}}
+
+
+def test_summary_keys_page_faults_as_counts():
+    runs = [{"convergence_table_minflt": 250},
+            {"convergence_table_minflt": 240}]
+    assert collect.summary(runs) == {"convergence_table_minflt": {
+        "min": 240, "median": 245.0}}
 
 
 def test_report_digests_hash_every_report(tmp_path):

@@ -11,8 +11,9 @@ from tnindex.errors import IsotropyError
 from tnindex.geometry import (BlendProfile, MetricSpec, Variant,
                               curvature_batch, curvature_forms,
                               radial_coefficients)
-from tnindex.quadrature import (QuadratureSpec, angular_samples,
-                                isotropic_mean)
+from tnindex.quadrature import (ROUNDOFF, QuadratureSpec, angular_samples,
+                                integrate_radial, isotropic_mean,
+                                radial_nodes)
 
 TARGET = 1.0 / 12.0
 
@@ -197,13 +198,90 @@ def test_density_samples_form_radial_jets_once(monkeypatch):
 
 def test_convergence_table_samples_each_grid_once(monkeypatch):
     """Sweep [32, 64] needs the grids 16, 32 (twice) and 64; the shared
-    grid 32 is sampled once, and every row has the bits of a one-row table
-    of its own."""
+    grid 32 is sampled once, at one direction, and the coarsest grid 16 at
+    the n_ang directions of the isotropy check.  Every row has the value
+    and error bits of a one-row table of its own; the first row checks the
+    same grid alone, so its tail bound keeps its bits too."""
     quad = QuadratureSpec(n_r=64, n_ang=2)
     spec = exact_d_spec()
     points = _count_chunks(monkeypatch)
     rows = convergence_table(spec, quad, [32, 64])
-    assert sum(points) == quad.n_ang * (16 + 32 + 64)
+    assert sum(points) == quad.n_ang * 16 + 32 + 64
     for row in rows:
         [alone] = convergence_table(spec, quad, [row[0]])
-        assert alone == row
+        assert alone[:3] == row[:3]
+    assert convergence_table(spec, quad, [32]) == rows[:1]
+
+
+@pytest.mark.parametrize("variant", [Variant.TN, Variant.EXACT_D])
+def test_checked_grid_keeps_the_bits_of_one_direction(variant):
+    """The checked grid's first direction is its value, with the bits of
+    the same grid sampled at one direction: a row whose coarse grid a
+    one-row table checks has the value and error of that row in a sweep
+    that checks a coarser grid."""
+    spec, quad = MetricSpec(variant=variant), QuadratureSpec()
+    for sweep in ([32, 64], [64, 128]):
+        [alone] = convergence_table(spec, quad, sweep[1:])
+        assert alone[:3] == convergence_table(spec, quad, sweep)[1][:3]
+
+
+def test_convergence_table_checks_isotropy(monkeypatch):
+    """A deliberately tight tolerance flags the angular spread of the
+    coarsest grid before any row is formed."""
+    quad = QuadratureSpec(n_r=64, tol=1e-16)
+    points = _count_chunks(monkeypatch)
+    with pytest.raises(IsotropyError):
+        convergence_table(exact_d_spec(), quad, [64, 32])
+    assert sum(points) == quad.n_ang * 16
+
+
+README_GRID = [(variant, kind, l) for variant in Variant
+               for kind in ("quintic", "septic") for l in (0.2, 1.0, 3.0, 6.0)]
+
+
+def _mean_rows(spec, quad, n_r_values):
+    """(value, error, tail_bound) of each row, every grid taken as the mean
+    of quad.n_ang directions through integrate_radial's isotropy check."""
+    (p_min, p_max), _ = chern_simons(spec, [quad.r_min, quad.r_max])
+    sampled = {}
+
+    def samples(rs):
+        if len(rs) not in sampled:
+            sampled[len(rs)] = charclasses._density_samples(spec, rs,
+                                                            quad.n_ang)
+        return sampled[len(rs)]
+
+    rows = []
+    for n in n_r_values:
+        middle, error = integrate_radial(samples, quad, n)
+        rs, ws = radial_nodes(quad, n)
+        mass = np.abs(samples(rs).mean(axis=1)) @ ws
+        rows.append((middle + (p_min - TARGET) + (1.0 / 6.0 - p_max), error,
+                     ROUNDOFF * (mass + abs(p_min) + abs(p_max))))
+    return rows
+
+
+def test_one_direction_is_within_its_direction_term():
+    """Over the README grid of 32 metrics, each row's one-direction value
+    is within the checked grid's sum |w spread| of the all-direction mean
+    on the same grids, and the row's tail bound carries that term.  No row
+    within its bounds against 1/12 under the mean leaves them, and a row
+    beyond them keeps its ratio of miss to error + tail bound."""
+    quad, sweep = QuadratureSpec(), [64, 128, 256]
+    for variant, kind, l in README_GRID:
+        spec = MetricSpec(variant=variant, t=0.6,
+                          blend=BlendProfile(kind=kind), l=l)
+        rs, ws = radial_nodes(quad, min(sweep) // 2)
+        checked = charclasses._density_samples(spec, rs, quad.n_ang)
+        spread = np.abs(checked - checked.mean(axis=1)[:, None]).max(axis=1)
+        direction = spread @ ws
+        rows = convergence_table(spec, quad, sweep)
+        for (n, value, error, tail), mean in zip(
+                rows, _mean_rows(spec, quad, sweep)):
+            where = (variant, kind, l, n)
+            assert abs(value - mean[0]) <= direction, where
+            assert direction <= tail, where
+            ratio = abs(value - TARGET) / (error + tail)
+            was = abs(mean[0] - TARGET) / (mean[1] + mean[2])
+            assert ratio <= 1.0 if was <= 1.0 else \
+                ratio == pytest.approx(was, rel=1e-4), where

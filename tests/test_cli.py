@@ -359,6 +359,38 @@ def test_string_numbers_rejected_in_sweep_mode(tmp_path, capsys):
     assert not out.exists()
 
 
+# A document that exits 3 without flags exits 3 with the flags that
+# replace its invalid values, and the message names the document's field:
+# a flag overrides a valid value only. OUT stands for a fresh directory.
+FLAG_OVERRIDES = [
+    ({"mode": 5}, ["--mode", "index"], "mode"),
+    ({"mode": "indx"}, ["--mode", "index"], "mode"),
+    ({"route": 5}, ["--route", "bernoulli"], "route"),
+    ({"route": "all"}, ["--route", "bernoulli"], "route"),
+    ({"grav": [1]}, ["--grav", "lemma"], "grav"),
+    ({"grav": "Lemma"}, ["--grav", "numeric"], "grav"),
+    ({"out": 5}, ["--out", "OUT"], "out"),
+    ({"mode": "eta", "route": 5, "grav": [1], "out": 5, "lambdas": [0.3]},
+     ["--route", "bernoulli", "--grav", "lemma", "--out", "OUT"], "out"),
+    ({"mode": "eta", "route": 5, "lambdas": [0.3]},
+     ["--mode", "index", "--route", "bernoulli"], "route"),
+]
+
+
+@pytest.mark.parametrize("patch, flags, field", FLAG_OVERRIDES)
+def test_flags_never_make_a_document_valid(tmp_path, capsys, monkeypatch,
+                                           patch, flags, field):
+    monkeypatch.chdir(tmp_path)  # the default out, should a run pass
+    cfg = write_config(tmp_path, dict(INDEX_CONFIG, **patch))
+    out = tmp_path / "out"
+    for args in ([], [str(out) if a == "OUT" else a for a in flags]):
+        assert main(["--config", cfg, *args]) == EXIT_VALIDATION, args
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert err["message"].startswith(f"{field} must be "), args
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, route", [([], "all"), (["--route", "all"],
                                                        "bernoulli")])
 def test_route_all_rejected_in_index_mode(tmp_path, capsys, args, route):
@@ -446,6 +478,19 @@ def test_numerical_failure_exit(tmp_path, capsys):
     assert main(["--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "GenericityError"
+
+
+@pytest.mark.parametrize("mode", ["pontryagin", "convergence"])
+def test_isotropy_violation_exits_numerical(tmp_path, capsys, mode):
+    """The sweep's one isotropy check still fires: a deliberately tight
+    quad.tol flags the angular spread before any row is written."""
+    cfg = write_config(tmp_path, {"mode": mode, "quad": {"tol": 1e-16},
+                                  "sweep": [32, 64, 128]})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "IsotropyError"
+    assert list(out.iterdir()) == []
 
 
 def test_pontryagin_miss_emits_error_and_keeps_csv(tmp_path, capsys):
