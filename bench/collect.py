@@ -11,9 +11,12 @@ every side the file records the minimum (and the median) over N runs of:
   document of that checkout's README.md, written to a scratch directory;
 - in process: one ``convergence_table`` sweep at that configuration, its
   minor page faults (``convergence_table_minflt``, from ``getrusage``),
-  and the time it spends inside each of the ``KERNEL_SITES`` of ``geometry``:
-  the radial jets of A and C, the metric jets and the Riemann kernel. A
-  site that a checkout lacks is listed under ``absent_sites`` of its side;
+  its calls of each of the ``COUNTED_SITES`` of ``geometry``
+  (``convergence_table_<site>_calls``: the radial passes of A and C and
+  the curvature chunks), and the time it spends inside each of the
+  ``KERNEL_SITES`` of ``geometry``: the radial pass of A and C, the metric
+  jets and the Riemann kernel. A site that a checkout lacks is listed
+  under ``absent_sites`` of its side;
 - in process: the time per lambda of each eta route of that checkout,
   ``eta_<route>_per_lambda``, over the configuration's ``lambdas``;
 - in process: the bulk density layer, one ``gauge.bulk_action`` call on
@@ -59,23 +62,27 @@ MODES = {
     "eta_all": ["--mode", "eta", "--route", "all"],
     "geometry_check": ["--mode", "geometry-check"],
 }
-# geometry functions whose time inside the sweep is recorded; they call
-# one another through geometry's globals, so wrapping them there sees every
-# call, and in the sweep none of them runs inside another
-KERNEL_SITES = ("_radial_jets", "_metric_jet_arrays", "_riemann_from_arrays")
+# geometry functions whose time inside the sweep is recorded; they are
+# wrapped in geometry and under the same name in charclasses, where it
+# holds the same function, so every call is seen, and in the sweep none of
+# them runs inside another
+KERNEL_SITES = ("_radial_coeffs", "_metric_jet_arrays", "_riemann_from_arrays")
+# geometry functions whose calls per sweep are counted, wrapped the same way
+COUNTED_SITES = ("_radial_coeffs", "curvature_forms")
 # cli.main calls per mode per round in the IN_PROCESS_MAIN child.
 OPS = 20
 
-# In-process child: min over its own repeats of one sweep and its minor
-# page faults, of the time the sweep spends in each wrapped kernel that
-# geometry has, of the time per lambda of each eta route over the config's
-# lambdas, of one bulk_action call on the config's channels and of one
-# load_config call in index mode (the mean of LOADS calls, on arguments
-# parsed once), as one JSON line.
+# In-process child: min over its own repeats of one sweep, its minor page
+# faults and its calls of each counted site that geometry has, of the time
+# the sweep spends in each wrapped kernel that geometry has, of the time
+# per lambda of each eta route over the config's lambdas, of one
+# bulk_action call on the config's channels and of one load_config call in
+# index mode (the mean of LOADS calls, on arguments parsed once), as one
+# JSON line.
 # bulk_action_first is the child's first bulk_action call, made before
 # anything else samples a grid.
-# Arguments: config path, repeats, then the site names.
-IN_PROCESS = """
+# Arguments: config path, repeats, then the timed site names.
+IN_PROCESS = f"COUNTED = {COUNTED_SITES!r}\n" + """
 import json, resource, sys, time
 from tnindex import charclasses, cli, eta, gauge, geometry
 with open(sys.argv[1]) as fh:
@@ -90,13 +97,18 @@ t0 = time.perf_counter()
 gauge.bulk_action(*bulk_args)
 first = {"bulk_action_first": time.perf_counter() - t0}
 spent = {name: 0.0 for name in sys.argv[3:] if hasattr(geometry, name)}
+calls = {name: 0 for name in COUNTED if hasattr(geometry, name)}
 LOADS, index_args = 1000, cli.build_parser().parse_args(["--mode", "index"])
 
 def minflt():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
-def timed(name, fn):
+def wrapped(name, fn):
     def wrapper(*args):
+        if name in calls:
+            calls[name] += 1
+        if name not in spent:
+            return fn(*args)
         t0 = time.perf_counter()
         try:
             return fn(*args)
@@ -104,16 +116,21 @@ def timed(name, fn):
             spent[name] += time.perf_counter() - t0
     return wrapper
 
-for name in spent:
-    setattr(geometry, name, timed(name, getattr(geometry, name)))
+for name in {*spent, *calls}:
+    fn = getattr(geometry, name)
+    for module in (geometry, charclasses):
+        if getattr(module, name, None) is fn:
+            setattr(module, name, wrapped(name, fn))
 best = {}
 for _ in range(int(sys.argv[2])):
-    for name in spent:
-        spent[name] = 0.0
+    spent.update(dict.fromkeys(spent, 0.0))
+    calls.update(dict.fromkeys(calls, 0))
     faults, t0 = minflt(), time.perf_counter()
     charclasses.convergence_table(cfg["metric"], cfg["quad"], cfg["sweep"])
     lap = dict(spent, convergence_table=time.perf_counter() - t0,
                convergence_table_minflt=minflt() - faults)
+    lap.update((f"convergence_table_{name.lstrip('_')}_calls", calls[name])
+               for name in calls)
     for route in eta.ROUTES:
         t0 = time.perf_counter()
         for lam in cfg["lambdas"]:
@@ -229,14 +246,14 @@ def git_state(checkout: Path) -> dict:
 def summary(runs: list) -> dict:
     """Minimum and median of each measurement over the rounds; a list of
     per-op times pools the ops of every round.  Seconds are keyed min_s and
-    median_s, a count of page faults (a name ending in _minflt) min and
+    median_s, a count (a name ending in _minflt or _calls) min and
     median."""
     pooled = {name: [x for r in runs for x in (
         r[name] if isinstance(r[name], list) else [r[name]])]
         for name in runs[0]}
     out = {}
     for name, xs in pooled.items():
-        unit = "" if name.endswith("_minflt") else "_s"
+        unit = "" if name.endswith(("_minflt", "_calls")) else "_s"
         out[name] = {"min" + unit: min(xs),
                      "median" + unit: statistics.median(xs)}
     return out

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import jets
+from . import geometry, jets
 from .errors import ConvergenceError
-from .geometry import (_EPS4, MetricSpec, _radial_coeffs,
+from .geometry import (_EPS4, MetricSpec, _point_radii,
                        curvature_form_chunks, wedge4)
 from .jets import Jet
 from .quadrature import (ROUNDOFF, QuadratureSpec, angular_points,
@@ -26,25 +26,75 @@ def pontryagin_scalar(riemann: np.ndarray) -> np.ndarray:
 _CHUNK = 352  # points per curvature batch, to bound the working set
 
 
-def _density_samples(spec: MetricSpec, rs: np.ndarray, n_ang: int):
-    """Density at each radius for each angular check sample, shape
-    (len(rs), n_ang).
+def _density_samples(spec: MetricSpec, rs, n_ang: int, others=(),
+                     quad: QuadratureSpec | None = None):
+    """Density at each radius of rs for each of n_ang angular check
+    samples, shape (len(rs), n_ang).
 
     With sqrt(det g) = sqrt(A^3 C) the tr(R^R) coefficient against the
     coordinate volume is the trace of the wedge of the coordinate curvature
     2-forms, whatever the basis of their endomorphism indices; times the
     level-set volume 8 pi^2 r^2 and PONT_NORM it is the radial density
-    rho(r) whose r-integral is (1/192 pi^2) int tr R^R."""
-    rs = np.asarray(rs, dtype=float)
-    xyz = angular_points(rs, n_ang).reshape(-1, 3)
+    rho(r) whose r-integral is (1/192 pi^2) int tr R^R.
+
+    A sweep makes one call for all its grids: rs is its checked grid, and
+    given quad, which `others` needs, it returns (that array, the density
+    on each radial grid of `others` at the first direction,
+    (P(quad.r_min), P(quad.r_max))).  One radial jet of A and C runs over
+    the radii of every point and the two ends, whose chern_simons bracket
+    must be finite before any curvature runs, else ConvergenceError, with
+    the ends (r, P) as its history; the points then go through
+    curvature_form_chunks together, each chunk lifting its slice.  All of
+    it is elementwise, so every density and end keeps the bits of a call
+    of its own."""
+    grids = [(np.asarray(rs, dtype=float), n_ang)] + [
+        (np.asarray(grid, dtype=float), 1) for grid in others]
+    xyz = np.concatenate([angular_points(r, n).reshape(-1, 3)
+                          for r, n in grids])
+    ends = [] if quad is None else [quad.r_min, quad.r_max]
+    radius = jets.seed(np.concatenate([_point_radii(xyz), ends]))
+    # read from geometry at call time, as geometry's own callers read it,
+    # so that one wrapper there sees every radial pass
+    radial = geometry._radial_coeffs(spec, radius)
+    n = len(xyz)
+    if quad is not None:
+        tip = slice(n, None)
+        p_ends, _ = _chern_simons_bracket(radius[tip],
+                                          *(y[tip] for y in radial))
+        bad = [f"P({k}) = {p}" for k, p in zip(("r_min", "r_max"), p_ends)
+               if not np.isfinite(p)]
+        if bad:
+            raise ConvergenceError(
+                "Chern-Simons end not finite: " + ", ".join(bad),
+                [(r, float(p)) for r, p in zip(ends, p_ends)])
     # tr(R^R) = sum_ab R_ab ^ R_ba, wedge4 against the transpose; the 16
     # entries are added row by row, since a reduction inside numpy changes
     # its order when a chunk holds a single point
     trace = np.concatenate([
         sum(wedge4(f, f.swapaxes(1, 2)).reshape(16, -1))
-        for f in curvature_form_chunks(spec, xyz, _CHUNK)])
-    scale = PONT_NORM * 8.0 * np.pi**2 * rs * rs
-    return scale[:, None] * trace.reshape(rs.size, n_ang)
+        for f in curvature_form_chunks(spec, xyz, _CHUNK,
+                                       [y[:n] for y in radial])])
+    densities, start = [], 0
+    for r, k in grids:
+        scale = PONT_NORM * 8.0 * np.pi**2 * r * r
+        densities.append(scale[:, None]
+                         * trace[start:start + r.size * k].reshape(r.size, k))
+        start += r.size * k
+    if quad is None:
+        return densities[0]
+    return densities[0], [d[:, 0] for d in densities[1:]], tuple(
+        float(p) for p in p_ends)
+
+
+def _chern_simons_bracket(radius, a_coeff, c_coeff):
+    """(P, P') of chern_simons from the jets of A and C on the one-variable
+    jet radius."""
+    u = c_coeff / a_coeff
+    unused = np.zeros_like(u.hess)  # P'' would need the third derivative
+    u, du = Jet(u.val, u.grad, unused), Jet(u.grad[0], u.hess[0], unused)
+    p = 1.0 / 6.0 + (2.0 * du * du / u - 8.0 * du / radius
+                     + u * u / (radius * radius * radius * radius)) / 192.0
+    return p.val, p.grad[0]
 
 
 def chern_simons(spec: MetricSpec, r):
@@ -62,13 +112,8 @@ def chern_simons(spec: MetricSpec, r):
     P(0+) = 1/12; u' = O(r^-2) at infinity, so P(infinity) = 1/6.  The
     bracket runs on jets of u and u', so P' comes with P."""
     radius = jets.seed(np.asarray(r, dtype=float))
-    a_coeff, c_coeff = _radial_coeffs(spec, radius)
-    u = c_coeff / a_coeff
-    unused = np.zeros_like(u.hess)  # P'' would need the third derivative
-    u, du = Jet(u.val, u.grad, unused), Jet(u.grad[0], u.hess[0], unused)
-    p = 1.0 / 6.0 + (2.0 * du * du / u - 8.0 * du / radius
-                     + u * u / (radius * radius * radius * radius)) / 192.0
-    return p.val, p.grad[0]
+    return _chern_simons_bracket(radius,
+                                 *geometry._radial_coeffs(spec, radius))
 
 
 def convergence_table(spec: MetricSpec, quad: QuadratureSpec, n_r_values):
@@ -77,41 +122,39 @@ def convergence_table(spec: MetricSpec, quad: QuadratureSpec, n_r_values):
     with its fine/coarse difference as the error, plus the exact ends
     P(r_min) - 1/12 and 1/6 - P(r_max) of `chern_simons`; the tail bound
     bounds the roundoff of the ends and of the sum.  A non-finite end
-    raises ConvergenceError, with the ends (r, P) as its history.
+    raises ConvergenceError, with the ends (r, P) as its history, before
+    any curvature runs.
 
     The density depends on r alone, so every grid is sampled at one
     direction, the first of `angular_samples`.  The isotropy check runs
     once, at quad.n_ang directions on the coarsest grid of the sweep (the
     half-size grid of its smallest n_r), whose first direction is its
     value; that grid's sum |w spread| joins every tail bound, as the cost of
-    one direction.  Each distinct radial grid is sampled once: a fine grid
-    of one row is often the coarse grid of the next.  A point's curvature
-    does not depend on the rest of its batch, so reusing a grid changes no
-    bit."""
-    (p_min, p_max), _ = chern_simons(spec, [quad.r_min, quad.r_max])
-    ends = {"r_min": float(p_min), "r_max": float(p_max)}
-    bad = [f"P({k}) = {p}" for k, p in ends.items() if not np.isfinite(p)]
-    if bad:
-        raise ConvergenceError("Chern-Simons end not finite: " + ", ".join(
-            bad), [(getattr(quad, k), p) for k, p in ends.items()])
-    head, tail = ends["r_min"] - 1.0 / 12.0, 1.0 / 6.0 - ends["r_max"]
-    r_check, w_check = radial_nodes(quad, min(n_r_values) // 2)
-    checked = _density_samples(spec, r_check, quad.n_ang)
+    one direction.  The sweep lists its distinct radial grids first, since
+    a fine grid of one row is often the coarse grid of the next, and
+    samples them all and the ends in one _density_samples call.  A point's
+    curvature does not depend on the rest of its batch, so sharing a batch
+    changes no bit."""
+    # a grid of quad is named by its node count; the checked grid first
+    nodes = {m: radial_nodes(quad, m) for m in dict.fromkeys(
+        [min(n_r_values) // 2] + [m for n in n_r_values for m in (n, n // 2)])}
+    (r_check, w_check), *rest = nodes.values()
+    checked, others, (p_min, p_max) = _density_samples(
+        spec, r_check, quad.n_ang, [rs for rs, _ in rest], quad)
+    head, tail = p_min - 1.0 / 12.0, 1.0 / 6.0 - p_max
     mean = isotropic_mean(checked, quad.tol)
     direction = float(np.abs(checked - mean[:, None]).max(axis=1) @ w_check)
     # contiguous: np.dot sums a strided column in another order
-    sampled = {r_check.tobytes(): np.ascontiguousarray(checked[:, 0])}
+    sampled = dict(zip(nodes, [np.ascontiguousarray(checked[:, 0])]
+                       + others))
 
     def samples(rs):
-        key = rs.tobytes()
-        if key not in sampled:
-            sampled[key] = _density_samples(spec, rs, 1)[:, 0]
-        return sampled[key]
+        return sampled[len(rs)]
 
     rows = []
     for n in n_r_values:
         middle, error = integrate_radial(samples, quad, n)
-        rs, ws = radial_nodes(quad, n)
+        rs, ws = nodes[n]
         mass = float(np.abs(samples(rs)) @ ws)  # sum |w rho|
         rows.append((n, middle + head + tail, error, direction
                      + ROUNDOFF * (mass + abs(p_min) + abs(p_max))))

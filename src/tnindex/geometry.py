@@ -243,13 +243,17 @@ def radial_coefficients(spec: MetricSpec, r):
 # Metric assembly
 
 
+def _point_radii(xyz: np.ndarray) -> np.ndarray:
+    """r at the points xyz (n, 3), formed as _metric_entries forms it."""
+    x1, x2, x3 = np.atleast_2d(np.asarray(xyz, dtype=float)).T
+    return np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+
+
 def _radial_jets(spec: MetricSpec, xyz: np.ndarray):
     """(A, C) as one-variable jets in r at the points xyz (n, 3), with r
     formed as _metric_entries forms it: a slice lifts to the bits that the
     chunk of its points would compute for itself."""
-    x1, x2, x3 = np.atleast_2d(np.asarray(xyz, dtype=float)).T
-    return _radial_coeffs(spec, jets.seed(np.sqrt(x1 * x1 + x2 * x2
-                                                  + x3 * x3)))
+    return _radial_coeffs(spec, jets.seed(_point_radii(xyz)))
 
 
 def _metric_entries(spec: MetricSpec, x1, x2, x3, gauge: Gauge,
@@ -457,12 +461,13 @@ def curvature_forms(spec: MetricSpec, xyz: np.ndarray,
     return _riemann_from_arrays(*_metric_jet_arrays(spec, xyz, gauge, radial))
 
 
-def curvature_form_chunks(spec: MetricSpec, xyz: np.ndarray, size: int):
+def curvature_form_chunks(spec: MetricSpec, xyz: np.ndarray, size: int,
+                          radial):
     """curvature_forms over consecutive chunks of at most `size` of the
     points xyz (n, 3), in order, which bounds the working set.  A and C are
-    differentiated once, on one radial jet over all n points, and each chunk
-    lifts its slice: elementwise work, so a point keeps its bits."""
-    radial = _radial_jets(spec, xyz)
+    differentiated once, on radial, one radial jet over all n points with r
+    formed as _radial_jets forms it, and each chunk lifts its slice:
+    elementwise work, so a point keeps its bits."""
     for i in range(0, len(xyz), size):
         part = slice(i, i + size)
         yield curvature_forms(spec, xyz[part], Gauge.DEFAULT,

@@ -39,6 +39,8 @@ def test_collect_wraps_names_that_geometry_has():
 
 
 def test_in_process_child_reads_a_missing_site_as_absent(tmp_path):
+    """A timed site that geometry lacks leaves no key; the counts show
+    the README sweep's one radial pass and two curvature chunks."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(collect.readme_config(ROOT)))
     child = subprocess.run(
@@ -46,11 +48,15 @@ def test_in_process_child_reads_a_missing_site_as_absent(tmp_path):
          *collect.KERNEL_SITES, "_no_such_kernel"],
         env=collect.child_env(ROOT), cwd=tmp_path, check=True,
         capture_output=True, text=True)
-    assert set(json.loads(child.stdout)) == {
+    times = json.loads(child.stdout)
+    assert set(times) == {
         *collect.KERNEL_SITES, "convergence_table",
-        "convergence_table_minflt", "bulk_action", "bulk_action_first",
-        "load_config",
+        "convergence_table_minflt", "convergence_table_radial_coeffs_calls",
+        "convergence_table_curvature_forms_calls", "bulk_action",
+        "bulk_action_first", "load_config",
         *(f"eta_{route}_per_lambda" for route in eta.ROUTES)}
+    assert times["convergence_table_radial_coeffs_calls"] == 1
+    assert times["convergence_table_curvature_forms_calls"] == 2
 
 
 def test_in_process_child_times_each_eta_route_per_lambda(tmp_path):

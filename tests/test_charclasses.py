@@ -4,7 +4,7 @@ integral."""
 import numpy as np
 import pytest
 
-from tnindex import charclasses, geometry
+from tnindex import charclasses, geometry, jets
 from tnindex.charclasses import (PONT_NORM, chern_simons, convergence_table,
                                  pontryagin_integral, pontryagin_scalar)
 from tnindex.errors import IsotropyError
@@ -170,10 +170,8 @@ def test_density_samples_evaluate_points_in_chunks(monkeypatch):
     assert points == [charclasses._CHUNK, 3 * n_r - charclasses._CHUNK]
 
 
-def test_density_samples_form_radial_jets_once(monkeypatch):
-    """A and C run on one radial jet per _density_samples call, whatever
-    the number of chunks, and the chunks that lift its slices keep the bits
-    of chunks that form their own."""
+def _count_radial_passes(monkeypatch):
+    """Record the number of radii of every _radial_coeffs call."""
     calls = []
     radial = geometry._radial_coeffs
 
@@ -182,14 +180,37 @@ def test_density_samples_form_radial_jets_once(monkeypatch):
         return radial(spec, r)
 
     monkeypatch.setattr(geometry, "_radial_coeffs", counting)
+    return calls
+
+
+def test_density_samples_form_radial_jets_once(monkeypatch):
+    """A and C run on one radial jet per _density_samples call, whatever
+    the number of chunks, over the radii of every point of every grid and,
+    given a quad, its two ends.  The chunks that lift its slices keep the
+    bits of chunks that form their own, and the ends keep the bits of
+    chern_simons."""
+    calls = _count_radial_passes(monkeypatch)
     spec, rs = exact_d_spec(), np.geomspace(0.5, 60.0, 100)
+    other, quad = np.geomspace(0.7, 50.0, 20), QuadratureSpec()
     for chunk in (charclasses._CHUNK, 7):
         monkeypatch.setattr(charclasses, "_CHUNK", chunk)
         calls.clear()
         charclasses._density_samples(spec, rs, 3)
         assert calls == [300]
+        calls.clear()
+        checked, [alone], ends = charclasses._density_samples(
+            spec, rs, 3, [other], quad)
+        assert calls == [300 + 20 + 2]
+        alone_ref = charclasses._density_samples(spec, other, 1)[:, 0]
+        assert np.array_equal(checked,
+                              charclasses._density_samples(spec, rs, 3))
+        assert np.array_equal(alone, alone_ref)
+        assert ends == tuple(chern_simons(spec, [quad.r_min, quad.r_max])[0])
     xyz = _check_points(rs, 3)
-    chunks = list(geometry.curvature_form_chunks(spec, xyz, 128))
+    radii = np.concatenate([geometry._point_radii(xyz), [1e-4, 80.0]])
+    radial = geometry._radial_coeffs(spec, jets.seed(radii))
+    chunks = list(geometry.curvature_form_chunks(
+        spec, xyz, 128, [y[:len(xyz)] for y in radial]))
     assert len(chunks) == 3
     for k, forms in enumerate(chunks):
         assert np.array_equal(forms,
@@ -227,12 +248,63 @@ def test_checked_grid_keeps_the_bits_of_one_direction(variant):
 
 def test_convergence_table_checks_isotropy(monkeypatch):
     """A deliberately tight tolerance flags the angular spread of the
-    coarsest grid before any row is formed."""
+    coarsest grid before any row is formed, after the one pass over the
+    sweep's points: grid 16 at the n_ang directions, 32 and 64 at one."""
     quad = QuadratureSpec(n_r=64, tol=1e-16)
     points = _count_chunks(monkeypatch)
+    rows = []
+    monkeypatch.setattr(charclasses, "integrate_radial",
+                        lambda *args: rows.append(args))
     with pytest.raises(IsotropyError):
         convergence_table(exact_d_spec(), quad, [64, 32])
-    assert sum(points) == quad.n_ang * 16
+    assert sum(points) == quad.n_ang * 16 + 32 + 64
+    assert rows == []
+
+
+def _grid_by_grid_rows(spec, quad, n_r_values):
+    """convergence_table's rows with each distinct grid sampled by a
+    _density_samples call of its own and the ends taken from chern_simons."""
+    (p_min, p_max), _ = chern_simons(spec, [quad.r_min, quad.r_max])
+    r_check, w_check = radial_nodes(quad, min(n_r_values) // 2)
+    checked = charclasses._density_samples(spec, r_check, quad.n_ang)
+    mean = isotropic_mean(checked, quad.tol)
+    direction = float(np.abs(checked - mean[:, None]).max(axis=1) @ w_check)
+    sampled = {r_check.tobytes(): np.ascontiguousarray(checked[:, 0])}
+
+    def samples(rs):
+        if rs.tobytes() not in sampled:
+            sampled[rs.tobytes()] = charclasses._density_samples(spec, rs,
+                                                                 1)[:, 0]
+        return sampled[rs.tobytes()]
+
+    rows = []
+    for n in n_r_values:
+        middle, error = integrate_radial(samples, quad, n)
+        rs, ws = radial_nodes(quad, n)
+        mass = float(np.abs(samples(rs)) @ ws)
+        rows.append((n, middle + (float(p_min) - TARGET)
+                     + (1.0 / 6.0 - float(p_max)), error, direction
+                     + ROUNDOFF * (mass + abs(p_min) + abs(p_max))))
+    return rows
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("kind", ["quintic", "septic"])
+def test_readme_sweep_makes_one_radial_and_one_curvature_pass(
+        monkeypatch, variant, kind):
+    """A README sweep evaluates its 704 points (grid 32 at 8 directions,
+    64, 128 and 256 at one) in one _density_samples call: one radial pass
+    over their radii and the two ends, 706 in all, then two full chunks.
+    Its rows keep the bits of a sweep that samples grid by grid."""
+    spec = MetricSpec(variant=variant, t=0.6, blend=BlendProfile(kind=kind))
+    quad, sweep = QuadratureSpec(), [64, 128, 256]
+    calls, points = _count_radial_passes(monkeypatch), _count_chunks(
+        monkeypatch)
+    rows = convergence_table(spec, quad, sweep)
+    assert calls == [706]
+    assert points == [352, 352]
+    assert np.array(rows).tobytes() == np.array(
+        _grid_by_grid_rows(spec, quad, sweep)).tobytes()
 
 
 README_GRID = [(variant, kind, l) for variant in Variant

@@ -537,6 +537,30 @@ def test_non_finite_end_is_a_typed_failure(tmp_path, capsys, mode, variant,
         end in ends for end in ("r_min", "r_max")]
 
 
+def test_underflowing_r_min_fails_before_any_curvature(tmp_path, capsys,
+                                                      monkeypatch):
+    """At r_min = 1e-80, r^4 underflows to zero under a finite u^2 and
+    P(r_min) is infinite: the sweep exits 1 with the ends as its history,
+    writes no CSV, and stops before the curvature kernel runs at all."""
+    calls = []
+    monkeypatch.setattr(geometry, "curvature_forms",
+                        lambda *args: calls.append(args))
+    cfg = write_config(tmp_path, {"mode": "pontryagin",
+                                  "quad": {"r_min": 1e-80}})
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    assert list(out.iterdir()) == []
+    assert calls == []
+    err = json.loads(capsys.readouterr().err.splitlines()[-1],
+                     parse_constant=_reject_constant)
+    assert err["error"] == "ConvergenceError"
+    assert err["message"] == "Chern-Simons end not finite: P(r_min) = inf"
+    [(r_min, p_min), (r_max, p_max)] = err["history"]
+    assert (r_min, p_min, r_max) == (1e-80, None, 80.0)
+    assert p_max == pytest.approx(1.0 / 6.0, abs=1e-3)
+
+
 def test_non_finite_history_is_written_as_null(capsys):
     cli._emit_error("ConvergenceError", "radial integral is not finite",
                     [(16, float("nan")), (32, float("inf"))])
