@@ -26,7 +26,7 @@ from .geometry import (BlendProfile, CurvatureSample, Gauge, MetricSample,
                        radial_coefficients, star3, wedge4)
 from .index import (IndexReport, assemble, index_formula,
                     index_formula_full_flux, integrality_check)
-from .quadrature import QuadratureSpec, integrate_radial
+from .quadrature import QuadratureSpec, integrate_radial, sweep_grids
 
 __version__ = "1.0.0"
 
@@ -45,5 +45,5 @@ __all__ = [
     "metric_at", "model_connection_at", "poisson_check",
     "pontryagin_integral", "pontryagin_scalar",
     "potential_and_omega", "radial_coefficients",
-    "route_table", "star3", "wedge4",
+    "route_table", "star3", "sweep_grids", "wedge4",
 ]

@@ -11,7 +11,7 @@ from .geometry import (_EPS4, MetricSpec, _point_radii,
                        curvature_form_chunks, wedge4)
 from .jets import Jet
 from .quadrature import (ROUNDOFF, QuadratureSpec, angular_points,
-                         integrate_radial, isotropic_mean, radial_nodes)
+                         integrate_radial, sweep_grids)
 
 PONT_NORM = 1.0 / (192.0 * np.pi**2)
 
@@ -38,8 +38,8 @@ def _density_samples(spec: MetricSpec, rs, n_ang: int, others=(),
     rho(r) whose r-integral is (1/192 pi^2) int tr R^R.
 
     A sweep makes one call for all its grids: rs is its checked grid, and
-    given quad, which `others` needs, it returns (that array, the density
-    on each radial grid of `others` at the first direction,
+    given quad, which `others` needs, it returns (the densities on rs and
+    on each grid of `others` at one direction, in that order,
     (P(quad.r_min), P(quad.r_max))).  One radial jet of A and C runs over
     the radii of every point and the two ends, whose chern_simons bracket
     must be finite before any curvature runs, else ConvergenceError, with
@@ -82,8 +82,7 @@ def _density_samples(spec: MetricSpec, rs, n_ang: int, others=(),
         start += r.size * k
     if quad is None:
         return densities[0]
-    return densities[0], [d[:, 0] for d in densities[1:]], tuple(
-        float(p) for p in p_ends)
+    return densities, tuple(float(p) for p in p_ends)
 
 
 def _chern_simons_bracket(radius, a_coeff, c_coeff):
@@ -118,47 +117,26 @@ def chern_simons(spec: MetricSpec, r):
 
 def convergence_table(spec: MetricSpec, quad: QuadratureSpec, n_r_values):
     """Rows (n_r, value, error_estimate, tail_bound) for a grid sweep of
-    the normalized tr R^R integral: the quadrature over [r_min, r_max],
-    with its fine/coarse difference as the error, plus the exact ends
-    P(r_min) - 1/12 and 1/6 - P(r_max) of `chern_simons`; the tail bound
-    bounds the roundoff of the ends and of the sum.  A non-finite end
-    raises ConvergenceError, with the ends (r, P) as its history, before
-    any curvature runs.
+    the normalized tr R^R integral: the quadrature over [r_min, r_max] of
+    `integrate_radial`, with its fine/coarse difference as the error, plus
+    the exact ends P(r_min) - 1/12 and 1/6 - P(r_max) of `chern_simons`;
+    the tail bound is the direction term of `integrate_radial` plus the
+    roundoff of the ends and of the sum.  A non-finite end raises
+    ConvergenceError, with the ends (r, P) as its history, before any
+    curvature runs.
 
-    The density depends on r alone, so every grid is sampled at one
-    direction, the first of `angular_samples`.  The isotropy check runs
-    once, at quad.n_ang directions on the coarsest grid of the sweep (the
-    half-size grid of its smallest n_r), whose first direction is its
-    value; that grid's sum |w spread| joins every tail bound, as the cost of
-    one direction.  The sweep lists its distinct radial grids first, since
-    a fine grid of one row is often the coarse grid of the next, and
-    samples them all and the ends in one _density_samples call.  A point's
-    curvature does not depend on the rest of its batch, so sharing a batch
-    changes no bit."""
-    # a grid of quad is named by its node count; the checked grid first
-    nodes = {m: radial_nodes(quad, m) for m in dict.fromkeys(
-        [min(n_r_values) // 2] + [m for n in n_r_values for m in (n, n // 2)])}
-    (r_check, w_check), *rest = nodes.values()
-    checked, others, (p_min, p_max) = _density_samples(
-        spec, r_check, quad.n_ang, [rs for rs, _ in rest], quad)
+    One _density_samples call samples every grid of `sweep_grids` and the
+    ends.  A point's curvature does not depend on the rest of its batch,
+    so sharing a batch changes no bit."""
+    grids = sweep_grids(quad, n_r_values)
+    (r_check, _, n_ang), *rest = grids
+    densities, (p_min, p_max) = _density_samples(
+        spec, r_check, n_ang, [r for r, _, _ in rest], quad)
     head, tail = p_min - 1.0 / 12.0, 1.0 / 6.0 - p_max
-    mean = isotropic_mean(checked, quad.tol)
-    direction = float(np.abs(checked - mean[:, None]).max(axis=1) @ w_check)
-    # contiguous: np.dot sums a strided column in another order
-    sampled = dict(zip(nodes, [np.ascontiguousarray(checked[:, 0])]
-                       + others))
-
-    def samples(rs):
-        return sampled[len(rs)]
-
-    rows = []
-    for n in n_r_values:
-        middle, error = integrate_radial(samples, quad, n)
-        rs, ws = nodes[n]
-        mass = float(np.abs(samples(rs)) @ ws)  # sum |w rho|
-        rows.append((n, middle + head + tail, error, direction
-                     + ROUNDOFF * (mass + abs(p_min) + abs(p_max))))
-    return rows
+    return [(n, middle + head + tail, error, direction
+             + ROUNDOFF * (mass + abs(p_min) + abs(p_max)))
+            for n, middle, error, direction, mass
+            in integrate_radial(grids, densities, quad, n_r_values)]
 
 
 def pontryagin_integral(spec: MetricSpec, quad: QuadratureSpec):

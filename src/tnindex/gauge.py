@@ -13,7 +13,7 @@ from .geometry import (PAIRS, Gauge, MetricSpec, Point, Variant,
                        chart_omega, hodge_star, metric_at, two_form_matrix,
                        wedge4)
 from .quadrature import (ROUNDOFF, QuadratureSpec, angular_points,
-                         integrate_radial)
+                         integrate_radial, sweep_grids)
 
 LAMBDA_TOL = 1e-6
 
@@ -228,11 +228,14 @@ def bulk_action(data: InstantonData, quad: QuadratureSpec, l: float = 1.0):
     """-(1/8 pi^2) int_TN tr F^F as (value, error_estimate): the radial
     quadrature over [r_min, r_max] plus the exact head and tail, since each
     channel's density is d/dr(-(c - mcharge)^2 / 2), with c(0) = mcharge
-    and c(infinity) = lam.  The error is the grid refinement difference
-    plus a roundoff floor, whose absolute term, the smallest normal
-    double, covers subnormal rounding."""
-    middle, error = integrate_radial(
-        lambda rs: _bulk_density_samples(data, rs, quad.n_ang, l), quad)
+    and c(infinity) = lam.  The quadrature is the one-row sweep [quad.n_r]
+    of `integrate_radial`; the error is its grid refinement difference
+    plus its direction term plus a roundoff floor, whose absolute term,
+    the smallest normal double, covers subnormal rounding."""
+    grids = sweep_grids(quad, [quad.n_r])
+    [(_, middle, error, direction, _)] = integrate_radial(
+        grids, [_bulk_density_samples(data, r, k, l) for r, _, k in grids],
+        quad, [quad.n_r])
     head = tail = 0.0
     for ch in data.channels:
         c_min, c_max = connection_coefficient(
@@ -241,7 +244,7 @@ def bulk_action(data: InstantonData, quad: QuadratureSpec, l: float = 1.0):
         tail -= 0.5 * ((ch.lam - ch.mcharge) ** 2 - c_max**2)
     floor = ROUNDOFF * sum(ch.lam**2 + ch.mcharge**2 for ch in data.channels) \
         + np.finfo(float).tiny
-    return middle + float(head) + float(tail), error + floor
+    return middle + float(head) + float(tail), error + direction + floor
 
 
 def bulk_action_closed_form(data: InstantonData) -> float:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -121,30 +120,46 @@ def ordered_dot(a, b):
     return total
 
 
-def integrate_radial(f: Callable[[np.ndarray], np.ndarray],
-                     quad: QuadratureSpec, n_r: int | None = None):
-    """Integrate a vectorized density over [r_min, r_max]; returns (value,
-    error_estimate).
+def sweep_grids(quad: QuadratureSpec, n_r_values):
+    """The distinct radial grids (r, w, directions) of a sweep over
+    n_r_values, each row needing its grid of n_r nodes and the half-size
+    grid.  The checked grid comes first, at quad.n_ang directions: the
+    half-size grid of the smallest n_r.  Every other grid follows once, at
+    one direction, the first of `angular_samples`, since a fine grid of
+    one row is often the coarse grid of the next."""
+    sizes = dict.fromkeys([min(n_r_values) // 2]
+                          + [m for n in n_r_values for m in (n, n // 2)])
+    return [(*radial_nodes(quad, m), quad.n_ang if k == 0 else 1)
+            for k, m in enumerate(sizes)]
 
-    f is sampled on the fine grid of n_r nodes (default quad.n_r) and on the
-    half-size grid.  When it returns angular check samples of shape
-    (n, n_ang), both grids are reduced to their angular mean through one
-    isotropy check against quad.tol.  The summation order is fixed by the
-    node order (`ordered_dot`), so the result is bit-stable for a given
-    grid.  The error estimate is the difference between the fine and the
-    half-size grid."""
-    n = quad.n_r if n_r is None else n_r
-    r_f, w_f = radial_nodes(quad, n)
-    r_c, w_c = radial_nodes(quad, n // 2)
-    fine = np.asarray(f(r_f), dtype=float)
-    coarse = np.asarray(f(r_c), dtype=float)
-    if fine.ndim == 2:
-        mean = isotropic_mean(np.concatenate([fine, coarse]), quad.tol)
-        fine, coarse = mean[:len(r_f)], mean[len(r_f):]
-    value = float(ordered_dot(fine, w_f))
-    coarse_value = float(ordered_dot(coarse, w_c))
-    if not np.isfinite(value):
-        raise ConvergenceError("radial integral is not finite",
-                               [(len(r_c), coarse_value), (len(r_f), value)])
-    return value, abs(value - coarse_value)
 
+def integrate_radial(grids, densities, quad: QuadratureSpec, n_r_values):
+    """Rows (n_r, value, error, direction, mass) of a radial sweep over
+    [r_min, r_max] from the `sweep_grids` of n_r_values and the density on
+    each, shape (len(r), directions).
+
+    The one isotropy check runs on the checked grid against quad.tol.  Its
+    first direction is its value; its sum |w spread|, spread being the
+    largest distance of a direction from the mean at a radius, is the
+    direction term, the cost of one direction.  A row's value is the sum
+    on its grid of n_r nodes in node order (`ordered_dot`, so bit-stable),
+    its error the difference from the half-size grid and its mass sum
+    |w rho|.  A non-finite value raises ConvergenceError, with both sums
+    as its history."""
+    (_, w_check, _), checked = grids[0], densities[0]
+    mean = isotropic_mean(checked, quad.tol)
+    direction = float(np.abs(checked - mean[:, None]).max(axis=1) @ w_check)
+    # contiguous: np.dot sums a strided column in another order
+    sampled = {len(r): (w, np.ascontiguousarray(d[:, 0]))
+               for (r, w, _), d in zip(grids, densities)}
+    rows = []
+    for n in n_r_values:
+        (w_f, fine), (w_c, coarse) = sampled[n], sampled[n // 2]
+        value = float(ordered_dot(fine, w_f))
+        coarse_value = float(ordered_dot(coarse, w_c))
+        if not np.isfinite(value):
+            raise ConvergenceError("radial integral is not finite",
+                                   [(n // 2, coarse_value), (n, value)])
+        rows.append((n, value, abs(value - coarse_value), direction,
+                     float(np.abs(fine) @ w_f)))
+    return rows

@@ -4,7 +4,7 @@ integral."""
 import numpy as np
 import pytest
 
-from tnindex import charclasses, geometry, jets
+from tnindex import charclasses, geometry, jets, quadrature
 from tnindex.charclasses import (PONT_NORM, chern_simons, convergence_table,
                                  pontryagin_integral, pontryagin_scalar)
 from tnindex.errors import IsotropyError
@@ -13,7 +13,7 @@ from tnindex.geometry import (BlendProfile, MetricSpec, Variant,
                               radial_coefficients)
 from tnindex.quadrature import (ROUNDOFF, QuadratureSpec, angular_samples,
                                 integrate_radial, isotropic_mean,
-                                radial_nodes)
+                                radial_nodes, sweep_grids)
 
 TARGET = 1.0 / 12.0
 
@@ -198,10 +198,10 @@ def test_density_samples_form_radial_jets_once(monkeypatch):
         charclasses._density_samples(spec, rs, 3)
         assert calls == [300]
         calls.clear()
-        checked, [alone], ends = charclasses._density_samples(
+        [checked, alone], ends = charclasses._density_samples(
             spec, rs, 3, [other], quad)
         assert calls == [300 + 20 + 2]
-        alone_ref = charclasses._density_samples(spec, other, 1)[:, 0]
+        alone_ref = charclasses._density_samples(spec, other, 1)
         assert np.array_equal(checked,
                               charclasses._density_samples(spec, rs, 3))
         assert np.array_equal(alone, alone_ref)
@@ -248,44 +248,31 @@ def test_checked_grid_keeps_the_bits_of_one_direction(variant):
 
 def test_convergence_table_checks_isotropy(monkeypatch):
     """A deliberately tight tolerance flags the angular spread of the
-    coarsest grid before any row is formed, after the one pass over the
+    coarsest grid before any grid is summed, after the one pass over the
     sweep's points: grid 16 at the n_ang directions, 32 and 64 at one."""
     quad = QuadratureSpec(n_r=64, tol=1e-16)
     points = _count_chunks(monkeypatch)
-    rows = []
-    monkeypatch.setattr(charclasses, "integrate_radial",
-                        lambda *args: rows.append(args))
+    sums = []
+    monkeypatch.setattr(quadrature, "ordered_dot",
+                        lambda *args: sums.append(args))
     with pytest.raises(IsotropyError):
         convergence_table(exact_d_spec(), quad, [64, 32])
     assert sum(points) == quad.n_ang * 16 + 32 + 64
-    assert rows == []
+    assert sums == []
 
 
 def _grid_by_grid_rows(spec, quad, n_r_values):
     """convergence_table's rows with each distinct grid sampled by a
     _density_samples call of its own and the ends taken from chern_simons."""
     (p_min, p_max), _ = chern_simons(spec, [quad.r_min, quad.r_max])
-    r_check, w_check = radial_nodes(quad, min(n_r_values) // 2)
-    checked = charclasses._density_samples(spec, r_check, quad.n_ang)
-    mean = isotropic_mean(checked, quad.tol)
-    direction = float(np.abs(checked - mean[:, None]).max(axis=1) @ w_check)
-    sampled = {r_check.tobytes(): np.ascontiguousarray(checked[:, 0])}
-
-    def samples(rs):
-        if rs.tobytes() not in sampled:
-            sampled[rs.tobytes()] = charclasses._density_samples(spec, rs,
-                                                                 1)[:, 0]
-        return sampled[rs.tobytes()]
-
-    rows = []
-    for n in n_r_values:
-        middle, error = integrate_radial(samples, quad, n)
-        rs, ws = radial_nodes(quad, n)
-        mass = float(np.abs(samples(rs)) @ ws)
-        rows.append((n, middle + (float(p_min) - TARGET)
-                     + (1.0 / 6.0 - float(p_max)), error, direction
-                     + ROUNDOFF * (mass + abs(p_min) + abs(p_max))))
-    return rows
+    grids = sweep_grids(quad, n_r_values)
+    densities = [charclasses._density_samples(spec, rs, k)
+                 for rs, _, k in grids]
+    return [(n, middle + (float(p_min) - TARGET)
+             + (1.0 / 6.0 - float(p_max)), error, direction
+             + ROUNDOFF * (mass + abs(p_min) + abs(p_max)))
+            for n, middle, error, direction, mass
+            in integrate_radial(grids, densities, quad, n_r_values)]
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -313,24 +300,16 @@ README_GRID = [(variant, kind, l) for variant in Variant
 
 def _mean_rows(spec, quad, n_r_values):
     """(value, error, tail_bound) of each row, every grid taken as the mean
-    of quad.n_ang directions through integrate_radial's isotropy check."""
+    of quad.n_ang directions through the isotropy check of quad.tol."""
     (p_min, p_max), _ = chern_simons(spec, [quad.r_min, quad.r_max])
-    sampled = {}
-
-    def samples(rs):
-        if len(rs) not in sampled:
-            sampled[len(rs)] = charclasses._density_samples(spec, rs,
-                                                            quad.n_ang)
-        return sampled[len(rs)]
-
-    rows = []
-    for n in n_r_values:
-        middle, error = integrate_radial(samples, quad, n)
-        rs, ws = radial_nodes(quad, n)
-        mass = np.abs(samples(rs).mean(axis=1)) @ ws
-        rows.append((middle + (p_min - TARGET) + (1.0 / 6.0 - p_max), error,
-                     ROUNDOFF * (mass + abs(p_min) + abs(p_max))))
-    return rows
+    grids = sweep_grids(quad, n_r_values)
+    means = [isotropic_mean(charclasses._density_samples(spec, rs,
+                                                         quad.n_ang),
+                            quad.tol)[:, None] for rs, _, _ in grids]
+    return [(middle + (p_min - TARGET) + (1.0 / 6.0 - p_max), error,
+             ROUNDOFF * (mass + abs(p_min) + abs(p_max)))
+            for _, middle, error, _, mass
+            in integrate_radial(grids, means, quad, n_r_values)]
 
 
 def test_one_direction_is_within_its_direction_term():

@@ -480,12 +480,20 @@ def test_numerical_failure_exit(tmp_path, capsys):
     assert err["error"] == "GenericityError"
 
 
-@pytest.mark.parametrize("mode", ["pontryagin", "convergence"])
+SWEEP = {"sweep": [32, 64, 128]}
+ISOTROPY_CHECKED = {
+    "pontryagin": SWEEP, "convergence": SWEEP,
+    "index": {"grav": "lemma",
+              "instanton": {"channels": [{"lam": 0.3, "mcharge": 1.0}]}}}
+
+
+@pytest.mark.parametrize("mode", ["pontryagin", "convergence", "index"])
 def test_isotropy_violation_exits_numerical(tmp_path, capsys, mode):
-    """The sweep's one isotropy check still fires: a deliberately tight
-    quad.tol flags the angular spread before any row is written."""
+    """The one isotropy check of a sweep, and of the bulk in index mode
+    with lemma gravity, still fires: a deliberately tight quad.tol flags
+    the angular spread before any report is written."""
     cfg = write_config(tmp_path, {"mode": mode, "quad": {"tol": 1e-16},
-                                  "sweep": [32, 64, 128]})
+                                  **ISOTROPY_CHECKED[mode]})
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
     err = json.loads(capsys.readouterr().err)

@@ -15,7 +15,7 @@ from tnindex.gauge import (InstantonChannel, InstantonData, boundary_data,
                            model_connection_at)
 from tnindex.geometry import (PAIRS, Gauge, Point, chart_omega, star3,
                               two_form_matrix, wedge4)
-from tnindex.quadrature import (QuadratureSpec, angular_points,
+from tnindex.quadrature import (ROUNDOFF, QuadratureSpec, angular_points,
                                 angular_samples)
 
 RNG = np.random.default_rng(11)
@@ -364,14 +364,17 @@ def test_cached_grids_and_geometry_are_read_only():
     for cache in (gauge._bulk_geometry, quadrature._radial_grid,
                   quadrature._legendre_rule):
         assert cache.cache_info().maxsize is not None
-    bulk_action(FOUR_CHANNELS, QuadratureSpec(n_r=64))
-    r, w = quadrature.radial_nodes(QuadratureSpec(n_r=64))
-    fibered, domega, factors = gauge._bulk_geometry(
-        r[:, None].tobytes(), QuadratureSpec().n_ang)
-    assert gauge._bulk_geometry.cache_info().hits == 1
-    shared = [r, w, *fibered, *factors] + [x for x in domega
-                                          if x is not None]
-    assert len(shared) == 15
+    quad = QuadratureSpec(n_r=64)
+    bulk_action(FOUR_CHANNELS, quad)
+    shared = []
+    for n, n_ang in ((32, quad.n_ang), (64, 1)):
+        r, w = quadrature.radial_nodes(quad, n)
+        fibered, domega, factors = gauge._bulk_geometry(
+            r[:, None].tobytes(), n_ang)
+        shared += [r, w, *fibered, *factors] + [x for x in domega
+                                               if x is not None]
+    assert gauge._bulk_geometry.cache_info().hits == 2
+    assert len(shared) == 30
     for arr in shared:
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -417,6 +420,68 @@ def test_bulk_meets_closed_form_at_any_l(l, channels):
     data = InstantonData([InstantonChannel(lam, m) for lam, m in channels])
     value, error = bulk_action(data, QuadratureSpec(), float(l))
     assert abs(value - bulk_action_closed_form(data)) <= error
+
+
+def all_direction_bulk(data, quad, l):
+    """The bulk action by the rule that sampled every grid at quad.n_ang
+    directions: the fine grid's mean over them plus the exact ends, and
+    the checked (half-size) grid's direction term sum |w spread|."""
+    r, w = quadrature.radial_nodes(quad)
+    middle = quadrature.ordered_dot(
+        gauge._bulk_density_samples(data, r, quad.n_ang, l).mean(axis=1), w)
+    head = tail = 0.0
+    for ch in data.channels:
+        c_min, c_max = connection_coefficient(
+            ch, [quad.r_min, quad.r_max], l) - ch.mcharge
+        head -= 0.5 * c_min**2
+        tail -= 0.5 * ((ch.lam - ch.mcharge) ** 2 - c_max**2)
+    r, w = quadrature.radial_nodes(quad, quad.n_r // 2)
+    checked = gauge._bulk_density_samples(data, r, quad.n_ang, l)
+    spread = np.abs(checked - checked.mean(axis=1)[:, None]).max(axis=1)
+    return middle + float(head) + float(tail), spread @ w
+
+
+def count_bulk_points(monkeypatch):
+    """The points of each _bulk_density_samples call, in call order."""
+    points, sample = [], gauge._bulk_density_samples
+
+    def counted(data, rs, n_ang, l):
+        points.append(len(rs) * n_ang)
+        return sample(data, rs, n_ang, l)
+
+    monkeypatch.setattr(gauge, "_bulk_density_samples", counted)
+    return points
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("l", [0.2, 1.0, 6.0])
+@pytest.mark.parametrize("n_ang", [2, 8])
+def test_bulk_takes_one_direction_within_its_direction_term(rank, l, n_ang,
+                                                            monkeypatch):
+    """The bulk samples its fine grid at one direction and checks isotropy
+    at quad.n_ang directions on the half-size grid only: its value is
+    within the direction term of the all-direction mean, up to the
+    roundoff floor that covers the rounding of the two sums (at rank 3,
+    l = 1, n_ang 2 they differ by 2 ulps against a direction term of
+    1 ulp); its error carries that term, and it meets the closed form
+    within that error."""
+    data = InstantonData(FOUR_CHANNELS.channels[:rank])
+    quad = QuadratureSpec(n_ang=n_ang)
+    mean, direction = all_direction_bulk(data, quad, l)
+    points = count_bulk_points(monkeypatch)
+    value, error = bulk_action(data, quad, l)
+    assert points == [quad.n_r // 2 * n_ang, quad.n_r]
+    floor = ROUNDOFF * sum(ch.lam**2 + ch.mcharge**2 for ch in data.channels)
+    assert abs(value - mean) <= direction + floor
+    assert direction + floor <= error
+    assert abs(value - bulk_action_closed_form(data)) <= error
+
+
+def test_bulk_evaluates_the_checked_grid_and_the_fine_grid(monkeypatch):
+    """At n_r 64 and n_ang 3 one bulk call evaluates 32 * 3 + 64 points."""
+    points = count_bulk_points(monkeypatch)
+    bulk_action(FOUR_CHANNELS, QuadratureSpec(n_r=64, n_ang=3))
+    assert points == [32 * 3, 64]
 
 
 def test_bulk_stable_under_grid_doubling():

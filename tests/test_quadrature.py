@@ -6,20 +6,31 @@ import numpy as np
 import pytest
 
 from tnindex import quadrature
-from tnindex.errors import ConvergenceError
-from tnindex.quadrature import QuadratureSpec, integrate_radial, radial_nodes
+from tnindex.errors import ConvergenceError, IsotropyError
+from tnindex.quadrature import (QuadratureSpec, integrate_radial,
+                                radial_nodes, sweep_grids)
+
+
+def integrate(f, quad, n_r=None):
+    """(value, error) of the radial density f, the same in every direction,
+    over the one-row sweep of n_r nodes (default quad.n_r)."""
+    n = quad.n_r if n_r is None else n_r
+    grids = sweep_grids(quad, [n])
+    densities = [np.repeat(f(r)[:, None], k, axis=1) for r, _, k in grids]
+    [(_, value, error, _, _)] = integrate_radial(grids, densities, quad, [n])
+    return value, error
 
 
 def test_exponential_density():
     quad = QuadratureSpec(r_min=1e-9, r_max=40.0, n_r=256)
-    value, error = integrate_radial(lambda r: np.exp(-r), quad)
+    value, error = integrate(lambda r: np.exp(-r), quad)
     assert value == pytest.approx(1.0, abs=1e-8)
     assert abs(value - 1.0) <= error + 1e-8
 
 
 def test_rational_density_closed_form():
     quad = QuadratureSpec(r_min=1e-4, r_max=80.0, n_r=256)
-    value, _ = integrate_radial(lambda r: 2.0 / (2.0 * r + 1.0) ** 3, quad)
+    value, _ = integrate(lambda r: 2.0 / (2.0 * r + 1.0) ** 3, quad)
 
     def antideriv(r):
         return -1.0 / (2.0 * (2.0 * r + 1.0) ** 2)
@@ -31,9 +42,9 @@ def test_rational_density_closed_form():
 def test_doubling_within_error_estimate():
     quad = QuadratureSpec(r_min=1e-4, r_max=80.0, n_r=32)
     f = lambda r: 2.0 / (2.0 * r + 1.0) ** 3
-    v1, e1 = integrate_radial(f, quad)
+    v1, e1 = integrate(f, quad)
     quad2 = dataclasses.replace(quad, n_r=64)
-    v2, _ = integrate_radial(f, quad2)
+    v2, _ = integrate(f, quad2)
     assert abs(v2 - v1) <= e1 + 1e-14
 
 
@@ -85,18 +96,57 @@ def test_legendre_rule_is_shared_read_only():
             arr[0] = 0.0
 
 
+@pytest.mark.parametrize("sweep, sizes", [([64, 128, 256], [32, 64, 128, 256]),
+                                          ([64, 32], [16, 64, 32]),
+                                          ([16], [8, 16])])
+def test_sweep_grids_list_each_grid_once(sweep, sizes):
+    """The checked grid, the half-size grid of the smallest n_r, comes
+    first at quad.n_ang directions; every other grid of the sweep follows
+    once, at one direction, as radial_nodes builds it.  [16] is the
+    smallest legal sweep."""
+    quad = QuadratureSpec(n_ang=5)
+    grids = sweep_grids(quad, sweep)
+    assert [len(r) for r, _, _ in grids] == sizes
+    assert len(set(sizes)) == len(sizes)
+    assert [k for _, _, k in grids] == [quad.n_ang] + [1] * (len(sizes) - 1)
+    for r, w, _ in grids:
+        nodes, weights = radial_nodes(quad, len(r))
+        assert r is nodes and w is weights
+
+
+def test_integrate_radial_takes_the_first_direction():
+    """Each row's value is the first direction of its grids, and the
+    checked grid's sum |w spread| is every row's direction term; a spread
+    beyond quad.tol raises IsotropyError."""
+    quad = QuadratureSpec(n_ang=3, tol=1e-2)
+    grids = sweep_grids(quad, [32, 64])
+    tilt = np.array([1.0, 1.001, 0.998])
+    densities = [np.exp(-r)[:, None] * tilt[:k] for r, _, k in grids]
+    rows = integrate_radial(grids, densities, quad, [32, 64])
+    r16, w16, _ = grids[0]
+    spread = np.exp(-r16) * 0.005 / 3.0
+    for (n, value, error, direction, mass), (ref, _) in zip(
+            rows, [integrate(lambda r: np.exp(-r), quad, n) for n in
+                   (32, 64)]):
+        assert value == ref and mass == pytest.approx(ref)
+        assert direction == pytest.approx(spread @ w16, rel=1e-12)
+    with pytest.raises(IsotropyError):
+        integrate_radial(grids, densities, QuadratureSpec(n_ang=3, tol=1e-4),
+                         [32, 64])
+
+
 def test_non_finite_integral_reports_history():
     quad = QuadratureSpec(n_r=100)
     with pytest.raises(ConvergenceError) as exc:
-        integrate_radial(lambda r: np.full_like(r, np.inf), quad)
+        integrate(lambda r: np.full_like(r, np.inf), quad)
     assert [n for n, _ in exc.value.history] == [50, 100]
 
 
 def test_determinism_bitwise():
     quad = QuadratureSpec()
     f = lambda r: 1.0 / (1.0 + r) ** 2
-    v1, _ = integrate_radial(f, quad)
-    v2, _ = integrate_radial(f, quad)
+    v1, _ = integrate(f, quad)
+    v2, _ = integrate(f, quad)
     assert v1 == v2
 
 
