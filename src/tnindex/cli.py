@@ -169,9 +169,10 @@ def load_config(raw: dict, overrides: argparse.Namespace) -> dict:
 
 
 def _write_json(path: Path, payload: dict):
+    """A JSON report: two-space indent, sorted keys and a final newline,
+    in one write."""
     with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _cell(x) -> str:

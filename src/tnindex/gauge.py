@@ -120,31 +120,44 @@ class FieldStrengthSample:
             else "self-dual"
 
 
+def _radial_factors(r):
+    """The factors 1/(2r), 2r, dv/dr = -1/(2r^2) and 2r^2 of v = l + 1/(2r)
+    at the radii r."""
+    return 0.5 / r, 2.0 * r, -0.5 / r**2, 2.0 * r**2
+
+
 def _field_strength_geometry(xyz, gauge: Gauge = Gauge.DEFAULT):
     """The channel-free part of G at the points xyz: on PAIRS, dr ^ (dtau +
-    omega) and d(omega) = star3 dV (None where it vanishes), and the radial
-    factors 1/(2r), 2r, dv/dr = -1/(2r^2) and 2r^2 of v = l + 1/(2r)."""
+    omega) and d(omega) = star3 dV (None where it vanishes), and the
+    _radial_factors."""
     r, omega = chart_omega(xyz, gauge)
     x = np.moveaxis(np.asarray(xyz, dtype=float), -1, 0)
     dr, fib = [*(x / r), 0.0], [*np.moveaxis(omega, -1, 0), 1.0]
-    dv = -0.5 / r**2
-    grad_v = dv * x / r
+    factors = _radial_factors(r)
+    grad_v = factors[2] * x / r
     return (tuple(dr[i] * fib[j] - fib[i] * dr[j] for i, j in PAIRS),
-            (grad_v[2], -grad_v[1], None, grad_v[0], None, None),
-            (0.5 / r, 2.0 * r, dv, 2.0 * r**2))
+            (grad_v[2], -grad_v[1], None, grad_v[0], None, None), factors)
+
+
+def _radial_coefficients(lam, mcharge, l: float, v, v2, factors):
+    """(c', c - mcharge) of channels (lam, mcharge), numbers or arrays that
+    broadcast against the radii, from v = l + 1/(2r), its square v2 and
+    the _radial_factors: c = num / v with num = l lam + mcharge/(2r), and
+    c' = (num' v - num v') / v^2."""
+    _, two_r, dv, two_r2 = factors
+    num = l * lam + mcharge / two_r
+    dnum = -mcharge / two_r2
+    return (dnum * v - num * dv) / v2, num / v - mcharge
 
 
 def _channel_field_strength(ch: InstantonChannel, l: float, v, v2,
                             geometry):
     """One channel's G on PAIRS, as a list, from v = l + 1/(2r), its square
-    v2 and the _field_strength_geometry of the points: c = num / v with
-    num = l lam + mcharge/(2r), c' = (num' v - num v') / v^2, and
-    G = c' dr ^ (dtau + omega) + (c - mcharge) d(omega)."""
-    fibered, domega, (_, two_r, dv, two_r2) = geometry
-    num = l * ch.lam + ch.mcharge / two_r
-    dnum = -ch.mcharge / two_r2
-    dc = (dnum * v - num * dv) / v2
-    c_eff = num / v - ch.mcharge
+    v2 and the _field_strength_geometry of the points: G = c' dr ^ (dtau +
+    omega) + (c - mcharge) d(omega), with c' and c - mcharge from
+    _radial_coefficients."""
+    fibered, domega, factors = geometry
+    dc, c_eff = _radial_coefficients(ch.lam, ch.mcharge, l, v, v2, factors)
     return [dc * f if w is None else dc * f + c_eff * w
             for f, w in zip(fibered, domega)]
 
@@ -194,34 +207,69 @@ def field_strength_at(ch: InstantonChannel, p: Point,
 
 
 @lru_cache(maxsize=4)
-def _bulk_geometry(radii: bytes, n_ang: int):
-    """_field_strength_geometry at angular_points(rs, n_ang), rs =
-    np.frombuffer(radii).  Built once per grid and shared, so every array
-    is read-only."""
-    geometry = _field_strength_geometry(
-        angular_points(np.frombuffer(radii), n_ang))
-    for a in (*geometry[0], *geometry[1], *geometry[2]):
-        if a is not None:
-            a.flags.writeable = False
-    return geometry
+def _bulk_geometry(grid_set: tuple, ends: tuple):
+    """The channel-free part of the bulk density on a grid set: grid_set
+    holds (radii.tobytes(), directions) per grid, and its points are
+    angular_points(radii, directions) grid after grid.  Returns the wedges
+    f^f, 2 f^w and w^w of f = dr ^ (dtau + omega) and w = d(omega) at
+    every point, shape (3, points); then, at every node radius in grid
+    order followed by the radii ends, which hold no point, the
+    _radial_factors, r^2 and the number of points.  Built once per grid
+    set and shared, so every array is read-only."""
+    radii = [np.frombuffer(rs) for rs, _ in grid_set]
+    points = np.concatenate([angular_points(rs, k).reshape(-1, 3)
+                             for rs, (_, k) in zip(radii, grid_set)])
+    fibered, domega, _ = _field_strength_geometry(points)
+    domega = [np.zeros(len(points)) if w is None else w for w in domega]
+    wedges = np.stack([wedge4(fibered, fibered),
+                       2.0 * wedge4(fibered, domega), wedge4(domega, domega)])
+    r = np.concatenate([*radii, ends])
+    factors, r2 = _radial_factors(r), r * r
+    directions = np.repeat([k for _, k in grid_set] + [0],
+                           [len(rs) for rs in radii] + [len(ends)])
+    for a in (wedges, *factors, r2, directions):
+        a.flags.writeable = False
+    return wedges, factors, r2, directions
 
 
-def _bulk_density_samples(data: InstantonData, rs: np.ndarray, n_ang: int,
+def _bulk_densities(data: InstantonData, grids, ends, l: float = 1.0):
+    """-(1/8 pi^2) tr F^F reduced to a per-unit-r density on every grid
+    (r, w, directions) of grids, one (len(r), directions) array per grid in
+    grid order, and c - mcharge at the radii ends, shape (len(ends), rank),
+    from one pass over the radii of both.
+
+    Channel by channel tr F^F = -G^G for u(1) blocks, and G = c' f +
+    (c - mcharge) w makes G^G the quadratic form c'^2 f^f + 2 c' (c -
+    mcharge) f^w + (c - mcharge)^2 w^w.  c and c' depend on r alone, so
+    the form's three coefficients are summed over the channels once per
+    radius and then meet the wedges that _bulk_geometry caches per point.
+    f^f and w^w vanish in exact arithmetic; they are the wedges of the
+    actual forms, so the numeric route never assumes it."""
+    wedges, factors, r2, directions = _bulk_geometry(
+        tuple((np.asarray(rs, dtype=float).tobytes(), k)
+              for rs, _, k in grids), tuple(ends))
+    v = l + factors[0]  # the first radial factor is 1/(2r)
+    lam, mcharge = np.array([ch.lam for ch in data.channels]
+                            + [ch.mcharge for ch in data.channels]
+                            ).reshape(2, -1, 1)
+    dc, c_eff = _radial_coefficients(lam, mcharge, l, v, v**2, factors)
+    # -(1/8 pi^2) * (-sum G^G) * (level-set volume 8 pi^2 r^2); an end
+    # repeats to no point
+    form = np.add.reduce([dc * dc, dc * c_eff, c_eff * c_eff], axis=1) * r2
+    density = np.add.reduce(np.repeat(form, directions, axis=1) * wedges)
+    out, start = [], 0
+    for rs, _, k in grids:
+        out.append(density[start:start + len(rs) * k].reshape(len(rs), k))
+        start += len(rs) * k
+    return out, c_eff[:, len(r2) - len(ends):].T
+
+
+def _bulk_density_samples(data: InstantonData, rs, n_ang: int,
                           l: float = 1.0):
-    """-(1/8 pi^2) tr F^F reduced to a per-unit-r density at angular check
-    samples, shape (len(rs), n_ang); the channels share the grid geometry
-    of _bulk_geometry and v = l + 1/(2r)."""
-    r = np.asarray(rs, dtype=float)[:, None]
-    geometry = _bulk_geometry(r.tobytes(), n_ang)
-    v = l + geometry[2][0]  # the first radial factor is 1/(2r)
-    v2 = v**2
-    total = np.zeros(v.shape)
-    for ch in data.channels:
-        g = _channel_field_strength(ch, l, v, v2, geometry)
-        total -= wedge4(g, g)  # tr F^F = -(G^G) channelwise for u(1) blocks
-        del g  # one G alive at a time keeps the peak memory down
-    # -(1/8 pi^2) * total * (level-set volume 8 pi^2 r^2)
-    return -total * r * r
+    """The bulk density at the radii rs and n_ang angular check samples,
+    shape (len(rs), n_ang): _bulk_densities on that one grid."""
+    [density], _ = _bulk_densities(data, [(rs, None, n_ang)], (), l)
+    return density
 
 
 def bulk_action(data: InstantonData, quad: QuadratureSpec, l: float = 1.0):
@@ -229,22 +277,23 @@ def bulk_action(data: InstantonData, quad: QuadratureSpec, l: float = 1.0):
     quadrature over [r_min, r_max] plus the exact head and tail, since each
     channel's density is d/dr(-(c - mcharge)^2 / 2), with c(0) = mcharge
     and c(infinity) = lam.  The quadrature is the one-row sweep [quad.n_r]
-    of `integrate_radial`; the error is its grid refinement difference
-    plus its direction term plus a roundoff floor, whose absolute term,
+    of `integrate_radial`, on the density of both its grids from one
+    _bulk_densities pass, which also gives c - mcharge at r_min and r_max
+    for the head and tail; the error is the grid refinement difference
+    plus the direction term plus a roundoff floor, whose absolute term,
     the smallest normal double, covers subnormal rounding."""
     grids = sweep_grids(quad, [quad.n_r])
+    densities, (c_min, c_max) = _bulk_densities(
+        data, grids, (quad.r_min, quad.r_max), l)
     [(_, middle, error, direction, _)] = integrate_radial(
-        grids, [_bulk_density_samples(data, r, k, l) for r, _, k in grids],
-        quad, [quad.n_r])
+        grids, densities, quad, [quad.n_r])
     head = tail = 0.0
-    for ch in data.channels:
-        c_min, c_max = connection_coefficient(
-            ch, [quad.r_min, quad.r_max], l) - ch.mcharge
-        head -= 0.5 * c_min**2
-        tail -= 0.5 * ((ch.lam - ch.mcharge) ** 2 - c_max**2)
+    for ch, lo, hi in zip(data.channels, c_min.tolist(), c_max.tolist()):
+        head -= 0.5 * (lo * lo)
+        tail -= 0.5 * ((ch.lam - ch.mcharge) ** 2 - hi * hi)
     floor = ROUNDOFF * sum(ch.lam**2 + ch.mcharge**2 for ch in data.channels) \
         + np.finfo(float).tiny
-    return middle + float(head) + float(tail), error + direction + floor
+    return middle + head + tail, error + direction + floor
 
 
 def bulk_action_closed_form(data: InstantonData) -> float:

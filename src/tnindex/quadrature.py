@@ -3,6 +3,7 @@ logarithmic radial grid, with refinement-based error estimates."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -92,18 +93,32 @@ def angular_points(rs, n_ang: int) -> np.ndarray:
                      r * np.cos(thetas)], axis=-1)
 
 
-def isotropic_mean(samples: np.ndarray, tol: float) -> np.ndarray:
-    """Mean over the angular check samples of shape (n, n_ang); raises
-    IsotropyError when the largest relative spread exceeds tol, since a
-    cohomogeneity-one density must not depend on the angle."""
-    mean = samples.mean(axis=1)
-    spread = np.abs(samples - mean[:, None]).max(axis=1)
+def angular_spread(samples: np.ndarray):
+    """(mean, spread) of angular check samples of shape (n, n_ang): the
+    mean over the directions at each radius and the largest distance of a
+    direction from it."""
+    # the bits of samples.mean(axis=1), without its Python-level wrapper
+    mean = samples.sum(axis=1) / samples.shape[1]
+    return mean, np.abs(samples - mean[:, None]).max(axis=1)
+
+
+def require_isotropy(samples: np.ndarray, spread: np.ndarray, tol: float):
+    """Raise IsotropyError when the largest relative spread of the samples
+    exceeds tol or is NaN, since a cohomogeneity-one density must not
+    depend on the angle."""
     scale = np.abs(samples).max(axis=1) + 1e-12
     resid = float((spread / scale).max())
-    if resid > tol:
+    if not resid <= tol:
         raise IsotropyError(
             f"angular spread {resid:.3e} exceeds {tol:.3e}; "
             "the cohomogeneity-one reduction is invalid")
+
+
+def isotropic_mean(samples: np.ndarray, tol: float) -> np.ndarray:
+    """Mean over the angular check samples of shape (n, n_ang), through
+    `require_isotropy` against tol."""
+    mean, spread = angular_spread(samples)
+    require_isotropy(samples, spread, tol)
     return mean
 
 
@@ -139,16 +154,19 @@ def integrate_radial(grids, densities, quad: QuadratureSpec, n_r_values):
     each, shape (len(r), directions).
 
     The one isotropy check runs on the checked grid against quad.tol.  Its
-    first direction is its value; its sum |w spread|, spread being the
-    largest distance of a direction from the mean at a radius, is the
-    direction term, the cost of one direction.  A row's value is the sum
-    on its grid of n_r nodes in node order (`ordered_dot`, so bit-stable),
-    its error the difference from the half-size grid and its mass sum
-    |w rho|.  A non-finite value raises ConvergenceError, with both sums
-    as its history."""
+    first direction is its value; its sum |w spread| (`angular_spread`) is
+    the direction term, the cost of one direction.  A row's value is the
+    sum on its grid of n_r nodes in node order (`ordered_dot`, so
+    bit-stable), its error the difference from the half-size grid and its
+    mass sum |w rho|.  A non-finite sum, direction term or mass raises
+    ConvergenceError, with both sums as its history.  So does a non-finite
+    sample of the checked grid, which makes the direction term non-finite:
+    it skips the isotropy check and fails at the first row."""
     (_, w_check, _), checked = grids[0], densities[0]
-    mean = isotropic_mean(checked, quad.tol)
-    direction = float(np.abs(checked - mean[:, None]).max(axis=1) @ w_check)
+    _, spread = angular_spread(checked)
+    direction = float(spread @ w_check)
+    if math.isfinite(direction):
+        require_isotropy(checked, spread, quad.tol)
     # contiguous: np.dot sums a strided column in another order
     sampled = {len(r): (w, np.ascontiguousarray(d[:, 0]))
                for (r, w, _), d in zip(grids, densities)}
@@ -157,9 +175,10 @@ def integrate_radial(grids, densities, quad: QuadratureSpec, n_r_values):
         (w_f, fine), (w_c, coarse) = sampled[n], sampled[n // 2]
         value = float(ordered_dot(fine, w_f))
         coarse_value = float(ordered_dot(coarse, w_c))
-        if not np.isfinite(value):
+        mass = float(np.abs(fine) @ w_f)
+        if not all(map(math.isfinite, (value, coarse_value, direction,
+                                       mass))):
             raise ConvergenceError("radial integral is not finite",
                                    [(n // 2, coarse_value), (n, value)])
-        rows.append((n, value, abs(value - coarse_value), direction,
-                     float(np.abs(fine) @ w_f)))
+        rows.append((n, value, abs(value - coarse_value), direction, mass))
     return rows

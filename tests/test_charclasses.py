@@ -7,7 +7,7 @@ import pytest
 from tnindex import charclasses, geometry, jets, quadrature
 from tnindex.charclasses import (PONT_NORM, chern_simons, convergence_table,
                                  pontryagin_integral, pontryagin_scalar)
-from tnindex.errors import IsotropyError
+from tnindex.errors import ConvergenceError, IsotropyError
 from tnindex.geometry import (BlendProfile, MetricSpec, Variant,
                               curvature_batch, curvature_forms,
                               radial_coefficients)
@@ -259,6 +259,23 @@ def test_convergence_table_checks_isotropy(monkeypatch):
         convergence_table(exact_d_spec(), quad, [64, 32])
     assert sum(points) == quad.n_ang * 16 + 32 + 64
     assert sums == []
+
+
+def test_convergence_table_refuses_a_nan_direction(monkeypatch):
+    """A NaN curvature density in a direction other than the first of the
+    checked grid raises ConvergenceError; it does not come out as a NaN
+    tail_bound."""
+    sample = charclasses._density_samples
+
+    def poisoned(*args):
+        densities, ends = sample(*args)
+        densities[0] = densities[0].copy()
+        densities[0][5, 1] = np.nan
+        return densities, ends
+
+    monkeypatch.setattr(charclasses, "_density_samples", poisoned)
+    with pytest.raises(ConvergenceError):
+        convergence_table(exact_d_spec(), QuadratureSpec(n_r=64), [32, 64])
 
 
 def _grid_by_grid_rows(spec, quad, n_r_values):

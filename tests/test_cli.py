@@ -17,6 +17,8 @@ from tnindex.charclasses import convergence_table
 from tnindex.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                          EXIT_VALIDATION, main)
 from tnindex.eta import ROUTES, route_table
+from tnindex.gauge import (InstantonChannel, InstantonData,
+                           bulk_action_closed_form)
 from tnindex.geometry import Gauge
 
 
@@ -499,6 +501,40 @@ def test_isotropy_violation_exits_numerical(tmp_path, capsys, mode):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "IsotropyError"
     assert list(out.iterdir()) == []
+
+
+def bulk_document(tmp_path, mcharge):
+    return write_config(tmp_path, {
+        "mode": "index", "grav": "lemma",
+        "instanton": {"channels": [{"lam": 0.3, "mcharge": mcharge}]}})
+
+
+@pytest.mark.parametrize("mcharge", [1e153, 1e200])
+def test_bulk_overflow_exits_with_convergence_error(tmp_path, capsys,
+                                                    mcharge):
+    """A charge whose bulk density overflows exits 1 with the typed
+    ConvergenceError JSON and its history, and writes no report."""
+    out = tmp_path / "out"
+    assert main(["--config", bulk_document(tmp_path, mcharge),
+                 "--out", str(out)]) == EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConvergenceError"
+    assert [n for n, _ in err["history"]] == [128, 256]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("mcharge", [1e150, 1e-160, 5.6e-161])
+def test_bulk_extreme_charges_meet_the_closed_form(tmp_path, mcharge):
+    """A charge near the overflow edge, or one whose bulk is subnormal
+    roundoff away from the lam term, still meets the closed form within
+    errors.bulk."""
+    out = tmp_path / "out"
+    assert main(["--config", bulk_document(tmp_path, mcharge),
+                 "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "index_report.json").read_text())
+    exact = bulk_action_closed_form(
+        InstantonData([InstantonChannel(0.3, mcharge)]))
+    assert abs(report["bulk"] - exact) <= report["errors"]["bulk"]
 
 
 def test_pontryagin_miss_emits_error_and_keeps_csv(tmp_path, capsys):

@@ -142,6 +142,51 @@ def test_non_finite_integral_reports_history():
     assert [n for n, _ in exc.value.history] == [50, 100]
 
 
+def tilted_sweep(n_r_values, n_ang=3):
+    """The sweep grids of n_r_values and a density on them that each
+    direction scales by its own factor within 1e-3 of 1, as fresh arrays."""
+    quad = QuadratureSpec(n_ang=n_ang, tol=1e-2)
+    grids = sweep_grids(quad, n_r_values)
+    tilt = np.linspace(1.0, 1.001, n_ang)
+    return quad, grids, [np.exp(-r)[:, None] * tilt[:k] for r, _, k in grids]
+
+
+def test_isotropic_mean_refuses_nan():
+    """A NaN in a direction other than the first fails the ratio guard."""
+    _, _, (checked, *_) = tilted_sweep([64])
+    assert np.array_equal(quadrature.isotropic_mean(checked, 1e-2),
+                          checked.mean(axis=1))
+    checked[7, 2] = np.nan
+    with pytest.raises(IsotropyError):
+        quadrature.isotropic_mean(checked, 1e-2)
+
+
+@pytest.mark.parametrize("sweep", [[64], [32, 64]])
+def test_nan_off_the_first_direction_raises(sweep):
+    """A NaN that only the checked grid's other directions hold raises
+    ConvergenceError with the sums as its history, rather than returning a
+    NaN direction term."""
+    quad, grids, densities = tilted_sweep(sweep)
+    densities[0][7, 2] = np.nan
+    with pytest.raises(ConvergenceError) as exc:
+        integrate_radial(grids, densities, quad, sweep)
+    assert [n for n, _ in exc.value.history] == [sweep[0] // 2, sweep[0]]
+    assert all(np.isfinite(value) for _, value in exc.value.history)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_coarse_grid_raises(bad):
+    """A non-finite sample on the coarse grid of a row alone raises, rather
+    than returning a non-finite error estimate; the history keeps the
+    finite fine sum."""
+    quad, grids, densities = tilted_sweep([64])
+    densities[0][3, 0] = bad
+    with pytest.raises(ConvergenceError) as exc:
+        integrate_radial(grids, densities, quad, [64])
+    (_, coarse), (_, fine) = exc.value.history
+    assert not np.isfinite(coarse) and np.isfinite(fine)
+
+
 def test_determinism_bitwise():
     quad = QuadratureSpec()
     f = lambda r: 1.0 / (1.0 + r) ** 2

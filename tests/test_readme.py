@@ -76,6 +76,34 @@ def test_readme_report_schema_has_the_report_keys():
     assert schema["schema"] == report["schema"]
 
 
+def test_readme_index_report_is_one_json_write(tmp_path, monkeypatch):
+    """The README configuration's index report holds exactly
+    json.dumps(report, indent=2, sort_keys=True) plus a newline, written
+    in one call."""
+    raw = _json_block("### Configuration document")
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    writes = []
+
+    def counted_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write = fh.write
+        fh.write = lambda text: writes.append(text) or write(text)
+        return fh
+
+    monkeypatch.setattr(cli, "open", counted_open, raising=False)
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(tmp_path / "config.json"), "--mode",
+                     "index", "--out", str(out)]) == cli.EXIT_OK
+    cfg = cli.load_config(raw, cli.build_parser().parse_args(
+        ["--mode", "index"]))
+    report = assemble(cfg["instanton"], cfg["quad"], route=cfg["route"],
+                      grav_mode=cfg["grav"], series=cfg["series"],
+                      metric=cfg["metric"]).to_dict()
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert (out / "index_report.json").read_bytes() == text.encode()
+    assert writes == [text]
+
+
 CODE_MODULES = ("cli", "eta", "gauge", "geometry", "quadrature",
                 "charclasses", "index", "jets")
 
