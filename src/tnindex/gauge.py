@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -292,7 +293,7 @@ def bulk_action(data: InstantonData, quad: QuadratureSpec, l: float = 1.0):
         head -= 0.5 * (lo * lo)
         tail -= 0.5 * ((ch.lam - ch.mcharge) ** 2 - hi * hi)
     floor = ROUNDOFF * sum(ch.lam**2 + ch.mcharge**2 for ch in data.channels) \
-        + np.finfo(float).tiny
+        + sys.float_info.min
     return middle + head + tail, error + direction + floor
 
 
