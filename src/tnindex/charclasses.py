@@ -10,8 +10,8 @@ from .errors import ConvergenceError
 from .geometry import (_EPS4, MetricSpec, _point_radii,
                        curvature_form_chunks, wedge4)
 from .jets import Jet
-from .quadrature import (ROUNDOFF, QuadratureSpec, angular_points,
-                         integrate_radial, sweep_grids)
+from .quadrature import (ROUNDOFF, QuadratureSpec, grid_points,
+                         integrate_radial, per_grid, sweep_grids)
 
 PONT_NORM = 1.0 / (192.0 * np.pi**2)
 
@@ -26,10 +26,10 @@ def pontryagin_scalar(riemann: np.ndarray) -> np.ndarray:
 _CHUNK = 352  # points per curvature batch, to bound the working set
 
 
-def _density_samples(spec: MetricSpec, rs, n_ang: int, others=(),
-                     quad: QuadratureSpec | None = None):
-    """Density at each radius of rs for each of n_ang angular check
-    samples, shape (len(rs), n_ang).
+def _density_samples(spec: MetricSpec, grids, ends):
+    """Density on every grid (r, w, directions) of grids, one (len(r),
+    directions) array per grid in grid order, and P at the radii ends,
+    (P(r_min), P(r_max)) or ().
 
     With sqrt(det g) = sqrt(A^3 C) the tr(R^R) coefficient against the
     coordinate volume is the trace of the wedge of the coordinate curvature
@@ -37,27 +37,19 @@ def _density_samples(spec: MetricSpec, rs, n_ang: int, others=(),
     level-set volume 8 pi^2 r^2 and PONT_NORM it is the radial density
     rho(r) whose r-integral is (1/192 pi^2) int tr R^R.
 
-    A sweep makes one call for all its grids: rs is its checked grid, and
-    given quad, which `others` needs, it returns (the densities on rs and
-    on each grid of `others` at one direction, in that order,
-    (P(quad.r_min), P(quad.r_max))).  One radial jet of A and C runs over
-    the radii of every point and the two ends, whose chern_simons bracket
-    must be finite before any curvature runs, else ConvergenceError, with
-    the ends (r, P) as its history; the points then go through
-    curvature_form_chunks together, each chunk lifting its slice.  All of
-    it is elementwise, so every density and end keeps the bits of a call
-    of its own."""
-    grids = [(np.asarray(rs, dtype=float), n_ang)] + [
-        (np.asarray(grid, dtype=float), 1) for grid in others]
-    xyz = np.concatenate([angular_points(r, n).reshape(-1, 3)
-                          for r, n in grids])
-    ends = [] if quad is None else [quad.r_min, quad.r_max]
+    One radial jet of A and C runs over the radii of every point of
+    `grid_points` and the ends, whose chern_simons bracket must be finite
+    before any curvature runs, else ConvergenceError, with the ends (r, P)
+    as its history; the points then go through curvature_form_chunks
+    together, each chunk lifting its slice.  All of it is elementwise, so
+    every density and end keeps the bits of a call of its own."""
+    xyz = grid_points(grids)
     radius = jets.seed(np.concatenate([_point_radii(xyz), ends]))
     # read from geometry at call time, as geometry's own callers read it,
     # so that one wrapper there sees every radial pass
     radial = geometry._radial_coeffs(spec, radius)
-    n = len(xyz)
-    if quad is not None:
+    n, p_ends = len(xyz), ()
+    if ends:
         tip = slice(n, None)
         p_ends, _ = _chern_simons_bracket(radius[tip],
                                           *(y[tip] for y in radial))
@@ -74,15 +66,9 @@ def _density_samples(spec: MetricSpec, rs, n_ang: int, others=(),
         sum(wedge4(f, f.swapaxes(1, 2)).reshape(16, -1))
         for f in curvature_form_chunks(spec, xyz, _CHUNK,
                                        [y[:n] for y in radial])])
-    densities, start = [], 0
-    for r, k in grids:
-        scale = PONT_NORM * 8.0 * np.pi**2 * r * r
-        densities.append(scale[:, None]
-                         * trace[start:start + r.size * k].reshape(r.size, k))
-        start += r.size * k
-    if quad is None:
-        return densities[0]
-    return densities, tuple(float(p) for p in p_ends)
+    return ([(PONT_NORM * 8.0 * np.pi**2 * r * r)[:, None] * t
+             for (r, _, _), t in zip(grids, per_grid(trace, grids))],
+            tuple(float(p) for p in p_ends))
 
 
 def _chern_simons_bracket(radius, a_coeff, c_coeff):
@@ -129,9 +115,8 @@ def convergence_table(spec: MetricSpec, quad: QuadratureSpec, n_r_values):
     ends.  A point's curvature does not depend on the rest of its batch,
     so sharing a batch changes no bit."""
     grids = sweep_grids(quad, n_r_values)
-    (r_check, _, n_ang), *rest = grids
     densities, (p_min, p_max) = _density_samples(
-        spec, r_check, n_ang, [r for r, _, _ in rest], quad)
+        spec, grids, (quad.r_min, quad.r_max))
     head, tail = p_min - 1.0 / 12.0, 1.0 / 6.0 - p_max
     return [(n, middle + head + tail, error, direction
              + ROUNDOFF * (mass + abs(p_min) + abs(p_max)))

@@ -13,8 +13,8 @@ from .errors import GenericityError
 from .geometry import (PAIRS, Gauge, MetricSpec, Point, Variant,
                        chart_omega, hodge_star, metric_at, two_form_matrix,
                        wedge4)
-from .quadrature import (ROUNDOFF, QuadratureSpec, angular_points,
-                         integrate_radial, sweep_grids)
+from .quadrature import (ROUNDOFF, QuadratureSpec, grid_points,
+                         integrate_radial, per_grid, sweep_grids)
 
 LAMBDA_TOL = 1e-6
 
@@ -151,29 +151,19 @@ def _radial_coefficients(lam, mcharge, l: float, v, v2, factors):
     return (dnum * v - num * dv) / v2, num / v - mcharge
 
 
-def _channel_field_strength(ch: InstantonChannel, l: float, v, v2,
-                            geometry):
-    """One channel's G on PAIRS, as a list, from v = l + 1/(2r), its square
-    v2 and the _field_strength_geometry of the points: G = c' dr ^ (dtau +
-    omega) + (c - mcharge) d(omega), with c' and c - mcharge from
-    _radial_coefficients."""
-    fibered, domega, factors = geometry
-    dc, c_eff = _radial_coefficients(ch.lam, ch.mcharge, l, v, v2, factors)
-    return [dc * f if w is None else dc * f + c_eff * w
-            for f, w in zip(fibered, domega)]
-
-
 def field_strength_array(ch: InstantonChannel, xyz,
                          gauge: Gauge = Gauge.DEFAULT,
                          l: float = 1.0) -> np.ndarray:
     """Closed-form G with F = dA = -i G at the points xyz of shape (..., 3),
     on PAIRS, shape (6, ...): G = c'(r) dr ^ (dtau + omega) + (c(r) - mcharge)
     d(omega) with d(omega) = star3 dV; the mcharge shift comes from the
-    monopole term of the connection.  The uncached call of the path that
-    _bulk_density_samples takes."""
-    geometry = _field_strength_geometry(xyz, gauge)
-    v = l + geometry[2][0]  # the first radial factor is 1/(2r)
-    return np.stack(_channel_field_strength(ch, l, v, v**2, geometry))
+    monopole term of the connection.  c' and c - mcharge come from
+    _radial_coefficients, with v = l + 1/(2r)."""
+    fibered, domega, factors = _field_strength_geometry(xyz, gauge)
+    v = l + factors[0]  # the first radial factor is 1/(2r)
+    dc, c_eff = _radial_coefficients(ch.lam, ch.mcharge, l, v, v**2, factors)
+    return np.stack([dc * f if w is None else dc * f + c_eff * w
+                     for f, w in zip(fibered, domega)])
 
 
 def field_strength_coeff(ch: InstantonChannel, p: Point,
@@ -211,23 +201,22 @@ def field_strength_at(ch: InstantonChannel, p: Point,
 def _bulk_geometry(grid_set: tuple, ends: tuple):
     """The channel-free part of the bulk density on a grid set: grid_set
     holds (radii.tobytes(), directions) per grid, and its points are
-    angular_points(radii, directions) grid after grid.  Returns the wedges
-    f^f, 2 f^w and w^w of f = dr ^ (dtau + omega) and w = d(omega) at
-    every point, shape (3, points); then, at every node radius in grid
-    order followed by the radii ends, which hold no point, the
-    _radial_factors, r^2 and the number of points.  Built once per grid
-    set and shared, so every array is read-only."""
-    radii = [np.frombuffer(rs) for rs, _ in grid_set]
-    points = np.concatenate([angular_points(rs, k).reshape(-1, 3)
-                             for rs, (_, k) in zip(radii, grid_set)])
+    `grid_points`.  Returns the wedges f^f, 2 f^w and w^w of f = dr ^
+    (dtau + omega) and w = d(omega) at every point, shape (3, points);
+    then, at every node radius in grid order followed by the radii ends,
+    which hold no point, the _radial_factors, r^2 and the number of
+    points.  Built once per grid set and shared, so every array is
+    read-only."""
+    grids = [(np.frombuffer(rs), None, k) for rs, k in grid_set]
+    points = grid_points(grids)
     fibered, domega, _ = _field_strength_geometry(points)
     domega = [np.zeros(len(points)) if w is None else w for w in domega]
     wedges = np.stack([wedge4(fibered, fibered),
                        2.0 * wedge4(fibered, domega), wedge4(domega, domega)])
-    r = np.concatenate([*radii, ends])
+    r = np.concatenate([*(rs for rs, _, _ in grids), ends])
     factors, r2 = _radial_factors(r), r * r
     directions = np.repeat([k for _, k in grid_set] + [0],
-                           [len(rs) for rs in radii] + [len(ends)])
+                           [len(rs) for rs, _, _ in grids] + [len(ends)])
     for a in (wedges, *factors, r2, directions):
         a.flags.writeable = False
     return wedges, factors, r2, directions
@@ -236,8 +225,8 @@ def _bulk_geometry(grid_set: tuple, ends: tuple):
 def _bulk_densities(data: InstantonData, grids, ends, l: float = 1.0):
     """-(1/8 pi^2) tr F^F reduced to a per-unit-r density on every grid
     (r, w, directions) of grids, one (len(r), directions) array per grid in
-    grid order, and c - mcharge at the radii ends, shape (len(ends), rank),
-    from one pass over the radii of both.
+    grid order (`per_grid`), and c - mcharge at the radii ends, shape
+    (len(ends), rank), from one pass over the radii of both.
 
     Channel by channel tr F^F = -G^G for u(1) blocks, and G = c' f +
     (c - mcharge) w makes G^G the quadratic form c'^2 f^f + 2 c' (c -
@@ -258,19 +247,7 @@ def _bulk_densities(data: InstantonData, grids, ends, l: float = 1.0):
     # repeats to no point
     form = np.add.reduce([dc * dc, dc * c_eff, c_eff * c_eff], axis=1) * r2
     density = np.add.reduce(np.repeat(form, directions, axis=1) * wedges)
-    out, start = [], 0
-    for rs, _, k in grids:
-        out.append(density[start:start + len(rs) * k].reshape(len(rs), k))
-        start += len(rs) * k
-    return out, c_eff[:, len(r2) - len(ends):].T
-
-
-def _bulk_density_samples(data: InstantonData, rs, n_ang: int,
-                          l: float = 1.0):
-    """The bulk density at the radii rs and n_ang angular check samples,
-    shape (len(rs), n_ang): _bulk_densities on that one grid."""
-    [density], _ = _bulk_densities(data, [(rs, None, n_ang)], (), l)
-    return density
+    return per_grid(density, grids), c_eff[:, len(r2) - len(ends):].T
 
 
 def bulk_action(data: InstantonData, quad: QuadratureSpec, l: float = 1.0):

@@ -44,18 +44,17 @@ def _legendre_rule(m: int):
     return xs, ws
 
 
-def radial_nodes(quad: QuadratureSpec, n_r: int | None = None):
+def radial_nodes(quad: QuadratureSpec, n_r: int):
     """Radial nodes and weights for integrals of a per-unit-r density.
 
-    Composite Gauss-Legendre in y = log(r): n nodes (default quad.n_r) on
-    max(1, n // 16) equal panels, the first n % panels of them holding one
-    node more than the rest.  The returned weights already include the
+    Composite Gauss-Legendre in y = log(r): n_r nodes on max(1, n_r // 16)
+    equal panels, the first n_r % panels of them holding one node more
+    than the rest.  The returned weights already include the
     dr = r dy Jacobian, so sum(w * rho(r)) approximates the r-integral.
     Each grid is built once per process and shared, so both arrays are
     read-only.
     """
-    return _radial_grid(quad.r_min, quad.r_max,
-                        quad.n_r if n_r is None else n_r)
+    return _radial_grid(quad.r_min, quad.r_max, n_r)
 
 
 @lru_cache(maxsize=16)
@@ -114,14 +113,6 @@ def require_isotropy(samples: np.ndarray, spread: np.ndarray, tol: float):
             "the cohomogeneity-one reduction is invalid")
 
 
-def isotropic_mean(samples: np.ndarray, tol: float) -> np.ndarray:
-    """Mean over the angular check samples of shape (n, n_ang), through
-    `require_isotropy` against tol."""
-    mean, spread = angular_spread(samples)
-    require_isotropy(samples, spread, tol)
-    return mean
-
-
 _DOT_CHUNK = 8192  # OpenBLAS splits a dot of over 10,000 terms across threads
 
 
@@ -146,6 +137,23 @@ def sweep_grids(quad: QuadratureSpec, n_r_values):
                           + [m for n in n_r_values for m in (n, n // 2)])
     return [(*radial_nodes(quad, m), quad.n_ang if k == 0 else 1)
             for k, m in enumerate(sizes)]
+
+
+def grid_points(grids) -> np.ndarray:
+    """The (N, 3) points of the grids (r, w, directions), grid after grid,
+    each radius-major at its `angular_points` directions."""
+    return np.concatenate([angular_points(r, k).reshape(-1, 3)
+                           for r, _, k in grids])
+
+
+def per_grid(values, grids):
+    """values at the points of `grid_points(grids)` split back into one
+    (len(r), directions) view per grid, in grid order."""
+    out, start = [], 0
+    for r, _, k in grids:
+        out.append(values[start:start + len(r) * k].reshape(len(r), k))
+        start += len(r) * k
+    return out
 
 
 def integrate_radial(grids, densities, quad: QuadratureSpec, n_r_values):

@@ -12,8 +12,8 @@ from tnindex.geometry import (BlendProfile, MetricSpec, Variant,
                               curvature_batch, curvature_forms,
                               radial_coefficients)
 from tnindex.quadrature import (ROUNDOFF, QuadratureSpec, angular_samples,
-                                integrate_radial, isotropic_mean,
-                                radial_nodes, sweep_grids)
+                                angular_spread, integrate_radial,
+                                radial_nodes, require_isotropy, sweep_grids)
 
 TARGET = 1.0 / 12.0
 
@@ -26,10 +26,22 @@ def test_zero_curvature_gives_zero_scalar():
     assert np.allclose(pontryagin_scalar(np.zeros((3, 4, 4, 4, 4))), 0.0)
 
 
+def one_grid(spec, rs, n_ang):
+    """The density at the radii rs and n_ang directions: _density_samples
+    on that one grid, with no ends."""
+    [samples], ends = charclasses._density_samples(
+        spec, [(np.asarray(rs, dtype=float), None, n_ang)], ())
+    assert ends == ()
+    return samples
+
+
 def density(spec, rs, quad):
-    """rho at the radii rs through the isotropy check of quad.tol."""
-    samples = charclasses._density_samples(spec, np.asarray(rs), quad.n_ang)
-    return isotropic_mean(samples, quad.tol)
+    """rho at the radii rs, the mean over quad.n_ang directions, through
+    the isotropy check of quad.tol."""
+    samples = one_grid(spec, rs, quad.n_ang)
+    mean, spread = angular_spread(samples)
+    require_isotropy(samples, spread, quad.tol)
+    return mean
 
 
 def test_density_is_isotropic_and_decays():
@@ -62,7 +74,7 @@ def test_chern_simons_derivative_is_the_density(variant, kind, l):
     spec = MetricSpec(variant=variant, t=0.6, blend=BlendProfile(kind=kind),
                       l=l)
     rs = np.geomspace(1e-4, 80.0, 200)
-    rho = charclasses._density_samples(spec, rs, 2).mean(axis=1)
+    rho = one_grid(spec, rs, 2).mean(axis=1)
     _, slope = chern_simons(spec, rs)
     assert np.all(np.abs(slope - rho) <= 1e-10 * np.abs(rho).max())
 
@@ -121,7 +133,7 @@ def test_density_matches_frame_route(variant, kind, l):
                       l=l)
     rng = np.random.default_rng(17)
     rs = np.exp(rng.uniform(np.log(1e-4), np.log(80.0), 24))
-    density = charclasses._density_samples(spec, rs, 2).ravel()
+    density = one_grid(spec, rs, 2).ravel()
     riem, _, _, _ = curvature_batch(spec, _check_points(rs, 2))
     r = np.repeat(rs, 2)
     a_coeff, c_coeff = radial_coefficients(spec, r)
@@ -138,11 +150,10 @@ def test_density_bits_independent_of_chunk(monkeypatch):
     spec = MetricSpec(variant=Variant.HOMOTOPY, t=0.4,
                       blend=BlendProfile(kind="septic"))
     rs = np.geomspace(1e-4, 80.0, 45)
-    whole = charclasses._density_samples(spec, rs, 3)
+    whole = one_grid(spec, rs, 3)
     for chunk in (1, 7):
         monkeypatch.setattr(charclasses, "_CHUNK", chunk)
-        assert np.array_equal(charclasses._density_samples(spec, rs, 3),
-                              whole)
+        assert np.array_equal(one_grid(spec, rs, 3), whole)
 
 
 def _count_chunks(monkeypatch):
@@ -165,7 +176,7 @@ def test_density_samples_evaluate_points_in_chunks(monkeypatch):
     points = _count_chunks(monkeypatch)
     n_r = charclasses._CHUNK // 3 + 1
     rs = np.geomspace(0.5, 60.0, n_r)
-    samples = charclasses._density_samples(exact_d_spec(), rs, 3)
+    samples = one_grid(exact_d_spec(), rs, 3)
     assert samples.shape == (n_r, 3)
     assert points == [charclasses._CHUNK, 3 * n_r - charclasses._CHUNK]
 
@@ -185,8 +196,8 @@ def _count_radial_passes(monkeypatch):
 
 def test_density_samples_form_radial_jets_once(monkeypatch):
     """A and C run on one radial jet per _density_samples call, whatever
-    the number of chunks, over the radii of every point of every grid and,
-    given a quad, its two ends.  The chunks that lift its slices keep the
+    the number of chunks, over the radii of every point of every grid and
+    of the ends, if any.  The chunks that lift its slices keep the
     bits of chunks that form their own, and the ends keep the bits of
     chern_simons."""
     calls = _count_radial_passes(monkeypatch)
@@ -195,15 +206,15 @@ def test_density_samples_form_radial_jets_once(monkeypatch):
     for chunk in (charclasses._CHUNK, 7):
         monkeypatch.setattr(charclasses, "_CHUNK", chunk)
         calls.clear()
-        charclasses._density_samples(spec, rs, 3)
+        one_grid(spec, rs, 3)
         assert calls == [300]
         calls.clear()
         [checked, alone], ends = charclasses._density_samples(
-            spec, rs, 3, [other], quad)
+            spec, [(rs, None, 3), (other, None, 1)],
+            (quad.r_min, quad.r_max))
         assert calls == [300 + 20 + 2]
-        alone_ref = charclasses._density_samples(spec, other, 1)
-        assert np.array_equal(checked,
-                              charclasses._density_samples(spec, rs, 3))
+        alone_ref = one_grid(spec, other, 1)
+        assert np.array_equal(checked, one_grid(spec, rs, 3))
         assert np.array_equal(alone, alone_ref)
         assert ends == tuple(chern_simons(spec, [quad.r_min, quad.r_max])[0])
     xyz = _check_points(rs, 3)
@@ -215,6 +226,26 @@ def test_density_samples_form_radial_jets_once(monkeypatch):
     for k, forms in enumerate(chunks):
         assert np.array_equal(forms,
                               curvature_forms(spec, xyz[128 * k:128 * (k + 1)]))
+
+
+def test_density_samples_without_ends_check_none(monkeypatch):
+    """With no ends, _density_samples runs no Chern-Simons end check and
+    returns () for them; its densities keep the bits of the call with
+    ends."""
+    spec, quad = exact_d_spec(), QuadratureSpec(n_r=64)
+    grids = sweep_grids(quad, [32, 64])
+    with_ends, ends = charclasses._density_samples(
+        spec, grids, (quad.r_min, quad.r_max))
+    assert len(ends) == 2
+
+    def refuse(*args):
+        raise AssertionError("an end check with no ends")
+
+    monkeypatch.setattr(charclasses, "_chern_simons_bracket", refuse)
+    densities, no_ends = charclasses._density_samples(spec, grids, ())
+    assert no_ends == ()
+    assert [d.tobytes() for d in densities] == \
+        [d.tobytes() for d in with_ends]
 
 
 def test_convergence_table_samples_each_grid_once(monkeypatch):
@@ -283,8 +314,7 @@ def _grid_by_grid_rows(spec, quad, n_r_values):
     _density_samples call of its own and the ends taken from chern_simons."""
     (p_min, p_max), _ = chern_simons(spec, [quad.r_min, quad.r_max])
     grids = sweep_grids(quad, n_r_values)
-    densities = [charclasses._density_samples(spec, rs, k)
-                 for rs, _, k in grids]
+    densities = [one_grid(spec, rs, k) for rs, _, k in grids]
     return [(n, middle + (float(p_min) - TARGET)
              + (1.0 / 6.0 - float(p_max)), error, direction
              + ROUNDOFF * (mass + abs(p_min) + abs(p_max)))
@@ -320,9 +350,7 @@ def _mean_rows(spec, quad, n_r_values):
     of quad.n_ang directions through the isotropy check of quad.tol."""
     (p_min, p_max), _ = chern_simons(spec, [quad.r_min, quad.r_max])
     grids = sweep_grids(quad, n_r_values)
-    means = [isotropic_mean(charclasses._density_samples(spec, rs,
-                                                         quad.n_ang),
-                            quad.tol)[:, None] for rs, _, _ in grids]
+    means = [density(spec, rs, quad)[:, None] for rs, _, _ in grids]
     return [(middle + (p_min - TARGET) + (1.0 / 6.0 - p_max), error,
              ROUNDOFF * (mass + abs(p_min) + abs(p_max)))
             for _, middle, error, _, mass
@@ -340,7 +368,7 @@ def test_one_direction_is_within_its_direction_term():
         spec = MetricSpec(variant=variant, t=0.6,
                           blend=BlendProfile(kind=kind), l=l)
         rs, ws = radial_nodes(quad, min(sweep) // 2)
-        checked = charclasses._density_samples(spec, rs, quad.n_ang)
+        checked = one_grid(spec, rs, quad.n_ang)
         spread = np.abs(checked - checked.mean(axis=1)[:, None]).max(axis=1)
         direction = spread @ ws
         rows = convergence_table(spec, quad, sweep)

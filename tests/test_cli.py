@@ -19,7 +19,8 @@ from tnindex.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
 from tnindex.eta import ROUTES, route_table
 from tnindex.gauge import (InstantonChannel, InstantonData,
                            bulk_action_closed_form)
-from tnindex.geometry import Gauge
+from tnindex.geometry import (Gauge, MetricSpec, Point, Variant, curvature_at,
+                              hodge_star)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -93,6 +94,49 @@ def test_geometry_check_mode(tmp_path):
     lines = (out / "geometry_check.csv").read_text().splitlines()
     assert lines[0] == "check,residual,bound,pass"
     assert all(line.endswith(",true") for line in lines[1:])
+
+
+def per_point_curvature_rows(seed, l):
+    """The Ricci and Hodge rows of geometry-check as one curvature_at call
+    per point evaluates them, in the same draws of the seed's generator."""
+    rng = np.random.default_rng(seed)
+    spec = MetricSpec(variant=Variant.TN, l=l)
+    ricci = star = 0.0
+    for _ in range(20):
+        p = Point.from_polar(float(rng.uniform(0.3, 10.0)),
+                             float(rng.uniform(0.3, np.pi - 0.3)),
+                             float(rng.uniform(0.0, 2.0 * np.pi)))
+        sample = curvature_at(spec, p)
+        ricci = max(ricci, float(np.abs(sample.ricci).max()))
+        two_form = np.triu(rng.standard_normal((4, 4)), 1)
+        two_form = two_form - two_form.T
+        twice = hodge_star(sample.metric, hodge_star(sample.metric, two_form))
+        star = max(star, float(np.abs(twice - two_form).max()))
+    return [("ricci_flatness_max", ricci, 1e-6),
+            ("hodge_involution_max", star, 1e-12)]
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("l", [0.2, 6.0])
+def test_geometry_check_batches_its_curvature(tmp_path, monkeypatch, seed, l):
+    """geometry-check takes the curvature of its 20 points from one batch,
+    one _metric_jet_arrays call, and its Ricci and Hodge rows keep the
+    bytes of one curvature_at call per point."""
+    cfg = write_config(tmp_path, {"mode": "geometry-check", "seed": seed,
+                                  "metric": {"l": l}})
+    calls, jet_arrays = [], geometry._metric_jet_arrays
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return jet_arrays(*args)
+
+    monkeypatch.setattr(geometry, "_metric_jet_arrays", counted)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert calls == [20]
+    lines = (out / "geometry_check.csv").read_text().splitlines()
+    assert lines[1:3] == [",".join(cli._cell(x) for x in (*row, True))
+                          for row in per_point_curvature_rows(seed, l)]
 
 
 def test_pontryagin_mode_hits_target(tmp_path):

@@ -223,6 +223,14 @@ def one_pass_density(data, rs, n_ang, l=1.0):
     return -total * rs[:, None] * rs[:, None]
 
 
+def bulk_density(data, rs, n_ang, l=1.0):
+    """The bulk density at the radii rs and n_ang directions:
+    _bulk_densities on that one grid, with no ends."""
+    [density], c_ends = gauge._bulk_densities(data, [(rs, None, n_ang)], (), l)
+    assert c_ends.shape == (0, data.rank)
+    return density
+
+
 def clear_caches():
     gauge._bulk_geometry.cache_clear()
     quadrature._radial_grid.cache_clear()
@@ -241,7 +249,7 @@ def set_caches(cold, n_ang, quad=None):
     clear_caches()
     if not cold:
         other = InstantonData([InstantonChannel(2.2, -1.5)])
-        gauge._bulk_density_samples(other, RADII, n_ang, 3.0)
+        bulk_density(other, RADII, n_ang, 3.0)
         if quad is not None:
             bulk_action(other, quad, 3.0)
 
@@ -253,7 +261,7 @@ def set_caches(cold, n_ang, quad=None):
 def test_bulk_density_matches_per_point_loop(n_channels, cold, l, n_ang):
     data = InstantonData(FOUR_CHANNELS.channels[:n_channels])
     set_caches(cold, n_ang)
-    batched = gauge._bulk_density_samples(data, RADII, n_ang, l)
+    batched = bulk_density(data, RADII, n_ang, l)
     expected = reference_density(data, RADII, n_ang, l)
     assert batched.shape == (len(RADII), n_ang)
     assert np.abs(batched - expected).max() <= \
@@ -307,8 +315,8 @@ def test_bulk_path_keeps_the_per_channel_bits(rank, cold, l, n_ang,
 
 
 def test_bulk_density_independent_of_batch():
-    whole = gauge._bulk_density_samples(FOUR_CHANNELS, RADII, 5)
-    halves = [gauge._bulk_density_samples(FOUR_CHANNELS, part, 5)
+    whole = bulk_density(FOUR_CHANNELS, RADII, 5)
+    halves = [bulk_density(FOUR_CHANNELS, part, 5)
               for part in (RADII[:10], RADII[10:])]
     assert np.array_equal(whole, np.concatenate(halves))
 
@@ -420,7 +428,7 @@ def test_bulk_forms_no_field_strength(monkeypatch):
 
     quad = QuadratureSpec(n_r=64)
     exact = bulk_action_closed_form(FOUR_CHANNELS)
-    monkeypatch.setattr(gauge, "_channel_field_strength", refuse)
+    monkeypatch.setattr(gauge, "field_strength_array", refuse)
     clear_caches()
     value, error = bulk_action(FOUR_CHANNELS, quad)
     assert abs(value - exact) <= error
@@ -474,9 +482,9 @@ def all_direction_bulk(data, quad, l):
     """The bulk action by the rule that sampled every grid at quad.n_ang
     directions: the fine grid's mean over them plus the exact ends, and
     the checked (half-size) grid's direction term sum |w spread|."""
-    r, w = quadrature.radial_nodes(quad)
+    r, w = quadrature.radial_nodes(quad, quad.n_r)
     middle = quadrature.ordered_dot(
-        gauge._bulk_density_samples(data, r, quad.n_ang, l).mean(axis=1), w)
+        bulk_density(data, r, quad.n_ang, l).mean(axis=1), w)
     head = tail = 0.0
     for ch in data.channels:
         c_min, c_max = connection_coefficient(
@@ -484,7 +492,7 @@ def all_direction_bulk(data, quad, l):
         head -= 0.5 * c_min**2
         tail -= 0.5 * ((ch.lam - ch.mcharge) ** 2 - c_max**2)
     r, w = quadrature.radial_nodes(quad, quad.n_r // 2)
-    checked = gauge._bulk_density_samples(data, r, quad.n_ang, l)
+    checked = bulk_density(data, r, quad.n_ang, l)
     spread = np.abs(checked - checked.mean(axis=1)[:, None]).max(axis=1)
     return middle + float(head) + float(tail), spread @ w
 

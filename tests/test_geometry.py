@@ -559,12 +559,13 @@ def test_density_keeps_the_frozen_bits(monkeypatch, variant, kind, l):
     spec = _kernel_spec(variant, kind, l)
     rs = np.geomspace(1e-4, 80.0, charclasses._CHUNK // 4 + 3)
     assert (8 * rs.size) % charclasses._CHUNK
-    got = charclasses._density_samples(spec, rs, 8)
+    grids = [(rs, None, 8)]
+    got, _ = charclasses._density_samples(spec, grids, ())
     monkeypatch.setattr(geometry, "_metric_jet_arrays",
                         frozen_metric_jet_arrays)
     monkeypatch.setattr(geometry, "_riemann_from_arrays",
                         frozen_riemann_from_arrays)
-    _same_bits([got], [charclasses._density_samples(spec, rs, 8)])
+    _same_bits(got, charclasses._density_samples(spec, grids, ())[0])
 
 
 @pytest.mark.parametrize("variant", list(Variant))

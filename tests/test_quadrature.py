@@ -5,10 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tnindex import quadrature
+from tnindex import charclasses, gauge, quadrature
 from tnindex.errors import ConvergenceError, IsotropyError
-from tnindex.quadrature import (QuadratureSpec, integrate_radial,
-                                radial_nodes, sweep_grids)
+from tnindex.gauge import InstantonChannel, InstantonData
+from tnindex.geometry import MetricSpec
+from tnindex.quadrature import (QuadratureSpec, angular_points, grid_points,
+                                integrate_radial, per_grid, radial_nodes,
+                                sweep_grids)
 
 
 def integrate(f, quad, n_r=None):
@@ -114,6 +117,60 @@ def test_sweep_grids_list_each_grid_once(sweep, sizes):
         assert r is nodes and w is weights
 
 
+@pytest.mark.parametrize("sweep", [[64, 128, 256], [16]])
+def test_per_grid_splits_the_grid_points_back(sweep):
+    """grid_points lays the grids out one after another, each radius-major
+    at its angular_points directions; per_grid gives values at those
+    points back as one view per grid, in grid order, with the (len(r),
+    directions) shape that integrate_radial reads."""
+    quad = QuadratureSpec(n_ang=3)
+    grids = sweep_grids(quad, sweep)
+    xyz, start = grid_points(grids), 0
+    for r, _, k in grids:
+        part = xyz[start:start + len(r) * k]
+        assert part.tobytes() == angular_points(r, k).reshape(-1, 3).tobytes()
+        start += len(r) * k
+    assert start == len(xyz)
+    index = np.arange(len(xyz))
+    views = per_grid(index, grids)
+    assert [v.shape for v in views] == [(len(r), k) for r, _, k in grids]
+    assert all(np.shares_memory(v, index) for v in views)
+    assert np.array_equal(np.concatenate([v.ravel() for v in views]), index)
+    flat = np.concatenate([np.repeat(np.exp(-r), k) for r, _, k in grids])
+    assert integrate_radial(grids, per_grid(flat, grids), quad, sweep) == \
+        integrate_radial(grids, [np.repeat(np.exp(-r)[:, None], k, axis=1)
+                                 for r, _, k in grids], quad, sweep)
+
+
+def test_both_densities_sample_the_grid_points(monkeypatch):
+    """The points whose wedges _bulk_geometry caches and the points that
+    _density_samples sends to curvature_form_chunks are both
+    grid_points(grids), byte for byte."""
+    grids = sweep_grids(QuadratureSpec(n_r=64), [32, 64])
+    seen = {}
+    field_geometry = gauge._field_strength_geometry
+    chunks = charclasses.curvature_form_chunks
+
+    def bulk_points(xyz, *args):
+        seen["bulk"] = xyz
+        return field_geometry(xyz, *args)
+
+    def curvature_points(spec, xyz, *args):
+        seen["curvature"] = xyz
+        return chunks(spec, xyz, *args)
+
+    monkeypatch.setattr(gauge, "_field_strength_geometry", bulk_points)
+    monkeypatch.setattr(charclasses, "curvature_form_chunks",
+                        curvature_points)
+    gauge._bulk_geometry.cache_clear()
+    gauge._bulk_densities(InstantonData([InstantonChannel(0.3, 1.0)]),
+                          grids, (), 1.0)
+    gauge._bulk_geometry.cache_clear()
+    charclasses._density_samples(MetricSpec(), grids, ())
+    points = grid_points(grids).tobytes()
+    assert seen["bulk"].tobytes() == points == seen["curvature"].tobytes()
+
+
 def test_integrate_radial_takes_the_first_direction():
     """Each row's value is the first direction of its grids, and the
     checked grid's sum |w spread| is every row's direction term; a spread
@@ -151,14 +208,16 @@ def tilted_sweep(n_r_values, n_ang=3):
     return quad, grids, [np.exp(-r)[:, None] * tilt[:k] for r, _, k in grids]
 
 
-def test_isotropic_mean_refuses_nan():
+def test_isotropy_check_refuses_nan():
     """A NaN in a direction other than the first fails the ratio guard."""
     _, _, (checked, *_) = tilted_sweep([64])
-    assert np.array_equal(quadrature.isotropic_mean(checked, 1e-2),
-                          checked.mean(axis=1))
+    mean, spread = quadrature.angular_spread(checked)
+    assert np.array_equal(mean, checked.mean(axis=1))
+    quadrature.require_isotropy(checked, spread, 1e-2)
     checked[7, 2] = np.nan
+    _, spread = quadrature.angular_spread(checked)
     with pytest.raises(IsotropyError):
-        quadrature.isotropic_mean(checked, 1e-2)
+        quadrature.require_isotropy(checked, spread, 1e-2)
 
 
 @pytest.mark.parametrize("sweep", [[64], [32, 64]])
