@@ -11,6 +11,8 @@ every side the file records the minimum (and the median) over N runs of:
   document of that checkout's README.md, written to a scratch directory;
 - in process: one ``convergence_table`` sweep at that configuration, its
   minor page faults (``convergence_table_minflt``, from ``getrusage``),
+  its system time (``convergence_table_stime``, the mean ``ru_stime`` per
+  sweep over a round's sweeps, since one sweep takes less than a tick),
   its calls of each of the ``COUNTED_SITES`` of ``geometry``
   (``convergence_table_<site>_calls``: the radial passes of A and C and
   the curvature chunks), and the time it spends inside each of the
@@ -77,8 +79,8 @@ OPS = 20
 # the sweep spends in each wrapped kernel that geometry has, of the time
 # per lambda of each eta route over the config's lambdas, of one
 # bulk_action call on the config's channels and of one load_config call in
-# index mode (the mean of LOADS calls, on arguments parsed once), as one
-# JSON line.
+# index mode (the mean of LOADS calls, on arguments parsed once), and the
+# mean system time per sweep over its repeats, as one JSON line.
 # bulk_action_first is the child's first bulk_action call, made before
 # anything else samples a grid.
 # Arguments: config path, repeats, then the timed site names.
@@ -100,8 +102,11 @@ spent = {name: 0.0 for name in sys.argv[3:] if hasattr(geometry, name)}
 calls = {name: 0 for name in COUNTED if hasattr(geometry, name)}
 LOADS, index_args = 1000, cli.build_parser().parse_args(["--mode", "index"])
 
+def usage():
+    return resource.getrusage(resource.RUSAGE_SELF)
+
 def minflt():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    return usage().ru_minflt
 
 def wrapped(name, fn):
     def wrapper(*args):
@@ -121,14 +126,16 @@ for name in {*spent, *calls}:
     for module in (geometry, charclasses):
         if getattr(module, name, None) is fn:
             setattr(module, name, wrapped(name, fn))
-best = {}
-for _ in range(int(sys.argv[2])):
+best, sweeps, stime = {}, int(sys.argv[2]), 0.0
+for _ in range(sweeps):
     spent.update(dict.fromkeys(spent, 0.0))
     calls.update(dict.fromkeys(calls, 0))
-    faults, t0 = minflt(), time.perf_counter()
+    faults, sys_t0 = minflt(), usage().ru_stime
+    t0 = time.perf_counter()
     charclasses.convergence_table(cfg["metric"], cfg["quad"], cfg["sweep"])
     lap = dict(spent, convergence_table=time.perf_counter() - t0,
                convergence_table_minflt=minflt() - faults)
+    stime += usage().ru_stime - sys_t0
     lap.update((f"convergence_table_{name.lstrip('_')}_calls", calls[name])
                for name in calls)
     for route in eta.ROUTES:
@@ -145,6 +152,7 @@ for _ in range(int(sys.argv[2])):
         cli.load_config(raw, index_args)
     lap["load_config"] = (time.perf_counter() - t0) / LOADS
     best = {k: min(v, best.get(k, v)) for k, v in lap.items()}
+best["convergence_table_stime"] = stime / sweeps
 print(json.dumps({**first, **best}))
 """
 

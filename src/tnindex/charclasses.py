@@ -3,15 +3,18 @@ integration over the Taub-NUT family."""
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import geometry, jets
 from .errors import ConvergenceError
-from .geometry import (_EPS4, MetricSpec, _point_radii,
+from .geometry import (_EPS4, Gauge, MetricSpec, _point_radii, _seed_chart,
                        curvature_form_chunks, wedge4)
 from .jets import Jet
 from .quadrature import (ROUNDOFF, QuadratureSpec, grid_points,
-                         integrate_radial, per_grid, sweep_grids)
+                         grid_set_key, integrate_radial, key_grids, per_grid,
+                         sweep_grids)
 
 PONT_NORM = 1.0 / (192.0 * np.pi**2)
 
@@ -26,6 +29,19 @@ def pontryagin_scalar(riemann: np.ndarray) -> np.ndarray:
 _CHUNK = 352  # points per curvature batch, to bound the working set
 
 
+@lru_cache(maxsize=4)
+def _sweep_geometry(grid_set: tuple, ends: tuple):
+    """The metric-free half of _density_samples on a grid set, a
+    `grid_set_key` whose points are `grid_points`: the points, a
+    jets.SharedSeed over their radii followed by the radii ends, which hold
+    no point, and the _chart_jets of the points in the default gauge.
+    Built once per grid set and shared, so every array is read-only."""
+    xyz = grid_points(key_grids(grid_set))
+    xyz.flags.writeable = False
+    radius = jets.SharedSeed(np.concatenate([_point_radii(xyz), ends]))
+    return xyz, radius, jets.read_only(*_seed_chart(xyz, Gauge.DEFAULT))
+
+
 def _density_samples(spec: MetricSpec, grids, ends):
     """Density on every grid (r, w, directions) of grids, one (len(r),
     directions) array per grid in grid order, and P at the radii ends,
@@ -38,13 +54,14 @@ def _density_samples(spec: MetricSpec, grids, ends):
     rho(r) whose r-integral is (1/192 pi^2) int tr R^R.
 
     One radial jet of A and C runs over the radii of every point of
-    `grid_points` and the ends, whose chern_simons bracket must be finite
-    before any curvature runs, else ConvergenceError, with the ends (r, P)
-    as its history; the points then go through curvature_form_chunks
-    together, each chunk lifting its slice.  All of it is elementwise, so
-    every density and end keeps the bits of a call of its own."""
-    xyz = grid_points(grids)
-    radius = jets.seed(np.concatenate([_point_radii(xyz), ends]))
+    `grid_points` and the ends, from the shared seed of _sweep_geometry,
+    and the ends' chern_simons bracket must be finite before any curvature
+    runs, else ConvergenceError, with the ends (r, P) as its history; the
+    points then go through curvature_form_chunks together, each chunk
+    lifting its slice onto its slice of the cached chart jets.  All of it
+    is elementwise, so every density and end keeps the bits of a call of
+    its own."""
+    xyz, radius, chart = _sweep_geometry(grid_set_key(grids), tuple(ends))
     # read from geometry at call time, as geometry's own callers read it,
     # so that one wrapper there sees every radial pass
     radial = geometry._radial_coeffs(spec, radius)
@@ -65,7 +82,7 @@ def _density_samples(spec: MetricSpec, grids, ends):
     trace = np.concatenate([
         sum(wedge4(f, f.swapaxes(1, 2)).reshape(16, -1))
         for f in curvature_form_chunks(spec, xyz, _CHUNK,
-                                       [y[:n] for y in radial])])
+                                       [*(y[:n] for y in radial), *chart])])
     return ([(PONT_NORM * 8.0 * np.pi**2 * r * r)[:, None] * t
              for (r, _, _), t in zip(grids, per_grid(trace, grids))],
             tuple(float(p) for p in p_ends))

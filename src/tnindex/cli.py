@@ -368,7 +368,10 @@ def main(argv=None) -> int:
 
     try:
         cfg["out"].mkdir(parents=True, exist_ok=True)
-        return _RUNNERS[cfg["mode"]](cfg)
+        # a non-finite number meets a typed guard, so numpy's own warnings
+        # would only put text before the failure JSON on stderr
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _RUNNERS[cfg["mode"]](cfg)
     except TNIndexError as exc:
         _emit_error(type(exc).__name__, str(exc),
                     getattr(exc, "history", None))

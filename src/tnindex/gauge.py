@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -14,7 +15,8 @@ from .geometry import (PAIRS, Gauge, MetricSpec, Point, Variant,
                        chart_omega, hodge_star, metric_at, two_form_matrix,
                        wedge4)
 from .quadrature import (ROUNDOFF, QuadratureSpec, grid_points,
-                         integrate_radial, per_grid, sweep_grids)
+                         grid_set_key, integrate_radial, key_grids, per_grid,
+                         sweep_grids)
 
 LAMBDA_TOL = 1e-6
 
@@ -47,7 +49,7 @@ class InstantonChannel:
     chern: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and np.isfinite(self.mcharge)):
+        if not (math.isfinite(self.lam) and math.isfinite(self.mcharge)):
             raise ValueError(
                 f"channel lam and mcharge must be finite, got lam="
                 f"{self.lam!r}, mcharge={self.mcharge!r}")
@@ -199,15 +201,14 @@ def field_strength_at(ch: InstantonChannel, p: Point,
 
 @lru_cache(maxsize=4)
 def _bulk_geometry(grid_set: tuple, ends: tuple):
-    """The channel-free part of the bulk density on a grid set: grid_set
-    holds (radii.tobytes(), directions) per grid, and its points are
-    `grid_points`.  Returns the wedges f^f, 2 f^w and w^w of f = dr ^
-    (dtau + omega) and w = d(omega) at every point, shape (3, points);
-    then, at every node radius in grid order followed by the radii ends,
-    which hold no point, the _radial_factors, r^2 and the number of
-    points.  Built once per grid set and shared, so every array is
-    read-only."""
-    grids = [(np.frombuffer(rs), None, k) for rs, k in grid_set]
+    """The channel-free part of the bulk density on a grid set, a
+    `grid_set_key` whose points are `grid_points`.  Returns the wedges f^f,
+    2 f^w and w^w of f = dr ^ (dtau + omega) and w = d(omega) at every
+    point, shape (3, points); then, at every node radius in grid order
+    followed by the radii ends, which hold no point, the _radial_factors,
+    r^2 and the number of points.  Built once per grid set and shared, so
+    every array is read-only."""
+    grids = key_grids(grid_set)
     points = grid_points(grids)
     fibered, domega, _ = _field_strength_geometry(points)
     domega = [np.zeros(len(points)) if w is None else w for w in domega]
@@ -235,9 +236,8 @@ def _bulk_densities(data: InstantonData, grids, ends, l: float = 1.0):
     radius and then meet the wedges that _bulk_geometry caches per point.
     f^f and w^w vanish in exact arithmetic; they are the wedges of the
     actual forms, so the numeric route never assumes it."""
-    wedges, factors, r2, directions = _bulk_geometry(
-        tuple((np.asarray(rs, dtype=float).tobytes(), k)
-              for rs, _, k in grids), tuple(ends))
+    wedges, factors, r2, directions = _bulk_geometry(grid_set_key(grids),
+                                                     tuple(ends))
     v = l + factors[0]  # the first radial factor is 1/(2r)
     lam, mcharge = np.array([ch.lam for ch in data.channels]
                             + [ch.mcharge for ch in data.channels]

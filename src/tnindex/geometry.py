@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -219,7 +220,7 @@ def _radial_coeffs(spec: MetricSpec, r):
     if spec.variant is Variant.TN:
         return v, 1.0 / v
     log_v = jets.log(v)
-    b = spec.blend(r)
+    b = jets.shared(spec.blend, r)
     log_conf = -(log_v + 2.0 * jets.log(r))
     conf = jets.exp(b * log_conf)
     if spec.variant is Variant.CONFORMAL:
@@ -256,19 +257,39 @@ def _radial_jets(spec: MetricSpec, xyz: np.ndarray):
     return _radial_coeffs(spec, jets.seed(_point_radii(xyz)))
 
 
+def _chart_jets(x1, x2, x3, gauge: Gauge, squares=None):
+    """(r, omega_1, omega_2) of the points (x1, x2, x3), with omega = h
+    (-x2, x1, 0) of _gauge_factor: floats, arrays, or seed jets with their
+    squares."""
+    sq1, sq2, sq3 = squares or (x1 * x1, x2 * x2, x3 * x3)
+    rho2 = sq1 + sq2
+    r = jets.sqrt(rho2 + sq3)
+    h = _gauge_factor(r, x3, rho2, gauge)
+    return r, (-1.0) * x2 * h, x1 * h
+
+
+def _seed_chart(xyz: np.ndarray, gauge: Gauge):
+    """_chart_jets of the points xyz (n, 3) on their coordinate seed jets:
+    what _metric_entries needs of the points, whatever the metric."""
+    cols = list(enumerate(xyz.T))
+    return _chart_jets(*(Jet.variable(x, i) for i, x in cols), gauge,
+                       [Jet.variable_square(x, i) for i, x in cols])
+
+
 def _metric_entries(spec: MetricSpec, x1, x2, x3, gauge: Gauge,
                     radial=None, squares=None):
     """4x4 nested list of metric components from coordinates, floats or
     arrays, or seed jets with their squares and radial, the _radial_jets of
-    their points, which is lifted to the coordinates by the chain rule."""
-    sq1, sq2, sq3 = squares or (x1 * x1, x2 * x2, x3 * x3)
-    rho2 = sq1 + sq2
-    r = jets.sqrt(rho2 + sq3)
+    their points, which is lifted to the coordinates by the chain rule.
+    When radial holds the _chart_jets of the points after those two jets,
+    as a chunk of a grid set passes them, they stand for the coordinates."""
+    if radial is not None and len(radial) > 2:
+        r, *om = radial[2:]
+    else:
+        r, *om = _chart_jets(x1, x2, x3, gauge, squares)
     a_coeff, c_coeff = (_radial_coeffs(spec, r) if radial is None
-                        else jets.lift(radial, r))
-    h = _gauge_factor(r, x3, rho2, gauge)
-    # omega = h (-x2, x1, 0): the x3 row and column hold A and zeros
-    om = [(-1.0) * x2 * h, x1 * h]
+                        else jets.lift(radial[:2], r))
+    # the x3 row and column hold A and zeros, since omega_3 = 0
     zero = 0.0 * a_coeff
     g = [[zero] * 4 for _ in range(4)]
     for i in range(2):
@@ -315,14 +336,15 @@ def _metric_jet_arrays(spec: MetricSpec, xyz: np.ndarray, gauge: Gauge,
     grad (3m+1, n) with d_e of entry k in row 3k+e, hess (9m+1, n) with
     d_e d_f of entry k in row 9k+3e+f, and idx (4, 4), the row of each metric
     entry.  The last rows of grad and hess are zero: nothing depends on tau.
-    radial is _radial_jets of these points, formed here when omitted."""
+    radial is _radial_jets of these points, formed here when omitted, and
+    may hold their _chart_jets in this gauge after it (_metric_entries);
+    else they are formed here."""
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
     if radial is None:
         radial = _radial_jets(spec, xyz)
-    cols = list(enumerate(xyz.T))
-    entries = _metric_entries(
-        spec, *(Jet.variable(x, i) for i, x in cols), gauge, radial,
-        [Jet.variable_square(x, i) for i, x in cols])
+    if len(radial) == 2:
+        radial = [*radial, *_seed_chart(xyz, gauge)]
+    entries = _metric_entries(spec, None, None, None, gauge, radial)
     table = list({id(e): e for row in entries for e in row}.values())
     rows = {id(e): k for k, e in enumerate(table)}
     zero = np.zeros((1, xyz.shape[0]))
@@ -404,6 +426,34 @@ def _gather_maps(idx: tuple, m: int):
             dd[_A, _C, _B, _D])
 
 
+# rows of a (4, 4) index pair, flattened, that broadcast to PAIRS x PAIRS
+_BC, _AD, _BD, _AC = 4 * _B + _C, 4 * _A + _D, 4 * _B + _D, 4 * _A + _C
+
+
+@lru_cache(maxsize=4)
+def _workspace(n: int):
+    """The working arrays of _lowered_riemann and _riemann_from_arrays for
+    n points, kept for the last four n, so that a chunk writes where the
+    one before it wrote, not into fresh memory that the heap faults in: the
+    Christoffel symbols Gamma_f,bc and Gamma^f_bc (2,4,4,4,n), the lowered
+    tensor (6,6,n), and scratch (3,6,6,n) for the gathers and products,
+    then for the 2-form matrix (4,4,6,n).  A call writes every entry it
+    reads, so nothing of one call reaches the next."""
+    return np.empty((2, 4, 4, 4, n)), np.empty((6, 6, n)), \
+        np.empty((3, 6, 6, n))
+
+
+def _carve(scratch, shape):
+    """The first entries of the contiguous array scratch, viewed as shape."""
+    return scratch.reshape(-1)[:math.prod(shape)].reshape(shape)
+
+
+def _take(table, rows, out):
+    """table[rows] into out; mode "clip" writes there directly, where
+    "raise" would go through a temporary."""
+    return table.take(rows, axis=0, out=out, mode="clip")
+
+
 def _lowered_riemann(val, grad, hess, idx):
     """The lowered curvature tensor on PAIRS x PAIRS, shape (6,6,n), from
     the metric jet table of _metric_jet_arrays, and the g^-1 (4,4,n) it used:
@@ -414,27 +464,47 @@ def _lowered_riemann(val, grad, hess, idx):
     Each term gathers table rows through _gather_maps; each contraction is
     a two-operand einsum with the point index as its contiguous inner axis
     or an elementwise sum: numpy's own loop, never BLAS, in an order that
-    depends neither on the batch size nor on the thread count."""
+    depends neither on the batch size nor on the thread count.  Every step
+    writes into the _workspace of n points, so the tensor is valid until
+    the next call for n points; g^-1 is a fresh array."""
     d_b, d_c, d_f, bcad, adbc, bdac, acbd = _gather_maps(
         tuple(idx.ravel().tolist()), len(val))
     ginv = _metric_inverse(val, idx)
+    n = val.shape[-1]
+    (low, up), lowered, scratch = _workspace(n)
+    gathered = _carve(scratch, low.shape)
     # Gamma_f,bc = 1/2 (d_b g_fc + d_c g_fb - d_f g_bc); 0.0 + turns -0.0
     # into 0.0, as a sum into zeros does
-    low = 0.5 * (0.0 + grad[d_b] + grad[d_c] - grad[d_f])
-    up = np.einsum("fen,ebcn->fbcn", ginv, low)
-    lowered = 0.5 * (hess[bcad] + hess[adbc] - hess[bdac] - hess[acbd])
-    # one f at a time: small temporaries, and a fixed order of the f sum
-    for lo, hi in zip(low, up):
-        lowered += lo[_B, _C] * hi[_A, _D] - lo[_B, _D] * hi[_A, _C]
+    np.add(0.0, _take(grad, d_b, low), out=low)
+    np.add(low, _take(grad, d_c, gathered), out=low)
+    np.subtract(low, _take(grad, d_f, gathered), out=low)
+    np.multiply(0.5, low, out=low)
+    np.einsum("fen,ebcn->fbcn", ginv, low, out=up)
+    first, second, third = scratch
+    np.add(_take(hess, bcad, lowered), _take(hess, adbc, first), out=lowered)
+    np.subtract(lowered, _take(hess, bdac, first), out=lowered)
+    np.subtract(lowered, _take(hess, acbd, first), out=lowered)
+    np.multiply(0.5, lowered, out=lowered)
+    # one f at a time, in a fixed order of the f sum
+    for lo, hi in zip(low.reshape(4, 16, n), up.reshape(4, 16, n)):
+        np.multiply(_take(lo, _BC, first), _take(hi, _AD, second), out=first)
+        np.multiply(_take(lo, _BD, second), _take(hi, _AC, third),
+                    out=second)
+        np.subtract(first, second, out=first)
+        np.add(lowered, first, out=lowered)
     return lowered, ginv
 
 
 def _riemann_from_arrays(val, grad, hess, idx):
     """The six mixed coordinate curvature 2-forms R^a_b,cd on PAIRS, shape
     (6,4,4,n), from the jet table of _metric_jet_arrays: the lowered tensor
-    raised on its first index by g^-1."""
+    raised on its first index by g^-1, its 2-form matrix expanded in the
+    scratch of the _workspace, into a fresh array."""
     lowered, ginv = _lowered_riemann(val, grad, hess, idx)
-    return np.einsum("aen,ebqn->qabn", ginv, two_form_matrix(lowered))
+    _, _, scratch = _workspace(val.shape[-1])
+    matrix = two_form_matrix(lowered,
+                             _carve(scratch, (4, 4) + lowered.shape[1:]))
+    return np.einsum("aen,ebqn->qabn", ginv, matrix)
 
 
 def _frame_curvature(val, grad, hess, idx):
@@ -545,10 +615,14 @@ def star3(one_form: np.ndarray) -> np.ndarray:
     return out
 
 
-def two_form_matrix(pairs: np.ndarray) -> np.ndarray:
+def two_form_matrix(pairs: np.ndarray, out=None) -> np.ndarray:
     """The antisymmetric (4, 4, ...) matrix of 2-form components given on
-    PAIRS along the first axis, shape (6, ...)."""
-    out = np.zeros((4, 4) + pairs.shape[1:])
+    PAIRS along the first axis, shape (6, ...), written into out when it is
+    given."""
+    if out is None:
+        out = np.zeros((4, 4) + pairs.shape[1:])
+    else:
+        out[range(4), range(4)] = 0.0
     for k, (a, b) in enumerate(PAIRS):
         out[a, b], out[b, a] = pairs[k], -pairs[k]
     return out

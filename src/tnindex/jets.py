@@ -161,6 +161,52 @@ def seed(val):
     return Jet(val, np.ones((1,) + val.shape), np.zeros((1, 1) + val.shape))
 
 
+def read_only(*ys):
+    """Mark the arrays of the jets ys read-only, for jets that a cache
+    shares; returns ys."""
+    for y in ys:
+        for a in (y.val, y.grad, y.hess):
+            a.flags.writeable = False
+    return ys
+
+
+class SharedSeed(Jet):
+    """`seed(val)` for values that many calls share, read-only.  It forms
+    its reciprocal and log once, and `shared` keeps what the last
+    MAX_SHARED functions give on it, so a call that starts from it repeats
+    none of this work and gets the same bits."""
+
+    __slots__ = ("_reciprocal", "_log", "_shared")
+    MAX_SHARED = 4
+
+    def __init__(self, val):
+        plain = seed(val)
+        super().__init__(plain.val, plain.grad, plain.hess)
+        self._reciprocal, self._log = read_only(plain.reciprocal(),
+                                                plain.log())
+        read_only(self)
+        self._shared = {}
+
+    def reciprocal(self):
+        return self._reciprocal
+
+    def log(self):
+        return self._log
+
+
+def shared(f, x):
+    """f(x) for a hashable function f; when x is a SharedSeed the result is
+    formed once and kept, read-only, for its last MAX_SHARED functions."""
+    if not isinstance(x, SharedSeed):
+        return f(x)
+    kept = x._shared
+    if f not in kept:
+        if len(kept) == x.MAX_SHARED:
+            del kept[next(iter(kept))]
+        kept[f] = read_only(f(x))[0]
+    return kept[f]
+
+
 def lift(ys, x):
     """One-variable jets ys, taken at the values of the jet x, composed with
     x by the chain rule: one jet in x's variables each."""

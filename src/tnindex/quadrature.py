@@ -146,6 +146,19 @@ def grid_points(grids) -> np.ndarray:
                            for r, _, k in grids])
 
 
+def grid_set_key(grids) -> tuple:
+    """The grids (r, w, directions) as a hashable key of their points, (r
+    bytes, directions) per grid, for a cache of what depends on the points
+    alone; `key_grids` reads it back."""
+    return tuple((np.asarray(r, dtype=float).tobytes(), k)
+                 for r, _, k in grids)
+
+
+def key_grids(grid_set):
+    """The grids (r, None, directions) of a `grid_set_key`, r read-only."""
+    return [(np.frombuffer(r), None, k) for r, k in grid_set]
+
+
 def per_grid(values, grids):
     """values at the points of `grid_points(grids)` split back into one
     (len(r), directions) view per grid, in grid order."""

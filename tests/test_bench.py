@@ -51,7 +51,8 @@ def test_in_process_child_reads_a_missing_site_as_absent(tmp_path):
     times = json.loads(child.stdout)
     assert set(times) == {
         *collect.KERNEL_SITES, "convergence_table",
-        "convergence_table_minflt", "convergence_table_radial_coeffs_calls",
+        "convergence_table_minflt", "convergence_table_stime",
+        "convergence_table_radial_coeffs_calls",
         "convergence_table_curvature_forms_calls", "bulk_action",
         "bulk_action_first", "load_config",
         *(f"eta_{route}_per_lambda" for route in eta.ROUTES)}

@@ -10,7 +10,7 @@ from tnindex.charclasses import (PONT_NORM, chern_simons, convergence_table,
 from tnindex.errors import ConvergenceError, IsotropyError
 from tnindex.geometry import (BlendProfile, MetricSpec, Variant,
                               curvature_batch, curvature_forms,
-                              radial_coefficients)
+                              radial_coefficients, wedge4)
 from tnindex.quadrature import (ROUNDOFF, QuadratureSpec, angular_samples,
                                 angular_spread, integrate_radial,
                                 radial_nodes, require_isotropy, sweep_grids)
@@ -381,3 +381,124 @@ def test_one_direction_is_within_its_direction_term():
             was = abs(mean[0] - TARGET) / (mean[1] + mean[2])
             assert ratio <= 1.0 if was <= 1.0 else \
                 ratio == pytest.approx(was, rel=1e-4), where
+
+
+def _used_workspaces(monkeypatch):
+    """Record the working arrays of every geometry._workspace call."""
+    used = []
+    workspace = geometry._workspace
+
+    def recording(n):
+        arrays = workspace(n)
+        used.append(arrays)
+        return arrays
+
+    monkeypatch.setattr(geometry, "_workspace", recording)
+    return used
+
+
+def test_a_kernel_call_reads_nothing_of_the_one_before(monkeypatch):
+    """With every working array filled with NaN between two calls, a sweep
+    (one full chunk and a short one) and curvature_batch give the same
+    bytes, and no returned array is a working array."""
+    spec = MetricSpec(variant=Variant.HOMOTOPY, t=0.6,
+                      blend=BlendProfile(kind="septic"))
+    quad, sweep = QuadratureSpec(n_r=256, n_ang=3), [128, 256]
+    xyz = _check_points(np.geomspace(1e-4, 80.0, 7), 3)
+    used = _used_workspaces(monkeypatch)
+
+    def outputs():
+        return [np.array(convergence_table(spec, quad, sweep)),
+                *curvature_batch(spec, xyz), curvature_forms(spec, xyz)]
+
+    first = outputs()
+    assert {len(arrays[1][0, 0]) for arrays in used} == {
+        charclasses._CHUNK, 64 * 3 + 128 + 256 - charclasses._CHUNK,
+        len(xyz)}
+    for arrays in used:
+        for a in arrays:
+            a.fill(np.nan)
+    second = outputs()
+    for mine, theirs in zip(second, first):
+        assert mine.tobytes() == theirs.tobytes()
+    for out in second[1:]:
+        assert not any(np.shares_memory(out, a)
+                       for arrays in used for a in arrays)
+
+
+def _sweep_key(quad, sweep):
+    """The _sweep_geometry arguments of a convergence_table call."""
+    return (quadrature.grid_set_key(sweep_grids(quad, sweep)),
+            (quad.r_min, quad.r_max))
+
+
+def test_caches_stay_bounded_and_read_only():
+    """More grid sets than _sweep_geometry keeps, more blend profiles than
+    a shared seed keeps and more chunk lengths than _workspace keeps leave
+    each cache at its bound; every array a cache shares is read-only."""
+    charclasses._sweep_geometry.cache_clear()
+    geometry._workspace.cache_clear()
+    sizes = charclasses._sweep_geometry.cache_info().maxsize + 2
+    blends = [BlendProfile(r_in=1.0 + 0.1 * k, kind=kind)
+              for k in range(jets.SharedSeed.MAX_SHARED + 1)
+              for kind in ("quintic", "septic")]
+    quads = [QuadratureSpec(r_max=60.0 + k, n_r=32, n_ang=2 + k)
+             for k in range(sizes)]
+    for quad in quads:
+        for blend in blends:
+            convergence_table(MetricSpec(variant=Variant.EXACT_D,
+                                         blend=blend), quad, [16, 32])
+    for cache in (charclasses._sweep_geometry, geometry._workspace):
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize
+    xyz, radius, chart = charclasses._sweep_geometry(
+        *_sweep_key(quads[-1], [16, 32]))
+    assert charclasses._sweep_geometry.cache_info().hits > 0
+    assert list(radius._shared) == blends[-jets.SharedSeed.MAX_SHARED:]
+    arrays = [xyz] + [a for y in (radius, radius.reciprocal(),
+                                  radius.log(), *radius._shared.values(),
+                                  *chart)
+                      for a in (y.val, y.grad, y.hess)]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a.flat[0] = 0.0
+
+
+@pytest.mark.parametrize("kind", ["quintic", "septic"])
+def test_rows_do_not_depend_on_the_cache_state(kind):
+    """Rows from cleared caches, from warm caches and from caches that
+    another variant or blend warmed have the same bytes."""
+    quad, sweep = QuadratureSpec(), [64, 128, 256]
+    spec = MetricSpec(variant=Variant.HOMOTOPY, t=0.6,
+                      blend=BlendProfile(kind=kind))
+    others = [MetricSpec(variant=Variant.CONFORMAL, blend=spec.blend),
+              MetricSpec(variant=Variant.EXACT_D, blend=BlendProfile(
+                  kind="septic" if kind == "quintic" else "quintic"))]
+
+    def rows(*warm):
+        for other in warm:
+            convergence_table(other, quad, sweep)
+        return np.array(convergence_table(spec, quad, sweep)).tobytes()
+
+    charclasses._sweep_geometry.cache_clear()
+    geometry._workspace.cache_clear()
+    cold = rows()
+    assert rows() == cold
+    for other in others:
+        charclasses._sweep_geometry.cache_clear()
+        geometry._workspace.cache_clear()
+        assert rows(other) == cold
+
+
+def test_cached_grid_half_keeps_the_bits_of_an_uncached_chunk():
+    """The density from the cached seed and chart jets of _sweep_geometry
+    has the bits of curvature_forms on the same points, which forms its
+    own radial and chart jets."""
+    spec = MetricSpec(variant=Variant.EXACT_D, blend=BlendProfile(
+        kind="septic"))
+    rs = np.geomspace(1e-4, 80.0, 50)
+    forms = curvature_forms(spec, _check_points(rs, 3))
+    trace = sum(wedge4(forms, forms.swapaxes(1, 2)).reshape(16, -1))
+    expect = (PONT_NORM * 8.0 * np.pi**2 * rs * rs)[:, None] \
+        * trace.reshape(len(rs), 3)
+    assert one_grid(spec, rs, 3).tobytes() == expect.tobytes()

@@ -567,6 +567,23 @@ def test_bulk_overflow_exits_with_convergence_error(tmp_path, capsys,
     assert list(out.iterdir()) == []
 
 
+def test_overflow_failure_stderr_is_one_json_document(tmp_path):
+    """In a fresh interpreter, where numpy would print its warnings, the
+    overflowing charge exits 1 with stderr holding the failure JSON and
+    nothing else."""
+    src = str(Path(tnindex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "tnindex.cli", "--config",
+         bulk_document(tmp_path, 1e200), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_NUMERICAL
+    err = json.loads(done.stderr)
+    assert err["error"] == "ConvergenceError"
+    assert err["history"] == [[128, None], [256, None]]
+
+
 @pytest.mark.parametrize("mcharge", [1e150, 1e-160, 5.6e-161])
 def test_bulk_extreme_charges_meet_the_closed_form(tmp_path, mcharge):
     """A charge near the overflow edge, or one whose bulk is subnormal

@@ -42,6 +42,14 @@ def test_chern_must_be_integer():
     assert InstantonChannel(lam=0.3, mcharge=1.0, chern=2.0).chern == 2
 
 
+@pytest.mark.parametrize("bad", [{"lam": float("nan")},
+                                 {"mcharge": float("inf")},
+                                 {"mcharge": -float("inf")}])
+def test_channel_numbers_must_be_finite(bad):
+    with pytest.raises(ValueError, match="lam and mcharge must be finite"):
+        InstantonChannel(**{"lam": 0.3, "mcharge": 1.0, **bad})
+
+
 def test_genericity_rejected_on_demand():
     ch = InstantonChannel(lam=1.0000001, mcharge=0.5)
     with pytest.raises(GenericityError):

@@ -400,9 +400,9 @@ def test_lowered_riemann_has_pair_symmetry_and_first_bianchi(
     seen = []
     expand = geometry.two_form_matrix
 
-    def spy(pairs):
+    def spy(pairs, *out):
         seen.append(pairs)
-        return expand(pairs)
+        return expand(pairs, *out)
 
     monkeypatch.setattr(geometry, "two_form_matrix", spy)
     arrays = geometry._metric_jet_arrays(_kernel_spec(variant, kind, l),

@@ -1,8 +1,12 @@
 """Second-order jet arithmetic against finite differences."""
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 
+from tnindex import jets
 from tnindex.jets import Jet, exp, log, sqrt, where
 
 
@@ -121,3 +125,27 @@ def test_plain_operand_acts_as_constant_jet(kind):
         assert np.array_equal(fast.val, ref.val)
         assert np.array_equal(fast.grad, ref.grad)
         assert np.array_equal(fast.hess, ref.hess)
+
+
+def test_shared_seed_keeps_the_bits_of_a_plain_seed():
+    """A SharedSeed gives the reciprocal, log and function results of
+    seed() on the same values, bit for bit, keeps them read-only, and keeps
+    at most MAX_SHARED function results."""
+    vals = np.geomspace(1e-4, 80.0, 37)
+    kept, plain = jets.SharedSeed(vals), jets.seed(vals)
+    pairs = [(kept, plain), (kept.reciprocal(), plain.reciprocal()),
+             (kept.log(), plain.log()), (1.0 / kept, 1.0 / plain)]
+    scalings = [functools.partial(operator.mul, 0.5 + k)
+                for k in range(jets.SharedSeed.MAX_SHARED + 2)]
+    for f in scalings:
+        pairs.append((jets.shared(f, kept), f(plain)))
+    for mine, theirs in pairs:
+        for a, b in zip((mine.val, mine.grad, mine.hess),
+                        (theirs.val, theirs.grad, theirs.hess)):
+            assert a.tobytes() == b.tobytes()
+    assert list(kept._shared) == scalings[2:]
+    assert jets.shared(scalings[-1], kept) is kept._shared[scalings[-1]]
+    for y in (kept, kept.reciprocal(), kept.log(), *kept._shared.values()):
+        for a in (y.val, y.grad, y.hess):
+            with pytest.raises(ValueError):
+                a[0] = 0.0

@@ -192,6 +192,7 @@ def test_integrate_radial_takes_the_first_direction():
                          [32, 64])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_integral_reports_history():
     quad = QuadratureSpec(n_r=100)
     with pytest.raises(ConvergenceError) as exc:
@@ -233,6 +234,7 @@ def test_nan_off_the_first_direction_raises(sweep):
     assert all(np.isfinite(value) for _, value in exc.value.history)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_coarse_grid_raises(bad):
     """A non-finite sample on the coarse grid of a row alone raises, rather
