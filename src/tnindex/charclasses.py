@@ -9,7 +9,7 @@ import numpy as np
 
 from . import geometry, jets
 from .errors import ConvergenceError
-from .geometry import (_EPS4, Gauge, MetricSpec, _point_radii, _seed_chart,
+from .geometry import (_EPS4, Gauge, MetricSpec, _seed_chart,
                        curvature_form_chunks, wedge4)
 from .jets import Jet
 from .quadrature import (ROUNDOFF, QuadratureSpec, grid_points,
@@ -33,19 +33,19 @@ _CHUNK = 352  # points per curvature batch, to bound the working set
 def _sweep_geometry(grid_set: tuple, ends: tuple):
     """The metric-free half of _density_samples on a grid set, a
     `grid_set_key` whose points are `grid_points`: the points, a
-    jets.SharedSeed over their radii followed by the radii ends, which hold
-    no point, and the _chart_jets of the points in the default gauge.
-    Built once per grid set and shared, so every array is read-only."""
+    jets.SharedSeed over the r of their _seed_chart in the default gauge
+    and the radii ends, which hold no point, and that chart.  Built once
+    per grid set and shared, so every array is read-only."""
     xyz = grid_points(key_grids(grid_set))
     xyz.flags.writeable = False
-    radius = jets.SharedSeed(np.concatenate([_point_radii(xyz), ends]))
-    return xyz, radius, jets.read_only(*_seed_chart(xyz, Gauge.DEFAULT))
+    chart = jets.read_only(*_seed_chart(xyz, Gauge.DEFAULT))
+    return xyz, jets.SharedSeed(np.concatenate([chart[0].val, ends])), chart
 
 
 def _density_samples(spec: MetricSpec, grids, ends):
     """Density on every grid (r, w, directions) of grids, one (len(r),
-    directions) array per grid in grid order, and P at the radii ends,
-    (P(r_min), P(r_max)) or ().
+    directions) array per grid in grid order, and P at the two radii ends,
+    (P(r_min), P(r_max)).
 
     With sqrt(det g) = sqrt(A^3 C) the tr(R^R) coefficient against the
     coordinate volume is the trace of the wedge of the coordinate curvature
@@ -65,17 +65,14 @@ def _density_samples(spec: MetricSpec, grids, ends):
     # read from geometry at call time, as geometry's own callers read it,
     # so that one wrapper there sees every radial pass
     radial = geometry._radial_coeffs(spec, radius)
-    n, p_ends = len(xyz), ()
-    if ends:
-        tip = slice(n, None)
-        p_ends, _ = _chern_simons_bracket(radius[tip],
-                                          *(y[tip] for y in radial))
-        bad = [f"P({k}) = {p}" for k, p in zip(("r_min", "r_max"), p_ends)
-               if not np.isfinite(p)]
-        if bad:
-            raise ConvergenceError(
-                "Chern-Simons end not finite: " + ", ".join(bad),
-                [(r, float(p)) for r, p in zip(ends, p_ends)])
+    n = len(xyz)
+    p_ends, _ = _chern_simons_bracket(radius[n:], *(y[n:] for y in radial))
+    bad = [f"P({k}) = {p}" for k, p in zip(("r_min", "r_max"), p_ends)
+           if not np.isfinite(p)]
+    if bad:
+        raise ConvergenceError(
+            "Chern-Simons end not finite: " + ", ".join(bad),
+            [(r, float(p)) for r, p in zip(ends, p_ends)])
     # tr(R^R) = sum_ab R_ab ^ R_ba, wedge4 against the transpose; the 16
     # entries are added row by row, since a reduction inside numpy changes
     # its order when a chunk holds a single point

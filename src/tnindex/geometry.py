@@ -244,51 +244,34 @@ def radial_coefficients(spec: MetricSpec, r):
 # Metric assembly
 
 
-def _point_radii(xyz: np.ndarray) -> np.ndarray:
-    """r at the points xyz (n, 3), formed as _metric_entries forms it."""
-    x1, x2, x3 = np.atleast_2d(np.asarray(xyz, dtype=float)).T
-    return np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
-
-
-def _radial_jets(spec: MetricSpec, xyz: np.ndarray):
-    """(A, C) as one-variable jets in r at the points xyz (n, 3), with r
-    formed as _metric_entries forms it: a slice lifts to the bits that the
-    chunk of its points would compute for itself."""
-    return _radial_coeffs(spec, jets.seed(_point_radii(xyz)))
-
-
-def _chart_jets(x1, x2, x3, gauge: Gauge, squares=None):
+def _chart_jets(x1, x2, x3, gauge: Gauge):
     """(r, omega_1, omega_2) of the points (x1, x2, x3), with omega = h
-    (-x2, x1, 0) of _gauge_factor: floats, arrays, or seed jets with their
-    squares."""
-    sq1, sq2, sq3 = squares or (x1 * x1, x2 * x2, x3 * x3)
-    rho2 = sq1 + sq2
-    r = jets.sqrt(rho2 + sq3)
+    (-x2, x1, 0) of _gauge_factor: floats, arrays or jets."""
+    rho2 = x1 * x1 + x2 * x2
+    r = jets.sqrt(rho2 + x3 * x3)
     h = _gauge_factor(r, x3, rho2, gauge)
     return r, (-1.0) * x2 * h, x1 * h
 
 
 def _seed_chart(xyz: np.ndarray, gauge: Gauge):
     """_chart_jets of the points xyz (n, 3) on their coordinate seed jets:
-    what _metric_entries needs of the points, whatever the metric."""
-    cols = list(enumerate(xyz.T))
-    return _chart_jets(*(Jet.variable(x, i) for i, x in cols), gauge,
-                       [Jet.variable_square(x, i) for i, x in cols])
+    what the metric jets need of the points, whatever the metric."""
+    return _chart_jets(*map(Jet.variable, xyz.T, range(3)), gauge)
 
 
-def _metric_entries(spec: MetricSpec, x1, x2, x3, gauge: Gauge,
-                    radial=None, squares=None):
-    """4x4 nested list of metric components from coordinates, floats or
-    arrays, or seed jets with their squares and radial, the _radial_jets of
-    their points, which is lifted to the coordinates by the chain rule.
-    When radial holds the _chart_jets of the points after those two jets,
-    as a chunk of a grid set passes them, they stand for the coordinates."""
-    if radial is not None and len(radial) > 2:
-        r, *om = radial[2:]
-    else:
-        r, *om = _chart_jets(x1, x2, x3, gauge, squares)
-    a_coeff, c_coeff = (_radial_coeffs(spec, r) if radial is None
-                        else jets.lift(radial[:2], r))
+def _point_jets(spec: MetricSpec, xyz: np.ndarray, gauge: Gauge):
+    """(A, C) as one-variable jets in r, then the _seed_chart (r, omega_1,
+    omega_2) whose r lifts them, at the points xyz (n, 3), which must lie
+    in the chart of the gauge (else DomainError or ChartError)."""
+    _check_chart(np.linalg.norm(xyz, axis=1), *xyz.T, gauge)
+    chart = _seed_chart(xyz, gauge)
+    return [*_radial_coeffs(spec, jets.seed(chart[0].val)), *chart]
+
+
+def _metric_entries(a_coeff, c_coeff, om):
+    """4x4 nested list of the components of A dx^2 + C (dtau + omega)^2
+    from A, C and (omega_1, omega_2), omega_3 being 0: floats, arrays or
+    jets."""
     # the x3 row and column hold A and zeros, since omega_3 = 0
     zero = 0.0 * a_coeff
     g = [[zero] * 4 for _ in range(4)]
@@ -314,8 +297,8 @@ def metric_at(spec: MetricSpec, p: Point,
               gauge: Gauge = Gauge.DEFAULT) -> MetricSample:
     """Coordinate metric of the selected variant at a point."""
     _check_chart(p.r, p.x1, p.x2, p.x3, gauge)
-    entries = _metric_entries(spec, np.float64(p.x1), np.float64(p.x2),
-                              np.float64(p.x3), gauge)
+    r, *om = _chart_jets(*map(np.float64, (p.x1, p.x2, p.x3)), gauge)
+    entries = _metric_entries(*_radial_coeffs(spec, r), om)
     g = np.array([[float(entries[i][j]) for j in range(4)] for i in range(4)])
     try:
         frame = _vierbein(g)
@@ -336,15 +319,11 @@ def _metric_jet_arrays(spec: MetricSpec, xyz: np.ndarray, gauge: Gauge,
     grad (3m+1, n) with d_e of entry k in row 3k+e, hess (9m+1, n) with
     d_e d_f of entry k in row 9k+3e+f, and idx (4, 4), the row of each metric
     entry.  The last rows of grad and hess are zero: nothing depends on tau.
-    radial is _radial_jets of these points, formed here when omitted, and
-    may hold their _chart_jets in this gauge after it (_metric_entries);
-    else they are formed here."""
+    radial is the _point_jets of these points in this gauge, formed here
+    when omitted."""
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
-    if radial is None:
-        radial = _radial_jets(spec, xyz)
-    if len(radial) == 2:
-        radial = [*radial, *_seed_chart(xyz, gauge)]
-    entries = _metric_entries(spec, None, None, None, gauge, radial)
+    a_coeff, c_coeff, r, *om = radial or _point_jets(spec, xyz, gauge)
+    entries = _metric_entries(*jets.lift((a_coeff, c_coeff), r), om)
     table = list({id(e): e for row in entries for e in row}.values())
     rows = {id(e): k for k, e in enumerate(table)}
     zero = np.zeros((1, xyz.shape[0]))
@@ -361,7 +340,8 @@ def _fd_metric_arrays(spec: MetricSpec, xyz: np.ndarray, gauge: Gauge,
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
 
     def g_of(pts):
-        return np.array(_metric_entries(spec, *pts.T, gauge))
+        r, *om = _chart_jets(*pts.T, gauge)
+        return np.array(_metric_entries(*_radial_coeffs(spec, r), om))
 
     if np.any(np.linalg.norm(xyz, axis=1) <= 2.0 * h):
         raise DomainError("finite-difference stencil crosses r = 0")
@@ -526,18 +506,18 @@ def _frame_curvature(val, grad, hess, idx):
 def curvature_forms(spec: MetricSpec, xyz: np.ndarray,
                     gauge: Gauge = Gauge.DEFAULT, radial=None) -> np.ndarray:
     """Mixed coordinate curvature 2-forms (6,4,4,n) on PAIRS at a batch of
-    Cartesian points; each point's bits do not depend on the batch.  radial
-    is _radial_jets of these points, formed here when omitted."""
+    Cartesian points in the chart of the gauge, each with the bits of a batch
+    of its own.  radial is their _point_jets, formed here when omitted."""
     return _riemann_from_arrays(*_metric_jet_arrays(spec, xyz, gauge, radial))
 
 
 def curvature_form_chunks(spec: MetricSpec, xyz: np.ndarray, size: int,
                           radial):
     """curvature_forms over consecutive chunks of at most `size` of the
-    points xyz (n, 3), in order, which bounds the working set.  A and C are
-    differentiated once, on radial, one radial jet over all n points with r
-    formed as _radial_jets forms it, and each chunk lifts its slice:
-    elementwise work, so a point keeps its bits."""
+    points xyz (n, 3), in order, which bounds the working set.  radial holds
+    the _point_jets of all n points in the default gauge, so A and C are
+    differentiated once, and each chunk lifts its slice: elementwise work,
+    so a point keeps its bits."""
     for i in range(0, len(xyz), size):
         part = slice(i, i + size)
         yield curvature_forms(spec, xyz[part], Gauge.DEFAULT,
@@ -546,7 +526,7 @@ def curvature_form_chunks(spec: MetricSpec, xyz: np.ndarray, size: int,
 
 def curvature_batch(spec: MetricSpec, xyz: np.ndarray,
                     gauge: Gauge = Gauge.DEFAULT):
-    """Vectorized frame curvature for a batch of Cartesian points.
+    """Vectorized frame curvature at Cartesian points in the gauge's chart.
 
     Returns (riemann (n,4,4,4,4), ricci (n,4,4), g (n,4,4), frame (n,4,4)).
     """
@@ -630,13 +610,6 @@ def two_form_matrix(pairs: np.ndarray, out=None) -> np.ndarray:
 
 def wedge4(alpha, beta):
     """Coefficient of dx1^dx2^dx3^dtau in the wedge of two 2-forms given on
-    PAIRS along their first axis; any trailing axes are elementwise.  The
-    square of a form takes each of its three distinct products once: x y =
-    y x exactly, so the sum keeps the order and the bits of the general
-    case."""
-    if alpha is beta:
-        p05, p14, p23 = (alpha[0] * alpha[5], alpha[1] * alpha[4],
-                         alpha[2] * alpha[3])
-        return p05 - p14 + p23 + p23 - p14 + p05
+    PAIRS along their first axis; any trailing axes are elementwise."""
     return (alpha[0] * beta[5] - alpha[1] * beta[4] + alpha[2] * beta[3]
             + alpha[3] * beta[2] - alpha[4] * beta[1] + alpha[5] * beta[0])

@@ -49,18 +49,6 @@ class Jet:
         grad[index] = 1.0
         return cls(val, grad, np.zeros((NVARS, NVARS) + val.shape))
 
-    @classmethod
-    def variable_square(cls, val, index):
-        """The square of ``variable(val, index)``, built directly: the
-        values of ``x * x``, up to the sign of zeros, at a third of its
-        cost."""
-        val = np.asarray(val, dtype=float)
-        grad = np.zeros((NVARS,) + val.shape)
-        grad[index] = 2.0 * val
-        hess = np.zeros((NVARS, NVARS) + val.shape)
-        hess[index, index] = 2.0
-        return cls(val * val, grad, hess)
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):

@@ -169,6 +169,17 @@ def per_grid(values, grids):
     return out
 
 
+def _first_non_finite(grids, densities):
+    """The grid and the radius of the first non-finite sample of the
+    densities, in grid order, or "" when every sample is finite."""
+    for (r, _, _), d in zip(grids, densities):
+        bad = ~np.isfinite(d).all(axis=1)
+        if bad.any():
+            return (f": the {len(r)}-node grid is not finite at "
+                    f"r = {float(r[bad.argmax()])!r}")
+    return ""
+
+
 def integrate_radial(grids, densities, quad: QuadratureSpec, n_r_values):
     """Rows (n_r, value, error, direction, mass) of a radial sweep over
     [r_min, r_max] from the `sweep_grids` of n_r_values and the density on
@@ -180,9 +191,9 @@ def integrate_radial(grids, densities, quad: QuadratureSpec, n_r_values):
     sum on its grid of n_r nodes in node order (`ordered_dot`, so
     bit-stable), its error the difference from the half-size grid and its
     mass sum |w rho|.  A non-finite sum, direction term or mass raises
-    ConvergenceError, with both sums as its history.  So does a non-finite
-    sample of the checked grid, which makes the direction term non-finite:
-    it skips the isotropy check and fails at the first row."""
+    ConvergenceError, with both sums as its history and the grid and the
+    radius of the first non-finite sample in its message.  One on the
+    checked grid skips the isotropy check and fails at the first row."""
     (_, w_check, _), checked = grids[0], densities[0]
     _, spread = angular_spread(checked)
     direction = float(spread @ w_check)
@@ -199,7 +210,8 @@ def integrate_radial(grids, densities, quad: QuadratureSpec, n_r_values):
         mass = float(np.abs(fine) @ w_f)
         if not all(map(math.isfinite, (value, coarse_value, direction,
                                        mass))):
-            raise ConvergenceError("radial integral is not finite",
+            raise ConvergenceError("radial integral is not finite"
+                                   + _first_non_finite(grids, densities),
                                    [(n // 2, coarse_value), (n, value)])
         rows.append((n, value, abs(value - coarse_value), direction, mass))
     return rows

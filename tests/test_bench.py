@@ -1,6 +1,7 @@
 """bench/collect.py drives the CLI with the README configuration and the
 mode arguments it lists, both of which must stay valid for the CLI, and
-times the geometry kernels it names."""
+times the geometry kernels it names; those names, and the argument that
+perfbench's tracer reads, must hold in geometry."""
 
 import hashlib
 import importlib.util
@@ -9,9 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tnindex import cli, eta, geometry
+from tnindex import charclasses, cli, eta, geometry
+from tnindex.quadrature import QuadratureSpec, grid_points, sweep_grids
 
 ROOT = Path(__file__).resolve().parents[1]
 _SPEC = importlib.util.spec_from_file_location(
@@ -33,9 +36,39 @@ def test_collect_rejects_a_side_without_a_path():
 
 
 def test_collect_wraps_names_that_geometry_has():
-    """A renamed kernel would read as absent, its time silently gone."""
-    for name in collect.KERNEL_SITES:
+    """A renamed kernel would read as absent, its time or its count
+    silently gone."""
+    for name in (*collect.KERNEL_SITES, *collect.COUNTED_SITES):
         assert callable(getattr(geometry, name, None)), name
+
+
+def test_metric_jet_arrays_takes_the_points_second(monkeypatch):
+    """A wrapper of geometry._metric_jet_arrays that reads len(args[1])
+    once the call ends, as perfbench's tracer does, counts the points each
+    path evaluates: the chunks of a README sweep, curvature_batch,
+    curvature_at with method "jet" and curvature_forms without jets."""
+    points, kernel = [], geometry._metric_jet_arrays
+
+    def traced(*args, **kwargs):
+        try:
+            return kernel(*args, **kwargs)
+        finally:
+            points.append(len(args[1]))
+
+    monkeypatch.setattr(geometry, "_metric_jet_arrays", traced)
+    spec = geometry.MetricSpec(variant=geometry.Variant.HOMOTOPY, t=0.6)
+    quad = QuadratureSpec()
+    charclasses.convergence_table(spec, quad, [64, 128, 256])
+    assert points == [352, 352]
+    assert sum(points) == len(grid_points(sweep_grids(quad, [64, 128, 256])))
+    xyz = np.outer(np.geomspace(0.1, 10.0, 5), [0.6, -0.3, 0.74])
+    for call, expect in [
+            (lambda: geometry.curvature_batch(spec, xyz), 5),
+            (lambda: geometry.curvature_at(spec, geometry.Point(*xyz[0])), 1),
+            (lambda: geometry.curvature_forms(spec, xyz[:3]), 3)]:
+        points.clear()
+        call()
+        assert points == [expect]
 
 
 def test_in_process_child_reads_a_missing_site_as_absent(tmp_path):

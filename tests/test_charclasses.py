@@ -8,7 +8,7 @@ from tnindex import charclasses, geometry, jets, quadrature
 from tnindex.charclasses import (PONT_NORM, chern_simons, convergence_table,
                                  pontryagin_integral, pontryagin_scalar)
 from tnindex.errors import ConvergenceError, IsotropyError
-from tnindex.geometry import (BlendProfile, MetricSpec, Variant,
+from tnindex.geometry import (BlendProfile, Gauge, MetricSpec, Variant,
                               curvature_batch, curvature_forms,
                               radial_coefficients, wedge4)
 from tnindex.quadrature import (ROUNDOFF, QuadratureSpec, angular_samples,
@@ -16,6 +16,7 @@ from tnindex.quadrature import (ROUNDOFF, QuadratureSpec, angular_samples,
                                 radial_nodes, require_isotropy, sweep_grids)
 
 TARGET = 1.0 / 12.0
+ENDS = (QuadratureSpec().r_min, QuadratureSpec().r_max)
 
 
 def exact_d_spec(kind="quintic"):
@@ -28,10 +29,9 @@ def test_zero_curvature_gives_zero_scalar():
 
 def one_grid(spec, rs, n_ang):
     """The density at the radii rs and n_ang directions: _density_samples
-    on that one grid, with no ends."""
-    [samples], ends = charclasses._density_samples(
-        spec, [(np.asarray(rs, dtype=float), None, n_ang)], ())
-    assert ends == ()
+    on that one grid, with the default quadrature's ends."""
+    [samples], _ = charclasses._density_samples(
+        spec, [(np.asarray(rs, dtype=float), None, n_ang)], ENDS)
     return samples
 
 
@@ -197,8 +197,8 @@ def _count_radial_passes(monkeypatch):
 def test_density_samples_form_radial_jets_once(monkeypatch):
     """A and C run on one radial jet per _density_samples call, whatever
     the number of chunks, over the radii of every point of every grid and
-    of the ends, if any.  The chunks that lift its slices keep the
-    bits of chunks that form their own, and the ends keep the bits of
+    of the two ends.  The chunks that lift its slices keep the bits of
+    chunks that form their own, and the ends keep the bits of
     chern_simons."""
     calls = _count_radial_passes(monkeypatch)
     spec, rs = exact_d_spec(), np.geomspace(0.5, 60.0, 100)
@@ -207,7 +207,7 @@ def test_density_samples_form_radial_jets_once(monkeypatch):
         monkeypatch.setattr(charclasses, "_CHUNK", chunk)
         calls.clear()
         one_grid(spec, rs, 3)
-        assert calls == [300]
+        assert calls == [300 + 2]
         calls.clear()
         [checked, alone], ends = charclasses._density_samples(
             spec, [(rs, None, 3), (other, None, 1)],
@@ -218,34 +218,15 @@ def test_density_samples_form_radial_jets_once(monkeypatch):
         assert np.array_equal(alone, alone_ref)
         assert ends == tuple(chern_simons(spec, [quad.r_min, quad.r_max])[0])
     xyz = _check_points(rs, 3)
-    radii = np.concatenate([geometry._point_radii(xyz), [1e-4, 80.0]])
+    chart = geometry._seed_chart(xyz, Gauge.DEFAULT)
+    radii = np.concatenate([chart[0].val, [1e-4, 80.0]])
     radial = geometry._radial_coeffs(spec, jets.seed(radii))
     chunks = list(geometry.curvature_form_chunks(
-        spec, xyz, 128, [y[:len(xyz)] for y in radial]))
+        spec, xyz, 128, [*(y[:len(xyz)] for y in radial), *chart]))
     assert len(chunks) == 3
     for k, forms in enumerate(chunks):
         assert np.array_equal(forms,
                               curvature_forms(spec, xyz[128 * k:128 * (k + 1)]))
-
-
-def test_density_samples_without_ends_check_none(monkeypatch):
-    """With no ends, _density_samples runs no Chern-Simons end check and
-    returns () for them; its densities keep the bits of the call with
-    ends."""
-    spec, quad = exact_d_spec(), QuadratureSpec(n_r=64)
-    grids = sweep_grids(quad, [32, 64])
-    with_ends, ends = charclasses._density_samples(
-        spec, grids, (quad.r_min, quad.r_max))
-    assert len(ends) == 2
-
-    def refuse(*args):
-        raise AssertionError("an end check with no ends")
-
-    monkeypatch.setattr(charclasses, "_chern_simons_bracket", refuse)
-    densities, no_ends = charclasses._density_samples(spec, grids, ())
-    assert no_ends == ()
-    assert [d.tobytes() for d in densities] == \
-        [d.tobytes() for d in with_ends]
 
 
 def test_convergence_table_samples_each_grid_once(monkeypatch):

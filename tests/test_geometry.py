@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tnindex import charclasses, geometry
+from tnindex import charclasses, geometry, jets
 from tnindex.errors import ChartError, DomainError
 from tnindex.gauge import InstantonChannel, field_strength_at
 from tnindex.jets import Jet
@@ -12,6 +12,7 @@ from tnindex.geometry import (PAIRS, BlendProfile, Gauge, MetricSample,
                               curvature_batch, hodge_star, metric_at,
                               potential_and_omega, radial_coefficients, star3,
                               two_form_matrix, wedge4)
+from tnindex.quadrature import grid_points
 
 RNG = np.random.default_rng(42)
 
@@ -304,6 +305,32 @@ def test_curvature_batch_independent_of_batch():
             out, np.concatenate([half[k] for half in halves]))
 
 
+@pytest.mark.parametrize("route", ["batch", "forms"])
+def test_batched_curvature_refuses_points_off_the_chart(route):
+    """curvature_batch and curvature_forms raise the typed error of
+    curvature_at, not a NaN row and a warning, when a batch holds an axis
+    point of the default chart, the pole that a pole chart excludes, or the
+    origin; NORTH and SOUTH take their own poles."""
+    spec = MetricSpec(variant=Variant.HOMOTOPY, t=0.4)
+    curvature = curvature_batch if route == "batch" else \
+        lambda *args: (geometry.curvature_forms(*args),)
+    good = _log_radius_batch(2, 4)
+    north, south, origin = [0.0, 0.0, 0.5], [0.0, 0.0, -0.5], [0.0] * 3
+    refused = [(Gauge.DEFAULT, north, ChartError),
+               (Gauge.DEFAULT, south, ChartError),
+               (Gauge.NORTH, south, ChartError),
+               (Gauge.SOUTH, north, ChartError),
+               *((gauge, origin, DomainError) for gauge in Gauge)]
+    for gauge, point, error in refused:
+        with pytest.raises(error):
+            curvature(spec, np.vstack([good, point]), gauge)
+        with pytest.raises(error):
+            curvature_at(spec, Point(*point), gauge=gauge)
+    for gauge, pole in [(Gauge.NORTH, north), (Gauge.SOUTH, south)]:
+        for out in curvature(spec, np.vstack([good, pole]), gauge):
+            assert np.all(np.isfinite(out))
+
+
 def _expand(val, grad, hess, idx):
     """A jet table of geometry._metric_jet_arrays as point-last arrays g
     (4,4,n), dg (3,4,4,n) with dg[e, a, b] = d_e g_ab, and d2g (3,3,4,4,n)."""
@@ -447,16 +474,36 @@ def test_tn_ricci_residual_no_worse_than_commutator_kernel(monkeypatch, l):
     assert log_ratio <= 0.0
 
 
+def frozen_variable_square(val, index):
+    """The square of Jet.variable(val, index), built directly, as the
+    chart jets were once formed: the values of x * x, up to the sign of
+    zeros."""
+    val = np.asarray(val, dtype=float)
+    grad = np.zeros((3,) + val.shape)
+    grad[index] = 2.0 * val
+    hess = np.zeros((3, 3) + val.shape)
+    hess[index, index] = 2.0
+    return Jet(val * val, grad, hess)
+
+
 def frozen_metric_jet_arrays(spec, xyz, gauge, radial=None):
-    """geometry._metric_jet_arrays as it was written before the jet table:
-    g (4,4,n), dg (3,4,4,n) and d2g (3,3,4,4,n), one copy per entry."""
+    """geometry._metric_jet_arrays as it was written before the jet table,
+    its chart jets built on frozen_variable_square: g (4,4,n), dg (3,4,4,n)
+    and d2g (3,3,4,4,n), one copy per entry.  A and C come from radial, the
+    _point_jets of the points, when it is given; the chart is formed here."""
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
-    if radial is None:
-        radial = geometry._radial_jets(spec, xyz)
     cols = list(enumerate(xyz.T))
-    entries = geometry._metric_entries(
-        spec, *(Jet.variable(x, i) for i, x in cols), gauge, radial,
-        [Jet.variable_square(x, i) for i, x in cols])
+    x1, x2, x3 = (Jet.variable(x, i) for i, x in cols)
+    sq1, sq2, sq3 = (frozen_variable_square(x, i) for i, x in cols)
+    rho2 = sq1 + sq2
+    r = jets.sqrt(rho2 + sq3)
+    h = geometry._gauge_factor(r, x3, rho2, gauge)
+    if radial is None:
+        u1, u2, u3 = xyz.T
+        radial = geometry._radial_coeffs(
+            spec, jets.seed(np.sqrt(u1 * u1 + u2 * u2 + u3 * u3)))
+    entries = geometry._metric_entries(*jets.lift(radial[:2], r),
+                                       [(-1.0) * x2 * h, x1 * h])
     n = xyz.shape[0]
     g, dg, d2g = (np.empty((4, 4, n)), np.empty((3, 4, 4, n)),
                   np.empty((3, 3, 4, 4, n)))
@@ -521,8 +568,11 @@ def _same_bits(got, ref):
 @pytest.mark.parametrize("variant, kind, l, gauge", _KERNEL_CASES)
 def test_table_kernel_keeps_the_frozen_bits(variant, kind, l, gauge):
     """The jet table and its gathers give the mixed 2-forms and the frame
-    curvature of the per-entry arrays and the padded kernel, bit for bit."""
+    curvature of the per-entry arrays and the padded kernel, bit for bit:
+    the chart jets built on products keep the bits of the squares built
+    directly, also at negative coordinates."""
     spec, xyz = _kernel_spec(variant, kind, l), _log_radius_batch(3, 67)
+    assert np.all((xyz < 0.0).any(axis=0))
     arrays = frozen_metric_jet_arrays(spec, xyz, gauge)
     _same_bits([geometry._riemann_from_arrays(
         *geometry._metric_jet_arrays(spec, xyz, gauge))],
@@ -555,17 +605,20 @@ def test_identity_table_keeps_the_frozen_bits(variant, gauge):
 @pytest.mark.parametrize("l", [0.2, 1.0, 6.0])
 def test_density_keeps_the_frozen_bits(monkeypatch, variant, kind, l):
     """_density_samples over several chunks, the last one short, has the
-    bits of the per-entry arrays and the padded kernel."""
+    bits of the per-entry arrays and the padded kernel: the cached chart
+    jets keep the bits of the frozen squares at the grid's points, which
+    have negative coordinates."""
     spec = _kernel_spec(variant, kind, l)
     rs = np.geomspace(1e-4, 80.0, charclasses._CHUNK // 4 + 3)
     assert (8 * rs.size) % charclasses._CHUNK
-    grids = [(rs, None, 8)]
-    got, _ = charclasses._density_samples(spec, grids, ())
+    grids, ends = [(rs, None, 8)], (1e-4, 80.0)
+    assert np.all((grid_points(grids) < 0.0).any(axis=0))
+    got, _ = charclasses._density_samples(spec, grids, ends)
     monkeypatch.setattr(geometry, "_metric_jet_arrays",
                         frozen_metric_jet_arrays)
     monkeypatch.setattr(geometry, "_riemann_from_arrays",
                         frozen_riemann_from_arrays)
-    _same_bits(got, charclasses._density_samples(spec, grids, ())[0])
+    _same_bits(got, charclasses._density_samples(spec, grids, ends)[0])
 
 
 @pytest.mark.parametrize("variant", list(Variant))

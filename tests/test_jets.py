@@ -50,16 +50,6 @@ def test_jet_matches_finite_differences(expr):
     assert np.allclose(out.hess[:, :, 0], hess, atol=1e-4)
 
 
-def test_variable_square_matches_the_product():
-    xyz = np.random.default_rng(3).uniform(-2.0, 2.0, (9, 3))
-    for i in range(3):
-        x = Jet.variable(xyz[:, i], i)
-        square = Jet.variable_square(xyz[:, i], i)
-        for mine, theirs in zip((square.val, square.grad, square.hess),
-                                ((x * x).val, (x * x).grad, (x * x).hess)):
-            assert np.array_equal(mine, theirs)
-
-
 def test_jet_reciprocal_and_power():
     x = Jet.variable(np.array([2.0]), 0)
     y = (x * x * x).reciprocal()

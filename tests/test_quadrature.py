@@ -146,7 +146,8 @@ def test_both_densities_sample_the_grid_points(monkeypatch):
     """The points whose wedges _bulk_geometry caches and the points that
     _density_samples sends to curvature_form_chunks are both
     grid_points(grids), byte for byte."""
-    grids = sweep_grids(QuadratureSpec(n_r=64), [32, 64])
+    quad = QuadratureSpec(n_r=64)
+    grids, ends = sweep_grids(quad, [32, 64]), (quad.r_min, quad.r_max)
     seen = {}
     field_geometry = gauge._field_strength_geometry
     chunks = charclasses.curvature_form_chunks
@@ -164,9 +165,9 @@ def test_both_densities_sample_the_grid_points(monkeypatch):
                         curvature_points)
     gauge._bulk_geometry.cache_clear()
     gauge._bulk_densities(InstantonData([InstantonChannel(0.3, 1.0)]),
-                          grids, (), 1.0)
+                          grids, ends, 1.0)
     gauge._bulk_geometry.cache_clear()
-    charclasses._density_samples(MetricSpec(), grids, ())
+    charclasses._density_samples(MetricSpec(), grids, ends)
     points = grid_points(grids).tobytes()
     assert seen["bulk"].tobytes() == points == seen["curvature"].tobytes()
 
@@ -225,13 +226,17 @@ def test_isotropy_check_refuses_nan():
 def test_nan_off_the_first_direction_raises(sweep):
     """A NaN that only the checked grid's other directions hold raises
     ConvergenceError with the sums as its history, rather than returning a
-    NaN direction term."""
+    NaN direction term; the message names that grid and the NaN's radius."""
     quad, grids, densities = tilted_sweep(sweep)
     densities[0][7, 2] = np.nan
     with pytest.raises(ConvergenceError) as exc:
         integrate_radial(grids, densities, quad, sweep)
     assert [n for n, _ in exc.value.history] == [sweep[0] // 2, sweep[0]]
     assert all(np.isfinite(value) for _, value in exc.value.history)
+    (r, _, _), *_ = grids
+    assert str(exc.value) == (
+        f"radial integral is not finite: the {len(r)}-node grid is not "
+        f"finite at r = {float(r[7])!r}")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -239,13 +244,20 @@ def test_nan_off_the_first_direction_raises(sweep):
 def test_non_finite_coarse_grid_raises(bad):
     """A non-finite sample on the coarse grid of a row alone raises, rather
     than returning a non-finite error estimate; the history keeps the
-    finite fine sum."""
+    finite fine sum, and the message names the coarse grid and the first
+    radius whose sample is not finite."""
     quad, grids, densities = tilted_sweep([64])
     densities[0][3, 0] = bad
+    densities[0][9, 1] = bad
     with pytest.raises(ConvergenceError) as exc:
         integrate_radial(grids, densities, quad, [64])
     (_, coarse), (_, fine) = exc.value.history
     assert not np.isfinite(coarse) and np.isfinite(fine)
+    (r, _, _), *_ = grids
+    assert len(r) == 32
+    assert str(exc.value) == (
+        "radial integral is not finite: the 32-node grid is not finite at "
+        f"r = {float(r[3])!r}")
 
 
 def test_determinism_bitwise():
