@@ -34,7 +34,10 @@ every side the file records the minimum (and the median) over N runs of:
   only this figure resolves a saving below a millisecond per op.
 
 Each side also records the SHA-256 of every report each mode writes, and
-``moved`` lists the modes whose reports differ between sides. Rounds
+``moved`` lists the modes whose reports differ between sides, and the size
+of its package: ``src_lines``, the lines of ``src/tnindex/*.py`` as
+``wc -l`` counts them, and ``src_code_lines``, those that are neither
+blank, a comment nor part of a docstring (found with ``ast``). Rounds
 alternate the order of the sides, so a slow spell of a shared host falls
 on both. BLAS runs one thread and every process runs on the lowest CPU of
 this process's affinity set. Reports are checked for exit code 0 only;
@@ -44,6 +47,7 @@ their values are the tier-1 tests' business.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import os
@@ -218,6 +222,27 @@ def moved(reports: dict) -> list:
             if any(side[mode] != first[mode] for side in rest)]
 
 
+def source_lines(package: Path) -> dict:
+    """src_lines, the newlines of the package's modules (``wc -l
+    *.py``), and src_code_lines, their lines that are not blank, not a
+    comment and not in a docstring."""
+    total = code = 0
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)) \
+                    and ast.get_docstring(node, clean=False) is not None:
+                doc = node.body[0]
+                docstrings.update(range(doc.lineno, doc.end_lineno + 1))
+        total += text.count("\n")
+        code += sum(1 for k, line in enumerate(text.splitlines(), 1)
+                    if k not in docstrings and line.strip()
+                    and not line.lstrip().startswith("#"))
+    return {"src_lines": total, "src_code_lines": code}
+
+
 def one_round(checkout: Path, config: Path, scratch: Path, inner: int):
     """One run of every measurement on one checkout: ({name: seconds, or
     a list of per-op seconds}, {mode: report digests})."""
@@ -312,7 +337,9 @@ def main(argv=None) -> int:
         "repeat": args.repeat,
         "inner": args.inner,
         "moved": moved(reports),
-        "sides": {name: {**git_state(sides[name]), **summary(runs[name]),
+        "sides": {name: {**git_state(sides[name]),
+                         **source_lines(sides[name] / "src" / "tnindex"),
+                         **summary(runs[name]),
                          "absent_sites": [site for site in KERNEL_SITES
                                           if site not in runs[name][0]],
                          "reports": reports[name]}

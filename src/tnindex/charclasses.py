@@ -117,25 +117,19 @@ def chern_simons(spec: MetricSpec, r):
 
 def convergence_table(spec: MetricSpec, quad: QuadratureSpec, n_r_values):
     """Rows (n_r, value, error_estimate, tail_bound) for a grid sweep of
-    the normalized tr R^R integral: the quadrature over [r_min, r_max] of
-    `integrate_radial`, with its fine/coarse difference as the error, plus
-    the exact ends P(r_min) - 1/12 and 1/6 - P(r_max) of `chern_simons`;
-    the tail bound is the direction term of `integrate_radial` plus the
-    roundoff of the ends and of the sum.  A non-finite end raises
-    ConvergenceError, with the ends (r, P) as its history, before any
-    curvature runs.
-
-    One _density_samples call samples every grid of `sweep_grids` and the
-    ends.  A point's curvature does not depend on the rest of its batch,
-    so sharing a batch changes no bit."""
+    the normalized tr R^R integral: `integrate_radial` with the ends
+    P(r_min), P(r_max) of `chern_simons` and the limits 1/12 and 1/6; the
+    tail bound is its direction term plus the roundoff of the ends and of
+    the sum.  One _density_samples call samples every grid and the ends: a
+    point's curvature does not depend on its batch, so no bit moves."""
     grids = sweep_grids(quad, n_r_values)
     densities, (p_min, p_max) = _density_samples(
         spec, grids, (quad.r_min, quad.r_max))
-    head, tail = p_min - 1.0 / 12.0, 1.0 / 6.0 - p_max
-    return [(n, middle + head + tail, error, direction
+    return [(n, value, error, direction
              + ROUNDOFF * (mass + abs(p_min) + abs(p_max)))
-            for n, middle, error, direction, mass
-            in integrate_radial(grids, densities, quad, n_r_values)]
+            for n, value, error, direction, mass in integrate_radial(
+                grids, densities, quad, n_r_values, ([p_min], [p_max]),
+                ([1.0 / 12.0], [1.0 / 6.0]))]
 
 
 def pontryagin_integral(spec: MetricSpec, quad: QuadratureSpec):

@@ -251,27 +251,25 @@ def _bulk_densities(data: InstantonData, grids, ends, l: float = 1.0):
 
 
 def bulk_action(data: InstantonData, quad: QuadratureSpec, l: float = 1.0):
-    """-(1/8 pi^2) int_TN tr F^F as (value, error_estimate): the radial
-    quadrature over [r_min, r_max] plus the exact head and tail, since each
-    channel's density is d/dr(-(c - mcharge)^2 / 2), with c(0) = mcharge
-    and c(infinity) = lam.  The quadrature is the one-row sweep [quad.n_r]
-    of `integrate_radial`, on the density of both its grids from one
-    _bulk_densities pass, which also gives c - mcharge at r_min and r_max
-    for the head and tail; the error is the grid refinement difference
-    plus the direction term plus a roundoff floor, whose absolute term,
-    the smallest normal double, covers subnormal rounding."""
+    """-(1/8 pi^2) int_TN tr F^F as (value, error_estimate):
+    `integrate_radial` on the one-row sweep [quad.n_r], with each channel's
+    F = -(c - mcharge)^2 / 2 at the ends from the one _bulk_densities pass
+    and its limits 0, as c(0) = mcharge, and -(lam - mcharge)^2 / 2, as
+    c(infinity) = lam.  The error is the grid refinement difference plus
+    the direction term plus a roundoff floor, whose absolute term, the
+    smallest normal double, covers subnormal rounding."""
     grids = sweep_grids(quad, [quad.n_r])
-    densities, (c_min, c_max) = _bulk_densities(
-        data, grids, (quad.r_min, quad.r_max), l)
-    [(_, middle, error, direction, _)] = integrate_radial(
-        grids, densities, quad, [quad.n_r])
-    head = tail = 0.0
-    for ch, lo, hi in zip(data.channels, c_min.tolist(), c_max.tolist()):
-        head -= 0.5 * (lo * lo)
-        tail -= 0.5 * ((ch.lam - ch.mcharge) ** 2 - hi * hi)
+    densities, c_ends = _bulk_densities(data, grids,
+                                        (quad.r_min, quad.r_max), l)
+    gaps = [ch.lam - ch.mcharge for ch in data.channels]
+    [(_, value, error, direction, _)] = integrate_radial(
+        grids, densities, quad, [quad.n_r],
+        (-0.5 * (c_ends * c_ends)).tolist(),
+        # d * d, since d ** 2 raises OverflowError where d * d is inf
+        ([0.0] * data.rank, [-0.5 * (d * d) for d in gaps]))
     floor = ROUNDOFF * sum(ch.lam**2 + ch.mcharge**2 for ch in data.channels) \
         + sys.float_info.min
-    return middle + head + tail, error + direction + floor
+    return value, error + direction + floor
 
 
 def bulk_action_closed_form(data: InstantonData) -> float:

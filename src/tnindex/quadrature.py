@@ -11,8 +11,7 @@ import numpy as np
 
 from .errors import ConvergenceError, IsotropyError
 
-# relative roundoff allowed for a sum of a few hundred terms and for the
-# closed-form ends that the radial integrals add to their quadrature
+# relative roundoff allowed for a sum of a few hundred terms and its ends
 ROUNDOFF = 16.0 * np.finfo(float).eps
 
 
@@ -180,25 +179,33 @@ def _first_non_finite(grids, densities):
     return ""
 
 
-def integrate_radial(grids, densities, quad: QuadratureSpec, n_r_values):
-    """Rows (n_r, value, error, direction, mass) of a radial sweep over
-    [r_min, r_max] from the `sweep_grids` of n_r_values and the density on
-    each, shape (len(r), directions).
+def integrate_radial(grids, densities, quad: QuadratureSpec, n_r_values,
+                     ends, limits):
+    """Rows (n_r, value, error, direction, mass) of the integral over r > 0
+    of a density dF/dr, F = sum_j F_j, from the `sweep_grids` of n_r_values
+    and the density on each, shape (len(r), directions), and the floats
+    ends (F_j(r_min)), (F_j(r_max)) and limits (F_j(0+)), (F_j(infinity)).
 
     The one isotropy check runs on the checked grid against quad.tol.  Its
     first direction is its value; its sum |w spread| (`angular_spread`) is
-    the direction term, the cost of one direction.  A row's value is the
-    sum on its grid of n_r nodes in node order (`ordered_dot`, so
-    bit-stable), its error the difference from the half-size grid and its
-    mass sum |w rho|.  A non-finite sum, direction term or mass raises
-    ConvergenceError, with both sums as its history and the grid and the
-    radius of the first non-finite sample in its message.  One on the
-    checked grid skips the isotropy check and fails at the first row."""
+    the direction term, the cost of one direction.  A row's value is its
+    fine sum over [r_min, r_max], on its grid of n_r nodes in node order
+    (`ordered_dot`, so bit-stable), plus the head sum_j [F_j(r_min) -
+    F_j(0+)] and the tail sum_j [F_j(infinity) - F_j(r_max)], each summed
+    from 0.0 in component order; its error is the fine sum's difference
+    from the half-size grid's and its mass sum |w rho|.  A non-finite
+    value, coarse sum, direction term or mass raises ConvergenceError,
+    with both sums as its history and the grid and the radius of the first
+    non-finite sample in its message.  One on the checked grid skips the
+    isotropy check and fails at the first row."""
     (_, w_check, _), checked = grids[0], densities[0]
     _, spread = angular_spread(checked)
     direction = float(spread @ w_check)
     if math.isfinite(direction):
         require_isotropy(checked, spread, quad.tol)
+    head = tail = 0.0
+    for at_min, at_max, at_zero, at_inf in zip(*ends, *limits):
+        head, tail = head + (at_min - at_zero), tail + (at_inf - at_max)
     # contiguous: np.dot sums a strided column in another order
     sampled = {len(r): (w, np.ascontiguousarray(d[:, 0]))
                for (r, w, _), d in zip(grids, densities)}
@@ -207,11 +214,11 @@ def integrate_radial(grids, densities, quad: QuadratureSpec, n_r_values):
         (w_f, fine), (w_c, coarse) = sampled[n], sampled[n // 2]
         value = float(ordered_dot(fine, w_f))
         coarse_value = float(ordered_dot(coarse, w_c))
-        mass = float(np.abs(fine) @ w_f)
-        if not all(map(math.isfinite, (value, coarse_value, direction,
+        mass, total = float(np.abs(fine) @ w_f), value + head + tail
+        if not all(map(math.isfinite, (total, coarse_value, direction,
                                        mass))):
             raise ConvergenceError("radial integral is not finite"
                                    + _first_non_finite(grids, densities),
                                    [(n // 2, coarse_value), (n, value)])
-        rows.append((n, value, abs(value - coarse_value), direction, mass))
+        rows.append((n, total, abs(value - coarse_value), direction, mass))
     return rows

@@ -172,3 +172,29 @@ def test_report_digests_hash_every_report(tmp_path):
     assert collect.moved({"parent": same, "change": dict(same)}) == []
     other = dict(same, eta_all={"eta_routes.csv": "0" * 64})
     assert collect.moved({"parent": same, "change": other}) == ["eta_all"]
+
+
+def test_source_lines_count_lines_and_code_lines(tmp_path):
+    """src_lines counts every line as wc -l does; src_code_lines leaves out
+    blank lines, comments and the docstrings of the module, its classes
+    and its functions, but keeps any other string."""
+    (tmp_path / "a.py").write_text(
+        '"""Module\ndocstring."""\n'
+        "\n"
+        "# a comment\n"
+        "X = 1  # code with a comment\n"
+        "\n"
+        "def f():\n"
+        '    """One line."""\n'
+        '    return """not\n'
+        'a docstring"""\n')
+    (tmp_path / "b.py").write_text(
+        "class C:\n"
+        '    """Class\n'
+        '    docstring."""\n'
+        "\n"
+        "    async def g(self):\n"
+        "        pass\n")
+    (tmp_path / "notes.txt").write_text("not python\n")
+    assert collect.source_lines(tmp_path) == {"src_lines": 16,
+                                              "src_code_lines": 7}

@@ -300,7 +300,8 @@ def _grid_by_grid_rows(spec, quad, n_r_values):
              + (1.0 / 6.0 - float(p_max)), error, direction
              + ROUNDOFF * (mass + abs(p_min) + abs(p_max)))
             for n, middle, error, direction, mass
-            in integrate_radial(grids, densities, quad, n_r_values)]
+            in integrate_radial(grids, densities, quad, n_r_values, ([], []),
+                                ([], []))]
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -335,7 +336,8 @@ def _mean_rows(spec, quad, n_r_values):
     return [(middle + (p_min - TARGET) + (1.0 / 6.0 - p_max), error,
              ROUNDOFF * (mass + abs(p_min) + abs(p_max)))
             for _, middle, error, _, mass
-            in integrate_radial(grids, means, quad, n_r_values)]
+            in integrate_radial(grids, means, quad, n_r_values, ([], []),
+                                ([], []))]
 
 
 def test_one_direction_is_within_its_direction_term():
@@ -362,6 +364,22 @@ def test_one_direction_is_within_its_direction_term():
             was = abs(mean[0] - TARGET) / (mean[1] + mean[2])
             assert ratio <= 1.0 if was <= 1.0 else \
                 ratio == pytest.approx(was, rel=1e-4), where
+
+
+def test_a_readme_row_is_within_its_error_of_one_twelfth():
+    """The n_r 256 row of the README sweep for Homotopy quintic at l = 3,
+    t = 0.6 misses 1/12 by 0.585 of error + tail bound, so an error
+    estimate that halves its fine/coarse difference (1.17) fails here.
+    Other rows of the README grid miss by more than their error today; the
+    Pontryagin honesty scan and the knotted grid that mends them are
+    ROADMAP items 4 and 1.  Item 1 moves this row's numbers but keeps this
+    assertion."""
+    spec = MetricSpec(variant=Variant.HOMOTOPY, t=0.6, l=3.0,
+                      blend=BlendProfile(kind="quintic"))
+    *_, (n, value, error, tail) = convergence_table(
+        spec, QuadratureSpec(), [64, 128, 256])
+    assert n == 256
+    assert abs(value - TARGET) <= error + tail
 
 
 def _used_workspaces(monkeypatch):

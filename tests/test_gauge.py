@@ -3,6 +3,7 @@ data."""
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -320,6 +321,40 @@ def test_bulk_path_keeps_the_per_channel_bits(rank, cold, l, n_ang,
     assert [d.tobytes() for d in again] == [d.tobytes() for d in densities]
     assert again_ends.tobytes() == c_ends.tobytes()
     assert np.array(bulk_action(data, quad, l)).tobytes() == bulk.tobytes()
+
+
+def per_channel_bulk_action(data, quad, l):
+    """bulk_action with the ends assembled channel by channel, as before
+    integrate_radial took them: the middle of a sweep with no closed-form
+    components, then the head -(c - mcharge)^2 / 2 at r_min and the tail
+    -((lam - mcharge)^2 - (c - mcharge)^2) / 2 at r_max of each channel."""
+    grids = quadrature.sweep_grids(quad, [quad.n_r])
+    densities, (c_min, c_max) = gauge._bulk_densities(
+        data, grids, (quad.r_min, quad.r_max), l)
+    [(_, middle, error, direction, _)] = quadrature.integrate_radial(
+        grids, densities, quad, [quad.n_r], ([], []), ([], []))
+    head = tail = 0.0
+    for ch, lo, hi in zip(data.channels, c_min.tolist(), c_max.tolist()):
+        head -= 0.5 * (lo * lo)
+        tail -= 0.5 * ((ch.lam - ch.mcharge) ** 2 - hi * hi)
+    floor = ROUNDOFF * sum(ch.lam**2 + ch.mcharge**2 for ch in data.channels) \
+        + sys.float_info.min
+    return middle + head + tail, error + direction + floor
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("l", [0.2, 1.0, 6.0])
+@pytest.mark.parametrize("n_ang", [2, 8])
+def test_bulk_ends_keep_the_per_channel_bits(rank, l, n_ang):
+    """integrate_radial's ends, summed in channel order from 0.0, give the
+    bulk action of the per-channel head and tail byte for byte, as Python
+    floats."""
+    data = InstantonData(FOUR_CHANNELS.channels[:rank])
+    quad = QuadratureSpec(n_ang=n_ang)
+    value, error = bulk_action(data, quad, l)
+    assert type(value) is float
+    assert np.array([value, error]).tobytes() == \
+        np.array(per_channel_bulk_action(data, quad, l)).tobytes()
 
 
 def test_bulk_density_independent_of_batch():

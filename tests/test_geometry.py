@@ -331,6 +331,31 @@ def test_batched_curvature_refuses_points_off_the_chart(route):
             assert np.all(np.isfinite(out))
 
 
+def test_curvature_at_checks_the_chart_once(monkeypatch):
+    """Each curvature_at call checks the chart once: the jet route in the
+    point jets of curvature_batch, the fd route before its stencil.  An
+    unknown method raises ValueError before any chart check, on the chart
+    or off it."""
+    calls, check = [], geometry._check_chart
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(geometry, "_check_chart", counted)
+    spec = MetricSpec(variant=Variant.HOMOTOPY, t=0.4)
+    p = Point(0.6, -0.3, 0.74)
+    for method in ("jet", "fd"):
+        calls.clear()
+        curvature_at(spec, p, method=method)
+        assert len(calls) == 1, method
+    for point in (p, Point(0.0, 0.0, 0.5), Point(0.0, 0.0, 0.0)):
+        calls.clear()
+        with pytest.raises(ValueError, match="unknown method"):
+            curvature_at(spec, point, method="bogus")
+        assert calls == []
+
+
 def _expand(val, grad, hess, idx):
     """A jet table of geometry._metric_jet_arrays as point-last arrays g
     (4,4,n), dg (3,4,4,n) with dg[e, a, b] = d_e g_ab, and d2g (3,3,4,4,n)."""

@@ -13,6 +13,8 @@ from tnindex.quadrature import (QuadratureSpec, angular_points, grid_points,
                                 integrate_radial, per_grid, radial_nodes,
                                 sweep_grids)
 
+NO_ENDS = ([], [])  # a density with no closed-form components
+
 
 def integrate(f, quad, n_r=None):
     """(value, error) of the radial density f, the same in every direction,
@@ -20,7 +22,8 @@ def integrate(f, quad, n_r=None):
     n = quad.n_r if n_r is None else n_r
     grids = sweep_grids(quad, [n])
     densities = [np.repeat(f(r)[:, None], k, axis=1) for r, _, k in grids]
-    [(_, value, error, _, _)] = integrate_radial(grids, densities, quad, [n])
+    [(_, value, error, _, _)] = integrate_radial(grids, densities, quad, [n],
+                                                 NO_ENDS, NO_ENDS)
     return value, error
 
 
@@ -137,9 +140,11 @@ def test_per_grid_splits_the_grid_points_back(sweep):
     assert all(np.shares_memory(v, index) for v in views)
     assert np.array_equal(np.concatenate([v.ravel() for v in views]), index)
     flat = np.concatenate([np.repeat(np.exp(-r), k) for r, _, k in grids])
-    assert integrate_radial(grids, per_grid(flat, grids), quad, sweep) == \
+    assert integrate_radial(grids, per_grid(flat, grids), quad, sweep,
+                            NO_ENDS, NO_ENDS) == \
         integrate_radial(grids, [np.repeat(np.exp(-r)[:, None], k, axis=1)
-                                 for r, _, k in grids], quad, sweep)
+                                 for r, _, k in grids], quad, sweep,
+                         NO_ENDS, NO_ENDS)
 
 
 def test_both_densities_sample_the_grid_points(monkeypatch):
@@ -180,7 +185,8 @@ def test_integrate_radial_takes_the_first_direction():
     grids = sweep_grids(quad, [32, 64])
     tilt = np.array([1.0, 1.001, 0.998])
     densities = [np.exp(-r)[:, None] * tilt[:k] for r, _, k in grids]
-    rows = integrate_radial(grids, densities, quad, [32, 64])
+    rows = integrate_radial(grids, densities, quad, [32, 64], NO_ENDS,
+                            NO_ENDS)
     r16, w16, _ = grids[0]
     spread = np.exp(-r16) * 0.005 / 3.0
     for (n, value, error, direction, mass), (ref, _) in zip(
@@ -190,7 +196,53 @@ def test_integrate_radial_takes_the_first_direction():
         assert direction == pytest.approx(spread @ w16, rel=1e-12)
     with pytest.raises(IsotropyError):
         integrate_radial(grids, densities, QuadratureSpec(n_ang=3, tol=1e-4),
-                         [32, 64])
+                         [32, 64], NO_ENDS, NO_ENDS)
+
+
+def test_integrate_radial_adds_the_exact_ends():
+    """A row's value is its fine sum plus the head sum_j [F_j(r_min) -
+    F_j(0+)] and the tail sum_j [F_j(infinity) - F_j(r_max)], each summed
+    from 0.0 in component order; its error, direction term and mass are
+    the sums' alone.  F = -1/(2 (2r + 1)^2) in three shares, whose
+    r-derivative is the density, gives the integral over r > 0, 1/2."""
+    quad = QuadratureSpec(n_ang=2)
+    grids, sweep = sweep_grids(quad, [64, 128]), [64, 128]
+    densities = [np.repeat((2.0 / (2.0 * r + 1.0) ** 3)[:, None], k, axis=1)
+                 for r, _, k in grids]
+    shares = [0.7, 1e-3, 0.299]
+    ends = tuple([-0.5 * s / (2.0 * r + 1.0) ** 2 for s in shares]
+                 for r in (quad.r_min, quad.r_max))
+    limits = ([-0.5 * s for s in shares], [0.0] * 3)
+    rows = integrate_radial(grids, densities, quad, sweep, ends, limits)
+    bare = integrate_radial(grids, densities, quad, sweep, NO_ENDS, NO_ENDS)
+    head = tail = 0.0
+    for at_min, at_max, at_zero, at_inf in zip(*ends, *limits):
+        head += at_min - at_zero
+        tail += at_inf - at_max
+    for (n, value, *rest), (m, fine, *bare_rest) in zip(rows, bare):
+        assert n == m and rest == bare_rest
+        assert value == fine + head + tail
+        assert abs(value - 0.5) <= rest[0] + 1e-12
+
+
+@pytest.mark.parametrize("slot", range(4))
+def test_non_finite_end_raises(slot):
+    """An end or a limit that is not finite fails the row's finite check,
+    with the quadrature's finite sums as the history."""
+    quad = QuadratureSpec(n_ang=2)
+    grids = sweep_grids(quad, [64])
+    densities = [np.repeat(np.exp(-r)[:, None], k, axis=1)
+                 for r, _, k in grids]
+    values = [[0.5, 0.0], [0.25, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    values[slot][1] = np.inf
+    with pytest.raises(ConvergenceError) as exc:
+        integrate_radial(grids, densities, quad, [64], values[:2], values[2:])
+    [(_, fine, *_)] = integrate_radial(grids, densities, quad, [64], NO_ENDS,
+                                       NO_ENDS)
+    assert [n for n, _ in exc.value.history] == [32, 64]
+    assert exc.value.history[1][1] == fine
+    assert all(np.isfinite(value) for _, value in exc.value.history)
+    assert str(exc.value) == "radial integral is not finite"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -230,7 +282,7 @@ def test_nan_off_the_first_direction_raises(sweep):
     quad, grids, densities = tilted_sweep(sweep)
     densities[0][7, 2] = np.nan
     with pytest.raises(ConvergenceError) as exc:
-        integrate_radial(grids, densities, quad, sweep)
+        integrate_radial(grids, densities, quad, sweep, NO_ENDS, NO_ENDS)
     assert [n for n, _ in exc.value.history] == [sweep[0] // 2, sweep[0]]
     assert all(np.isfinite(value) for _, value in exc.value.history)
     (r, _, _), *_ = grids
@@ -250,7 +302,7 @@ def test_non_finite_coarse_grid_raises(bad):
     densities[0][3, 0] = bad
     densities[0][9, 1] = bad
     with pytest.raises(ConvergenceError) as exc:
-        integrate_radial(grids, densities, quad, [64])
+        integrate_radial(grids, densities, quad, [64], NO_ENDS, NO_ENDS)
     (_, coarse), (_, fine) = exc.value.history
     assert not np.isfinite(coarse) and np.isfinite(fine)
     (r, _, _), *_ = grids
