@@ -10,7 +10,9 @@ every side the file records the minimum (and the median) over N runs of:
 - each CLI mode end to end in a fresh interpreter, on the configuration
   document of that checkout's README.md, written to a scratch directory;
 - in process: one ``convergence_table`` sweep at that configuration, its
-  minor page faults (``convergence_table_minflt``, from ``getrusage``),
+  minor page faults (``convergence_table_minflt``, from ``getrusage``, with
+  the sweeps run back to back before the other in-process timings, so
+  that the count is the sweep's own),
   its system time (``convergence_table_stime``, the mean ``ru_stime`` per
   sweep over a round's sweeps, since one sweep takes less than a tick),
   its calls of each of the ``COUNTED_SITES`` of ``geometry``
@@ -24,9 +26,9 @@ every side the file records the minimum (and the median) over N runs of:
 - in process: the bulk density layer, one ``gauge.bulk_action`` call on
   the configuration's channels and quadrature. ``bulk_action_first`` is
   the first call in a fresh interpreter, before any grid is built, and
-  ``bulk_action`` the minimum over the later calls, one per sweep;
+  ``bulk_action`` the minimum over the later calls, one per round;
 - in process: ``load_config``, the seconds per ``cli.load_config`` call on
-  the configuration in ``index`` mode, the mean of 1,000 calls per sweep;
+  the configuration in ``index`` mode, the mean of 1,000 calls per round;
 - in process: ``main_<mode>``, the time per op of ``tnindex.cli.main``
   for each mode, called ``OPS`` times in one interpreter per round. Its
   minimum and median are over every op of every round. A fresh
@@ -79,12 +81,13 @@ COUNTED_SITES = ("_radial_coeffs", "curvature_forms")
 OPS = 20
 
 # In-process child: min over its own repeats of one sweep, its minor page
-# faults and its calls of each counted site that geometry has, of the time
-# the sweep spends in each wrapped kernel that geometry has, of the time
-# per lambda of each eta route over the config's lambdas, of one
-# bulk_action call on the config's channels and of one load_config call in
-# index mode (the mean of LOADS calls, on arguments parsed once), and the
-# mean system time per sweep over its repeats, as one JSON line.
+# faults and its calls of each counted site that geometry has, and of the
+# time the sweep spends in each wrapped kernel that geometry has, the
+# sweeps run back to back; then, as many rounds again, min of the time per
+# lambda of each eta route over the config's lambdas, of one bulk_action
+# call on the config's channels and of one load_config call in index mode
+# (the mean of LOADS calls, on arguments parsed once); and the mean system
+# time per sweep over its repeats, as one JSON line.
 # bulk_action_first is the child's first bulk_action call, made before
 # anything else samples a grid.
 # Arguments: config path, repeats, then the timed site names.
@@ -131,6 +134,11 @@ for name in {*spent, *calls}:
         if getattr(module, name, None) is fn:
             setattr(module, name, wrapped(name, fn))
 best, sweeps, stime = {}, int(sys.argv[2]), 0.0
+
+def keep(lap):
+    best.update((k, min(v, best.get(k, v))) for k, v in lap.items())
+
+# the sweeps run back to back, so that a sweep's faults are its own
 for _ in range(sweeps):
     spent.update(dict.fromkeys(spent, 0.0))
     calls.update(dict.fromkeys(calls, 0))
@@ -142,6 +150,9 @@ for _ in range(sweeps):
     stime += usage().ru_stime - sys_t0
     lap.update((f"convergence_table_{name.lstrip('_')}_calls", calls[name])
                for name in calls)
+    keep(lap)
+for _ in range(sweeps):
+    lap = {}
     for route in eta.ROUTES:
         t0 = time.perf_counter()
         for lam in cfg["lambdas"]:
@@ -155,7 +166,7 @@ for _ in range(sweeps):
     for _ in range(LOADS):
         cli.load_config(raw, index_args)
     lap["load_config"] = (time.perf_counter() - t0) / LOADS
-    best = {k: min(v, best.get(k, v)) for k, v in lap.items()}
+    keep(lap)
 best["convergence_table_stime"] = stime / sweeps
 print(json.dumps({**first, **best}))
 """

@@ -12,8 +12,7 @@ from .errors import ConvergenceError
 from .geometry import (_EPS4, Gauge, MetricSpec, _seed_chart,
                        curvature_form_chunks, wedge4)
 from .jets import Jet
-from .quadrature import (ROUNDOFF, QuadratureSpec, grid_points,
-                         grid_set_key, integrate_radial, key_grids, per_grid,
+from .quadrature import (ROUNDOFF, GridSet, QuadratureSpec, integrate_radial,
                          sweep_grids)
 
 PONT_NORM = 1.0 / (192.0 * np.pi**2)
@@ -30,22 +29,20 @@ _CHUNK = 352  # points per curvature batch, to bound the working set
 
 
 @lru_cache(maxsize=4)
-def _sweep_geometry(grid_set: tuple, ends: tuple):
-    """The metric-free half of _density_samples on a grid set, a
-    `grid_set_key` whose points are `grid_points`: the points, a
-    jets.SharedSeed over the r of their _seed_chart in the default gauge
-    and the radii ends, which hold no point, and that chart.  Built once
-    per grid set and shared, so every array is read-only."""
-    xyz = grid_points(key_grids(grid_set))
-    xyz.flags.writeable = False
-    chart = jets.read_only(*_seed_chart(xyz, Gauge.DEFAULT))
-    return xyz, jets.SharedSeed(np.concatenate([chart[0].val, ends])), chart
+def _sweep_geometry(grid_set: GridSet):
+    """The metric-free half of _density_samples on a grid set: a
+    jets.SharedSeed over the r of the _seed_chart of its points in the
+    default gauge and its end radii, which hold no point, and that chart.
+    Built once per grid set and shared, so every array is read-only."""
+    chart = jets.read_only(*_seed_chart(grid_set.points, Gauge.DEFAULT))
+    radius = np.concatenate([chart[0].val, grid_set.ends])
+    return jets.SharedSeed(radius), chart
 
 
-def _density_samples(spec: MetricSpec, grids, ends):
-    """Density on every grid (r, w, directions) of grids, one (len(r),
-    directions) array per grid in grid order, and P at the two radii ends,
-    (P(r_min), P(r_max)).
+def _density_samples(spec: MetricSpec, grid_set: GridSet):
+    """Density on every grid (r, w, directions) of the grid_set, one
+    (len(r), directions) array per grid in grid order, and P at its end
+    radii, (P(r_min), P(r_max)).
 
     With sqrt(det g) = sqrt(A^3 C) the tr(R^R) coefficient against the
     coordinate volume is the trace of the wedge of the coordinate curvature
@@ -53,15 +50,16 @@ def _density_samples(spec: MetricSpec, grids, ends):
     level-set volume 8 pi^2 r^2 and PONT_NORM it is the radial density
     rho(r) whose r-integral is (1/192 pi^2) int tr R^R.
 
-    One radial jet of A and C runs over the radii of every point of
-    `grid_points` and the ends, from the shared seed of _sweep_geometry,
-    and the ends' chern_simons bracket must be finite before any curvature
-    runs, else ConvergenceError, with the ends (r, P) as its history; the
+    One radial jet of A and C runs over the radii of every point of the
+    set and the ends, from the shared seed of _sweep_geometry, and the
+    ends' chern_simons bracket must be finite before any curvature runs,
+    else ConvergenceError, with the ends (r, P) as its history; the
     points then go through curvature_form_chunks together, each chunk
     lifting its slice onto its slice of the cached chart jets.  All of it
     is elementwise, so every density and end keeps the bits of a call of
     its own."""
-    xyz, radius, chart = _sweep_geometry(grid_set_key(grids), tuple(ends))
+    xyz, grids = grid_set.points, grid_set.grids
+    radius, chart = _sweep_geometry(grid_set)
     # read from geometry at call time, as geometry's own callers read it,
     # so that one wrapper there sees every radial pass
     radial = geometry._radial_coeffs(spec, radius)
@@ -72,7 +70,7 @@ def _density_samples(spec: MetricSpec, grids, ends):
     if bad:
         raise ConvergenceError(
             "Chern-Simons end not finite: " + ", ".join(bad),
-            [(r, float(p)) for r, p in zip(ends, p_ends)])
+            [(r, float(p)) for r, p in zip(grid_set.ends, p_ends)])
     # tr(R^R) = sum_ab R_ab ^ R_ba, wedge4 against the transpose; the 16
     # entries are added row by row, since a reduction inside numpy changes
     # its order when a chunk holds a single point
@@ -81,7 +79,7 @@ def _density_samples(spec: MetricSpec, grids, ends):
         for f in curvature_form_chunks(spec, xyz, _CHUNK,
                                        [*(y[:n] for y in radial), *chart])])
     return ([(PONT_NORM * 8.0 * np.pi**2 * r * r)[:, None] * t
-             for (r, _, _), t in zip(grids, per_grid(trace, grids))],
+             for (r, _, _), t in zip(grids, grid_set.split(trace))],
             tuple(float(p) for p in p_ends))
 
 
@@ -122,13 +120,12 @@ def convergence_table(spec: MetricSpec, quad: QuadratureSpec, n_r_values):
     tail bound is its direction term plus the roundoff of the ends and of
     the sum.  One _density_samples call samples every grid and the ends: a
     point's curvature does not depend on its batch, so no bit moves."""
-    grids = sweep_grids(quad, n_r_values)
-    densities, (p_min, p_max) = _density_samples(
-        spec, grids, (quad.r_min, quad.r_max))
+    grid_set = sweep_grids(quad, n_r_values)
+    densities, (p_min, p_max) = _density_samples(spec, grid_set)
     return [(n, value, error, direction
              + ROUNDOFF * (mass + abs(p_min) + abs(p_max)))
             for n, value, error, direction, mass in integrate_radial(
-                grids, densities, quad, n_r_values, ([p_min], [p_max]),
+                grid_set, densities, quad, ([p_min], [p_max]),
                 ([1.0 / 12.0], [1.0 / 6.0]))]
 
 

@@ -14,8 +14,7 @@ from .errors import GenericityError
 from .geometry import (PAIRS, Gauge, MetricSpec, Point, Variant,
                        chart_omega, hodge_star, metric_at, two_form_matrix,
                        wedge4)
-from .quadrature import (ROUNDOFF, QuadratureSpec, grid_points,
-                         grid_set_key, integrate_radial, key_grids, per_grid,
+from .quadrature import (ROUNDOFF, GridSet, QuadratureSpec, integrate_radial,
                          sweep_grids)
 
 LAMBDA_TOL = 1e-6
@@ -200,33 +199,31 @@ def field_strength_at(ch: InstantonChannel, p: Point,
 
 
 @lru_cache(maxsize=4)
-def _bulk_geometry(grid_set: tuple, ends: tuple):
-    """The channel-free part of the bulk density on a grid set, a
-    `grid_set_key` whose points are `grid_points`.  Returns the wedges f^f,
-    2 f^w and w^w of f = dr ^ (dtau + omega) and w = d(omega) at every
-    point, shape (3, points); then, at every node radius in grid order
-    followed by the radii ends, which hold no point, the _radial_factors,
-    r^2 and the number of points.  Built once per grid set and shared, so
-    every array is read-only."""
-    grids = key_grids(grid_set)
-    points = grid_points(grids)
+def _bulk_geometry(grid_set: GridSet):
+    """The channel-free part of the bulk density on a grid set.  Returns
+    the wedges f^f, 2 f^w and w^w of f = dr ^ (dtau + omega) and w =
+    d(omega) at every point, shape (3, points); then, at every node radius
+    in grid order followed by the end radii, which hold no point, the
+    _radial_factors, r^2 and the number of points.  Built once per grid
+    set and shared, so every array is read-only."""
+    grids, ends, points = grid_set.grids, grid_set.ends, grid_set.points
     fibered, domega, _ = _field_strength_geometry(points)
     domega = [np.zeros(len(points)) if w is None else w for w in domega]
     wedges = np.stack([wedge4(fibered, fibered),
                        2.0 * wedge4(fibered, domega), wedge4(domega, domega)])
     r = np.concatenate([*(rs for rs, _, _ in grids), ends])
     factors, r2 = _radial_factors(r), r * r
-    directions = np.repeat([k for _, k in grid_set] + [0],
+    directions = np.repeat([k for _, _, k in grids] + [0],
                            [len(rs) for rs, _, _ in grids] + [len(ends)])
     for a in (wedges, *factors, r2, directions):
         a.flags.writeable = False
     return wedges, factors, r2, directions
 
 
-def _bulk_densities(data: InstantonData, grids, ends, l: float = 1.0):
+def _bulk_densities(data: InstantonData, grid_set: GridSet, l: float):
     """-(1/8 pi^2) tr F^F reduced to a per-unit-r density on every grid
-    (r, w, directions) of grids, one (len(r), directions) array per grid in
-    grid order (`per_grid`), and c - mcharge at the radii ends, shape
+    (r, w, directions) of the grid_set, one (len(r), directions) array per
+    grid in grid order, and c - mcharge at its end radii, shape
     (len(ends), rank), from one pass over the radii of both.
 
     Channel by channel tr F^F = -G^G for u(1) blocks, and G = c' f +
@@ -236,8 +233,7 @@ def _bulk_densities(data: InstantonData, grids, ends, l: float = 1.0):
     radius and then meet the wedges that _bulk_geometry caches per point.
     f^f and w^w vanish in exact arithmetic; they are the wedges of the
     actual forms, so the numeric route never assumes it."""
-    wedges, factors, r2, directions = _bulk_geometry(grid_set_key(grids),
-                                                     tuple(ends))
+    wedges, factors, r2, directions = _bulk_geometry(grid_set)
     v = l + factors[0]  # the first radial factor is 1/(2r)
     lam, mcharge = np.array([ch.lam for ch in data.channels]
                             + [ch.mcharge for ch in data.channels]
@@ -247,7 +243,8 @@ def _bulk_densities(data: InstantonData, grids, ends, l: float = 1.0):
     # repeats to no point
     form = np.add.reduce([dc * dc, dc * c_eff, c_eff * c_eff], axis=1) * r2
     density = np.add.reduce(np.repeat(form, directions, axis=1) * wedges)
-    return per_grid(density, grids), c_eff[:, len(r2) - len(ends):].T
+    return grid_set.split(density), \
+        c_eff[:, len(r2) - len(grid_set.ends):].T
 
 
 def bulk_action(data: InstantonData, quad: QuadratureSpec, l: float = 1.0):
@@ -258,13 +255,11 @@ def bulk_action(data: InstantonData, quad: QuadratureSpec, l: float = 1.0):
     c(infinity) = lam.  The error is the grid refinement difference plus
     the direction term plus a roundoff floor, whose absolute term, the
     smallest normal double, covers subnormal rounding."""
-    grids = sweep_grids(quad, [quad.n_r])
-    densities, c_ends = _bulk_densities(data, grids,
-                                        (quad.r_min, quad.r_max), l)
+    grid_set = sweep_grids(quad, [quad.n_r])
+    densities, c_ends = _bulk_densities(data, grid_set, l)
     gaps = [ch.lam - ch.mcharge for ch in data.channels]
     [(_, value, error, direction, _)] = integrate_radial(
-        grids, densities, quad, [quad.n_r],
-        (-0.5 * (c_ends * c_ends)).tolist(),
+        grid_set, densities, quad, (-0.5 * (c_ends * c_ends)).tolist(),
         # d * d, since d ** 2 raises OverflowError where d * d is inf
         ([0.0] * data.rank, [-0.5 * (d * d) for d in gaps]))
     floor = ROUNDOFF * sum(ch.lam**2 + ch.mcharge**2 for ch in data.channels) \

@@ -191,12 +191,10 @@ def chart_omega(xyz, gauge: Gauge = Gauge.DEFAULT):
     """Radius and Cartesian omega components, of shapes (...) and (..., 3),
     at the points xyz of shape (..., 3); raises DomainError or ChartError
     unless every point lies in the chart of the gauge."""
-    x1, x2, x3 = np.moveaxis(np.asarray(xyz, dtype=float), -1, 0)
-    rho2 = x1 * x1 + x2 * x2
-    r = np.sqrt(rho2 + x3 * x3)
-    _check_chart(r, x1, x2, x3, gauge)
-    h = _gauge_factor(r, x3, rho2, gauge)
-    return r, np.stack([-x2 * h, x1 * h, np.zeros_like(h)], axis=-1)
+    x = np.moveaxis(np.asarray(xyz, dtype=float), -1, 0)
+    _check_chart(np.linalg.norm(x, axis=0), *x, gauge)
+    r, *omega = _chart_jets(*x, gauge)
+    return r, np.stack([*omega, np.zeros_like(r)], axis=-1)
 
 
 def potential_and_omega(p: Point, gauge: Gauge = Gauge.DEFAULT):

@@ -4,7 +4,8 @@ logarithmic radial grid, with refinement-based error estimates."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -12,7 +13,7 @@ import numpy as np
 from .errors import ConvergenceError, IsotropyError
 
 # relative roundoff allowed for a sum of a few hundred terms and its ends
-ROUNDOFF = 16.0 * np.finfo(float).eps
+ROUNDOFF = 16.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -50,19 +51,12 @@ def radial_nodes(quad: QuadratureSpec, n_r: int):
     equal panels, the first n_r % panels of them holding one node more
     than the rest.  The returned weights already include the
     dr = r dy Jacobian, so sum(w * rho(r)) approximates the r-integral.
-    Each grid is built once per process and shared, so both arrays are
-    read-only.
+    A GridSet shares them, so both arrays are read-only.
     """
-    return _radial_grid(quad.r_min, quad.r_max, n_r)
-
-
-@lru_cache(maxsize=16)
-def _radial_grid(r_min: float, r_max: float, n: int):
-    """radial_nodes on [r_min, r_max] with n nodes, read-only."""
-    n_panels = max(1, n // 16)
-    per, extra = divmod(n, n_panels)
+    n_panels = max(1, n_r // 16)
+    per, extra = divmod(n_r, n_panels)
     sizes = [per + 1] * extra + [per] * (n_panels - extra)
-    edges = np.linspace(np.log(r_min), np.log(r_max), n_panels + 1)
+    edges = np.linspace(np.log(quad.r_min), np.log(quad.r_max), n_panels + 1)
     y, wy = [], []
     for m, lo, hi in zip(sizes, edges[:-1], edges[1:]):
         xs, ws = _legendre_rule(m)
@@ -125,53 +119,63 @@ def ordered_dot(a, b):
     return total
 
 
-def sweep_grids(quad: QuadratureSpec, n_r_values):
-    """The distinct radial grids (r, w, directions) of a sweep over
-    n_r_values, each row needing its grid of n_r nodes and the half-size
-    grid.  The checked grid comes first, at quad.n_ang directions: the
-    half-size grid of the smallest n_r.  Every other grid follows once, at
-    one direction, the first of `angular_samples`, since a fine grid of
-    one row is often the coarse grid of the next."""
+@dataclass(frozen=True, eq=False)
+class GridSet:
+    """The grids of a sweep as one read-only value: `grids`, each (r, w,
+    directions), the checked grid first; the sweep's `n_r_values`; the end
+    radii `ends`, (r_min, r_max), which hold no point; and `points`, the
+    read-only (N, 3) points of the grids, grid after grid, each
+    radius-major at its `angular_points` directions.  It hashes and
+    compares by identity, so a cache of what depends on the points alone
+    keys on the set itself."""
+
+    grids: tuple
+    n_r_values: tuple
+    ends: tuple
+    points: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        points = np.concatenate([angular_points(r, k).reshape(-1, 3)
+                                 for r, _, k in self.grids])
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
+
+    def split(self, values):
+        """values at the points split back into one (len(r), directions)
+        view per grid, in grid order."""
+        out, start = [], 0
+        for r, _, k in self.grids:
+            out.append(values[start:start + len(r) * k].reshape(len(r), k))
+            start += len(r) * k
+        return out
+
+
+def sweep_grids(quad: QuadratureSpec, n_r_values) -> GridSet:
+    """The GridSet of a sweep over n_r_values, each row needing its grid of
+    n_r nodes and the half-size grid, with the ends quad.r_min and
+    quad.r_max.  Each distinct grid appears once, since a fine grid of one
+    row is often the coarse grid of the next.  The checked grid comes
+    first, at quad.n_ang directions: the half-size grid of the smallest
+    n_r.  Every other grid follows at one direction, the first of
+    `angular_samples`.  Built once per layout (r_min, r_max, n_ang,
+    n_r_values), which quad.n_r and quad.tol do not change, and shared."""
+    return _grid_set(quad.r_min, quad.r_max, quad.n_ang, tuple(n_r_values))
+
+
+@lru_cache(maxsize=8)  # no fewer than the two term caches keyed by a set
+def _grid_set(r_min: float, r_max: float, n_ang: int, n_r_values: tuple):
+    quad = QuadratureSpec(r_min, r_max)
     sizes = dict.fromkeys([min(n_r_values) // 2]
                           + [m for n in n_r_values for m in (n, n // 2)])
-    return [(*radial_nodes(quad, m), quad.n_ang if k == 0 else 1)
-            for k, m in enumerate(sizes)]
+    return GridSet(tuple((*radial_nodes(quad, m), n_ang if k == 0 else 1)
+                         for k, m in enumerate(sizes)),
+                   n_r_values, (r_min, r_max))
 
 
-def grid_points(grids) -> np.ndarray:
-    """The (N, 3) points of the grids (r, w, directions), grid after grid,
-    each radius-major at its `angular_points` directions."""
-    return np.concatenate([angular_points(r, k).reshape(-1, 3)
-                           for r, _, k in grids])
-
-
-def grid_set_key(grids) -> tuple:
-    """The grids (r, w, directions) as a hashable key of their points, (r
-    bytes, directions) per grid, for a cache of what depends on the points
-    alone; `key_grids` reads it back."""
-    return tuple((np.asarray(r, dtype=float).tobytes(), k)
-                 for r, _, k in grids)
-
-
-def key_grids(grid_set):
-    """The grids (r, None, directions) of a `grid_set_key`, r read-only."""
-    return [(np.frombuffer(r), None, k) for r, k in grid_set]
-
-
-def per_grid(values, grids):
-    """values at the points of `grid_points(grids)` split back into one
-    (len(r), directions) view per grid, in grid order."""
-    out, start = [], 0
-    for r, _, k in grids:
-        out.append(values[start:start + len(r) * k].reshape(len(r), k))
-        start += len(r) * k
-    return out
-
-
-def _first_non_finite(grids, densities):
+def _first_non_finite(grid_set, densities):
     """The grid and the radius of the first non-finite sample of the
     densities, in grid order, or "" when every sample is finite."""
-    for (r, _, _), d in zip(grids, densities):
+    for (r, _, _), d in zip(grid_set.grids, densities):
         bad = ~np.isfinite(d).all(axis=1)
         if bad.any():
             return (f": the {len(r)}-node grid is not finite at "
@@ -179,12 +183,13 @@ def _first_non_finite(grids, densities):
     return ""
 
 
-def integrate_radial(grids, densities, quad: QuadratureSpec, n_r_values,
+def integrate_radial(grid_set: GridSet, densities, quad: QuadratureSpec,
                      ends, limits):
-    """Rows (n_r, value, error, direction, mass) of the integral over r > 0
-    of a density dF/dr, F = sum_j F_j, from the `sweep_grids` of n_r_values
-    and the density on each, shape (len(r), directions), and the floats
-    ends (F_j(r_min)), (F_j(r_max)) and limits (F_j(0+)), (F_j(infinity)).
+    """Rows (n_r, value, error, direction, mass), one per n_r of the
+    grid_set, of the integral over r > 0 of a density dF/dr, F = sum_j F_j,
+    from the density on each grid, shape (len(r), directions), and the
+    floats ends (F_j(r_min)), (F_j(r_max)) and limits (F_j(0+)),
+    (F_j(infinity)).
 
     The one isotropy check runs on the checked grid against quad.tol.  Its
     first direction is its value; its sum |w spread| (`angular_spread`) is
@@ -198,7 +203,7 @@ def integrate_radial(grids, densities, quad: QuadratureSpec, n_r_values,
     with both sums as its history and the grid and the radius of the first
     non-finite sample in its message.  One on the checked grid skips the
     isotropy check and fails at the first row."""
-    (_, w_check, _), checked = grids[0], densities[0]
+    (_, w_check, _), checked = grid_set.grids[0], densities[0]
     _, spread = angular_spread(checked)
     direction = float(spread @ w_check)
     if math.isfinite(direction):
@@ -208,9 +213,9 @@ def integrate_radial(grids, densities, quad: QuadratureSpec, n_r_values,
         head, tail = head + (at_min - at_zero), tail + (at_inf - at_max)
     # contiguous: np.dot sums a strided column in another order
     sampled = {len(r): (w, np.ascontiguousarray(d[:, 0]))
-               for (r, w, _), d in zip(grids, densities)}
+               for (r, w, _), d in zip(grid_set.grids, densities)}
     rows = []
-    for n in n_r_values:
+    for n in grid_set.n_r_values:
         (w_f, fine), (w_c, coarse) = sampled[n], sampled[n // 2]
         value = float(ordered_dot(fine, w_f))
         coarse_value = float(ordered_dot(coarse, w_c))
@@ -218,7 +223,7 @@ def integrate_radial(grids, densities, quad: QuadratureSpec, n_r_values,
         if not all(map(math.isfinite, (total, coarse_value, direction,
                                        mass))):
             raise ConvergenceError("radial integral is not finite"
-                                   + _first_non_finite(grids, densities),
+                                   + _first_non_finite(grid_set, densities),
                                    [(n // 2, coarse_value), (n, value)])
         rows.append((n, total, abs(value - coarse_value), direction, mass))
     return rows

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from tnindex import charclasses, cli, eta, geometry
-from tnindex.quadrature import QuadratureSpec, grid_points, sweep_grids
+from tnindex.quadrature import QuadratureSpec, sweep_grids
 
 ROOT = Path(__file__).resolve().parents[1]
 _SPEC = importlib.util.spec_from_file_location(
@@ -60,7 +60,7 @@ def test_metric_jet_arrays_takes_the_points_second(monkeypatch):
     quad = QuadratureSpec()
     charclasses.convergence_table(spec, quad, [64, 128, 256])
     assert points == [352, 352]
-    assert sum(points) == len(grid_points(sweep_grids(quad, [64, 128, 256])))
+    assert sum(points) == len(sweep_grids(quad, [64, 128, 256]).points)
     xyz = np.outer(np.geomspace(0.1, 10.0, 5), [0.6, -0.3, 0.74])
     for call, expect in [
             (lambda: geometry.curvature_batch(spec, xyz), 5),

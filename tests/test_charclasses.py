@@ -11,9 +11,10 @@ from tnindex.errors import ConvergenceError, IsotropyError
 from tnindex.geometry import (BlendProfile, Gauge, MetricSpec, Variant,
                               curvature_batch, curvature_forms,
                               radial_coefficients, wedge4)
-from tnindex.quadrature import (ROUNDOFF, QuadratureSpec, angular_samples,
-                                angular_spread, integrate_radial,
-                                radial_nodes, require_isotropy, sweep_grids)
+from tnindex.quadrature import (ROUNDOFF, GridSet, QuadratureSpec,
+                                angular_samples, angular_spread,
+                                integrate_radial, radial_nodes,
+                                require_isotropy, sweep_grids)
 
 TARGET = 1.0 / 12.0
 ENDS = (QuadratureSpec().r_min, QuadratureSpec().r_max)
@@ -30,8 +31,9 @@ def test_zero_curvature_gives_zero_scalar():
 def one_grid(spec, rs, n_ang):
     """The density at the radii rs and n_ang directions: _density_samples
     on that one grid, with the default quadrature's ends."""
-    [samples], _ = charclasses._density_samples(
-        spec, [(np.asarray(rs, dtype=float), None, n_ang)], ENDS)
+    [samples], _ = charclasses._density_samples(spec, GridSet(
+        [(np.asarray(rs, dtype=float), None, n_ang)], n_r_values=(),
+        ends=ENDS))
     return samples
 
 
@@ -210,8 +212,8 @@ def test_density_samples_form_radial_jets_once(monkeypatch):
         assert calls == [300 + 2]
         calls.clear()
         [checked, alone], ends = charclasses._density_samples(
-            spec, [(rs, None, 3), (other, None, 1)],
-            (quad.r_min, quad.r_max))
+            spec, GridSet([(rs, None, 3), (other, None, 1)], n_r_values=(),
+                          ends=(quad.r_min, quad.r_max)))
         assert calls == [300 + 20 + 2]
         alone_ref = one_grid(spec, other, 1)
         assert np.array_equal(checked, one_grid(spec, rs, 3))
@@ -295,13 +297,12 @@ def _grid_by_grid_rows(spec, quad, n_r_values):
     _density_samples call of its own and the ends taken from chern_simons."""
     (p_min, p_max), _ = chern_simons(spec, [quad.r_min, quad.r_max])
     grids = sweep_grids(quad, n_r_values)
-    densities = [one_grid(spec, rs, k) for rs, _, k in grids]
+    densities = [one_grid(spec, rs, k) for rs, _, k in grids.grids]
     return [(n, middle + (float(p_min) - TARGET)
              + (1.0 / 6.0 - float(p_max)), error, direction
              + ROUNDOFF * (mass + abs(p_min) + abs(p_max)))
             for n, middle, error, direction, mass
-            in integrate_radial(grids, densities, quad, n_r_values, ([], []),
-                                ([], []))]
+            in integrate_radial(grids, densities, quad, ([], []), ([], []))]
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -332,12 +333,11 @@ def _mean_rows(spec, quad, n_r_values):
     of quad.n_ang directions through the isotropy check of quad.tol."""
     (p_min, p_max), _ = chern_simons(spec, [quad.r_min, quad.r_max])
     grids = sweep_grids(quad, n_r_values)
-    means = [density(spec, rs, quad)[:, None] for rs, _, _ in grids]
+    means = [density(spec, rs, quad)[:, None] for rs, _, _ in grids.grids]
     return [(middle + (p_min - TARGET) + (1.0 / 6.0 - p_max), error,
              ROUNDOFF * (mass + abs(p_min) + abs(p_max)))
             for _, middle, error, _, mass
-            in integrate_radial(grids, means, quad, n_r_values, ([], []),
-                                ([], []))]
+            in integrate_radial(grids, means, quad, ([], []), ([], []))]
 
 
 def test_one_direction_is_within_its_direction_term():
@@ -425,12 +425,6 @@ def test_a_kernel_call_reads_nothing_of_the_one_before(monkeypatch):
                        for arrays in used for a in arrays)
 
 
-def _sweep_key(quad, sweep):
-    """The _sweep_geometry arguments of a convergence_table call."""
-    return (quadrature.grid_set_key(sweep_grids(quad, sweep)),
-            (quad.r_min, quad.r_max))
-
-
 def test_caches_stay_bounded_and_read_only():
     """More grid sets than _sweep_geometry keeps, more blend profiles than
     a shared seed keeps and more chunk lengths than _workspace keeps leave
@@ -450,11 +444,11 @@ def test_caches_stay_bounded_and_read_only():
     for cache in (charclasses._sweep_geometry, geometry._workspace):
         info = cache.cache_info()
         assert info.currsize == info.maxsize
-    xyz, radius, chart = charclasses._sweep_geometry(
-        *_sweep_key(quads[-1], [16, 32]))
+    grid_set = sweep_grids(quads[-1], [16, 32])
+    radius, chart = charclasses._sweep_geometry(grid_set)
     assert charclasses._sweep_geometry.cache_info().hits > 0
     assert list(radius._shared) == blends[-jets.SharedSeed.MAX_SHARED:]
-    arrays = [xyz] + [a for y in (radius, radius.reciprocal(),
+    arrays = [grid_set.points] + [a for y in (radius, radius.reciprocal(),
                                   radius.log(), *radius._shared.values(),
                                   *chart)
                       for a in (y.val, y.grad, y.hess)]

@@ -19,8 +19,8 @@ from tnindex.gauge import (InstantonChannel, InstantonData, boundary_data,
                            model_connection_at)
 from tnindex.geometry import (PAIRS, Gauge, Point, chart_omega, star3,
                               two_form_matrix, wedge4)
-from tnindex.quadrature import (ROUNDOFF, QuadratureSpec, angular_points,
-                                angular_samples)
+from tnindex.quadrature import (ROUNDOFF, GridSet, QuadratureSpec,
+                                angular_points, angular_samples)
 
 RNG = np.random.default_rng(11)
 
@@ -235,14 +235,15 @@ def one_pass_density(data, rs, n_ang, l=1.0):
 def bulk_density(data, rs, n_ang, l=1.0):
     """The bulk density at the radii rs and n_ang directions:
     _bulk_densities on that one grid, with no ends."""
-    [density], c_ends = gauge._bulk_densities(data, [(rs, None, n_ang)], (), l)
+    grid_set = GridSet([(rs, None, n_ang)], n_r_values=(), ends=())
+    [density], c_ends = gauge._bulk_densities(data, grid_set, l)
     assert c_ends.shape == (0, data.rank)
     return density
 
 
 def clear_caches():
     gauge._bulk_geometry.cache_clear()
-    quadrature._radial_grid.cache_clear()
+    quadrature._grid_set.cache_clear()
 
 
 FOUR_CHANNELS = InstantonData([
@@ -277,11 +278,11 @@ def test_bulk_density_matches_per_point_loop(n_channels, cold, l, n_ang):
         1e-14 * np.abs(expected).max()
 
 
-def one_pass_densities(data, grids, ends, l=1.0):
-    """one_pass_density on every grid (r, w, directions) of grids, and the
-    frozen c - mcharge at the radii ends, shape (len(ends), rank)."""
-    return ([one_pass_density(data, r, k, l) for r, _, k in grids],
-            np.array([frozen_coefficient(ch, ends, l) - ch.mcharge
+def one_pass_densities(data, grid_set, l):
+    """one_pass_density on every grid (r, w, directions) of the grid_set,
+    and the frozen c - mcharge at its end radii, shape (len(ends), rank)."""
+    return ([one_pass_density(data, r, k, l) for r, _, k in grid_set.grids],
+            np.array([frozen_coefficient(ch, grid_set.ends, l) - ch.mcharge
                       for ch in data.channels]).T)
 
 
@@ -301,14 +302,13 @@ def test_bulk_path_keeps_the_per_channel_bits(rank, cold, l, n_ang,
     data = InstantonData(FOUR_CHANNELS.channels[:rank])
     quad = QuadratureSpec(n_r=64, n_ang=n_ang)
     grids = quadrature.sweep_grids(quad, [quad.n_r])
-    ends = (quad.r_min, quad.r_max)
     with monkeypatch.context() as m:
         m.setattr(gauge, "_bulk_densities", one_pass_densities)
         frozen_bulk = np.array(bulk_action(data, quad, l))
     clear_caches()
-    densities, c_ends = gauge._bulk_densities(data, grids, ends, l)
+    densities, c_ends = gauge._bulk_densities(data, grids, l)
     bulk = np.array(bulk_action(data, quad, l))
-    frozen, frozen_ends = one_pass_densities(data, grids, ends, l)
+    frozen, frozen_ends = one_pass_densities(data, grids, l)
     for density, reference in zip(densities, frozen):
         assert density.shape == reference.shape
         assert np.abs(density - reference).max() <= \
@@ -317,7 +317,7 @@ def test_bulk_path_keeps_the_per_channel_bits(rank, cold, l, n_ang,
     floor = ROUNDOFF * sum(ch.lam**2 + ch.mcharge**2 for ch in data.channels)
     assert np.abs(bulk - frozen_bulk).max() <= floor
     set_caches(cold, n_ang, quad)
-    again, again_ends = gauge._bulk_densities(data, grids, ends, l)
+    again, again_ends = gauge._bulk_densities(data, grids, l)
     assert [d.tobytes() for d in again] == [d.tobytes() for d in densities]
     assert again_ends.tobytes() == c_ends.tobytes()
     assert np.array(bulk_action(data, quad, l)).tobytes() == bulk.tobytes()
@@ -329,10 +329,9 @@ def per_channel_bulk_action(data, quad, l):
     components, then the head -(c - mcharge)^2 / 2 at r_min and the tail
     -((lam - mcharge)^2 - (c - mcharge)^2) / 2 at r_max of each channel."""
     grids = quadrature.sweep_grids(quad, [quad.n_r])
-    densities, (c_min, c_max) = gauge._bulk_densities(
-        data, grids, (quad.r_min, quad.r_max), l)
+    densities, (c_min, c_max) = gauge._bulk_densities(data, grids, l)
     [(_, middle, error, direction, _)] = quadrature.integrate_radial(
-        grids, densities, quad, [quad.n_r], ([], []), ([], []))
+        grids, densities, quad, ([], []), ([], []))
     head = tail = 0.0
     for ch, lo, hi in zip(data.channels, c_min.tolist(), c_max.tolist()):
         head -= 0.5 * (lo * lo)
@@ -436,11 +435,12 @@ def test_bulk_action_evaluates_geometry_once_per_grid(monkeypatch):
 
 def test_cached_grids_and_geometry_are_read_only():
     """The caches are bounded; a bulk call looks its grid set up once, and
-    an in-place write into a shared radial grid or into a shared geometry
-    array fails.  The geometry holds the three wedges at every point of
-    both grids and the radial arrays at every node and at both ends."""
+    an in-place write into a shared radial grid, into the set's points or
+    into a shared geometry array fails.  The geometry holds the three
+    wedges at every point of both grids and the radial arrays at every node
+    and at both ends."""
     clear_caches()
-    for cache in (gauge._bulk_geometry, quadrature._radial_grid,
+    for cache in (gauge._bulk_geometry, quadrature._grid_set,
                   quadrature._legendre_rule):
         assert cache.cache_info().maxsize is not None
     quad = QuadratureSpec(n_r=64)
@@ -449,15 +449,14 @@ def test_cached_grids_and_geometry_are_read_only():
     info = gauge._bulk_geometry.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
     grids = quadrature.sweep_grids(quad, [quad.n_r])
-    wedges, factors, r2, directions = gauge._bulk_geometry(
-        tuple((rs.tobytes(), k) for rs, _, k in grids),
-        (quad.r_min, quad.r_max))
+    wedges, factors, r2, directions = gauge._bulk_geometry(grids)
     assert gauge._bulk_geometry.cache_info().hits == 2
     assert wedges.shape == (3, 32 * quad.n_ang + 64)
     radial = [*factors, r2, directions]
     assert {a.shape for a in radial} == {(32 + 64 + 2,)}
     assert list(directions) == [quad.n_ang] * 32 + [1] * 64 + [0, 0]
-    for arr in [a for rs, w, _ in grids for a in (rs, w)] + [wedges] + radial:
+    for arr in [a for rs, w, _ in grids.grids for a in (rs, w)] \
+            + [grids.points, wedges] + radial:
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
@@ -544,9 +543,9 @@ def count_bulk_points(monkeypatch):
     """The points of each _bulk_densities pass, in call order."""
     points, sample = [], gauge._bulk_densities
 
-    def counted(data, grids, ends, l):
-        points.append(sum(len(r) * k for r, _, k in grids))
-        return sample(data, grids, ends, l)
+    def counted(data, grid_set, l):
+        points.append(sum(len(r) * k for r, _, k in grid_set.grids))
+        return sample(data, grid_set, l)
 
     monkeypatch.setattr(gauge, "_bulk_densities", counted)
     return points

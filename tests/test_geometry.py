@@ -12,7 +12,7 @@ from tnindex.geometry import (PAIRS, BlendProfile, Gauge, MetricSample,
                               curvature_batch, hodge_star, metric_at,
                               potential_and_omega, radial_coefficients, star3,
                               two_form_matrix, wedge4)
-from tnindex.quadrature import grid_points
+from tnindex.quadrature import GridSet
 
 RNG = np.random.default_rng(42)
 
@@ -636,14 +636,14 @@ def test_density_keeps_the_frozen_bits(monkeypatch, variant, kind, l):
     spec = _kernel_spec(variant, kind, l)
     rs = np.geomspace(1e-4, 80.0, charclasses._CHUNK // 4 + 3)
     assert (8 * rs.size) % charclasses._CHUNK
-    grids, ends = [(rs, None, 8)], (1e-4, 80.0)
-    assert np.all((grid_points(grids) < 0.0).any(axis=0))
-    got, _ = charclasses._density_samples(spec, grids, ends)
+    grid_set = GridSet([(rs, None, 8)], n_r_values=(), ends=(1e-4, 80.0))
+    assert np.all((grid_set.points < 0.0).any(axis=0))
+    got, _ = charclasses._density_samples(spec, grid_set)
     monkeypatch.setattr(geometry, "_metric_jet_arrays",
                         frozen_metric_jet_arrays)
     monkeypatch.setattr(geometry, "_riemann_from_arrays",
                         frozen_riemann_from_arrays)
-    _same_bits(got, charclasses._density_samples(spec, grids, ends)[0])
+    _same_bits(got, charclasses._density_samples(spec, grid_set)[0])
 
 
 @pytest.mark.parametrize("variant", list(Variant))

@@ -5,13 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tnindex import charclasses, gauge, quadrature
+from tnindex import charclasses, eta, gauge, quadrature
 from tnindex.errors import ConvergenceError, IsotropyError
 from tnindex.gauge import InstantonChannel, InstantonData
 from tnindex.geometry import MetricSpec
-from tnindex.quadrature import (QuadratureSpec, angular_points, grid_points,
-                                integrate_radial, per_grid, radial_nodes,
-                                sweep_grids)
+from tnindex.quadrature import (GridSet, QuadratureSpec, angular_points,
+                                integrate_radial, radial_nodes, sweep_grids)
 
 NO_ENDS = ([], [])  # a density with no closed-form components
 
@@ -20,9 +19,10 @@ def integrate(f, quad, n_r=None):
     """(value, error) of the radial density f, the same in every direction,
     over the one-row sweep of n_r nodes (default quad.n_r)."""
     n = quad.n_r if n_r is None else n_r
-    grids = sweep_grids(quad, [n])
-    densities = [np.repeat(f(r)[:, None], k, axis=1) for r, _, k in grids]
-    [(_, value, error, _, _)] = integrate_radial(grids, densities, quad, [n],
+    grid_set = sweep_grids(quad, [n])
+    densities = [np.repeat(f(r)[:, None], k, axis=1)
+                 for r, _, k in grid_set.grids]
+    [(_, value, error, _, _)] = integrate_radial(grid_set, densities, quad,
                                                  NO_ENDS, NO_ENDS)
     return value, error
 
@@ -111,48 +111,117 @@ def test_sweep_grids_list_each_grid_once(sweep, sizes):
     once, at one direction, as radial_nodes builds it.  [16] is the
     smallest legal sweep."""
     quad = QuadratureSpec(n_ang=5)
-    grids = sweep_grids(quad, sweep)
+    grids = sweep_grids(quad, sweep).grids
     assert [len(r) for r, _, _ in grids] == sizes
     assert len(set(sizes)) == len(sizes)
     assert [k for _, _, k in grids] == [quad.n_ang] + [1] * (len(sizes) - 1)
     for r, w, _ in grids:
         nodes, weights = radial_nodes(quad, len(r))
-        assert r is nodes and w is weights
+        assert r.tobytes() == nodes.tobytes()
+        assert w.tobytes() == weights.tobytes()
 
 
 @pytest.mark.parametrize("sweep", [[64, 128, 256], [16]])
 def test_per_grid_splits_the_grid_points_back(sweep):
-    """grid_points lays the grids out one after another, each radius-major
-    at its angular_points directions; per_grid gives values at those
-    points back as one view per grid, in grid order, with the (len(r),
-    directions) shape that integrate_radial reads."""
+    """A GridSet holds the sweep's n_r_values and end radii and lays its
+    points out grid after grid, each radius-major at its angular_points
+    directions; split gives values at those points back as one view per
+    grid, in grid order, with the (len(r), directions) shape that
+    integrate_radial reads."""
     quad = QuadratureSpec(n_ang=3)
-    grids = sweep_grids(quad, sweep)
-    xyz, start = grid_points(grids), 0
+    grid_set = sweep_grids(quad, sweep)
+    assert grid_set.n_r_values == tuple(sweep)
+    assert grid_set.ends == (quad.r_min, quad.r_max)
+    grids, xyz, start = grid_set.grids, grid_set.points, 0
     for r, _, k in grids:
         part = xyz[start:start + len(r) * k]
         assert part.tobytes() == angular_points(r, k).reshape(-1, 3).tobytes()
         start += len(r) * k
     assert start == len(xyz)
     index = np.arange(len(xyz))
-    views = per_grid(index, grids)
+    views = grid_set.split(index)
     assert [v.shape for v in views] == [(len(r), k) for r, _, k in grids]
     assert all(np.shares_memory(v, index) for v in views)
     assert np.array_equal(np.concatenate([v.ravel() for v in views]), index)
     flat = np.concatenate([np.repeat(np.exp(-r), k) for r, _, k in grids])
-    assert integrate_radial(grids, per_grid(flat, grids), quad, sweep,
-                            NO_ENDS, NO_ENDS) == \
-        integrate_radial(grids, [np.repeat(np.exp(-r)[:, None], k, axis=1)
-                                 for r, _, k in grids], quad, sweep,
-                         NO_ENDS, NO_ENDS)
+    assert integrate_radial(grid_set, grid_set.split(flat), quad, NO_ENDS,
+                            NO_ENDS) == \
+        integrate_radial(grid_set, [np.repeat(np.exp(-r)[:, None], k, axis=1)
+                                    for r, _, k in grids], quad, NO_ENDS,
+                         NO_ENDS)
+
+
+def test_sweep_grids_share_one_set_per_layout():
+    """One GridSet per layout (r_min, r_max, n_ang, n_r_values): a list and
+    a tuple of the same sizes, or another n_r or tol, give the same set; a
+    change of any field of the layout gives another."""
+    quad = QuadratureSpec()
+    grid_set = sweep_grids(quad, [64, 128, 256])
+    assert sweep_grids(quad, (64, 128, 256)) is grid_set
+    assert sweep_grids(dataclasses.replace(quad, n_r=64, tol=1e-2),
+                       [64, 128, 256]) is grid_set
+    for other in [(dataclasses.replace(quad, r_min=1e-5), [64, 128, 256]),
+                  (dataclasses.replace(quad, r_max=120.0), [64, 128, 256]),
+                  (dataclasses.replace(quad, n_ang=2), [64, 128, 256]),
+                  (quad, [64, 128]), (quad, [256, 128, 64])]:
+        assert sweep_grids(*other) is not grid_set
+
+
+def test_grid_set_is_read_only_and_hashed_by_identity():
+    """A set's points, nodes and weights refuse an in-place write and its
+    fields refuse a new value; two sets of the same grids are two keys."""
+    grid_set = sweep_grids(QuadratureSpec(), [64])
+    for arr in [grid_set.points] + [a for r, w, _ in grid_set.grids
+                                    for a in (r, w)]:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid_set.ends = (1.0, 2.0)
+    twin = GridSet(grid_set.grids, grid_set.n_r_values, grid_set.ends)
+    assert twin.points.tobytes() == grid_set.points.tobytes()
+    assert twin != grid_set and len({twin, grid_set}) == 2
+
+
+def test_grid_set_cache_stays_at_its_bound():
+    """The set cache holds at least as many sets as the two term caches
+    keyed by a set together, so a set that a term cache holds is not built
+    again under a new identity; more layouts leave it at its bound."""
+    cache = quadrature._grid_set
+    info = cache.cache_info()
+    assert info.maxsize >= charclasses._sweep_geometry.cache_info().maxsize \
+        + gauge._bulk_geometry.cache_info().maxsize
+    cache.cache_clear()
+    sets = [sweep_grids(QuadratureSpec(n_ang=2 + k), [32])
+            for k in range(info.maxsize + 3)]
+    assert cache.cache_info().currsize == info.maxsize
+    assert sweep_grids(QuadratureSpec(n_ang=2 + info.maxsize + 2),
+                       [32]) is sets[-1]
+
+
+def test_a_second_sweep_hits_both_term_caches():
+    """A second Pontryagin sweep and a second bulk call on the same layout,
+    at another tol, find their grid set and its geometry cached."""
+    quad = QuadratureSpec(n_r=64, n_ang=3)
+    again = dataclasses.replace(quad, tol=1e-2)
+    data = InstantonData([InstantonChannel(0.3, 1.0)])
+    terms = (charclasses._sweep_geometry, gauge._bulk_geometry)
+    for cache in terms:
+        cache.cache_clear()
+    first = (charclasses.convergence_table(MetricSpec(), quad, [64]),
+             gauge.bulk_action(data, quad))
+    assert [c.cache_info()[:2] for c in terms] == [(0, 1), (0, 1)]
+    second = (charclasses.convergence_table(MetricSpec(), again, [64]),
+              gauge.bulk_action(data, again))
+    assert [c.cache_info()[:2] for c in terms] == [(1, 1), (1, 1)]
+    assert second == first
 
 
 def test_both_densities_sample_the_grid_points(monkeypatch):
     """The points whose wedges _bulk_geometry caches and the points that
-    _density_samples sends to curvature_form_chunks are both
-    grid_points(grids), byte for byte."""
+    _density_samples sends to curvature_form_chunks are both the points of
+    the grid set, byte for byte."""
     quad = QuadratureSpec(n_r=64)
-    grids, ends = sweep_grids(quad, [32, 64]), (quad.r_min, quad.r_max)
+    grids = sweep_grids(quad, [32, 64])
     seen = {}
     field_geometry = gauge._field_strength_geometry
     chunks = charclasses.curvature_form_chunks
@@ -170,10 +239,10 @@ def test_both_densities_sample_the_grid_points(monkeypatch):
                         curvature_points)
     gauge._bulk_geometry.cache_clear()
     gauge._bulk_densities(InstantonData([InstantonChannel(0.3, 1.0)]),
-                          grids, ends, 1.0)
+                          grids, 1.0)
     gauge._bulk_geometry.cache_clear()
-    charclasses._density_samples(MetricSpec(), grids, ends)
-    points = grid_points(grids).tobytes()
+    charclasses._density_samples(MetricSpec(), grids)
+    points = grids.points.tobytes()
     assert seen["bulk"].tobytes() == points == seen["curvature"].tobytes()
 
 
@@ -182,12 +251,11 @@ def test_integrate_radial_takes_the_first_direction():
     checked grid's sum |w spread| is every row's direction term; a spread
     beyond quad.tol raises IsotropyError."""
     quad = QuadratureSpec(n_ang=3, tol=1e-2)
-    grids = sweep_grids(quad, [32, 64])
+    grid_set = sweep_grids(quad, [32, 64])
     tilt = np.array([1.0, 1.001, 0.998])
-    densities = [np.exp(-r)[:, None] * tilt[:k] for r, _, k in grids]
-    rows = integrate_radial(grids, densities, quad, [32, 64], NO_ENDS,
-                            NO_ENDS)
-    r16, w16, _ = grids[0]
+    densities = [np.exp(-r)[:, None] * tilt[:k] for r, _, k in grid_set.grids]
+    rows = integrate_radial(grid_set, densities, quad, NO_ENDS, NO_ENDS)
+    r16, w16, _ = grid_set.grids[0]
     spread = np.exp(-r16) * 0.005 / 3.0
     for (n, value, error, direction, mass), (ref, _) in zip(
             rows, [integrate(lambda r: np.exp(-r), quad, n) for n in
@@ -195,8 +263,8 @@ def test_integrate_radial_takes_the_first_direction():
         assert value == ref and mass == pytest.approx(ref)
         assert direction == pytest.approx(spread @ w16, rel=1e-12)
     with pytest.raises(IsotropyError):
-        integrate_radial(grids, densities, QuadratureSpec(n_ang=3, tol=1e-4),
-                         [32, 64], NO_ENDS, NO_ENDS)
+        integrate_radial(grid_set, densities,
+                         QuadratureSpec(n_ang=3, tol=1e-4), NO_ENDS, NO_ENDS)
 
 
 def test_integrate_radial_adds_the_exact_ends():
@@ -206,15 +274,15 @@ def test_integrate_radial_adds_the_exact_ends():
     the sums' alone.  F = -1/(2 (2r + 1)^2) in three shares, whose
     r-derivative is the density, gives the integral over r > 0, 1/2."""
     quad = QuadratureSpec(n_ang=2)
-    grids, sweep = sweep_grids(quad, [64, 128]), [64, 128]
+    grid_set = sweep_grids(quad, [64, 128])
     densities = [np.repeat((2.0 / (2.0 * r + 1.0) ** 3)[:, None], k, axis=1)
-                 for r, _, k in grids]
+                 for r, _, k in grid_set.grids]
     shares = [0.7, 1e-3, 0.299]
     ends = tuple([-0.5 * s / (2.0 * r + 1.0) ** 2 for s in shares]
                  for r in (quad.r_min, quad.r_max))
     limits = ([-0.5 * s for s in shares], [0.0] * 3)
-    rows = integrate_radial(grids, densities, quad, sweep, ends, limits)
-    bare = integrate_radial(grids, densities, quad, sweep, NO_ENDS, NO_ENDS)
+    rows = integrate_radial(grid_set, densities, quad, ends, limits)
+    bare = integrate_radial(grid_set, densities, quad, NO_ENDS, NO_ENDS)
     head = tail = 0.0
     for at_min, at_max, at_zero, at_inf in zip(*ends, *limits):
         head += at_min - at_zero
@@ -230,14 +298,14 @@ def test_non_finite_end_raises(slot):
     """An end or a limit that is not finite fails the row's finite check,
     with the quadrature's finite sums as the history."""
     quad = QuadratureSpec(n_ang=2)
-    grids = sweep_grids(quad, [64])
+    grid_set = sweep_grids(quad, [64])
     densities = [np.repeat(np.exp(-r)[:, None], k, axis=1)
-                 for r, _, k in grids]
+                 for r, _, k in grid_set.grids]
     values = [[0.5, 0.0], [0.25, 0.0], [0.0, 0.0], [1.0, 0.0]]
     values[slot][1] = np.inf
     with pytest.raises(ConvergenceError) as exc:
-        integrate_radial(grids, densities, quad, [64], values[:2], values[2:])
-    [(_, fine, *_)] = integrate_radial(grids, densities, quad, [64], NO_ENDS,
+        integrate_radial(grid_set, densities, quad, values[:2], values[2:])
+    [(_, fine, *_)] = integrate_radial(grid_set, densities, quad, NO_ENDS,
                                        NO_ENDS)
     assert [n for n, _ in exc.value.history] == [32, 64]
     assert exc.value.history[1][1] == fine
@@ -254,12 +322,13 @@ def test_non_finite_integral_reports_history():
 
 
 def tilted_sweep(n_r_values, n_ang=3):
-    """The sweep grids of n_r_values and a density on them that each
+    """The GridSet of n_r_values and a density on its grids that each
     direction scales by its own factor within 1e-3 of 1, as fresh arrays."""
     quad = QuadratureSpec(n_ang=n_ang, tol=1e-2)
-    grids = sweep_grids(quad, n_r_values)
+    grid_set = sweep_grids(quad, n_r_values)
     tilt = np.linspace(1.0, 1.001, n_ang)
-    return quad, grids, [np.exp(-r)[:, None] * tilt[:k] for r, _, k in grids]
+    return quad, grid_set, [np.exp(-r)[:, None] * tilt[:k]
+                            for r, _, k in grid_set.grids]
 
 
 def test_isotropy_check_refuses_nan():
@@ -282,10 +351,10 @@ def test_nan_off_the_first_direction_raises(sweep):
     quad, grids, densities = tilted_sweep(sweep)
     densities[0][7, 2] = np.nan
     with pytest.raises(ConvergenceError) as exc:
-        integrate_radial(grids, densities, quad, sweep, NO_ENDS, NO_ENDS)
+        integrate_radial(grids, densities, quad, NO_ENDS, NO_ENDS)
     assert [n for n, _ in exc.value.history] == [sweep[0] // 2, sweep[0]]
     assert all(np.isfinite(value) for _, value in exc.value.history)
-    (r, _, _), *_ = grids
+    (r, _, _), *_ = grids.grids
     assert str(exc.value) == (
         f"radial integral is not finite: the {len(r)}-node grid is not "
         f"finite at r = {float(r[7])!r}")
@@ -302,14 +371,29 @@ def test_non_finite_coarse_grid_raises(bad):
     densities[0][3, 0] = bad
     densities[0][9, 1] = bad
     with pytest.raises(ConvergenceError) as exc:
-        integrate_radial(grids, densities, quad, [64], NO_ENDS, NO_ENDS)
+        integrate_radial(grids, densities, quad, NO_ENDS, NO_ENDS)
     (_, coarse), (_, fine) = exc.value.history
     assert not np.isfinite(coarse) and np.isfinite(fine)
-    (r, _, _), *_ = grids
+    (r, _, _), *_ = grids.grids
     assert len(r) == 32
     assert str(exc.value) == (
         "radial integral is not finite: the 32-node grid is not finite at "
         f"r = {float(r[3])!r}")
+
+
+def test_error_budgets_are_python_floats():
+    """ROUNDOFF is a Python float, so the budgets built on it are Python
+    floats like the values: convergence_table's tail bound, the errors of
+    pontryagin_integral and bulk_action, and the mode sum's error."""
+    quad = QuadratureSpec(n_r=64)
+    [(_, value, error, tail)] = charclasses.convergence_table(
+        MetricSpec(), quad, [64])
+    budgets = [quadrature.ROUNDOFF, value, error, tail,
+               *charclasses.pontryagin_integral(MetricSpec(), quad),
+               *gauge.bulk_action(
+                   InstantonData([InstantonChannel(0.3, 1.0)]), quad),
+               eta.eta_mode_sum(0.3).error]
+    assert [type(x) for x in budgets] == [float] * len(budgets)
 
 
 def test_determinism_bitwise():
