@@ -226,11 +226,12 @@ def report_digests(directory: Path) -> dict:
 
 
 def moved(reports: dict) -> list:
-    """The modes whose report digests differ between the sides of
-    reports, {side: {mode: digests}}."""
+    """The keys whose entries differ between the sides of reports, {side:
+    {key: entry}}, in the first side's order: here the modes, whose
+    entries are their report digests."""
     first, *rest = reports.values()
-    return [mode for mode in MODES
-            if any(side[mode] != first[mode] for side in rest)]
+    return [key for key in first
+            if any(side[key] != first[key] for side in rest)]
 
 
 def source_lines(package: Path) -> dict:
@@ -287,6 +288,17 @@ def git_state(checkout: Path) -> dict:
             "dirty": bool(git("status", "--porcelain", "--", "src"))}
 
 
+def parse_sides(parser, specs) -> dict:
+    """{name: resolved checkout} of the --side NAME=PATH arguments."""
+    sides = {}
+    for spec in specs:
+        name, sep, path = spec.partition("=")
+        if not sep or not name:
+            parser.error(f"--side takes NAME=PATH, not {spec!r}")
+        sides[name] = Path(path).resolve()
+    return sides
+
+
 def summary(runs: list) -> dict:
     """Minimum and median of each measurement over the rounds; a list of
     per-op times pools the ops of every round.  Seconds are keyed min_s and
@@ -316,12 +328,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1 or args.inner < 1:
         parser.error("--repeat and --inner must be at least 1")
-    sides = {}
-    for spec in args.side:
-        name, sep, path = spec.partition("=")
-        if not sep or not name:
-            parser.error(f"--side takes NAME=PATH, not {spec!r}")
-        sides[name] = Path(path).resolve()
+    sides = parse_sides(parser, args.side)
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     runs = {name: [] for name in sides}
     reports = {}

@@ -1,7 +1,7 @@
 """Honesty scan of the Pontryagin term, for HONESTY_<pr>.json.
 
     python3 bench/honesty.py --side parent=PATH --side change=. \\
-        --out HONESTY_37.json [--draws N]
+        --out HONESTY_37.json
 
 Each ``--side NAME=PATH`` names a checkout whose ``src/`` is scanned in a
 fresh interpreter. A row of ``convergence_table`` is honest when it misses
@@ -11,39 +11,45 @@ only the last. Two sections are scanned per side:
 
 - ``scan``: 4 variants x 2 blends x the nine l of ``SCAN_L``, t = 0.6,
   at the README quadrature and sweep: 216 rows;
-- ``draws``: N draws (default 300) from ``random.Random(SEED)`` of
-  variant, blend, l
-  log-uniform in [1e-3, 1e3], t uniform in [0, 1], ``r_max`` uniform in
-  [20, 120] and ``n_ang`` in 2..8, each a README sweep of three rows.
+- ``draws``: ``DRAWS`` draws from ``random.Random(SEED)`` of variant,
+  blend, l log-uniform in [1e-3, 1e3], t uniform in [0, 1], ``r_max``
+  uniform in [20, 120] and ``n_ang`` in 2..8, each a README sweep of
+  three rows.
 
 For each section the file records the row count, the worst ratio and its
 configuration, every row whose ratio is above 1, every ``quad.n_r`` row
-whose miss is above ``quad.tol`` (``pontryagin`` mode fails those), the
-failures by error kind with their configurations, and a SHA-256 of every
-row's value, error and tail bound. ``moved`` lists the sections whose
-digests differ between the sides.
+whose miss is above ``quad.tol`` (``pontryagin`` mode fails those), each
+failure with its error kind, message and configuration, and a SHA-256 of
+every row's value, error and tail bound. ``moved`` lists the sections
+that differ between the sides. The side arguments, the child's
+environment, the git state and ``moved`` are ``bench/collect.py``'s.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
-import os
 import platform
 import random
 import subprocess
 import sys
 from pathlib import Path
 
+_SPEC = importlib.util.spec_from_file_location(
+    "collect", Path(__file__).with_name("collect.py"))
+collect = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(collect)
+
 SCAN_L = (1e-3, 1e-2, 0.2, 1.0, 3.0, 6.0, 20.0, 100.0, 1e3)
 SWEEP = (64, 128, 256)
 BLENDS = ("quintic", "septic")
-SECTIONS = ("scan", "draws")
 SEED = 37
+DRAWS = 300
 
 
-def _configs(draws: int):
+def _configs():
     """{section: [configuration, ...]}; a configuration is a dict of
     variant, blend, l, t, r_max and n_ang."""
     from tnindex.geometry import Variant
@@ -54,7 +60,7 @@ def _configs(draws: int):
     drawn = [dict(variant=rng.choice(variants), blend=rng.choice(BLENDS),
                   l=10.0 ** rng.uniform(-3.0, 3.0), t=rng.uniform(0.0, 1.0),
                   r_max=rng.uniform(20.0, 120.0), n_ang=rng.randint(2, 8))
-             for _ in range(draws)]
+             for _ in range(DRAWS)]
     return {"scan": scan, "draws": drawn}
 
 
@@ -99,9 +105,6 @@ def summarize(rows, failures) -> dict:
     for row in rows:
         digest.update(repr([row[k] for k in sorted(row)]).encode())
     worst = max(rows, key=lambda row: row["ratio"])
-    kinds = {}
-    for failure in failures:
-        kinds[failure["error"]] = kinds.get(failure["error"], 0) + 1
     return {
         "rows": len(rows),
         "worst": where(worst, "ratio"),
@@ -109,65 +112,37 @@ def summarize(rows, failures) -> dict:
                                    if row["ratio"] <= 1.0), default=None),
         "above_1": [where(row, "ratio") for row in rows if row["ratio"] > 1.0],
         "above_tol": [where(row, "miss") for row in rows if row["fails_tol"]],
-        "failures": kinds,
         "failed": failures,
         "digest": digest.hexdigest(),
     }
 
 
-def side_report(draws: int) -> dict:
+def side_report() -> dict:
     """{section: summary} of the tnindex on sys.path."""
     return {name: summarize(*scan_rows(configs))
-            for name, configs in _configs(draws).items()}
-
-
-def git_state(checkout: Path) -> dict:
-    def git(*args):
-        done = subprocess.run(["git", "-C", str(checkout), *args],
-                              capture_output=True, text=True)
-        return done.stdout.strip() if done.returncode == 0 else None
-    return {"commit": git("rev-parse", "HEAD"),
-            "dirty": bool(git("status", "--porcelain", "--", "src"))}
-
-
-def moved(sides: dict) -> list:
-    """The sections whose row digests differ between the sides."""
-    first, *rest = sides.values()
-    return [name for name in SECTIONS
-            if any(side[name]["digest"] != first[name]["digest"]
-                   for side in rest)]
+            for name, configs in _configs().items()}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--side", action="append", metavar="NAME=PATH",
                         help="a checkout to scan")
-    parser.add_argument("--draws", type=int, default=300,
-                        help="seeded draws per side")
     parser.add_argument("--out", type=Path,
                         help="the JSON file to write, HONESTY_<pr>.json")
     parser.add_argument("--child", action="store_true",
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        print(json.dumps(side_report(args.draws)))
+        print(json.dumps(side_report()))
         return 0
     if not args.side or args.out is None:
         parser.error("--side and --out are required")
-    if args.draws < 0:
-        parser.error("--draws must not be negative")
-    sides = {}
-    for spec in args.side:
-        name, sep, path = spec.partition("=")
-        if not sep or not name:
-            parser.error(f"--side takes NAME=PATH, not {spec!r}")
-        sides[name] = Path(path).resolve()
+    sides = collect.parse_sides(parser, args.side)
     reports = {}
     for name, checkout in sides.items():
-        env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-        child = subprocess.run(
-            [sys.executable, __file__, "--child", "--draws", str(args.draws)],
-            env=env, check=True, capture_output=True, text=True)
+        child = subprocess.run([sys.executable, __file__, "--child"],
+                               env=collect.child_env(checkout), check=True,
+                               capture_output=True, text=True)
         reports[name] = json.loads(child.stdout)
     import numpy
     doc = {
@@ -176,12 +151,12 @@ def main(argv=None) -> int:
         "config": {"scan": {"variants": "all", "blends": list(BLENDS),
                             "l": list(SCAN_L), "t": 0.6, "r_max": 80.0,
                             "n_ang": 8, "sweep": list(SWEEP)},
-                   "draws": {"count": args.draws, "seed": SEED,
+                   "draws": {"count": DRAWS, "seed": SEED,
                              "l": [1e-3, 1e3], "t": [0.0, 1.0],
                              "r_max": [20.0, 120.0], "n_ang": [2, 8],
                              "sweep": list(SWEEP)}},
-        "moved": moved(reports),
-        "sides": {name: {**git_state(sides[name]), **reports[name]}
+        "moved": collect.moved(reports),
+        "sides": {name: {**collect.git_state(sides[name]), **reports[name]}
                   for name in sides},
     }
     args.out.write_text(json.dumps(doc, indent=2) + "\n")

@@ -3,8 +3,6 @@ integration over the Taub-NUT family."""
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from . import geometry, jets
@@ -13,7 +11,7 @@ from .geometry import (_EPS4, Gauge, MetricSpec, _seed_chart,
                        curvature_form_chunks, wedge4)
 from .jets import Jet
 from .quadrature import (ROUNDOFF, GridSet, QuadratureSpec, integrate_radial,
-                         sweep_grids)
+                         per_grid_set, sweep_grids)
 
 PONT_NORM = 1.0 / (192.0 * np.pi**2)
 
@@ -28,12 +26,12 @@ def pontryagin_scalar(riemann: np.ndarray) -> np.ndarray:
 _CHUNK = 352  # points per curvature batch, to bound the working set
 
 
-@lru_cache(maxsize=4)
+@per_grid_set
 def _sweep_geometry(grid_set: GridSet):
     """The metric-free half of _density_samples on a grid set: a
     jets.SharedSeed over the r of the _seed_chart of its points in the
     default gauge and its end radii, which hold no point, and that chart.
-    Built once per grid set and shared, so every array is read-only."""
+    Built once per grid set and kept on it, so every array is read-only."""
     chart = jets.read_only(*_seed_chart(grid_set.points, Gauge.DEFAULT))
     radius = np.concatenate([chart[0].val, grid_set.ends])
     return jets.SharedSeed(radius), chart

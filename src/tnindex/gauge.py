@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -15,7 +14,7 @@ from .geometry import (PAIRS, Gauge, MetricSpec, Point, Variant,
                        chart_omega, hodge_star, metric_at, two_form_matrix,
                        wedge4)
 from .quadrature import (ROUNDOFF, GridSet, QuadratureSpec, integrate_radial,
-                         sweep_grids)
+                         per_grid_set, sweep_grids)
 
 LAMBDA_TOL = 1e-6
 
@@ -198,14 +197,14 @@ def field_strength_at(ch: InstantonChannel, p: Point,
 # Bulk action
 
 
-@lru_cache(maxsize=4)
+@per_grid_set
 def _bulk_geometry(grid_set: GridSet):
     """The channel-free part of the bulk density on a grid set.  Returns
     the wedges f^f, 2 f^w and w^w of f = dr ^ (dtau + omega) and w =
     d(omega) at every point, shape (3, points); then, at every node radius
     in grid order followed by the end radii, which hold no point, the
     _radial_factors, r^2 and the number of points.  Built once per grid
-    set and shared, so every array is read-only."""
+    set and kept on it, so every array is read-only."""
     grids, ends, points = grid_set.grids, grid_set.ends, grid_set.points
     fibered, domega, _ = _field_strength_geometry(points)
     domega = [np.zeros(len(points)) if w is None else w for w in domega]

@@ -4,9 +4,10 @@ logarithmic radial grid, with refinement-based error estimates."""
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -126,13 +127,14 @@ class GridSet:
     radii `ends`, (r_min, r_max), which hold no point; and `points`, the
     read-only (N, 3) points of the grids, grid after grid, each
     radius-major at its `angular_points` directions.  It hashes and
-    compares by identity, so a cache of what depends on the points alone
-    keys on the set itself."""
+    compares by identity, and what depends on its points alone is kept on
+    the set itself (`per_grid_set`)."""
 
     grids: tuple
     n_r_values: tuple
     ends: tuple
     points: np.ndarray = field(init=False, repr=False)
+    _derived: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         points = np.concatenate([angular_points(r, k).reshape(-1, 3)
@@ -150,6 +152,19 @@ class GridSet:
         return out
 
 
+def per_grid_set(build):
+    """build(grid_set), run once per GridSet and kept on the set, so it
+    lives and is evicted with its set: the bound of sweep_grids' cache is
+    the one bound on both."""
+    @wraps(build)
+    def kept(grid_set: GridSet):
+        derived = grid_set._derived
+        if build not in derived:
+            derived[build] = build(grid_set)
+        return derived[build]
+    return kept
+
+
 def sweep_grids(quad: QuadratureSpec, n_r_values) -> GridSet:
     """The GridSet of a sweep over n_r_values, each row needing its grid of
     n_r nodes and the half-size grid, with the ends quad.r_min and
@@ -158,11 +173,14 @@ def sweep_grids(quad: QuadratureSpec, n_r_values) -> GridSet:
     first, at quad.n_ang directions: the half-size grid of the smallest
     n_r.  Every other grid follows at one direction, the first of
     `angular_samples`.  Built once per layout (r_min, r_max, n_ang,
-    n_r_values), which quad.n_r and quad.tol do not change, and shared."""
-    return _grid_set(quad.r_min, quad.r_max, quad.n_ang, tuple(n_r_values))
+    n_r_values), which quad.n_r and quad.tol do not change, and shared.
+    The sizes are taken as Python ints, so a numpy integer keys the same
+    set and a float is refused with TypeError."""
+    return _grid_set(quad.r_min, quad.r_max, quad.n_ang,
+                     tuple(map(operator.index, n_r_values)))
 
 
-@lru_cache(maxsize=8)  # no fewer than the two term caches keyed by a set
+@lru_cache(maxsize=8)
 def _grid_set(r_min: float, r_max: float, n_ang: int, n_r_values: tuple):
     quad = QuadratureSpec(r_min, r_max)
     sizes = dict.fromkeys([min(n_r_values) // 2]

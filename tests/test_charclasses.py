@@ -426,12 +426,13 @@ def test_a_kernel_call_reads_nothing_of_the_one_before(monkeypatch):
 
 
 def test_caches_stay_bounded_and_read_only():
-    """More grid sets than _sweep_geometry keeps, more blend profiles than
-    a shared seed keeps and more chunk lengths than _workspace keeps leave
-    each cache at its bound; every array a cache shares is read-only."""
-    charclasses._sweep_geometry.cache_clear()
+    """More grid sets than sweep_grids keeps, with the geometry kept on
+    them, more blend profiles than a shared seed keeps and more chunk
+    lengths than _workspace keeps leave each cache at its bound; every
+    array a cache shares is read-only."""
+    quadrature._grid_set.cache_clear()
     geometry._workspace.cache_clear()
-    sizes = charclasses._sweep_geometry.cache_info().maxsize + 2
+    sizes = quadrature._grid_set.cache_info().maxsize + 2
     blends = [BlendProfile(r_in=1.0 + 0.1 * k, kind=kind)
               for k in range(jets.SharedSeed.MAX_SHARED + 1)
               for kind in ("quintic", "septic")]
@@ -441,12 +442,13 @@ def test_caches_stay_bounded_and_read_only():
         for blend in blends:
             convergence_table(MetricSpec(variant=Variant.EXACT_D,
                                          blend=blend), quad, [16, 32])
-    for cache in (charclasses._sweep_geometry, geometry._workspace):
+    for cache in (quadrature._grid_set, geometry._workspace):
         info = cache.cache_info()
         assert info.currsize == info.maxsize
+    hits = quadrature._grid_set.cache_info().hits
     grid_set = sweep_grids(quads[-1], [16, 32])
     radius, chart = charclasses._sweep_geometry(grid_set)
-    assert charclasses._sweep_geometry.cache_info().hits > 0
+    assert quadrature._grid_set.cache_info().hits == hits + 1
     assert list(radius._shared) == blends[-jets.SharedSeed.MAX_SHARED:]
     arrays = [grid_set.points] + [a for y in (radius, radius.reciprocal(),
                                   radius.log(), *radius._shared.values(),
@@ -473,12 +475,12 @@ def test_rows_do_not_depend_on_the_cache_state(kind):
             convergence_table(other, quad, sweep)
         return np.array(convergence_table(spec, quad, sweep)).tobytes()
 
-    charclasses._sweep_geometry.cache_clear()
+    quadrature._grid_set.cache_clear()
     geometry._workspace.cache_clear()
     cold = rows()
     assert rows() == cold
     for other in others:
-        charclasses._sweep_geometry.cache_clear()
+        quadrature._grid_set.cache_clear()
         geometry._workspace.cache_clear()
         assert rows(other) == cold
 

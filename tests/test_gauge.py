@@ -242,7 +242,8 @@ def bulk_density(data, rs, n_ang, l=1.0):
 
 
 def clear_caches():
-    gauge._bulk_geometry.cache_clear()
+    """Drop the cached grid sets and, with them, the geometry kept on
+    them."""
     quadrature._grid_set.cache_clear()
 
 
@@ -433,24 +434,32 @@ def test_bulk_action_evaluates_geometry_once_per_grid(monkeypatch):
     assert count(4) == 0
 
 
-def test_cached_grids_and_geometry_are_read_only():
-    """The caches are bounded; a bulk call looks its grid set up once, and
-    an in-place write into a shared radial grid, into the set's points or
-    into a shared geometry array fails.  The geometry holds the three
-    wedges at every point of both grids and the radial arrays at every node
-    and at both ends."""
+def test_cached_grids_and_geometry_are_read_only(monkeypatch):
+    """The caches are bounded; a bulk call looks its grid set up once and
+    builds its geometry once, and an in-place write into a shared radial
+    grid, into the set's points or into a shared geometry array fails.
+    The geometry holds the three wedges at every point of both grids and
+    the radial arrays at every node and at both ends."""
     clear_caches()
-    for cache in (gauge._bulk_geometry, quadrature._grid_set,
-                  quadrature._legendre_rule):
+    for cache in (quadrature._grid_set, quadrature._legendre_rule):
         assert cache.cache_info().maxsize is not None
+    builds = []
+    field_geometry = gauge._field_strength_geometry
+
+    def counted(*args):
+        builds.append(1)
+        return field_geometry(*args)
+
+    monkeypatch.setattr(gauge, "_field_strength_geometry", counted)
     quad = QuadratureSpec(n_r=64)
     bulk_action(FOUR_CHANNELS, quad)
     bulk_action(FOUR_CHANNELS, quad)
-    info = gauge._bulk_geometry.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    info = quadrature._grid_set.cache_info()
+    assert (info.hits, info.misses, info.currsize, len(builds)) == \
+        (1, 1, 1, 1)
     grids = quadrature.sweep_grids(quad, [quad.n_r])
     wedges, factors, r2, directions = gauge._bulk_geometry(grids)
-    assert gauge._bulk_geometry.cache_info().hits == 2
+    assert gauge._bulk_geometry(grids)[0] is wedges and len(builds) == 1
     assert wedges.shape == (3, 32 * quad.n_ang + 64)
     radial = [*factors, r2, directions]
     assert {a.shape for a in radial} == {(32 + 64 + 2,)}

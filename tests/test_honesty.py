@@ -36,7 +36,7 @@ def dishonest(rows):
 
 
 def scan():
-    return honesty.scan_rows(honesty._configs(0)["scan"])
+    return honesty.scan_rows(honesty._configs()["scan"])
 
 
 def test_scan_rows_are_honest_but_the_known_list():
@@ -62,33 +62,33 @@ def test_a_halved_error_estimate_shows_above_one(monkeypatch):
 
 
 def test_honesty_file_schema(tmp_path):
-    """One side of a few draws: every section carries its row count, worst
-    ratio with its configuration, the rows above 1 and above quad.tol, its
-    failures and its digest; moved is empty."""
+    """One side at the full draw count: every section carries its row
+    count, worst ratio with its configuration, the rows above 1 and above
+    quad.tol, its failures and its digest; moved is empty."""
     out = tmp_path / "honesty.json"
-    assert honesty.main(["--side", f"here={ROOT}", "--draws", "2",
-                         "--out", str(out)]) == 0
+    assert honesty.main(["--side", f"here={ROOT}", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["moved"] == []
-    assert doc["config"]["draws"]["count"] == 2
+    assert doc["config"]["draws"]["count"] == honesty.DRAWS
     side = doc["sides"]["here"]
-    assert {"commit", "dirty", *honesty.SECTIONS} <= set(side)
-    for name, rows in (("scan", 216), ("draws", 6)):
+    assert {"commit", "dirty", "scan", "draws"} <= set(side)
+    for name, rows in (("scan", 216), ("draws", 3 * honesty.DRAWS)):
         section = side[name]
         assert set(section) == {"rows", "worst", "worst_honest_ratio",
-                                "above_1", "above_tol", "failures", "failed",
-                                "digest"}
-        assert section["rows"] == rows
+                                "above_1", "above_tol", "failed", "digest"}
+        assert section["rows"] == rows - 3 * len(section["failed"])
         assert section["worst"]["ratio"] >= section["worst_honest_ratio"]
         assert all(row["ratio"] > 1.0 for row in section["above_1"])
     assert len(side["scan"]["above_1"]) == len(KNOWN_DISHONEST)
 
 
 def test_moved_lists_the_sections_whose_rows_differ():
-    same = {name: {"digest": "0" * 64} for name in honesty.SECTIONS}
-    assert honesty.moved({"parent": same, "change": dict(same)}) == []
+    same = {name: {"digest": "0" * 64} for name in ("scan", "draws")}
+    assert honesty.collect.moved({"parent": same, "change": dict(same)}) \
+        == []
     other = dict(same, draws={"digest": "1" * 64})
-    assert honesty.moved({"parent": same, "change": other}) == ["draws"]
+    assert honesty.collect.moved({"parent": same, "change": other}) \
+        == ["draws"]
 
 
 def test_honesty_rejects_a_side_without_a_path():

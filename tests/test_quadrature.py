@@ -1,6 +1,8 @@
 """Radial quadrature rules, error estimates, and determinism."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -152,12 +154,19 @@ def test_per_grid_splits_the_grid_points_back(sweep):
 
 
 def test_sweep_grids_share_one_set_per_layout():
-    """One GridSet per layout (r_min, r_max, n_ang, n_r_values): a list and
-    a tuple of the same sizes, or another n_r or tol, give the same set; a
-    change of any field of the layout gives another."""
+    """One GridSet per layout (r_min, r_max, n_ang, n_r_values): a list, a
+    tuple and a numpy array of the same sizes, or another n_r or tol, give
+    the same set, whose sizes are Python ints; a change of any field of the
+    layout gives another, and a float size is refused."""
     quad = QuadratureSpec()
-    grid_set = sweep_grids(quad, [64, 128, 256])
+    grid_set = sweep_grids(quad, np.array([64, 128, 256]))
+    assert [type(n) for n in grid_set.n_r_values] == [int] * 3
+    assert sweep_grids(quad, [64, 128, 256]) is grid_set
     assert sweep_grids(quad, (64, 128, 256)) is grid_set
+    rows = charclasses.convergence_table(MetricSpec(), quad, [64, 128, 256])
+    assert [type(row[0]) for row in rows] == [int] * 3
+    with pytest.raises(TypeError):
+        sweep_grids(quad, [64.0])
     assert sweep_grids(dataclasses.replace(quad, n_r=64, tol=1e-2),
                        [64, 128, 256]) is grid_set
     for other in [(dataclasses.replace(quad, r_min=1e-5), [64, 128, 256]),
@@ -183,13 +192,10 @@ def test_grid_set_is_read_only_and_hashed_by_identity():
 
 
 def test_grid_set_cache_stays_at_its_bound():
-    """The set cache holds at least as many sets as the two term caches
-    keyed by a set together, so a set that a term cache holds is not built
-    again under a new identity; more layouts leave it at its bound."""
+    """The set cache holds the sets, and what per_grid_set keeps on them,
+    up to its one bound; more layouts leave it at its bound."""
     cache = quadrature._grid_set
     info = cache.cache_info()
-    assert info.maxsize >= charclasses._sweep_geometry.cache_info().maxsize \
-        + gauge._bulk_geometry.cache_info().maxsize
     cache.cache_clear()
     sets = [sweep_grids(QuadratureSpec(n_ang=2 + k), [32])
             for k in range(info.maxsize + 3)]
@@ -198,22 +204,59 @@ def test_grid_set_cache_stays_at_its_bound():
                        [32]) is sets[-1]
 
 
-def test_a_second_sweep_hits_both_term_caches():
+def count_geometry_builds(monkeypatch):
+    """{term: builds} of the Pontryagin and the bulk geometry, counted at
+    the point-wise work each build does once."""
+    builds = {"sweep": 0, "bulk": 0}
+
+    def counted(module, name, term):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            builds[term] += 1
+            return inner(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(charclasses, "_seed_chart", "sweep")
+    counted(gauge, "_field_strength_geometry", "bulk")
+    return builds
+
+
+def test_a_second_sweep_hits_both_term_caches(monkeypatch):
     """A second Pontryagin sweep and a second bulk call on the same layout,
-    at another tol, find their grid set and its geometry cached."""
+    at another tol, find their grid set and its geometry kept on it."""
     quad = QuadratureSpec(n_r=64, n_ang=3)
     again = dataclasses.replace(quad, tol=1e-2)
     data = InstantonData([InstantonChannel(0.3, 1.0)])
-    terms = (charclasses._sweep_geometry, gauge._bulk_geometry)
-    for cache in terms:
-        cache.cache_clear()
+    quadrature._grid_set.cache_clear()
+    builds = count_geometry_builds(monkeypatch)
     first = (charclasses.convergence_table(MetricSpec(), quad, [64]),
              gauge.bulk_action(data, quad))
-    assert [c.cache_info()[:2] for c in terms] == [(0, 1), (0, 1)]
+    assert builds == {"sweep": 1, "bulk": 1}
     second = (charclasses.convergence_table(MetricSpec(), again, [64]),
               gauge.bulk_action(data, again))
-    assert [c.cache_info()[:2] for c in terms] == [(1, 1), (1, 1)]
+    assert builds == {"sweep": 1, "bulk": 1}
+    assert quadrature._grid_set.cache_info()[:2] == (3, 1)
     assert second == first
+
+
+def test_an_evicted_set_takes_its_geometry_along(monkeypatch):
+    """A Pontryagin layout evicted by more bulk layouts than the set cache
+    holds leaves nothing pinned: its set and geometry are freed, and its
+    next sweep builds both once, with the bits of the first."""
+    quadrature._grid_set.cache_clear()
+    quad, spec = QuadratureSpec(n_r=64, n_ang=3), MetricSpec()
+    first = charclasses.convergence_table(spec, quad, [32, 64])
+    evicted = weakref.ref(sweep_grids(quad, [32, 64]))
+    data = InstantonData([InstantonChannel(0.3, 1.0)])
+    for k in range(quadrature._grid_set.cache_info().maxsize + 1):
+        gauge.bulk_action(data, QuadratureSpec(n_r=32, n_ang=2 + k))
+    gc.collect()
+    assert evicted() is None
+    builds = count_geometry_builds(monkeypatch)
+    for _ in range(2):
+        assert charclasses.convergence_table(spec, quad, [32, 64]) == first
+    assert builds == {"sweep": 1, "bulk": 0}
 
 
 def test_both_densities_sample_the_grid_points(monkeypatch):
@@ -221,6 +264,7 @@ def test_both_densities_sample_the_grid_points(monkeypatch):
     _density_samples sends to curvature_form_chunks are both the points of
     the grid set, byte for byte."""
     quad = QuadratureSpec(n_r=64)
+    quadrature._grid_set.cache_clear()  # a new set, with no geometry yet
     grids = sweep_grids(quad, [32, 64])
     seen = {}
     field_geometry = gauge._field_strength_geometry
@@ -237,10 +281,8 @@ def test_both_densities_sample_the_grid_points(monkeypatch):
     monkeypatch.setattr(gauge, "_field_strength_geometry", bulk_points)
     monkeypatch.setattr(charclasses, "curvature_form_chunks",
                         curvature_points)
-    gauge._bulk_geometry.cache_clear()
     gauge._bulk_densities(InstantonData([InstantonChannel(0.3, 1.0)]),
                           grids, 1.0)
-    gauge._bulk_geometry.cache_clear()
     charclasses._density_samples(MetricSpec(), grids)
     points = grids.points.tobytes()
     assert seen["bulk"].tobytes() == points == seen["curvature"].tobytes()
