@@ -11,7 +11,7 @@ from .geometry import (_EPS4, Gauge, MetricSpec, _seed_chart,
                        curvature_form_chunks, wedge4)
 from .jets import Jet
 from .quadrature import (ROUNDOFF, GridSet, QuadratureSpec, integrate_radial,
-                         per_grid_set, sweep_grids)
+                         sweep_grids)
 
 PONT_NORM = 1.0 / (192.0 * np.pi**2)
 
@@ -26,12 +26,11 @@ def pontryagin_scalar(riemann: np.ndarray) -> np.ndarray:
 _CHUNK = 352  # points per curvature batch, to bound the working set
 
 
-@per_grid_set
 def _sweep_geometry(grid_set: GridSet):
     """The metric-free half of _density_samples on a grid set: a
     jets.SharedSeed over the r of the _seed_chart of its points in the
     default gauge and its end radii, which hold no point, and that chart.
-    Built once per grid set and kept on it, so every array is read-only."""
+    Kept on the set (GridSet.derived), so every array is read-only."""
     chart = jets.read_only(*_seed_chart(grid_set.points, Gauge.DEFAULT))
     radius = np.concatenate([chart[0].val, grid_set.ends])
     return jets.SharedSeed(radius), chart
@@ -57,7 +56,7 @@ def _density_samples(spec: MetricSpec, grid_set: GridSet):
     is elementwise, so every density and end keeps the bits of a call of
     its own."""
     xyz, grids = grid_set.points, grid_set.grids
-    radius, chart = _sweep_geometry(grid_set)
+    radius, chart = grid_set.derived(_sweep_geometry)
     # read from geometry at call time, as geometry's own callers read it,
     # so that one wrapper there sees every radial pass
     radial = geometry._radial_coeffs(spec, radius)

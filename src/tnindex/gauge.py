@@ -14,7 +14,7 @@ from .geometry import (PAIRS, Gauge, MetricSpec, Point, Variant,
                        chart_omega, hodge_star, metric_at, two_form_matrix,
                        wedge4)
 from .quadrature import (ROUNDOFF, GridSet, QuadratureSpec, integrate_radial,
-                         per_grid_set, sweep_grids)
+                         sweep_grids)
 
 LAMBDA_TOL = 1e-6
 
@@ -197,14 +197,13 @@ def field_strength_at(ch: InstantonChannel, p: Point,
 # Bulk action
 
 
-@per_grid_set
 def _bulk_geometry(grid_set: GridSet):
     """The channel-free part of the bulk density on a grid set.  Returns
     the wedges f^f, 2 f^w and w^w of f = dr ^ (dtau + omega) and w =
     d(omega) at every point, shape (3, points); then, at every node radius
     in grid order followed by the end radii, which hold no point, the
-    _radial_factors, r^2 and the number of points.  Built once per grid
-    set and kept on it, so every array is read-only."""
+    _radial_factors, r^2 and the number of points.  Kept on the set
+    (GridSet.derived), so every array is read-only."""
     grids, ends, points = grid_set.grids, grid_set.ends, grid_set.points
     fibered, domega, _ = _field_strength_geometry(points)
     domega = [np.zeros(len(points)) if w is None else w for w in domega]
@@ -232,7 +231,7 @@ def _bulk_densities(data: InstantonData, grid_set: GridSet, l: float):
     radius and then meet the wedges that _bulk_geometry caches per point.
     f^f and w^w vanish in exact arithmetic; they are the wedges of the
     actual forms, so the numeric route never assumes it."""
-    wedges, factors, r2, directions = _bulk_geometry(grid_set)
+    wedges, factors, r2, directions = grid_set.derived(_bulk_geometry)
     v = l + factors[0]  # the first radial factor is 1/(2r)
     lam, mcharge = np.array([ch.lam for ch in data.channels]
                             + [ch.mcharge for ch in data.channels]
@@ -242,8 +241,7 @@ def _bulk_densities(data: InstantonData, grid_set: GridSet, l: float):
     # repeats to no point
     form = np.add.reduce([dc * dc, dc * c_eff, c_eff * c_eff], axis=1) * r2
     density = np.add.reduce(np.repeat(form, directions, axis=1) * wedges)
-    return grid_set.split(density), \
-        c_eff[:, len(r2) - len(grid_set.ends):].T
+    return grid_set.split(density), c_eff[:, len(r2) - len(grid_set.ends):].T
 
 
 def bulk_action(data: InstantonData, quad: QuadratureSpec, l: float = 1.0):

@@ -4,10 +4,10 @@ logarithmic radial grid, with refinement-based error estimates."""
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache, wraps
+from functools import lru_cache
+from operator import index
 
 import numpy as np
 
@@ -127,8 +127,7 @@ class GridSet:
     radii `ends`, (r_min, r_max), which hold no point; and `points`, the
     read-only (N, 3) points of the grids, grid after grid, each
     radius-major at its `angular_points` directions.  It hashes and
-    compares by identity, and what depends on its points alone is kept on
-    the set itself (`per_grid_set`)."""
+    compares by identity."""
 
     grids: tuple
     n_r_values: tuple
@@ -151,18 +150,13 @@ class GridSet:
             start += len(r) * k
         return out
 
-
-def per_grid_set(build):
-    """build(grid_set), run once per GridSet and kept on the set, so it
-    lives and is evicted with its set: the bound of sweep_grids' cache is
-    the one bound on both."""
-    @wraps(build)
-    def kept(grid_set: GridSet):
-        derived = grid_set._derived
-        if build not in derived:
-            derived[build] = build(grid_set)
-        return derived[build]
-    return kept
+    def derived(self, build):
+        """build(self), run on the first call and kept on the set, so what
+        depends on its points alone is evicted with it: sweep_grids' bound
+        is the one bound on both."""
+        if build not in self._derived:
+            self._derived[build] = build(self)
+        return self._derived[build]
 
 
 def sweep_grids(quad: QuadratureSpec, n_r_values) -> GridSet:
@@ -173,15 +167,13 @@ def sweep_grids(quad: QuadratureSpec, n_r_values) -> GridSet:
     first, at quad.n_ang directions: the half-size grid of the smallest
     n_r.  Every other grid follows at one direction, the first of
     `angular_samples`.  Built once per layout (r_min, r_max, n_ang,
-    n_r_values), which quad.n_r and quad.tol do not change, and shared.
-    The sizes are taken as Python ints, so a numpy integer keys the same
-    set and a float is refused with TypeError."""
-    return _grid_set(quad.r_min, quad.r_max, quad.n_ang,
-                     tuple(map(operator.index, n_r_values)))
+    n_r_values as Python ints, so a float is refused), which quad.n_r and
+    quad.tol do not change, and shared."""
+    return _layout(quad.r_min, quad.r_max, quad.n_ang, *map(index, n_r_values))
 
 
 @lru_cache(maxsize=8)
-def _grid_set(r_min: float, r_max: float, n_ang: int, n_r_values: tuple):
+def _layout(r_min: float, r_max: float, n_ang: int, *n_r_values: int):
     quad = QuadratureSpec(r_min, r_max)
     sizes = dict.fromkeys([min(n_r_values) // 2]
                           + [m for n in n_r_values for m in (n, n // 2)])

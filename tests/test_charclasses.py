@@ -430,9 +430,9 @@ def test_caches_stay_bounded_and_read_only():
     them, more blend profiles than a shared seed keeps and more chunk
     lengths than _workspace keeps leave each cache at its bound; every
     array a cache shares is read-only."""
-    quadrature._grid_set.cache_clear()
+    quadrature._layout.cache_clear()
     geometry._workspace.cache_clear()
-    sizes = quadrature._grid_set.cache_info().maxsize + 2
+    sizes = quadrature._layout.cache_info().maxsize + 2
     blends = [BlendProfile(r_in=1.0 + 0.1 * k, kind=kind)
               for k in range(jets.SharedSeed.MAX_SHARED + 1)
               for kind in ("quintic", "septic")]
@@ -442,13 +442,13 @@ def test_caches_stay_bounded_and_read_only():
         for blend in blends:
             convergence_table(MetricSpec(variant=Variant.EXACT_D,
                                          blend=blend), quad, [16, 32])
-    for cache in (quadrature._grid_set, geometry._workspace):
+    for cache in (quadrature._layout, geometry._workspace):
         info = cache.cache_info()
         assert info.currsize == info.maxsize
-    hits = quadrature._grid_set.cache_info().hits
+    hits = quadrature._layout.cache_info().hits
     grid_set = sweep_grids(quads[-1], [16, 32])
-    radius, chart = charclasses._sweep_geometry(grid_set)
-    assert quadrature._grid_set.cache_info().hits == hits + 1
+    radius, chart = grid_set.derived(charclasses._sweep_geometry)
+    assert quadrature._layout.cache_info().hits == hits + 1
     assert list(radius._shared) == blends[-jets.SharedSeed.MAX_SHARED:]
     arrays = [grid_set.points] + [a for y in (radius, radius.reciprocal(),
                                   radius.log(), *radius._shared.values(),
@@ -475,12 +475,12 @@ def test_rows_do_not_depend_on_the_cache_state(kind):
             convergence_table(other, quad, sweep)
         return np.array(convergence_table(spec, quad, sweep)).tobytes()
 
-    quadrature._grid_set.cache_clear()
+    quadrature._layout.cache_clear()
     geometry._workspace.cache_clear()
     cold = rows()
     assert rows() == cold
     for other in others:
-        quadrature._grid_set.cache_clear()
+        quadrature._layout.cache_clear()
         geometry._workspace.cache_clear()
         assert rows(other) == cold
 

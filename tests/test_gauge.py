@@ -244,7 +244,7 @@ def bulk_density(data, rs, n_ang, l=1.0):
 def clear_caches():
     """Drop the cached grid sets and, with them, the geometry kept on
     them."""
-    quadrature._grid_set.cache_clear()
+    quadrature._layout.cache_clear()
 
 
 FOUR_CHANNELS = InstantonData([
@@ -441,7 +441,7 @@ def test_cached_grids_and_geometry_are_read_only(monkeypatch):
     The geometry holds the three wedges at every point of both grids and
     the radial arrays at every node and at both ends."""
     clear_caches()
-    for cache in (quadrature._grid_set, quadrature._legendre_rule):
+    for cache in (quadrature._layout, quadrature._legendre_rule):
         assert cache.cache_info().maxsize is not None
     builds = []
     field_geometry = gauge._field_strength_geometry
@@ -454,12 +454,12 @@ def test_cached_grids_and_geometry_are_read_only(monkeypatch):
     quad = QuadratureSpec(n_r=64)
     bulk_action(FOUR_CHANNELS, quad)
     bulk_action(FOUR_CHANNELS, quad)
-    info = quadrature._grid_set.cache_info()
+    info = quadrature._layout.cache_info()
     assert (info.hits, info.misses, info.currsize, len(builds)) == \
         (1, 1, 1, 1)
     grids = quadrature.sweep_grids(quad, [quad.n_r])
-    wedges, factors, r2, directions = gauge._bulk_geometry(grids)
-    assert gauge._bulk_geometry(grids)[0] is wedges and len(builds) == 1
+    wedges, factors, r2, directions = grids.derived(gauge._bulk_geometry)
+    assert len(builds) == 1
     assert wedges.shape == (3, 32 * quad.n_ang + 64)
     radial = [*factors, r2, directions]
     assert {a.shape for a in radial} == {(32 + 64 + 2,)}

@@ -192,9 +192,9 @@ def test_grid_set_is_read_only_and_hashed_by_identity():
 
 
 def test_grid_set_cache_stays_at_its_bound():
-    """The set cache holds the sets, and what per_grid_set keeps on them,
-    up to its one bound; more layouts leave it at its bound."""
-    cache = quadrature._grid_set
+    """The set cache holds the sets, and what GridSet.derived keeps on
+    them, up to its one bound; more layouts leave it at its bound."""
+    cache = quadrature._layout
     info = cache.cache_info()
     cache.cache_clear()
     sets = [sweep_grids(QuadratureSpec(n_ang=2 + k), [32])
@@ -228,7 +228,7 @@ def test_a_second_sweep_hits_both_term_caches(monkeypatch):
     quad = QuadratureSpec(n_r=64, n_ang=3)
     again = dataclasses.replace(quad, tol=1e-2)
     data = InstantonData([InstantonChannel(0.3, 1.0)])
-    quadrature._grid_set.cache_clear()
+    quadrature._layout.cache_clear()
     builds = count_geometry_builds(monkeypatch)
     first = (charclasses.convergence_table(MetricSpec(), quad, [64]),
              gauge.bulk_action(data, quad))
@@ -236,7 +236,7 @@ def test_a_second_sweep_hits_both_term_caches(monkeypatch):
     second = (charclasses.convergence_table(MetricSpec(), again, [64]),
               gauge.bulk_action(data, again))
     assert builds == {"sweep": 1, "bulk": 1}
-    assert quadrature._grid_set.cache_info()[:2] == (3, 1)
+    assert quadrature._layout.cache_info()[:2] == (3, 1)
     assert second == first
 
 
@@ -244,12 +244,12 @@ def test_an_evicted_set_takes_its_geometry_along(monkeypatch):
     """A Pontryagin layout evicted by more bulk layouts than the set cache
     holds leaves nothing pinned: its set and geometry are freed, and its
     next sweep builds both once, with the bits of the first."""
-    quadrature._grid_set.cache_clear()
+    quadrature._layout.cache_clear()
     quad, spec = QuadratureSpec(n_r=64, n_ang=3), MetricSpec()
     first = charclasses.convergence_table(spec, quad, [32, 64])
     evicted = weakref.ref(sweep_grids(quad, [32, 64]))
     data = InstantonData([InstantonChannel(0.3, 1.0)])
-    for k in range(quadrature._grid_set.cache_info().maxsize + 1):
+    for k in range(quadrature._layout.cache_info().maxsize + 1):
         gauge.bulk_action(data, QuadratureSpec(n_r=32, n_ang=2 + k))
     gc.collect()
     assert evicted() is None
@@ -264,7 +264,7 @@ def test_both_densities_sample_the_grid_points(monkeypatch):
     _density_samples sends to curvature_form_chunks are both the points of
     the grid set, byte for byte."""
     quad = QuadratureSpec(n_r=64)
-    quadrature._grid_set.cache_clear()  # a new set, with no geometry yet
+    quadrature._layout.cache_clear()  # a new set, with no geometry yet
     grids = sweep_grids(quad, [32, 64])
     seen = {}
     field_geometry = gauge._field_strength_geometry
