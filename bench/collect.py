@@ -1,26 +1,27 @@
 """Wall times of tn-index at the README configuration, for BENCH_<pr>.json.
 
     python3 bench/collect.py --side parent=PATH --side change=. \\
-        --out BENCH_16.json [--repeat N] [--inner N]
+        --out BENCH_<pr>.json
 
 Each ``--side NAME=PATH`` names a checkout whose ``src/`` is timed. For
-every side the file records the minimum (and the median) over N runs of:
+every side the file records the minimum (and the median) over ``REPEAT``
+runs of:
 
 - start-up: a fresh ``python -c pass`` and a fresh ``import tnindex.cli``;
 - each CLI mode end to end in a fresh interpreter, on the configuration
   document of that checkout's README.md, written to a scratch directory;
-- in process: one ``convergence_table`` sweep at that configuration, its
-  minor page faults (``convergence_table_minflt``, from ``getrusage``, with
-  the sweeps run back to back before the other in-process timings, so
-  that the count is the sweep's own),
-  its system time (``convergence_table_stime``, the mean ``ru_stime`` per
-  sweep over a round's sweeps, since one sweep takes less than a tick),
-  its calls of each of the ``COUNTED_SITES`` of ``geometry``
-  (``convergence_table_<site>_calls``: the radial passes of A and C and
-  the curvature chunks), and the time it spends inside each of the
-  ``KERNEL_SITES`` of ``geometry``: the radial pass of A and C, the metric
-  jets and the Riemann kernel. A site that a checkout lacks is listed
-  under ``absent_sites`` of its side;
+- in process: one ``convergence_table`` sweep at that configuration, the
+  best of ``INNER`` per run, its minor page faults
+  (``convergence_table_minflt``, from ``getrusage``, with the sweeps run
+  back to back before the other in-process timings, so that the count is
+  the sweep's own), its system time (``convergence_table_stime``, the
+  mean ``ru_stime`` per sweep over a round's sweeps, since one sweep
+  takes less than a tick), its calls of each of the ``COUNTED_SITES`` of
+  ``geometry`` (``convergence_table_<site>_calls``: the radial passes of
+  A and C and the curvature chunks), and the time it spends inside each
+  of the ``KERNEL_SITES`` of ``geometry``: the radial pass of A and C,
+  the metric jets and the Riemann kernel. A site that a checkout lacks is
+  listed under ``absent_sites`` of its side;
 - in process: the time per lambda of each eta route of that checkout,
   ``eta_<route>_per_lambda``, over the configuration's ``lambdas``;
 - in process: the bulk density layer, one ``gauge.bulk_action`` call on
@@ -71,14 +72,17 @@ MODES = {
     "geometry_check": ["--mode", "geometry-check"],
 }
 # geometry functions whose time inside the sweep is recorded; they are
-# wrapped in geometry and under the same name in charclasses, where it
-# holds the same function, so every call is seen, and in the sweep none of
-# them runs inside another
+# wrapped in geometry, where every caller looks them up at call time, so
+# every call is seen, and in the sweep none of them runs inside another
 KERNEL_SITES = ("_radial_coeffs", "_metric_jet_arrays", "_riemann_from_arrays")
 # geometry functions whose calls per sweep are counted, wrapped the same way
 COUNTED_SITES = ("_radial_coeffs", "curvature_forms")
 # cli.main calls per mode per round in the IN_PROCESS_MAIN child.
 OPS = 20
+# Rounds per side, which alternate the order of the sides, and sweeps per
+# round in the IN_PROCESS child.
+REPEAT = 21
+INNER = 5
 
 # In-process child: min over its own repeats of one sweep, its minor page
 # faults and its calls of each counted site that geometry has, and of the
@@ -129,10 +133,7 @@ def wrapped(name, fn):
     return wrapper
 
 for name in {*spent, *calls}:
-    fn = getattr(geometry, name)
-    for module in (geometry, charclasses):
-        if getattr(module, name, None) is fn:
-            setattr(module, name, wrapped(name, fn))
+    setattr(geometry, name, wrapped(name, getattr(geometry, name)))
 best, sweeps, stime = {}, int(sys.argv[2]), 0.0
 
 def keep(lap):
@@ -212,6 +213,15 @@ def child_env(checkout: Path) -> dict:
     return env
 
 
+def run_child(checkout: Path, argv, cwd=None):
+    """The one JSON line that a fresh ``python *argv`` prints, parsed, run
+    on the src/ of checkout under child_env, in cwd."""
+    child = subprocess.run([sys.executable, *argv], env=child_env(checkout),
+                           cwd=cwd, check=True, capture_output=True,
+                           text=True)
+    return json.loads(child.stdout)
+
+
 def wall(argv, env, cwd) -> float:
     t0 = time.perf_counter()
     subprocess.run(argv, env=env, cwd=cwd, check=True,
@@ -255,7 +265,7 @@ def source_lines(package: Path) -> dict:
     return {"src_lines": total, "src_code_lines": code}
 
 
-def one_round(checkout: Path, config: Path, scratch: Path, inner: int):
+def one_round(checkout: Path, config: Path, scratch: Path):
     """One run of every measurement on one checkout: ({name: seconds, or
     a list of per-op seconds}, {mode: report digests})."""
     env, py = child_env(checkout), sys.executable
@@ -267,15 +277,11 @@ def one_round(checkout: Path, config: Path, scratch: Path, inner: int):
         out[mode] = wall([py, "-m", "tnindex.cli", "--config", str(config),
                           "--out", str(scratch / mode), *args], env, scratch)
         digests[mode] = report_digests(scratch / mode)
-    child = subprocess.run([py, "-c", IN_PROCESS, str(config), str(inner),
-                            *KERNEL_SITES], env=env, cwd=scratch, check=True,
-                           capture_output=True, text=True)
-    out.update(json.loads(child.stdout))
-    child = subprocess.run([py, "-c", IN_PROCESS_MAIN, str(config),
-                            str(scratch / "main"), str(OPS),
-                            json.dumps(MODES)], env=env, cwd=scratch,
-                           check=True, capture_output=True, text=True)
-    out.update(json.loads(child.stdout))
+    out.update(run_child(checkout, ["-c", IN_PROCESS, str(config), str(INNER),
+                                    *KERNEL_SITES], scratch))
+    out.update(run_child(checkout, ["-c", IN_PROCESS_MAIN, str(config),
+                                    str(scratch / "main"), str(OPS),
+                                    json.dumps(MODES)], scratch))
     return out, digests
 
 
@@ -319,15 +325,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--side", action="append", required=True,
                         metavar="NAME=PATH", help="a checkout to time")
-    parser.add_argument("--repeat", type=int, default=5,
-                        help="rounds; each measurement keeps its minimum")
-    parser.add_argument("--inner", type=int, default=3,
-                        help="in-process sweeps per round")
     parser.add_argument("--out", type=Path, required=True,
                         help="the JSON file to write, BENCH_<pr>.json")
     args = parser.parse_args(argv)
-    if args.repeat < 1 or args.inner < 1:
-        parser.error("--repeat and --inner must be at least 1")
     sides = parse_sides(parser, args.side)
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     runs = {name: [] for name in sides}
@@ -338,12 +338,12 @@ def main(argv=None) -> int:
             configs[name] = Path(tmp) / f"{name}.json"
             configs[name].write_text(json.dumps(readme_config(checkout)))
         order = list(sides)
-        for k in range(args.repeat):
+        for k in range(REPEAT):
             for name in order if k % 2 == 0 else order[::-1]:
                 scratch = Path(tmp) / name
                 scratch.mkdir(exist_ok=True)
                 times, reports[name] = one_round(sides[name], configs[name],
-                                                 scratch, args.inner)
+                                                 scratch)
                 runs[name].append(times)
     import numpy
     doc = {
@@ -352,8 +352,8 @@ def main(argv=None) -> int:
                  "nproc": os.cpu_count(), "cpu": min(os.sched_getaffinity(0)),
                  "blas_threads": 1},
         "config": "README.md configuration document of each side",
-        "repeat": args.repeat,
-        "inner": args.inner,
+        "repeat": REPEAT,
+        "inner": INNER,
         "moved": moved(reports),
         "sides": {name: {**git_state(sides[name]),
                          **source_lines(sides[name] / "src" / "tnindex"),

@@ -1,7 +1,7 @@
 """Honesty scan of the Pontryagin term, for HONESTY_<pr>.json.
 
     python3 bench/honesty.py --side parent=PATH --side change=. \\
-        --out HONESTY_37.json
+        --out HONESTY_<pr>.json
 
 Each ``--side NAME=PATH`` names a checkout whose ``src/`` is scanned in a
 fresh interpreter. A row of ``convergence_table`` is honest when it misses
@@ -21,32 +21,37 @@ configuration, every row whose ratio is above 1, every ``quad.n_r`` row
 whose miss is above ``quad.tol`` (``pontryagin`` mode fails those), each
 failure with its error kind, message and configuration, and a SHA-256 of
 every row's value, error and tail bound. ``moved`` lists the sections
-that differ between the sides. The side arguments, the child's
-environment, the git state and ``moved`` are ``bench/collect.py``'s.
+that differ between the sides. The side arguments, the child's launcher
+(``run_child``) and environment, the git state and ``moved`` are
+``bench/collect.py``'s.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib.util
 import json
 import platform
 import random
-import subprocess
 import sys
 from pathlib import Path
 
-_SPEC = importlib.util.spec_from_file_location(
-    "collect", Path(__file__).with_name("collect.py"))
-collect = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(collect)
+import collect
 
 SCAN_L = (1e-3, 1e-2, 0.2, 1.0, 3.0, 6.0, 20.0, 100.0, 1e3)
 SWEEP = (64, 128, 256)
 BLENDS = ("quintic", "septic")
 SEED = 37
 DRAWS = 300
+
+# Child: the side_report of the tnindex on its PYTHONPATH, as one JSON
+# line.  Argument: the directory of this file, whose honesty it imports.
+SIDE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import honesty
+print(json.dumps(honesty.side_report()))
+"""
 
 
 def _configs():
@@ -104,10 +109,10 @@ def summarize(rows, failures) -> dict:
     digest = hashlib.sha256()
     for row in rows:
         digest.update(repr([row[k] for k in sorted(row)]).encode())
-    worst = max(rows, key=lambda row: row["ratio"])
+    worst = max(rows, key=lambda row: row["ratio"], default=None)
     return {
         "rows": len(rows),
-        "worst": where(worst, "ratio"),
+        "worst": None if worst is None else where(worst, "ratio"),
         "worst_honest_ratio": max((row["ratio"] for row in rows
                                    if row["ratio"] <= 1.0), default=None),
         "above_1": [where(row, "ratio") for row in rows if row["ratio"] > 1.0],
@@ -125,25 +130,15 @@ def side_report() -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--side", action="append", metavar="NAME=PATH",
-                        help="a checkout to scan")
-    parser.add_argument("--out", type=Path,
+    parser.add_argument("--side", action="append", required=True,
+                        metavar="NAME=PATH", help="a checkout to scan")
+    parser.add_argument("--out", type=Path, required=True,
                         help="the JSON file to write, HONESTY_<pr>.json")
-    parser.add_argument("--child", action="store_true",
-                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.child:
-        print(json.dumps(side_report()))
-        return 0
-    if not args.side or args.out is None:
-        parser.error("--side and --out are required")
     sides = collect.parse_sides(parser, args.side)
-    reports = {}
-    for name, checkout in sides.items():
-        child = subprocess.run([sys.executable, __file__, "--child"],
-                               env=collect.child_env(checkout), check=True,
-                               capture_output=True, text=True)
-        reports[name] = json.loads(child.stdout)
+    here = str(Path(__file__).resolve().parent)
+    reports = {name: collect.run_child(checkout, ["-c", SIDE, here])
+               for name, checkout in sides.items()}
     import numpy
     doc = {
         "host": {"python": platform.python_version(),

@@ -23,9 +23,6 @@ def pontryagin_scalar(riemann: np.ndarray) -> np.ndarray:
     return 0.25 * np.einsum("cdef,nabcd,nbaef->n", _EPS4, riemann, riemann)
 
 
-_CHUNK = 352  # points per curvature batch, to bound the working set
-
-
 def _sweep_geometry(grid_set: GridSet):
     """The metric-free half of _density_samples on a grid set: a
     jets.SharedSeed over the r of the _seed_chart of its points in the
@@ -73,7 +70,7 @@ def _density_samples(spec: MetricSpec, grid_set: GridSet):
     # its order when a chunk holds a single point
     trace = np.concatenate([
         sum(wedge4(f, f.swapaxes(1, 2)).reshape(16, -1))
-        for f in curvature_form_chunks(spec, xyz, _CHUNK,
+        for f in curvature_form_chunks(spec, xyz,
                                        [*(y[:n] for y in radial), *chart])])
     return ([(PONT_NORM * 8.0 * np.pi**2 * r * r)[:, None] * t
              for (r, _, _), t in zip(grids, grid_set.split(trace))],

@@ -140,15 +140,16 @@ def _field_strength_geometry(xyz, gauge: Gauge = Gauge.DEFAULT):
             (grad_v[2], -grad_v[1], None, grad_v[0], None, None), factors)
 
 
-def _radial_coefficients(lam, mcharge, l: float, v, v2, factors):
+def _radial_coefficients(lam, mcharge, l: float, factors):
     """(c', c - mcharge) of channels (lam, mcharge), numbers or arrays that
-    broadcast against the radii, from v = l + 1/(2r), its square v2 and
-    the _radial_factors: c = num / v with num = l lam + mcharge/(2r), and
-    c' = (num' v - num v') / v^2."""
-    _, two_r, dv, two_r2 = factors
+    broadcast against the radii, from the _radial_factors: c = num / v with
+    v = l + 1/(2r) and num = l lam + mcharge/(2r), and c' = (num' v -
+    num v') / v^2."""
+    half_inv_r, two_r, dv, two_r2 = factors
+    v = l + half_inv_r
     num = l * lam + mcharge / two_r
     dnum = -mcharge / two_r2
-    return (dnum * v - num * dv) / v2, num / v - mcharge
+    return (dnum * v - num * dv) / v**2, num / v - mcharge
 
 
 def field_strength_array(ch: InstantonChannel, xyz,
@@ -160,8 +161,7 @@ def field_strength_array(ch: InstantonChannel, xyz,
     monopole term of the connection.  c' and c - mcharge come from
     _radial_coefficients, with v = l + 1/(2r)."""
     fibered, domega, factors = _field_strength_geometry(xyz, gauge)
-    v = l + factors[0]  # the first radial factor is 1/(2r)
-    dc, c_eff = _radial_coefficients(ch.lam, ch.mcharge, l, v, v**2, factors)
+    dc, c_eff = _radial_coefficients(ch.lam, ch.mcharge, l, factors)
     return np.stack([dc * f if w is None else dc * f + c_eff * w
                      for f, w in zip(fibered, domega)])
 
@@ -232,11 +232,10 @@ def _bulk_densities(data: InstantonData, grid_set: GridSet, l: float):
     f^f and w^w vanish in exact arithmetic; they are the wedges of the
     actual forms, so the numeric route never assumes it."""
     wedges, factors, r2, directions = grid_set.derived(_bulk_geometry)
-    v = l + factors[0]  # the first radial factor is 1/(2r)
     lam, mcharge = np.array([ch.lam for ch in data.channels]
                             + [ch.mcharge for ch in data.channels]
                             ).reshape(2, -1, 1)
-    dc, c_eff = _radial_coefficients(lam, mcharge, l, v, v**2, factors)
+    dc, c_eff = _radial_coefficients(lam, mcharge, l, factors)
     # -(1/8 pi^2) * (-sum G^G) * (level-set volume 8 pi^2 r^2); an end
     # repeats to no point
     form = np.add.reduce([dc * dc, dc * c_eff, c_eff * c_eff], axis=1) * r2

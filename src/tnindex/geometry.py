@@ -408,6 +408,9 @@ def _gather_maps(idx: tuple, m: int):
 _BC, _AD, _BD, _AC = 4 * _B + _C, 4 * _A + _D, 4 * _B + _D, 4 * _A + _C
 
 
+_CHUNK = 352  # points per curvature_form_chunks batch, to bound _workspace
+
+
 @lru_cache(maxsize=4)
 def _workspace(n: int):
     """The working arrays of _lowered_riemann and _riemann_from_arrays for
@@ -509,15 +512,14 @@ def curvature_forms(spec: MetricSpec, xyz: np.ndarray,
     return _riemann_from_arrays(*_metric_jet_arrays(spec, xyz, gauge, radial))
 
 
-def curvature_form_chunks(spec: MetricSpec, xyz: np.ndarray, size: int,
-                          radial):
-    """curvature_forms over consecutive chunks of at most `size` of the
+def curvature_form_chunks(spec: MetricSpec, xyz: np.ndarray, radial):
+    """curvature_forms over consecutive chunks of at most _CHUNK of the
     points xyz (n, 3), in order, which bounds the working set.  radial holds
     the _point_jets of all n points in the default gauge, so A and C are
     differentiated once, and each chunk lifts its slice: elementwise work,
     so a point keeps its bits."""
-    for i in range(0, len(xyz), size):
-        part = slice(i, i + size)
+    for i in range(0, len(xyz), _CHUNK):
+        part = slice(i, i + _CHUNK)
         yield curvature_forms(spec, xyz[part], Gauge.DEFAULT,
                               [y[part] for y in radial])
 

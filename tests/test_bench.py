@@ -4,12 +4,11 @@ times the geometry kernels it names; those names, and the argument that
 perfbench's tracer reads, must hold in geometry."""
 
 import hashlib
-import importlib.util
 import json
-import subprocess
-import sys
 from pathlib import Path
 
+import collect
+import honesty
 import numpy as np
 import pytest
 
@@ -17,10 +16,6 @@ from tnindex import charclasses, cli, eta, geometry
 from tnindex.quadrature import QuadratureSpec, sweep_grids
 
 ROOT = Path(__file__).resolve().parents[1]
-_SPEC = importlib.util.spec_from_file_location(
-    "collect", ROOT / "bench" / "collect.py")
-collect = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(collect)
 
 
 @pytest.mark.parametrize("mode", sorted(collect.MODES))
@@ -33,6 +28,15 @@ def test_collect_modes_load_the_readme_config(mode):
 def test_collect_rejects_a_side_without_a_path():
     with pytest.raises(SystemExit):
         collect.main(["--side", "parent", "--out", "unused.json"])
+
+
+def test_bench_scripts_take_only_a_side_and_an_out(capsys):
+    """Rounds, sweeps per round and the honesty child are not options."""
+    for main, option in ((collect.main, "--repeat"), (collect.main, "--inner"),
+                         (honesty.main, "--child")):
+        with pytest.raises(SystemExit, match="^2$"):
+            main(["--side", "parent", "--out", "unused.json", option])
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 def test_collect_wraps_names_that_geometry_has():
@@ -71,59 +75,47 @@ def test_metric_jet_arrays_takes_the_points_second(monkeypatch):
         assert points == [expect]
 
 
-def test_in_process_child_reads_a_missing_site_as_absent(tmp_path):
+@pytest.fixture(scope="module")
+def readme_child(tmp_path_factory):
+    """One IN_PROCESS child on the README config: 2 sweeps, the kernel
+    sites and a site that geometry lacks."""
+    tmp = tmp_path_factory.mktemp("child")
+    config = tmp / "config.json"
+    config.write_text(json.dumps(collect.readme_config(ROOT)))
+    return collect.run_child(ROOT, ["-c", collect.IN_PROCESS, str(config),
+                                    "2", *collect.KERNEL_SITES,
+                                    "_no_such_kernel"], tmp)
+
+
+def test_in_process_child_reads_a_missing_site_as_absent(readme_child):
     """A timed site that geometry lacks leaves no key; the counts show
     the README sweep's one radial pass and two curvature chunks."""
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(collect.readme_config(ROOT)))
-    child = subprocess.run(
-        [sys.executable, "-c", collect.IN_PROCESS, str(config), "1",
-         *collect.KERNEL_SITES, "_no_such_kernel"],
-        env=collect.child_env(ROOT), cwd=tmp_path, check=True,
-        capture_output=True, text=True)
-    times = json.loads(child.stdout)
-    assert set(times) == {
+    assert set(readme_child) == {
         *collect.KERNEL_SITES, "convergence_table",
         "convergence_table_minflt", "convergence_table_stime",
         "convergence_table_radial_coeffs_calls",
         "convergence_table_curvature_forms_calls", "bulk_action",
         "bulk_action_first", "load_config",
         *(f"eta_{route}_per_lambda" for route in eta.ROUTES)}
-    assert times["convergence_table_radial_coeffs_calls"] == 1
-    assert times["convergence_table_curvature_forms_calls"] == 2
+    assert readme_child["convergence_table_radial_coeffs_calls"] == 1
+    assert readme_child["convergence_table_curvature_forms_calls"] == 2
 
 
-def test_in_process_child_times_each_eta_route_per_lambda(tmp_path):
+def test_in_process_child_times_each_eta_route_per_lambda(readme_child):
     """One time per lambda for each eta route the checkout has, in
     seconds: positive, and far below a second."""
-    config = tmp_path / "config.json"
-    readme = collect.readme_config(ROOT)
-    config.write_text(json.dumps(readme))
-    child = subprocess.run(
-        [sys.executable, "-c", collect.IN_PROCESS, str(config), "2"],
-        env=collect.child_env(ROOT), cwd=tmp_path, check=True,
-        capture_output=True, text=True)
-    times = json.loads(child.stdout)
-    assert len(readme["lambdas"]) == 5
+    assert len(collect.readme_config(ROOT)["lambdas"]) == 5
     for route in eta.ROUTES:
-        assert 0.0 < times[f"eta_{route}_per_lambda"] < 0.05, route
+        assert 0.0 < readme_child[f"eta_{route}_per_lambda"] < 0.05, route
 
 
-def test_in_process_child_times_the_bulk_action(tmp_path):
+def test_in_process_child_times_the_bulk_action(readme_child):
     """The first bulk_action call of a fresh child and the best later call
     on the README channels and quadrature, in seconds: positive, and far
     below a second."""
-    config = tmp_path / "config.json"
-    readme = collect.readme_config(ROOT)
-    config.write_text(json.dumps(readme))
-    child = subprocess.run(
-        [sys.executable, "-c", collect.IN_PROCESS, str(config), "2"],
-        env=collect.child_env(ROOT), cwd=tmp_path, check=True,
-        capture_output=True, text=True)
-    times = json.loads(child.stdout)
-    assert readme["instanton"]["channels"]
+    assert collect.readme_config(ROOT)["instanton"]["channels"]
     for key in ("bulk_action_first", "bulk_action"):
-        assert 0.0 < times[key] < 0.5, key
+        assert 0.0 < readme_child[key] < 0.5, key
 
 
 def test_in_process_main_child_times_each_mode_per_op(tmp_path):
@@ -131,12 +123,9 @@ def test_in_process_main_child_times_each_mode_per_op(tmp_path):
     interpreter, and every mode writes its report."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(collect.readme_config(ROOT)))
-    child = subprocess.run(
-        [sys.executable, "-c", collect.IN_PROCESS_MAIN, str(config),
-         str(tmp_path / "main"), "2", json.dumps(collect.MODES)],
-        env=collect.child_env(ROOT), cwd=tmp_path, check=True,
-        capture_output=True, text=True)
-    times = json.loads(child.stdout)
+    times = collect.run_child(ROOT, [
+        "-c", collect.IN_PROCESS_MAIN, str(config), str(tmp_path / "main"),
+        "2", json.dumps(collect.MODES)], tmp_path)
     assert set(times) == {f"main_{mode}" for mode in collect.MODES}
     for mode in collect.MODES:
         assert len(times[f"main_{mode}"]) == 2, mode

@@ -154,7 +154,7 @@ def test_density_bits_independent_of_chunk(monkeypatch):
     rs = np.geomspace(1e-4, 80.0, 45)
     whole = one_grid(spec, rs, 3)
     for chunk in (1, 7):
-        monkeypatch.setattr(charclasses, "_CHUNK", chunk)
+        monkeypatch.setattr(geometry, "_CHUNK", chunk)
         assert np.array_equal(one_grid(spec, rs, 3), whole)
 
 
@@ -176,11 +176,11 @@ def test_density_samples_evaluate_points_in_chunks(monkeypatch):
     chunks of at most _CHUNK points: just over one chunk of them take
     two."""
     points = _count_chunks(monkeypatch)
-    n_r = charclasses._CHUNK // 3 + 1
+    n_r = geometry._CHUNK // 3 + 1
     rs = np.geomspace(0.5, 60.0, n_r)
     samples = one_grid(exact_d_spec(), rs, 3)
     assert samples.shape == (n_r, 3)
-    assert points == [charclasses._CHUNK, 3 * n_r - charclasses._CHUNK]
+    assert points == [geometry._CHUNK, 3 * n_r - geometry._CHUNK]
 
 
 def _count_radial_passes(monkeypatch):
@@ -205,8 +205,8 @@ def test_density_samples_form_radial_jets_once(monkeypatch):
     calls = _count_radial_passes(monkeypatch)
     spec, rs = exact_d_spec(), np.geomspace(0.5, 60.0, 100)
     other, quad = np.geomspace(0.7, 50.0, 20), QuadratureSpec()
-    for chunk in (charclasses._CHUNK, 7):
-        monkeypatch.setattr(charclasses, "_CHUNK", chunk)
+    for chunk in (geometry._CHUNK, 7):
+        monkeypatch.setattr(geometry, "_CHUNK", chunk)
         calls.clear()
         one_grid(spec, rs, 3)
         assert calls == [300 + 2]
@@ -223,8 +223,9 @@ def test_density_samples_form_radial_jets_once(monkeypatch):
     chart = geometry._seed_chart(xyz, Gauge.DEFAULT)
     radii = np.concatenate([chart[0].val, [1e-4, 80.0]])
     radial = geometry._radial_coeffs(spec, jets.seed(radii))
+    monkeypatch.setattr(geometry, "_CHUNK", 128)
     chunks = list(geometry.curvature_form_chunks(
-        spec, xyz, 128, [*(y[:len(xyz)] for y in radial), *chart]))
+        spec, xyz, [*(y[:len(xyz)] for y in radial), *chart]))
     assert len(chunks) == 3
     for k, forms in enumerate(chunks):
         assert np.array_equal(forms,
@@ -412,7 +413,7 @@ def test_a_kernel_call_reads_nothing_of_the_one_before(monkeypatch):
 
     first = outputs()
     assert {len(arrays[1][0, 0]) for arrays in used} == {
-        charclasses._CHUNK, 64 * 3 + 128 + 256 - charclasses._CHUNK,
+        geometry._CHUNK, 64 * 3 + 128 + 256 - geometry._CHUNK,
         len(xyz)}
     for arrays in used:
         for a in arrays:

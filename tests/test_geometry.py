@@ -634,8 +634,8 @@ def test_density_keeps_the_frozen_bits(monkeypatch, variant, kind, l):
     jets keep the bits of the frozen squares at the grid's points, which
     have negative coordinates."""
     spec = _kernel_spec(variant, kind, l)
-    rs = np.geomspace(1e-4, 80.0, charclasses._CHUNK // 4 + 3)
-    assert (8 * rs.size) % charclasses._CHUNK
+    rs = np.geomspace(1e-4, 80.0, geometry._CHUNK // 4 + 3)
+    assert (8 * rs.size) % geometry._CHUNK
     grid_set = GridSet([(rs, None, 8)], n_r_values=(), ends=(1e-4, 80.0))
     assert np.all((grid_set.points < 0.0).any(axis=0))
     got, _ = charclasses._density_samples(spec, grid_set)

@@ -2,19 +2,16 @@
 row within its error and tail bound of 1/12, but a known list, and a
 halved error estimate shows up in it."""
 
-import importlib.util
 import json
 from pathlib import Path
 
+import honesty
 import pytest
 
 from tnindex import charclasses
+from tnindex.errors import ConvergenceError
 
 ROOT = Path(__file__).resolve().parents[1]
-_SPEC = importlib.util.spec_from_file_location(
-    "honesty", ROOT / "bench" / "honesty.py")
-honesty = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(honesty)
 
 # (variant, blend, l, n_r) of the scan rows that miss 1/12 by more than
 # error + tail_bound: the panels that straddle the blend knots (ROADMAP
@@ -59,6 +56,19 @@ def test_a_halved_error_estimate_shows_above_one(monkeypatch):
     monkeypatch.setattr(charclasses, "integrate_radial", halved)
     rows, _ = scan()
     assert dishonest(rows) - KNOWN_DISHONEST
+
+
+def test_a_section_whose_sweeps_all_fail_lists_its_failures(monkeypatch):
+    """With no row, the worst ratio is None and every failure is listed."""
+    def failing(*args):
+        raise ConvergenceError("no sweep")
+
+    monkeypatch.setattr(charclasses, "convergence_table", failing)
+    section = honesty.summarize(*honesty.scan_rows(
+        honesty._configs()["scan"][:3]))
+    assert section["rows"] == 0
+    assert section["worst"] is None and section["worst_honest_ratio"] is None
+    assert [f["error"] for f in section["failed"]] == ["ConvergenceError"] * 3
 
 
 def test_honesty_file_schema(tmp_path):
