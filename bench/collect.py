@@ -213,19 +213,27 @@ def child_env(checkout: Path) -> dict:
     return env
 
 
+def checked(child: subprocess.CompletedProcess):
+    """child, unless it exited non-zero: then a RuntimeError with its exit
+    code and its stderr (a failing mode's failure JSON), not its argv."""
+    if child.returncode:
+        raise RuntimeError(f"child exited {child.returncode}: "
+                           f"{child.stderr.strip()}")
+    return child
+
+
 def run_child(checkout: Path, argv, cwd=None):
     """The one JSON line that a fresh ``python *argv`` prints, parsed, run
     on the src/ of checkout under child_env, in cwd."""
     child = subprocess.run([sys.executable, *argv], env=child_env(checkout),
-                           cwd=cwd, check=True, capture_output=True,
-                           text=True)
-    return json.loads(child.stdout)
+                           cwd=cwd, capture_output=True, text=True)
+    return json.loads(checked(child).stdout)
 
 
 def wall(argv, env, cwd) -> float:
     t0 = time.perf_counter()
-    subprocess.run(argv, env=env, cwd=cwd, check=True,
-                   stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    checked(subprocess.run(argv, env=env, cwd=cwd, stdout=subprocess.DEVNULL,
+                           stderr=subprocess.PIPE, text=True))
     return time.perf_counter() - t0
 
 

@@ -5,6 +5,7 @@ perfbench's tracer reads, must hold in geometry."""
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import collect
@@ -131,6 +132,43 @@ def test_in_process_main_child_times_each_mode_per_op(tmp_path):
         assert len(times[f"main_{mode}"]) == 2, mode
         assert all(0.0 < t < 5.0 for t in times[f"main_{mode}"]), mode
         assert collect.report_digests(tmp_path / "main" / mode), mode
+
+
+def test_a_failing_child_raises_with_its_exit_code_and_stderr():
+    with pytest.raises(RuntimeError, match="^child exited 1: boom$"):
+        collect.run_child(ROOT, ["-c", "import sys; sys.exit('boom')"])
+
+
+def test_a_failing_main_child_names_its_mode(tmp_path):
+    """cli.main's own failure JSON and the child's exit message reach the
+    error, not the child's program."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"metric": {"l": 1e160}}))
+    modes = {"geometry_check": collect.MODES["geometry_check"]}
+    with pytest.raises(RuntimeError) as failed:
+        collect.run_child(ROOT, ["-c", collect.IN_PROCESS_MAIN, str(config),
+                                 str(tmp_path / "main"), "1",
+                                 json.dumps(modes)], tmp_path)
+    message = str(failed.value)
+    assert message.startswith("child exited 1: {\"error\": "
+                              "\"ConsistencyError\"")
+    assert "hodge_involution_max" in message
+    assert message.endswith("cli.main exited 1 in mode geometry_check")
+    assert "import json" not in message
+
+
+def test_a_failing_wall_run_raises_with_the_failure_json(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"metric": {"l": 1e160}}))
+    argv = [sys.executable, "-m", "tnindex.cli", "--config", str(config),
+            "--out", str(tmp_path / "out"), *collect.MODES["geometry_check"]]
+    with pytest.raises(RuntimeError) as failed:
+        collect.wall(argv, collect.child_env(ROOT), tmp_path)
+    code, _, stderr = str(failed.value).partition(": ")
+    assert code == "child exited 1"
+    assert json.loads(stderr) == {
+        "error": "ConsistencyError",
+        "message": "geometry checks failed: hodge_involution_max"}
 
 
 def test_summary_pools_per_op_times_over_rounds():

@@ -97,8 +97,9 @@ def test_geometry_check_mode(tmp_path):
 
 
 def per_point_curvature_rows(seed, l):
-    """The Ricci and Hodge rows of geometry-check as one curvature_at call
-    per point evaluates them, in the same draws of the seed's generator."""
+    """The Ricci, Hodge and monopole rows of geometry-check as one
+    curvature_at call and two chart_omega calls per point evaluate them,
+    in the same draws of the seed's generator."""
     rng = np.random.default_rng(seed)
     spec = MetricSpec(variant=Variant.TN, l=l)
     ricci = star = 0.0
@@ -112,31 +113,70 @@ def per_point_curvature_rows(seed, l):
         two_form = two_form - two_form.T
         twice = hodge_star(sample.metric, hodge_star(sample.metric, two_form))
         star = max(star, float(np.abs(twice - two_form).max()))
+    h, monopole = 1e-5, 0.0
+    for _ in range(20):
+        x = rng.uniform(0.5, 5.0, size=3) * rng.choice([-1.0, 1.0], size=3)
+        if x[0] ** 2 + x[1] ** 2 < 0.25:
+            x[0] += 1.0
+        _, wp = geometry.chart_omega(x + h * np.eye(3))
+        _, wm = geometry.chart_omega(x - h * np.eye(3))
+        domega = (wp - wm) / (2.0 * h)
+        np.fill_diagonal(domega, 0.0)
+        domega = domega - domega.T
+        grad_v = -0.5 * x / float(np.linalg.norm(x)) ** 3
+        monopole = max(monopole, float(np.abs(
+            domega - geometry.star3(grad_v)).max()))
     return [("ricci_flatness_max", ricci, 1e-6),
-            ("hodge_involution_max", star, 1e-12)]
+            ("hodge_involution_max", star, 1e-12),
+            ("monopole_field_residual", monopole, 1e-8)]
 
 
 @pytest.mark.parametrize("seed", [7, 11])
 @pytest.mark.parametrize("l", [0.2, 6.0])
 def test_geometry_check_batches_its_curvature(tmp_path, monkeypatch, seed, l):
     """geometry-check takes the curvature of its 20 points from one batch,
-    one _metric_jet_arrays call, and its Ricci and Hodge rows keep the
-    bytes of one curvature_at call per point."""
+    one _metric_jet_arrays call, and the monopole stencils of its 20 points
+    from one chart_omega call per side, the flux two more; its Ricci,
+    Hodge and monopole rows keep the bytes of the per-point evaluation."""
     cfg = write_config(tmp_path, {"mode": "geometry-check", "seed": seed,
                                   "metric": {"l": l}})
     calls, jet_arrays = [], geometry._metric_jet_arrays
+    charts, chart_omega = [], cli.chart_omega
 
     def counted(*args):
         calls.append(len(args[1]))
         return jet_arrays(*args)
 
+    def counted_chart(*args):
+        charts.append(np.shape(args[0]))
+        return chart_omega(*args)
+
     monkeypatch.setattr(geometry, "_metric_jet_arrays", counted)
+    monkeypatch.setattr(cli, "chart_omega", counted_chart)
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out)]) == EXIT_OK
     assert calls == [20]
+    assert charts == [(20, 3, 3), (20, 3, 3), (3, 64, 3), (3, 64, 3)]
     lines = (out / "geometry_check.csv").read_text().splitlines()
-    assert lines[1:3] == [",".join(cli._cell(x) for x in (*row, True))
+    assert lines[1:4] == [",".join(cli._cell(x) for x in (*row, True))
                           for row in per_point_curvature_rows(seed, l)]
+
+
+def test_geometry_check_fails_a_nan_residual(tmp_path, capsys):
+    """At l = 1e160 the metric's determinant overflows, so every Hodge
+    residual is NaN: that row fails, and the run exits 1 once the CSV is
+    written, while the other three rows pass."""
+    cfg = write_config(tmp_path, {"mode": "geometry-check",
+                                  "metric": {"l": 1e160}})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConsistencyError"
+    assert err["message"].endswith(": hodge_involution_max")
+    lines = (out / "geometry_check.csv").read_text().splitlines()
+    assert lines[2] == "hodge_involution_max,nan,1e-12,false"
+    assert [line.endswith(",true") for line in lines[1:]] == [
+        True, False, True, True]
 
 
 def test_pontryagin_mode_hits_target(tmp_path):
