@@ -260,7 +260,7 @@ def _run_geometry_check(cfg: dict) -> int:
     flux = 2.0 * np.pi * np.mean(jump[..., 1] * x1 - jump[..., 0] * x2,
                                  axis=-1)
     rows.append(("monopole_flux_vs_minus_2pi",
-                 float(np.abs(flux + 2.0 * np.pi).max()), 1e-6))
+                 np.abs(flux + 2.0 * np.pi).max(), 1e-6))
 
     failed = [name for name, value, bound in rows if not value < bound]
     _write_csv(cfg["out"] / "geometry_check.csv",
