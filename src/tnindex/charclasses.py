@@ -7,7 +7,7 @@ import numpy as np
 
 from . import geometry, jets
 from .errors import ConvergenceError
-from .geometry import (_EPS4, Gauge, MetricSpec, _seed_chart,
+from .geometry import (_EPS4, Gauge, MetricSpec, Variant, _seed_chart,
                        curvature_form_chunks, wedge4)
 from .jets import Jet
 from .quadrature import (ROUNDOFF, GridSet, QuadratureSpec, integrate_radial,
@@ -107,14 +107,26 @@ def chern_simons(spec: MetricSpec, r):
                                  *geometry._radial_coeffs(spec, radius))
 
 
+def density_knots(spec: MetricSpec) -> tuple:
+    """The radii where the density is not smooth: r_in and r_out of the
+    blend, which is C^2 (quintic) or C^3 (septic) there, for the variants
+    whose u = C/A reads it (Homotopy, ExactD).  The density depends on u
+    alone; TN has no blend and Conformal's u = 1/v^2 none, so they have no
+    knot."""
+    if spec.variant in (Variant.HOMOTOPY, Variant.EXACT_D):
+        return spec.blend.r_in, spec.blend.r_out
+    return ()
+
+
 def convergence_table(spec: MetricSpec, quad: QuadratureSpec, n_r_values):
     """Rows (n_r, value, error_estimate, tail_bound) for a grid sweep of
-    the normalized tr R^R integral: `integrate_radial` with the ends
-    P(r_min), P(r_max) of `chern_simons` and the limits 1/12 and 1/6; the
-    tail bound is its direction term plus the roundoff of the ends and of
-    the sum.  One _density_samples call samples every grid and the ends: a
-    point's curvature does not depend on its batch, so no bit moves."""
-    grid_set = sweep_grids(quad, n_r_values)
+    the normalized tr R^R integral: `integrate_radial`, on grids cut at
+    the `density_knots`, with the ends P(r_min), P(r_max) of
+    `chern_simons` and the limits 1/12 and 1/6; the tail bound is its
+    direction term plus the roundoff of the ends and of the sum.  One
+    _density_samples call samples every grid and the ends: a point's
+    curvature does not depend on its batch, so no bit moves."""
+    grid_set = sweep_grids(quad, n_r_values, density_knots(spec))
     densities, (p_min, p_max) = _density_samples(spec, grid_set)
     return [(n, value, error, direction
              + ROUNDOFF * (mass + abs(p_min) + abs(p_max)))

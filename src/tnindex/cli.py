@@ -232,14 +232,10 @@ def _run_geometry_check(cfg: dict) -> int:
              np.abs(np.subtract(twice, forms)).max(), 1e-12)]
 
     # d(omega) = *3 dV via central differences of the gauge potential
+    # every |x_i| >= 0.5, so each point lies off the x3-axis
     h = 1e-5
-    xs = []
-    for _ in range(20):
-        x = rng.uniform(0.5, 5.0, size=3) * rng.choice([-1.0, 1.0], size=3)
-        if x[0] ** 2 + x[1] ** 2 < 0.25:
-            x[0] += 1.0
-        xs.append(x)
-    x = np.array(xs)
+    x = np.array([rng.uniform(0.5, 5.0, size=3)
+                  * rng.choice([-1.0, 1.0], size=3) for _ in range(20)])
     # [k, i]: omega at point k shifted by +-h along x_i
     _, wp = chart_omega(x[:, None] + h * np.eye(3))
     _, wm = chart_omega(x[:, None] - h * np.eye(3))

@@ -1,5 +1,6 @@
 """Deterministic radial quadrature: one composite Gauss-Legendre rule on a
-logarithmic radial grid, with refinement-based error estimates."""
+logarithmic radial grid, cut at the knots of the density, with
+refinement-based error estimates."""
 
 from __future__ import annotations
 
@@ -39,30 +40,49 @@ class QuadratureSpec:
 @lru_cache(maxsize=32)
 def _legendre_rule(m: int):
     """leggauss(m), computed once per m and shared, so read-only; the
-    panels of a grid of at least 8 nodes hold 8 to 31 nodes."""
+    panels of a grid of at least 8 nodes hold 2 to 31 nodes."""
     xs, ws = np.polynomial.legendre.leggauss(m)
     xs.flags.writeable = ws.flags.writeable = False
     return xs, ws
 
 
-def radial_nodes(quad: QuadratureSpec, n_r: int):
+def _inside(quad: QuadratureSpec, knots) -> tuple:
+    """The distinct knots strictly inside (r_min, r_max), increasing."""
+    return tuple(sorted({float(k) for k in knots
+                         if quad.r_min < k < quad.r_max}))
+
+
+def radial_nodes(quad: QuadratureSpec, n_r: int, knots=()):
     """Radial nodes and weights for integrals of a per-unit-r density.
 
-    Composite Gauss-Legendre in y = log(r): n_r nodes on max(1, n_r // 16)
-    equal panels, the first n_r % panels of them holding one node more
-    than the rest.  The returned weights already include the
-    dr = r dy Jacobian, so sum(w * rho(r)) approximates the r-integral.
-    A GridSet shares them, so both arrays are read-only.
+    Composite Gauss-Legendre in y = log(r).  The knots inside (r_min,
+    r_max) cut it into pieces whose ends are panel edges, so that a
+    density smooth on each piece but not across a knot converges at the
+    rate of its pieces (Davis & Rabinowitz, 1984).  With k knots inside,
+    each piece after the first gets n_r // (2k) nodes and the first the
+    rest: 1/2, 1/4 and 1/4 for two knots.  So every piece holds about half
+    its nodes on the half-size grid, down to the smallest, 8 nodes (4, 2
+    and 2), and the fine-coarse difference sees each.  A piece of m nodes
+    has max(1, m // 16) equal panels, the first m % panels of them holding
+    one node more than the rest; with no knot inside, that is the whole
+    rule.  The returned weights already include the dr = r dy Jacobian, so
+    sum(w * rho(r)) approximates the r-integral.  A GridSet shares them,
+    so both arrays are read-only.
     """
-    n_panels = max(1, n_r // 16)
-    per, extra = divmod(n_r, n_panels)
-    sizes = [per + 1] * extra + [per] * (n_panels - extra)
-    edges = np.linspace(np.log(quad.r_min), np.log(quad.r_max), n_panels + 1)
+    inside = _inside(quad, knots)
+    share = n_r // (2 * len(inside)) if inside else 0
+    counts = [n_r - share * len(inside)] + [share] * len(inside)
+    ends = [np.log(r) for r in (quad.r_min, *inside, quad.r_max)]
     y, wy = [], []
-    for m, lo, hi in zip(sizes, edges[:-1], edges[1:]):
-        xs, ws = _legendre_rule(m)
-        y.append(0.5 * (hi - lo) * xs + 0.5 * (hi + lo))
-        wy.append(0.5 * (hi - lo) * ws)
+    for count, start, stop in zip(counts, ends[:-1], ends[1:]):
+        n_panels = max(1, count // 16)
+        per, extra = divmod(count, n_panels)
+        sizes = [per + 1] * extra + [per] * (n_panels - extra)
+        edges = np.linspace(start, stop, n_panels + 1)
+        for m, lo, hi in zip(sizes, edges[:-1], edges[1:]):
+            xs, ws = _legendre_rule(m)
+            y.append(0.5 * (hi - lo) * xs + 0.5 * (hi + lo))
+            wy.append(0.5 * (hi - lo) * ws)
     r = np.exp(np.concatenate(y))
     w = np.concatenate(wy) * r
     r.flags.writeable = w.flags.writeable = False
@@ -159,25 +179,29 @@ class GridSet:
         return self._derived[build]
 
 
-def sweep_grids(quad: QuadratureSpec, n_r_values) -> GridSet:
+def sweep_grids(quad: QuadratureSpec, n_r_values, knots=()) -> GridSet:
     """The GridSet of a sweep over n_r_values, each row needing its grid of
     n_r nodes and the half-size grid, with the ends quad.r_min and
-    quad.r_max.  Each distinct grid appears once, since a fine grid of one
-    row is often the coarse grid of the next.  The checked grid comes
-    first, at quad.n_ang directions: the half-size grid of the smallest
-    n_r.  Every other grid follows at one direction, the first of
-    `angular_samples`.  Built once per layout (r_min, r_max, n_ang,
-    n_r_values as Python ints, so a float is refused), which quad.n_r and
-    quad.tol do not change, and shared."""
-    return _layout(quad.r_min, quad.r_max, quad.n_ang, *map(index, n_r_values))
+    quad.r_max, every grid cut at the knots (`radial_nodes`).  Each
+    distinct grid appears once, since a fine grid of one row is often the
+    coarse grid of the next.  The checked grid comes first, at quad.n_ang
+    directions: the half-size grid of the smallest n_r.  Every other grid
+    follows at one direction, the first of `angular_samples`.  Built once
+    per layout (r_min, r_max, n_ang, the knots inside, n_r_values as Python
+    ints, so a float is refused), which quad.n_r and quad.tol do not
+    change, and shared."""
+    return _layout(quad.r_min, quad.r_max, quad.n_ang, _inside(quad, knots),
+                   *map(index, n_r_values))
 
 
 @lru_cache(maxsize=8)
-def _layout(r_min: float, r_max: float, n_ang: int, *n_r_values: int):
+def _layout(r_min: float, r_max: float, n_ang: int, knots: tuple,
+            *n_r_values: int):
     quad = QuadratureSpec(r_min, r_max)
     sizes = dict.fromkeys([min(n_r_values) // 2]
                           + [m for n in n_r_values for m in (n, n // 2)])
-    return GridSet(tuple((*radial_nodes(quad, m), n_ang if k == 0 else 1)
+    return GridSet(tuple((*radial_nodes(quad, m, knots),
+                          n_ang if k == 0 else 1)
                          for k, m in enumerate(sizes)),
                    n_r_values, (r_min, r_max))
 

@@ -273,7 +273,10 @@ def test_integral_float_sweep_accepted(tmp_path, as_float, as_int):
 
 
 def test_one_entry_sweep_runs_in_pontryagin_mode(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"mode": "pontryagin", "sweep": [32]})
+    """A one-row sweep runs and writes its row.  The default metric's
+    32-node row misses 1/12 by 1.3e-8, so quad.tol 1e-9 fails it."""
+    cfg = write_config(tmp_path, {"mode": "pontryagin", "sweep": [32],
+                                  "quad": {"tol": 1e-9}})
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
     assert json.loads(capsys.readouterr().err)["error"] == "ConvergenceError"
@@ -639,9 +642,12 @@ def test_bulk_extreme_charges_meet_the_closed_form(tmp_path, mcharge):
 
 
 def test_pontryagin_miss_emits_error_and_keeps_csv(tmp_path, capsys):
+    """ExactD's 32-node row misses 1/12 by 1.3e-8, more than quad.tol
+    1e-9: the sweep fails and keeps its CSV."""
     cfg = write_config(tmp_path, {"mode": "pontryagin",
                                   "metric": {"variant": "ExactD"},
-                                  "quad": {"n_r": 32}, "sweep": [16, 32]})
+                                  "quad": {"n_r": 32, "tol": 1e-9},
+                                  "sweep": [16, 32]})
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
     err = json.loads(capsys.readouterr().err)

@@ -1,6 +1,6 @@
 """bench/honesty.py: the Pontryagin honesty scan holds every README-grid
-row within its error and tail bound of 1/12, but a known list, and a
-halved error estimate shows up in it."""
+row within its error and tail bound of 1/12, and grids that drop the blend
+knots show up in it."""
 
 import json
 from pathlib import Path
@@ -14,10 +14,8 @@ from tnindex.errors import ConvergenceError
 ROOT = Path(__file__).resolve().parents[1]
 
 # (variant, blend, l, n_r) of the scan rows that miss 1/12 by more than
-# error + tail_bound: the panels that straddle the blend knots (ROADMAP
-# item 1).  The list may only shrink: a row mended leaves it, and a row
-# that turns dishonest fails the scan.
-KNOWN_DISHONEST = {
+# error + tail_bound on grids whose panels straddle the blend knots.
+UNKNOTTED_DISHONEST = {
     ("Homotopy", "septic", 0.2, 256), ("ExactD", "septic", 0.2, 256),
     ("ExactD", "quintic", 6.0, 256), ("Homotopy", "quintic", 6.0, 256),
     ("Homotopy", "quintic", 0.01, 128), ("Homotopy", "quintic", 0.001, 128),
@@ -36,26 +34,24 @@ def scan():
     return honesty.scan_rows(honesty._configs()["scan"])
 
 
-def test_scan_rows_are_honest_but_the_known_list():
-    """All 216 rows of the scan are sampled, none fails, and the rows above
-    ratio 1 are exactly the known list."""
+def test_every_scan_row_is_honest():
+    """All 216 rows of the scan are sampled, none fails, none is above
+    ratio 1, and no n_r 256 row misses 1/12 by more than quad.tol."""
     rows, failures = scan()
     assert failures == [] and len(rows) == 216
-    assert dishonest(rows) == KNOWN_DISHONEST
+    assert dishonest(rows) == set()
+    assert not any(row["fails_tol"] for row in rows)
 
 
-def test_a_halved_error_estimate_shows_above_one(monkeypatch):
-    """An integrate_radial that halves its fine/coarse difference pushes an
-    honest row above ratio 1."""
-    integrate = charclasses.integrate_radial
-
-    def halved(*args):
-        return [(n, value, 0.5 * error, direction, mass)
-                for n, value, error, direction, mass in integrate(*args)]
-
-    monkeypatch.setattr(charclasses, "integrate_radial", halved)
+def test_grids_without_knots_show_above_one(monkeypatch):
+    """A sweep_grids that drops the blend knots brings back the 13 rows
+    whose panels straddle them, above ratio 1."""
+    grids = charclasses.sweep_grids
+    monkeypatch.setattr(charclasses, "sweep_grids",
+                        lambda quad, n_r_values, knots: grids(quad,
+                                                              n_r_values))
     rows, _ = scan()
-    assert dishonest(rows) - KNOWN_DISHONEST
+    assert dishonest(rows) == UNKNOTTED_DISHONEST
 
 
 def test_a_section_whose_sweeps_all_fail_lists_its_failures(monkeypatch):
@@ -89,7 +85,7 @@ def test_honesty_file_schema(tmp_path):
         assert section["rows"] == rows - 3 * len(section["failed"])
         assert section["worst"]["ratio"] >= section["worst_honest_ratio"]
         assert all(row["ratio"] > 1.0 for row in section["above_1"])
-    assert len(side["scan"]["above_1"]) == len(KNOWN_DISHONEST)
+    assert side["scan"]["above_1"] == side["draws"]["above_1"] == []
 
 
 def test_moved_lists_the_sections_whose_rows_differ():

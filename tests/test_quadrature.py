@@ -87,6 +87,49 @@ def test_panel_split_keeps_multiples_of_16():
         assert np.array_equal(w, wy * np.exp(y))
 
 
+@pytest.mark.parametrize("knots, counts", [((2.0,), [8, 8]),
+                                           ((2.0, 4.0), [8, 4, 4])])
+def test_knotted_pieces_halve_down_to_the_smallest_grid(knots, counts):
+    """At n_r 16 and its half-size grid of 8, the smallest legal pair, the
+    rule holds exactly n nodes, increasing, with positive weights; each
+    piece between the knots holds its share, halved on the 8-node grid."""
+    quad = QuadratureSpec()
+    ends = [quad.r_min, *knots, quad.r_max]
+    for n, share in ((16, counts), (8, [c // 2 for c in counts])):
+        r, w = radial_nodes(quad, n, knots)
+        assert len(r) == len(w) == n
+        assert np.all(np.diff(r) > 0) and np.all(w > 0)
+        assert [((r > lo) & (r < hi)).sum()
+                for lo, hi in zip(ends[:-1], ends[1:])] == share
+
+
+def test_knots_outside_the_range_are_ignored():
+    """Only knots strictly inside (r_min, r_max) cut the rule, once each and
+    in any order: with none inside it keeps the bits of the plain rule."""
+    quad = QuadratureSpec()
+    for n in (16, 100, 256):
+        plain, cut = radial_nodes(quad, n), radial_nodes(quad, n, (4.0, 2.0))
+        for r, w in [radial_nodes(quad, n, (quad.r_min, 200.0)),
+                     radial_nodes(quad, n, ())]:
+            assert r.tobytes() == plain[0].tobytes()
+            assert w.tobytes() == plain[1].tobytes()
+        r, w = radial_nodes(quad, n, (1e-6, 2.0, 4.0, 2.0, quad.r_max))
+        assert r.tobytes() == cut[0].tobytes()
+        assert w.tobytes() == cut[1].tobytes()
+
+
+def test_a_kink_at_a_knot_costs_no_digit():
+    """rho = max(r - 2, 0) is a polynomial on each side of its kink at
+    r = 2: cut there, the rule meets its integral to roundoff, where the
+    plain rule misses by more than 1e-6."""
+    quad = QuadratureSpec(r_max=10.0)
+    exact = 0.5 * (10.0 - 2.0) ** 2
+    for knots, within in (((2.0,), 1e-13), ((), None)):
+        r, w = radial_nodes(quad, 128, knots)
+        miss = abs(np.maximum(r - 2.0, 0.0) @ w - exact)
+        assert miss <= within * exact if within else miss > 1e-6
+
+
 def test_legendre_rule_is_shared_read_only():
     """The panel rule is built once per size and shared: repeated grids
     keep their bits, and an in-place write to the shared rule fails."""
@@ -110,17 +153,19 @@ def test_legendre_rule_is_shared_read_only():
 def test_sweep_grids_list_each_grid_once(sweep, sizes):
     """The checked grid, the half-size grid of the smallest n_r, comes
     first at quad.n_ang directions; every other grid of the sweep follows
-    once, at one direction, as radial_nodes builds it.  [16] is the
-    smallest legal sweep."""
+    once, at one direction, as radial_nodes builds it, with or without
+    knots.  [16] is the smallest legal sweep."""
     quad = QuadratureSpec(n_ang=5)
-    grids = sweep_grids(quad, sweep).grids
-    assert [len(r) for r, _, _ in grids] == sizes
-    assert len(set(sizes)) == len(sizes)
-    assert [k for _, _, k in grids] == [quad.n_ang] + [1] * (len(sizes) - 1)
-    for r, w, _ in grids:
-        nodes, weights = radial_nodes(quad, len(r))
-        assert r.tobytes() == nodes.tobytes()
-        assert w.tobytes() == weights.tobytes()
+    for knots in ((), (2.0, 4.0)):
+        grids = sweep_grids(quad, sweep, knots).grids
+        assert [len(r) for r, _, _ in grids] == sizes
+        assert len(set(sizes)) == len(sizes)
+        assert [k for _, _, k in grids] == \
+            [quad.n_ang] + [1] * (len(sizes) - 1)
+        for r, w, _ in grids:
+            nodes, weights = radial_nodes(quad, len(r), knots)
+            assert r.tobytes() == nodes.tobytes()
+            assert w.tobytes() == weights.tobytes()
 
 
 @pytest.mark.parametrize("sweep", [[64, 128, 256], [16]])
@@ -154,10 +199,11 @@ def test_per_grid_splits_the_grid_points_back(sweep):
 
 
 def test_sweep_grids_share_one_set_per_layout():
-    """One GridSet per layout (r_min, r_max, n_ang, n_r_values): a list, a
-    tuple and a numpy array of the same sizes, or another n_r or tol, give
-    the same set, whose sizes are Python ints; a change of any field of the
-    layout gives another, and a float size is refused."""
+    """One GridSet per layout (r_min, r_max, n_ang, knots inside,
+    n_r_values): a list, a tuple and a numpy array of the same sizes,
+    another n_r or tol, or knots outside (r_min, r_max) give the same set,
+    whose sizes are Python ints; a change of any field of the layout gives
+    another, and a float size is refused."""
     quad = QuadratureSpec()
     grid_set = sweep_grids(quad, np.array([64, 128, 256]))
     assert [type(n) for n in grid_set.n_r_values] == [int] * 3
@@ -174,6 +220,10 @@ def test_sweep_grids_share_one_set_per_layout():
                   (dataclasses.replace(quad, n_ang=2), [64, 128, 256]),
                   (quad, [64, 128]), (quad, [256, 128, 64])]:
         assert sweep_grids(*other) is not grid_set
+    assert sweep_grids(quad, [64, 128, 256], (200.0,)) is grid_set
+    knotted = sweep_grids(quad, [64, 128, 256], (2.0, 4.0))
+    assert knotted is not grid_set
+    assert sweep_grids(quad, [64, 128, 256], [4.0, 200.0, 2.0]) is knotted
 
 
 def test_grid_set_is_read_only_and_hashed_by_identity():
