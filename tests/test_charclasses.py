@@ -370,11 +370,8 @@ def test_one_direction_is_within_its_direction_term():
 
 def test_a_readme_row_is_within_its_error_of_one_twelfth():
     """The n_r 256 row of the README sweep for Homotopy quintic at l = 3,
-    t = 0.6 misses 1/12 by 0.099 of error + tail bound on its grids cut
-    at the blend knots.  With the grids uncut, this row missed by 0.585 of
-    it, and a halved error estimate failed here; on the cut grids, every
-    scan row stays within its bounds under that mutant, and
-    test_honesty's grids without knots take its place."""
+    t = 0.6 misses 1/12 by 0.099 of error + tail bound, on grids cut at
+    the blend knots."""
     spec = MetricSpec(variant=Variant.HOMOTOPY, t=0.6, l=3.0,
                       blend=BlendProfile(kind="quintic"))
     *_, (n, value, error, tail) = convergence_table(
@@ -397,8 +394,8 @@ def test_every_sweep_row_is_within_its_bounds(variant, kind, l, t, r_max,
     misses 1/12 by at most its error estimate plus its tail bound.  Since
     value - 1/12 is the middle sum's miss of P(r_max) - P(r_min), up to
     the roundoff the tail bound carries, this checks the radial rule
-    against the Chern-Simons transgression.  The example is the row that
-    the grids uncut at the blend knots missed by 12.7 times its bounds."""
+    against the Chern-Simons transgression.  On grids uncut at the blend
+    knots, the example's n_r 128 row misses by 12.7 times its bounds."""
     spec = MetricSpec(variant=variant, t=t, blend=BlendProfile(kind=kind),
                       l=l)
     quad = QuadratureSpec(r_max=r_max, n_r=n_r, n_ang=2)
