@@ -103,30 +103,53 @@ def _choice(raw: dict, key: str, choices, flag, default=None):
     return value
 
 
+def _list(raw: dict, key: str, kind: type, default: list) -> list:
+    """The config's list `key`, else default: a non-empty JSON list whose
+    entries are each cast to kind and named key[i]."""
+    values = raw.get(key, default)
+    _require(isinstance(values, list) and values,
+             "{} must be a non-empty list, got {!r}", key, values)
+    return [_cast(kind, x, f"{key}[{i}]") for i, x in enumerate(values)]
+
+
 def load_config(raw: dict, overrides: argparse.Namespace) -> dict:
+    """The run configuration of the document raw under the flags. Every
+    key present is checked, the same way in every mode and under every
+    flag; the mode then adds its own requirements only."""
     _only(raw, ("mode", "grav", "route", "instanton", "metric", "quad",
                 "series", "lambdas", "sweep", "out", "seed"))
     mode = _choice(raw, "mode", MODES, overrides.mode)
     routes = ROUTES if mode == "index" else ROUTES + ("all",)
     out = _cast(str, raw.get("out", "."), "out")
+    quad = _build_spec(QuadratureSpec, raw.get("quad", {}), "quad")
     cfg = {
         "mode": mode,
         "metric": _build_spec(MetricSpec, raw.get("metric", {}), "metric",
                               variant=Variant.EXACT_D),
-        "quad": _build_spec(QuadratureSpec, raw.get("quad", {}), "quad"),
+        # QuadratureSpec refuses a --tol as it refuses a quad.tol
+        "quad": quad if overrides.tol is None else replace(
+            quad, tol=overrides.tol),
         "series": _build_spec(SeriesSpec, raw.get("series", {}), "series"),
         "route": _choice(raw, "route", routes, overrides.route, "bernoulli"),
         "grav": _choice(raw, "grav", GRAV_MODES, overrides.grav, "numeric"),
         "out": Path(overrides.out or out),
-        "lambdas": raw.get("lambdas", [0.1, 0.25, 0.4, 0.6, 0.9]),
-        "sweep": raw.get("sweep", [64, 128, 256]),
+        "lambdas": _list(raw, "lambdas", float, [0.1, 0.25, 0.4, 0.6, 0.9]),
+        "sweep": _list(raw, "sweep", int, [64, 128, 256]),
         "seed": _cast(int, raw.get("seed", 7), "seed"),
     }
     _require(cfg["seed"] >= 0, "seed must be >= 0, got {!r}", cfg["seed"])
-    if overrides.tol is not None:
-        _require(overrides.tol > 0, "--tol must be positive")
-        cfg["quad"] = replace(cfg["quad"], tol=overrides.tol)
-    if mode in ("index", "eta") and "instanton" in raw:
+    _require(all(map(math.isfinite, cfg["lambdas"])),
+             "lambdas must be finite numbers, got {!r}", cfg["lambdas"])
+    sweep = cfg["sweep"]
+    _require(sweep[0] >= 16 and all(a < b for a, b in zip(sweep, sweep[1:])),
+             "sweep must be strictly increasing integers >= 16, got {!r}",
+             sweep)
+    # a README contract: the blend ends inside the sampled range; the exact
+    # ends of the Pontryagin integral would hold past it as well
+    _require(cfg["metric"].blend.r_out < cfg["quad"].r_max,
+             "metric.blend.r_out must be below quad.r_max ({!r}), got {!r}",
+             cfg["quad"].r_max, cfg["metric"].blend.r_out)
+    if "instanton" in raw:
         section = raw["instanton"]
         _require(isinstance(section, dict), "instanton must be a JSON object")
         channels = _only(section, ("channels",)).get("channels")
@@ -135,37 +158,13 @@ def load_config(raw: dict, overrides: argparse.Namespace) -> dict:
         cfg["instanton"] = InstantonData([_build_spec(
             InstantonChannel, ch, f"instanton.channels[{i}]", mcharge=0.0)
             for i, ch in enumerate(channels)])
-        cfg["lambdas"] = [ch.lam for ch in cfg["instanton"].channels]
     if mode == "index":
         _require("instanton" in cfg, "mode 'index' requires an instanton "
                  "section with channels")
-    if mode == "eta" and "instanton" not in cfg:
-        lam = cfg["lambdas"]
-        message = ("lambdas must be a non-empty list of finite numbers, "
-                   "got {!r}")
-        _require(isinstance(lam, list) and lam, message, lam)
-        cfg["lambdas"] = [_cast(float, x, f"lambdas[{i}]")
-                          for i, x in enumerate(lam)]
-        _require(all(map(math.isfinite, cfg["lambdas"])), message, lam)
-    if mode in ("pontryagin", "convergence"):
-        # a convergence verdict compares the last sweep step with the
-        # first, so it needs at least two steps to be able to fail
-        min_len = 1 if mode == "pontryagin" else 3
-        sweep = cfg["sweep"]
-        message = ("sweep must be a list of at least {} integers >= 16 in "
-                   "mode {!r}, got {!r}")
-        _require(isinstance(sweep, list) and len(sweep) >= min_len, message,
-                 min_len, mode, sweep)
-        cfg["sweep"] = [_cast(int, n, f"sweep[{i}]")
-                        for i, n in enumerate(sweep)]
-        _require(min(cfg["sweep"]) >= 16, message, min_len, mode, sweep)
-    if mode in ("pontryagin", "convergence") or (
-            mode == "index" and cfg["grav"] == "numeric"):
-        # a README contract: the blend ends inside the sampled range; the
-        # exact ends of the Pontryagin integral would hold past it as well
-        r_out, r_max = cfg["metric"].blend.r_out, cfg["quad"].r_max
-        _require(r_out < r_max, "metric.blend.r_out ({!r}) must be below "
-                 "quad.r_max ({!r}) in mode {!r}", r_out, r_max, mode)
+    # a convergence verdict compares the last sweep step with the first,
+    # so it needs at least two steps to be able to fail
+    _require(mode != "convergence" or len(sweep) >= 3, "sweep must hold at "
+             "least 3 sizes in mode 'convergence', got {!r}", sweep)
     return cfg
 
 
@@ -201,8 +200,11 @@ def _run_index(cfg: dict) -> int:
 
 
 def _run_eta(cfg: dict) -> int:
+    """The route table over the channels' lam, else over lambdas."""
     routes = ROUTES if cfg["route"] == "all" else (cfg["route"],)
-    rows = route_table(cfg["lambdas"], cfg["series"], routes)
+    lambdas = [ch.lam for ch in cfg["instanton"].channels] \
+        if "instanton" in cfg else cfg["lambdas"]
+    rows = route_table(lambdas, cfg["series"], routes)
     _write_csv(cfg["out"] / "eta_routes.csv",
                ["lambda", "route", "a0", "a2coeff", "integrated", "error"],
                rows)

@@ -83,9 +83,9 @@ class InstantonData:
 def connection_coefficient(ch: InstantonChannel, r, l: float = 1.0):
     """c(r) = (l lam + mcharge/(2r)) / V with model connection a = -i c(r)
     (dtau + omega): the ratio of two harmonic functions, with c(0) = mcharge
-    and holonomy c(infinity) = lam for every l."""
-    r = np.asarray(r, dtype=float)
-    return (l * ch.lam + ch.mcharge / (2.0 * r)) / (l + 0.5 / r)
+    and holonomy c(infinity) = lam for every l; see _radial_coefficients."""
+    return _radial_coefficients(ch.lam, ch.mcharge, l,
+                                np.asarray(r, dtype=float))[1]
 
 
 def model_connection_at(ch: InstantonChannel, p: Point,
@@ -121,35 +121,27 @@ class FieldStrengthSample:
             else "self-dual"
 
 
-def _radial_factors(r):
-    """The factors 1/(2r), 2r, dv/dr = -1/(2r^2) and 2r^2 of v = l + 1/(2r)
-    at the radii r."""
-    return 0.5 / r, 2.0 * r, -0.5 / r**2, 2.0 * r**2
-
-
 def _field_strength_geometry(xyz, gauge: Gauge = Gauge.DEFAULT):
     """The channel-free part of G at the points xyz: on PAIRS, dr ^ (dtau +
-    omega) and d(omega) = star3 dV (None where it vanishes), and the
-    _radial_factors."""
+    omega) and d(omega) = star3 dV (None where it vanishes), and the radii
+    r."""
     r, omega = chart_omega(xyz, gauge)
     x = np.moveaxis(np.asarray(xyz, dtype=float), -1, 0)
     dr, fib = [*(x / r), 0.0], [*np.moveaxis(omega, -1, 0), 1.0]
-    factors = _radial_factors(r)
-    grad_v = factors[2] * x / r
+    grad_v = (-0.5 / r**2) * x / r
     return (tuple(dr[i] * fib[j] - fib[i] * dr[j] for i, j in PAIRS),
-            (grad_v[2], -grad_v[1], None, grad_v[0], None, None), factors)
+            (grad_v[2], -grad_v[1], None, grad_v[0], None, None), r)
 
 
-def _radial_coefficients(lam, mcharge, l: float, factors):
-    """(c', c - mcharge) of channels (lam, mcharge), numbers or arrays that
-    broadcast against the radii, from the _radial_factors: c = num / v with
-    v = l + 1/(2r) and num = l lam + mcharge/(2r), and c' = (num' v -
-    num v') / v^2."""
-    half_inv_r, two_r, dv, two_r2 = factors
-    v = l + half_inv_r
-    num = l * lam + mcharge / two_r
-    dnum = -mcharge / two_r2
-    return (dnum * v - num * dv) / v**2, num / v - mcharge
+def _radial_coefficients(lam, mcharge, l: float, r):
+    """(c', c) of channels (lam, mcharge), numbers or arrays that broadcast
+    against the radii r: c = num / v with v = l + 1/(2r) and num = l lam +
+    mcharge/(2r), and c' = (num' v - num v') / v^2."""
+    v = l + 0.5 / r
+    num = l * lam + mcharge / (2.0 * r)
+    dnum = -mcharge / (2.0 * r**2)
+    dv = -0.5 / r**2
+    return (dnum * v - num * dv) / v**2, num / v
 
 
 def field_strength_array(ch: InstantonChannel, xyz,
@@ -158,10 +150,11 @@ def field_strength_array(ch: InstantonChannel, xyz,
     """Closed-form G with F = dA = -i G at the points xyz of shape (..., 3),
     on PAIRS, shape (6, ...): G = c'(r) dr ^ (dtau + omega) + (c(r) - mcharge)
     d(omega) with d(omega) = star3 dV; the mcharge shift comes from the
-    monopole term of the connection.  c' and c - mcharge come from
+    monopole term of the connection.  c' and c come from
     _radial_coefficients, with v = l + 1/(2r)."""
-    fibered, domega, factors = _field_strength_geometry(xyz, gauge)
-    dc, c_eff = _radial_coefficients(ch.lam, ch.mcharge, l, factors)
+    fibered, domega, r = _field_strength_geometry(xyz, gauge)
+    dc, c = _radial_coefficients(ch.lam, ch.mcharge, l, r)
+    c_eff = c - ch.mcharge
     return np.stack([dc * f if w is None else dc * f + c_eff * w
                      for f, w in zip(fibered, domega)])
 
@@ -202,20 +195,19 @@ def _bulk_geometry(grid_set: GridSet):
     the wedges f^f, 2 f^w and w^w of f = dr ^ (dtau + omega) and w =
     d(omega) at every point, shape (3, points); then, at every node radius
     in grid order followed by the end radii, which hold no point, the
-    _radial_factors, r^2 and the number of points.  Kept on the set
-    (GridSet.derived), so every array is read-only."""
+    radius and the number of points.  Kept on the set (GridSet.derived),
+    so every array is read-only."""
     grids, ends, points = grid_set.grids, grid_set.ends, grid_set.points
     fibered, domega, _ = _field_strength_geometry(points)
     domega = [np.zeros(len(points)) if w is None else w for w in domega]
     wedges = np.stack([wedge4(fibered, fibered),
                        2.0 * wedge4(fibered, domega), wedge4(domega, domega)])
     r = np.concatenate([*(rs for rs, _, _ in grids), ends])
-    factors, r2 = _radial_factors(r), r * r
     directions = np.repeat([k for _, _, k in grids] + [0],
                            [len(rs) for rs, _, _ in grids] + [len(ends)])
-    for a in (wedges, *factors, r2, directions):
+    for a in (wedges, r, directions):
         a.flags.writeable = False
-    return wedges, factors, r2, directions
+    return wedges, r, directions
 
 
 def _bulk_densities(data: InstantonData, grid_set: GridSet, l: float):
@@ -231,16 +223,18 @@ def _bulk_densities(data: InstantonData, grid_set: GridSet, l: float):
     radius and then meet the wedges that _bulk_geometry caches per point.
     f^f and w^w vanish in exact arithmetic; they are the wedges of the
     actual forms, so the numeric route never assumes it."""
-    wedges, factors, r2, directions = grid_set.derived(_bulk_geometry)
+    wedges, r, directions = grid_set.derived(_bulk_geometry)
     lam, mcharge = np.array([ch.lam for ch in data.channels]
                             + [ch.mcharge for ch in data.channels]
                             ).reshape(2, -1, 1)
-    dc, c_eff = _radial_coefficients(lam, mcharge, l, factors)
+    dc, c = _radial_coefficients(lam, mcharge, l, r)
+    c_eff = c - mcharge
     # -(1/8 pi^2) * (-sum G^G) * (level-set volume 8 pi^2 r^2); an end
     # repeats to no point
-    form = np.add.reduce([dc * dc, dc * c_eff, c_eff * c_eff], axis=1) * r2
+    form = np.add.reduce([dc * dc, dc * c_eff, c_eff * c_eff], axis=1) \
+        * (r * r)
     density = np.add.reduce(np.repeat(form, directions, axis=1) * wedges)
-    return grid_set.split(density), c_eff[:, len(r2) - len(grid_set.ends):].T
+    return grid_set.split(density), c_eff[:, len(r) - len(grid_set.ends):].T
 
 
 def bulk_action(data: InstantonData, quad: QuadratureSpec, l: float = 1.0):

@@ -244,7 +244,9 @@ def test_unknown_mode_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("mode, sweep", [
     ("pontryagin", []), ("convergence", []), ("convergence", [32]),
     ("convergence", [32, 64]), ("pontryagin", [32, 8]),
-    ("pontryagin", [64.5]), ("pontryagin", "64"), ("pontryagin", ["64"])])
+    ("pontryagin", [64.5]), ("pontryagin", "64"), ("pontryagin", ["64"]),
+    ("convergence", [16, 17, 17]), ("convergence", [64, 64, 64]),
+    ("pontryagin", [128, 64])])
 def test_bad_sweep_rejected(tmp_path, capsys, mode, sweep):
     cfg = write_config(tmp_path, {"mode": mode, "sweep": sweep})
     assert main(["--config", cfg, "--out", str(tmp_path)]) == EXIT_VALIDATION
@@ -288,23 +290,29 @@ def test_one_entry_sweep_runs_in_pontryagin_mode(tmp_path, capsys):
     {"metric": 5}, {"metric": {"blend": [2.0, 4.0]}},
     {"instanton": "channels"}, {"quad": [64]}, {"series": "tol"}])
 def test_non_object_section_rejected(tmp_path, capsys, section):
-    cfg = write_config(tmp_path, dict(section, mode="eta"))
-    assert main(["--config", cfg, "--out", str(tmp_path)]) == EXIT_VALIDATION
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValidationError"
-    assert "must be a JSON object" in err["message"]
+    """A section that is not an object exits 3 in every mode."""
+    for mode in cli.MODES:
+        cfg = write_config(tmp_path, dict(section, mode=mode))
+        assert main(["--config", cfg, "--out", str(tmp_path)]) \
+            == EXIT_VALIDATION, mode
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert "must be a JSON object" in err["message"], mode
 
 
 @pytest.mark.parametrize("lambdas", [5, ["x"], [], [float("nan")],
                                      [0.3, 10**400]])
 def test_bad_lambdas_rejected(tmp_path, capsys, lambdas):
-    cfg = write_config(tmp_path, {"mode": "eta", "lambdas": lambdas})
+    """lambdas is checked in every mode, not only where it is read."""
     out = tmp_path / "out"
-    assert main(["--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValidationError"
-    assert "lambdas" in err["message"]
-    assert not out.exists()
+    for mode in cli.MODES:
+        cfg = write_config(tmp_path, {"mode": mode, "lambdas": lambdas})
+        assert main(["--config", cfg, "--out", str(out)]) \
+            == EXIT_VALIDATION, mode
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert "lambdas" in err["message"], mode
+        assert not out.exists()
 
 
 def test_non_integral_chern_rejected(tmp_path, capsys):
@@ -463,6 +471,10 @@ FLAG_OVERRIDES = [
      ["--route", "bernoulli", "--grav", "lemma", "--out", "OUT"], "out"),
     ({"mode": "eta", "route": 5, "lambdas": [0.3]},
      ["--mode", "index", "--route", "bernoulli"], "route"),
+    ({"grav": "numeric", "metric": {"blend": {"r_out": 100}}},
+     ["--grav", "lemma"], "metric.blend.r_out"),
+    ({"mode": "pontryagin", "sweep": "x"}, ["--mode", "eta"], "sweep"),
+    ({"instanton": "channels"}, ["--mode", "pontryagin"], "instanton"),
 ]
 
 

@@ -458,10 +458,10 @@ def test_cached_grids_and_geometry_are_read_only(monkeypatch):
     assert (info.hits, info.misses, info.currsize, len(builds)) == \
         (1, 1, 1, 1)
     grids = quadrature.sweep_grids(quad, [quad.n_r])
-    wedges, factors, r2, directions = grids.derived(gauge._bulk_geometry)
+    wedges, r, directions = grids.derived(gauge._bulk_geometry)
     assert len(builds) == 1
     assert wedges.shape == (3, 32 * quad.n_ang + 64)
-    radial = [*factors, r2, directions]
+    radial = [r, directions]
     assert {a.shape for a in radial} == {(32 + 64 + 2,)}
     assert list(directions) == [quad.n_ang] * 32 + [1] * 64 + [0, 0]
     for arr in [a for rs, w, _ in grids.grids for a in (rs, w)] \
