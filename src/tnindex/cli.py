@@ -78,6 +78,15 @@ def _only(section: dict, keys) -> dict:
     return section
 
 
+def _named(prefix: str, build, *args, **kwargs):
+    """build(*args, **kwargs), a spec whose refusal names the bare field,
+    with prefix put before that name: where the spec sits in the config."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{prefix}{exc}") from None
+
+
 def _build_spec(cls, section, where: str, **defaults):
     """Instance of the dataclass cls from the config section `where`, a
     JSON object whose keys name fields, each cast to its type; an absent
@@ -89,7 +98,7 @@ def _build_spec(cls, section, where: str, **defaults):
             f" with a {key!r}" for key in need) + f", got {section!r}")
     for key, value in _only(section, types).items():
         defaults[key] = _cast(types[key], value, f"{where}.{key}")
-    return cls(**defaults)
+    return _named(f"{where}.", cls, **defaults)
 
 
 def _choice(raw: dict, key: str, choices, flag, default=None):
@@ -127,8 +136,8 @@ def load_config(raw: dict, overrides: argparse.Namespace) -> dict:
         "metric": _build_spec(MetricSpec, raw.get("metric", {}), "metric",
                               variant=Variant.EXACT_D),
         # QuadratureSpec refuses a --tol as it refuses a quad.tol
-        "quad": quad if overrides.tol is None else replace(
-            quad, tol=overrides.tol),
+        "quad": quad if overrides.tol is None else _named(
+            "--", replace, quad, tol=overrides.tol),
         "series": _build_spec(SeriesSpec, raw.get("series", {}), "series"),
         "route": _choice(raw, "route", routes, overrides.route, "bernoulli"),
         "grav": _choice(raw, "grav", GRAV_MODES, overrides.grav, "numeric"),
@@ -153,9 +162,8 @@ def load_config(raw: dict, overrides: argparse.Namespace) -> dict:
         section = raw["instanton"]
         _require(isinstance(section, dict), "instanton must be a JSON object")
         channels = _only(section, ("channels",)).get("channels")
-        _require(isinstance(channels, list) and channels,
-                 "instanton.channels must be a non-empty list")
-        cfg["instanton"] = InstantonData([_build_spec(
+        _require(type(channels) is list, "instanton.channels must be a list")
+        cfg["instanton"] = _named("instanton.", InstantonData, [_build_spec(
             InstantonChannel, ch, f"instanton.channels[{i}]", mcharge=0.0)
             for i, ch in enumerate(channels)])
     if mode == "index":

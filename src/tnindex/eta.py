@@ -50,7 +50,7 @@ class SeriesSpec:
 
     def __post_init__(self):
         if not 0.0 < self.tol < np.inf:
-            raise ValueError("series tolerance must be finite and positive")
+            raise ValueError("tol must be finite and positive")
 
 
 # ---------------------------------------------------------------------------

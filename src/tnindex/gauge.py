@@ -47,13 +47,13 @@ class InstantonChannel:
     chern: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and math.isfinite(self.mcharge)):
-            raise ValueError(
-                f"channel lam and mcharge must be finite, got lam="
-                f"{self.lam!r}, mcharge={self.mcharge!r}")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam!r}")
+        if not math.isfinite(self.mcharge):
+            raise ValueError(f"mcharge must be finite, got {self.mcharge!r}")
         if not float(self.chern).is_integer():
             raise ValueError(
-                f"chern number must be an exact integer, got {self.chern!r}")
+                f"chern must be an exact integer, got {self.chern!r}")
         object.__setattr__(self, "chern", int(self.chern))
 
     def check_generic(self):
@@ -68,9 +68,9 @@ class InstantonData:
         object.__setattr__(self, "channels", tuple(channels))
         lams = [ch.lam for ch in self.channels]
         if len(self.channels) < 1:
-            raise ValueError("need at least one channel")
+            raise ValueError("channels must hold at least one channel")
         if len(set(lams)) != len(lams):
-            raise ValueError("holonomy eigenvalues must be pairwise distinct")
+            raise ValueError("channels must have pairwise distinct lam")
 
     @property
     def rank(self) -> int:

@@ -95,10 +95,12 @@ class BlendProfile:
     kind: str = "quintic"  # or "septic" (C^3)
 
     def __post_init__(self):
-        if not (np.inf > self.r_out > self.r_in > 0):
-            raise ValueError("require r_out > r_in > 0, both finite")
+        if not 0 < self.r_out < np.inf:
+            raise ValueError("r_out must be finite and positive")
+        if not 0 < self.r_in < self.r_out:
+            raise ValueError("r_in must be positive and below r_out")
         if self.kind not in ("quintic", "septic"):
-            raise ValueError(f"unknown blend kind {self.kind!r}")
+            raise ValueError(f"kind must be quintic or septic: {self.kind!r}")
 
     def __call__(self, r):
         """Evaluate the profile; accepts floats, arrays, or jets, all through
@@ -128,9 +130,9 @@ class MetricSpec:
 
     def __post_init__(self):
         if not 0 < self.l < np.inf:
-            raise ValueError("mass parameter l must be finite and positive")
+            raise ValueError("l must be finite and positive")
         if not (0.0 <= self.t <= 1.0):
-            raise ValueError("homotopy parameter t must lie in [0, 1]")
+            raise ValueError("t must lie in [0, 1]")
 
 
 @dataclass
@@ -266,21 +268,17 @@ def _point_jets(spec: MetricSpec, xyz: np.ndarray, gauge: Gauge):
     return [*_radial_coeffs(spec, jets.seed(chart[0].val)), *chart]
 
 
-def _metric_entries(a_coeff, c_coeff, om):
-    """4x4 nested list of the components of A dx^2 + C (dtau + omega)^2
-    from A, C and (omega_1, omega_2), omega_3 being 0: floats, arrays or
-    jets."""
-    # the x3 row and column hold A and zeros, since omega_3 = 0
-    zero = 0.0 * a_coeff
-    g = [[zero] * 4 for _ in range(4)]
-    for i in range(2):
-        g[i][3] = g[3][i] = c_coeff * om[i]
-        for j in range(i, 2):
-            entry = g[i][3] * om[j]
-            g[i][j] = g[j][i] = entry + a_coeff if i == j else entry
-    g[2][2] = a_coeff
-    g[3][3] = c_coeff
-    return g
+def _metric_table(a_coeff, c_coeff, om):
+    """The eight distinct components of A dx^2 + C (dtau + omega)^2, in the
+    rows that _IDX places in g, from A, C and (omega_1, omega_2), omega_3
+    being 0: floats, arrays or jets."""
+    c_om = [c_coeff * om[0], c_coeff * om[1]]
+    return [0.0 * a_coeff, a_coeff, c_coeff, *c_om, c_om[0] * om[0] + a_coeff,
+            c_om[0] * om[1], c_om[1] * om[1] + a_coeff]
+
+
+# the row of _metric_table at each entry of g
+_IDX = np.array([[5, 6, 0, 3], [6, 7, 0, 4], [0, 0, 1, 0], [3, 4, 0, 2]])
 
 
 def _vierbein(g: np.ndarray) -> np.ndarray:
@@ -296,8 +294,7 @@ def metric_at(spec: MetricSpec, p: Point,
     """Coordinate metric of the selected variant at a point."""
     _check_chart(p.r, p.x1, p.x2, p.x3, gauge)
     r, *om = _chart_jets(*map(np.float64, (p.x1, p.x2, p.x3)), gauge)
-    entries = _metric_entries(*_radial_coeffs(spec, r), om)
-    g = np.array([[float(entries[i][j]) for j in range(4)] for i in range(4)])
+    g = np.array(_metric_table(*_radial_coeffs(spec, r), om))[_IDX]
     try:
         frame = _vierbein(g)
     except np.linalg.LinAlgError as exc:
@@ -312,52 +309,45 @@ def metric_at(spec: MetricSpec, p: Point,
 
 def _metric_jet_arrays(spec: MetricSpec, xyz: np.ndarray, gauge: Gauge,
                        radial=None):
-    """Metric jets for a batch of points as a table of the m distinct entry
-    jets of _metric_entries, found by identity, point index last: val (m, n),
-    grad (3m+1, n) with d_e of entry k in row 3k+e, hess (9m+1, n) with
-    d_e d_f of entry k in row 9k+3e+f, and idx (4, 4), the row of each metric
-    entry.  The last rows of grad and hess are zero: nothing depends on tau.
-    radial is the _point_jets of these points in this gauge, formed here
-    when omitted."""
+    """The jet table of _metric_table at a batch of points, point index
+    last: val (8, n), grad (25, n) with d_e of entry k in row 3k+e and hess
+    (73, n) with d_e d_f in row 9k+3e+f, whose last rows are zero, as nothing
+    depends on tau.  radial is the points' _point_jets, formed if omitted."""
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
     a_coeff, c_coeff, r, *om = radial or _point_jets(spec, xyz, gauge)
-    entries = _metric_entries(*jets.lift((a_coeff, c_coeff), r), om)
-    table = list({id(e): e for row in entries for e in row}.values())
-    rows = {id(e): k for k, e in enumerate(table)}
+    table = _metric_table(*jets.lift((a_coeff, c_coeff), r), om)
     zero = np.zeros((1, xyz.shape[0]))
     return (np.stack([e.val for e in table]),
             np.concatenate([e.grad for e in table] + [zero]),
-            np.concatenate([e.hess.reshape(9, -1) for e in table] + [zero]),
-            np.array([[rows[id(e)] for e in row] for row in entries]))
+            np.concatenate([e.hess.reshape(9, -1) for e in table] + [zero]))
 
 
 def _fd_metric_arrays(spec: MetricSpec, xyz: np.ndarray, gauge: Gauge,
                       h: float):
-    """Central-difference fallback for the jet table of _metric_jet_arrays,
-    with one row per metric entry."""
+    """Central-difference fallback for the table of _metric_jet_arrays."""
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
 
-    def g_of(pts):
+    def table_of(pts):
         r, *om = _chart_jets(*pts.T, gauge)
-        return np.array(_metric_entries(*_radial_coeffs(spec, r), om))
+        return np.array(_metric_table(*_radial_coeffs(spec, r), om))
 
     if np.any(np.linalg.norm(xyz, axis=1) <= 2.0 * h):
         raise DomainError("finite-difference stencil crosses r = 0")
     step, n = h * np.eye(3), len(xyz)
-    g = g_of(xyz)
-    grad, hess = np.zeros((49, n)), np.zeros((145, n))
-    dg, d2g = grad[:48].reshape(4, 4, 3, n), hess[:144].reshape(4, 4, 3, 3, n)
+    g = table_of(xyz)
+    grad, hess = np.zeros((25, n)), np.zeros((73, n))
+    dg, d2g = grad[:24].reshape(8, 3, n), hess[:72].reshape(8, 3, 3, n)
     for mu in range(3):
-        plus, minus = g_of(xyz + step[mu]), g_of(xyz - step[mu])
-        dg[:, :, mu] = (plus - minus) / (2.0 * h)
-        d2g[:, :, mu, mu] = (plus - 2.0 * g + minus) / h**2
+        plus, minus = table_of(xyz + step[mu]), table_of(xyz - step[mu])
+        dg[:, mu] = (plus - minus) / (2.0 * h)
+        d2g[:, mu, mu] = (plus - 2.0 * g + minus) / h**2
         for nu in range(mu + 1, 3):
-            d2g[:, :, mu, nu] = d2g[:, :, nu, mu] = (
-                g_of(xyz + step[mu] + step[nu])
-                - g_of(xyz + step[mu] - step[nu])
-                - g_of(xyz - step[mu] + step[nu])
-                + g_of(xyz - step[mu] - step[nu])) / (4.0 * h**2)
-    return g.reshape(16, n), grad, hess, np.arange(16).reshape(4, 4)
+            d2g[:, mu, nu] = d2g[:, nu, mu] = (
+                table_of(xyz + step[mu] + step[nu])
+                - table_of(xyz + step[mu] - step[nu])
+                - table_of(xyz - step[mu] + step[nu])
+                + table_of(xyz - step[mu] - step[nu])) / (4.0 * h**2)
+    return g, grad, hess
 
 
 def _frame_transform(frame, lowered):
@@ -372,15 +362,15 @@ def _frame_transform(frame, lowered):
     return np.einsum("nwbcd,nwa->nabcd", out, frame)
 
 
-def _metric_inverse(val, idx):
+def _metric_inverse(val):
     """g^-1 (4,4,n) of point-last metrics of the form A dx^2 + C (dtau +
-    omega)^2, given as a table val with entry rows idx, in closed form
+    omega)^2, given as the value rows val of a metric table, in closed form
     (Eguchi, Gilkey & Hanson, Phys. Rep. 66 (1980) 213): g^ij = delta^ij / A,
     g^i tau = -omega_i / A and g^tau tau = 1/C + |omega|^2 / A, read off g as
     A = g_33, C = g_tau tau, omega_i = g_i tau / C.  Elementwise, so a
     point's bits do not depend on its batch."""
-    a_inv, c_coeff = 1.0 / val[idx[2, 2]], val[idx[3, 3]]
-    omega = val[idx[:3, 3]] / c_coeff
+    a_inv, c_coeff = 1.0 / val[_IDX[2, 2]], val[_IDX[3, 3]]
+    omega = val[_IDX[:3, 3]] / c_coeff
     ginv = np.zeros((4, 4) + val.shape[1:])
     ginv[[0, 1, 2], [0, 1, 2]] = a_inv
     ginv[:3, 3] = ginv[3, :3] = -omega * a_inv
@@ -389,21 +379,21 @@ def _metric_inverse(val, idx):
     return ginv
 
 
-@lru_cache(maxsize=4)
-def _gather_maps(idx: tuple, m: int):
-    """Row maps into the grad and hess tables of _metric_jet_arrays, m
-    entries at the rows idx (flat 4x4): d_b g_fc, d_c g_fb and d_f g_bc on
+def _gather_maps():
+    """Row maps into the grad and hess tables of _metric_jet_arrays, the
+    entries of g at the rows _IDX: d_b g_fc, d_c g_fb and d_f g_bc on
     (f, b, c), then the four d^2 g terms of _lowered_riemann on PAIRS x
     PAIRS.  A tau-derivative maps to the zero row."""
-    idx, ax = np.reshape(idx, (4, 4)), np.arange(4)[:, None, None]
-    d = np.where(ax < 3, 3 * idx + ax, 3 * m)   # d_e g_ab at (e, a, b)
+    m, ax = _IDX.max() + 1, np.arange(4)[:, None, None]
+    d = np.where(ax < 3, 3 * _IDX + ax, 3 * m)   # d_e g_ab at (e, a, b)
     dd = np.where((ax < 3) & (ax[:, None] < 3),
-                  9 * idx + 3 * ax[:, None] + ax, 9 * m)   # (e, f, a, b)
+                  9 * _IDX + 3 * ax[:, None] + ax, 9 * m)   # (e, f, a, b)
     return (d.transpose(1, 0, 2), d.transpose(1, 2, 0), d,
             dd[_B, _C, _A, _D], dd[_A, _D, _B, _C], dd[_B, _D, _A, _C],
             dd[_A, _C, _B, _D])
 
 
+_GATHER = _gather_maps()
 # rows of a (4, 4) index pair, flattened, that broadcast to PAIRS x PAIRS
 _BC, _AD, _BD, _AC = 4 * _B + _C, 4 * _A + _D, 4 * _B + _D, 4 * _A + _C
 
@@ -435,7 +425,7 @@ def _take(table, rows, out):
     return table.take(rows, axis=0, out=out, mode="clip")
 
 
-def _lowered_riemann(val, grad, hess, idx):
+def _lowered_riemann(val, grad, hess):
     """The lowered curvature tensor on PAIRS x PAIRS, shape (6,6,n), from
     the metric jet table of _metric_jet_arrays, and the g^-1 (4,4,n) it used:
 
@@ -448,9 +438,8 @@ def _lowered_riemann(val, grad, hess, idx):
     depends neither on the batch size nor on the thread count.  Every step
     writes into the _workspace of n points, so the tensor is valid until
     the next call for n points; g^-1 is a fresh array."""
-    d_b, d_c, d_f, bcad, adbc, bdac, acbd = _gather_maps(
-        tuple(idx.ravel().tolist()), len(val))
-    ginv = _metric_inverse(val, idx)
+    d_b, d_c, d_f, bcad, adbc, bdac, acbd = _GATHER
+    ginv = _metric_inverse(val)
     n = val.shape[-1]
     (low, up), lowered, scratch = _workspace(n)
     gathered = _carve(scratch, low.shape)
@@ -476,24 +465,24 @@ def _lowered_riemann(val, grad, hess, idx):
     return lowered, ginv
 
 
-def _riemann_from_arrays(val, grad, hess, idx):
+def _riemann_from_arrays(val, grad, hess):
     """The six mixed coordinate curvature 2-forms R^a_b,cd on PAIRS, shape
     (6,4,4,n), from the jet table of _metric_jet_arrays: the lowered tensor
     raised on its first index by g^-1, its 2-form matrix expanded in the
     scratch of the _workspace, into a fresh array."""
-    lowered, ginv = _lowered_riemann(val, grad, hess, idx)
+    lowered, ginv = _lowered_riemann(val, grad, hess)
     _, _, scratch = _workspace(val.shape[-1])
     matrix = two_form_matrix(lowered,
                              _carve(scratch, (4, 4) + lowered.shape[1:]))
     return np.einsum("aen,ebqn->qabn", ginv, matrix)
 
 
-def _frame_curvature(val, grad, hess, idx):
+def _frame_curvature(val, grad, hess):
     """Frame Riemann tensor (n,4,4,4,4), fully lowered, frame Ricci (n,4,4),
     metric and vierbein (n,4,4) from the jet table of _metric_jet_arrays,
     through the lowered tensor of _lowered_riemann."""
-    lowered, _ = _lowered_riemann(val, grad, hess, idx)
-    g = np.moveaxis(val[idx], -1, 0)
+    lowered, _ = _lowered_riemann(val, grad, hess)
+    g = np.moveaxis(val[_IDX], -1, 0)
     # (c, d, a, b, n) from both pair axes, to (n, a, b, c, d), contiguous
     # for the einsum loops
     riem = np.ascontiguousarray(two_form_matrix(np.moveaxis(

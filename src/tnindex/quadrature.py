@@ -28,13 +28,15 @@ class QuadratureSpec:
 
     def __post_init__(self):
         if self.n_r < 16:
-            raise ValueError("need at least 16 radial nodes")
-        if not (0 < self.r_min < self.r_max < np.inf):
-            raise ValueError("require 0 < r_min < r_max, both finite")
+            raise ValueError("n_r must be at least 16")
+        if not 0 < self.r_max < np.inf:
+            raise ValueError("r_max must be finite and positive")
+        if not 0 < self.r_min < self.r_max:
+            raise ValueError("r_min must be positive and below r_max")
         if not 0 < self.tol < np.inf:
-            raise ValueError("tolerance must be finite and positive")
+            raise ValueError("tol must be finite and positive")
         if self.n_ang < 2:
-            raise ValueError("need at least 2 angular check samples")
+            raise ValueError("n_ang must be at least 2")
 
 
 @lru_cache(maxsize=32)

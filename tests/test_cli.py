@@ -492,6 +492,37 @@ def test_flags_never_make_a_document_valid(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+# A value that its spec refuses, with the dotted path that the message
+# starts with: the spec names the bare field, the config where it sits.
+SPEC_REFUSALS = [
+    ({"quad": {"tol": 0}}, [], "quad.tol"),
+    ({"quad": {"n_r": 8}}, [], "quad.n_r"),
+    ({"quad": {"n_ang": 1}}, [], "quad.n_ang"),
+    ({"quad": {"r_min": 100}}, [], "quad.r_min"),
+    ({"metric": {"l": -1}}, [], "metric.l"),
+    ({"metric": {"t": 2}}, [], "metric.t"),
+    ({"metric": {"blend": {"r_in": 5}}}, [], "metric.blend.r_in"),
+    ({"metric": {"blend": {"kind": "cubic"}}}, [], "metric.blend.kind"),
+    ({"series": {"tol": 0}}, [], "series.tol"),
+    ({"instanton": {"channels": [{"lam": 0.3}, {"lam": 0.3}]}}, [],
+     "instanton.channels"),
+    ({}, ["--tol", "0"], "--tol"),
+]
+
+
+@pytest.mark.parametrize("patch, flags, field", SPEC_REFUSALS)
+def test_spec_refusal_names_its_field(tmp_path, capsys, patch, flags,
+                                      field):
+    cfg = write_config(tmp_path, {"mode": "eta", **patch})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, *flags, "--out", str(out)]) \
+        == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert err["message"].startswith(f"{field} must "), err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, route", [([], "all"), (["--route", "all"],
                                                        "bernoulli")])
 def test_route_all_rejected_in_index_mode(tmp_path, capsys, args, route):

@@ -47,7 +47,8 @@ def test_chern_must_be_integer():
                                  {"mcharge": float("inf")},
                                  {"mcharge": -float("inf")}])
 def test_channel_numbers_must_be_finite(bad):
-    with pytest.raises(ValueError, match="lam and mcharge must be finite"):
+    [name] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
         InstantonChannel(**{"lam": 0.3, "mcharge": 1.0, **bad})
 
 

@@ -356,10 +356,10 @@ def test_curvature_at_checks_the_chart_once(monkeypatch):
         assert calls == []
 
 
-def _expand(val, grad, hess, idx):
+def _expand(val, grad, hess):
     """A jet table of geometry._metric_jet_arrays as point-last arrays g
     (4,4,n), dg (3,4,4,n) with dg[e, a, b] = d_e g_ab, and d2g (3,3,4,4,n)."""
-    n = val.shape[-1]
+    n, idx = val.shape[-1], geometry._IDX
     return (val[idx], grad[:-1].reshape(-1, 3, n)[idx].transpose(2, 0, 1, 3),
             hess[:-1].reshape(-1, 3, 3, n)[idx].transpose(2, 3, 0, 1, 4))
 
@@ -436,10 +436,11 @@ def test_closed_form_metric_inverse_matches_lapack(variant, kind, l, gauge):
     inverse to 1e-13 of each point's largest entry (measured: at most
     3.1e-15 on these points, NORTH gauge, TN l = 0.2); the commutator
     oracle keeps LAPACK, so it stays independent."""
-    val, _, _, idx = geometry._metric_jet_arrays(
+    val, _, _ = geometry._metric_jet_arrays(
         _kernel_spec(variant, kind, l), _log_radius_batch(3), gauge)
-    ref = np.linalg.inv(np.moveaxis(val[idx], -1, 0)).transpose(1, 2, 0)
-    gap = np.abs(geometry._metric_inverse(val, idx) - ref).max(axis=(0, 1))
+    ref = np.linalg.inv(np.moveaxis(val[geometry._IDX], -1, 0)).transpose(
+        1, 2, 0)
+    gap = np.abs(geometry._metric_inverse(val) - ref).max(axis=(0, 1))
     assert (gap / np.abs(ref).max(axis=(0, 1))).max() <= 1e-13
 
 
@@ -511,6 +512,24 @@ def frozen_variable_square(val, index):
     return Jet(val * val, grad, hess)
 
 
+def frozen_metric_entries(a_coeff, c_coeff, om):
+    """4x4 nested list of the components of A dx^2 + C (dtau + omega)^2
+    from A, C and (omega_1, omega_2), omega_3 being 0: floats, arrays or
+    jets.  The metric assembly as it was written before the fixed table,
+    so a reference that does not read geometry._IDX."""
+    # the x3 row and column hold A and zeros, since omega_3 = 0
+    zero = 0.0 * a_coeff
+    g = [[zero] * 4 for _ in range(4)]
+    for i in range(2):
+        g[i][3] = g[3][i] = c_coeff * om[i]
+        for j in range(i, 2):
+            entry = g[i][3] * om[j]
+            g[i][j] = g[j][i] = entry + a_coeff if i == j else entry
+    g[2][2] = a_coeff
+    g[3][3] = c_coeff
+    return g
+
+
 def frozen_metric_jet_arrays(spec, xyz, gauge, radial=None):
     """geometry._metric_jet_arrays as it was written before the jet table,
     its chart jets built on frozen_variable_square: g (4,4,n), dg (3,4,4,n)
@@ -527,8 +546,8 @@ def frozen_metric_jet_arrays(spec, xyz, gauge, radial=None):
         u1, u2, u3 = xyz.T
         radial = geometry._radial_coeffs(
             spec, jets.seed(np.sqrt(u1 * u1 + u2 * u2 + u3 * u3)))
-    entries = geometry._metric_entries(*jets.lift(radial[:2], r),
-                                       [(-1.0) * x2 * h, x1 * h])
+    entries = frozen_metric_entries(*jets.lift(radial[:2], r),
+                                    [(-1.0) * x2 * h, x1 * h])
     n = xyz.shape[0]
     g, dg, d2g = (np.empty((4, 4, n)), np.empty((3, 4, 4, n)),
                   np.empty((3, 3, 4, 4, n)))
@@ -610,10 +629,10 @@ def test_table_kernel_keeps_the_frozen_bits(variant, kind, l, gauge):
 @pytest.mark.parametrize("gauge", list(Gauge))
 def test_identity_table_keeps_the_frozen_bits(variant, gauge):
     """The finite-difference route goes through the same kernel on a table
-    with one row per entry, with the bits of the padded kernel."""
+    of the same layout, with the bits of the padded kernel."""
     spec, xyz = _kernel_spec(variant, "septic", 1.0), _log_radius_batch(5, 9)
     table = geometry._fd_metric_arrays(spec, xyz, gauge, 1e-5)
-    assert np.array_equal(table[3], np.arange(16).reshape(4, 4))
+    assert [len(rows) for rows in table] == [8, 25, 73]
     arrays = _expand(*table)
     _same_bits([geometry._riemann_from_arrays(*table)],
                [frozen_riemann_from_arrays(*arrays)])
@@ -623,6 +642,36 @@ def test_identity_table_keeps_the_frozen_bits(variant, gauge):
         x[..., :1] for x in arrays))
     _same_bits([sample.riemann, sample.ricci, sample.metric.g,
                 sample.metric.frame], [riem[0], ricci[0], g[0], frame[0]])
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("gauge", list(Gauge))
+def test_metric_at_keeps_the_frozen_entries(variant, gauge):
+    """metric_at places its table through geometry._IDX with the bits of
+    the per-entry assembly on the same floats."""
+    spec = _kernel_spec(variant, "septic", 1.0)
+    for x in _log_radius_batch(17, 16):
+        r, *om = geometry._chart_jets(*map(np.float64, x), gauge)
+        ref = frozen_metric_entries(*geometry._radial_coeffs(spec, r), om)
+        _same_bits([metric_at(spec, Point(*x), gauge).g],
+                   [np.array(ref, dtype=float)])
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("kind", ["quintic", "septic"])
+@pytest.mark.parametrize("l", [0.01, 0.2, 1.0, 50.0])
+@pytest.mark.parametrize("gauge", list(Gauge))
+def test_jet_and_fd_tables_share_the_layout(variant, kind, l, gauge):
+    """The jet table and the finite-difference table of the same points
+    have the same shapes, and their value rows agree to 4 eps of each
+    point's largest entry (measured: at most 1.4 eps)."""
+    spec, xyz = _kernel_spec(variant, kind, l), _log_radius_batch(19)
+    jet = geometry._metric_jet_arrays(spec, xyz, gauge)
+    fd = geometry._fd_metric_arrays(spec, xyz, gauge, 1e-5)
+    assert [x.shape for x in jet] == [x.shape for x in fd]
+    gap = np.abs(jet[0] - fd[0]).max(axis=0)
+    assert np.all(gap <= 4.0 * np.finfo(float).eps
+                  * np.abs(jet[0]).max(axis=0))
 
 
 @pytest.mark.parametrize("variant", list(Variant))
