@@ -103,22 +103,14 @@ class BlendProfile:
             raise ValueError(f"kind must be quintic or septic: {self.kind!r}")
 
     def __call__(self, r):
-        """Evaluate the profile; accepts floats, arrays, or jets, all through
-        one Horner form with `*` only, so they agree bit for bit."""
-        jet = isinstance(r, Jet)
-        s = ((r if jet else np.asarray(r, dtype=float)) - self.r_in) \
-            * (1.0 / (self.r_out - self.r_in))
-        if not jet:
-            s = np.clip(s, 0.0, 1.0)
+        """Evaluate the profile; accepts floats, arrays, or jets, all clamped
+        to [0, 1] by jets.clip and then through one Horner form with `*`
+        only, so they agree bit for bit."""
+        s = jets.clip((r - self.r_in) * (1.0 / (self.r_out - self.r_in)),
+                      0.0, 1.0)
         if self.kind == "quintic":
-            poly = s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
-        else:
-            poly = (s * s * s * s) * (
-                35.0 + s * (-84.0 + s * (70.0 - 20.0 * s)))
-        if not jet:
-            return poly
-        return jets.where(s.val >= 1.0, 1.0,
-                          jets.where(s.val <= 0.0, 0.0, poly))
+            return s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
+        return (s * s * s * s) * (35.0 + s * (-84.0 + s * (70.0 - 20.0 * s)))
 
 
 @dataclass(frozen=True)

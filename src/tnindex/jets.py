@@ -143,6 +143,14 @@ def where(mask, a, b):
     return Jet(*(np.where(mask, u, v) for u, v in zip(*parts)))
 
 
+def clip(x, lo, hi):
+    """x clamped to [lo, hi]: an array by np.clip, and a jet whose value is
+    outside (lo, hi) becomes the constant lo or hi there."""
+    if not isinstance(x, Jet):
+        return np.clip(x, lo, hi)
+    return where(x.val >= hi, hi, where(x.val <= lo, lo, x))
+
+
 def seed(val):
     """The one-variable jet of the identity at the values val."""
     val = np.asarray(val, dtype=float)

@@ -241,9 +241,10 @@ def test_unknown_mode_rejected(tmp_path, capsys):
     assert main(["--config", cfg]) == EXIT_VALIDATION
 
 
+# one- and two-size convergence sweeps meet the rules of every sweep
 @pytest.mark.parametrize("mode, sweep", [
-    ("pontryagin", []), ("convergence", []), ("convergence", [32]),
-    ("convergence", [32, 64]), ("pontryagin", [32, 8]),
+    ("pontryagin", []), ("convergence", []), ("convergence", [8]),
+    ("convergence", [64, 32]), ("pontryagin", [32, 8]),
     ("pontryagin", [64.5]), ("pontryagin", "64"), ("pontryagin", ["64"]),
     ("convergence", [16, 17, 17]), ("convergence", [64, 64, 64]),
     ("pontryagin", [128, 64])])
@@ -702,6 +703,45 @@ def test_pontryagin_miss_emits_error_and_keeps_csv(tmp_path, capsys):
     assert [row[0] for row in err["history"]] == [16, 32]
     for row, line in zip(err["history"], lines[1:]):
         assert [repr(x) for x in row] == line.split(",")
+
+
+@pytest.mark.parametrize("sweep, code", [([32, 64], EXIT_OK),
+                                         ([16], EXIT_NUMERICAL)])
+def test_short_sweeps_run_in_convergence_mode(tmp_path, capsys, sweep, code):
+    """A one- or two-size sweep runs, and its verdict reads its last row:
+    the 64-node row's budget is 1.3e-8, the 16-node row's 1.5e-2, above
+    quad.tol 1e-3."""
+    cfg = write_config(tmp_path, {"mode": "convergence", "sweep": sweep})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == code
+    lines = (out / "convergence_sweep.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == list(map(str, sweep))
+    if code == EXIT_NUMERICAL:
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConvergenceError"
+
+
+@pytest.mark.parametrize("l", [1e26, 1e150])
+def test_convergence_budget_above_tol_fails(tmp_path, capsys, l):
+    """At large l the last row's error_estimate + tail_bound is above
+    quad.tol (1.2e-3 at l = 1e26, 8.2e-2 at 1e150): the sweep exits 1
+    with its rows as the ConvergenceError's history, after writing the
+    CSV of those rows."""
+    raw = {"mode": "convergence", "metric": {"l": l}}
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, raw),
+                 "--out", str(out)]) == EXIT_NUMERICAL
+    cfg = cli.load_config(raw, cli.build_parser().parse_args([]))
+    with np.errstate(over="ignore", invalid="ignore"):  # as main runs it
+        rows = convergence_table(cfg["metric"], cfg["quad"], cfg["sweep"])
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConvergenceError"
+    assert err["history"] == [list(row) for row in rows]
+    assert rows[-1][2] + rows[-1][3] > cfg["quad"].tol
+    assert (out / "convergence_sweep.csv").read_bytes() == (
+        "N_r,value,error_estimate,tail_bound\n" + "".join(
+            f"{n},{value!r},{error!r},{tail!r}\n"
+            for n, value, error, tail in rows)).encode()
 
 
 def _reject_constant(token):

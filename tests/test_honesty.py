@@ -10,6 +10,7 @@ import pytest
 
 from tnindex import charclasses
 from tnindex.errors import ConvergenceError
+from tnindex.quadrature import QuadratureSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,11 +37,16 @@ def scan():
 
 def test_every_scan_row_is_honest():
     """All 216 rows of the scan are sampled, none fails, none is above
-    ratio 1, and no n_r 256 row misses 1/12 by more than quad.tol."""
+    ratio 1, no n_r 256 row misses 1/12 by more than quad.tol, and every
+    n_r 256 row's error + tail_bound is within quad.tol, so `convergence`
+    mode passes every scan configuration."""
     rows, failures = scan()
     assert failures == [] and len(rows) == 216
     assert dishonest(rows) == set()
     assert not any(row["fails_tol"] for row in rows)
+    quad = QuadratureSpec()
+    assert all(row["error"] + row["tail_bound"] <= quad.tol
+               for row in rows if row["n_r"] == quad.n_r)
 
 
 def test_grids_without_knots_show_above_one(monkeypatch):
