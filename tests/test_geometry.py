@@ -181,9 +181,11 @@ def test_metric_spec_validation():
 @pytest.mark.parametrize("kind", ["quintic", "septic"])
 def test_blend_scalar_array_and_jet_agree_bitwise(kind):
     """One Horner form: a float radius, an array of radii and the values of
-    a jet give the same bits, inside, across and outside the blend."""
+    a jet give the same bits, inside, across and outside the blend, also
+    where the unclamped polynomial would overflow (a warning is an error)."""
     blend = BlendProfile(kind=kind)
-    rs = np.exp(np.random.default_rng(23).uniform(0.0, 2.0, 2000))
+    rs = np.append(np.exp(np.random.default_rng(23).uniform(0.0, 2.0, 2000)),
+                   [1e103, 1e200])
     array = blend(rs)
     assert np.array_equal(array, [blend(float(r)) for r in rs])
     assert np.array_equal(array, [blend(r) for r in rs])
