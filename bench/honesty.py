@@ -18,7 +18,7 @@ only the last. Two sections are scanned per side:
 
 For each section the file records the row count, the worst ratio and its
 configuration, every row whose ratio is above 1, every ``quad.n_r`` row
-whose miss is above ``quad.tol`` (``pontryagin`` mode fails those), each
+whose miss is above ``quad.tol`` (both sweep modes fail those), each
 failure with its error kind, message and configuration, and a SHA-256 of
 every row's value, error and tail bound. ``moved`` lists the sections
 that differ between the sides. The side arguments, the child's launcher
@@ -72,9 +72,9 @@ def _configs():
 def scan_rows(configs):
     """(rows, failures) of the configurations: a row is the configuration
     with its n_r, value, error, tail_bound, miss and ratio, and fails_tol,
-    whether `pontryagin` mode fails it (n_r = quad.n_r and miss >
-    quad.tol); a failure is the configuration with the kind and message of
-    its TNIndexError."""
+    whether it is the last row (n_r = quad.n_r) and misses by more than
+    quad.tol, which fails both sweep modes; a failure is the configuration
+    with the kind and message of its TNIndexError."""
     from tnindex.charclasses import convergence_table
     from tnindex.errors import TNIndexError
     from tnindex.geometry import BlendProfile, MetricSpec, Variant

@@ -552,12 +552,15 @@ for _perm in itertools.permutations(range(4)):
 
 def hodge_star(sample: MetricSample, two_form: np.ndarray) -> np.ndarray:
     """Hodge star of a coordinate-basis 2-form with respect to the sample's
-    metric and the fixed orientation dx1^dx2^dx3^dtau."""
+    metric and the fixed orientation dx1^dx2^dx3^dtau.  A determinant of g
+    that is not finite raises DomainError, one <= 0 ConsistencyError."""
     f = np.asarray(two_form, dtype=float)
     if f.shape != (4, 4):
         raise ValueError("expected a 4x4 antisymmetric matrix")
     g = sample.g
     det = np.linalg.det(g)
+    if not math.isfinite(det):
+        raise DomainError(f"metric determinant is not finite: {float(det)}")
     if det <= 0:
         raise ConsistencyError("metric must be positive definite")
     ginv = np.linalg.inv(g)

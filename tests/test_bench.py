@@ -151,8 +151,8 @@ def test_a_failing_main_child_names_its_mode(tmp_path):
                                  json.dumps(modes)], tmp_path)
     message = str(failed.value)
     assert message.startswith("child exited 1: {\"error\": "
-                              "\"ConsistencyError\"")
-    assert "hodge_involution_max" in message
+                              "\"DomainError\"")
+    assert "metric determinant is not finite" in message
     assert message.endswith("cli.main exited 1 in mode geometry_check")
     assert "import json" not in message
 
@@ -167,8 +167,8 @@ def test_a_failing_wall_run_raises_with_the_failure_json(tmp_path):
     code, _, stderr = str(failed.value).partition(": ")
     assert code == "child exited 1"
     assert json.loads(stderr) == {
-        "error": "ConsistencyError",
-        "message": "geometry checks failed: hodge_involution_max"}
+        "error": "DomainError",
+        "message": "metric determinant is not finite: inf"}
 
 
 def test_summary_pools_per_op_times_over_rounds():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tnindex
-from tnindex import cli, eta, geometry
+from tnindex import charclasses, cli, eta, geometry
 from tnindex import index as index_module
 from tnindex.charclasses import convergence_table
 from tnindex.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
@@ -20,7 +20,7 @@ from tnindex.eta import ROUTES, route_table
 from tnindex.gauge import (InstantonChannel, InstantonData,
                            bulk_action_closed_form)
 from tnindex.geometry import (Gauge, MetricSpec, Point, Variant, curvature_at,
-                              hodge_star)
+                              curvature_batch, hodge_star)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -162,21 +162,39 @@ def test_geometry_check_batches_its_curvature(tmp_path, monkeypatch, seed, l):
                           for row in per_point_curvature_rows(seed, l)]
 
 
-def test_geometry_check_fails_a_nan_residual(tmp_path, capsys):
-    """At l = 1e160 the metric's determinant overflows, so every Hodge
-    residual is NaN: that row fails, and the run exits 1 once the CSV is
-    written, while the other three rows pass."""
+def test_geometry_check_fails_a_nan_residual(tmp_path, capsys, monkeypatch):
+    """A NaN in one point's Ricci tensor makes the Ricci residual NaN: that
+    row fails, and the run exits 1 once the CSV is written, while the other
+    three rows pass."""
+    def planted(*args):
+        riemann, ricci, g, frame = curvature_batch(*args)
+        ricci[7, 1, 2] = np.nan
+        return riemann, ricci, g, frame
+
+    monkeypatch.setattr(cli, "curvature_batch", planted)
+    out = tmp_path / "out"
+    assert main(["--mode", "geometry-check", "--out", str(out)]) == \
+        EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConsistencyError"
+    assert err["message"].endswith(": ricci_flatness_max")
+    lines = (out / "geometry_check.csv").read_text().splitlines()
+    assert lines[1] == "ricci_flatness_max,nan,1e-06,false"
+    assert [line.endswith(",true") for line in lines[1:]] == [
+        False, True, True, True]
+
+
+def test_geometry_check_refuses_an_overflowing_metric(tmp_path, capsys):
+    """At l = 1e160 the metric's determinant overflows: hodge_star raises
+    DomainError, and the run exits 1 before it writes its CSV."""
     cfg = write_config(tmp_path, {"mode": "geometry-check",
                                   "metric": {"l": 1e160}})
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ConsistencyError"
-    assert err["message"].endswith(": hodge_involution_max")
-    lines = (out / "geometry_check.csv").read_text().splitlines()
-    assert lines[2] == "hodge_involution_max,nan,1e-12,false"
-    assert [line.endswith(",true") for line in lines[1:]] == [
-        True, False, True, True]
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DomainError", "message": "metric determinant is not "
+        "finite: inf"}
+    assert list(out.iterdir()) == []
 
 
 def test_pontryagin_mode_hits_target(tmp_path):
@@ -277,7 +295,8 @@ def test_integral_float_sweep_accepted(tmp_path, as_float, as_int):
 
 def test_one_entry_sweep_runs_in_pontryagin_mode(tmp_path, capsys):
     """A one-row sweep runs and writes its row.  The default metric's
-    32-node row misses 1/12 by 1.3e-8, so quad.tol 1e-9 fails it."""
+    32-node row misses 1/12 by 1.3e-8 within its error budget of 1.0e-4,
+    but that budget is above quad.tol 1e-9, so the sweep fails."""
     cfg = write_config(tmp_path, {"mode": "pontryagin", "sweep": [32],
                                   "quad": {"tol": 1e-9}})
     out = tmp_path / "out"
@@ -686,8 +705,9 @@ def test_bulk_extreme_charges_meet_the_closed_form(tmp_path, mcharge):
 
 
 def test_pontryagin_miss_emits_error_and_keeps_csv(tmp_path, capsys):
-    """ExactD's 32-node row misses 1/12 by 1.3e-8, more than quad.tol
-    1e-9: the sweep fails and keeps its CSV."""
+    """ExactD's 32-node row misses 1/12 by 1.3e-8 within its error budget
+    of 1.0e-4, but that budget is above quad.tol 1e-9: the sweep fails,
+    names the miss, and keeps its CSV."""
     cfg = write_config(tmp_path, {"mode": "pontryagin",
                                   "metric": {"variant": "ExactD"},
                                   "quad": {"n_r": 32, "tol": 1e-9},
@@ -742,6 +762,50 @@ def test_convergence_budget_above_tol_fails(tmp_path, capsys, l):
         "N_r,value,error_estimate,tail_bound\n" + "".join(
             f"{n},{value!r},{error!r},{tail!r}\n"
             for n, value, error, tail in rows)).encode()
+
+
+@pytest.mark.parametrize("l", [1e26, 1e100])
+def test_pontryagin_budget_above_tol_fails(tmp_path, capsys, l):
+    """ExactD's last row at large l misses 1/12 by less than quad.tol
+    (2.8e-9 at l = 1e26), but its error budget is above it (1.2e-3, and
+    0.209 at 1e100): `pontryagin` mode exits 1 with the rows as the
+    ConvergenceError's history, after writing the CSV of those rows."""
+    raw = {"mode": "pontryagin", "metric": {"variant": "ExactD", "l": l}}
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, raw),
+                 "--out", str(out)]) == EXIT_NUMERICAL
+    cfg = cli.load_config(raw, cli.build_parser().parse_args([]))
+    with np.errstate(over="ignore", invalid="ignore"):  # as main runs it
+        rows = convergence_table(cfg["metric"], cfg["quad"], cfg["sweep"])
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConvergenceError"
+    assert err["history"] == [list(row) for row in rows]
+    (_, value, error, tail), tol = rows[-1], cfg["quad"].tol
+    assert abs(value - 1.0 / 12.0) < tol < error + tail
+    assert (out / "pontryagin_convergence.csv").read_bytes() == (
+        "N_r,value,error_estimate,tail_bound\n" + "".join(
+            f"{n},{value!r},{error!r},{tail!r}\n"
+            for n, value, error, tail in rows)).encode()
+
+
+@pytest.mark.parametrize("mode", ["pontryagin", "convergence"])
+def test_a_miss_above_its_budget_fails(tmp_path, capsys, monkeypatch, mode):
+    """On grids that drop the blend knots, ExactD quintic at l = 6 misses
+    1/12 by 6.0e-4, within quad.tol but above its error budget of 2.9e-4:
+    both sweep modes exit 1 with a ConvergenceError naming the miss."""
+    grids = charclasses.sweep_grids
+    monkeypatch.setattr(charclasses, "sweep_grids",
+                        lambda quad, n_r_values, knots: grids(quad,
+                                                              n_r_values))
+    raw = {"mode": mode, "metric": {"variant": "ExactD", "t": 0.6, "l": 6.0,
+                                    "blend": {"kind": "quintic"}}}
+    assert main(["--config", write_config(tmp_path, raw),
+                 "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConvergenceError"
+    _, value, error, tail = err["history"][-1]
+    assert error + tail < abs(value - 1.0 / 12.0) < 1e-3
+    assert f"misses 1/12 by {abs(value - 1.0 / 12.0):.3e}" in err["message"]
 
 
 def _reject_constant(token):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tnindex import charclasses, geometry, jets
-from tnindex.errors import ChartError, DomainError
+from tnindex.errors import ChartError, ConsistencyError, DomainError
 from tnindex.gauge import InstantonChannel, field_strength_at
 from tnindex.jets import Jet
 from tnindex.geometry import (PAIRS, BlendProfile, Gauge, MetricSample,
@@ -768,6 +768,26 @@ def test_hodge_involution_random():
         f = f - f.T
         twice = hodge_star(sample, hodge_star(sample, f))
         assert np.abs(twice - f).max() < 1e-12
+
+
+def test_hodge_star_refuses_a_non_finite_determinant():
+    """At l = 1e160 the TN metric's determinant overflows to inf, and a NaN
+    metric has a NaN one: the star raises DomainError rather than returning
+    non-finite components.  A determinant <= 0 stays a ConsistencyError."""
+    f = np.zeros((4, 4))
+    f[0, 1], f[1, 0] = 1.0, -1.0
+    overflowed = metric_at(MetricSpec(variant=Variant.TN, l=1e160),
+                           Point.from_polar(2.0, 1.0, 0.5))
+    nan = MetricSample(g=np.full((4, 4), np.nan), frame=np.eye(4),
+                       point=Point(1.0, 1.0, 1.0))
+    for sample in (overflowed, nan):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DomainError, match="determinant is not finite"):
+            hodge_star(sample, f)
+    with pytest.raises(ConsistencyError, match="positive definite"):
+        hodge_star(MetricSample(g=np.diag([1.0, 1.0, 1.0, -1.0]),
+                                frame=np.eye(4), point=Point(1.0, 1.0, 1.0)),
+                   f)
 
 
 def test_model_channel_duality_at_unit_radius():

@@ -38,8 +38,9 @@ def scan():
 def test_every_scan_row_is_honest():
     """All 216 rows of the scan are sampled, none fails, none is above
     ratio 1, no n_r 256 row misses 1/12 by more than quad.tol, and every
-    n_r 256 row's error + tail_bound is within quad.tol, so `convergence`
-    mode passes every scan configuration."""
+    n_r 256 row's error + tail_bound is within quad.tol, so both sweep
+    modes, whose verdict reads the last row's miss against that budget
+    and the budget against quad.tol, pass every scan configuration."""
     rows, failures = scan()
     assert failures == [] and len(rows) == 216
     assert dishonest(rows) == set()

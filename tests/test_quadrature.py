@@ -339,9 +339,11 @@ def test_both_densities_sample_the_grid_points(monkeypatch):
 
 
 def test_integrate_radial_takes_the_first_direction():
-    """Each row's value is the first direction of its grids, and the
-    checked grid's sum |w spread| is every row's direction term; a spread
-    beyond quad.tol raises IsotropyError."""
+    """Each row's value is the first direction of its grids, and its error
+    is |fine - coarse| of that direction's np.dot sums on its n_r grid and
+    its half-size grid, bit for bit; the checked grid's sum |w spread| is
+    every row's direction term; a spread beyond quad.tol raises
+    IsotropyError."""
     quad = QuadratureSpec(n_ang=3, tol=1e-2)
     grid_set = sweep_grids(quad, [32, 64])
     tilt = np.array([1.0, 1.001, 0.998])
@@ -349,10 +351,14 @@ def test_integrate_radial_takes_the_first_direction():
     rows = integrate_radial(grid_set, densities, quad, NO_ENDS, NO_ENDS)
     r16, w16, _ = grid_set.grids[0]
     spread = np.exp(-r16) * 0.005 / 3.0
+    sums = {len(r): float(np.dot(np.exp(-r), w))
+            for r, w, _ in grid_set.grids}
+    assert sorted(sums) == [16, 32, 64]
     for (n, value, error, direction, mass), (ref, _) in zip(
             rows, [integrate(lambda r: np.exp(-r), quad, n) for n in
                    (32, 64)]):
         assert value == ref and mass == pytest.approx(ref)
+        assert error == abs(sums[n] - sums[n // 2]) > 0.0
         assert direction == pytest.approx(spread @ w16, rel=1e-12)
     with pytest.raises(IsotropyError):
         integrate_radial(grid_set, densities,
