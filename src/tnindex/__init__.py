@@ -18,12 +18,11 @@ from .eta import (ROUTES, FormScalar, SeriesSpec, eta_bernoulli, eta_form,
                   route_table)
 from .gauge import (InstantonChannel, InstantonData, boundary_data,
                     bulk_action, bulk_action_closed_form,
-                    connection_coefficient, field_strength_at,
-                    field_strength_coeff, model_connection_at)
+                    field_strength_at, field_strength_coeff,
+                    model_connection_at)
 from .geometry import (BlendProfile, CurvatureSample, Gauge, MetricSample,
                        MetricSpec, Point, Variant, curvature_at, hodge_star,
-                       metric_at, potential_and_omega,
-                       radial_coefficients, star3, wedge4)
+                       metric_at, potential_and_omega, star3, wedge4)
 from .index import (IndexReport, assemble, index_formula,
                     index_formula_full_flux, integrality_check)
 from .quadrature import QuadratureSpec, integrate_radial, sweep_grids
@@ -37,13 +36,13 @@ __all__ = [
     "IsotropyError", "MetricSample", "MetricSpec", "Point", "QuadratureSpec",
     "ROUTES", "SeriesSpec", "TNIndexError", "Variant", "assemble",
     "boundary_data", "bulk_action", "bulk_action_closed_form",
-    "connection_coefficient", "convergence_table",
+    "convergence_table",
     "curvature_at", "eta_bernoulli", "eta_form", "eta_integral",
     "eta_mode_sum", "eta_poisson", "field_strength_at",
     "field_strength_coeff", "hodge_star", "index_formula",
     "index_formula_full_flux", "integrality_check", "integrate_radial",
     "metric_at", "model_connection_at", "poisson_check",
     "pontryagin_integral", "pontryagin_scalar",
-    "potential_and_omega", "radial_coefficients",
+    "potential_and_omega",
     "route_table", "star3", "sweep_grids", "wedge4",
 ]

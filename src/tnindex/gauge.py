@@ -76,17 +76,6 @@ class InstantonData:
     def rank(self) -> int:
         return len(self.channels)
 
-    def concat(self, other: "InstantonData") -> "InstantonData":
-        return InstantonData(self.channels + other.channels)
-
-
-def connection_coefficient(ch: InstantonChannel, r, l: float = 1.0):
-    """c(r) = (l lam + mcharge/(2r)) / V with model connection a = -i c(r)
-    (dtau + omega): the ratio of two harmonic functions, with c(0) = mcharge
-    and holonomy c(infinity) = lam for every l; see _radial_coefficients."""
-    return _radial_coefficients(ch.lam, ch.mcharge, l,
-                                np.asarray(r, dtype=float))[1]
-
 
 def model_connection_at(ch: InstantonChannel, p: Point,
                         gauge: Gauge = Gauge.DEFAULT,
@@ -99,7 +88,7 @@ def model_connection_at(ch: InstantonChannel, p: Point,
     combination is exactly (anti-)self-dual, and the induced boundary
     bundle degree is -mcharge under this package's flux convention."""
     r, omega = chart_omega(p.xyz(), gauge)
-    c = float(connection_coefficient(ch, r, l))
+    c = float(_radial_coefficients(ch.lam, ch.mcharge, l, r)[1])
     out = c * np.append(omega, 1.0)
     out[:3] -= ch.mcharge * omega
     return out

@@ -68,14 +68,6 @@ class Point:
         return float(np.sqrt(self.x1 * self.x1 + self.x2 * self.x2
                              + self.x3 * self.x3))
 
-    @property
-    def theta(self) -> float:
-        return float(np.arccos(np.clip(self.x3 / self.r, -1.0, 1.0)))
-
-    @property
-    def phi(self) -> float:
-        return float(np.arctan2(self.x2, self.x1))
-
     @classmethod
     def from_polar(cls, r, theta, phi, tau=0.0) -> "Point":
         st = np.sin(theta)
@@ -222,14 +214,6 @@ def _radial_coeffs(spec: MetricSpec, r):
     # interpolate log(1/v) -> log(v / vt^2) with the blend profile
     log_q = (b - 1.0) * log_v + b * (log_v - 2.0 * jets.log(vt))
     return conf * v, conf * jets.exp(log_q)
-
-
-def radial_coefficients(spec: MetricSpec, r):
-    """(A, C) of the metric family at a radius or an array of radii."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise DomainError("r must be positive")
-    return _radial_coeffs(spec, r)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import collect
 import honesty
+import reach
 import numpy as np
 import pytest
 
@@ -32,9 +33,10 @@ def test_collect_rejects_a_side_without_a_path():
 
 
 def test_bench_scripts_take_only_a_side_and_an_out(capsys):
-    """Rounds, sweeps per round and the honesty child are not options."""
+    """Rounds, sweeps per round, the honesty child and the reach seed are
+    not options."""
     for main, option in ((collect.main, "--repeat"), (collect.main, "--inner"),
-                         (honesty.main, "--child")):
+                         (honesty.main, "--child"), (reach.main, "--seed")):
         with pytest.raises(SystemExit, match="^2$"):
             main(["--side", "parent", "--out", "unused.json", option])
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err

@@ -12,8 +12,7 @@ from tnindex.charclasses import (PONT_NORM, chern_simons, convergence_table,
                                  pontryagin_scalar)
 from tnindex.errors import ConvergenceError, IsotropyError
 from tnindex.geometry import (BlendProfile, Gauge, MetricSpec, Variant,
-                              curvature_batch, curvature_forms,
-                              radial_coefficients, wedge4)
+                              curvature_batch, curvature_forms, wedge4)
 from tnindex.quadrature import (ROUNDOFF, GridSet, QuadratureSpec,
                                 angular_samples, angular_spread,
                                 integrate_radial, require_isotropy,
@@ -141,7 +140,7 @@ def test_density_matches_frame_route(variant, kind, l):
     density = one_grid(spec, rs, 2).ravel()
     riem, _, _, _ = curvature_batch(spec, _check_points(rs, 2))
     r = np.repeat(rs, 2)
-    a_coeff, c_coeff = radial_coefficients(spec, r)
+    a_coeff, c_coeff = geometry._radial_coeffs(spec, r)
     volume = PONT_NORM * np.sqrt(a_coeff**3 * c_coeff) * 8.0 * np.pi**2 * r * r
     oracle = pontryagin_scalar(riem) * volume
     scale = (riem**2).sum(axis=(1, 2, 3, 4)) * volume

@@ -217,11 +217,16 @@ def test_convergence_mode(tmp_path):
 
 
 def test_parse_error_exit_and_json(tmp_path, capsys):
+    """A document that is not JSON, or whose root is not an object."""
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["--config", str(bad), "--mode", "eta"]) == EXIT_PARSE
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ParseError"
+    for text, message in (("{not json", "Expecting property name"),
+                          ("[1, 2]", "configuration root must be a JSON "
+                                     "object")):
+        bad.write_text(text)
+        assert main(["--config", str(bad), "--mode", "eta"]) == EXIT_PARSE
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert message in err["message"]
 
 
 def test_validation_error_exit_and_json(capsys):
@@ -617,6 +622,17 @@ def test_malformed_channel_rejected(tmp_path, capsys, channels):
     assert err["error"] == "ValidationError"
     where = f"instanton.channels[{len(channels) - 1}]"
     assert f"{where} must be a JSON object with a 'lam'" in err["message"]
+    assert not out.exists()
+
+
+def test_empty_channel_list_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"mode": "index",
+                                  "instanton": {"channels": []}})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValidationError",
+        "message": "instanton.channels must hold at least one channel"}
     assert not out.exists()
 
 

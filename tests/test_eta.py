@@ -473,6 +473,8 @@ def test_poisson_check_examples():
     lhs1, rhs1 = poisson_check(1.25, 0.02)
     assert lhs1 == pytest.approx(lhs, abs=1e-12)
     assert rhs1 == pytest.approx(rhs, abs=1e-12)
+    with pytest.raises(ValueError, match="s must be positive"):
+        poisson_check(0.25, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +488,12 @@ def test_routes_agree(lam):
         got = eta_form(lam, route)
         assert got.a0 == pytest.approx(ref.a0, abs=1e-6)
         assert got.a2 == pytest.approx(ref.a2, abs=1e-6)
+
+
+def test_eta_form_refuses_an_unknown_route():
+    with pytest.raises(ValueError, match="expected one of") as info:
+        eta_form(0.3, "nope")
+    assert str(ROUTES) in str(info.value)
 
 
 @pytest.mark.parametrize("route", ROUTES)
@@ -519,7 +527,7 @@ def test_integral_two_channels():
 def test_integral_additive():
     a = InstantonData([InstantonChannel(0.25, 0.0, 1)])
     b = InstantonData([InstantonChannel(0.6, 0.0, -2)])
-    total, _ = eta_integral(a.concat(b))
+    total, _ = eta_integral(InstantonData(a.channels + b.channels))
     assert total == pytest.approx(eta_integral(a)[0] + eta_integral(b)[0])
 
 

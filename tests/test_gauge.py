@@ -14,9 +14,8 @@ from tnindex import gauge, quadrature
 from tnindex.errors import ChartError, DomainError, GenericityError
 from tnindex.gauge import (InstantonChannel, InstantonData, boundary_data,
                            bulk_action, bulk_action_closed_form,
-                           connection_coefficient, field_strength_array,
-                           field_strength_at, field_strength_coeff,
-                           model_connection_at)
+                           field_strength_array, field_strength_at,
+                           field_strength_coeff, model_connection_at)
 from tnindex.geometry import (PAIRS, Gauge, Point, chart_omega, star3,
                               two_form_matrix, wedge4)
 from tnindex.quadrature import (ROUNDOFF, GridSet, QuadratureSpec,
@@ -82,7 +81,8 @@ def test_lam_equals_m_fiber_coefficient_is_constant():
         p = Point.from_polar(r, 1.1, 0.4)
         a = model_connection_at(ch, p)
         assert a[3] == pytest.approx(1.3, abs=1e-14)
-        assert connection_coefficient(ch, r) == pytest.approx(1.3)
+        assert gauge._radial_coefficients(ch.lam, ch.mcharge, 1.0, r)[1] \
+            == pytest.approx(1.3)
 
 
 def test_asymptotic_coefficient_is_lambda():
@@ -132,6 +132,23 @@ def test_field_strength_is_closed():
     assert worst < 1e-10
 
 
+def test_field_strength_is_the_derivative_of_the_connection():
+    """G = da: the numeric exterior derivative of model_connection_at
+    (4th-order stencil; nothing depends on tau) meets the closed-form G of
+    field_strength_coeff to 1e-9."""
+    ch = InstantonChannel(lam=0.37, mcharge=1.4)
+    p = random_point(1.0, 5.0)
+    h, da = 1e-3, np.zeros((4, 4))
+    for i in range(3):
+        vals = []
+        for step in (2 * h, h, -h, -2 * h):
+            x = p.xyz()
+            x[i] += step
+            vals.append(model_connection_at(ch, Point(*x, p.tau)))
+        da[i] = (-vals[0] + 8 * vals[1] - 8 * vals[2] + vals[3]) / (12.0 * h)
+    assert np.abs((da - da.T) - field_strength_coeff(ch, p)).max() < 1e-9
+
+
 def test_duality_at_fifty_random_points():
     defects = []
     types = set()
@@ -154,7 +171,7 @@ def reference_g(ch, p, l=1.0):
     r = p.r
     h = p.x3 / (2.0 * r * (p.x1**2 + p.x2**2))
     fib = np.array([-p.x2 * h, p.x1 * h, 0.0, 1.0])
-    c = float(connection_coefficient(ch, r, l))
+    c = float(frozen_coefficient(ch, r, l))
     dc = float(frozen_dcoefficient(ch, r, l))
     dr = np.array([p.x1, p.x2, p.x3, 0.0]) / r
     grad_v = (-0.5 / r**2) * p.xyz() / r
@@ -180,7 +197,7 @@ def reference_density(data, rs, n_ang, l=1.0):
 
 
 def frozen_coefficient(ch, r, l=1.0):
-    """connection_coefficient as it was written before the bulk path
+    """c of _radial_coefficients as it was written before the bulk path
     shared its radial factors: the bits that path must keep."""
     r = np.asarray(r, dtype=float)
     v = l + 0.5 / r
@@ -539,7 +556,7 @@ def all_direction_bulk(data, quad, l):
         bulk_density(data, r, quad.n_ang, l).mean(axis=1), w)
     head = tail = 0.0
     for ch in data.channels:
-        c_min, c_max = connection_coefficient(
+        c_min, c_max = frozen_coefficient(
             ch, [quad.r_min, quad.r_max], l) - ch.mcharge
         head -= 0.5 * c_min**2
         tail -= 0.5 * ((ch.lam - ch.mcharge) ** 2 - c_max**2)
@@ -607,7 +624,7 @@ def test_bulk_additive_over_channels():
     b = InstantonData([InstantonChannel(0.6, -0.5)])
     v_a, _ = bulk_action(a, quad)
     v_b, _ = bulk_action(b, quad)
-    v_ab, _ = bulk_action(a.concat(b), quad)
+    v_ab, _ = bulk_action(InstantonData(a.channels + b.channels), quad)
     assert v_ab == pytest.approx(v_a + v_b, abs=1e-12)
 
 

@@ -10,8 +10,8 @@ from tnindex.jets import Jet
 from tnindex.geometry import (PAIRS, BlendProfile, Gauge, MetricSample,
                               MetricSpec, Point, Variant, curvature_at,
                               curvature_batch, hodge_star, metric_at,
-                              potential_and_omega, radial_coefficients, star3,
-                              two_form_matrix, wedge4)
+                              potential_and_omega, star3, two_form_matrix,
+                              wedge4)
 from tnindex.quadrature import GridSet
 
 RNG = np.random.default_rng(42)
@@ -127,7 +127,7 @@ def test_tn_metric_flat_at_infinity():
 def test_exact_d_fiber_coefficient():
     spec = MetricSpec(variant=Variant.EXACT_D, blend=BlendProfile())
     r = float(np.exp(3.0))
-    a_coeff, c_coeff = radial_coefficients(spec, r)
+    a_coeff, c_coeff = geometry._radial_coeffs(spec, r)
     assert c_coeff == pytest.approx(np.exp(-6.0), rel=1e-9)
     # A r^2 = 1: dy^2 plus the unit round sphere in y = log r
     assert a_coeff * r * r == pytest.approx(1.0, rel=1e-9)
@@ -740,6 +740,16 @@ def test_fd_stencil_domain_error():
     with pytest.raises(DomainError):
         curvature_at(MetricSpec(variant=Variant.TN),
                      Point.from_polar(1e-5, 1.0, 0.5), h=1e-4, method="fd")
+    with pytest.raises(DomainError, match="step must be positive"):
+        curvature_at(MetricSpec(variant=Variant.TN),
+                     Point.from_polar(2.0, 1.0, 0.5), h=-1.0, method="fd")
+
+
+def test_metric_at_refuses_a_metric_that_is_not_positive_definite(
+        monkeypatch):
+    monkeypatch.setattr(geometry, "_radial_coeffs", lambda spec, r: (-1.0, 1.0))
+    with pytest.raises(ConsistencyError, match="not positive definite"):
+        metric_at(MetricSpec(), Point(1.0, 1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -788,6 +798,11 @@ def test_hodge_star_refuses_a_non_finite_determinant():
         hodge_star(MetricSample(g=np.diag([1.0, 1.0, 1.0, -1.0]),
                                 frame=np.eye(4), point=Point(1.0, 1.0, 1.0)),
                    f)
+
+
+def test_hodge_star_refuses_a_form_that_is_not_4x4():
+    with pytest.raises(ValueError, match="4x4"):
+        hodge_star(_flat_sample(), np.zeros((3, 3)))
 
 
 def test_model_channel_duality_at_unit_radius():
@@ -840,5 +855,6 @@ def test_point_wraps_tau():
 def test_from_polar_round_trip():
     p = Point.from_polar(2.0, 0.8, 1.9)
     assert p.r == pytest.approx(2.0)
-    assert p.theta == pytest.approx(0.8)
-    assert p.phi == pytest.approx(1.9)
+    assert p.xyz() == pytest.approx([2.0 * np.sin(0.8) * np.cos(1.9),
+                                     2.0 * np.sin(0.8) * np.sin(1.9),
+                                     2.0 * np.cos(0.8)])

@@ -114,7 +114,8 @@ def test_rank_additivity():
     b = InstantonData([InstantonChannel(0.6, -0.5, -1)])
     ra = assemble(a, quad, grav_mode="lemma")
     rb = assemble(b, quad, grav_mode="lemma")
-    rab = assemble(a.concat(b), quad, grav_mode="lemma")
+    rab = assemble(InstantonData(a.channels + b.channels), quad,
+                   grav_mode="lemma")
     assert rab.bulk == pytest.approx(ra.bulk + rb.bulk, abs=1e-12)
     assert rab.grav == pytest.approx(ra.grav + rb.grav)
     assert rab.eta_contribution == pytest.approx(

@@ -502,6 +502,17 @@ def test_determinism_bitwise():
     assert v1 == v2
 
 
+def test_ordered_dot_adds_its_chunks_in_order():
+    """Past _DOT_CHUNK terms the sum is the np.dot of each chunk of at
+    most 8,192 terms, added in order, bit for bit.  The thread-count test
+    of the reports reaches this loop only in a subprocess, and skips on
+    one CPU."""
+    a, b = np.random.default_rng(3).standard_normal((2, 20_000))
+    chunks = [np.dot(a[i:j], b[i:j])
+              for i, j in ((0, 8192), (8192, 16384), (16384, 20_000))]
+    assert quadrature.ordered_dot(a, b) == (chunks[0] + chunks[1]) + chunks[2]
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(n_r=8)
