@@ -88,13 +88,15 @@ KEEP = {
         "pair: the model connection a of the README conventions, whose "
         "numeric exterior derivative test_gauge checks against G",
     "geometry.CurvatureSample.bianchi_residual":
-        "pair: the first Bianchi identity, an oracle of the jet and fd "
-        "curvature; ROADMAP items 12 and 14 give it a run caller",
+        "pair: the first Bianchi identity, an oracle of curvature_at; "
+        "ROADMAP items 12 and 14 give it a run caller",
     "geometry.MetricSample.orthonormality_residual":
-        "pair: the vierbein oracle that test_geometry compares the frame "
-        "route against",
-    "geometry.Point.r": "criteria 4 and 5: the radius with which "
-                        "metric_at and curvature_at check the chart",
+        "pair: the vierbein oracle, frame^T g frame = I, that test_geometry "
+        "checks the frames of metric_at and curvature_at against",
+    "geometry.Point.r":
+        "criterion 5: the radius with which metric_at, in "
+        "field_strength_at, checks the chart; curvature_at(method=\"fd\") "
+        "reads it too",
     "geometry._fd_metric_arrays":
         "pair: the finite-difference side of the jet vs fd derivatives",
     "geometry._fd_metric_arrays.table_of":
@@ -104,8 +106,8 @@ KEEP = {
         "method=\"fd\" is the fd side of the jet vs fd pair, which "
         "ROADMAP items 12 and 14 give a run caller",
     "geometry.metric_at":
-        "criteria 4 and 5: the metric and vierbein of the Hodge star in "
-        "the duality defects",
+        "criterion 5: the metric and vierbein of the Hodge star in the "
+        "duality defects",
     "geometry.potential_and_omega":
         "criterion 4: the monopole flux and d(omega) = star3 dV",
     "index._missed_terms":
@@ -145,12 +147,11 @@ class Tracer:
         self._phase = None
 
     def _name(self, filename):
-        name = self._names.get(filename, 0)
-        if name == 0:
+        if filename not in self._names:
             path = os.path.realpath(filename)
-            name = self._names[filename] = path[len(self.prefix):] \
+            self._names[filename] = path[len(self.prefix):] \
                 if path.startswith(self.prefix) else None
-        return name
+        return self._names[filename]
 
     def _enter(self, frame, event, arg):
         name = self._name(frame.f_code.co_filename)
