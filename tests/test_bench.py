@@ -10,9 +10,9 @@ from pathlib import Path
 
 import collect
 import honesty
-import reach
 import numpy as np
 import pytest
+import reach
 
 from tnindex import charclasses, cli, eta, geometry
 from tnindex.quadrature import QuadratureSpec, sweep_grids
