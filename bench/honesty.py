@@ -1,4 +1,4 @@
-"""Honesty scan of the Pontryagin term, for HONESTY_<pr>.json.
+"""Honesty scan of the Pontryagin term and the bulk, for HONESTY_<pr>.json.
 
     python3 bench/honesty.py --side parent=PATH --side change=. \\
         --out HONESTY_<pr>.json
@@ -7,20 +7,28 @@ Each ``--side NAME=PATH`` names a checkout whose ``src/`` is scanned in a
 fresh interpreter. A row of ``convergence_table`` is honest when it misses
 1/12, the oracle, by no more than its error estimate plus its tail bound;
 its ratio is miss / (error + tail_bound), and every sweep row counts, not
-only the last. Two sections are scanned per side:
+only the last. A bulk row is honest when ``bulk_action`` misses
+``bulk_action_closed_form`` by no more than its error; its ratio is
+miss / error. Three sections are scanned per side:
 
 - ``scan``: 4 variants x 2 blends x the nine l of ``SCAN_L``, t = 0.6,
   at the README quadrature and sweep: 216 rows;
 - ``draws``: ``DRAWS`` draws from ``random.Random(SEED)`` of variant,
   blend, l log-uniform in [1e-3, 1e3], t uniform in [0, 1], ``r_max``
   uniform in [20, 120] and ``n_ang`` in 2..8, each a README sweep of
-  three rows.
+  three rows;
+- ``bulk``: ``BULK_DRAWS`` draws from ``random.Random(BULK_SEED)`` of
+  rank 1..4 and one of the ``BULK_KINDS`` for all channels: lam and m
+  uniform in [-3, 3] (``uniform``), lam = m (``equal``), or lam within
+  10^U[-12, -2] of m (``near``); l log-uniform in [1e-3, 1e3], ``n_r``
+  in 16..256 and ``n_ang`` in 2..8, one row each.
 
 For each section the file records the row count, the worst ratio and its
 configuration, every row whose ratio is above 1, every ``quad.n_r`` row
 whose miss is above ``quad.tol`` (both sweep modes fail those), each
 failure with its error kind, message and configuration, and a SHA-256 of
-every row's value, error and tail bound. ``moved`` lists the sections
+every row's value, error and tail bound (for the bulk: value, error and
+closed form). ``moved`` lists the sections
 that differ between the sides. The side arguments, the child's launcher
 (``run_child``) and environment, the git state and ``moved`` are
 ``bench/collect.py``'s.
@@ -43,6 +51,12 @@ SWEEP = (64, 128, 256)
 BLENDS = ("quintic", "septic")
 SEED = 37
 DRAWS = 300
+BULK_SEED = 2718
+BULK_DRAWS = 300
+BULK_KINDS = ("uniform", "equal", "near")
+# the keys that place a row of each kind of section
+PONTRYAGIN_KEYS = ("variant", "blend", "l", "t", "r_max", "n_ang", "n_r")
+BULK_KEYS = ("kind", "channels", "l", "n_r", "n_ang")
 
 # Child: the side_report of the tnindex on its PYTHONPATH, as one JSON
 # line.  Argument: the directory of this file, whose honesty it imports.
@@ -67,6 +81,57 @@ def _configs():
                   r_max=rng.uniform(20.0, 120.0), n_ang=rng.randint(2, 8))
              for _ in range(DRAWS)]
     return {"scan": scan, "draws": drawn}
+
+
+def _bulk_configs():
+    """[configuration, ...] of the bulk section; a configuration is a dict
+    of kind, channels (lam, m), l, n_r and n_ang."""
+    rng = random.Random(BULK_SEED)
+    configs = []
+    for _ in range(BULK_DRAWS):
+        kind, channels = rng.choice(BULK_KINDS), []
+        for _ in range(rng.randint(1, 4)):
+            m = rng.uniform(-3.0, 3.0)
+            if kind == "uniform":
+                lam = rng.uniform(-3.0, 3.0)
+            elif kind == "equal":
+                lam = m
+            else:
+                lam = m + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(
+                    -12.0, -2.0)
+            channels.append([lam, m])
+        configs.append(dict(kind=kind, channels=channels,
+                            l=10.0 ** rng.uniform(-3.0, 3.0),
+                            n_r=rng.randint(16, 256), n_ang=rng.randint(2, 8)))
+    return configs
+
+
+def bulk_rows(configs):
+    """(rows, failures) of the bulk configurations: a row is the
+    configuration with its value, error, closed form, miss and ratio, and
+    fails_tol, whether it misses by more than quad.tol; a failure is the
+    configuration with the kind and message of its TNIndexError."""
+    from tnindex.errors import TNIndexError
+    from tnindex.gauge import (InstantonChannel, InstantonData, bulk_action,
+                               bulk_action_closed_form)
+    from tnindex.quadrature import QuadratureSpec
+    rows, failures = [], []
+    for cfg in configs:
+        data = InstantonData([InstantonChannel(lam, m)
+                              for lam, m in cfg["channels"]])
+        quad = QuadratureSpec(n_r=cfg["n_r"], n_ang=cfg["n_ang"])
+        try:
+            value, error = bulk_action(data, quad, cfg["l"])
+        except TNIndexError as exc:
+            failures.append(dict(cfg, error=type(exc).__name__,
+                                 message=str(exc)))
+            continue
+        closed = bulk_action_closed_form(data)
+        miss = abs(value - closed)
+        rows.append(dict(cfg, value=value, error=error, closed=closed,
+                         miss=miss, ratio=miss / error,
+                         fails_tol=miss > quad.tol))
+    return rows, failures
 
 
 def scan_rows(configs):
@@ -100,11 +165,10 @@ def scan_rows(configs):
     return rows, failures
 
 
-def summarize(rows, failures) -> dict:
-    """The section's entry of HONESTY_<pr>.json."""
-    def where(row, *extra):
-        keys = ("variant", "blend", "l", "t", "r_max", "n_ang", "n_r", *extra)
-        return {k: row[k] for k in keys}
+def summarize(rows, failures, keys=PONTRYAGIN_KEYS) -> dict:
+    """The section's entry of HONESTY_<pr>.json; keys place a row."""
+    def where(row, extra):
+        return {k: row[k] for k in (*keys, extra)}
 
     digest = hashlib.sha256()
     for row in rows:
@@ -124,8 +188,9 @@ def summarize(rows, failures) -> dict:
 
 def side_report() -> dict:
     """{section: summary} of the tnindex on sys.path."""
-    return {name: summarize(*scan_rows(configs))
-            for name, configs in _configs().items()}
+    return {**{name: summarize(*scan_rows(configs))
+               for name, configs in _configs().items()},
+            "bulk": summarize(*bulk_rows(_bulk_configs()), BULK_KEYS)}
 
 
 def main(argv=None) -> int:
@@ -149,7 +214,12 @@ def main(argv=None) -> int:
                    "draws": {"count": DRAWS, "seed": SEED,
                              "l": [1e-3, 1e3], "t": [0.0, 1.0],
                              "r_max": [20.0, 120.0], "n_ang": [2, 8],
-                             "sweep": list(SWEEP)}},
+                             "sweep": list(SWEEP)},
+                   "bulk": {"count": BULK_DRAWS, "seed": BULK_SEED,
+                            "rank": [1, 4], "kinds": list(BULK_KINDS),
+                            "lam_m": [-3.0, 3.0], "near": [1e-12, 1e-2],
+                            "l": [1e-3, 1e3], "n_r": [16, 256],
+                            "n_ang": [2, 8]}},
         "moved": collect.moved(reports),
         "sides": {name: {**collect.git_state(sides[name]), **reports[name]}
                   for name in sides},

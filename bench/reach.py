@@ -116,9 +116,10 @@ KEEP = {
     "index.index_formula_full_flux":
         "pair: the full-flux side of the README's two flux conventions, "
         "against index_formula",
-    "quadrature._first_non_finite":
+    "quadrature._not_finite":
         "failure: names the grid and radius of the first non-finite "
-        "sample in integrate_radial's ConvergenceError",
+        "sample, or the tail bound, in integrate_radial's "
+        "ConvergenceError",
 }
 
 # Child: the side_trace of the checkout, as one JSON line on the stdout it

@@ -10,8 +10,7 @@ from .errors import ConvergenceError
 from .geometry import (_EPS4, Gauge, MetricSpec, Variant, _seed_chart,
                        curvature_form_chunks, wedge4)
 from .jets import Jet
-from .quadrature import (ROUNDOFF, GridSet, QuadratureSpec, integrate_radial,
-                         sweep_grids)
+from .quadrature import GridSet, QuadratureSpec, integrate_radial
 
 PONT_NORM = 1.0 / (192.0 * np.pi**2)
 
@@ -36,7 +35,7 @@ def _sweep_geometry(grid_set: GridSet):
 def _density_samples(spec: MetricSpec, grid_set: GridSet):
     """Density on every grid (r, w, directions) of the grid_set, one
     (len(r), directions) array per grid in grid order, and P at its end
-    radii, (P(r_min), P(r_max)).
+    radii, ([P(r_min)], [P(r_max)]).
 
     With sqrt(det g) = sqrt(A^3 C) the tr(R^R) coefficient against the
     coordinate volume is the trace of the wedge of the coordinate curvature
@@ -74,7 +73,7 @@ def _density_samples(spec: MetricSpec, grid_set: GridSet):
                                        [*(y[:n] for y in radial), *chart])])
     return ([(PONT_NORM * 8.0 * np.pi**2 * r * r)[:, None] * t
              for (r, _, _), t in zip(grids, grid_set.split(trace))],
-            tuple(float(p) for p in p_ends))
+            tuple([float(p)] for p in p_ends))
 
 
 def _chern_simons_bracket(radius, a_coeff, c_coeff):
@@ -120,19 +119,12 @@ def density_knots(spec: MetricSpec) -> tuple:
 
 def convergence_table(spec: MetricSpec, quad: QuadratureSpec, n_r_values):
     """Rows (n_r, value, error_estimate, tail_bound) for a grid sweep of
-    the normalized tr R^R integral: `integrate_radial`, on grids cut at
-    the `density_knots`, with the ends P(r_min), P(r_max) of
-    `chern_simons` and the limits 1/12 and 1/6; the tail bound is its
-    direction term plus the roundoff of the ends and of the sum.  One
-    _density_samples call samples every grid and the ends: a point's
-    curvature does not depend on its batch, so no bit moves."""
-    grid_set = sweep_grids(quad, n_r_values, density_knots(spec))
-    densities, (p_min, p_max) = _density_samples(spec, grid_set)
-    return [(n, value, error, direction
-             + ROUNDOFF * (mass + abs(p_min) + abs(p_max)))
-            for n, value, error, direction, mass in integrate_radial(
-                grid_set, densities, quad, ([p_min], [p_max]),
-                ([1.0 / 12.0], [1.0 / 6.0]))]
+    the normalized tr R^R integral: `integrate_radial` on grids cut at the
+    `density_knots`, sampled by _density_samples, with the limits 1/12
+    and 1/6 and no scale."""
+    return integrate_radial(quad, n_r_values, density_knots(spec),
+                            lambda grid_set: _density_samples(spec, grid_set),
+                            ([1.0 / 12.0], [1.0 / 6.0]), 0.0)
 
 
 def pontryagin_integral(spec: MetricSpec, quad: QuadratureSpec):

@@ -4,7 +4,6 @@
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,8 +12,7 @@ from .errors import GenericityError
 from .geometry import (PAIRS, Gauge, MetricSpec, Point, Variant,
                        chart_omega, hodge_star, metric_at, two_form_matrix,
                        wedge4)
-from .quadrature import (ROUNDOFF, GridSet, QuadratureSpec, integrate_radial,
-                         sweep_grids)
+from .quadrature import GridSet, QuadratureSpec, integrate_radial
 
 LAMBDA_TOL = 1e-6
 
@@ -202,8 +200,8 @@ def _bulk_geometry(grid_set: GridSet):
 def _bulk_densities(data: InstantonData, grid_set: GridSet, l: float):
     """-(1/8 pi^2) tr F^F reduced to a per-unit-r density on every grid
     (r, w, directions) of the grid_set, one (len(r), directions) array per
-    grid in grid order, and c - mcharge at its end radii, shape
-    (len(ends), rank), from one pass over the radii of both.
+    grid in grid order, and each channel's F = -(c - mcharge)^2 / 2 at its
+    end radii, one list per end, from one pass over the radii of both.
 
     Channel by channel tr F^F = -G^G for u(1) blocks, and G = c' f +
     (c - mcharge) w makes G^G the quadratic form c'^2 f^f + 2 c' (c -
@@ -223,27 +221,24 @@ def _bulk_densities(data: InstantonData, grid_set: GridSet, l: float):
     form = np.add.reduce([dc * dc, dc * c_eff, c_eff * c_eff], axis=1) \
         * (r * r)
     density = np.add.reduce(np.repeat(form, directions, axis=1) * wedges)
-    return grid_set.split(density), c_eff[:, len(r) - len(grid_set.ends):].T
+    c_ends = c_eff[:, len(r) - len(grid_set.ends):].T
+    return grid_set.split(density), (-0.5 * (c_ends * c_ends)).tolist()
 
 
 def bulk_action(data: InstantonData, quad: QuadratureSpec, l: float = 1.0):
-    """-(1/8 pi^2) int_TN tr F^F as (value, error_estimate):
-    `integrate_radial` on the one-row sweep [quad.n_r], with each channel's
-    F = -(c - mcharge)^2 / 2 at the ends from the one _bulk_densities pass
-    and its limits 0, as c(0) = mcharge, and -(lam - mcharge)^2 / 2, as
-    c(infinity) = lam.  The error is the grid refinement difference plus
-    the direction term plus a roundoff floor, whose absolute term, the
-    smallest normal double, covers subnormal rounding."""
-    grid_set = sweep_grids(quad, [quad.n_r])
-    densities, c_ends = _bulk_densities(data, grid_set, l)
+    """-(1/8 pi^2) int_TN tr F^F as (value, error_estimate + tail_bound)
+    of `integrate_radial` at quad.n_r: each channel's F = -(c - mcharge)^2
+    / 2 has the limits 0 and -(lam - mcharge)^2 / 2, as c(0) = mcharge and
+    c(infinity) = lam, and the scale is sum (lam^2 + mcharge^2), all formed
+    from products, since ** raises OverflowError where * gives inf."""
     gaps = [ch.lam - ch.mcharge for ch in data.channels]
-    [(_, value, error, direction, _)] = integrate_radial(
-        grid_set, densities, quad, (-0.5 * (c_ends * c_ends)).tolist(),
-        # d * d, since d ** 2 raises OverflowError where d * d is inf
-        ([0.0] * data.rank, [-0.5 * (d * d) for d in gaps]))
-    floor = ROUNDOFF * sum(ch.lam**2 + ch.mcharge**2 for ch in data.channels) \
-        + sys.float_info.min
-    return value, error + direction + floor
+    [(_, value, error, tail)] = integrate_radial(
+        quad, [quad.n_r], (),
+        lambda grid_set: _bulk_densities(data, grid_set, l),
+        ([0.0] * data.rank, [-0.5 * (d * d) for d in gaps]),
+        sum(ch.lam * ch.lam + ch.mcharge * ch.mcharge
+            for ch in data.channels))
+    return value, error + tail
 
 
 def bulk_action_closed_form(data: InstantonData) -> float:

@@ -80,17 +80,17 @@ def integrality_check(value: float, tol: float):
 def _missed_terms(data: InstantonData, route: str, series: SeriesSpec,
                   grav, eta) -> str:
     """Names each (value, error) term of a failed cancellation check that
-    misses its oracle by more than its error: grav against rank/12, and
-    the route's eta against the Bernoulli eta of the same channels.  The
-    residual is at most the sum of the two misses, so when neither term
-    misses, the closed formula itself is at fault."""
+    misses its oracle by more than its error, or by NaN: grav against
+    rank/12, and the route's eta against the Bernoulli eta of the same
+    channels.  The residual is at most the sum of the two misses, so when
+    neither term misses, the closed formula itself is at fault."""
     oracles = (("grav", "rank/12", data.rank * GRAV_LEMMA_CONSTANT),
                (f"the {route} eta", "the Bernoulli eta of the same channels",
                 eta_integral(data, "bernoulli", series)[0]))
     misses = [f"{name} misses {oracle} by {abs(value - exact):.3e}, beyond "
               f"its error {error:.3e}"
               for (name, oracle, exact), (value, error)
-              in zip(oracles, (grav, eta)) if abs(value - exact) > error]
+              in zip(oracles, (grav, eta)) if not abs(value - exact) <= error]
     return "; ".join(misses) or ("grav and eta each meet their oracle, so "
                                  "the closed formula is mistranscribed")
 
@@ -103,8 +103,9 @@ def assemble(data: InstantonData, quad: QuadratureSpec,
     integration or the certified 1/12 constant), and the boundary term, with
     a hard consistency check that the assembled value reproduces
     index_formula up to 1e-9 plus the quadrature error budget (the rank/12
-    gravitational constant against the rank/2 * 1/6 boundary constant).
-    The bulk (at metric.l) and numeric gravity use metric, default ExactD."""
+    gravitational constant against the rank/2 * 1/6 boundary constant); a
+    NaN residual fails it.  The bulk (at metric.l) and numeric gravity use
+    metric, default ExactD."""
     if grav_mode not in GRAV_MODES:
         raise ValueError(f"unknown grav mode {grav_mode!r}")
     series = series if series is not None else SeriesSpec()
@@ -123,14 +124,14 @@ def assemble(data: InstantonData, quad: QuadratureSpec,
     formula_value = index_formula(data, bulk)
     residual = abs(index_value - formula_value)
     budget = 1e-9 + grav_err + eta_err
-    if residual > budget:
+    if not residual <= budget:
         raise ConsistencyError(
             f"assembled index differs from the closed formula by "
             f"{residual:.3e}, beyond the error budget {budget:.3e}; "
             + _missed_terms(data, route, series, (grav, grav_err),
                             (eta, eta_err)))
 
-    nearest, defect, _ = integrality_check(index_value, max(quad.tol, 1e-12))
+    nearest, defect, _ = integrality_check(index_value, quad.tol)
     return IndexReport(
         bulk=bulk, grav=grav, eta_contribution=eta,
         index_value=index_value, nearest_integer=nearest,

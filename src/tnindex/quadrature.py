@@ -1,6 +1,6 @@
 """Deterministic radial quadrature: one composite Gauss-Legendre rule on a
-logarithmic radial grid, cut at the knots of the density, with
-refinement-based error estimates."""
+logarithmic radial grid, cut at the density's knots, and integrate_radial,
+the one driver of both radial terms, with refinement error estimates."""
 
 from __future__ import annotations
 
@@ -208,37 +208,45 @@ def _layout(r_min: float, r_max: float, n_ang: int, knots: tuple,
                    n_r_values, (r_min, r_max))
 
 
-def _first_non_finite(grid_set, densities):
-    """The grid and the radius of the first non-finite sample of the
-    densities, in grid order, or "" when every sample is finite."""
+def _not_finite(grid_set, densities, sums) -> str:
+    """integrate_radial's message for a row that is not finite: the grid
+    and the radius of the first non-finite sample of the densities, in
+    grid order; else whether the sums or only their tail bound are not."""
     for (r, _, _), d in zip(grid_set.grids, densities):
         bad = ~np.isfinite(d).all(axis=1)
         if bad.any():
-            return (f": the {len(r)}-node grid is not finite at "
-                    f"r = {float(r[bad.argmax()])!r}")
-    return ""
+            return (f"radial integral is not finite: the {len(r)}-node grid "
+                    f"is not finite at r = {float(r[bad.argmax()])!r}")
+    if all(map(math.isfinite, sums)):
+        return "tail bound of a finite radial integral is not finite"
+    return "radial integral is not finite"
 
 
-def integrate_radial(grid_set: GridSet, densities, quad: QuadratureSpec,
-                     ends, limits):
-    """Rows (n_r, value, error, direction, mass), one per n_r of the
-    grid_set, of the integral over r > 0 of a density dF/dr, F = sum_j F_j,
-    from the density on each grid, shape (len(r), directions), and the
-    floats ends (F_j(r_min)), (F_j(r_max)) and limits (F_j(0+)),
-    (F_j(infinity)).
-
+def integrate_radial(quad: QuadratureSpec, n_r_values, knots, sample,
+                     limits, scale: float):
+    """Rows (n_r, value, error, tail_bound), one per n_r of n_r_values, of
+    the integral over r > 0 of a density dF/dr, F = sum_j F_j: the one
+    path of both radial terms.  sample(grid_set), called once on
+    sweep_grids(quad, n_r_values, knots), returns the density on each
+    grid, shape (len(r), directions), and the ends (F_j(r_min)),
+    (F_j(r_max)), lists of floats; limits are (F_j(0+)), (F_j(infinity)),
+    and scale is a magnitude the term sums besides them, 0.0 for none.
     The one isotropy check runs on the checked grid against quad.tol.  Its
     first direction is its value; its sum |w spread| (`angular_spread`) is
     the direction term, the cost of one direction.  A row's value is its
-    fine sum over [r_min, r_max], on its grid of n_r nodes in node order
-    (`ordered_dot`, so bit-stable), plus the head sum_j [F_j(r_min) -
-    F_j(0+)] and the tail sum_j [F_j(infinity) - F_j(r_max)], each summed
-    from 0.0 in component order; its error is the fine sum's difference
-    from the half-size grid's and its mass sum |w rho|.  A non-finite
-    value, coarse sum, direction term or mass raises ConvergenceError,
-    with both sums as its history and the grid and the radius of the first
-    non-finite sample in its message.  One on the checked grid skips the
-    isotropy check and fails at the first row."""
+    fine sum over [r_min, r_max] on its grid of n_r nodes (`ordered_dot`,
+    so bit-stable), plus the head sum_j [F_j(r_min) - F_j(0+)] and the
+    tail sum_j [F_j(infinity) - F_j(r_max)], each summed from 0.0 in
+    component order; its error is the fine sum's difference from the
+    half-size grid's; its tail bound, evaluated left to right, is the
+    direction term + ROUNDOFF * (mass + sum_j |F_j(r_min)| + sum_j
+    |F_j(r_max)| + scale) + the smallest normal double, with mass = sum
+    |w rho| on its grid.  A value, coarse sum or tail bound that is not
+    finite raises ConvergenceError with both sums as its history
+    (`_not_finite`); a non-finite sample on the checked grid skips the
+    isotropy check."""
+    grid_set = sweep_grids(quad, n_r_values, knots)
+    densities, ends = sample(grid_set)
     (_, w_check, _), checked = grid_set.grids[0], densities[0]
     _, spread = angular_spread(checked)
     direction = float(spread @ w_check)
@@ -247,6 +255,7 @@ def integrate_radial(grid_set: GridSet, densities, quad: QuadratureSpec,
     head = tail = 0.0
     for at_min, at_max, at_zero, at_inf in zip(*ends, *limits):
         head, tail = head + (at_min - at_zero), tail + (at_inf - at_max)
+    low, high = (sum(map(abs, end)) for end in ends)
     # contiguous: np.dot sums a strided column in another order
     sampled = {len(r): (w, np.ascontiguousarray(d[:, 0]))
                for (r, w, _), d in zip(grid_set.grids, densities)}
@@ -256,10 +265,11 @@ def integrate_radial(grid_set: GridSet, densities, quad: QuadratureSpec,
         value = float(ordered_dot(fine, w_f))
         coarse_value = float(ordered_dot(coarse, w_c))
         mass, total = float(np.abs(fine) @ w_f), value + head + tail
-        if not all(map(math.isfinite, (total, coarse_value, direction,
-                                       mass))):
-            raise ConvergenceError("radial integral is not finite"
-                                   + _first_non_finite(grid_set, densities),
-                                   [(n // 2, coarse_value), (n, value)])
-        rows.append((n, total, abs(value - coarse_value), direction, mass))
+        bound = direction + ROUNDOFF * (mass + low + high + scale) \
+            + sys.float_info.min
+        if not all(map(math.isfinite, (total, coarse_value, bound))):
+            raise ConvergenceError(
+                _not_finite(grid_set, densities, (total, coarse_value)),
+                [(n // 2, coarse_value), (n, value)])
+        rows.append((n, total, abs(value - coarse_value), bound))
     return rows

@@ -13,10 +13,9 @@ from tnindex.charclasses import (PONT_NORM, chern_simons, convergence_table,
 from tnindex.errors import ConvergenceError, IsotropyError
 from tnindex.geometry import (BlendProfile, Gauge, MetricSpec, Variant,
                               curvature_batch, curvature_forms, wedge4)
-from tnindex.quadrature import (ROUNDOFF, GridSet, QuadratureSpec,
-                                angular_samples, angular_spread,
-                                integrate_radial, require_isotropy,
-                                sweep_grids)
+from tnindex.quadrature import (GridSet, QuadratureSpec, angular_samples,
+                                angular_spread, integrate_radial,
+                                require_isotropy, sweep_grids)
 
 TARGET = 1.0 / 12.0
 ENDS = (QuadratureSpec().r_min, QuadratureSpec().r_max)
@@ -220,7 +219,9 @@ def test_density_samples_form_radial_jets_once(monkeypatch):
         alone_ref = one_grid(spec, other, 1)
         assert np.array_equal(checked, one_grid(spec, rs, 3))
         assert np.array_equal(alone, alone_ref)
-        assert ends == tuple(chern_simons(spec, [quad.r_min, quad.r_max])[0])
+        p_ends = chern_simons(spec, [quad.r_min, quad.r_max])[0]
+        assert ends == tuple([float(p)] for p in p_ends)
+        assert [type(p) for p, in ends] == [float, float]
     xyz = _check_points(rs, 3)
     chart = geometry._seed_chart(xyz, Gauge.DEFAULT)
     radii = np.concatenate([chart[0].val, [1e-4, 80.0]])
@@ -295,17 +296,22 @@ def test_convergence_table_refuses_a_nan_direction(monkeypatch):
         convergence_table(exact_d_spec(), QuadratureSpec(n_r=64), [32, 64])
 
 
+def chern_simons_ends(spec, quad):
+    """([P(r_min)], [P(r_max)]) of chern_simons, as Python floats."""
+    p_ends, _ = chern_simons(spec, [quad.r_min, quad.r_max])
+    return tuple([float(p)] for p in p_ends)
+
+
 def _grid_by_grid_rows(spec, quad, n_r_values):
     """convergence_table's rows with each distinct grid sampled by a
-    _density_samples call of its own and the ends taken from chern_simons."""
-    (p_min, p_max), _ = chern_simons(spec, [quad.r_min, quad.r_max])
-    grids = sweep_grids(quad, n_r_values, density_knots(spec))
-    densities = [one_grid(spec, rs, k) for rs, _, k in grids.grids]
-    return [(n, middle + (float(p_min) - TARGET)
-             + (1.0 / 6.0 - float(p_max)), error, direction
-             + ROUNDOFF * (mass + abs(p_min) + abs(p_max)))
-            for n, middle, error, direction, mass
-            in integrate_radial(grids, densities, quad, ([], []), ([], []))]
+    _density_samples call of its own and the ends taken from chern_simons,
+    through the one driver."""
+    def sample(grids):
+        return ([one_grid(spec, rs, k) for rs, _, k in grids.grids],
+                chern_simons_ends(spec, quad))
+
+    return integrate_radial(quad, n_r_values, density_knots(spec), sample,
+                            ([TARGET], [1.0 / 6.0]), 0.0)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -333,14 +339,15 @@ README_GRID = [(variant, kind, l) for variant in Variant
 
 def _mean_rows(spec, quad, n_r_values):
     """(value, error, tail_bound) of each row, every grid taken as the mean
-    of quad.n_ang directions through the isotropy check of quad.tol."""
-    (p_min, p_max), _ = chern_simons(spec, [quad.r_min, quad.r_max])
-    grids = sweep_grids(quad, n_r_values, density_knots(spec))
-    means = [density(spec, rs, quad)[:, None] for rs, _, _ in grids.grids]
-    return [(middle + (p_min - TARGET) + (1.0 / 6.0 - p_max), error,
-             ROUNDOFF * (mass + abs(p_min) + abs(p_max)))
-            for _, middle, error, _, mass
-            in integrate_radial(grids, means, quad, ([], []), ([], []))]
+    of quad.n_ang directions through the isotropy check of quad.tol, so
+    with no direction term."""
+    def sample(grids):
+        return ([density(spec, rs, quad)[:, None] for rs, _, _ in grids.grids],
+                chern_simons_ends(spec, quad))
+
+    return [row[1:] for row in integrate_radial(
+        quad, n_r_values, density_knots(spec), sample,
+        ([TARGET], [1.0 / 6.0]), 0.0)]
 
 
 def test_one_direction_is_within_its_direction_term():

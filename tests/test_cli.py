@@ -669,23 +669,32 @@ def test_isotropy_violation_exits_numerical(tmp_path, capsys, mode):
     assert list(out.iterdir()) == []
 
 
-def bulk_document(tmp_path, mcharge):
+def bulk_document(tmp_path, mcharge, lam=0.3):
     return write_config(tmp_path, {
         "mode": "index", "grav": "lemma",
-        "instanton": {"channels": [{"lam": 0.3, "mcharge": mcharge}]}})
+        "instanton": {"channels": [{"lam": lam, "mcharge": mcharge}]}})
 
 
-@pytest.mark.parametrize("mcharge", [1e153, 1e200])
-def test_bulk_overflow_exits_with_convergence_error(tmp_path, capsys,
+@pytest.mark.parametrize("lam, mcharge", [
+    pytest.param(0.3, 1e153, id="1e+153"),
+    pytest.param(0.3, 1e200, id="1e+200"),
+    pytest.param(1e155, 9.99e154, id="lam-1e+155")])
+def test_bulk_overflow_exits_with_convergence_error(tmp_path, capsys, lam,
                                                     mcharge):
     """A charge whose bulk density overflows exits 1 with the typed
-    ConvergenceError JSON and its history, and writes no report."""
+    ConvergenceError JSON and its history, and writes no report.  At
+    lam = 1e155 the sums are finite but the scale lam^2 + mcharge^2 of
+    the tail bound is not, and the message says so."""
     out = tmp_path / "out"
-    assert main(["--config", bulk_document(tmp_path, mcharge),
+    assert main(["--config", bulk_document(tmp_path, mcharge, lam),
                  "--out", str(out)]) == EXIT_NUMERICAL
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConvergenceError"
     assert [n for n, _ in err["history"]] == [128, 256]
+    finite = all(value is not None for _, value in err["history"])
+    assert finite == (lam == 1e155)
+    assert (err["message"] == "tail bound of a finite radial integral is "
+            "not finite") == finite
     assert list(out.iterdir()) == []
 
 
@@ -809,10 +818,7 @@ def test_a_miss_above_its_budget_fails(tmp_path, capsys, monkeypatch, mode):
     """On grids that drop the blend knots, ExactD quintic at l = 6 misses
     1/12 by 6.0e-4, within quad.tol but above its error budget of 2.9e-4:
     both sweep modes exit 1 with a ConvergenceError naming the miss."""
-    grids = charclasses.sweep_grids
-    monkeypatch.setattr(charclasses, "sweep_grids",
-                        lambda quad, n_r_values, knots: grids(quad,
-                                                              n_r_values))
+    monkeypatch.setattr(charclasses, "density_knots", lambda spec: ())
     raw = {"mode": mode, "metric": {"variant": "ExactD", "t": 0.6, "l": 6.0,
                                     "blend": {"kind": "quintic"}}}
     assert main(["--config", write_config(tmp_path, raw),
@@ -946,6 +952,25 @@ def test_consistency_error_names_the_term_that_misses(tmp_path, capsys,
     other = "eta" if term == "grav" else "grav"
     assert named[other] not in err["message"]
     assert "mistranscribed" not in err["message"]
+
+
+def test_an_overflowing_eta_fails_the_cancellation_check(tmp_path, capsys):
+    """Three channels near 1 with chern 1.7e308 overflow the eta term to
+    -inf and the cancellation residual to NaN: the check fails it, and the
+    run exits 1 with one ConsistencyError JSON document naming the eta
+    term, and writes no report."""
+    channels = [{"lam": lam, "mcharge": 0.0, "chern": 1.7e308}
+                for lam in (0.99, 0.98, 0.97)]
+    cfg = write_config(tmp_path, {"mode": "index", "grav": "lemma",
+                                  "instanton": {"channels": channels}})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConsistencyError"
+    assert "differs from the closed formula by nan" in err["message"]
+    assert "the bernoulli eta misses the Bernoulli eta" in err["message"]
+    assert "mistranscribed" not in err["message"]
+    assert list(out.iterdir()) == []
 
 
 def test_main_reuses_one_parser_without_leaking_state(tmp_path, capsys,

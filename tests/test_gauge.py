@@ -3,7 +3,6 @@ data."""
 
 import math
 import random
-import sys
 
 import numpy as np
 import pytest
@@ -18,8 +17,8 @@ from tnindex.gauge import (InstantonChannel, InstantonData, boundary_data,
                            field_strength_coeff, model_connection_at)
 from tnindex.geometry import (PAIRS, Gauge, Point, chart_omega, star3,
                               two_form_matrix, wedge4)
-from tnindex.quadrature import (ROUNDOFF, GridSet, QuadratureSpec,
-                                angular_points, angular_samples)
+from tnindex.quadrature import (GridSet, QuadratureSpec, angular_points,
+                                angular_samples)
 
 RNG = np.random.default_rng(11)
 
@@ -254,9 +253,31 @@ def bulk_density(data, rs, n_ang, l=1.0):
     """The bulk density at the radii rs and n_ang directions:
     _bulk_densities on that one grid, with no ends."""
     grid_set = GridSet([(rs, None, n_ang)], n_r_values=(), ends=())
-    [density], c_ends = gauge._bulk_densities(data, grid_set, l)
-    assert c_ends.shape == (0, data.rank)
+    [density], ends = gauge._bulk_densities(data, grid_set, l)
+    assert ends == []
     return density
+
+
+def frozen_ends(data, ends, l):
+    """Each channel's F = -(c - mcharge)^2 / 2 from the frozen c at the
+    radii ends, one list of floats per end."""
+    c_eff = np.array([frozen_coefficient(ch, ends, l) - ch.mcharge
+                      for ch in data.channels]).T
+    return (-0.5 * (c_eff * c_eff)).tolist()
+
+
+def bulk_row(data, quad, sample):
+    """The one row of integrate_radial at quad.n_r for the sampler, with
+    the bulk's limits and scale written out channel by channel: 0 and
+    -(lam - mcharge)^2 / 2, and sum (lam^2 + mcharge^2)."""
+    limits = ([0.0] * data.rank,
+              [-0.5 * ((ch.lam - ch.mcharge) * (ch.lam - ch.mcharge))
+               for ch in data.channels])
+    scale = sum(ch.lam * ch.lam + ch.mcharge * ch.mcharge
+                for ch in data.channels)
+    [row] = quadrature.integrate_radial(quad, [quad.n_r], (), sample, limits,
+                                        scale)
+    return row
 
 
 def clear_caches():
@@ -299,10 +320,9 @@ def test_bulk_density_matches_per_point_loop(n_channels, cold, l, n_ang):
 
 def one_pass_densities(data, grid_set, l):
     """one_pass_density on every grid (r, w, directions) of the grid_set,
-    and the frozen c - mcharge at its end radii, shape (len(ends), rank)."""
+    and the frozen ends of each channel at its end radii."""
     return ([one_pass_density(data, r, k, l) for r, _, k in grid_set.grids],
-            np.array([frozen_coefficient(ch, grid_set.ends, l) - ch.mcharge
-                      for ch in data.channels]).T)
+            frozen_ends(data, grid_set.ends, l))
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -314,10 +334,10 @@ def test_bulk_path_keeps_the_per_channel_bits(rank, cold, l, n_ang,
     """The quadratic form over the cached wedges meets the frozen
     per-channel G^G density to roundoff, 1e-14 of its largest sample, on
     both grids of the bulk, and the bulk action on it meets the one on the
-    frozen density within its roundoff floor; c - mcharge at the ends
-    keeps the frozen bits.  The cache half stays bitwise: cleared caches
-    and caches filled by another channel at another l give the same
-    bytes."""
+    frozen density within the roundoff the driver charges the frozen row;
+    the ends -(c - mcharge)^2 / 2 keep the frozen bits.  The cache half
+    stays bitwise: cleared caches and caches filled by another channel at
+    another l give the same bytes."""
     data = InstantonData(FOUR_CHANNELS.channels[:rank])
     quad = QuadratureSpec(n_r=64, n_ang=n_ang)
     grids = quadrature.sweep_grids(quad, [quad.n_r])
@@ -325,48 +345,48 @@ def test_bulk_path_keeps_the_per_channel_bits(rank, cold, l, n_ang,
         m.setattr(gauge, "_bulk_densities", one_pass_densities)
         frozen_bulk = np.array(bulk_action(data, quad, l))
     clear_caches()
-    densities, c_ends = gauge._bulk_densities(data, grids, l)
+    densities, ends = gauge._bulk_densities(data, grids, l)
     bulk = np.array(bulk_action(data, quad, l))
-    frozen, frozen_ends = one_pass_densities(data, grids, l)
+    frozen, frozen_end_values = one_pass_densities(data, grids, l)
     for density, reference in zip(densities, frozen):
         assert density.shape == reference.shape
         assert np.abs(density - reference).max() <= \
             1e-14 * np.abs(reference).max()
-    assert c_ends.tobytes() == frozen_ends.tobytes()
-    floor = ROUNDOFF * sum(ch.lam**2 + ch.mcharge**2 for ch in data.channels)
-    assert np.abs(bulk - frozen_bulk).max() <= floor
+    assert np.array(ends).tobytes() == np.array(frozen_end_values).tobytes()
+    # the frozen row at one direction has no direction term: its tail
+    # bound is the driver's roundoff alone
+    *_, roundoff = bulk_row(data, quad, lambda grid_set: (
+        [d[:, :1] for d in frozen], frozen_end_values))
+    assert np.abs(bulk - frozen_bulk).max() <= roundoff
     set_caches(cold, n_ang, quad)
     again, again_ends = gauge._bulk_densities(data, grids, l)
     assert [d.tobytes() for d in again] == [d.tobytes() for d in densities]
-    assert again_ends.tobytes() == c_ends.tobytes()
+    assert np.array(again_ends).tobytes() == np.array(ends).tobytes()
     assert np.array(bulk_action(data, quad, l)).tobytes() == bulk.tobytes()
 
 
 def per_channel_bulk_action(data, quad, l):
-    """bulk_action with the ends assembled channel by channel, as before
-    integrate_radial took them: the middle of a sweep with no closed-form
-    components, then the head -(c - mcharge)^2 / 2 at r_min and the tail
-    -((lam - mcharge)^2 - (c - mcharge)^2) / 2 at r_max of each channel."""
-    grids = quadrature.sweep_grids(quad, [quad.n_r])
-    densities, (c_min, c_max) = gauge._bulk_densities(data, grids, l)
-    [(_, middle, error, direction, _)] = quadrature.integrate_radial(
-        grids, densities, quad, ([], []), ([], []))
-    head = tail = 0.0
-    for ch, lo, hi in zip(data.channels, c_min.tolist(), c_max.tolist()):
-        head -= 0.5 * (lo * lo)
-        tail -= 0.5 * ((ch.lam - ch.mcharge) ** 2 - hi * hi)
-    floor = ROUNDOFF * sum(ch.lam**2 + ch.mcharge**2 for ch in data.channels) \
-        + sys.float_info.min
-    return middle + head + tail, error + direction + floor
+    """bulk_action through the driver with each channel's ends formed on
+    its own in Python floats, -(c - mcharge)^2 / 2 from the frozen c at
+    r_min and r_max, and the limits and scale written out channel by
+    channel (bulk_row)."""
+    def sample(grid_set):
+        densities, _ = gauge._bulk_densities(data, grid_set, l)
+        c_eff = [[float(frozen_coefficient(ch, r, l)) - ch.mcharge
+                  for ch in data.channels] for r in grid_set.ends]
+        return densities, [[-0.5 * (c * c) for c in end] for end in c_eff]
+
+    _, value, error, tail = bulk_row(data, quad, sample)
+    return value, error + tail
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 @pytest.mark.parametrize("l", [0.2, 1.0, 6.0])
 @pytest.mark.parametrize("n_ang", [2, 8])
 def test_bulk_ends_keep_the_per_channel_bits(rank, l, n_ang):
-    """integrate_radial's ends, summed in channel order from 0.0, give the
-    bulk action of the per-channel head and tail byte for byte, as Python
-    floats."""
+    """The ends of _bulk_densities and the limits and scale of
+    bulk_action give the bulk action of the per-channel ends, limits and
+    scale byte for byte, as Python floats."""
     data = InstantonData(FOUR_CHANNELS.channels[:rank])
     quad = QuadratureSpec(n_ang=n_ang)
     value, error = bulk_action(data, quad, l)
@@ -547,23 +567,34 @@ def test_bulk_meets_closed_form_at_any_l(l, channels):
     assert abs(value - bulk_action_closed_form(data)) <= error
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("l", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("n_r", [16, 256])
+def test_bulk_meets_closed_form_at_lam_equal_m(rank, l, n_r):
+    """At lam = mcharge exactly the closed form is 0, and what the bulk
+    sums is the rounding of c - mcharge, which scales with lam and
+    mcharge, not with the mass or the ends.  The scale sum (lam^2 +
+    mcharge^2) covers it: the bulk meets the closed form within its error.
+    With a scale of 0, 16 of these 24 cases miss, by up to 38 times the
+    error."""
+    data = InstantonData([InstantonChannel(x, x)
+                          for x in (0.3, -1.7, 2.45, -0.05)[:rank]])
+    value, error = bulk_action(data, QuadratureSpec(n_r=n_r), l)
+    assert abs(value - bulk_action_closed_form(data)) <= error
+
+
 def all_direction_bulk(data, quad, l):
-    """The bulk action by the rule that sampled every grid at quad.n_ang
-    directions: the fine grid's mean over them plus the exact ends, and
-    the checked (half-size) grid's direction term sum |w spread|."""
-    r, w = quadrature.radial_nodes(quad, quad.n_r)
-    middle = quadrature.ordered_dot(
-        bulk_density(data, r, quad.n_ang, l).mean(axis=1), w)
-    head = tail = 0.0
-    for ch in data.channels:
-        c_min, c_max = frozen_coefficient(
-            ch, [quad.r_min, quad.r_max], l) - ch.mcharge
-        head -= 0.5 * c_min**2
-        tail -= 0.5 * ((ch.lam - ch.mcharge) ** 2 - c_max**2)
-    r, w = quadrature.radial_nodes(quad, quad.n_r // 2)
-    checked = bulk_density(data, r, quad.n_ang, l)
-    spread = np.abs(checked - checked.mean(axis=1)[:, None]).max(axis=1)
-    return middle + float(head) + float(tail), spread @ w
+    """The bulk's row by the rule that sampled every grid at quad.n_ang
+    directions, through the driver (bulk_row): the checked (half-size)
+    grid at all of them, whose sum |w spread| is the direction term, the
+    fine grid as their mean, and the frozen ends."""
+    def sample(grid_set):
+        (checked, _, _), (fine, _, _) = grid_set.grids
+        mean = bulk_density(data, fine, quad.n_ang, l).mean(axis=1)
+        return ([bulk_density(data, checked, quad.n_ang, l), mean[:, None]],
+                frozen_ends(data, grid_set.ends, l))
+
+    return bulk_row(data, quad, sample)
 
 
 def count_bulk_points(monkeypatch):
@@ -585,20 +616,18 @@ def test_bulk_takes_one_direction_within_its_direction_term(rank, l, n_ang,
                                                             monkeypatch):
     """The bulk samples its fine grid at one direction and checks isotropy
     at quad.n_ang directions on the half-size grid only, in one pass over
-    both grids: its value is within the direction term of the
-    all-direction mean, up to the roundoff floor that covers the rounding
-    of the two sums, which can differ by more ulps than the direction term
-    holds; its error carries that term, and it meets the closed form
-    within that error."""
+    both grids: its value is within the all-direction row's tail bound of
+    that row's mean, the direction term plus the roundoff that covers the
+    rounding of the two sums, which can differ by more ulps than the
+    direction term holds; its error carries that bound, and it meets the
+    closed form within that error."""
     data = InstantonData(FOUR_CHANNELS.channels[:rank])
     quad = QuadratureSpec(n_ang=n_ang)
-    mean, direction = all_direction_bulk(data, quad, l)
+    _, mean, _, tail = all_direction_bulk(data, quad, l)
     points = count_bulk_points(monkeypatch)
     value, error = bulk_action(data, quad, l)
     assert points == [quad.n_r // 2 * n_ang + quad.n_r]
-    floor = ROUNDOFF * sum(ch.lam**2 + ch.mcharge**2 for ch in data.channels)
-    assert abs(value - mean) <= direction + floor
-    assert direction + floor <= error
+    assert abs(value - mean) <= tail <= error
     assert abs(value - bulk_action_closed_form(data)) <= error
 
 

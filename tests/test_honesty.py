@@ -1,6 +1,7 @@
 """bench/honesty.py: the Pontryagin honesty scan holds every README-grid
-row within its error and tail bound of 1/12, and grids that drop the blend
-knots show up in it."""
+row within its error and tail bound of 1/12, grids that drop the blend
+knots show up in it, and every bulk draw meets its closed form within its
+error."""
 
 import json
 from pathlib import Path
@@ -51,12 +52,9 @@ def test_every_scan_row_is_honest():
 
 
 def test_grids_without_knots_show_above_one(monkeypatch):
-    """A sweep_grids that drops the blend knots brings back the 13 rows
+    """A density_knots that drops the blend knots brings back the 13 rows
     whose panels straddle them, above ratio 1."""
-    grids = charclasses.sweep_grids
-    monkeypatch.setattr(charclasses, "sweep_grids",
-                        lambda quad, n_r_values, knots: grids(quad,
-                                                              n_r_values))
+    monkeypatch.setattr(charclasses, "density_knots", lambda spec: ())
     rows, _ = scan()
     assert dishonest(rows) == UNKNOTTED_DISHONEST
 
@@ -84,15 +82,34 @@ def test_honesty_file_schema(tmp_path):
     assert doc["moved"] == []
     assert doc["config"]["draws"]["count"] == honesty.DRAWS
     side = doc["sides"]["here"]
-    assert {"commit", "dirty", "scan", "draws"} <= set(side)
-    for name, rows in (("scan", 216), ("draws", 3 * honesty.DRAWS)):
+    assert {"commit", "dirty", "scan", "draws", "bulk"} <= set(side)
+    for name, rows, per in (("scan", 216, 3), ("draws", 3 * honesty.DRAWS, 3),
+                            ("bulk", honesty.BULK_DRAWS, 1)):
         section = side[name]
         assert set(section) == {"rows", "worst", "worst_honest_ratio",
                                 "above_1", "above_tol", "failed", "digest"}
-        assert section["rows"] == rows - 3 * len(section["failed"])
+        assert section["rows"] == rows - per * len(section["failed"])
         assert section["worst"]["ratio"] >= section["worst_honest_ratio"]
         assert all(row["ratio"] > 1.0 for row in section["above_1"])
     assert side["scan"]["above_1"] == side["draws"]["above_1"] == []
+    assert side["bulk"]["above_1"] == side["bulk"]["failed"] == []
+
+
+def test_bulk_draws_cover_every_rank_and_kind():
+    """The bulk section draws every rank 1..4 and every kind: lam = m
+    exactly, lam within 1e-12 to 1e-2 of m, and lam and m apart, with l
+    and n_r in their ranges."""
+    configs = honesty._bulk_configs()
+    assert len(configs) == honesty.BULK_DRAWS
+    assert {len(cfg["channels"]) for cfg in configs} == {1, 2, 3, 4}
+    assert {cfg["kind"] for cfg in configs} == set(honesty.BULK_KINDS)
+    for cfg in configs:
+        gaps = [abs(lam - m) for lam, m in cfg["channels"]]
+        if cfg["kind"] == "equal":
+            assert gaps == [0.0] * len(gaps)
+        elif cfg["kind"] == "near":
+            assert all(0.0 < gap <= 1.01e-2 for gap in gaps)
+        assert 16 <= cfg["n_r"] <= 256 and 1e-3 <= cfg["l"] <= 1e3
 
 
 def test_moved_lists_the_sections_whose_rows_differ():

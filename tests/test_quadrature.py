@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import sys
 import weakref
 
 import numpy as np
@@ -11,22 +12,43 @@ from tnindex import charclasses, eta, gauge, quadrature
 from tnindex.errors import ConvergenceError, IsotropyError
 from tnindex.gauge import InstantonChannel, InstantonData
 from tnindex.geometry import MetricSpec
-from tnindex.quadrature import (GridSet, QuadratureSpec, angular_points,
+from tnindex.quadrature import (ROUNDOFF, GridSet, QuadratureSpec,
+                                angular_points, angular_spread,
                                 integrate_radial, radial_nodes, sweep_grids)
 
 NO_ENDS = ([], [])  # a density with no closed-form components
+
+
+def isotropic(f, ends=NO_ENDS):
+    """A sampler of the radial density f, the same in every direction,
+    with the ends given."""
+    return lambda grid_set: ([np.repeat(f(r)[:, None], k, axis=1)
+                              for r, _, k in grid_set.grids], ends)
+
+
+def given_densities(grid_set, densities, ends=NO_ENDS):
+    """A sampler that returns densities already sampled on grid_set, the
+    set integrate_radial finds for the same layout."""
+    def sample(grids):
+        assert grids is grid_set
+        return densities, ends
+    return sample
 
 
 def integrate(f, quad, n_r=None):
     """(value, error) of the radial density f, the same in every direction,
     over the one-row sweep of n_r nodes (default quad.n_r)."""
     n = quad.n_r if n_r is None else n_r
-    grid_set = sweep_grids(quad, [n])
-    densities = [np.repeat(f(r)[:, None], k, axis=1)
-                 for r, _, k in grid_set.grids]
-    [(_, value, error, _, _)] = integrate_radial(grid_set, densities, quad,
-                                                 NO_ENDS, NO_ENDS)
+    [(_, value, error, _)] = integrate_radial(quad, [n], (), isotropic(f),
+                                              NO_ENDS, 0.0)
     return value, error
+
+
+def tail_bound(direction, mass, ends=NO_ENDS, scale=0.0):
+    """integrate_radial's tail bound, written out left to right."""
+    at_r_min, at_r_max = (sum(abs(x) for x in end) for end in ends)
+    return direction + ROUNDOFF * (((mass + at_r_min) + at_r_max)
+                                   + scale) + sys.float_info.min
 
 
 def test_exponential_density():
@@ -191,11 +213,11 @@ def test_per_grid_splits_the_grid_points_back(sweep):
     assert all(np.shares_memory(v, index) for v in views)
     assert np.array_equal(np.concatenate([v.ravel() for v in views]), index)
     flat = np.concatenate([np.repeat(np.exp(-r), k) for r, _, k in grids])
-    assert integrate_radial(grid_set, grid_set.split(flat), quad, NO_ENDS,
-                            NO_ENDS) == \
-        integrate_radial(grid_set, [np.repeat(np.exp(-r)[:, None], k, axis=1)
-                                    for r, _, k in grids], quad, NO_ENDS,
-                         NO_ENDS)
+    assert integrate_radial(
+        quad, sweep, (), given_densities(grid_set, grid_set.split(flat)),
+        NO_ENDS, 0.0) == \
+        integrate_radial(quad, sweep, (), isotropic(lambda r: np.exp(-r)),
+                         NO_ENDS, 0.0)
 
 
 def test_sweep_grids_share_one_set_per_layout():
@@ -342,53 +364,96 @@ def test_integrate_radial_takes_the_first_direction():
     """Each row's value is the first direction of its grids, and its error
     is |fine - coarse| of that direction's np.dot sums on its n_r grid and
     its half-size grid, bit for bit; the checked grid's sum |w spread| is
-    every row's direction term; a spread beyond quad.tol raises
-    IsotropyError."""
+    every row's direction term, and the tail bound is that term plus the
+    roundoff of the row's mass sum |w rho|; a spread beyond quad.tol
+    raises IsotropyError.  The sampler runs once per call."""
     quad = QuadratureSpec(n_ang=3, tol=1e-2)
     grid_set = sweep_grids(quad, [32, 64])
     tilt = np.array([1.0, 1.001, 0.998])
     densities = [np.exp(-r)[:, None] * tilt[:k] for r, _, k in grid_set.grids]
-    rows = integrate_radial(grid_set, densities, quad, NO_ENDS, NO_ENDS)
+    calls = []
+
+    def sample(grids):
+        calls.append(grids)
+        return densities, NO_ENDS
+
+    rows = integrate_radial(quad, [32, 64], (), sample, NO_ENDS, 0.0)
+    assert calls == [grid_set]
     r16, w16, _ = grid_set.grids[0]
     spread = np.exp(-r16) * 0.005 / 3.0
+    direction = float(angular_spread(densities[0])[1] @ w16)
+    assert direction == pytest.approx(spread @ w16, rel=1e-12)
     sums = {len(r): float(np.dot(np.exp(-r), w))
             for r, w, _ in grid_set.grids}
     assert sorted(sums) == [16, 32, 64]
-    for (n, value, error, direction, mass), (ref, _) in zip(
+    for (n, value, error, tail), (ref, _) in zip(
             rows, [integrate(lambda r: np.exp(-r), quad, n) for n in
                    (32, 64)]):
+        r, w, _ = grid_set.grids[[32, 64].index(n) + 1]
+        mass = float(np.abs(np.exp(-r)) @ w)
         assert value == ref and mass == pytest.approx(ref)
         assert error == abs(sums[n] - sums[n // 2]) > 0.0
-        assert direction == pytest.approx(spread @ w16, rel=1e-12)
+        assert tail == tail_bound(direction, mass)
     with pytest.raises(IsotropyError):
-        integrate_radial(grid_set, densities,
-                         QuadratureSpec(n_ang=3, tol=1e-4), NO_ENDS, NO_ENDS)
+        integrate_radial(QuadratureSpec(n_ang=3, tol=1e-4), [32, 64], (),
+                         sample, NO_ENDS, 0.0)
+
+
+def test_tail_bound_adds_ends_and_scale_left_to_right():
+    """The tail bound is direction + ROUNDOFF * (((mass + sum_j
+    |F_j(r_min)|) + sum_j |F_j(r_max)|) + scale) + the smallest normal
+    double, bit for bit; a scale of 0.0 adds nothing, and a scale of inf
+    with finite sums raises ConvergenceError naming the bound."""
+    quad = QuadratureSpec(n_ang=2)
+    ends = ([0.5, -0.25], [-1e-3, 2.0])
+    bare = integrate_radial(quad, [64], (), isotropic(np.exp), NO_ENDS, 0.0)
+    for scale in (0.0, 3.0, 1e300):
+        [(_, _, _, tail)] = integrate_radial(
+            quad, [64], (), isotropic(np.exp, ends), NO_ENDS, scale)
+        [(_, _, _, bare_tail)] = bare
+        r, w, _ = sweep_grids(quad, [64]).grids[-1]
+        mass = float(np.abs(np.exp(r)) @ w)
+        assert bare_tail == tail_bound(0.0, mass)
+        assert tail == tail_bound(0.0, mass, ends, scale)
+    with pytest.raises(ConvergenceError) as exc:
+        integrate_radial(quad, [64], (), isotropic(np.exp, ends), NO_ENDS,
+                         np.inf)
+    assert all(np.isfinite(value) for _, value in exc.value.history)
+    assert str(exc.value) == \
+        "tail bound of a finite radial integral is not finite"
 
 
 def test_integrate_radial_adds_the_exact_ends():
     """A row's value is its fine sum plus the head sum_j [F_j(r_min) -
     F_j(0+)] and the tail sum_j [F_j(infinity) - F_j(r_max)], each summed
-    from 0.0 in component order; its error, direction term and mass are
-    the sums' alone.  F = -1/(2 (2r + 1)^2) in three shares, whose
-    r-derivative is the density, gives the integral over r > 0, 1/2."""
+    from 0.0 in component order; its error is the sums' alone, and its
+    tail bound adds the ends' roundoff to that of the bare density.
+    F = -1/(2 (2r + 1)^2) in three shares, whose r-derivative is the
+    density, gives the integral over r > 0, 1/2."""
     quad = QuadratureSpec(n_ang=2)
-    grid_set = sweep_grids(quad, [64, 128])
-    densities = [np.repeat((2.0 / (2.0 * r + 1.0) ** 3)[:, None], k, axis=1)
-                 for r, _, k in grid_set.grids]
+    density = lambda r: 2.0 / (2.0 * r + 1.0) ** 3
     shares = [0.7, 1e-3, 0.299]
     ends = tuple([-0.5 * s / (2.0 * r + 1.0) ** 2 for s in shares]
                  for r in (quad.r_min, quad.r_max))
     limits = ([-0.5 * s for s in shares], [0.0] * 3)
-    rows = integrate_radial(grid_set, densities, quad, ends, limits)
-    bare = integrate_radial(grid_set, densities, quad, NO_ENDS, NO_ENDS)
+    rows = integrate_radial(quad, [64, 128], (), isotropic(density, ends),
+                            limits, 0.0)
+    bare = integrate_radial(quad, [64, 128], (), isotropic(density), NO_ENDS,
+                            0.0)
     head = tail = 0.0
     for at_min, at_max, at_zero, at_inf in zip(*ends, *limits):
         head += at_min - at_zero
         tail += at_inf - at_max
-    for (n, value, *rest), (m, fine, *bare_rest) in zip(rows, bare):
-        assert n == m and rest == bare_rest
+    grids = {len(r): (r, w) for r, w, _ in sweep_grids(quad, [64, 128]).grids}
+    for (n, value, error, bound), (m, fine, bare_error, bare_bound) in zip(
+            rows, bare):
+        r, w = grids[n]
+        mass = float(np.abs(density(r)) @ w)
+        assert n == m and error == bare_error
         assert value == fine + head + tail
-        assert abs(value - 0.5) <= rest[0] + 1e-12
+        assert bare_bound == tail_bound(0.0, mass)
+        assert bound == tail_bound(0.0, mass, ends) > bare_bound
+        assert abs(value - 0.5) <= error + 1e-12
 
 
 @pytest.mark.parametrize("slot", range(4))
@@ -396,15 +461,14 @@ def test_non_finite_end_raises(slot):
     """An end or a limit that is not finite fails the row's finite check,
     with the quadrature's finite sums as the history."""
     quad = QuadratureSpec(n_ang=2)
-    grid_set = sweep_grids(quad, [64])
-    densities = [np.repeat(np.exp(-r)[:, None], k, axis=1)
-                 for r, _, k in grid_set.grids]
+    decay = lambda r: np.exp(-r)
     values = [[0.5, 0.0], [0.25, 0.0], [0.0, 0.0], [1.0, 0.0]]
     values[slot][1] = np.inf
     with pytest.raises(ConvergenceError) as exc:
-        integrate_radial(grid_set, densities, quad, values[:2], values[2:])
-    [(_, fine, *_)] = integrate_radial(grid_set, densities, quad, NO_ENDS,
-                                       NO_ENDS)
+        integrate_radial(quad, [64], (), isotropic(decay, values[:2]),
+                         values[2:], 0.0)
+    [(_, fine, *_)] = integrate_radial(quad, [64], (), isotropic(decay),
+                                       NO_ENDS, 0.0)
     assert [n for n, _ in exc.value.history] == [32, 64]
     assert exc.value.history[1][1] == fine
     assert all(np.isfinite(value) for _, value in exc.value.history)
@@ -449,7 +513,8 @@ def test_nan_off_the_first_direction_raises(sweep):
     quad, grids, densities = tilted_sweep(sweep)
     densities[0][7, 2] = np.nan
     with pytest.raises(ConvergenceError) as exc:
-        integrate_radial(grids, densities, quad, NO_ENDS, NO_ENDS)
+        integrate_radial(quad, grids.n_r_values, (),
+                         given_densities(grids, densities), NO_ENDS, 0.0)
     assert [n for n, _ in exc.value.history] == [sweep[0] // 2, sweep[0]]
     assert all(np.isfinite(value) for _, value in exc.value.history)
     (r, _, _), *_ = grids.grids
@@ -469,7 +534,8 @@ def test_non_finite_coarse_grid_raises(bad):
     densities[0][3, 0] = bad
     densities[0][9, 1] = bad
     with pytest.raises(ConvergenceError) as exc:
-        integrate_radial(grids, densities, quad, NO_ENDS, NO_ENDS)
+        integrate_radial(quad, grids.n_r_values, (),
+                         given_densities(grids, densities), NO_ENDS, 0.0)
     (_, coarse), (_, fine) = exc.value.history
     assert not np.isfinite(coarse) and np.isfinite(fine)
     (r, _, _), *_ = grids.grids
