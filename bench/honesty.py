@@ -24,7 +24,10 @@ miss / error. Three sections are scanned per side:
   in 16..256 and ``n_ang`` in 2..8, one row each.
 
 For each section the file records the row count, the worst ratio and its
-configuration, every row whose ratio is above 1, every ``quad.n_r`` row
+configuration, the median and the largest miss over the last rows with
+the configuration of the largest (a Pontryagin configuration's last row
+is its ``quad.n_r`` row, which both sweep modes judge; every bulk row is
+a last row), every row whose ratio is above 1, every ``quad.n_r`` row
 whose miss is above ``quad.tol`` (both sweep modes fail those), each
 failure with its error kind, message and configuration, and a SHA-256 of
 every row's value, error and tail bound (for the bulk: value, error and
@@ -41,6 +44,7 @@ import hashlib
 import json
 import platform
 import random
+import statistics
 import sys
 from pathlib import Path
 
@@ -165,8 +169,16 @@ def scan_rows(configs):
     return rows, failures
 
 
-def summarize(rows, failures, keys=PONTRYAGIN_KEYS) -> dict:
-    """The section's entry of HONESTY_<pr>.json; keys place a row."""
+def last_sweep_row(row) -> bool:
+    """Whether a Pontryagin row is its sweep's last, whose n_r, SWEEP[-1],
+    is the README quad.n_r: the row that both sweep modes judge."""
+    return row["n_r"] == SWEEP[-1]
+
+
+def summarize(rows, failures, keys=PONTRYAGIN_KEYS,
+              last=last_sweep_row) -> dict:
+    """The section's entry of HONESTY_<pr>.json; keys place a row, and
+    last picks the rows whose misses the section's accuracy reads."""
     def where(row, extra):
         return {k: row[k] for k in (*keys, extra)}
 
@@ -174,9 +186,14 @@ def summarize(rows, failures, keys=PONTRYAGIN_KEYS) -> dict:
     for row in rows:
         digest.update(repr([row[k] for k in sorted(row)]).encode())
     worst = max(rows, key=lambda row: row["ratio"], default=None)
+    lasts = sorted((row for row in rows if last(row)),
+                   key=lambda row: row["miss"])
     return {
         "rows": len(rows),
         "worst": None if worst is None else where(worst, "ratio"),
+        "last_miss_median": statistics.median(row["miss"] for row in lasts)
+        if lasts else None,
+        "last_miss_max": where(lasts[-1], "miss") if lasts else None,
         "worst_honest_ratio": max((row["ratio"] for row in rows
                                    if row["ratio"] <= 1.0), default=None),
         "above_1": [where(row, "ratio") for row in rows if row["ratio"] > 1.0],
@@ -190,7 +207,8 @@ def side_report() -> dict:
     """{section: summary} of the tnindex on sys.path."""
     return {**{name: summarize(*scan_rows(configs))
                for name, configs in _configs().items()},
-            "bulk": summarize(*bulk_rows(_bulk_configs()), BULK_KEYS)}
+            "bulk": summarize(*bulk_rows(_bulk_configs()), BULK_KEYS,
+                              lambda row: True)}
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,10 @@ counts, and then runs, in process:
   perfbench's oracle checks are not run, so they are not traffic;
 - tier 1: the checkout's own tests, through ``pytest.main`` with
   ``PYTEST_ARGS`` and no hypothesis example database, so that the table
-  comes out the same on every run.
+  comes out the same on every run. This script's own ``reach``,
+  ``collect`` and ``honesty`` are out of ``sys.modules``, and its
+  ``bench/`` off ``sys.path``, while they run, so the tests import the
+  checkout's own ``bench/``.
 
 A function is counted by its qualified name (``Point.r``,
 ``_fd_metric_arrays.table_of``) and is reached when its code is entered.
@@ -59,6 +62,8 @@ import collect
 SEED = 7919
 BLOCK = 0
 PYTEST_ARGS = ("-q", "-p", "no:cacheprovider", "--hypothesis-seed", "0")
+# the modules of bench/ that a checkout's tests import by these names
+BENCH_MODULES = ("reach", "collect", "honesty")
 
 # Every function that only tier 1 reaches and that stays, by module and
 # qualified name, with the reason: the README acceptance criterion (1-8)
@@ -221,12 +226,27 @@ def traffic(checkout: Path, cli, workloads: dict, scratch: Path) -> dict:
 
 def tier1(checkout: Path) -> int:
     """pytest's exit code over the checkout's tests, with no example
-    database, so that an earlier run's failures are not replayed."""
+    database, so that an earlier run's failures are not replayed.  This
+    copy's BENCH_MODULES are out of sys.modules and its bench/ off
+    sys.path meanwhile, so that the tests import the checkout's own; on
+    return the modules they imported under those names are dropped and
+    this copy's are back."""
     import pytest
     from hypothesis import settings
     settings.register_profile("reach", database=None)
-    return int(pytest.main([str(checkout / "tests"), *PYTEST_ARGS,
-                            "--hypothesis-profile", "reach"]))
+    here, path = Path(__file__).resolve().parent, list(sys.path)
+    own = {name: sys.modules.pop(name) for name in BENCH_MODULES
+           if name in sys.modules}
+    sys.path[:] = [entry for entry in path
+                   if not entry or Path(entry).resolve() != here]
+    try:
+        return int(pytest.main([str(checkout / "tests"), *PYTEST_ARGS,
+                                "--hypothesis-profile", "reach"]))
+    finally:
+        for name in BENCH_MODULES:
+            sys.modules.pop(name, None)
+        sys.modules.update(own)
+        sys.path[:] = path
 
 
 def side_trace(checkout: Path) -> dict:

@@ -198,6 +198,8 @@ def _radial_coeffs(spec: MetricSpec, r):
     """(A, C) such that g = A dx^2 + C (dtau + omega)^2.
 
     Works on floats/arrays and on jets (only ring ops, log, exp used).
+    Every variant gives Taub-NUT's (v, 1/v) bit for bit where the blend
+    is 0 (r <= r_in): there exp(0 * x) = 1 multiplies them exactly.
     """
     half = 0.5
     v = spec.l + half / r
@@ -210,10 +212,10 @@ def _radial_coeffs(spec: MetricSpec, r):
     if spec.variant is Variant.CONFORMAL:
         return conf * v, conf * (1.0 / v)
     t = 0.0 if spec.variant is Variant.EXACT_D else spec.t
-    vt = 1.0 + (half * t) / r
-    # interpolate log(1/v) -> log(v / vt^2) with the blend profile
-    log_q = (b - 1.0) * log_v + b * (log_v - 2.0 * jets.log(vt))
-    return conf * v, conf * jets.exp(log_q)
+    # C / conf interpolates log(1/v) -> log(v / vt^2), vt = 1 + t / (2r),
+    # with the blend profile: C = (1/v) exp(b log(v / (r vt)^2))
+    return conf * v, (1.0 / v) * jets.exp(
+        b * (log_v - 2.0 * jets.log(r + half * t)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ contributions, with integrality diagnostics."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -138,5 +138,5 @@ def assemble(data: InstantonData, quad: QuadratureSpec,
         integrality_defect=defect, route=route, grav_mode=grav_mode,
         errors={"bulk": bulk_err, "grav": grav_err, "eta": eta_err,
                 "cancellation_residual": residual},
-        quadrature=asdict(quad), series=asdict(series),
+        quadrature=dict(vars(quad)), series=dict(vars(series)),
     )

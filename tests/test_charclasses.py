@@ -1,6 +1,8 @@
 """Pontryagin density, its Chern-Simons potential, and its radial
 integral."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -100,6 +102,48 @@ def test_integral_meets_one_twelfth_within_its_bounds(variant, kind, l):
     spec = MetricSpec(variant=variant, blend=BlendProfile(kind=kind), l=l)
     value, error = pontryagin_integral(spec, QuadratureSpec())
     assert abs(value - TARGET) <= error
+
+
+@pytest.mark.parametrize("variant, t", [(Variant.EXACT_D, 0.0)] + [
+    (Variant.HOMOTOPY, k / 10.0) for k in range(11)])
+@pytest.mark.parametrize("kind", ["quintic", "septic"])
+def test_readme_sweep_misses_one_twelfth_by_at_most_24_ulps(variant, t, kind):
+    """At l = 1 the density changes near r = 1/2, inside r_in, where C is
+    Taub-NUT's 1/v bit for bit: the README sweep's last row misses 1/12 by
+    at most 24 ulps of 1/12 (3.3e-16).  With C formed as exp(-log v)
+    there, these rows missed by 39 to 55 ulps."""
+    spec = MetricSpec(variant=variant, t=t, blend=BlendProfile(kind=kind))
+    *_, (n, value, _, _) = convergence_table(spec, QuadratureSpec(),
+                                             [64, 128, 256])
+    assert n == 256
+    assert abs(value - TARGET) <= 24 * math.ulp(TARGET)
+
+
+# (variant, axis, a value where P is finite, the next power of ten up or
+# down, where it is not): at l = 1, r_min below 8.6e-78 and, but for
+# Taub-NUT, r_max above 1.16e77; at the README ends, l above 1.3e154
+README_LIMITS = (
+    [(variant, "r", 1e-77, 1e-78) for variant in Variant]
+    + [(variant, "r", 1e76, 1e78) for variant in Variant
+       if variant is not Variant.TN]
+    + [(variant, "l", 1e154, 1e155) for variant in Variant])
+
+
+@pytest.mark.parametrize("variant, axis, inside, outside", README_LIMITS)
+def test_chern_simons_stays_finite_up_to_the_readme_limits(variant, axis,
+                                                           inside, outside):
+    """The overflow limits that README states for the sweep's ends,
+    bracketed by a power of ten on each side, so that a rewrite of the
+    metric coefficients cannot move them silently: along r, P at one
+    radius at l = 1; along l, P at both README ends."""
+    def ends(x):
+        if axis == "r":
+            return chern_simons(MetricSpec(variant=variant, t=0.6), [x])[0]
+        return chern_simons(MetricSpec(variant=variant, t=0.6, l=x), ENDS)[0]
+
+    with np.errstate(all="ignore"):
+        assert np.isfinite(ends(inside)).all()
+        assert not np.isfinite(ends(outside)).all()
 
 
 def test_blend_independence():

@@ -167,6 +167,32 @@ def test_all_variants_equal_tn_inside_blend(variant, t):
         assert np.array_equal(metric_at(spec, p).g, metric_at(tn, p).g)
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("kind", ["quintic", "septic"])
+def test_radial_coeffs_are_taub_nut_bitwise_inside_r_in(variant, kind):
+    """Where the blend is 0, r <= r_in, A and C are Taub-NUT's v and 1/v
+    bit for bit, as floats, as arrays and as radial jets (plain and
+    shared seeds, values and derivatives), at l from 1e-3 to 1e3 and down
+    to r = 1e-4, where |log v| reaches 8.5 at l = 1: C formed as
+    exp(-log v) there misses 1/v by a few ulps."""
+    blend = BlendProfile(kind=kind)
+    rs = np.append(np.geomspace(1e-4, blend.r_in, 400), blend.r_in)
+    for l in (1e-3, 1.0, 1e3):
+        spec = MetricSpec(variant=variant, t=0.6, blend=blend, l=l)
+        tn = MetricSpec(variant=Variant.TN, l=l)
+        array = geometry._radial_coeffs(spec, rs)
+        want = geometry._radial_coeffs(tn, rs)
+        assert [y.tobytes() for y in array] == [y.tobytes() for y in want]
+        assert [geometry._radial_coeffs(spec, float(r)) for r in rs[::37]] \
+            == [geometry._radial_coeffs(tn, float(r)) for r in rs[::37]]
+        for seed in (jets.seed(rs), jets.SharedSeed(rs)):
+            got = geometry._radial_coeffs(spec, seed)
+            want = geometry._radial_coeffs(tn, seed)
+            assert [(y.val.tobytes(), y.grad.tobytes(), y.hess.tobytes())
+                    for y in got] == [(y.val.tobytes(), y.grad.tobytes(),
+                                       y.hess.tobytes()) for y in want]
+
+
 def test_metric_spec_validation():
     with pytest.raises(ValueError):
         MetricSpec(variant=Variant.TN, l=-1.0)

@@ -74,8 +74,10 @@ def test_a_section_whose_sweeps_all_fail_lists_its_failures(monkeypatch):
 
 def test_honesty_file_schema(tmp_path):
     """One side at the full draw count: every section carries its row
-    count, worst ratio with its configuration, the rows above 1 and above
-    quad.tol, its failures and its digest; moved is empty."""
+    count, worst ratio with its configuration, the median and the largest
+    miss of its last rows with the configuration of the largest, the rows
+    above 1 and above quad.tol, its failures and its digest; moved is
+    empty."""
     out = tmp_path / "honesty.json"
     assert honesty.main(["--side", f"here={ROOT}", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
@@ -86,13 +88,41 @@ def test_honesty_file_schema(tmp_path):
     for name, rows, per in (("scan", 216, 3), ("draws", 3 * honesty.DRAWS, 3),
                             ("bulk", honesty.BULK_DRAWS, 1)):
         section = side[name]
-        assert set(section) == {"rows", "worst", "worst_honest_ratio",
+        assert set(section) == {"rows", "worst", "last_miss_median",
+                                "last_miss_max", "worst_honest_ratio",
                                 "above_1", "above_tol", "failed", "digest"}
         assert section["rows"] == rows - per * len(section["failed"])
         assert section["worst"]["ratio"] >= section["worst_honest_ratio"]
         assert all(row["ratio"] > 1.0 for row in section["above_1"])
+        farthest = section["last_miss_max"]
+        assert set(farthest) == set(section["worst"]) - {"ratio"} | {"miss"}
+        assert 0.0 <= section["last_miss_median"] <= farthest["miss"]
     assert side["scan"]["above_1"] == side["draws"]["above_1"] == []
+    for name in ("scan", "draws"):
+        assert side[name]["last_miss_max"]["n_r"] == QuadratureSpec().n_r
+        assert side[name]["last_miss_max"]["miss"] <= QuadratureSpec().tol
     assert side["bulk"]["above_1"] == side["bulk"]["failed"] == []
+
+
+def test_miss_fields_read_the_last_rows_only():
+    """The median and the largest miss come from the rows that last
+    picks, the quad.n_r rows of a sweep by default, every row of the bulk;
+    the largest carries its configuration.  A section without a last row
+    records None for both."""
+    rows = [dict(variant="ExactD", blend="septic", l=l, t=0.6, r_max=80.0,
+                 n_ang=8, n_r=n_r, miss=miss, ratio=0.5, fails_tol=False)
+            for l, n_r, miss in ((1.0, 128, 9.0), (1.0, 256, 1.0),
+                                 (2.0, 256, 3.0), (3.0, 256, 2.0))]
+    section = honesty.summarize(rows, [])
+    assert section["last_miss_median"] == 2.0
+    assert section["last_miss_max"] == dict(
+        variant="ExactD", blend="septic", l=2.0, t=0.6, r_max=80.0, n_ang=8,
+        n_r=256, miss=3.0)
+    everything = honesty.summarize(rows, [], last=lambda row: True)
+    assert everything["last_miss_median"] == 2.5
+    assert everything["last_miss_max"]["miss"] == 9.0
+    assert honesty.summarize(rows[:1], [])["last_miss_max"] is None
+    assert honesty.summarize(rows[:1], [])["last_miss_median"] is None
 
 
 def test_bulk_draws_cover_every_rank_and_kind():

@@ -4,11 +4,16 @@ statements into the right classes.  The full reach run, traffic and tier 1
 under the tracer, stays out of tier 1."""
 
 import importlib
+import sys
+import types
 from pathlib import Path
 
+import pytest
 import reach
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tnindex"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "tnindex"
+BENCH = ROOT / "bench"
 
 SYNTHETIC = '''"""Module docstring."""
 
@@ -58,3 +63,28 @@ def test_a_synthetic_module_sorts_into_the_three_classes(tmp_path,
     assert table["tier1_only"] == {"reach_synthetic.tested": None}
     assert table["unexecuted"] == ["reach_synthetic.py:14: return 2",
                                    "reach_synthetic.py:18: return 0"]
+
+
+def test_tier1_runs_without_this_copys_bench_modules(monkeypatch):
+    """While a checkout's tier 1 runs, no module named collect, reach or
+    honesty is in sys.modules and this bench/ is off sys.path, so the
+    checkout's tests import their own; afterwards the modules that tier 1
+    imported under those names are gone and this copy's are back."""
+    seen = []
+
+    def fake_main(args):
+        seen.append(({name for name in reach.BENCH_MODULES
+                      if name in sys.modules},
+                     [entry for entry in sys.path
+                      if entry and Path(entry).resolve() == BENCH]))
+        for name in reach.BENCH_MODULES:
+            sys.modules[name] = types.ModuleType(name)
+        return 0
+
+    monkeypatch.setattr(pytest, "main", fake_main)
+    path, own = list(sys.path), sys.modules["collect"]
+    assert reach.tier1(ROOT) == 0
+    assert seen == [(set(), [])]
+    assert sys.modules["collect"] is own is reach.collect
+    assert sys.modules["reach"] is reach
+    assert sys.path == path
