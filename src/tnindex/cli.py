@@ -17,7 +17,7 @@ import numpy as np
 
 from .charclasses import convergence_table
 from .errors import ConsistencyError, ConvergenceError, TNIndexError
-from .eta import ROUTES, SeriesSpec, route_table
+from .eta import ROUTES, SeriesSpec, eta_bernoulli, route_table
 from .gauge import InstantonChannel, InstantonData
 from .geometry import (BlendProfile, Gauge, MetricSample, MetricSpec, Point,
                        Variant, chart_omega, curvature_batch, hodge_star,
@@ -204,7 +204,10 @@ def _run_index(cfg: dict) -> int:
 
 
 def _run_eta(cfg: dict) -> int:
-    """The route table over the channels' lam, else over lambdas."""
+    """The route table over the channels' lam, else over lambdas.  After
+    the CSV is written, each row's a0 and a2 must meet the Bernoulli eta of
+    its lambda within the row's error (a NaN misses); the first row that
+    misses fails the run."""
     routes = ROUTES if cfg["route"] == "all" else (cfg["route"],)
     lambdas = [ch.lam for ch in cfg["instanton"].channels] \
         if "instanton" in cfg else cfg["lambdas"]
@@ -212,6 +215,14 @@ def _run_eta(cfg: dict) -> int:
     _write_csv(cfg["out"] / "eta_routes.csv",
                ["lambda", "route", "a0", "a2coeff", "integrated", "error"],
                rows)
+    for lam, route, a0, a2, _, error in rows:
+        exact = eta_bernoulli(lam)
+        misses = abs(a0 - exact.a0), abs(a2 - exact.a2)
+        if not all(miss <= error for miss in misses):
+            raise ConsistencyError(
+                f"the {route} route at lambda = {lam!r} misses the Bernoulli "
+                f"eta by {misses[0]:.3e} in a0 and {misses[1]:.3e} in a2, "
+                f"beyond its error {error:.3e}")
     return EXIT_OK
 
 

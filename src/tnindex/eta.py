@@ -150,25 +150,6 @@ _ABEL_CUT_PREFACTOR = float(sum(
 _POISSON_CUT = float(math.ceil(math.log(_ABEL_CUT_PREFACTOR / _CUT_TOL)))
 
 
-def abel_extrapolate(levels):
-    """Neville extrapolation of Abel-regularized sums to q -> 1 from the
-    levels q = 1 - _ABEL_X.
-
-    ``levels[i]`` holds the damped partial sums at q = 1 - _ABEL_X[i], each
-    extrapolated on its own.  The recurrence runs on Python floats, which
-    round as float64 arrays do, without numpy's per-call overhead.
-    Returns (values, error_estimates), the error estimate being the
-    difference of the last two tableau entries."""
-    xs = _ABEL_X.tolist()
-    tableau = [[float(v) for v in level] for level in levels]
-    for m in range(1, len(xs)):
-        for i in range(len(xs) - 1, m - 1, -1):
-            tableau[i] = [t + (t - u) * xs[i] / (xs[i - m] - xs[i])
-                          for t, u in zip(tableau[i], tableau[i - 1])]
-    return tableau[-1], [abs(t - u) for t, u in zip(tableau[-1],
-                                                    tableau[-2])]
-
-
 def _live_powers(q: float) -> int:
     """How many powers q^p, p = 1, 2, ..., have p ln(1/q) <= _POISSON_CUT:
     the leading terms that a damped sum at level q reads."""
@@ -176,77 +157,92 @@ def _live_powers(q: float) -> int:
 
 
 @functools.cache
-def _poisson_weights():
-    """The weights -1/(pi p) of the sine series and 1/(pi^2 p^2) of the
-    cosine series in a (2, J, B) table, p = j B + i with 1 <= i <= B, and
-    zero past N, the live prefix of the level nearest q = 1.  B = isqrt(N)
-    + 1 and J = N // B + 1, so every level's prefix ends inside the table.
-    Built on first use, not at import."""
+def _poisson_table():
+    """The Poisson route's series folded over its Neville levels, one
+    read-only (4, J, B) table built on a process's first Poisson call, not
+    at import.
+
+    Level i sums the damped series over its live prefix p <= N_i
+    (`_live_powers`) at q_i = 1 - _ABEL_X[i], and the extrapolant to q = 1
+    is sum_i c_i S_i, c_i the weights of the interpolating polynomial's
+    value at x = 0.  Exchanging the sums, a0 = sum_p w_p sin(p theta) K_p
+    with K_p = sum_(i: p <= N_i) c_i q_i^p, and a2 is the cosine series
+    with the same K_p.  The route's error estimate, the difference of the
+    last two Neville entries, is the same sum with c_i - c'_i, c' the
+    weights of levels 0..6 (c'_7 = 0).  The rows are w_p K_p for (sine,
+    value), (sine, difference), (cosine, value) and (cosine, difference),
+    w_p = -1/(pi p) for the sine and 1/(pi^2 p^2) for the cosine, laid out
+    as p = j B + i, 1 <= i <= B, with B = isqrt(N) + 1, J = N // B + 1 and
+    N = N_7, the longest prefix, and zero past N.
+
+    Each weight is an exact ratio of integers rounded once.  K_p is
+    accumulated level by level over that level's prefix, so no more than
+    one level's powers are live at a time."""
+    # x_i / x_7 is the integer u_i = 2^(7 - i), so over the first k levels
+    # c_i = prod_(j != i) u_j / (u_j - u_i) is a ratio of integers (num, den):
+    # for all eight levels, and for the first seven (c'), with c'_7 = 0
+    u = [round(x / _ABEL_X[-1]) for x in _ABEL_X]
+    eight, seven = ([(math.prod(v for v in u[:k] if v != w),
+                      math.prod(v - w for v in u[:k] if v != w))
+                     for w in u[:k]] for k in (len(u), len(u) - 1))
     n = _live_powers(1.0 - _ABEL_X[-1])
     b = math.isqrt(n) + 1
-    p = np.arange(1, (n // b + 1) * b + 1, dtype=float)
-    weights = np.stack([-1.0 / (np.pi * p), 1.0 / (np.pi**2 * p * p)])
-    weights[:, n:] = 0.0
-    return weights.reshape(2, -1, b)
-
-
-def _level_sums(lam: float):
-    """[(sine sum, cosine sum)] of the damped series at each Neville level
-    q = 1 - _ABEL_X, each over exactly its live prefix p <= `_live_powers`.
-
-    With p = j B + i as in `_poisson_weights`, q^p e^(i p theta) =
-    Z_j z_i, where Z_j = q^(jB) e^(i jB theta) and z_i = q^i e^(i i theta).
-    A level sums sum_j Z_j sum_i w_(jB+i) z_i, the baby-step/giant-step
-    evaluation of Paterson & Stockmeyer (SIAM J. Comput. 2, 1973): B + J
-    angles per lambda and B + J powers per level, not one of each per
-    term.  A level reads its full blocks and one partial block.  Each angle
-    is formed as 2 pi p {lambda}, at p = i and at p = jB; lambda has period
-    1 and x - floor(x) is exact, so a large |lambda| loses no digits.
-    Every sum is one of numpy's own einsum loops, not a BLAS call: the
-    last bits of a BLAS dot of more than 10^4 terms follow its thread
-    count."""
-    weights = _poisson_weights()
-    b = weights.shape[2]
-    p = np.arange(1.0, b + 1.0)
-    anchors = np.concatenate([p, b * np.arange(float(weights.shape[1]))])
-    theta = 2.0 * np.pi * anchors * frac_part(lam)
-    rotations = np.stack([np.cos(theta), np.sin(theta)])
-    sums = []
-    for x in _ABEL_X:
-        q = 1.0 - x
-        full, rest = divmod(_live_powers(q), b)
-        baby = q ** p * rotations[:, :b]
-        giant = q ** anchors[b:b + full + 1] * rotations[:, b:b + full + 1]
-        inner = np.empty((2, 2, full + 1))
-        np.einsum("kji,ci->kcj", weights[:, :full], baby,
-                  out=inner[:, :, :full])
-        np.einsum("ki,ci->kc", weights[:, full, :rest], baby[:, :rest],
-                  out=inner[:, :, full])
-        (s_re, s_im), (c_re, c_im) = np.einsum("kcj,dj->kcd", inner,
-                                               giant).tolist()
-        # Im(Z z) = Re Z Im z + Im Z Re z, Re(Z z) = Re Z Re z - Im Z Im z
-        sums.append((s_im[0] + s_re[1], c_re[0] - c_im[1]))
-    return sums
+    p = np.arange(1.0, (n // b + 1) * b + 1.0)
+    table = np.zeros((2, 2, p.size))   # {sine, cosine} x {value, difference}
+    for x, (num, den), (num7, den7) in zip(_ABEL_X, eight, seven + [(0, 1)]):
+        live = _live_powers(1.0 - x)
+        powers = (1.0 - x) ** p[:live]
+        # an int / int quotient is the exact ratio rounded once
+        table[:, 0, :live] += num / den * powers
+        table[:, 1, :live] += (num * den7 - num7 * den) / (den * den7) \
+            * powers
+    del powers   # the weights' two temporaries take its place
+    table[0] *= -1.0 / (np.pi * p)
+    table[1] *= 1.0 / (np.pi**2 * p * p)
+    table.flags.writeable = False
+    return table.reshape(4, -1, b)
 
 
 def eta_poisson(lam: float, s: SeriesSpec | None = None) -> FormScalar:
     """Poisson-route evaluation: a0 from the sine series (Abel regularized,
     it converges only conditionally), a2 from the cosine series, both
-    summed at each Neville level by `_level_sums`.
+    extrapolated to q = 1 over the Neville levels q = 1 - _ABEL_X, in one
+    pass over the folded table of `_poisson_table`.
 
     Each level sums only its live prefix, the powers up to the series cut
     (`_live_powers`, `_POISSON_CUT`), which changes a0 and a2 by at most
     1e-20; the level nearest q = 1 reads the most terms and sizes the
     series.
 
+    With p = j B + i as in the table, e^(i p theta) = Z_j z_i, where
+    Z_j = e^(i jB theta) and z_i = e^(i i theta), so a row T sums
+    sum_j Z_j sum_i T_(ji) z_i, the baby-step/giant-step evaluation of
+    Paterson & Stockmeyer (SIAM J. Comput. 2, 1973): B + J angles per
+    lambda, not one per term.  Each angle is formed as 2 pi p {lambda}, at
+    p = i and at p = jB; lambda has period 1 and x - floor(x) is exact, so
+    a large |lambda| loses no digits.  Both sums are numpy's own einsum
+    loops, not a BLAS call: the last bits of a BLAS dot of more than 10^4
+    terms follow its thread count.
+
     The route refuses with ConvergenceError when its own error estimate,
     the Neville difference of either extrapolation, exceeds the series
     tolerance, and otherwise reports that tolerance as its error."""
     s = s or SeriesSpec()
     require_generic(lam)
-    (a0, a2), diffs = abel_extrapolate(_level_sums(lam))
-    diff = max(diffs)
-    if diff > s.tol:
+    table = _poisson_table()
+    _, blocks, b = table.shape
+    anchors = np.concatenate([np.arange(1.0, b + 1.0),
+                              b * np.arange(float(blocks))])
+    theta = 2.0 * np.pi * anchors * frac_part(lam)
+    rotations = np.stack([np.cos(theta), np.sin(theta)])
+    inner = np.einsum("kji,ci->kcj", table, rotations[:, :b])
+    sine, sine_diff, cosine, cosine_diff = np.einsum(
+        "kcj,dj->kcd", inner, rotations[:, b:]).tolist()
+    # Im(Z z) = Re Z Im z + Im Z Re z, Re(Z z) = Re Z Re z - Im Z Im z
+    a0, d0 = (r[1][0] + r[0][1] for r in (sine, sine_diff))
+    a2, d2 = (r[0][0] - r[1][1] for r in (cosine, cosine_diff))
+    diff = max(abs(d0), abs(d2))
+    if not diff <= s.tol:
         raise ConvergenceError(
             f"poisson route at lambda = {float(lam)!r} (distance "
             f"{dist_to_integers(lam):.3e} to the integers) is unresolved: "

@@ -1,6 +1,8 @@
 """Boundary eta-form: three routes, series identities, and integrals."""
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,16 +213,17 @@ PINNED_ROWS = [
     (0.9, "0.4000000000000079", "0.3999999999998838",
      "0.07666666666666416")]
 
-# Poisson's (a0, a2) at the same lambdas from its blocked level sums (p =
-# j B + i, angles and powers at p = i and p = j B) over each level's live
-# prefix: the series and its cut are those of the per-term sums above, so
-# the rows move only by rounding, at most 1.9e-15, within POISSON_ROUNDING
+# Poisson's (a0, a2) at the same lambdas from its folded table (each
+# power's exact Neville weights rounded once, summed over the levels' live
+# prefixes, one baby-step/giant-step pass): the series and its cut are
+# those of the per-term sums above, so the rows move only by rounding, at
+# most 1.89e-15 (lambda = 0.9), within POISSON_ROUNDING
 POISSON_CUT_ROWS = {
-    0.1: ("-0.399999999999881", "0.07666666666666401"),
-    0.25: ("-0.25000000000000056", "-0.020833333333333304"),
-    0.4: ("-0.09999999999999998", "-0.07333333333333326"),
-    0.6: ("0.1000000000000021", "-0.07333333333333328"),
-    0.9: ("0.39999999999988184", "0.07666666666666412")}
+    0.1: ("-0.3999999999998815", "0.0766666666666642"),
+    0.25: ("-0.25000000000000006", "-0.020833333333333367"),
+    0.4: ("-0.09999999999999962", "-0.0733333333333333"),
+    0.6: ("0.10000000000000121", "-0.07333333333333332"),
+    0.9: ("0.3999999999998819", "0.07666666666666415")}
 POISSON_ROUNDING = 2e-15
 
 # the mode sum's (a0, a2) at the same lambdas from the closed-form u
@@ -296,42 +299,61 @@ def test_poisson_quarter():
     assert eta_poisson(0.25).a0 == pytest.approx(-0.25, abs=1e-9)
 
 
-def test_live_powers_are_the_prefix_below_the_cut(monkeypatch):
+def neville_weights(xs):
+    """The weights c_i of the interpolating polynomial's value at x = 0
+    through the levels xs, as float products."""
+    return np.array([np.prod(np.delete(xs, i) / (np.delete(xs, i) - x))
+                     for i, x in enumerate(xs)])
+
+
+def test_live_powers_are_the_prefix_below_the_cut():
     """Each level sums exactly the powers with p ln(1/q) <= T_P, the level
-    nearest q = 1 the most of them.  The weight table holds exactly that
-    level's prefix, laid out as p = j B + i, and zeros past it; each level
-    reads the table's full blocks and one partial block, its prefix."""
+    nearest q = 1 the most of them.  The table folds the levels: laid out
+    as p = j B + i, its rows are w_p K_p, with K_p = sum_i c_i q_i^p over
+    the levels whose live prefix holds p, and zero past N; the difference
+    rows take c_i - c'_i, c' the weights of the first seven levels."""
     p = np.arange(1, 30_001, dtype=float)
     live = [_live_powers(1.0 - x) for x in _ABEL_X]
     for x, n in zip(_ABEL_X, live):
         assert np.array_equal(p * -np.log(1.0 - x) <= _POISSON_CUT,
                               p <= n)
     assert live[0] == 184 and live[-1] == 27_109 == max(live)
-    weights = eta._poisson_weights()
-    _, blocks, b = weights.shape
+    table = eta._poisson_table()
+    _, blocks, b = table.shape
     assert (b, blocks) == (math.isqrt(live[-1]) + 1, live[-1] // b + 1)
-    table, n = weights.reshape(2, -1), live[-1]
-    assert np.array_equal(table[:, :n], [-1.0 / (np.pi * p[:n]),
-                                         1.0 / (np.pi**2 * p[:n] * p[:n])])
-    assert table.shape[1] >= n and np.all(table[:, n:] == 0.0)
+    assert not table.flags.writeable
+    rows, n = table.reshape(4, -1), live[-1]
+    assert rows.shape[1] >= n and np.all(rows[:, n:] == 0.0)
 
-    # label each weight with its p and record the labels each level reads
-    labels = np.broadcast_to(np.arange(1.0, blocks * b + 1.0).reshape(
-        blocks, b), weights.shape).copy()
-    read, einsum = [], np.einsum
+    value = neville_weights(_ABEL_X)
+    diff = value - np.append(neville_weights(_ABEL_X[:-1]), 0.0)
+    damping = np.zeros((2, n))
+    size = np.zeros(n)
+    for x, c, d, prefix in zip(_ABEL_X, value, diff, live):
+        powers = (1.0 - x) ** p[:prefix]
+        damping[:, :prefix] += np.outer([c, d], powers)
+        size[:prefix] += abs(c) * powers
+    folded = np.concatenate([rows[:2, :n] * (-np.pi * p[:n]),
+                             rows[2:, :n] * (np.pi**2 * p[:n] * p[:n])])
+    assert np.all(np.abs(folded - np.tile(damping, (2, 1)))
+                  <= 1e-14 * np.tile(size, (4, 1)))
+    # q^p is a polynomial of degree p in x = 1 - q, which eight levels
+    # extrapolate exactly up to p = 7 and seven up to p = 6: K_p is 1 there
+    # and the difference 0
+    assert np.allclose(folded[::2, :7], 1.0, rtol=0.0, atol=1e-14)
+    assert np.allclose(folded[1::2, :6], 0.0, rtol=0.0, atol=1e-14)
 
-    def spy(spec, *operands, **kwargs):
-        if np.shares_memory(operands[0], labels):
-            read.append(operands[0][0].ravel())
-        return einsum(spec, *operands, **kwargs)
 
-    monkeypatch.setattr(eta, "_poisson_weights", lambda: labels)
-    monkeypatch.setattr(np, "einsum", spy)
-    eta._level_sums(0.3)
-    assert len(read) == 2 * len(live)
-    for level, n in enumerate(live):
-        assert np.array_equal(np.concatenate(read[2 * level:2 * level + 2]),
-                              np.arange(1.0, n + 1.0)), level
+def test_table_build_holds_one_level_at_a_time():
+    """The table build's allocations peak within twice the table's own
+    bytes: no (levels x N) array of powers is ever live."""
+    tracemalloc.start()
+    try:
+        table = eta._poisson_table.__wrapped__()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.shape[0] == 4 and peak <= 2 * table.nbytes
 
 
 def reference_level_sums(lam):
@@ -351,7 +373,8 @@ def reference_level_sums(lam):
 
 
 def reference_neville(levels):
-    """The Neville recurrence on a float64 array, as the route ran it."""
+    """The Neville recurrence on a float64 array, as the route ran it
+    before it was folded."""
     xs, tableau = _ABEL_X, np.array(levels)
     for m in range(1, xs.size):
         for i in range(xs.size - 1, m - 1, -1):
@@ -370,29 +393,27 @@ def reference_draws(n, seed):
         [rng.uniform(-50.0, 50.0, n), near])]
 
 
-# how far the blocked route may move a level sum or a0, a2 from the per-term
-# reference: each rounds its angles 2 pi p {lambda}, up to 1.7e5 rad, its
-# own way
+# how far the folded route may move a0, a2 from the per-term reference:
+# each rounds its angles 2 pi p {lambda}, up to 1.7e5 rad, its own way, and
+# the route sums each power's extrapolation where the reference
+# extrapolates each level's sum
 BLOCKED_ROUNDING = 2e-14
 
 
 def test_blocked_route_matches_the_per_term_reference(monkeypatch):
-    """Over 400 draws the blocked level sums and the extrapolated (a0, a2)
-    meet the per-term reference within BLOCKED_ROUNDING wherever the route
-    accepts, and both refuse exactly the same draws.  Near an integer, where
-    both refuse, the level sums move by up to about 7e-14: the angle
-    rounding adds up in step there, and no reported value reads them.  The
-    Neville recurrence on Python floats keeps the array recurrence's bits.
+    """Over 400 draws the folded route refuses exactly the draws whose
+    per-term Neville difference exceeds the series tolerance, and
+    elsewhere its (a0, a2) meet the per-term reference within
+    BLOCKED_ROUNDING.
 
-    At the default cut a level's last, partial block weighs below 1e-20.
-    At a short cut T_P = 5 it weighs about e^-5, and the first level is
-    that block alone, so there the sums show that the block is read."""
+    At the default cut a level's last terms weigh below 1e-20.  At a short
+    cut T_P = 5 they weigh about e^-5, and the first level is a partial
+    block alone, so there the values show that each level's prefix, and
+    no more, is folded into the table."""
     tol = SeriesSpec().tol
     refused = []
     for lam in reference_draws(200, 20261018):
-        got, ref = eta._level_sums(lam), reference_level_sums(lam)
-        values, diffs = reference_neville(ref)
-        assert eta.abel_extrapolate(ref) == (values.tolist(), diffs.tolist())
+        values, diffs = reference_neville(reference_level_sums(lam))
         try:
             form = eta_poisson(lam)
         except ConvergenceError:
@@ -400,17 +421,29 @@ def test_blocked_route_matches_the_per_term_reference(monkeypatch):
             assert diffs.max() > tol, lam
             continue
         assert diffs.max() <= tol, lam
-        assert np.max(np.abs(np.subtract(got, ref))) <= BLOCKED_ROUNDING, lam
         assert abs(form.a0 - values[0]) <= BLOCKED_ROUNDING, lam
         assert abs(form.a2 - values[1]) <= BLOCKED_ROUNDING, lam
     assert 100 < len(refused) < 200
 
-    eta._poisson_weights()   # sized at the default cut, which holds T_P = 5
     monkeypatch.setattr(eta, "_POISSON_CUT", 5.0)
-    assert _live_powers(1.0 - _ABEL_X[0]) < eta._poisson_weights().shape[2]
+    monkeypatch.setattr(eta, "_poisson_table",
+                        functools.cache(eta._poisson_table.__wrapped__))
+    assert _live_powers(1.0 - _ABEL_X[0]) < eta._poisson_table().shape[2]
+    loose = SeriesSpec(tol=1.0)
     for lam in seeded_lambdas(20, 7):
-        got, ref = eta._level_sums(lam), reference_level_sums(lam)
-        assert np.max(np.abs(np.subtract(got, ref))) <= BLOCKED_ROUNDING, lam
+        (a0, a2), _ = reference_neville(reference_level_sums(lam))
+        form = eta_poisson(lam, loose)
+        assert abs(form.a0 - a0) <= BLOCKED_ROUNDING, lam
+        assert abs(form.a2 - a2) <= BLOCKED_ROUNDING, lam
+
+
+def test_poisson_difference_at_0_3():
+    """The folded difference is the Neville difference in exact
+    arithmetic: at lambda = 0.3 it is still about 5.7e-14, refused at a
+    tolerance of 5e-14 and accepted at 6e-14."""
+    with pytest.raises(ConvergenceError, match="differs by 5.6"):
+        eta_poisson(0.3, SeriesSpec(tol=5e-14))
+    assert eta_poisson(0.3, SeriesSpec(tol=6e-14)).error == 6e-14
 
 
 @pytest.mark.parametrize("p_cutoff", [20, 20000, 200000])

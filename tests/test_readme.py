@@ -7,7 +7,7 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
-from tnindex import cli
+from tnindex import cli, eta
 from tnindex.eta import SeriesSpec
 from tnindex.geometry import BlendProfile
 from tnindex.index import assemble
@@ -102,6 +102,35 @@ def test_readme_index_report_is_one_json_write(tmp_path, monkeypatch):
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     assert (out / "index_report.json").read_bytes() == text.encode()
     assert writes == [text]
+
+
+def test_readme_eta_run_checks_each_row(tmp_path, monkeypatch, capsys):
+    """The README configuration's eta run over all routes exits 0, and
+    with a mode-sum a2 scaled by 1 + 1e-6 it still writes its CSV but
+    exits 1: a ConsistencyError names the mode_sum row's lambda and its
+    miss of the Bernoulli eta, about 4.3e-8 against an error of 8e-15."""
+    (tmp_path / "config.json").write_text(
+        json.dumps(_json_block("### Configuration document")))
+    argv = ["--config", str(tmp_path / "config.json"), "--mode", "eta",
+            "--route", "all", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_OK
+    mode_sum = eta.eta_mode_sum
+
+    def planted(lam):
+        form = mode_sum(lam)
+        return eta.FormScalar(form.a0, form.a2 * (1.0 + 1e-6), form.error)
+
+    monkeypatch.setattr(eta, "eta_mode_sum", planted)
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConsistencyError"
+    assert "the mode_sum route at lambda = 0.3 misses the Bernoulli eta by" \
+        in err["message"]
+    assert "4.333e-08 in a2, beyond its error 7.979e-15" in err["message"]
+    assert "poisson" not in err["message"]
+    lines = (tmp_path / "out" / "eta_routes.csv").read_text().splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == list(eta.ROUTES)
 
 
 CODE_MODULES = ("cli", "eta", "gauge", "geometry", "quadrature",
